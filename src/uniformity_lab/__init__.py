@@ -12,7 +12,8 @@ from .counting import (CountReport, average_product_direct,
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, balanced, convolve,
                         fourier, inverse_fourier, l2_norm, load_function,
-                        save_function, u2_norm_fast, uk_norm, uk_power_exact)
+                        save_function, u2_norm_fast, uk_norm, uk_norm_fast,
+                        uk_power_exact)
 from .hypergraphs import (TripartiteFunction, lift, octahedral_norm,
                           vertex_uniformity_counterexample)
 from .systems import (INFINITE, LinearFormSystem, NormalFormWitness,

@@ -21,7 +21,7 @@ from .counting import (DUAL_AGREEMENT_TOL, average_product_direct,
                        average_product_dual, solution_probability)
 from .domains import domain
 from .functions import (IndicatorSet, balanced, load_function,
-                        random_bounded_function, u2_norm_fast, uk_norm)
+                        random_bounded_function, uk_norm, uk_norm_fast)
 from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, TrueComplexityUndecided,
                       conjectured_true_complexity, cs_complexity,
@@ -95,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--balanced", action="store_true",
                    help="recentre an indicator input to mean zero")
     c.add_argument("--k", type=int, default=2, help="norm degree (U^k)")
-    c.add_argument("--method", choices=["direct", "fast"], default="direct")
+    c.add_argument("--method", choices=["direct", "fast"], default="direct",
+                   help="direct: cube enumeration; fast: through the transform")
     common(c)
 
     c = sub.add_parser("count", help="configuration count for a set or functions")
@@ -222,9 +223,7 @@ def cmd_norm(args) -> tuple[int, dict]:
     f = _load_cli_function(args)
     dom = f.domain
     if args.method == "fast":
-        if args.k != 2:
-            raise ValueError("the fast path computes U^2 only")
-        value = u2_norm_fast(f)
+        value = uk_norm_fast(f, args.k, budget=args.budget)
         method = "fourier"
     else:
         value = uk_norm(f, args.k, budget=args.budget)

@@ -2,20 +2,29 @@
 
 Point i has coordinate vector digits(i) written big-endian: coordinate 0 is
 the most significant digit, so enumeration order equals lexicographic order on
-coordinate tuples.  All group arithmetic used by the transforms, norms and
-counting loops is done on integer indices through the tables built here.
+coordinate tuples.  A value table reshaped to `grid` = (p,)*n is indexed by
+coordinate vectors, so translation by h is a cyclic shift of that array
+(`translates`, `translation_blocks`); the U^k norms use these and need no
+index table.  The lift and the counting loops gather through `digits`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from typing import Iterator
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import check_modulus
 
 MAX_DOMAIN_SIZE = 2**26  # keeps index tables within platform-native ints / memory
+
+# Cap on the entries of one block of translates: 4 MB of complex128, so the
+# block and the temporaries computed from it stay in cache-sized pieces.
+TRANSLATION_BLOCK_ENTRIES = 2**18
 
 
 @dataclass(frozen=True, eq=True)
@@ -49,29 +58,46 @@ class GroupDomain:
             raise ValueError("vector does not match domain dimension")
         return int(v @ self.places)
 
-    def indices_of(self, vecs: np.ndarray) -> np.ndarray:
-        V = np.asarray(vecs, dtype=np.int64) % self.p
-        return V @ self.places
+    @property
+    def grid(self) -> tuple[int, ...]:
+        """Shape (p,)*n under which a value table is indexed by coordinates."""
+        return (self.p,) * self.n
 
-    def vector_of(self, index: int) -> np.ndarray:
-        return self.digits[index].copy()
+    def translates(self, values: np.ndarray) -> np.ndarray:
+        """View W of shape grid + grid with W[h..., x...] = values[x + h].
+
+        It is a sliding window over one copy of the table wrap-padded by p - 1
+        along every axis, so it holds (2p - 1)^n entries, of any dtype.
+        """
+        g = np.asarray(values).reshape(self.grid)
+        padded = np.pad(g, [(0, self.p - 1)] * self.n, mode="wrap")
+        return sliding_window_view(padded, self.grid)
+
+    def translation_blocks(self, values: np.ndarray) -> Iterator[np.ndarray]:
+        """The rows x -> values[x + h], h in enumeration order, as (rows, size)
+        blocks of at most max(TRANSLATION_BLOCK_ENTRIES, size) entries.
+
+        A block fixes the leading digits of h and runs over the trailing ones.
+        """
+        W = self.translates(values)
+        free = 0
+        while free < self.n and self.p ** (free + 1) * self.size <= TRANSLATION_BLOCK_ENTRIES:
+            free += 1
+        for prefix in product(range(self.p), repeat=self.n - free):
+            yield W[prefix].reshape(self.p**free, self.size)
 
     @property
     def add_table(self) -> np.ndarray:
-        """(size, size) table: entry [i, j] is the index of point_i + point_j."""
+        """(size, size) table: entry [i, j] is the index of point_i + point_j.
+
+        O(size^2) memory, built on first access; no computation in the
+        package uses it.
+        """
         return _add_table(self.p, self.n)
 
     @property
     def neg_table(self) -> np.ndarray:
         return _neg_table(self.p, self.n)
-
-    def scalar_mul_table(self, c: int) -> np.ndarray:
-        """(size,) table: index of c * point_i."""
-        return _scalar_mul_table(self.p, self.n, int(c) % self.p)
-
-    def add_indices(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Indices of point_a + point_b, elementwise, without the full table."""
-        return ((self.digits[a] + self.digits[b]) % self.p) @ self.places
 
 
 @lru_cache(maxsize=None)
@@ -112,12 +138,5 @@ def _add_table(p: int, n: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _neg_table(p: int, n: int) -> np.ndarray:
     out = ((-_digits(p, n)) % p) @ _places(p, n)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _scalar_mul_table(p: int, n: int, c: int) -> np.ndarray:
-    out = ((c * _digits(p, n)) % p) @ _places(p, n)
     out.setflags(write=False)
     return out

@@ -9,11 +9,22 @@ i.e. averages on the physical side, sums on the frequency side.  The omega
 powers come from a single precomputed p-entry table so transforms are
 bit-reproducible run to run.
 
-U^k norms are evaluated from the defining 2^k-fold product over combinatorial
-cubes (x, h_1, ..., h_k), with the inner (x, h_k) double sum factored exactly
-into a product of two plain averages; summation order over the remaining
-(h_1, ..., h_{k-1}) is fixed lexicographic.  A budget guard refuses jobs whose
-operation count would run for hours.
+U^k norms have two production paths, both built on the multiplicative
+derivative Delta_h g(x) = g(x) conj(g(x + h)) taken on the (p,)*n grid through
+the domain's translation views (no index table):
+
+* `uk_norm` sums the defining 2^k-fold product over combinatorial cubes
+  (x, h_1, ..., h_k) with no Fourier step.  The product over the first k - 2
+  directions is the iterated derivative g = Delta_{h_1}...Delta_{h_{k-2}} f,
+  formed in a Python loop over (h_1, ..., h_{k-2}) in lexicographic order;
+  the last two directions are the U^2 cube sum
+  sum_h |sum_x g(x) conj(g(x + h))|^2, computed as blocked matrix-vector
+  products over all h at once.
+* `uk_norm_fast` uses the same recursion one level higher and the Fourier
+  base case ||g||_{U^2}^4 = sum_r |g^(r)|^4, transforming a block of
+  derivatives over the last h at once.
+
+A budget guard refuses jobs whose operation count would run for hours.
 """
 
 from __future__ import annotations
@@ -23,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iter_product
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -172,12 +183,17 @@ def balanced(A: IndicatorSet) -> GroupFunction:
 # ---------------------------------------------------------------------------
 # Fourier transform, factored one axis at a time: O(N * n * p) arithmetic.
 
+def _dft_axes(arr: np.ndarray, p: int, first: int = 0) -> np.ndarray:
+    """Unnormalized transform along every axis of `arr` from `first` on."""
+    D = _dft_matrix(p)
+    for axis in range(first, arr.ndim):
+        arr = np.moveaxis(np.tensordot(D, arr, axes=(1, axis)), 0, axis)
+    return arr
+
+
 def fourier(f: GroupFunction) -> GroupFunction:
     dom = f.domain
-    arr = f.values.reshape((dom.p,) * dom.n)
-    D = _dft_matrix(dom.p)
-    for axis in range(dom.n):
-        arr = np.moveaxis(np.tensordot(D, arr, axes=(1, axis)), 0, axis)
+    arr = _dft_axes(f.values.reshape(dom.grid), dom.p)
     return GroupFunction(domain=dom, values=arr.reshape(dom.size) / dom.size)
 
 
@@ -206,46 +222,49 @@ def uk_norm_op_count(dom: GroupDomain, k: int) -> int:
     return (2**k) * dom.size**k
 
 
-def _cube_power_sum(values: np.ndarray, conj_values: np.ndarray,
-                    dom: GroupDomain, k: int) -> float:
-    """Sum over (h_1..h_{k-1}) of |sum_x prod_w C^|w| f(x + w.h)|^2."""
-    add = dom.add_table
-    N = dom.size
-    if k == 2:
-        # vectorized over (h, x) in row blocks to bound memory
-        total = 0.0
-        step = max(1, (1 << 21) // N)
-        for start in range(0, N, step):
-            sums = (values[None, :] * conj_values[add[start:start + step]]).sum(axis=1)
-            total += float((sums.real**2 + sums.imag**2).sum())
-        return total
-    total = 0.0
-    omegas = list(iter_product((0, 1), repeat=k - 1))
-    tables = [values, conj_values]
-    for suffix in iter_product(range(N), repeat=k - 1):
-        prod = None
-        for w in omegas:
-            s = 0
-            for wj, hj in zip(w, suffix):
-                if wj:
-                    s = add[s, hj]
-            term = tables[sum(w) & 1][add[s]]
-            prod = term if prod is None else prod * term
-        tot = prod.sum()
-        total += tot.real**2 + tot.imag**2
+def uk_norm_fast_op_count(dom: GroupDomain, k: int) -> int:
+    """N^(k-2) derivatives of N entries, each transformed along n axes of
+    p-point DFTs and raised to the fourth power."""
+    return dom.size ** (k - 1) * (dom.n * dom.p + 4)
+
+
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError("uniformity norms are defined for k >= 2")
+
+
+def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
+                    base: Callable[[np.ndarray], float | Fraction]):
+    """sum over (h_1..h_depth), lexicographic, of base(Delta_{h_1}...Delta_{h_depth} g)
+    with Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype."""
+    if depth == 0:
+        return base(g)
+    W = dom.translates(g)
+    total = 0
+    for h in iter_product(range(dom.p), repeat=dom.n):
+        total += _derivative_sum(dom, g * np.conj(W[h].reshape(dom.size)),
+                                 depth - 1, base)
     return total
 
 
 def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
     """U^k norm from the defining cube average; exact enumeration, no Fourier."""
-    if k < 2:
-        raise ValueError("uniformity norms are defined for k >= 2")
+    _check_k(k)
     dom = f.domain
     check_budget(uk_norm_op_count(dom, k), budget, what=f"U^{k} norm on size {dom.size}")
-    N = dom.size
-    power_sum = _cube_power_sum(f.values, np.conj(f.values), dom, k)
+
+    def cube_sum(g: np.ndarray) -> float:
+        # sum_h |sum_x g(x) conj(g(x + h))|^2; block @ gc is the conjugate sum
+        gc = np.conj(g)
+        total = 0.0
+        for block in dom.translation_blocks(g):
+            sums = block @ gc
+            total += float((sums.real**2 + sums.imag**2).sum())
+        return total
+
+    power_sum = _derivative_sum(dom, f.values, k - 2, cube_sum)
     # |sum_x|^2 contributes N^2 and the k-1 outer averages contribute N^(k-1)
-    power = float(power_sum) / N ** (k + 1)
+    power = float(power_sum) / dom.size ** (k + 1)
     power = max(power, 0.0)
     return float(power ** (1.0 / 2**k))
 
@@ -255,28 +274,46 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     norm) for real rational-valued f; the oracle for the float path."""
     if f.exact is None:
         raise ValueError("function carries no exact rational table")
-    if k < 2:
-        raise ValueError("uniformity norms are defined for k >= 2")
+    _check_k(k)
     dom = f.domain
     check_budget(uk_norm_op_count(dom, k), budget,
                  what=f"exact U^{k} norm on size {dom.size}")
-    add = dom.add_table
+
+    def cube_sum(g: np.ndarray) -> Fraction:
+        total = Fraction(0)
+        for block in dom.translation_blocks(g):
+            sums = block @ g
+            total += (sums * sums).sum()
+        return total
+
+    return _derivative_sum(dom, f.exact, k - 2, cube_sum) / Fraction(dom.size) ** (k + 1)
+
+
+def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
+    """U^k norm through the transform: E_{h_1..h_(k-2)} of the fourth power of
+    the U^2 norm of Delta_{h_1}...Delta_{h_(k-2)} f, to the 2^k-th root."""
+    _check_k(k)
+    dom = f.domain
+    check_budget(uk_norm_fast_op_count(dom, k), budget,
+                 what=f"fast U^{k} norm on size {dom.size}")
+    if k == 2:
+        return u2_norm_fast(f)
     N = dom.size
-    vals = f.exact
-    total = Fraction(0)
-    omegas = list(iter_product((0, 1), repeat=k - 1))
-    for suffix in iter_product(range(N), repeat=k - 1):
-        prod = None
-        for w in omegas:
-            s = 0
-            for wj, hj in zip(w, suffix):
-                if wj:
-                    s = add[s, hj]
-            term = vals[add[s]]
-            prod = term if prod is None else prod * term
-        tot = prod.sum()
-        total += tot * tot
-    return total / Fraction(N) ** (k + 1)
+
+    def fourier_sum(g: np.ndarray) -> float:
+        # sum over h of sum_r |(Delta_h g)^(r)|^4, one block of h per transform;
+        # g(x + h) conj(g(x)) is the conjugate of Delta_h g, with the same sum
+        gc = np.conj(g)
+        total = 0.0
+        for block in dom.translation_blocks(g):
+            deriv = (block * gc).reshape((-1,) + dom.grid)
+            dh = _dft_axes(deriv, dom.p, first=1) / N
+            mags = dh.real**2 + dh.imag**2
+            total += float((mags**2).sum())
+        return total
+
+    power = _derivative_sum(dom, f.values, k - 3, fourier_sum) / N ** (k - 2)
+    return float(max(power, 0.0) ** (1.0 / 2**k))
 
 
 def u2_norm_fast(f: GroupFunction) -> float:

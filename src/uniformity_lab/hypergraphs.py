@@ -96,11 +96,12 @@ def octahedral_power_exact(F: TripartiteFunction) -> Fraction:
 def lift(g: GroupFunction) -> TripartiteFunction:
     """F(x, y, z) = g(x + y + z) on X = Y = Z = the domain of g."""
     dom = g.domain
-    add = dom.add_table
-    idx3 = add[add]  # (N, N, N): index of (x + y) + z
-    exact = None
-    if g.exact is not None:
-        exact = g.exact[idx3]
+    D = dom.digits
+    # index of x + y + z, summed one coordinate digit at a time
+    idx3 = np.zeros((dom.size,) * 3, dtype=np.int64)
+    for i, place in enumerate(dom.places):
+        idx3 += (D[:, None, None, i] + D[None, :, None, i] + D[None, None, :, i]) % dom.p * place
+    exact = g.exact[idx3] if g.exact is not None else None
     return TripartiteFunction(values=g.values[idx3], exact=exact)
 
 

@@ -69,34 +69,45 @@ def naive_fourier(values, digits, p):
     return out
 
 
-def naive_uk_power(values, add_table, k):
-    """The U^k cube average by literal enumeration of (x, h_1, ..., h_k)."""
-    N = len(values)
+def naive_points(p, n):
+    """The points of F_p^n as digit tuples in enumeration order (coordinate 0
+    most significant), with their index lookup."""
+    points = list(product(range(p), repeat=n))
+    return points, {v: i for i, v in enumerate(points)}
+
+
+def naive_uk_power(values, p, n, k):
+    """The U^k cube average by literal enumeration of (x, h_1, ..., h_k),
+    adding digit vectors mod p."""
+    points, index = naive_points(p, n)
+    N = len(points)
     total = 0
-    for tup in product(range(N), repeat=k + 1):
+    for tup in product(points, repeat=k + 1):
         x, hs = tup[0], tup[1:]
         prod = 1
         for w in product((0, 1), repeat=k):
-            idx = x
+            vec = x
             for wj, hj in zip(w, hs):
                 if wj:
-                    idx = add_table[idx, hj]
-            v = values[idx]
+                    vec = tuple((a + b) % p for a, b in zip(vec, hj))
+            v = values[index[vec]]
             if sum(w) % 2:
-                v = v.conjugate() if isinstance(v, complex) else v
+                v = v.conjugate()
             prod = prod * v
         total = total + prod
     return total / N ** (k + 1)
 
 
-def naive_convolve(values_f, values_g, add_table, neg_table):
-    N = len(values_f)
+def naive_convolve(values_f, values_g, p, n):
+    """E_{y+z=x} f(y) g(z), with z = x - y formed on digit vectors."""
+    points, index = naive_points(p, n)
+    N = len(points)
     out = np.zeros(N, dtype=complex)
     for x in range(N):
         s = 0j
         for y in range(N):
-            z = add_table[x, neg_table[y]]  # z = x - y
-            s += values_f[y] * values_g[z]
+            z = tuple((a - b) % p for a, b in zip(points[x], points[y]))
+            s += values_f[y] * values_g[index[z]]
         out[x] = s / N
     return out
 

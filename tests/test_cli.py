@@ -104,6 +104,21 @@ def test_norm_command_matches_library(tmp_path, capsys):
     assert rec["domain"] == {"p": 5, "n": 2}
 
 
+def test_norm_fast_command_any_degree(tmp_path, capsys):
+    code, report, _ = run(["norm", "--set", "quadzero", "--balanced",
+                           "--p", "5", "--n", "2", "--k", "3",
+                           "--method", "fast"], tmp_path)
+    assert code == 0
+    rec = report["results"][0]
+    f = balanced(quadratic_zero_set(5, 2))
+    assert abs(rec["value"] - uk_norm(f, 3)) < 1e-12
+    assert rec["norm"] == "U3" and rec["method"] == "fourier"
+    assert validate_report(report) == []
+    code, _, _ = run(["norm", "--set", "quadzero", "--p", "5", "--n", "2",
+                      "--k", "3", "--method", "fast", "--budget", "10"])
+    assert code == 3
+
+
 def test_normal_form_command(tmp_path, capsys):
     code, report, _ = run(["normal-form", "--system", "nf4", "--s", "2"], tmp_path)
     assert code == 0

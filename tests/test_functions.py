@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.budget import BudgetExceededError
-from uniformity_lab.domains import domain
+from uniformity_lab.domains import _add_table, domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       convolve, fourier, inverse_fourier,
                                       l2_norm, load_function, save_function,
-                                      u2_norm_fast, uk_norm, uk_power_exact)
+                                      u2_norm_fast, uk_norm, uk_norm_fast,
+                                      uk_power_exact)
+from uniformity_lab.hypergraphs import lift
 from uniformity_lab.verification import quadratic_zero_set
 
 import oracles
@@ -76,13 +78,60 @@ def test_u2_norm_of_character_is_one():
     assert abs(u2_norm_fast(f) - 1) < 1e-9
 
 
+NAIVE_UK_CASES = [(p, n, k) for p in (3, 5, 7) for n in (1, 2, 3) for k in (2, 3, 4)
+                  if (p**n) ** (k + 1) * 2**k <= 2 * 10**5]
+
+
 def test_uk_norm_matches_naive_enumeration():
-    dom = domain(3, 2)
+    assert {(p, k) for p, _, k in NAIVE_UK_CASES} >= {(3, 4), (5, 4), (7, 3)}
+    assert {n for _, n, _ in NAIVE_UK_CASES} == {1, 2, 3}
     rng = np.random.default_rng(32)
-    f = random_function(dom, rng)
-    for k in (2, 3):
-        naive = abs(oracles.naive_uk_power(list(f.values), dom.add_table, k))
-        assert abs(uk_norm(f, k) ** 2**k - naive) < 1e-9
+    for p, n, k in NAIVE_UK_CASES:
+        dom = domain(p, n)
+        f = random_function(dom, rng)
+        neg = [dom.index_of(-v) for v in dom.digits]
+        # a generic input: neither even nor conjugate-even
+        assert np.abs(f.values - f.values[neg]).max() > 0.1
+        assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
+        naive = oracles.naive_uk_power(list(f.values), p, n, k)
+        assert abs(naive.imag) < 1e-12, (p, n, k)
+        assert abs(uk_norm(f, k) ** 2**k - naive.real) <= 1e-9 * naive.real, (p, n, k)
+
+
+def test_direct_fast_and_exact_uk_agree():
+    rng = np.random.default_rng(36)
+    for p, n in [(3, 2), (5, 1), (3, 1)]:
+        dom = domain(p, n)
+        fracs = [Fraction(int(v), 7) for v in rng.integers(-7, 8, dom.size)]
+        f = GroupFunction.from_rational(dom, fracs)
+        for k in (2, 3, 4):
+            exact = float(uk_power_exact(f, k))
+            assert abs(uk_norm(f, k) ** 2**k - exact) <= 1e-12 * exact
+            assert abs(uk_norm_fast(f, k) ** 2**k - exact) <= 1e-12 * exact
+    for p, n, k in [(3, 3, 2), (3, 3, 3), (5, 2, 3), (3, 2, 4), (5, 1, 5)]:
+        f = random_function(domain(p, n), rng)
+        assert abs(uk_norm(f, k) - uk_norm_fast(f, k)) < 1e-12
+
+
+def test_fast_uk_at_two_is_u2_norm_fast():
+    f = random_function(domain(5, 3), np.random.default_rng(37))
+    assert uk_norm_fast(f, 2) == u2_norm_fast(f)
+
+
+def test_norm_paths_build_no_addition_table():
+    _add_table.cache_clear()
+    dom = domain(3, 2)
+    rng = np.random.default_rng(38)
+    f = GroupFunction.from_rational(
+        dom, [Fraction(int(v), 5) for v in rng.integers(-5, 6, dom.size)])
+    for k in (2, 3, 4):
+        uk_norm(f, k)
+        uk_power_exact(f, k)
+        uk_norm_fast(f, k)
+    lifted = lift(f)
+    assert lifted.exact[1, 2, 4] == f.exact[dom.index_of(
+        dom.digits[1] + dom.digits[2] + dom.digits[4])]
+    assert _add_table.cache_info().currsize == 0
 
 
 def test_u2_three_way_identity_and_monotonicity():
@@ -115,6 +164,11 @@ def test_uk_norm_validation_and_budget():
         uk_norm(f, 3, budget=10)
     assert err.value.required == 2**3 * 9**3
     assert err.value.budget == 10
+    with pytest.raises(ValueError):
+        uk_norm_fast(f, 1)
+    with pytest.raises(BudgetExceededError) as err:
+        uk_norm_fast(f, 3, budget=10)
+    assert err.value.required == 9**2 * (2 * 3 + 4)
 
 
 def test_budget_env_override(monkeypatch):
@@ -167,8 +221,7 @@ def test_convolution_identities():
     conv = convolve(full.to_function(), full.to_function())
     assert np.abs(conv.values - 1).max() < 1e-9
 
-    naive = oracles.naive_convolve(f.values, f.values, dom.add_table,
-                                   dom.neg_table)
+    naive = oracles.naive_convolve(f.values, f.values, 3, 3)
     assert np.abs(convolve(f, f).values - naive).max() < 1e-9
     assert abs(l2_norm(convolve(f, f)) ** 2 - uk_norm(f, 2) ** 4) < 1e-9
 
