@@ -8,6 +8,10 @@ sum_i c_iu r_i = 0 for every variable u and sums the products of Fourier
 coefficients.  The two must agree to 1e-8 wherever both run, which is the
 central cross-check of the whole package.
 
+Both strategies, `count_solutions` and the factor checks in `verification`
+share one kernel, `reduce_form_images`: chunked enumeration, form images, a
+per-chunk reducer, an optional thread pool and partials in chunk order.
+
 Counting includes degenerate configurations (for instance zero-difference
 progressions); the reference probabilities are defined over the full
 parameter space the same way.
@@ -18,7 +22,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -93,25 +97,54 @@ def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDo
     return dom
 
 
-def variable_digits(chunk: np.ndarray, dom: GroupDomain, d: int) -> np.ndarray:
-    """(len, d, n) digit tensor of the d variable points of each assignment."""
+def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
+                       reduce: Callable[[np.ndarray, np.ndarray], Any],
+                       threads: int = 1) -> list:
+    """reduce(images, V) on each CHUNK of the N^d assignments of d variables.
+
+    `coeffs` is an (m, d) coefficient matrix; for a chunk of assignments in
+    base-N lexicographic order, V is the (len, d, n) digit tensor of the
+    variable points and images the (m, len) point indices of the forms'
+    values.  The partial results come back in chunk order whatever the
+    number of worker threads, so a fixed-order reduction of them is
+    bit-reproducible.  Callers check their own budget.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    m, d = coeffs.shape
     N = dom.size
-    out = np.empty((chunk.shape[0], d, dom.n), dtype=np.int64)
-    for u in range(d):
-        var = (chunk // N ** (d - 1 - u)) % N
-        out[:, u, :] = dom.digits[var]
-    return out
+    total = N**d
+
+    def run(start: int):
+        chunk = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
+        V = np.empty((chunk.shape[0], d, dom.n), dtype=np.int64)
+        for u in range(d):
+            V[:, u, :] = dom.digits[(chunk // N ** (d - 1 - u)) % N]
+        images = np.empty((m, chunk.shape[0]), dtype=np.int64)
+        for i in range(m):
+            images[i] = (np.einsum("ldn,d->ln", V, coeffs[i]) % dom.p) @ dom.places
+        return reduce(images, V)
+
+    starts = range(0, total, CHUNK)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(run, starts))
+    return [run(s) for s in starts]
 
 
-def form_image_indices(sys: LinearFormSystem, dom: GroupDomain,
-                       chunk: np.ndarray) -> np.ndarray:
-    """(m, len) point indices of L_i(assignment) for assignments in `chunk`."""
-    V = variable_digits(chunk, dom, sys.d)
-    out = np.empty((sys.m, chunk.shape[0]), dtype=np.int64)
-    for i in range(sys.m):
-        digits = np.einsum("ldn,d->ln", V, sys.coeffs[i]) % sys.p
-        out[i] = digits @ dom.places
-    return out
+def _sum_of_products(coeffs: np.ndarray, dom: GroupDomain,
+                     tables: Sequence[np.ndarray], threads: int) -> complex:
+    """Sum over all assignments of prod_i tables[i][L_i(x)], added in fixed
+    chunk order (an explicit loop: the builtin sum may compensate)."""
+    def chunk_sum(images: np.ndarray, V: np.ndarray) -> complex:
+        prod = tables[0][images[0]]
+        for table, idx in zip(tables[1:], images[1:]):
+            prod *= table[idx]
+        return complex(prod.sum())
+
+    total = 0j
+    for s in reduce_form_images(coeffs, dom, chunk_sum, threads):
+        total += s
+    return total
 
 
 def direct_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
@@ -122,29 +155,10 @@ def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
                            budget: int | None = None, threads: int = 1) -> complex:
     """E over all assignments of prod_i f_i(L_i(x)), by full enumeration."""
     dom = _check_inputs(sys, fs)
-    total_assignments = dom.size**sys.d
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"direct count over {dom.size}^{sys.d} assignments")
-    starts = range(0, total_assignments, CHUNK)
-
-    def chunk_sum(start: int) -> complex:
-        chunk = np.arange(start, min(start + CHUNK, total_assignments), dtype=np.int64)
-        idx = form_image_indices(sys, dom, chunk)
-        prod = fs[0].values[idx[0]].copy()
-        for i in range(1, sys.m):
-            prod *= fs[i].values[idx[i]]
-        return complex(prod.sum())
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_sum, starts))
-    else:
-        partials = [chunk_sum(s) for s in starts]
-    # reduction in fixed chunk order regardless of worker count
-    total = 0j
-    for s in partials:
-        total += s
-    return total / total_assignments
+    return _sum_of_products(sys.coeffs, dom, [f.values for f in fs],
+                            threads) / dom.size**sys.d
 
 
 def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
@@ -153,33 +167,17 @@ def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
 
 
 def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-                         budget: int | None = None) -> complex:
+                         budget: int | None = None, threads: int = 1) -> complex:
     """Same average, evaluated as a sum of Fourier-coefficient products over
-    the annihilator of the system's frequency relations."""
+    the annihilator of the system's frequency relations: its tuples are the
+    images of the w-variable forms given by the columns of the relation
+    basis (w = 0 is the single zero tuple)."""
     dom = _check_inputs(sys, fs)
     W = relation_space(sys)
-    w = W.dim
     check_budget(dual_op_count(sys, dom), budget,
-                 what=f"dual count over {dom.size}^{w} frequency tuples")
-    fhats = [fourier(f).values for f in fs]
-    if w == 0:
-        out = 1 + 0j
-        for fh in fhats:
-            out *= fh[0]
-        return complex(out)
-    basis = W.basis  # (w, m)
-    total_tuples = dom.size**w
-    total = 0j
-    for start in range(0, total_tuples, CHUNK):
-        chunk = np.arange(start, min(start + CHUNK, total_tuples), dtype=np.int64)
-        S = variable_digits(chunk, dom, w)  # (len, w, n)
-        prod = None
-        for i in range(sys.m):
-            digits = np.einsum("lwn,w->ln", S, basis[:, i]) % sys.p
-            vals = fhats[i][digits @ dom.places]
-            prod = vals.copy() if prod is None else prod * vals
-        total += complex(prod.sum())
-    return total
+                 what=f"dual count over {dom.size}^{W.dim} frequency tuples")
+    return _sum_of_products(W.basis.T, dom, [fourier(f).values for f in fs],
+                            threads)
 
 
 def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
@@ -193,31 +191,23 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     dom = A.domain
     if dom.p != sys.p:
         raise ValueError("set domain modulus does not match the system")
-    total_assignments = dom.size**sys.d
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"solution count over {dom.size}^{sys.d} assignments")
-    starts = range(0, total_assignments, CHUNK)
 
-    def chunk_counts(start: int) -> tuple[int, int]:
-        chunk = np.arange(start, min(start + CHUNK, total_assignments), dtype=np.int64)
-        idx = form_image_indices(sys, dom, chunk)
-        ok = A.members[idx[0]].copy()
-        for i in range(1, sys.m):
-            ok &= A.members[idx[i]]
+    def chunk_counts(images: np.ndarray, V: np.ndarray) -> tuple[int, int]:
+        ok = A.members[images[0]]
+        for idx in images[1:]:
+            ok &= A.members[idx]
         deg = 0
         if with_degenerate and sys.m > 1:
-            coincide = np.zeros(chunk.shape[0], dtype=bool)
+            coincide = np.zeros(images.shape[1], dtype=bool)
             for i in range(sys.m):
                 for j in range(i + 1, sys.m):
-                    coincide |= idx[i] == idx[j]
+                    coincide |= images[i] == images[j]
             deg = int((ok & coincide).sum())
         return int(ok.sum()), deg
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(chunk_counts, starts))
-    else:
-        partials = [chunk_counts(s) for s in starts]
+    partials = reduce_form_images(sys.coeffs, dom, chunk_counts, threads)
     count = sum(c for c, _ in partials)
     degenerate = sum(g for _, g in partials) if with_degenerate else None
     return count, degenerate

@@ -117,9 +117,6 @@ class GroupFunction:
     def linf(self) -> float:
         return float(np.abs(self.values).max())
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return bool(np.abs(self.values.imag).max(initial=0.0) <= tol)
-
     def shifted(self, a: complex) -> "GroupFunction":
         return GroupFunction(domain=self.domain, values=self.values + a)
 
@@ -219,7 +216,10 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 # U^k norms.
 
 def uk_norm_op_count(dom: GroupDomain, k: int) -> int:
-    return (2**k) * dom.size**k
+    """N^(k-2) cube sums of N^2 multiply-adds, plus the N^j derivative
+    tables of N entries built at each level j = 1..k-2."""
+    N = dom.size
+    return N**k + sum(N ** (j + 1) for j in range(1, k - 1))
 
 
 def uk_norm_fast_op_count(dom: GroupDomain, k: int) -> int:

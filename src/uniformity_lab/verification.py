@@ -25,8 +25,8 @@ import numpy as np
 
 from .algebra import (QuadraticForm, as_fp_matrix, bilinear_of, rank)
 from .budget import check_budget
-from .counting import (CHUNK, average_product_direct, count_solutions,
-                       direct_op_count, form_image_indices, variable_digits)
+from .counting import (average_product_direct, count_solutions,
+                       direct_op_count, reduce_form_images)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, omega_power,
                         l2_norm, u2_norm_fast, uk_norm)
@@ -399,19 +399,18 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     place2 = p ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
 
     quad_codes = gamma2.value_codes(dom)
-    total = dom.size**d
-    matches = 0
-    for start in range(0, total, CHUNK):
-        chunk = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        idx = form_image_indices(sys, dom, chunk)
-        flat = variable_digits(chunk, dom, d).reshape(chunk.shape[0], d * n)
-        ok = np.ones(chunk.shape[0], dtype=bool)
+
+    def chunk_matches(images: np.ndarray, V: np.ndarray) -> int:
+        flat = V.reshape(V.shape[0], d * n)
+        ok = np.ones(V.shape[0], dtype=bool)
         for i in range(m):
-            lhs = quad_codes[idx[i]]
+            lhs = quad_codes[images[i]]
             rhs = ((flat @ phi_mats[i].T + b_arr[i]) % p) @ place2 if d2 else 0
             ok &= lhs == rhs
-        matches += int(ok.sum())
-    P = Fraction(matches, total)
+        return int(ok.sum())
+
+    matches = sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
+    P = Fraction(matches, dom.size**d)
     r = factor_rank_or_inf(gamma2, p)
     ref = Fraction(1, p ** (m * d2))
     dev = abs(P - ref)
@@ -465,18 +464,16 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     lin_codes = factor.linear_codes(dom)
     quad_codes = factor.gamma2.value_codes(dom)
 
-    total = dom.size**d
-    matches = 0
-    for start in range(0, total, CHUNK):
-        chunk = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        idx = form_image_indices(sys, dom, chunk)
-        ok = np.ones(chunk.shape[0], dtype=bool)
+    def chunk_matches(images: np.ndarray, V: np.ndarray) -> int:
+        ok = np.ones(V.shape[0], dtype=bool)
         for i in range(m):
-            ok &= lin_codes[idx[i]] == a_codes[i]
+            ok &= lin_codes[images[i]] == a_codes[i]
             if d2:
-                ok &= quad_codes[idx[i]] == b_codes[i]
-        matches += int(ok.sum())
-    P = Fraction(matches, total)
+                ok &= quad_codes[images[i]] == b_codes[i]
+        return int(ok.sum())
+
+    matches = sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
+    P = Fraction(matches, dom.size**d)
     d_prime = span_dimension(sys)
     r = factor_rank_or_inf(factor.gamma2, p)
     rep = ExperimentReport(

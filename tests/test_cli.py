@@ -191,12 +191,14 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path):
 
 def test_threads_flag_reproducibility(tmp_path):
     base = ["count", "--system", "gw6a", "--set", "quadzero", "--p", "5",
-            "--n", "2", "--method", "direct"]
+            "--n", "2", "--method", "both"]
     _, _, one = run(base + ["--threads", "1"], tmp_path, "t1.json")
     _, _, four = run(base + ["--threads", "4"], tmp_path, "t4.json")
     r1 = json.load(open(one))
     r4 = json.load(open(four))
     assert r1["results"] == r4["results"]
+    assert [r["name"] for r in r1["results"]] == [
+        "solution_probability", "average_direct", "average_dual", "direct_vs_dual"]
 
 
 def test_report_schema_validator_flags_problems():

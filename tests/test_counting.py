@@ -3,6 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from uniformity_lab import counting, verification
+from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
@@ -10,6 +12,9 @@ from uniformity_lab.counting import (average_product_direct,
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced
 from uniformity_lab.systems import LinearFormSystem, builtin_system
+from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
+                                         verify_completefactor,
+                                         verify_quadfactor)
 
 import oracles
 
@@ -152,6 +157,46 @@ def test_threads_do_not_change_results():
     serial = average_product_direct(sys_, fs, threads=1)
     pooled = average_product_direct(sys_, fs, threads=4)
     assert serial == pooled  # identical bits: reduction order fixed by chunk index
+
+
+def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
+    # gw6b at p=5, n=2: 25^3 = 15,625 assignments and 25^3 dual tuples,
+    # sixteen chunks of 1000, so the thread pool really splits the work
+    p, n = 5, 2
+    dom = domain(p, n)
+    rng = np.random.default_rng(47)
+    sys_ = builtin_system("gw6b", p)
+    fs = random_functions(dom, rng, sys_.m)
+    A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.6)
+    squares = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64),
+                            b=np.zeros(n, dtype=np.int64))
+    gamma2 = QuadraticMap(forms=(squares,))
+    phis = [rng.integers(0, p, size=(1, n * sys_.d)) for _ in range(sys_.m)]
+    factor = QuadraticFactor(p=p, n=n, gamma1=np.eye(n, dtype=np.int64)[:1],
+                             gamma2=gamma2)
+    kernel = counting.reduce_form_images
+
+    def run(threads):
+        # the factor checks take no thread count; hand their kernel one
+        monkeypatch.setattr(verification, "reduce_form_images",
+                            lambda *args: kernel(*args, threads=threads))
+        return (average_product_direct(sys_, fs, threads=threads),
+                average_product_dual(sys_, fs, threads=threads),
+                count_solutions(sys_, A, threads=threads, with_degenerate=True),
+                verify_quadfactor(sys_, gamma2, phis=phis).to_dict(),
+                verify_completefactor(sys_, factor, [[0]] * sys_.m,
+                                      [[0]] * sys_.m).to_dict())
+
+    one_chunk = run(1)
+    monkeypatch.setattr(counting, "CHUNK", 1000)
+    serial = run(1)
+    assert serial == run(4)  # identical bits: reduction order fixed by chunk index
+    assert serial[2] == one_chunk[2] and serial[2][1] > 0
+    assert serial[3] == one_chunk[3] and serial[4] == one_chunk[4]
+    assert serial[3]["observed"]["probability"] > 0
+    assert serial[4]["observed"]["probability"] > 0
+    for chunked, whole in zip(serial[:2], one_chunk[:2]):
+        assert abs(chunked - whole) < 1e-12
 
 
 def test_budget_refusal_names_required_count():

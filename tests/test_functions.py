@@ -162,7 +162,7 @@ def test_uk_norm_validation_and_budget():
         uk_norm(f, 1)
     with pytest.raises(BudgetExceededError) as err:
         uk_norm(f, 3, budget=10)
-    assert err.value.required == 2**3 * 9**3
+    assert err.value.required == 9**3 + 9**2
     assert err.value.budget == 10
     with pytest.raises(ValueError):
         uk_norm_fast(f, 1)
