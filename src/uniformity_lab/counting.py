@@ -10,7 +10,10 @@ central cross-check of the whole package.
 
 Both strategies, `count_solutions` and the factor checks in `verification`
 share one kernel, `reduce_form_images`: chunked enumeration, form images, a
-per-chunk reducer, an optional thread pool and partials in chunk order.
+per-chunk reducer called with (images, xs), the point indices of the forms'
+values and of the variables, an optional thread pool and partials in chunk
+order.  The images are gathered through the domain's wrap-padded sum grid
+(`GroupDomain.sum_grid`); no digit tensor of the assignments is built.
 
 Counting includes degenerate configurations (for instance zero-difference
 progressions); the reference probabilities are defined over the full
@@ -97,32 +100,82 @@ def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDo
     return dom
 
 
+def _row_pieces(col: int, length: int, N: int) -> list[tuple[slice, slice, slice, tuple]]:
+    """Cut `length` consecutive cells of a grid with rows of N cells, counted
+    row-major from cell (0, col), into (cells, rows, columns, shape) pieces: a
+    head row, the whole rows and a tail row.  Each piece is a (rows, columns)
+    block, so filling the cells costs `length` whatever N is."""
+    head = min(N - col, length)
+    body = (length - head) // N
+    tail = length - head - body * N
+    pieces = [(slice(0, head), slice(0, 1), slice(col, col + head), (1, head))]
+    if body:
+        pieces.append((slice(head, head + body * N), slice(1, body + 1),
+                       slice(0, N), (body, N)))
+    if tail:
+        pieces.append((slice(length - tail, length), slice(body + 1, body + 2),
+                       slice(0, tail), (1, tail)))
+    return pieces
+
+
 def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
                        reduce: Callable[[np.ndarray, np.ndarray], Any],
                        threads: int = 1) -> list:
-    """reduce(images, V) on each CHUNK of the N^d assignments of d variables.
+    """reduce(images, xs) on each CHUNK of the N^d assignments of d variables.
 
     `coeffs` is an (m, d) coefficient matrix; for a chunk of assignments in
-    base-N lexicographic order, V is the (len, d, n) digit tensor of the
-    variable points and images the (m, len) point indices of the forms'
-    values.  The partial results come back in chunk order whatever the
-    number of worker threads, so a fixed-order reduction of them is
-    bit-reproducible.  Callers check their own budget.
+    base-N lexicographic order, xs is the (d, len) array of the variables'
+    point indices and images the (m, len) point indices of the forms' values.
+    A chunk is a run of rows of the (N^(d-1), N) grid of (prefix, last
+    variable).  A form's value is built without digit arithmetic: its first
+    d - 1 terms are added over the chunk's few prefixes, each sum one gather
+    through `dom.sum_grid`, and the last term joins as one broadcast add of
+    its `c*x` code table and one gather.  For d = 1 the images are the `c*x`
+    table itself and the grid is never built.  The partial results come back
+    in chunk order whatever the number of worker threads, so a fixed-order
+    reduction of them is bit-reproducible.  Callers check their own budget.
     """
-    coeffs = np.asarray(coeffs, dtype=np.int64)
+    coeffs = np.asarray(coeffs, dtype=np.int64) % dom.p
     m, d = coeffs.shape
     N = dom.size
     total = N**d
+    if d == 0:
+        return [reduce(np.zeros((m, 1), dtype=np.int64),
+                       np.zeros((0, 1), dtype=np.int64))]
+    if d == 1:
+        scaled = {c: dom.codes(c) for c in np.unique(coeffs).tolist()}
+    else:
+        P, enc = dom.sum_grid
+        scaled = {c: dom.codes(c, 2 * dom.p - 1) for c in np.unique(coeffs).tolist()}
+    points = np.arange(N, dtype=np.int64)
 
     def run(start: int):
-        chunk = np.arange(start, min(start + CHUNK, total), dtype=np.int64)
-        V = np.empty((chunk.shape[0], d, dom.n), dtype=np.int64)
-        for u in range(d):
-            V[:, u, :] = dom.digits[(chunk // N ** (d - 1 - u)) % N]
-        images = np.empty((m, chunk.shape[0]), dtype=np.int64)
-        for i in range(m):
-            images[i] = (np.einsum("ldn,d->ln", V, coeffs[i]) % dom.p) @ dom.places
-        return reduce(images, V)
+        length = min(start + CHUNK, total) - start
+        row, col = divmod(start, N)
+        prefixes = np.arange(row, (start + length - 1) // N + 1, dtype=np.int64)
+        pre = [(prefixes // N ** (d - 2 - u)) % N for u in range(d - 1)]
+        pieces = _row_pieces(col, length, N)
+        xs = np.empty((d, length), dtype=np.int64)
+        for cells, r, x, shape in pieces:
+            for u in range(d - 1):
+                xs[u, cells].reshape(shape)[...] = pre[u][r, None]
+            xs[d - 1, cells].reshape(shape)[...] = points[x]
+        images = np.empty((m, length), dtype=np.int64)
+        if d == 1:
+            for i, c in enumerate(coeffs[:, 0].tolist()):
+                images[i] = scaled[c][col:col + length]
+            return reduce(images, xs)
+        sums = np.empty(length, dtype=np.int64)
+        for i, c in enumerate(coeffs.tolist()):
+            acc = scaled[c[0]][pre[0]]
+            for u in range(1, d - 1):
+                acc = enc[P[acc + scaled[c[u]][pre[u]]]]
+            for cells, r, x, shape in pieces:
+                np.add(acc[r, None], scaled[c[-1]][x], out=sums[cells].reshape(shape))
+            # "clip" lets take write straight into images[i] (the default
+            # mode buffers `out`); every code sum is a grid index, so it never clips
+            np.take(P, sums, out=images[i], mode="clip")
+        return reduce(images, xs)
 
     starts = range(0, total, CHUNK)
     if threads > 1:
@@ -135,7 +188,7 @@ def _sum_of_products(coeffs: np.ndarray, dom: GroupDomain,
                      tables: Sequence[np.ndarray], threads: int) -> complex:
     """Sum over all assignments of prod_i tables[i][L_i(x)], added in fixed
     chunk order (an explicit loop: the builtin sum may compensate)."""
-    def chunk_sum(images: np.ndarray, V: np.ndarray) -> complex:
+    def chunk_sum(images: np.ndarray, xs: np.ndarray) -> complex:
         prod = tables[0][images[0]]
         for table, idx in zip(tables[1:], images[1:]):
             prod *= table[idx]
@@ -194,7 +247,7 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"solution count over {dom.size}^{sys.d} assignments")
 
-    def chunk_counts(images: np.ndarray, V: np.ndarray) -> tuple[int, int]:
+    def chunk_counts(images: np.ndarray, xs: np.ndarray) -> tuple[int, int]:
         ok = A.members[images[0]]
         for idx in images[1:]:
             ok &= A.members[idx]

@@ -5,7 +5,11 @@ the most significant digit, so enumeration order equals lexicographic order on
 coordinate tuples.  A value table reshaped to `grid` = (p,)*n is indexed by
 coordinate vectors, so translation by h is a cyclic shift of that array
 (`translates`, `translation_blocks`); the U^k norms use these and need no
-index table.  The lift and the counting loops gather through `digits`.
+index table.  The lift gathers through `digits`.  Sums of points are formed
+without digit arithmetic through `sum_grid`: `enc` writes a point's digits in
+base 2p - 1, so adding two codes never carries, and the index of x + y is
+P[enc[x] + enc[y]], P being `arange(size)` on the same wrap-padded grid that
+`translates` uses.  `codes` gives the tables x -> c*x that feed it.
 """
 
 from __future__ import annotations
@@ -69,9 +73,7 @@ class GroupDomain:
         It is a sliding window over one copy of the table wrap-padded by p - 1
         along every axis, so it holds (2p - 1)^n entries, of any dtype.
         """
-        g = np.asarray(values).reshape(self.grid)
-        padded = np.pad(g, [(0, self.p - 1)] * self.n, mode="wrap")
-        return sliding_window_view(padded, self.grid)
+        return sliding_window_view(_wrap_padded(values, self.p, self.n), self.grid)
 
     def translation_blocks(self, values: np.ndarray) -> Iterator[np.ndarray]:
         """The rows x -> values[x + h], h in enumeration order, as (rows, size)
@@ -85,6 +87,23 @@ class GroupDomain:
             free += 1
         for prefix in product(range(self.p), repeat=self.n - free):
             yield W[prefix].reshape(self.p**free, self.size)
+
+    @property
+    def sum_grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """(P, enc) with P[enc[x] + enc[y]] the index of point x + point y.
+
+        enc[x] is `codes(1, 2p - 1)`; P is the flat copy of arange(size) on
+        `grid`, wrap-padded by p - 1 along every axis: (2p - 1)^n entries.
+        """
+        return _sum_grid(self.p, self.n)
+
+    def codes(self, c: int = 1, base: int | None = None) -> np.ndarray:
+        """(size,) table: entry x holds the digits of the point c*x read in
+        `base` (default p, so that the entry is the index of c*x).
+
+        Built one coordinate at a time, with no (size, n) digit table.
+        """
+        return _codes(self.p, self.n, c, self.p if base is None else base)
 
     @property
     def add_table(self) -> np.ndarray:
@@ -118,6 +137,29 @@ def _digits(p: int, n: int) -> np.ndarray:
     out = (idx[:, None] // _places(p, n)[None, :]) % p
     out.setflags(write=False)
     return out
+
+
+def _wrap_padded(values, p: int, n: int) -> np.ndarray:
+    """values on the (p,)*n grid, wrap-padded by p - 1 along every axis."""
+    g = np.asarray(values).reshape((p,) * n)
+    return np.pad(g, [(0, p - 1)] * n, mode="wrap")
+
+
+def _codes(p: int, n: int, c: int, base: int) -> np.ndarray:
+    scaled = (c * np.arange(p, dtype=np.int64)) % p
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        out = (out[:, None] * base + scaled).ravel()
+    return out
+
+
+@lru_cache(maxsize=None)
+def _sum_grid(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    padded = _wrap_padded(np.arange(p**n, dtype=np.int64), p, n).ravel()
+    enc = _codes(p, n, 1, 2 * p - 1)
+    padded.setflags(write=False)
+    enc.setflags(write=False)
+    return padded, enc
 
 
 @lru_cache(maxsize=None)

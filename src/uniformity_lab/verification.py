@@ -397,16 +397,33 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     b_arr = np.asarray(bs, dtype=np.int64).reshape(m, d2) % p if d2 else \
         np.zeros((m, 0), dtype=np.int64)
     place2 = p ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
+    targets = b_arr @ place2
+    # Where phi_i is nonzero, phi_i(x) + b_i is b_i plus one value table per
+    # variable with a nonzero block of phi_i, all written in base B, so that
+    # their sum never carries and one gather through `decode` (B^d2 entries,
+    # built only then) reduces it mod p.
+    B = (d + 1) * (p - 1) + 1
+    placeB = B ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
+    phi_codes = [[(u, (dom.digits @ ph[:, u * n:(u + 1) * n].T % p) @ placeB)
+                  for u in range(d) if ph[:, u * n:(u + 1) * n].any()]
+                 for ph in phi_mats]
+    if any(phi_codes):
+        b_codes = b_arr @ placeB
+        decode = ((np.arange(B**d2, dtype=np.int64)[:, None] // placeB) % B % p) @ place2
 
     quad_codes = gamma2.value_codes(dom)
 
-    def chunk_matches(images: np.ndarray, V: np.ndarray) -> int:
-        flat = V.reshape(V.shape[0], d * n)
-        ok = np.ones(V.shape[0], dtype=bool)
+    def chunk_matches(images: np.ndarray, xs: np.ndarray) -> int:
+        ok = np.ones(images.shape[1], dtype=bool)
         for i in range(m):
             lhs = quad_codes[images[i]]
-            rhs = ((flat @ phi_mats[i].T + b_arr[i]) % p) @ place2 if d2 else 0
-            ok &= lhs == rhs
+            if phi_codes[i]:
+                code = b_codes[i]
+                for u, table in phi_codes[i]:
+                    code = code + table[xs[u]]
+                ok &= lhs == decode[code]
+            else:
+                ok &= lhs == targets[i]
         return int(ok.sum())
 
     matches = sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
@@ -464,8 +481,8 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     lin_codes = factor.linear_codes(dom)
     quad_codes = factor.gamma2.value_codes(dom)
 
-    def chunk_matches(images: np.ndarray, V: np.ndarray) -> int:
-        ok = np.ones(V.shape[0], dtype=bool)
+    def chunk_matches(images: np.ndarray, xs: np.ndarray) -> int:
+        ok = np.ones(images.shape[1], dtype=bool)
         for i in range(m):
             ok &= lin_codes[images[i]] == a_codes[i]
             if d2:

@@ -112,38 +112,54 @@ def naive_convolve(values_f, values_g, p, n):
     return out
 
 
-def naive_average_product(rows, p, digits, places, fs_values):
-    """E over assignments of prod_i f_i(L_i(x)), with vector arithmetic."""
-    n = digits.shape[1]
-    N = len(digits)
+def _naive_form_value(row, assign, points, p, n):
+    """sum_u c_u x_u on digit tuples, x_u the points of the assignment."""
+    vec = (0,) * n
+    for c, x in zip(row, assign):
+        vec = tuple((a + int(c) * b) % p for a, b in zip(vec, points[x]))
+    return vec
+
+
+def naive_form_images(rows, p, n, start, stop):
+    """Point indices of the forms' values, and of the variables, for the
+    assignments start..stop-1 in base-N lexicographic order: (m, len) and
+    (d, len) lists."""
+    points, index = naive_points(p, n)
+    N = len(points)
+    d = len(rows[0]) if len(rows) else 0
+    images = [[] for _ in rows]
+    xs = [[] for _ in range(d)]
+    for t in range(start, stop):
+        assign = [(t // N ** (d - 1 - u)) % N for u in range(d)]
+        for u, x in enumerate(assign):
+            xs[u].append(x)
+        for i, row in enumerate(rows):
+            images[i].append(index[_naive_form_value(row, assign, points, p, n)])
+    return images, xs
+
+
+def naive_average_product(rows, p, n, fs_values):
+    """E over assignments of prod_i f_i(L_i(x)), adding digit tuples mod p."""
+    points, index = naive_points(p, n)
+    N = len(points)
     d = len(rows[0])
     total = 0j
     for assign in product(range(N), repeat=d):
         prod = 1 + 0j
         for i, row in enumerate(rows):
-            vec = np.zeros(n, dtype=int)
-            for u, c in enumerate(row):
-                vec = (vec + int(c) * digits[assign[u]]) % p
-            prod *= fs_values[i][int(vec @ places)]
+            prod *= fs_values[i][index[_naive_form_value(row, assign, points, p, n)]]
         total += prod
     return total / N**d
 
 
-def naive_count_solutions(rows, p, digits, places, members):
-    n = digits.shape[1]
-    N = len(digits)
+def naive_count_solutions(rows, p, n, members):
+    points, index = naive_points(p, n)
+    N = len(points)
     d = len(rows[0])
     count = 0
     for assign in product(range(N), repeat=d):
-        ok = True
-        for row in rows:
-            vec = np.zeros(n, dtype=int)
-            for u, c in enumerate(row):
-                vec = (vec + int(c) * digits[assign[u]]) % p
-            if not members[int(vec @ places)]:
-                ok = False
-                break
-        count += ok
+        count += all(members[index[_naive_form_value(row, assign, points, p, n)]]
+                     for row in rows)
     return count
 
 

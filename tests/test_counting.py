@@ -56,7 +56,7 @@ def test_three_ap_balanced_hand_value():
     direct = average_product_direct(sys_, [f] * 3)
     assert abs(direct - Fraction(2, 125)) < 1e-12
     naive = oracles.naive_average_product(
-        [[1, 0], [1, 1], [1, 2]], 5, dom.digits, dom.places, [f.values] * 3)
+        [[1, 0], [1, 1], [1, 2]], 5, 1, [f.values] * 3)
     assert abs(direct - naive) < 1e-12
     count, degenerate = count_solutions(sys_, A, with_degenerate=True)
     assert count == 2 and degenerate == 2  # degenerate tuples are counted
@@ -81,8 +81,7 @@ def test_direct_matches_naive_oracle():
     fs = random_functions(dom, rng, 3)
     direct = average_product_direct(sys_, fs)
     naive = oracles.naive_average_product(
-        [[1, 0], [1, 1], [1, 2]], 3, dom.digits, dom.places,
-        [f.values for f in fs])
+        [[1, 0], [1, 1], [1, 2]], 3, 2, [f.values for f in fs])
     assert abs(direct - naive) < 1e-12
 
 
@@ -144,8 +143,7 @@ def test_count_matches_naive_oracle():
     sys_ = builtin_system("diff3", 3)
     count, _ = count_solutions(sys_, A)
     naive = oracles.naive_count_solutions(
-        [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]], 3, dom.digits, dom.places,
-        members)
+        [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]], 3, 2, members)
     assert count == naive
 
 
@@ -197,6 +195,33 @@ def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
     assert serial[4]["observed"]["probability"] > 0
     for chunked, whole in zip(serial[:2], one_chunk[:2]):
         assert abs(chunked - whole) < 1e-12
+
+
+@pytest.mark.parametrize("p, n, d", [
+    (3, 2, 0), (3, 2, 1), (3, 2, 2), (3, 2, 3), (3, 2, 4),
+    (5, 2, 0), (5, 2, 1), (5, 2, 2), (5, 2, 3), (5, 1, 4),
+    (7, 2, 0), (7, 2, 1), (7, 2, 2), (7, 1, 3), (7, 1, 4)])
+def test_form_images_match_digitwise_oracle(monkeypatch, p, n, d):
+    # every chunk's images and variables against digit tuples added mod p,
+    # with one chunk (CHUNK above N^d), chunks spanning several rows of the
+    # (prefix, last variable) grid, and chunks shorter than a row (CHUNK
+    # below N, so a chunk can straddle two rows)
+    N = p**n
+    rng = np.random.default_rng(1000 * p + 10 * n + d)
+    coeffs = rng.integers(-1, p, size=(4, d))
+    if d:
+        coeffs[0, 0], coeffs[1, -1], coeffs[2, 0] = 0, p - 1, -1
+    images, xs = oracles.naive_form_images(coeffs.tolist(), p, n, 0, N**d)
+    dom = domain(p, n)
+    for chunk in (N**d + 1, 2 * N + 3, N - 2):
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+        seen = counting.reduce_form_images(coeffs, dom, lambda im, x: (im, x))
+        assert len(seen) == -(-N**d // chunk)
+        for k, (im, x) in enumerate(seen):
+            window = slice(k * chunk, min((k + 1) * chunk, N**d))
+            assert im.tolist() == [row[window] for row in images]
+            assert x.shape == (d, im.shape[1])
+            assert x.tolist() == [row[window] for row in xs]
 
 
 def test_budget_refusal_names_required_count():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -280,6 +281,42 @@ def test_quadfactor_with_linear_side_maps():
             count += ok
     assert Fraction(rep.observed["probability_exact"]) == \
         Fraction(count, dom.size**2)
+
+
+def test_quadfactor_linear_side_across_three_variables():
+    # d = 3 variables and d2 = 2 quadratic forms with nonzero b_i, against a
+    # naive loop over the 729 assignments: once with phi_0 nonzero but for
+    # its middle block and phi_1 = 0, then with random phi_0, phi_1 and b
+    p, n, d = 3, 2, 3
+    rows = [[1, 0, 1], [0, 1, 1]]
+    sys_ = make(p, rows)
+    forms = [([[1, 0], [0, 1]], [0, 0]), ([[0, 1], [1, 2]], [1, 2])]
+    gamma2 = QuadraticMap(forms=tuple(
+        QuadraticForm(p=p, M=np.array(M), b=np.array(b)) for M, b in forms))
+    points, _ = oracles.naive_points(p, n)
+    rng = np.random.default_rng(57)
+    first = rng.integers(1, p, size=(2, n * d))
+    first[:, n:2 * n] = 0
+    trials = [([first, None], [[2, 1], [2, 1]])]
+    trials += [([rng.integers(0, p, size=(2, n * d)) for _ in rows],
+                rng.integers(0, p, size=(2, 2)).tolist()) for _ in range(3)]
+    for phis, bs in trials:
+        rep = verify_quadfactor(sys_, gamma2, phis=phis, bs=bs)
+        count = 0
+        for assign in product(points, repeat=d):
+            flat = [a for x in assign for a in x]
+            ok = True
+            for row, phi, b in zip(rows, phis, bs):
+                img = [sum(c * x[j] for c, x in zip(row, assign)) % p for j in range(n)]
+                for k, (M, off) in enumerate(forms):
+                    lhs = sum(img[a] * M[a][c] * img[c] for a in range(n)
+                              for c in range(n)) + sum(o * v for o, v in zip(off, img))
+                    rhs = b[k] if phi is None else \
+                        sum(int(f) * v for f, v in zip(phi[k], flat)) + b[k]
+                    ok &= (lhs - rhs) % p == 0
+            count += ok
+        assert 0 < count < p ** (n * d)
+        assert Fraction(rep.observed["probability_exact"]) == Fraction(count, p ** (n * d))
 
 
 def test_completefactor_outside_Z_is_impossible():
