@@ -89,6 +89,40 @@ def rank(M, p: int) -> int:
     return len(rref(M, p)[1])
 
 
+def batched_rank(stack, p: int) -> np.ndarray:
+    """Ranks of a (B, rows, cols) stack of matrices, shape (B,).
+
+    One Gaussian elimination vectorized over the stack: per column, the first
+    unused row with a nonzero entry becomes the pivot, and each other unused
+    row r is replaced by a*r - b*pivot_row (a the pivot entry, b the entry of
+    r), which clears the column without inverting anything and scales r by a
+    nonzero a.  Entries stay below p, so the products stay exact in int64 as
+    in `rref`.  Worth it for many small matrices; `rank` stays the path for a
+    single one.
+    """
+    A = np.asarray(stack, dtype=np.int64) % p
+    if A.ndim != 3:
+        raise ValueError("expected a (B, rows, cols) stack")
+    B, rows, cols = A.shape
+    ranks = np.zeros(B, dtype=np.int64)
+    unused = np.ones((B, rows), dtype=bool)
+    batch = np.arange(B)
+    for c in range(cols):
+        candidates = unused & (A[:, :, c] != 0)
+        found = candidates.any(axis=1)
+        pivot = candidates.argmax(axis=1)
+        unused[batch, pivot] &= ~found
+        ranks += found
+        rest = A[:, :, c + 1:]
+        row = rest[batch, pivot]
+        scale = np.where(found, A[batch, pivot, c], 1)
+        factor = A[:, :, c] * unused
+        rest *= scale[:, None, None]
+        rest -= factor[:, :, None] * row[:, None, :]
+        rest %= p
+    return ranks
+
+
 def in_span(v, vectors, p: int) -> bool:
     """True iff v lies in the F_p-span of the given vectors."""
     v = as_fp_vector(v, p)

@@ -6,7 +6,12 @@ complexity, normal-form witnesses, independence of the (k+1)-st powers of the
 forms, and the relation space of linear dependencies among the forms.
 
 Partition complexity is computed by exact branch-and-bound search over class
-assignments; this is exponential in m, so systems are capped at m <= 12 forms.
+assignments, with classes as bitmasks over the forms.  Every span test is one
+lookup in a table of the ranks of all 2^m subsets of the forms, built once per
+system by a batched elimination mod p.  Both the table and the search are
+exponential in m, so systems are capped at m <= 12 forms: the table then has
+4096 entries (a 32 KiB list), and each block of its elimination holds at most
+256 x 12 x 12 int64 entries (288 KiB) per temporary.
 """
 
 from __future__ import annotations
@@ -20,9 +25,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import check_modulus, in_span, nullspace, rank, Subspace
+from .algebra import (batched_rank, check_modulus, in_span, nullspace,
+                      rank, rref, Subspace)
 
 MAX_FORMS = 12
+
+# masks per batched_rank call when tabulating subset ranks
+SUBSET_BLOCK = 256
 
 INFINITE = math.inf
 
@@ -88,21 +97,41 @@ def support(form: Sequence[int] | np.ndarray) -> frozenset[int]:
     return frozenset(int(u) for u in np.nonzero(row)[0])
 
 
-def _min_partition_classes(sys: LinearFormSystem, i: int) -> float:
-    """Minimum number of classes partitioning the other forms so that no
-    class's span contains form i; INFINITE if impossible (a parallel form)."""
-    p = sys.p
-    target = sys.coeffs[i]
-    others = [sys.coeffs[j] for j in range(sys.m) if j != i]
+def _subset_ranks(sys: LinearFormSystem) -> list[int]:
+    """rank[S] of every subset S of the forms, S a bitmask over form indices.
+
+    The columns are first cut to the pivot columns of rref(C): the other
+    columns are fixed combinations of those, in every row, so no subset's rank
+    changes and each matrix has at most min(m, d) columns.  The 2^m masks go
+    through `batched_rank` in blocks of SUBSET_BLOCK, which bounds the
+    temporaries at SUBSET_BLOCK * m * min(m, d) entries.
+    """
+    p, m = sys.p, sys.m
+    C = sys.coeffs[:, rref(sys.coeffs, p)[1]]
+    bits = np.arange(m)
+    ranks = []
+    for start in range(0, 1 << m, SUBSET_BLOCK):
+        masks = np.arange(start, min(start + SUBSET_BLOCK, 1 << m))
+        chosen = (masks[:, None] >> bits) & 1
+        ranks.extend(batched_rank(chosen[:, :, None] * C, p).tolist())
+    return ranks
+
+
+def _min_partition_classes(ranks: list[int], m: int, i: int) -> float:
+    """Minimum number of classes partitioning the forms other than form i so
+    that no class's span contains form i; INFINITE if impossible (a parallel
+    form).  Classes are bitmasks, and form i lies in span(S) exactly when
+    ranks[S | 1 << i] == ranks[S]."""
+    target = 1 << i
+    others = [1 << j for j in range(m) if j != i]
     if not others:
         return 0
-    for f in others:
-        if in_span(target, [f], p):
-            return INFINITE
+    if any(ranks[f | target] == ranks[f] for f in others):
+        return INFINITE
 
     best = len(others) + 1
 
-    def extend(t: int, classes: list[list[np.ndarray]]) -> None:
+    def extend(t: int, classes: list[int]) -> None:
         nonlocal best
         if len(classes) >= best:
             return
@@ -110,12 +139,13 @@ def _min_partition_classes(sys: LinearFormSystem, i: int) -> float:
             best = len(classes)
             return
         f = others[t]
-        for cls in classes:
-            if not in_span(target, cls + [f], p):
-                cls.append(f)
+        for k, cls in enumerate(classes):
+            grown = cls | f
+            if ranks[grown | target] != ranks[grown]:
+                classes[k] = grown
                 extend(t + 1, classes)
-                cls.pop()
-        classes.append([f])
+                classes[k] = cls
+        classes.append(f)
         extend(t + 1, classes)
         classes.pop()
 
@@ -130,16 +160,17 @@ def is_s_complex_at(sys: LinearFormSystem, i: int, s: int) -> bool:
         raise IndexError("form index out of range")
     if s < 0:
         raise ValueError("s must be >= 0")
-    return _min_partition_classes(sys, i) <= s + 1
+    return _min_partition_classes(_subset_ranks(sys), sys.m, i) <= s + 1
 
 
 def cs_complexity(sys: LinearFormSystem) -> float:
     """Least s making the system s-complex at every index; INFINITE when two
     forms are scalar multiples of each other (no partition ever avoids both)."""
+    ranks = _subset_ranks(sys)
     worst = 0
     for i in range(sys.m):
-        k = _min_partition_classes(sys, i)
-        if k is INFINITE or k == INFINITE:
+        k = _min_partition_classes(ranks, sys.m, i)
+        if k == INFINITE:
             return INFINITE
         worst = max(worst, int(k) - 1)
     return max(worst, 0)

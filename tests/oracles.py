@@ -14,16 +14,15 @@ import numpy as np
 
 
 def span_points(rows, p):
-    """All vectors in the F_p-span, by enumerating every combination."""
+    """All vectors in the F_p-span, closing it one row at a time:
+    S <- {s + c*r : s in S, c in F_p}, starting from S = {0}."""
     rows = [tuple(int(x) % p for x in r) for r in rows]
     if not rows:
         return {tuple()}
-    dim = len(rows[0])
-    seen = set()
-    for coeffs in product(range(p), repeat=len(rows)):
-        v = tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % p
-                  for j in range(dim))
-        seen.add(v)
+    seen = {(0,) * len(rows[0])}
+    for r in rows:
+        seen = {tuple((a + c * b) % p for a, b in zip(s, r))
+                for s in seen for c in range(p)}
     return seen
 
 

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.algebra import (QuadraticForm, Subspace,
-                                    SymmetricBilinearForm, bilinear_of,
-                                    check_modulus, in_span, nullspace, rank,
-                                    restrict, rref, solve_affine)
+                                    SymmetricBilinearForm, batched_rank,
+                                    bilinear_of, check_modulus, in_span,
+                                    nullspace, rank, restrict, rref,
+                                    solve_affine)
 
 import oracles
 
@@ -40,6 +41,40 @@ def test_rank_transpose_randomized():
         rows, cols = rng.integers(1, 6, size=2)
         M = rng.integers(0, p, size=(rows, cols))
         assert rank(M, p) == rank(M.T, p)
+
+
+def test_batched_rank_matches_span_enumeration():
+    rng = np.random.default_rng(12)
+    # (B, rows, cols): square, rows > cols, cols > rows, a stack of one
+    shapes = [(40, 3, 3), (30, 5, 2), (30, 2, 5), (1, 4, 4), (1, 1, 3), (25, 6, 3)]
+    for p in (3, 5, 7, 11):
+        for B, rows, cols in shapes:
+            stack = rng.integers(0, p, size=(B, rows, cols))
+            # zero rows, and entries equal to -1, which must reduce to p - 1
+            stack[rng.random((B, rows)) < 0.3] = 0
+            stack[rng.random((B, rows, cols)) < 0.1] = -1
+            ranks = batched_rank(stack, p)
+            assert ranks.shape == (B,)
+            assert ranks.tolist() == [oracles.span_rank(list(M), p) for M in stack]
+    assert batched_rank(np.zeros((3, 4, 2), dtype=int), 5).tolist() == [0, 0, 0]
+    with pytest.raises(ValueError):
+        batched_rank(np.eye(3, dtype=int), 5)
+
+
+def test_batched_rank_at_large_primes():
+    # entries up to p - 1 near 2^31, where a*r - b*pivot_row is close to the
+    # int64 limit; a third of the rows are combinations of the others, so the
+    # ranks fall short of full, and `rank` (rref through inverses) decides
+    rng = np.random.default_rng(13)
+    for p in (1000003, 2147483647):
+        stack = rng.integers(0, p, size=(30, 6, 5))
+        stack[:, 4] = (stack[:, 0] * 7 + stack[:, 1] * (p - 3)) % p
+        stack[:, 5] = (stack[:, 2] * (p - 1) + stack[:, 4] * 11) % p
+        stack[:10, :, 0] = 0
+        stack[10:20, 3] = stack[10:20, 2]
+        ranks = batched_rank(stack, p).tolist()
+        assert ranks == [rank(M, p) for M in stack]
+        assert set(ranks) == {3, 4}
 
 
 def test_in_span_examples():

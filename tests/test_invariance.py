@@ -1,14 +1,16 @@
 """Metamorphic checks: an invertible change of variables x = T y, T in
 GL_d(F_p), replaces the coefficient matrix C by C T and describes the same
-configurations, so every count and every invariant of the system stays put."""
+configurations, so every count and every invariant of the system stays put.
+Reordering the forms leaves the partition complexity put as well."""
 
 import numpy as np
 
 from uniformity_lab.counting import average_product_direct, count_solutions
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import GroupFunction, IndicatorSet
-from uniformity_lab.systems import (LinearFormSystem, cs_complexity,
-                                    power_independence, relation_space)
+from uniformity_lab.systems import (INFINITE, LinearFormSystem,
+                                    cs_complexity, power_independence,
+                                    relation_space)
 
 import oracles
 
@@ -54,3 +56,20 @@ def test_change_of_variables_leaves_counts_and_invariants_unchanged():
         assert power_independence(moved, 1) == power_independence(sys_, 1)
         assert relation_space(moved).dim == relation_space(sys_).dim
     assert changed == len(shapes)
+
+
+def test_complexity_at_catalog_size_is_invariant():
+    """m = 12 forms in d = 5 variables at p = 7, the largest shape the
+    catalog searches: neither a change of variables nor a permutation of the
+    forms may move the partition complexity."""
+    rng = np.random.default_rng(49)
+    p, m, d = 7, 12, 5
+    C = random_rows(rng, p, m, d)
+    cs = cs_complexity(LinearFormSystem(p=p, d=d, coeffs=C))
+    assert cs not in (0, INFINITE)
+    for _ in range(2):
+        T = random_invertible(rng, p, d)
+        assert cs_complexity(LinearFormSystem(p=p, d=d, coeffs=C @ T % p)) == cs
+        perm = rng.permutation(m)
+        assert not np.array_equal(perm, np.arange(m))
+        assert cs_complexity(LinearFormSystem(p=p, d=d, coeffs=C[perm])) == cs

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from uniformity_lab.algebra import rank
 from uniformity_lab.systems import (INFINITE, LinearFormSystem,
                                     TrueComplexityUndecided, builtin_system,
                                     conjectured_true_complexity,
@@ -10,7 +11,8 @@ from uniformity_lab.systems import (INFINITE, LinearFormSystem,
                                     load_system, maximal_square_independent_subsystem,
                                     normal_form_check, power_independence,
                                     power_tensor, relation_space, save_system,
-                                    span_dimension, support)
+                                    span_dimension, support,
+                                    _subset_ranks)
 
 import oracles
 
@@ -107,27 +109,79 @@ def test_translation_invariant_sixes_are_actually_1_complex():
             assert cs_complexity(sys_) == 1
 
 
+def random_system(rng, p, m, d):
+    rows, seen = [], set()
+    while len(rows) < m:
+        r = tuple(int(v) for v in rng.integers(0, p, size=d))
+        if any(r) and r not in seen:
+            seen.add(r)
+            rows.append(list(r))
+    return make(p, rows)
+
+
 def test_cs_complexity_matches_brute_force():
     rng = np.random.default_rng(20)
     systems = [builtin_system(n, 5)
                for n in ("ap3", "ap4", "diff3", "gw6b", "cube7")]
     for _ in range(10):
         p = int(rng.choice([3, 5]))
-        m = int(rng.integers(2, 5))
-        d = int(rng.integers(2, 4))
-        rows, seen = [], set()
-        while len(rows) < m:
-            r = tuple(int(v) for v in rng.integers(0, p, size=d))
-            if any(r) and r not in seen:
-                seen.add(r)
-                rows.append(list(r))
-        systems.append(make(p, rows))
+        systems.append(random_system(rng, p, int(rng.integers(2, 5)),
+                                     int(rng.integers(2, 4))))
+    for p in (3, 5, 7):
+        for _ in range(3):
+            systems.append(random_system(rng, p, 5, int(rng.integers(2, 4))))
+    # d > m: rref keeps 3 and 4 of the 6 columns (form 2 = form 0 + form 1 in
+    # the first), and no subset's rank may change with the others dropped
+    systems.append(make(7, [[1, 0, 2, 0, 3, 1], [0, 1, 1, 4, 0, 2],
+                            [1, 1, 3, 4, 3, 3], [2, 5, 0, 1, 6, 0]]))
+    systems.append(make(5, [[1, 2, 0, 3, 4, 1], [0, 0, 1, 2, 2, 3],
+                            [3, 1, 4, 0, 1, 2], [1, 0, 0, 0, 0, 4]]))
+    # a parallel pair (form 3 = 2 * form 0) makes the system INFINITE
+    systems.append(make(5, [[1, 2, 0], [0, 1, 1], [1, 0, 3], [2, 4, 0]]))
+    infinite = 0
     for sys_ in systems:
-        brute = max(oracles.brute_min_classes(
-            [list(map(int, r)) for r in sys_.coeffs], i, sys_.p)
-            for i in range(sys_.m))
+        rows = [list(map(int, r)) for r in sys_.coeffs]
+        per_index = [oracles.brute_min_classes(rows, i, sys_.p)
+                     for i in range(sys_.m)]
+        brute = max(per_index)
         expected = INFINITE if math.isinf(brute) else max(int(brute) - 1, 0)
         assert cs_complexity(sys_) == expected
+        infinite += math.isinf(brute)
+        for i, k in enumerate(per_index):
+            if math.isinf(k):
+                assert not is_s_complex_at(sys_, i, sys_.m)
+                continue
+            if k >= 2:
+                assert not is_s_complex_at(sys_, i, int(k) - 2)
+            if k >= 1:
+                assert is_s_complex_at(sys_, i, int(k) - 1)
+    assert infinite >= 1
+
+
+def test_subset_rank_table_matches_span_enumeration():
+    for name in ("gw6a", "cube7"):
+        sys_ = builtin_system(name, 5)
+        rows = [list(map(int, r)) for r in sys_.coeffs]
+        ranks = _subset_ranks(sys_)
+        assert len(ranks) == 2 ** sys_.m
+        for mask, r in enumerate(ranks):
+            subset = [rows[j] for j in range(sys_.m) if mask >> j & 1]
+            assert r == oracles.span_rank(subset, 5)
+
+
+def test_cs_complexity_at_large_primes():
+    # the table and the search hold nothing of size p
+    for p in (1000003, 2147483647):
+        assert cs_complexity(builtin_system("ap3", p)) == 1
+        assert cs_complexity(builtin_system("ap4", p)) == 2
+        assert cs_complexity(builtin_system("gw6a", p)) == 2
+        assert cs_complexity(builtin_system("cube7", p)) == 1
+    rng = np.random.default_rng(21)
+    p = 2147483647
+    sys_ = random_system(rng, p, 8, 5)
+    ranks = _subset_ranks(sys_)
+    for mask, r in enumerate(ranks):
+        assert r == rank(sys_.coeffs[[j for j in range(8) if mask >> j & 1]], p)
 
 
 def test_infinite_complexity_for_parallel_forms():
