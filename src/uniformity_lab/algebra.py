@@ -8,6 +8,7 @@ reduced forms are deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -27,8 +28,16 @@ def is_odd_prime(p: int) -> bool:
     return True
 
 
+# Elimination multiplies two residues below p in int64, which is exact only
+# while (p - 1)^2 < 2^63.
+_MAX_RESIDUE = math.isqrt(2**63 - 1)
+
+
 def check_modulus(p: int) -> int:
-    """Validate that p is an odd prime; returns p."""
+    """Validate that p is an odd prime with (p - 1)^2 < 2^63; returns p."""
+    if p - 1 > _MAX_RESIDUE:
+        raise ValueError(f"modulus {p} is too large: int64 elimination needs "
+                         f"p - 1 <= isqrt(2^63 - 1) = {_MAX_RESIDUE}")
     if not is_odd_prime(p):
         raise ValueError(f"modulus must be an odd prime, got {p}")
     return p
@@ -253,12 +262,6 @@ class QuadraticForm:
     def __call__(self, x) -> int:
         x = as_fp_vector(x, self.p)
         return int((x @ self.M @ x + self.b @ x) % self.p)
-
-    def evaluate_batch(self, X: np.ndarray) -> np.ndarray:
-        """Values q(x) for every row x of X, shape (len(X),)."""
-        X = np.asarray(X, dtype=np.int64) % self.p
-        quad = np.einsum("xi,ij,xj->x", X, self.M, X)
-        return (quad + X @ self.b) % self.p
 
     @property
     def rank(self) -> int:

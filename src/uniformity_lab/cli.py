@@ -305,8 +305,8 @@ def _experiment_reports(args) -> list:
 
     if name in ("gauss", "all"):
         q = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
-        reports.append(gauss_sum_report(q))
-        reports.append(quadratic_zero_set_report(p, n))
+        reports.append(gauss_sum_report(q, budget=args.budget))
+        reports.append(quadratic_zero_set_report(p, n, budget=args.budget))
     if name in ("badex", "all"):
         sys_ = resolve_system(args.system or "gw6a", p)
         reports.append(verify_badex(sys_, n, budget=args.budget,

@@ -1,15 +1,20 @@
 """Enumeration of the group F_p^n with a fixed base-p lexicographic order.
 
-Point i has coordinate vector digits(i) written big-endian: coordinate 0 is
-the most significant digit, so enumeration order equals lexicographic order on
-coordinate tuples.  A value table reshaped to `grid` = (p,)*n is indexed by
-coordinate vectors, so translation by h is a cyclic shift of that array
-(`translates`, `translation_blocks`); the U^k norms use these and need no
-index table.  The lift gathers through `digits`.  Sums of points are formed
-without digit arithmetic through `sum_grid`: `enc` writes a point's digits in
-base 2p - 1, so adding two codes never carries, and the index of x + y is
-P[enc[x] + enc[y]], P being `arange(size)` on the same wrap-padded grid that
-`translates` uses.  `codes` gives the tables x -> c*x that feed it.
+Point i has coordinate vector x written big-endian: coordinate 0 is the most
+significant digit, so enumeration order equals lexicographic order on
+coordinate tuples.  This module is the only one that knows that layout.
+Tables of point values come from one builder, the per-coordinate outer sum
+whose entry at x is sum_k tables[k][x_k] (`_outer_sum`): `linear_values`
+gives x -> s.x mod p, and `codes` gives x -> c*x read in any base.  A value
+table reshaped to `grid` = (p,)*n is indexed by coordinate vectors, so
+translation by h is a cyclic shift of that array (`translates`,
+`translation_blocks`); the U^k norms use these and need no index table.
+Sums of points are formed without digit arithmetic through `sum_grid`: `enc`
+writes a point's digits in base 2p - 1, so adding two codes never carries,
+and the index of x + y is P[enc[x] + enc[y]], P being `arange(size)` on the
+same wrap-padded grid that `translates` uses.  The (size, n) digit table and
+the index tables for + and - remain as properties that no production path
+reads.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterator
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import check_modulus
+from .algebra import as_fp_vector, check_modulus
 
 MAX_DOMAIN_SIZE = 2**26  # keeps index tables within platform-native ints / memory
 
@@ -48,19 +53,19 @@ class GroupDomain:
         return self.p**self.n
 
     @property
-    def places(self) -> np.ndarray:
-        return _places(self.p, self.n)
-
-    @property
     def digits(self) -> np.ndarray:
-        """(size, n) array; row i is the coordinate vector of point i."""
+        """(size, n) array; row i is the coordinate vector of point i.
+
+        O(size * n) memory, built on first access; no computation in the
+        package reads it.
+        """
         return _digits(self.p, self.n)
 
     def index_of(self, vec) -> int:
         v = np.asarray(vec, dtype=np.int64) % self.p
         if v.shape != (self.n,):
             raise ValueError("vector does not match domain dimension")
-        return int(v @ self.places)
+        return int(np.ravel_multi_index(tuple(v), self.grid))
 
     @property
     def grid(self) -> tuple[int, ...]:
@@ -105,6 +110,16 @@ class GroupDomain:
         """
         return _codes(self.p, self.n, c, self.p if base is None else base)
 
+    def linear_values(self, s) -> np.ndarray:
+        """(size,) table: entry x holds s.x mod p, for s a length-n vector."""
+        s = as_fp_vector(s, self.p)
+        if s.shape != (self.n,):
+            raise ValueError("vector does not match domain dimension")
+        coord = np.arange(self.p, dtype=np.int64)
+        out = _outer_sum([sk * coord % self.p for sk in s])
+        out %= self.p
+        return out
+
     @property
     def add_table(self) -> np.ndarray:
         """(size, size) table: entry [i, j] is the index of point_i + point_j.
@@ -116,6 +131,8 @@ class GroupDomain:
 
     @property
     def neg_table(self) -> np.ndarray:
+        """(size,) table: entry i is the index of -point_i; no computation in
+        the package reads it."""
         return _neg_table(self.p, self.n)
 
 
@@ -125,16 +142,8 @@ def domain(p: int, n: int) -> GroupDomain:
 
 
 @lru_cache(maxsize=None)
-def _places(p: int, n: int) -> np.ndarray:
-    out = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _digits(p: int, n: int) -> np.ndarray:
-    idx = np.arange(p**n, dtype=np.int64)
-    out = (idx[:, None] // _places(p, n)[None, :]) % p
+    out = np.indices((p,) * n, dtype=np.int64).reshape(n, -1).T
     out.setflags(write=False)
     return out
 
@@ -145,12 +154,20 @@ def _wrap_padded(values, p: int, n: int) -> np.ndarray:
     return np.pad(g, [(0, p - 1)] * n, mode="wrap")
 
 
+def _outer_sum(tables) -> np.ndarray:
+    """(p^n,) table whose entry at x is sum_k tables[k][x_k], for a list of n
+    tables of p entries each, built in O(p^n) memory.  Coordinates join from
+    the last, least significant, to the first, each as a new leading axis,
+    so the broadcast's inner loop runs over the long axis."""
+    out = np.zeros(1, dtype=np.int64)
+    for t in reversed(tables):
+        out = (t[:, None] + out).ravel()
+    return out
+
+
 def _codes(p: int, n: int, c: int, base: int) -> np.ndarray:
     scaled = (c * np.arange(p, dtype=np.int64)) % p
-    out = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        out = (out[:, None] * base + scaled).ravel()
-    return out
+    return _outer_sum([scaled * base ** (n - 1 - k) for k in range(n)])
 
 
 @lru_cache(maxsize=None)
@@ -164,21 +181,14 @@ def _sum_grid(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _add_table(p: int, n: int) -> np.ndarray:
-    digits = _digits(p, n)
-    places = _places(p, n)
-    N = p**n
-    out = np.empty((N, N), dtype=np.int64)
-    # row-chunked to bound the (chunk, N, n) intermediate
-    chunk = max(1, 2**22 // max(N, 1))
-    for start in range(0, N, chunk):
-        stop = min(start + chunk, N)
-        out[start:stop] = ((digits[start:stop, None, :] + digits[None, :, :]) % p) @ places
+    P, enc = _sum_grid(p, n)
+    out = P[enc[:, None] + enc[None, :]]
     out.setflags(write=False)
     return out
 
 
 @lru_cache(maxsize=None)
 def _neg_table(p: int, n: int) -> np.ndarray:
-    out = ((-_digits(p, n)) % p) @ _places(p, n)
+    out = _codes(p, n, -1, p)
     out.setflags(write=False)
     return out

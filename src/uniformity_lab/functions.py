@@ -40,7 +40,6 @@ import numpy as np
 
 from .budget import check_budget
 from .domains import GroupDomain, domain
-from .algebra import as_fp_vector
 
 EXACT_MODE_MAX_SIZE = 10**4
 
@@ -107,9 +106,7 @@ class GroupFunction:
     @classmethod
     def character(cls, dom: GroupDomain, freq) -> "GroupFunction":
         """x -> omega^(s.x) for the frequency vector s."""
-        s = as_fp_vector(freq, dom.p)
-        phases = dom.digits @ s % dom.p
-        return cls(domain=dom, values=_omega_table(dom.p)[phases])
+        return cls(domain=dom, values=_omega_table(dom.p)[dom.linear_values(freq)])
 
     def mean(self) -> complex:
         return complex(self.values.mean())
@@ -334,9 +331,9 @@ def l2_norm(f: GroupFunction) -> float:
 
 def save_function(obj: GroupFunction | IndicatorSet, path: str) -> None:
     if isinstance(obj, IndicatorSet):
+        coords = np.unravel_index(np.flatnonzero(obj.members), obj.domain.grid)
         doc = {"p": obj.domain.p, "n": obj.domain.n, "mode": "indicator",
-               "members": [[int(c) for c in obj.domain.digits[i]]
-                           for i in np.nonzero(obj.members)[0]]}
+               "members": np.stack(coords, axis=1).tolist()}
     elif obj.exact is not None:
         doc = {"p": obj.domain.p, "n": obj.domain.n, "mode": "rational",
                "values": [str(v) for v in obj.exact]}

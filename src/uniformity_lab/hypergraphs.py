@@ -95,12 +95,10 @@ def octahedral_power_exact(F: TripartiteFunction) -> Fraction:
 
 def lift(g: GroupFunction) -> TripartiteFunction:
     """F(x, y, z) = g(x + y + z) on X = Y = Z = the domain of g."""
-    dom = g.domain
-    D = dom.digits
-    # index of x + y + z, summed one coordinate digit at a time
-    idx3 = np.zeros((dom.size,) * 3, dtype=np.int64)
-    for i, place in enumerate(dom.places):
-        idx3 += (D[:, None, None, i] + D[None, :, None, i] + D[None, None, :, i]) % dom.p * place
+    P, enc = g.domain.sum_grid
+    # index of x + y + z as two gathers: first x + y, then (x + y) + z
+    xy = P[enc[:, None] + enc[None, :]]
+    idx3 = P[enc[xy][:, :, None] + enc]
     exact = g.exact[idx3] if g.exact is not None else None
     return TripartiteFunction(values=g.values[idx3], exact=exact)
 

@@ -111,18 +111,43 @@ def _exact_power_bound(dev: Fraction, p: int, two_exponent: int) -> bool:
     return dev * dev <= bound_sq
 
 
+def _encode(tables, base: int, size: int) -> np.ndarray:
+    """(size,) codes reading the entries of `tables`, each in [0, base), as
+    the digits of one base-`base` number, the first table most significant."""
+    code = np.zeros(size, dtype=np.int64)
+    for t in tables:
+        code *= base
+        code += t
+    return code
+
+
+def _form_values(q: QuadraticForm, dom: GroupDomain) -> np.ndarray:
+    """(size,) table of q(x) = sum_k x_k (l_k(x) + b_k), with l_k(x) the
+    k-th entry of M x, built from linear tables in O(size) memory.  The sum
+    stays below 2 n p^2 <= 2^53 (as p^n <= 2^26), so one final reduction
+    mod p is exact."""
+    vals = np.zeros(dom.size, dtype=np.int64)
+    for k, e in enumerate(np.eye(q.n, dtype=np.int64)):
+        term = dom.linear_values(q.M[k])
+        term += q.b[k]
+        term *= dom.linear_values(e)
+        vals += term
+    vals %= q.p
+    return vals
+
+
 # ---------------------------------------------------------------------------
 # Gauss sums and the quadratic zero set.
 
 def gauss_sum(q: QuadraticForm) -> complex:
     """E_x omega^(q(x)) over F_p^n by direct enumeration."""
-    dom = domain(q.p, q.n)
-    vals = q.evaluate_batch(dom.digits)
-    return complex(omega_power(q.p, vals).mean())
+    return complex(omega_power(q.p, _form_values(q, domain(q.p, q.n))).mean())
 
 
-def gauss_sum_report(q: QuadraticForm) -> ExperimentReport:
+def gauss_sum_report(q: QuadraticForm, budget: int | None = None) -> ExperimentReport:
     """Modulus of the Gauss sum against p^(-rank/2), equality when b = 0."""
+    check_budget(domain(q.p, q.n).size, budget,
+                 what=f"Gauss sum over {q.p}^{q.n} points")
     r = q.rank
     value = gauss_sum(q)
     modulus = abs(value)
@@ -142,11 +167,14 @@ def gauss_sum_report(q: QuadraticForm) -> ExperimentReport:
 def quadratic_zero_set(p: int, n: int) -> IndicatorSet:
     """The set {x in F_p^n : x.x = 0}; density is within p^(-n/2) of 1/p."""
     dom = domain(p, n)
-    norms = (dom.digits**2).sum(axis=1) % p
-    return IndicatorSet(domain=dom, members=norms == 0)
+    dot = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
+    return IndicatorSet(domain=dom, members=_form_values(dot, dom) == 0)
 
 
-def quadratic_zero_set_report(p: int, n: int) -> ExperimentReport:
+def quadratic_zero_set_report(p: int, n: int,
+                              budget: int | None = None) -> ExperimentReport:
+    check_budget(domain(p, n).size, budget,
+                 what=f"quadratic zero set over {p}^{n} points")
     A = quadratic_zero_set(p, n)
     alpha = A.density
     dev = abs(alpha - Fraction(1, p))
@@ -254,10 +282,7 @@ class QuadraticMap:
 
     def value_codes(self, dom: GroupDomain) -> np.ndarray:
         """Integer encoding of the value tuple at every point, base-p."""
-        codes = np.zeros(dom.size, dtype=np.int64)
-        for q in self.forms:
-            codes = codes * dom.p + q.evaluate_batch(dom.digits)
-        return codes
+        return _encode((_form_values(q, dom) for q in self.forms), dom.p, dom.size)
 
 
 @dataclass(frozen=True)
@@ -289,10 +314,8 @@ class QuadraticFactor:
         return self.gamma2.d2
 
     def linear_codes(self, dom: GroupDomain) -> np.ndarray:
-        if self.d1 == 0:
-            return np.zeros(dom.size, dtype=np.int64)
-        vals = dom.digits @ self.gamma1.T % self.p  # (N, d1)
-        return vals @ (self.p ** np.arange(self.d1 - 1, -1, -1, dtype=np.int64))
+        """Integer encoding of gamma1(x) at every point, base-p."""
+        return _encode((dom.linear_values(g) for g in self.gamma1), self.p, dom.size)
 
     def atom_codes(self, dom: GroupDomain) -> np.ndarray:
         return self.linear_codes(dom) * self.p**self.d2 + self.gamma2.value_codes(dom)
@@ -396,20 +419,20 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
             phi_mats.append(ph)
     b_arr = np.asarray(bs, dtype=np.int64).reshape(m, d2) % p if d2 else \
         np.zeros((m, 0), dtype=np.int64)
-    place2 = p ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
-    targets = b_arr @ place2
+    targets = _encode(b_arr.T, p, m)
     # Where phi_i is nonzero, phi_i(x) + b_i is b_i plus one value table per
     # variable with a nonzero block of phi_i, all written in base B, so that
     # their sum never carries and one gather through `decode` (B^d2 entries,
     # built only then) reduces it mod p.
     B = (d + 1) * (p - 1) + 1
-    placeB = B ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
-    phi_codes = [[(u, (dom.digits @ ph[:, u * n:(u + 1) * n].T % p) @ placeB)
-                  for u in range(d) if ph[:, u * n:(u + 1) * n].any()]
+    phi_codes = [[(u, _encode((dom.linear_values(row) for row in block), B, dom.size))
+                  for u, block in enumerate(np.split(ph, d, axis=1)) if block.any()]
                  for ph in phi_mats]
     if any(phi_codes):
-        b_codes = b_arr @ placeB
-        decode = ((np.arange(B**d2, dtype=np.int64)[:, None] // placeB) % B % p) @ place2
+        b_codes = _encode(b_arr.T, B, m)
+        cells = np.arange(B**d2, dtype=np.int64)
+        decode = _encode((cells // B**j % B % p for j in range(d2 - 1, -1, -1)),
+                         p, B**d2)
 
     quad_codes = gamma2.value_codes(dom)
 
@@ -474,10 +497,8 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     W = relation_space(sys)
     in_Z = not ((W.basis @ A_t) % p).any() if d1 else True
 
-    place1 = p ** np.arange(d1 - 1, -1, -1, dtype=np.int64)
-    place2 = p ** np.arange(d2 - 1, -1, -1, dtype=np.int64)
-    a_codes = A_t @ place1 if d1 else np.zeros(m, dtype=np.int64)
-    b_codes = B_t @ place2 if d2 else np.zeros(m, dtype=np.int64)
+    a_codes = _encode(A_t.T, p, m)
+    b_codes = _encode(B_t.T, p, m)
     lin_codes = factor.linear_codes(dom)
     quad_codes = factor.gamma2.value_codes(dom)
 

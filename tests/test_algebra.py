@@ -17,6 +17,10 @@ def test_modulus_validation():
     for bad in (1, 2, 4, 9, 15):
         with pytest.raises(ValueError):
             check_modulus(bad)
+    assert check_modulus(2147483647) == 2147483647
+    # a prime above 2^32: (p - 1)^2 overflows int64, so elimination is inexact
+    with pytest.raises(ValueError, match="3037000499"):
+        check_modulus(4294967311)
 
 
 def test_rank_examples():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
@@ -169,6 +170,16 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     assert code == 3
 
 
+def test_verify_gauss_refuses_over_budget_before_building(capsys):
+    assert main(["verify", "gauss", "--p", "3", "--n", "14", "--budget", "1000"]) == 3
+    assert "Gauss sum over 3^14 points" in capsys.readouterr().err
+
+
+def test_modulus_beyond_int64_elimination_is_a_config_error(capsys):
+    assert main(["complexity", "--system", "ap3", "--p", "4294967311"]) == 2
+    assert "3037000499" in capsys.readouterr().err
+
+
 def test_budget_env_variable(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("UNIFORMITY_LAB_BUDGET", "100")
     code = main(["count", "--system", "cube7", "--set", "quadzero",
@@ -181,12 +192,12 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path):
                        "--n", "2", "--seed", "9"], tmp_path, "a.json")
     _, _, second = run(["verify", "gvn", "--system", "ap3", "--p", "5",
                         "--n", "2", "--seed", "9"], tmp_path, "b.json")
-    a = open(first, "rb").read()
-    b = open(second, "rb").read()
+    a = Path(first).read_bytes()
+    b = Path(second).read_bytes()
     assert a == b
     _, _, third = run(["verify", "gvn", "--system", "ap3", "--p", "5",
                        "--n", "2", "--seed", "10"], tmp_path, "c.json")
-    assert open(third, "rb").read() != a
+    assert Path(third).read_bytes() != a
 
 
 def test_threads_flag_reproducibility(tmp_path):
@@ -194,8 +205,8 @@ def test_threads_flag_reproducibility(tmp_path):
             "--n", "2", "--method", "both"]
     _, _, one = run(base + ["--threads", "1"], tmp_path, "t1.json")
     _, _, four = run(base + ["--threads", "4"], tmp_path, "t4.json")
-    r1 = json.load(open(one))
-    r4 = json.load(open(four))
+    r1 = json.loads(Path(one).read_text())
+    r4 = json.loads(Path(four).read_text())
     assert r1["results"] == r4["results"]
     assert [r["name"] for r in r1["results"]] == [
         "solution_probability", "average_direct", "average_dual", "direct_vs_dual"]

@@ -5,14 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.budget import BudgetExceededError
-from uniformity_lab.domains import _add_table, domain
+from uniformity_lab.algebra import QuadraticForm
+from uniformity_lab.domains import _add_table, _digits, domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       convolve, fourier, inverse_fourier,
                                       l2_norm, load_function, save_function,
                                       u2_norm_fast, uk_norm, uk_norm_fast,
                                       uk_power_exact)
 from uniformity_lab.hypergraphs import lift
-from uniformity_lab.verification import quadratic_zero_set
+from uniformity_lab.systems import LinearFormSystem
+from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
+                                         atom_distribution, gauss_sum,
+                                         project_linear, quadratic_zero_set,
+                                         verify_completefactor,
+                                         verify_quadfactor)
 
 import oracles
 
@@ -118,8 +124,11 @@ def test_fast_uk_at_two_is_u2_norm_fast():
     assert uk_norm_fast(f, 2) == u2_norm_fast(f)
 
 
-def test_norm_paths_build_no_addition_table():
+def test_norm_paths_build_no_addition_table(tmp_path):
+    # neither the N x N addition table nor the (N, n) digit table is built by
+    # any norm, by the lift, or by any former reader of the digit table
     _add_table.cache_clear()
+    _digits.cache_clear()
     dom = domain(3, 2)
     rng = np.random.default_rng(38)
     f = GroupFunction.from_rational(
@@ -129,9 +138,25 @@ def test_norm_paths_build_no_addition_table():
         uk_power_exact(f, k)
         uk_norm_fast(f, k)
     lifted = lift(f)
-    assert lifted.exact[1, 2, 4] == f.exact[dom.index_of(
-        dom.digits[1] + dom.digits[2] + dom.digits[4])]
+    points, index = oracles.naive_points(3, 2)
+    xyz = tuple((a + b + c) % 3 for a, b, c in zip(points[1], points[2], points[4]))
+    assert lifted.exact[1, 2, 4] == f.exact[index[xyz]]
+
+    q = QuadraticForm(p=3, M=[[1, 2], [2, 0]], b=[1, 1])
+    gauss_sum(q)
+    quadratic_zero_set(3, 2)
+    factor = QuadraticFactor(p=3, n=2, gamma1=[[1, 1]],
+                             gamma2=QuadraticMap(forms=(q,)))
+    atom_distribution(factor)
+    project_linear(f, factor)
+    sys_ = LinearFormSystem(p=3, d=2, coeffs=[[1, 0], [0, 1]])
+    verify_quadfactor(sys_, QuadraticMap(forms=(q,)),
+                      phis=[[[1, 0, 2, 1]], None], bs=[[1], [0]])
+    verify_completefactor(sys_, factor, [[0], [1]], [[1], [2]])
+    GroupFunction.character(dom, [1, 2])
+    save_function(quadratic_zero_set(3, 2), str(tmp_path / "a.json"))
     assert _add_table.cache_info().currsize == 0
+    assert _digits.cache_info().currsize == 0
 
 
 def test_u2_three_way_identity_and_monotonicity():
