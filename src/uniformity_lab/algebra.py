@@ -98,25 +98,50 @@ def rank(M, p: int) -> int:
     return len(rref(M, p)[1])
 
 
-def batched_rank(stack, p: int) -> np.ndarray:
-    """Ranks of a (B, rows, cols) stack of matrices, shape (B,).
+def _diagonal_pivot(A: np.ndarray, c: int, p: int) -> None:
+    """Where A[c, c] = 0 but column c has a nonzero entry b = A[i, c] below
+    the diagonal (first such i), add t times row and column i to row and
+    column c, with t = +-1 chosen so that the new A[c, c] = A[i, i] + 2tb is
+    nonzero (both signs give 0 only if 4b = 0).  A congruence by a
+    determinant-1 matrix: rank and discriminant class are unchanged."""
+    below = A[:, c + 1:, c]
+    k = np.nonzero((A[:, c, c] == 0) & below.any(axis=1))[0]
+    if not k.size:
+        return
+    i = c + 1 + below[k].argmax(axis=1)
+    t = np.where((A[k, i, i] + 2 * A[k, i, c]) % p == 0, p - 1, 1)[:, None]
+    A[k, c, :] = (A[k, c, :] + t * A[k, i, :]) % p
+    A[k, :, c] = (A[k, :, c] + t * A[k, :, i]) % p
+
+
+def _eliminate(A: np.ndarray, p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, pivot product mod p) of a (B, rows, cols) int64 stack reduced
+    mod p, which it overwrites.
 
     One Gaussian elimination vectorized over the stack: per column, the first
     unused row with a nonzero entry becomes the pivot, and each other unused
     row r is replaced by a*r - b*pivot_row (a the pivot entry, b the entry of
     r), which clears the column without inverting anything and scales r by a
     nonzero a.  Entries stay below p, so the products stay exact in int64 as
-    in `rref`.  Worth it for many small matrices; `rank` stays the path for a
-    single one.
+    in `rref`.
+
+    With `symmetric`, the stack is square and symmetric and the elimination
+    is a congruence A -> E A E^T: `_diagonal_pivot` first puts a nonzero
+    entry on the diagonal, so the pivot of column c is row c, and the column
+    operations, which meet zeros in the pivot column, scale the rest by a
+    once more (so r becomes a^2 r - ab pivot_row).  The rows and columns still
+    to be eliminated then always hold a congruent image of the remaining form,
+    and the pivots are the diagonal of a diagonalization: their product is the
+    discriminant of the nondegenerate part up to squares.
     """
-    A = np.asarray(stack, dtype=np.int64) % p
-    if A.ndim != 3:
-        raise ValueError("expected a (B, rows, cols) stack")
     B, rows, cols = A.shape
     ranks = np.zeros(B, dtype=np.int64)
+    product = np.ones(B, dtype=np.int64)
     unused = np.ones((B, rows), dtype=bool)
     batch = np.arange(B)
     for c in range(cols):
+        if symmetric:
+            _diagonal_pivot(A, c, p)
         candidates = unused & (A[:, :, c] != 0)
         found = candidates.any(axis=1)
         pivot = candidates.argmax(axis=1)
@@ -126,10 +151,55 @@ def batched_rank(stack, p: int) -> np.ndarray:
         row = rest[batch, pivot]
         scale = np.where(found, A[batch, pivot, c], 1)
         factor = A[:, :, c] * unused
+        if symmetric:
+            factor = factor * scale[:, None] % p
+            product *= scale
+            product %= p
+            scale = scale * scale % p
         rest *= scale[:, None, None]
         rest -= factor[:, :, None] * row[:, None, :]
         rest %= p
-    return ranks
+    return ranks, product
+
+
+def batched_rank(stack, p: int) -> np.ndarray:
+    """Ranks of a (B, rows, cols) stack of matrices, shape (B,), by one
+    elimination vectorized over the stack (`_eliminate`).  Worth it for many
+    small matrices; `rank` stays the path for a single one."""
+    A = np.asarray(stack, dtype=np.int64) % p
+    if A.ndim != 3:
+        raise ValueError("expected a (B, rows, cols) stack")
+    return _eliminate(A, p, symmetric=False)[0]
+
+
+def _legendre(a, p: int) -> np.ndarray:
+    """chi(a) = a^((p-1)/2) mod p as -1, 0 or 1, elementwise by repeated
+    squaring in int64 (exact while (p - 1)^2 < 2^63)."""
+    base = np.asarray(a, dtype=np.int64) % p
+    out = np.ones_like(base)
+    e = (p - 1) // 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return np.where(out == p - 1, -1, out)
+
+
+def batched_rank_class(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, classes) of a (B, d, d) stack of symmetric matrices mod p.
+
+    The class is eps = chi(disc) in {1, -1}: the quadratic character of the
+    product of the nonzero diagonal entries of any diagonalization by
+    congruence (1 for the zero matrix).  Together with the rank it fixes the
+    Gauss sum sum_{y in F_p^d} omega^(y^T M y) = p^(d - r) eps g^r, with g the
+    quadratic Gauss sum of F_p.  Exact integer elimination (`_eliminate`).
+    """
+    A = np.asarray(stack, dtype=np.int64) % p
+    if A.ndim != 3 or not np.array_equal(A, A.transpose(0, 2, 1)):
+        raise ValueError("expected a (B, d, d) stack of symmetric matrices")
+    ranks, product = _eliminate(A, p, symmetric=True)
+    return ranks, _legendre(product, p)
 
 
 def in_span(v, vectors, p: int) -> bool:

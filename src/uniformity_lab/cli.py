@@ -16,12 +16,15 @@ import sys
 import numpy as np
 
 from .algebra import QuadraticForm
-from .budget import BudgetExceededError
+from .budget import BudgetExceededError, check_budget
 from .counting import (DUAL_AGREEMENT_TOL, average_product_direct,
-                       average_product_dual, solution_probability)
+                       average_product_dual, direct_op_count, dual_op_count,
+                       quadratic_zero_op_count, quadratic_zero_probability,
+                       solution_probability)
 from .domains import domain
 from .functions import (IndicatorSet, balanced, load_function,
-                        random_bounded_function, uk_norm, uk_norm_fast)
+                        random_bounded_function, uk_norm, uk_norm_fast,
+                        uk_norm_fast_op_count, uk_norm_op_count)
 from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, TrueComplexityUndecided,
                       conjectured_true_complexity, cs_complexity,
@@ -103,7 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--system", required=True)
     c.add_argument("--set", dest="set_name",
                    help="'quadzero' or a function/indicator file")
-    c.add_argument("--method", choices=["direct", "dual", "both"], default="both")
+    c.add_argument("--method", choices=["direct", "dual", "both", "gauss", "all"],
+                   default="both")
     c.add_argument("--degenerate", action="store_true",
                    help="also report the degenerate-solution fraction")
     common(c)
@@ -220,6 +224,12 @@ def _load_cli_function(args):
 
 
 def cmd_norm(args) -> tuple[int, dict]:
+    if args.set_name == "quadzero" and not args.function and args.k >= 2:
+        # refuse before the set and its complex table are built
+        dom = domain(args.p, args.n)
+        op_count = uk_norm_fast_op_count if args.method == "fast" else uk_norm_op_count
+        check_budget(op_count(dom, args.k), args.budget,
+                     what=f"{args.method} U^{args.k} norm of quadzero on size {dom.size}")
     f = _load_cli_function(args)
     dom = f.domain
     if args.method == "fast":
@@ -239,16 +249,44 @@ def cmd_norm(args) -> tuple[int, dict]:
     return EXIT_OK, make_report("norm", config, [record])
 
 
+COUNT_METHODS = {"direct": ("direct",), "dual": ("dual",),
+                 "both": ("direct", "dual"), "gauss": ("gauss",),
+                 "all": ("direct", "dual", "gauss")}
+
+
+def _check_quadzero_budget(sys_, args, methods) -> None:
+    """Refuse a quadzero count over budget before the set is built."""
+    p, n = args.p, args.n
+    if "gauss" in methods:
+        check_budget(quadratic_zero_op_count(sys_.m, sys_.d, n, p), args.budget,
+                     what=f"Gauss-sum count of quadzero for {sys_.m} forms")
+    if "direct" in methods or "dual" in methods:
+        dom = domain(p, n)
+        if "direct" in methods:
+            check_budget(direct_op_count(sys_, dom), args.budget,
+                         what=f"direct count of quadzero over {dom.size}^{sys_.d} assignments")
+        if "dual" in methods:
+            check_budget(dual_op_count(sys_, dom), args.budget,
+                         what=f"dual count of quadzero on size {dom.size}")
+
+
 def cmd_count(args) -> tuple[int, dict]:
     sys_ = resolve_system(args.system, args.p)
     config = {"system": args.system, "set": args.set_name, "p": args.p,
               "n": args.n, "method": args.method, "seed": args.seed,
               "budget": args.budget, "threads": args.threads,
               "tolerance": args.tolerance}
+    methods = COUNT_METHODS[args.method]
     results = []
     indicator = None
+    if "gauss" in methods and args.set_name != "quadzero":
+        raise ValueError("--method gauss and all count --set quadzero only")
+    if methods == ("gauss",) and args.degenerate:
+        raise ValueError("--degenerate needs the direct count")
     if args.set_name == "quadzero":
-        indicator = quadratic_zero_set(args.p, args.n)
+        _check_quadzero_budget(sys_, args, methods)
+        if methods != ("gauss",):
+            indicator = quadratic_zero_set(args.p, args.n)
     elif args.set_name:
         obj = load_function(args.set_name)
         if isinstance(obj, IndicatorSet):
@@ -261,7 +299,7 @@ def cmd_count(args) -> tuple[int, dict]:
     exit_code = EXIT_OK
     if indicator is not None:
         fs = [indicator.to_function()] * sys_.m
-        if args.method in ("direct", "both"):
+        if "direct" in methods:
             rep = solution_probability(sys_, indicator, budget=args.budget,
                                        threads=args.threads,
                                        with_degenerate=args.degenerate)
@@ -271,18 +309,19 @@ def cmd_count(args) -> tuple[int, dict]:
                   f"alpha^m = {_fmt(rep.reference.real)}   "
                   f"deviation = {_fmt(rep.deviation)}")
             direct = rep.observed  # 0/1 products sum exactly: count / N^d
-    if args.method in ("direct", "both"):
+            direct_exact = rep.observed_exact
+    if "direct" in methods:
         if indicator is None:
             direct = average_product_direct(sys_, fs, budget=args.budget,
                                             threads=args.threads)
         results.append({"name": "average_direct", "value": _cx(direct),
                         "passed": None})
-    if args.method in ("dual", "both"):
+    if "dual" in methods:
         dual = average_product_dual(sys_, fs, budget=args.budget,
                                     threads=args.threads)
         results.append({"name": "average_dual", "value": _cx(dual),
                         "passed": None})
-    if args.method == "both":
+    if "direct" in methods and "dual" in methods:
         gap = abs(direct - dual)
         ok = gap <= args.tolerance
         results.append({"name": "direct_vs_dual", "gap": gap,
@@ -290,6 +329,20 @@ def cmd_count(args) -> tuple[int, dict]:
         print(f"direct vs dual gap = {gap:.3g} ({'ok' if ok else 'MISMATCH'})")
         if not ok:
             exit_code = EXIT_FAIL
+    if "gauss" in methods:
+        rep = quadratic_zero_probability(sys_, args.n, budget=args.budget)
+        results.append({"name": "solution_probability_gauss", **rep.to_dict(),
+                        "passed": None})
+        print(f"P = {rep.observed_exact} = {_fmt(rep.observed.real)}   "
+              f"alpha^m = {_fmt(rep.reference.real)}   "
+              f"deviation = {_fmt(rep.deviation)} (gauss)")
+        if "direct" in methods:
+            same = rep.observed_exact == direct_exact
+            results.append({"name": "gauss_vs_direct", "exact_match": same,
+                            "passed": same})
+            print(f"gauss vs direct: {'exact match' if same else 'MISMATCH'}")
+            if not same:
+                exit_code = EXIT_FAIL
     return exit_code, make_report("count", config, results)
 
 

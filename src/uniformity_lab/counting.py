@@ -1,4 +1,4 @@
-"""Exact configuration counting over (F_p^n)^d by two independent strategies.
+"""Exact configuration counting over (F_p^n)^d by three independent strategies.
 
 The direct strategy enumerates every assignment of the d variables and
 evaluates the product of the functions at the images of the forms.  The dual
@@ -8,12 +8,22 @@ sum_i c_iu r_i = 0 for every variable u and sums the products of Fourier
 coefficients.  The two must agree to 1e-8 wherever both run, which is the
 central cross-check of the whole package.
 
-Both strategies, `count_solutions` and the factor checks in `verification`
-share one kernel, `reduce_form_images`: chunked enumeration, form images, a
-per-chunk reducer called with (images, xs), the point indices of the forms'
-values and of the variables, an optional thread pool and partials in chunk
-order.  The images are gathered through the domain's wrap-padded sum grid
-(`GroupDomain.sum_grid`); no digit tensor of the assignments is built.
+Both strategies, `count_solutions` and the enumerating factor checks in
+`verification` share one kernel, `reduce_form_images`: chunked enumeration,
+form images, a per-chunk reducer called with (images, xs), the point indices
+of the forms' values and of the variables, an optional thread pool and
+partials in chunk order.  The images are gathered through the domain's
+wrap-padded sum grid (`GroupDomain.sum_grid`); no digit tensor of the
+assignments is built.
+
+The third strategy counts quadratic zeros in closed form:
+`quadratic_zero_count` gives #{X : (X l_i)^T B (X l_i) = 0 for all i} as an
+exact sum of Gauss sums over the lines of lambda in F_p^m, read off the rank
+and discriminant class of each M_lambda = sum_i lambda_i l_i l_i^T.  Its cost
+depends on m, d and p, not on n, and it builds no domain.  It serves the
+quadratic zero set {x.x = 0} (`quadratic_zero_solutions`, `count --method
+gauss`) and the homogeneous factor checks, and must equal the direct count
+exactly.
 
 Counting includes degenerate configurations (for instance zero-difference
 progressions); the reference probabilities are defined over the full
@@ -25,16 +35,22 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from itertools import product
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .algebra import batched_rank_class
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import GroupFunction, IndicatorSet, fourier
 from .systems import LinearFormSystem, relation_space
 
 CHUNK = 1 << 19
+
+# Classes of lambda per batched elimination in `quadratic_zero_count`: keeps
+# the (count, d, d) stack and its temporaries to a few MB for small d.
+CLASS_BLOCK = 1 << 15
 
 DUAL_AGREEMENT_TOL = 1e-8
 
@@ -264,6 +280,115 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     count = sum(c for c, _ in partials)
     degenerate = sum(g for _, g in partials) if with_degenerate else None
     return count, degenerate
+
+
+def _class_forms(C: np.ndarray, p: int) -> Iterator[np.ndarray]:
+    """M_lambda = sum_i lambda_i l_i l_i^T mod p for one lambda on each line
+    of F_p^m, in (count, d, d) blocks of at most max(CLASS_BLOCK, p) classes:
+    the lambdas whose first nonzero coordinate is 1.  Those with leading
+    coordinate `lead` range over a product of copies of F_p; a block fixes
+    the first few of those coordinates and is the outer sum, over the rest,
+    of the tables a -> a l_k l_k^T, built one coordinate at a time.  Every
+    entry is a sum of at most m residues, reduced mod p once."""
+    m, d = C.shape
+    outer = (C[:, :, None] * C[:, None, :] % p).reshape(m, d * d)
+    multiples = np.arange(p, dtype=np.int64)[:, None, None] * outer % p
+    for lead in range(m):
+        fixed = lead + 1
+        while fixed < m and p ** (m - fixed) > CLASS_BLOCK:
+            fixed += 1
+        for prefix in product(range(p), repeat=fixed - lead - 1):
+            acc = outer[lead].copy()
+            for k, a in enumerate(prefix, start=lead + 1):
+                acc += multiples[a, k]
+            acc = acc[None]
+            for k in range(fixed, m):
+                acc = (acc[:, None] + multiples[:, k]).reshape(-1, d * d)
+            acc %= p
+            yield acc.reshape(-1, d, d)
+
+
+def quadratic_zero_op_count(m: int, d: int, width: int, p: int) -> int:
+    """Entry operations of `quadratic_zero_count` for m forms in d variables
+    and a width x width form: one elimination of the form, then for each of
+    the (p^m - 1)/(p - 1) classes of lambda, M_lambda (m d^2 multiply-adds)
+    and its elimination (about d^3); a 0 x 0 form needs none of them."""
+    if not width:
+        return 0
+    return width**3 + (p**m - 1) // (p - 1) * d * d * (m + d)
+
+
+def quadratic_zero_count(C, B, p: int, budget: int | None = None) -> int:
+    """Exact number of X in F_p^(n x d) with (X l_i)^T B (X l_i) = 0 for every
+    row l_i of the (m, d) matrix C, B a symmetric (n, n) matrix.
+
+    Orthogonality over lambda in F_p^m writes the count as p^(-m) times the
+    sum over lambda of the Gauss sum of the form X -> tr(B X M X^T), whose
+    matrix is B (x) M with M = M_lambda = sum_i lambda_i l_i l_i^T.  By rank
+    r and class eps (`algebra.batched_rank_class`), that Gauss sum is
+    p^(nd - r r_B) eps^(r_B) eps_B^r g^(r r_B), with g^2 = chi(-1) p.  The
+    p - 1 nonzero multiples of lambda share r and, when r r_B is even, the
+    term; when r r_B is odd their terms cancel.  So the count is
+    p^(-m) (p^(nd) + (p - 1) sum c(r, eps) term(r, eps)) over the classes of
+    lambda, c(r, eps) the number of classes with rank r and class eps,
+    summed in Python ints.  The cost depends on m, d and p, not on n.
+    """
+    C = np.asarray(C, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    m, d = C.shape
+    n = B.shape[0]
+    check_budget(quadratic_zero_op_count(m, d, n, p), budget,
+                 what=f"Gauss-sum count over {(p**m - 1) // (p - 1)} classes "
+                      f"of {d}x{d} forms")
+    (r_B,), (eps_B,) = batched_rank_class(B[None], p)
+    r_B, eps_B = int(r_B), int(eps_B)
+    if r_B == 0:
+        return p ** (n * d)
+    tally = np.zeros(2 * d + 2, dtype=np.int64)
+    for block in _class_forms(C, p):
+        ranks, eps = batched_rank_class(block, p)
+        tally += np.bincount(2 * ranks + (eps > 0), minlength=2 * d + 2)
+    chi_minus_one = 1 if p % 4 == 1 else -1
+    total = p ** (n * d)
+    for key in np.nonzero(tally)[0].tolist():
+        r, e = divmod(key, 2)
+        if r * r_B % 2:
+            continue
+        sign = (1 if e else -1) ** r_B * eps_B**r * chi_minus_one ** (r * r_B // 2)
+        total += (p - 1) * int(tally[key]) * sign * p ** (n * d - r * r_B // 2)
+    count, rem = divmod(total, p**m)
+    if rem:
+        raise ArithmeticError("Gauss-sum total is not divisible by p^m")
+    return count
+
+
+def quadratic_zero_solutions(sys: LinearFormSystem, n: int,
+                             budget: int | None = None) -> tuple[int, Fraction]:
+    """(count, density) for A = {x in F_p^n : x.x = 0}: the number of
+    assignments with every form image in A, and A's density (the m = d = 1
+    count over p^n), both by `quadratic_zero_count`, so no domain is built
+    and n may be any size."""
+    dot = np.eye(n, dtype=np.int64)
+    count = quadratic_zero_count(sys.coeffs, dot, sys.p, budget)
+    zeros = quadratic_zero_count(np.ones((1, 1), dtype=np.int64), dot, sys.p, budget)
+    return count, Fraction(zeros, sys.p**n)
+
+
+def quadratic_zero_probability(sys: LinearFormSystem, n: int,
+                               budget: int | None = None) -> CountReport:
+    """`solution_probability` of the quadratic zero set by the closed form
+    (method "gauss"), against alpha^m."""
+    count, alpha = quadratic_zero_solutions(sys, n, budget)
+    observed = Fraction(count, sys.p ** (n * sys.d))
+    reference = alpha**sys.m
+    return CountReport(
+        observed=complex(float(observed)),
+        reference=complex(float(reference)),
+        method="gauss",
+        op_count=quadratic_zero_op_count(sys.m, sys.d, n, sys.p),
+        observed_exact=str(observed),
+        reference_exact=str(reference),
+    )
 
 
 def solution_probability(sys: LinearFormSystem, A: IndicatorSet,

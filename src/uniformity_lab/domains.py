@@ -5,7 +5,8 @@ significant digit, so enumeration order equals lexicographic order on
 coordinate tuples.  This module is the only one that knows that layout.
 Tables of point values come from one builder, the per-coordinate outer sum
 whose entry at x is sum_k tables[k][x_k] (`_outer_sum`): `linear_values`
-gives x -> s.x mod p, and `codes` gives x -> c*x read in any base.  A value
+gives x -> s.x mod p, `codes` gives x -> c*x read in any base, and
+`coordinate_sum` gives x -> sum_k t(x_k) for one residue table t.  A value
 table reshaped to `grid` = (p,)*n is indexed by coordinate vectors, so
 translation by h is a cyclic shift of that array (`translates`,
 `translation_blocks`); the U^k norms use these and need no index table.
@@ -119,6 +120,14 @@ class GroupDomain:
         out = _outer_sum([sk * coord % self.p for sk in s])
         out %= self.p
         return out
+
+    def coordinate_sum(self, table) -> np.ndarray:
+        """(size,) table: entry x holds sum_k table[x_k], for one table of p
+        integers applied to every coordinate (no reduction)."""
+        table = np.asarray(table, dtype=np.int64)
+        if table.shape != (self.p,):
+            raise ValueError("expected one table entry per residue")
+        return _outer_sum([table] * self.n)
 
     @property
     def add_table(self) -> np.ndarray:

@@ -12,6 +12,11 @@ Bounds of the form p^(-r/2) are irrational; whenever the observed deviation
 is an exact rational, the comparison deviation <= p^(e - r/2) is performed
 exactly by squaring both sides (deviation^2 <= p^(2e - r)), alongside the
 floating-point record.
+
+The zero-set dichotomy and the factor checks with one homogeneous form and
+zero targets count in closed form (`counting.quadratic_zero_count`) when that
+is estimated cheaper than enumerating the p^(nd) assignments; both paths give
+the same integer and so byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,10 +28,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (QuadraticForm, as_fp_matrix, bilinear_of, rank)
+from .algebra import (QuadraticForm, Subspace, as_fp_matrix, bilinear_of,
+                      nullspace, rank, restrict, rref)
 from .budget import check_budget
 from .counting import (average_product_direct, count_solutions,
-                       direct_op_count, reduce_form_images)
+                       direct_op_count, quadratic_zero_count,
+                       quadratic_zero_op_count, quadratic_zero_solutions,
+                       reduce_form_images)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, omega_power,
                         l2_norm, u2_norm_fast, uk_norm)
@@ -165,10 +173,15 @@ def gauss_sum_report(q: QuadraticForm, budget: int | None = None) -> ExperimentR
 
 
 def quadratic_zero_set(p: int, n: int) -> IndicatorSet:
-    """The set {x in F_p^n : x.x = 0}; density is within p^(-n/2) of 1/p."""
+    """The set {x in F_p^n : x.x = 0}; density is within p^(-n/2) of 1/p.
+
+    x.x is the per-coordinate outer sum of the squares k^2 mod p, at most
+    n (p - 1), reduced mod p once."""
     dom = domain(p, n)
-    dot = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
-    return IndicatorSet(domain=dom, members=_form_values(dot, dom) == 0)
+    squares = np.arange(p, dtype=np.int64) ** 2 % p
+    values = dom.coordinate_sum(squares)
+    values %= p
+    return IndicatorSet(domain=dom, members=values == 0)
 
 
 def quadratic_zero_set_report(p: int, n: int,
@@ -191,6 +204,15 @@ def quadratic_zero_set_report(p: int, n: int,
 # ---------------------------------------------------------------------------
 # The zero-set dichotomy experiment.
 
+def _use_gauss(homogeneous: bool, m: int, d: int, width: int, p: int,
+               n: int) -> bool:
+    """Whether a count of m forms in d variables over F_p^n takes the closed
+    form `quadratic_zero_count` with a width x width form: only for
+    homogeneous inputs, and only when its operation estimate is below that of
+    enumerating the p^(nd) assignments, m p^(nd)."""
+    return homogeneous and quadratic_zero_op_count(m, d, width, p) < m * p ** (n * d)
+
+
 def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
                  threads: int = 1) -> ExperimentReport:
     """Solution probability of the quadratic zero set under the system.
@@ -198,12 +220,19 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
     Square-independent systems must land within p^(-n/2) of p^(-m); a
     square-dependent system with maximal independent subsystem of size l < m
     must overshoot: P >= p^(-l) - p^(-n/2), an excess over density^m.
+
+    The count comes from the closed form (`quadratic_zero_solutions`, no
+    domain built) or from enumerating the zero set's members, as `_use_gauss`
+    decides; both are the same integer.
     """
     p = sys.p
-    A = quadratic_zero_set(p, n)
-    alpha = A.density
-    count, _ = count_solutions(sys, A, budget=budget, threads=threads)
-    P = Fraction(count, A.domain.size**sys.d)
+    if _use_gauss(True, sys.m, sys.d, n, p, n):
+        count, alpha = quadratic_zero_solutions(sys, n, budget)
+    else:
+        A = quadratic_zero_set(p, n)
+        alpha = A.density
+        count, _ = count_solutions(sys, A, budget=budget, threads=threads)
+    P = Fraction(count, p ** (n * sys.d))
     independent = power_independence(sys, 1)
     rep = ExperimentReport(
         name="badex",
@@ -382,43 +411,17 @@ def _require_square_independent(sys: LinearFormSystem) -> None:
             "operation requires a square-independent system")
 
 
-def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
-                      phis: Sequence[Optional[np.ndarray]] | None = None,
-                      bs: Sequence[Sequence[int]] | None = None,
-                      n: int | None = None,
-                      budget: int | None = None) -> ExperimentReport:
-    """Probability that gamma2(L_i(x)) = phi_i(x) + b_i for all i, against
-    p^(-m*d2) with allowance p^(-r/2).
-
-    phi_i are linear maps from the d-variable assignment space to F_p^{d2},
-    given as (d2, n*d) matrices (None means the zero map); b_i are targets.
-    """
-    _require_square_independent(sys)
+def _quadfactor_matches(sys: LinearFormSystem, gamma2: QuadraticMap,
+                        phi_mats: list[np.ndarray], b_arr: np.ndarray, n: int,
+                        budget: int | None) -> int:
+    """Number of assignments with gamma2(L_i(x)) = phi_i(x) + b_i for all i,
+    by enumerating them all."""
     p = sys.p
-    if gamma2.d2 and n is None:
-        n = gamma2.forms[0].n
-    if n is None:
-        raise ValueError("dimension n required when gamma2 is empty")
-    dom = domain(p, n)
-    d2 = gamma2.d2
     m, d = sys.m, sys.d
+    d2 = gamma2.d2
+    dom = domain(p, n)
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"factor equidistribution over {dom.size}^{d} assignments")
-    if phis is None:
-        phis = [None] * m
-    if bs is None:
-        bs = [[0] * d2 for _ in range(m)]
-    phi_mats = []
-    for ph in phis:
-        if ph is None:
-            phi_mats.append(np.zeros((d2, n * d), dtype=np.int64))
-        else:
-            ph = np.asarray(ph, dtype=np.int64) % p
-            if ph.shape != (d2, n * d):
-                raise ValueError(f"phi must have shape ({d2}, {n * d})")
-            phi_mats.append(ph)
-    b_arr = np.asarray(bs, dtype=np.int64).reshape(m, d2) % p if d2 else \
-        np.zeros((m, 0), dtype=np.int64)
     targets = _encode(b_arr.T, p, m)
     # Where phi_i is nonzero, phi_i(x) + b_i is b_i plus one value table per
     # variable with a nonzero block of phi_i, all written in base B, so that
@@ -449,8 +452,55 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
                 ok &= lhs == targets[i]
         return int(ok.sum())
 
-    matches = sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
-    P = Fraction(matches, dom.size**d)
+    return sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
+
+
+def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
+                      phis: Sequence[Optional[np.ndarray]] | None = None,
+                      bs: Sequence[Sequence[int]] | None = None,
+                      n: int | None = None,
+                      budget: int | None = None) -> ExperimentReport:
+    """Probability that gamma2(L_i(x)) = phi_i(x) + b_i for all i, against
+    p^(-m*d2) with allowance p^(-r/2).
+
+    phi_i are linear maps from the d-variable assignment space to F_p^{d2},
+    given as (d2, n*d) matrices (None means the zero map); b_i are targets.
+    With one form q(x) = x^T M x, no side maps and zero targets, the count is
+    `quadratic_zero_count` of the system with B = M, taken as `_use_gauss`
+    decides; otherwise every assignment is enumerated.
+    """
+    _require_square_independent(sys)
+    p = sys.p
+    if gamma2.d2 and n is None:
+        n = gamma2.forms[0].n
+    if n is None:
+        raise ValueError("dimension n required when gamma2 is empty")
+    if gamma2.d2 and n != gamma2.forms[0].n:
+        raise ValueError(f"n = {n} does not match the forms' dimension {gamma2.forms[0].n}")
+    d2 = gamma2.d2
+    m, d = sys.m, sys.d
+    if phis is None:
+        phis = [None] * m
+    if bs is None:
+        bs = [[0] * d2 for _ in range(m)]
+    phi_mats = []
+    for ph in phis:
+        if ph is None:
+            phi_mats.append(np.zeros((d2, n * d), dtype=np.int64))
+        else:
+            ph = np.asarray(ph, dtype=np.int64) % p
+            if ph.shape != (d2, n * d):
+                raise ValueError(f"phi must have shape ({d2}, {n * d})")
+            phi_mats.append(ph)
+    b_arr = np.asarray(bs, dtype=np.int64).reshape(m, d2) % p if d2 else \
+        np.zeros((m, 0), dtype=np.int64)
+    homogeneous = (d2 == 1 and not gamma2.forms[0].b.any() and not b_arr.any()
+                   and not any(ph.any() for ph in phi_mats))
+    if _use_gauss(homogeneous, m, d, n, p, n):
+        matches = quadratic_zero_count(sys.coeffs, gamma2.forms[0].M, p, budget)
+    else:
+        matches = _quadfactor_matches(sys, gamma2, phi_mats, b_arr, n, budget)
+    P = Fraction(matches, p ** (n * d))
     r = factor_rank_or_inf(gamma2, p)
     ref = Fraction(1, p ** (m * d2))
     dev = abs(P - ref)
@@ -472,31 +522,16 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     return rep
 
 
-def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
-                          a_targets: Sequence[Sequence[int]],
-                          b_targets: Sequence[Sequence[int]],
-                          budget: int | None = None) -> ExperimentReport:
-    """Joint linear+quadratic factor equidistribution along the system.
-
-    The linear targets (a_1, ..., a_m) are first classified against the
-    subspace Z of sequences compatible with the linear relations among the
-    forms: outside Z the probability is exactly zero; inside Z it must be
-    within p^(d1 - d'*d1 - r/2) of p^(-d1*d' - d2*m).
-    """
-    _require_square_independent(sys)
+def _completefactor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
+                            A_t: np.ndarray, B_t: np.ndarray,
+                            budget: int | None) -> int:
+    """Number of assignments with gamma1(L_i(x)) = a_i and gamma2(L_i(x)) =
+    b_i for all i, by enumerating them all."""
     p, n = factor.p, factor.n
-    dom = domain(p, n)
     m, d = sys.m, sys.d
-    d1, d2 = factor.d1, factor.d2
+    dom = domain(p, n)
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"complete factor check over {dom.size}^{d} assignments")
-    A_t = np.asarray(a_targets, dtype=np.int64).reshape(m, d1) % p if d1 else \
-        np.zeros((m, 0), dtype=np.int64)
-    B_t = np.asarray(b_targets, dtype=np.int64).reshape(m, d2) % p if d2 else \
-        np.zeros((m, 0), dtype=np.int64)
-    W = relation_space(sys)
-    in_Z = not ((W.basis @ A_t) % p).any() if d1 else True
-
     a_codes = _encode(A_t.T, p, m)
     b_codes = _encode(B_t.T, p, m)
     lin_codes = factor.linear_codes(dom)
@@ -506,12 +541,64 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
         ok = np.ones(images.shape[1], dtype=bool)
         for i in range(m):
             ok &= lin_codes[images[i]] == a_codes[i]
-            if d2:
+            if factor.d2:
                 ok &= quad_codes[images[i]] == b_codes[i]
         return int(ok.sum())
 
-    matches = sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
-    P = Fraction(matches, dom.size**d)
+    return sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
+
+
+def _completefactor_zero_count(sys: LinearFormSystem, factor: QuadraticFactor,
+                               budget: int | None) -> int:
+    """Number of assignments with gamma1(L_i(x)) = 0 and q(L_i(x)) = 0 for
+    all i, q(x) = x^T M x the factor's one form, in closed form.
+
+    The forms see x only through the columns of the system at its pivot
+    columns C' (`rref`), which are independent; the other d - rank C
+    variables are free and give p^(n(d - rank C)).  With C' of full column
+    rank, gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) = 0 for every
+    variable, so x_u = K^T z_u for a basis K of ker gamma1, and q(L_i(x)) is
+    the restricted form K M K^T at L'_i(z): `quadratic_zero_count` of C' with
+    that form."""
+    p, n = factor.p, factor.n
+    pivots = rref(sys.coeffs, p)[1]
+    kernel = Subspace(p=p, ambient=n, basis=nullspace(factor.gamma1, p))
+    form = restrict(bilinear_of(factor.gamma2.forms[0]), kernel)
+    return p ** (n * (sys.d - len(pivots))) * quadratic_zero_count(
+        sys.coeffs[:, pivots], form.B, p, budget)
+
+
+def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
+                          a_targets: Sequence[Sequence[int]],
+                          b_targets: Sequence[Sequence[int]],
+                          budget: int | None = None) -> ExperimentReport:
+    """Joint linear+quadratic factor equidistribution along the system.
+
+    The linear targets (a_1, ..., a_m) are first classified against the
+    subspace Z of sequences compatible with the linear relations among the
+    forms: outside Z the probability is exactly zero; inside Z it must be
+    within p^(d1 - d'*d1 - r/2) of p^(-d1*d' - d2*m).  With one homogeneous
+    form and zero targets the count is `_completefactor_zero_count`, taken as
+    `_use_gauss` decides; otherwise every assignment is enumerated.
+    """
+    _require_square_independent(sys)
+    p, n = factor.p, factor.n
+    m, d = sys.m, sys.d
+    d1, d2 = factor.d1, factor.d2
+    A_t = np.asarray(a_targets, dtype=np.int64).reshape(m, d1) % p if d1 else \
+        np.zeros((m, 0), dtype=np.int64)
+    B_t = np.asarray(b_targets, dtype=np.int64).reshape(m, d2) % p if d2 else \
+        np.zeros((m, 0), dtype=np.int64)
+    W = relation_space(sys)
+    in_Z = not ((W.basis @ A_t) % p).any() if d1 else True
+
+    homogeneous = (d2 == 1 and not factor.gamma2.forms[0].b.any()
+                   and not A_t.any() and not B_t.any())
+    if _use_gauss(homogeneous, m, d, n - d1, p, n):
+        matches = _completefactor_zero_count(sys, factor, budget)
+    else:
+        matches = _completefactor_matches(sys, factor, A_t, B_t, budget)
+    P = Fraction(matches, p ** (n * d))
     d_prime = span_dimension(sys)
     r = factor_rank_or_inf(factor.gamma2, p)
     rep = ExperimentReport(

@@ -162,7 +162,28 @@ def naive_count_solutions(rows, p, n, members):
     return count
 
 
-def naive_gauss_sum(M, b, p):
+def naive_gauss_sum(M, p):
+    """sum over y in F_p^d of omega^(y^T M y), omega = exp(2 pi i / p), by
+    enumerating F_p^d with plain integers."""
+    d = len(M)
+    omega = np.exp(2j * np.pi * np.arange(p) / p)
+    Y = np.array(list(product(range(p), repeat=d)), dtype=np.int64).reshape(-1, d)
+    q = np.einsum("ki,ij,kj->k", Y, np.array(M, dtype=np.int64).reshape(d, d), Y)
+    return complex(omega[q % p].sum())
+
+
+def naive_quadratic_zero_count(C, B, p, n):
+    """#{X in F_p^(n x d) : (X l_i)^T B (X l_i) = 0 for every row l_i of C},
+    enumerating every X."""
+    C = np.array(C, dtype=np.int64)
+    d = C.shape[1]
+    X = np.array(list(product(range(p), repeat=n * d)), dtype=np.int64).reshape(-1, n, d)
+    V = X @ C.T  # (points, n, m): column i is X l_i
+    q = np.einsum("kam,ab,kbm->km", V, np.array(B, dtype=np.int64).reshape(n, n), V)
+    return int((q % p == 0).all(axis=1).sum())
+
+
+def naive_gauss_average(M, b, p):
     n = len(b)
     total = 0j
     for x in product(range(p), repeat=n):

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.algebra import (QuadraticForm, Subspace,
                                     SymmetricBilinearForm, batched_rank,
-                                    bilinear_of, check_modulus, in_span,
+                                    batched_rank_class, bilinear_of, check_modulus, in_span,
                                     nullspace, rank, restrict, rref,
                                     solve_affine)
 
@@ -63,6 +63,44 @@ def test_batched_rank_matches_span_enumeration():
     assert batched_rank(np.zeros((3, 4, 2), dtype=int), 5).tolist() == [0, 0, 0]
     with pytest.raises(ValueError):
         batched_rank(np.eye(3, dtype=int), 5)
+
+
+def symmetric_stack(p, d, count, rng):
+    """Random symmetric d x d matrices mod p, led by the zero matrix, a rank-1
+    matrix, a zero-diagonal matrix and (for p = 3, where it is one) a matrix
+    whose first two diagonal entries cancel the off-diagonal twice over."""
+    S = rng.integers(0, p, size=(count, d, d))
+    S = (S + S.transpose(0, 2, 1)) % p
+    S[0] = 0
+    v = rng.integers(1, p, size=d)
+    S[1] = np.outer(v, v) % p
+    if d >= 2:
+        S[2] = 0
+        S[2, 0, 1] = S[2, 1, 0] = 1
+        S[3, 0, 0] = 0
+        S[3, 1, 1] = (-2 * S[3, 0, 1]) % p
+        S[4, :, -1] = S[4, -1, :] = 0  # rank deficient
+    return S
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_batched_rank_class_gives_gauss_sums(p):
+    """G(M) = p^(d - r) eps g^r against a naive enumeration of F_p^d."""
+    rng = np.random.default_rng(500 + p)
+    g = oracles.naive_gauss_sum([[1]], p)
+    for d in (1, 2, 3, 4):
+        count = 12 if p**d <= 2401 else 5
+        S = symmetric_stack(p, d, count, rng)
+        ranks, eps = batched_rank_class(S, p)
+        assert ranks.tolist() == batched_rank(S, p).tolist()
+        for M, r, e in zip(S, ranks.tolist(), eps.tolist()):
+            assert e in (1, -1)
+            expected = p ** (d - r) * e * g**r
+            assert abs(oracles.naive_gauss_sum(M, p) - expected) < 1e-6 * p**d, (M, r, e)
+    assert [v.tolist() for v in batched_rank_class(np.zeros((2, 0, 0), dtype=int), p)] \
+        == [[0, 0], [1, 1]]
+    with pytest.raises(ValueError):
+        batched_rank_class(np.array([[[0, 1], [0, 0]]]), p)
 
 
 def test_batched_rank_at_large_primes():

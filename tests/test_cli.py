@@ -1,12 +1,17 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import pytest
+
+from uniformity_lab import cli
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import balanced, save_function, uk_norm
 from uniformity_lab.reports import validate_report
+from uniformity_lab.systems import BUILTIN_SYSTEM_NAMES
 from uniformity_lab.verification import quadratic_zero_set
 
 
@@ -173,6 +178,73 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
 def test_verify_gauss_refuses_over_budget_before_building(capsys):
     assert main(["verify", "gauss", "--p", "3", "--n", "14", "--budget", "1000"]) == 3
     assert "Gauss sum over 3^14 points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["norm", "--set", "quadzero", "--balanced"],
+    ["norm", "--set", "quadzero", "--method", "fast", "--k", "3"],
+    ["count", "--system", "ap3", "--set", "quadzero", "--method", "both"],
+    ["count", "--system", "ap3", "--set", "quadzero", "--method", "all"],
+])
+def test_quadzero_refuses_over_budget_before_building(argv, monkeypatch, capsys):
+    def refuse_to_build(p, n):
+        raise AssertionError("quadzero set built before the budget check")
+
+    monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
+    assert main(argv + ["--p", "3", "--n", "16", "--budget", "1000"]) == 3
+    assert "quadzero" in capsys.readouterr().err
+
+
+# cube7 at p = 7 (0.3 s of closed form) is left to the library test
+CHEAP_ALL_CASES = [(name, p, 1) for p in (5, 7) for name in BUILTIN_SYSTEM_NAMES
+                   if (name, p) != ("cube7", 7)] + \
+    [("ap3", 5, 3), ("gw6b", 5, 2), ("diff3", 7, 2), ("ap4", 7, 2)]
+
+
+def test_count_all_methods_agree_exactly(tmp_path, capsys):
+    """The built-in systems at p = 5, 7 through `--method all` at n = 1 (the
+    library test covers n <= 3), and a few larger cases."""
+    for name, p, n in CHEAP_ALL_CASES:
+        code, report, _ = run(["count", "--system", name, "--set", "quadzero",
+                               "--p", str(p), "--n", str(n), "--method", "all"],
+                              tmp_path)
+        assert code == 0, (name, n)
+        byname = {r["name"]: r for r in report["results"]}
+        assert [r["name"] for r in report["results"]] == [
+            "solution_probability", "average_direct", "average_dual",
+            "direct_vs_dual", "solution_probability_gauss", "gauss_vs_direct"]
+        direct, gauss = byname["solution_probability"], byname["solution_probability_gauss"]
+        assert gauss["method"] == "gauss" and byname["gauss_vs_direct"]["passed"]
+        for key in ("observed", "observed_exact", "reference", "reference_exact",
+                    "deviation"):
+            assert gauss[key] == direct[key], (name, n, key)
+        assert validate_report(report) == []
+
+
+def test_count_gauss_runs_beyond_the_domain_limit(tmp_path, capsys):
+    domain.cache_clear()
+    code, report, _ = run(["count", "--system", "gw6a", "--set", "quadzero",
+                           "--p", "5", "--n", "50", "--method", "gauss"], tmp_path)
+    assert code == 0 and domain.cache_info().currsize == 0
+    (entry,) = report["results"]
+    assert entry["name"] == "solution_probability_gauss"
+    assert validate_report(report) == []
+    assert main(["count", "--system", "gw6a", "--set", "quadzero", "--p", "5",
+                 "--n", "50", "--method", "both"]) == 2  # the domain is refused
+    assert main(["count", "--system", "ap3", "--set", "quadzero", "--p", "5",
+                 "--n", "2", "--method", "gauss", "--degenerate"]) == 2
+    assert main(["count", "--system", "ap3", "--p", "5", "--method", "all"]) == 2
+
+
+@pytest.mark.parametrize("argv", [["verify", "badex", "--n", "50"],
+                                  ["verify", "quadfactor", "--p", "5", "--n", "20"]])
+def test_closed_form_experiments_run_at_large_n(argv, tmp_path, capsys):
+    domain.cache_clear()
+    start = time.perf_counter()
+    code, report, _ = run(argv, tmp_path)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and report["passed"]
+    assert domain.cache_info().currsize == 0
 
 
 def test_modulus_beyond_int64_elimination_is_a_config_error(capsys):

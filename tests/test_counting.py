@@ -8,11 +8,15 @@ from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
+                                     quadratic_zero_count,
+                                     quadratic_zero_probability,
                                      solution_probability)
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced
-from uniformity_lab.systems import LinearFormSystem, builtin_system
+from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
+                                    builtin_system)
 from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
+                                         quadratic_zero_set,
                                          verify_completefactor,
                                          verify_quadfactor)
 
@@ -240,3 +244,56 @@ def test_mismatched_inputs_rejected():
         average_product_direct(builtin_system("ap3", 7), fs)
     with pytest.raises(ValueError):
         average_product_direct(builtin_system("ap4", 5), fs)
+
+
+# ------------------------------------------------ closed-form quadratic counts
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_closed_form_count_matches_enumeration_on_builtin_systems(p):
+    """Every built-in system at n = 1, 2, 3 wherever the p^(nd) assignments
+    are few enough to enumerate (at most 2 * 10^6).  That leaves out cube7
+    and nf4 at n = 3 (p = 5) and n >= 2 (p = 7), and diff3, gw6a and gw6b
+    at p = 7, n = 3."""
+    for name in BUILTIN_SYSTEM_NAMES:
+        sys_ = builtin_system(name, p)
+        for n in (1, 2, 3):
+            if p ** (n * sys_.d) > 2 * 10**6:
+                continue
+            A = quadratic_zero_set(p, n)
+            direct = count_solutions(sys_, A)[0]
+            rep = quadratic_zero_probability(sys_, n)
+            assert rep.observed_exact == str(Fraction(direct, p ** (n * sys_.d))), (name, n)
+            assert rep.reference_exact == str(A.density**sys_.m)
+            assert rep.method == "gauss"
+
+
+def test_closed_form_count_matches_naive_oracle_on_random_systems():
+    rng = np.random.default_rng(71)
+    for _ in range(25):
+        p = int(rng.choice([3, 5]))
+        d = int(rng.integers(1, 4))
+        n = int(rng.integers(1, 4))
+        if p ** (n * d) > 729:
+            n = 1
+        m = int(rng.integers(1, 5))
+        C = rng.integers(0, p, size=(m, d))
+        B = rng.integers(0, p, size=(n, n))
+        B = (B + B.T) % p
+        if rng.random() < 0.3:
+            B[:, 0] = B[0, :] = 0  # degenerate
+        assert quadratic_zero_count(C, B, p) == \
+            oracles.naive_quadratic_zero_count(C, B, p, n), (p, C, B)
+
+
+def test_closed_form_count_edge_cases():
+    C = np.array([[1, 0], [1, 1]])
+    assert quadratic_zero_count(C, np.zeros((3, 3), dtype=int), 5) == 5 ** 6
+    assert quadratic_zero_count(C, np.zeros((0, 0), dtype=int), 5) == 1
+    # x and x + y both in the zero set of F_5^40: an invertible change of
+    # variables, so the count is the square of the zero set's size
+    zeros = quadratic_zero_count([[1]], np.eye(40, dtype=int), 5)
+    assert zeros == 5**39 + 4 * 5**19
+    assert quadratic_zero_count(C, np.eye(40, dtype=int), 5) == zeros**2
+    with pytest.raises(BudgetExceededError):
+        quadratic_zero_count(builtin_system("cube7", 5).coeffs,
+                             np.eye(2, dtype=int), 5, budget=1000)

@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
+from uniformity_lab import verification
 from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
@@ -64,7 +66,7 @@ def test_gauss_sum_matches_naive_and_respects_bound():
         M = rng.integers(0, p, size=(n, n))
         q = QuadraticForm(p=p, M=(M + M.T) % p, b=rng.integers(0, p, size=n))
         value = gauss_sum(q)
-        assert abs(value - oracles.naive_gauss_sum(q.M, q.b, p)) < 1e-12
+        assert abs(value - oracles.naive_gauss_average(q.M, q.b, p)) < 1e-12
         rep = gauss_sum_report(q)
         assert rep.passed, rep.to_dict()
 
@@ -236,6 +238,13 @@ def test_quadfactor_empty_quadratic_map_is_trivial():
     assert rep.observed["probability"] == 1 and rep.passed
 
 
+def test_quadfactor_rejects_n_other_than_the_forms_dimension():
+    gamma2 = QuadraticMap(forms=(sum_of_squares_form(5, 2),))
+    for n in (1, 3):
+        with pytest.raises(ValueError, match="dimension"):
+            verify_quadfactor(builtin_system("gw6b", 5), gamma2, n=n)
+
+
 def test_quadfactor_bound_for_square_independent_system():
     rep = verify_quadfactor(builtin_system("gw6b", 5),
                             QuadraticMap(forms=(sum_of_squares_form(5, 3),)))
@@ -345,6 +354,85 @@ def test_completefactor_with_trivial_linear_part_matches_quadfactor():
     quad = verify_quadfactor(sys_, QuadraticMap(forms=(sum_of_squares_form(5, 2),)))
     assert complete.observed["probability_exact"] == \
         quad.observed["probability_exact"]
+
+
+# ------------------------------------------- closed form against enumeration
+
+def report_text(rep):
+    return json.dumps(rep.to_dict(), sort_keys=True)
+
+
+def random_symmetric(p, n, rank_kind, rng):
+    """A symmetric n x n matrix: "zero", "rank1", "corank1" or "random"."""
+    if rank_kind == "zero":
+        return np.zeros((n, n), dtype=np.int64)
+    if rank_kind == "rank1":
+        v = rng.integers(1, p, size=n)
+        return np.outer(v, v) % p
+    M = rng.integers(0, p, size=(n, n))
+    M = (M + M.T) % p
+    if rank_kind == "corank1":
+        M[-1, :] = M[:, -1] = 0
+    return M
+
+
+def both_paths(monkeypatch, verify, *args):
+    """The report with the closed-form count and with enumeration forced."""
+    texts, seen = [], []
+
+    def choose(homogeneous, *sizes, gauss):
+        seen.append(homogeneous)
+        return gauss
+
+    for gauss in (True, False):
+        monkeypatch.setattr(verification, "_use_gauss",
+                            lambda *a, g=gauss: choose(*a, gauss=g))
+        texts.append(report_text(verify(*args)))
+    assert seen == [True, True] and texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("p,n,names", [(5, 2, ("gw6b", "ap3")),
+                                       (3, 3, ("ap3",)), (7, 2, ("gw6b",))])
+def test_quadfactor_closed_form_matches_enumeration(p, n, names, monkeypatch):
+    rng = np.random.default_rng(80 + p)
+    for name in names:
+        sys_ = builtin_system(name, p)
+        for kind in ("zero", "rank1", "corank1", "random", "random"):
+            q = QuadraticForm(p=p, M=random_symmetric(p, n, kind, rng),
+                              b=np.zeros(n, dtype=np.int64))
+            both_paths(monkeypatch, verify_quadfactor, sys_, QuadraticMap(forms=(q,)))
+
+
+def test_completefactor_closed_form_matches_enumeration(monkeypatch):
+    p, n = 5, 2
+    rng = np.random.default_rng(90)
+    # gw6b spans F_5^3; the second system uses only two of its three
+    # variables, so the closed form splits off a free variable
+    systems = [builtin_system("gw6b", p), make(p, [[1, 0, 0], [1, 1, 0], [1, 2, 0]])]
+    for sys_ in systems:
+        for d1 in (0, 1, 2):
+            for kind in ("rank1", "corank1", "random"):
+                factor = random_factor(p, n, d1, 1, rng)
+                q = QuadraticForm(p=p, M=random_symmetric(p, n, kind, rng),
+                                  b=np.zeros(n, dtype=np.int64))
+                factor = QuadraticFactor(p=p, n=n, gamma1=factor.gamma1,
+                                         gamma2=QuadraticMap(forms=(q,)))
+                both_paths(monkeypatch, verify_completefactor, sys_, factor,
+                           [[0] * d1] * sys_.m, [[0]] * sys_.m)
+
+
+def test_badex_closed_form_matches_enumeration(monkeypatch):
+    for name, p, n in (("gw6a", 7, 2), ("gw6a", 5, 2), ("ap4", 5, 3), ("ap3", 5, 4)):
+        both_paths(monkeypatch, verify_badex, builtin_system(name, p), n)
+
+
+def test_closed_forms_run_where_enumeration_cannot():
+    domain.cache_clear()
+    badex = verify_badex(builtin_system("gw6a", 5), 50)
+    quad = verify_quadfactor(builtin_system("gw6b", 5),
+                             QuadraticMap(forms=(sum_of_squares_form(5, 20),)))
+    assert badex.passed and quad.passed
+    assert domain.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------- projections
