@@ -62,11 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         p_cmd.add_argument("--seed", type=int, default=seed)
         p_cmd.add_argument("--budget", type=int, default=None,
                            help="max scalar operations (default 1e10 or $UNIFORMITY_LAB_BUDGET)")
+        p_cmd.add_argument("--out", help="write the JSON report to this path")
+
+    def threads(p_cmd):
         p_cmd.add_argument("--threads", type=int, default=1,
                            help="worker threads; 1 is the bit-reproducible mode")
-        p_cmd.add_argument("--tolerance", type=float, default=DUAL_AGREEMENT_TOL,
-                           help="allowed direct-vs-dual gap for count --method both")
-        p_cmd.add_argument("--out", help="write the JSON report to this path")
 
     c = sub.add_parser("list", help="catalog of built-in systems with invariants")
     c.add_argument("--p", type=int, default=7)
@@ -110,7 +110,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="both")
     c.add_argument("--degenerate", action="store_true",
                    help="also report the degenerate-solution fraction")
+    c.add_argument("--tolerance", type=float, default=DUAL_AGREEMENT_TOL,
+                   help="allowed direct-vs-dual gap for --method both and all")
     common(c)
+    threads(c)
 
     c = sub.add_parser("verify", help="run a named verification experiment")
     c.add_argument("experiment", choices=VERIFY_EXPERIMENTS)
@@ -121,6 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--count", type=int, default=20,
                    help="random instances for sampled experiments")
     common(c)
+    threads(c)
 
     c = sub.add_parser("octahedron", help="tripartite-function checks")
     c.add_argument("--check", choices=["lift", "counterexample"], required=True)

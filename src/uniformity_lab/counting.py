@@ -8,7 +8,7 @@ sum_i c_iu r_i = 0 for every variable u and sums the products of Fourier
 coefficients.  The two must agree to 1e-8 wherever both run, which is the
 central cross-check of the whole package.
 
-Both strategies, `count_solutions` and the enumerating factor checks in
+Both strategies, `count_solutions` and the enumerating factor count in
 `verification` share one kernel, `reduce_form_images`: chunked enumeration,
 form images, a per-chunk reducer called with (images, xs), the point indices
 of the forms' values and of the variables, an optional thread pool and
@@ -21,9 +21,9 @@ The third strategy counts quadratic zeros in closed form:
 exact sum of Gauss sums over the lines of lambda in F_p^m, read off the rank
 and discriminant class of each M_lambda = sum_i lambda_i l_i l_i^T.  Its cost
 depends on m, d and p, not on n, and it builds no domain.  It serves the
-quadratic zero set {x.x = 0} (`quadratic_zero_solutions`, `count --method
-gauss`) and the homogeneous factor checks, and must equal the direct count
-exactly.
+quadratic zero set {x.x = 0} (`quadratic_zero_probability`, `count --method
+gauss`) and the homogeneous factor count in `verification`, and must equal
+the direct count exactly.
 
 Counting includes degenerate configurations (for instance zero-difference
 progressions); the reference probabilities are defined over the full
@@ -362,23 +362,16 @@ def quadratic_zero_count(C, B, p: int, budget: int | None = None) -> int:
     return count
 
 
-def quadratic_zero_solutions(sys: LinearFormSystem, n: int,
-                             budget: int | None = None) -> tuple[int, Fraction]:
-    """(count, density) for A = {x in F_p^n : x.x = 0}: the number of
-    assignments with every form image in A, and A's density (the m = d = 1
-    count over p^n), both by `quadratic_zero_count`, so no domain is built
-    and n may be any size."""
-    dot = np.eye(n, dtype=np.int64)
-    count = quadratic_zero_count(sys.coeffs, dot, sys.p, budget)
-    zeros = quadratic_zero_count(np.ones((1, 1), dtype=np.int64), dot, sys.p, budget)
-    return count, Fraction(zeros, sys.p**n)
-
-
 def quadratic_zero_probability(sys: LinearFormSystem, n: int,
                                budget: int | None = None) -> CountReport:
-    """`solution_probability` of the quadratic zero set by the closed form
-    (method "gauss"), against alpha^m."""
-    count, alpha = quadratic_zero_solutions(sys, n, budget)
+    """`solution_probability` of A = {x in F_p^n : x.x = 0} by the closed form
+    (method "gauss"), against alpha^m: the count and A's density alpha (the
+    m = d = 1 count over p^n) are both `quadratic_zero_count`, so no domain
+    is built and n may be any size."""
+    dot = np.eye(n, dtype=np.int64)
+    count = quadratic_zero_count(sys.coeffs, dot, sys.p, budget)
+    alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64), dot,
+                                          sys.p, budget), sys.p**n)
     observed = Fraction(count, sys.p ** (n * sys.d))
     reference = alpha**sys.m
     return CountReport(

@@ -177,9 +177,9 @@ def balanced(A: IndicatorSet) -> GroupFunction:
 # ---------------------------------------------------------------------------
 # Fourier transform, factored one axis at a time: O(N * n * p) arithmetic.
 
-def _dft_axes(arr: np.ndarray, p: int, first: int = 0) -> np.ndarray:
-    """Unnormalized transform along every axis of `arr` from `first` on."""
-    D = _dft_matrix(p)
+def _dft_axes(arr: np.ndarray, D: np.ndarray, first: int = 0) -> np.ndarray:
+    """Unnormalized transform by the matrix D along every axis of `arr` from
+    `first` on."""
     for axis in range(first, arr.ndim):
         arr = np.moveaxis(np.tensordot(D, arr, axes=(1, axis)), 0, axis)
     return arr
@@ -187,16 +187,13 @@ def _dft_axes(arr: np.ndarray, p: int, first: int = 0) -> np.ndarray:
 
 def fourier(f: GroupFunction) -> GroupFunction:
     dom = f.domain
-    arr = _dft_axes(f.values.reshape(dom.grid), dom.p)
+    arr = _dft_axes(f.values.reshape(dom.grid), _dft_matrix(dom.p))
     return GroupFunction(domain=dom, values=arr.reshape(dom.size) / dom.size)
 
 
 def inverse_fourier(fhat: GroupFunction) -> GroupFunction:
     dom = fhat.domain
-    arr = fhat.values.reshape((dom.p,) * dom.n)
-    Dc = np.conj(_dft_matrix(dom.p))
-    for axis in range(dom.n):
-        arr = np.moveaxis(np.tensordot(Dc, arr, axes=(1, axis)), 0, axis)
+    arr = _dft_axes(fhat.values.reshape(dom.grid), np.conj(_dft_matrix(dom.p)))
     return GroupFunction(domain=dom, values=arr.reshape(dom.size))
 
 
@@ -296,6 +293,7 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
     if k == 2:
         return u2_norm_fast(f)
     N = dom.size
+    D = _dft_matrix(dom.p)
 
     def fourier_sum(g: np.ndarray) -> float:
         # sum over h of sum_r |(Delta_h g)^(r)|^4, one block of h per transform;
@@ -304,7 +302,7 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
         total = 0.0
         for block in dom.translation_blocks(g):
             deriv = (block * gc).reshape((-1,) + dom.grid)
-            dh = _dft_axes(deriv, dom.p, first=1) / N
+            dh = _dft_axes(deriv, D, first=1) / N
             mags = dh.real**2 + dh.imag**2
             total += float((mags**2).sum())
         return total

@@ -158,37 +158,3 @@ def vertex_correlation(F: TripartiteFunction, a: np.ndarray, b: np.ndarray,
     """E F(x,y,z) a(x) b(y) c(z), the correlation vertex uniformity bounds."""
     return complex(np.einsum("xyz,x,y,z->", F.values, a, b, c) /
                    (len(a) * len(b) * len(c)))
-
-
-def roots_of_unity_demo(seed: int, n_x: int = 12, m: int = 2) -> ExperimentReport:
-    """Demonstration generator for the pair-multiplicity obstruction.
-
-    Builds f(x,y,z) as a sum of u(x,y)v(y,z)w(x,z) products of random k-th
-    root functions (2 <= k <= m) and reports the double-edge average, whose
-    failure to cancel is the reason vertex uniformity alone cannot control
-    configurations repeating a pair.  Reported, not asserted: the
-    construction is probabilistic.
-    """
-    if m < 2 or m > 3:
-        raise ValueError("demo supports pair multiplicities m in {2, 3}")
-    rng = np.random.default_rng(seed)
-    factors = {}
-    for k in range(2, m + 1):
-        phases = rng.integers(0, k, size=(n_x, n_x))
-        factors[k] = np.exp(2j * np.pi * phases / k)
-    f = np.zeros((n_x, n_x, n_x), dtype=np.complex128)
-    ks = list(factors)
-    for ku in ks:
-        for kv in ks:
-            for kw in ks:
-                f += factors[ku][:, :, None] * factors[kv][None, :, :] * \
-                    factors[kw][:, None, :]
-    # configuration with the pair (x, y) in both edges
-    avg = np.einsum("xyz,xyw->", f, f) / n_x**4
-    rep = ExperimentReport(
-        name="roots_demo",
-        parameters={"n_x": n_x, "seed": seed, "max_multiplicity": m},
-        observed={"double_edge_average_re": float(avg.real),
-                  "double_edge_average_im": float(avg.imag),
-                  "modulus": float(abs(avg))})
-    return rep

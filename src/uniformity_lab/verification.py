@@ -13,10 +13,14 @@ is an exact rational, the comparison deviation <= p^(e - r/2) is performed
 exactly by squaring both sides (deviation^2 <= p^(2e - r)), alongside the
 floating-point record.
 
-The zero-set dichotomy and the factor checks with one homogeneous form and
-zero targets count in closed form (`counting.quadratic_zero_count`) when that
-is estimated cheaper than enumerating the p^(nd) assignments; both paths give
-the same integer and so byte-identical reports.
+The zero-set dichotomy (badex) and the quadfactor and completefactor checks
+are one count, `_factor_matches`: the assignments whose form images all land
+in given atoms of a quadratic factor, badex being the factor x -> x.x with
+zero targets.  It makes the one path decision, `_use_gauss`: with one
+homogeneous form and zero targets it counts in closed form
+(`counting.quadratic_zero_count`) when that is estimated cheaper than
+enumerating the p^(nd) assignments; both paths give the same integer and so
+byte-identical reports.
 """
 
 from __future__ import annotations
@@ -28,12 +32,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (QuadraticForm, Subspace, as_fp_matrix, bilinear_of,
-                      nullspace, rank, restrict, rref)
+from .algebra import (QuadraticForm, as_fp_matrix, batched_rank, bilinear_of,
+                      nullspace, rank, rref)
 from .budget import check_budget
-from .counting import (average_product_direct, count_solutions,
-                       direct_op_count, quadratic_zero_count,
-                       quadratic_zero_op_count, quadratic_zero_solutions,
+from .counting import (average_product_direct, direct_op_count,
+                       quadratic_zero_count, quadratic_zero_op_count,
                        reduce_form_images)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, omega_power,
@@ -204,15 +207,6 @@ def quadratic_zero_set_report(p: int, n: int,
 # ---------------------------------------------------------------------------
 # The zero-set dichotomy experiment.
 
-def _use_gauss(homogeneous: bool, m: int, d: int, width: int, p: int,
-               n: int) -> bool:
-    """Whether a count of m forms in d variables over F_p^n takes the closed
-    form `quadratic_zero_count` with a width x width form: only for
-    homogeneous inputs, and only when its operation estimate is below that of
-    enumerating the p^(nd) assignments, m p^(nd)."""
-    return homogeneous and quadratic_zero_op_count(m, d, width, p) < m * p ** (n * d)
-
-
 def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
                  threads: int = 1) -> ExperimentReport:
     """Solution probability of the quadratic zero set under the system.
@@ -221,17 +215,20 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
     square-dependent system with maximal independent subsystem of size l < m
     must overshoot: P >= p^(-l) - p^(-n/2), an excess over density^m.
 
-    The count comes from the closed form (`quadratic_zero_solutions`, no
-    domain built) or from enumerating the zero set's members, as `_use_gauss`
-    decides; both are the same integer.
+    The count is `_factor_matches` of the factor x -> x.x with zero targets;
+    the density is the closed-form count of one form in one variable over
+    p^n, so the zero set is never built.
     """
     p = sys.p
-    if _use_gauss(True, sys.m, sys.d, n, p, n):
-        count, alpha = quadratic_zero_solutions(sys, n, budget)
-    else:
-        A = quadratic_zero_set(p, n)
-        alpha = A.density
-        count, _ = count_solutions(sys, A, budget=budget, threads=threads)
+    dot = np.eye(n, dtype=np.int64)
+    factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=np.int64),
+                             gamma2=QuadraticMap(forms=(QuadraticForm(
+                                 p=p, M=dot, b=np.zeros(n, dtype=np.int64)),)))
+    count = _factor_matches(sys, factor, np.zeros((sys.m, 0), dtype=np.int64),
+                            np.zeros((sys.m, 1), dtype=np.int64), None, budget,
+                            threads)
+    alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64), dot,
+                                          p, budget), p**n)
     P = Fraction(count, p ** (n * sys.d))
     independent = power_independence(sys, 1)
     rep = ExperimentReport(
@@ -352,20 +349,14 @@ class QuadraticFactor:
 
 def factor_rank(gamma2: QuadraticMap, p: int | None = None) -> int:
     """Minimum rank of a nonzero F_p-combination of the associated symmetric
-    bilinear forms; requires at least one quadratic form."""
+    bilinear forms, by one batched elimination of all p^d2 - 1 of them;
+    requires at least one quadratic form."""
     if gamma2.d2 == 0:
         raise ValueError("factor rank needs d2 >= 1")
     p = gamma2.forms[0].p if p is None else p
-    mats = [bilinear_of(q).B for q in gamma2.forms]
-    d2 = gamma2.d2
-    best = mats[0].shape[0] + 1
-    for code in range(1, p**d2):
-        lam = [(code // p**j) % p for j in range(d2 - 1, -1, -1)]
-        combo = sum(l * M for l, M in zip(lam, mats)) % p
-        best = min(best, rank(combo, p))
-        if best == 0:
-            break
-    return best
+    mats = np.stack([bilinear_of(q).B for q in gamma2.forms])
+    lams = np.indices((p,) * gamma2.d2).reshape(gamma2.d2, -1).T[1:]
+    return int(batched_rank(np.tensordot(lams, mats, axes=1) % p, p).min())
 
 
 def factor_rank_or_inf(gamma2: QuadraticMap, p: int) -> float:
@@ -411,18 +402,54 @@ def _require_square_independent(sys: LinearFormSystem) -> None:
             "operation requires a square-independent system")
 
 
-def _quadfactor_matches(sys: LinearFormSystem, gamma2: QuadraticMap,
-                        phi_mats: list[np.ndarray], b_arr: np.ndarray, n: int,
-                        budget: int | None) -> int:
-    """Number of assignments with gamma2(L_i(x)) = phi_i(x) + b_i for all i,
-    by enumerating them all."""
-    p = sys.p
+def _use_gauss(homogeneous: bool, m: int, d: int, width: int, p: int,
+               n: int) -> bool:
+    """Whether a count of m forms in d variables over F_p^n takes the closed
+    form `quadratic_zero_count` with a width x width form: only for
+    homogeneous inputs, and only when its operation estimate is below that of
+    enumerating the p^(nd) assignments, m p^(nd)."""
+    return homogeneous and quadratic_zero_op_count(m, d, width, p) < m * p ** (n * d)
+
+
+def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
+                    A_t: np.ndarray, B_t: np.ndarray,
+                    phi_mats: Optional[Sequence[np.ndarray]],
+                    budget: int | None, threads: int = 1) -> int:
+    """Number of assignments x with gamma1(L_i(x)) = a_i and gamma2(L_i(x)) =
+    phi_i(x) + b_i for every i: the rows of A_t (m, d1) and B_t (m, d2) are
+    the targets, phi_mats the (d2, n*d) side maps (None when all are zero).
+
+    With one form q(x) = x^T M x, zero targets and no side maps, the count
+    is in closed form when `_use_gauss` says so.  The forms see x only
+    through the system's pivot columns C' (`rref`), which are independent;
+    the other d - rank C variables are free and give p^(n(d - rank C)).  With
+    C' of full column rank, gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) =
+    0 for every variable, so x_u = K^T z_u for the basis K of ker gamma1
+    (`nullspace`, the identity when d1 = 0), and q(L_i(x)) is the form
+    K M K^T at L'_i(z): `quadratic_zero_count` of C' with that form.
+
+    Otherwise every assignment is enumerated, the budget checked before any
+    table is built, and the atom code of each image compared with
+    a_i p^d2 + b_i.
+    """
+    p, n = factor.p, factor.n
     m, d = sys.m, sys.d
-    d2 = gamma2.d2
+    d2 = factor.d2
+    homogeneous = (d2 == 1 and not factor.gamma2.forms[0].b.any()
+                   and not A_t.any() and not B_t.any()
+                   and not any(ph.any() for ph in phi_mats or ()))
+    if _use_gauss(homogeneous, m, d, n - factor.d1, p, n):
+        pivots = rref(sys.coeffs, p)[1]
+        K = nullspace(factor.gamma1, p)
+        form = K @ factor.gamma2.forms[0].M @ K.T
+        return p ** (n * (d - len(pivots))) * quadratic_zero_count(
+            sys.coeffs[:, pivots], form, p, budget)
+
     dom = domain(p, n)
     check_budget(direct_op_count(sys, dom), budget,
-                 what=f"factor equidistribution over {dom.size}^{d} assignments")
-    targets = _encode(b_arr.T, p, m)
+                 what=f"factor count over {dom.size}^{d} assignments")
+    codes = factor.atom_codes(dom)
+    targets = _encode(np.concatenate([A_t, B_t], axis=1).T, p, m).tolist()
     # Where phi_i is nonzero, phi_i(x) + b_i is b_i plus one value table per
     # variable with a nonzero block of phi_i, all written in base B, so that
     # their sum never carries and one gather through `decode` (B^d2 entries,
@@ -430,29 +457,29 @@ def _quadfactor_matches(sys: LinearFormSystem, gamma2: QuadraticMap,
     B = (d + 1) * (p - 1) + 1
     phi_codes = [[(u, _encode((dom.linear_values(row) for row in block), B, dom.size))
                   for u, block in enumerate(np.split(ph, d, axis=1)) if block.any()]
-                 for ph in phi_mats]
+                 for ph in phi_mats] if phi_mats is not None else [[]] * m
     if any(phi_codes):
-        b_codes = _encode(b_arr.T, B, m)
+        a_codes = _encode(A_t.T, p, m) * p**d2
+        b_codes = _encode(B_t.T, B, m)
         cells = np.arange(B**d2, dtype=np.int64)
         decode = _encode((cells // B**j % B % p for j in range(d2 - 1, -1, -1)),
                          p, B**d2)
-
-    quad_codes = gamma2.value_codes(dom)
+    # a form without a side map has a fixed target: gather its hits
+    hits = {t: codes == t for t, ph in zip(targets, phi_codes) if not ph}
 
     def chunk_matches(images: np.ndarray, xs: np.ndarray) -> int:
         ok = np.ones(images.shape[1], dtype=bool)
         for i in range(m):
-            lhs = quad_codes[images[i]]
             if phi_codes[i]:
                 code = b_codes[i]
                 for u, table in phi_codes[i]:
                     code = code + table[xs[u]]
-                ok &= lhs == decode[code]
+                ok &= codes[images[i]] == a_codes[i] + decode[code]
             else:
-                ok &= lhs == targets[i]
+                ok &= hits[targets[i]][images[i]]
         return int(ok.sum())
 
-    return sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
+    return sum(reduce_form_images(sys.coeffs, dom, chunk_matches, threads=threads))
 
 
 def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
@@ -465,9 +492,7 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
 
     phi_i are linear maps from the d-variable assignment space to F_p^{d2},
     given as (d2, n*d) matrices (None means the zero map); b_i are targets.
-    With one form q(x) = x^T M x, no side maps and zero targets, the count is
-    `quadratic_zero_count` of the system with B = M, taken as `_use_gauss`
-    decides; otherwise every assignment is enumerated.
+    The count is `_factor_matches` of the factor with no linear part.
     """
     _require_square_independent(sys)
     p = sys.p
@@ -494,12 +519,10 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
             phi_mats.append(ph)
     b_arr = np.asarray(bs, dtype=np.int64).reshape(m, d2) % p if d2 else \
         np.zeros((m, 0), dtype=np.int64)
-    homogeneous = (d2 == 1 and not gamma2.forms[0].b.any() and not b_arr.any()
-                   and not any(ph.any() for ph in phi_mats))
-    if _use_gauss(homogeneous, m, d, n, p, n):
-        matches = quadratic_zero_count(sys.coeffs, gamma2.forms[0].M, p, budget)
-    else:
-        matches = _quadfactor_matches(sys, gamma2, phi_mats, b_arr, n, budget)
+    factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=np.int64),
+                             gamma2=gamma2)
+    matches = _factor_matches(sys, factor, np.zeros((m, 0), dtype=np.int64),
+                              b_arr, phi_mats, budget)
     P = Fraction(matches, p ** (n * d))
     r = factor_rank_or_inf(gamma2, p)
     ref = Fraction(1, p ** (m * d2))
@@ -522,52 +545,6 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     return rep
 
 
-def _completefactor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
-                            A_t: np.ndarray, B_t: np.ndarray,
-                            budget: int | None) -> int:
-    """Number of assignments with gamma1(L_i(x)) = a_i and gamma2(L_i(x)) =
-    b_i for all i, by enumerating them all."""
-    p, n = factor.p, factor.n
-    m, d = sys.m, sys.d
-    dom = domain(p, n)
-    check_budget(direct_op_count(sys, dom), budget,
-                 what=f"complete factor check over {dom.size}^{d} assignments")
-    a_codes = _encode(A_t.T, p, m)
-    b_codes = _encode(B_t.T, p, m)
-    lin_codes = factor.linear_codes(dom)
-    quad_codes = factor.gamma2.value_codes(dom)
-
-    def chunk_matches(images: np.ndarray, xs: np.ndarray) -> int:
-        ok = np.ones(images.shape[1], dtype=bool)
-        for i in range(m):
-            ok &= lin_codes[images[i]] == a_codes[i]
-            if factor.d2:
-                ok &= quad_codes[images[i]] == b_codes[i]
-        return int(ok.sum())
-
-    return sum(reduce_form_images(sys.coeffs, dom, chunk_matches))
-
-
-def _completefactor_zero_count(sys: LinearFormSystem, factor: QuadraticFactor,
-                               budget: int | None) -> int:
-    """Number of assignments with gamma1(L_i(x)) = 0 and q(L_i(x)) = 0 for
-    all i, q(x) = x^T M x the factor's one form, in closed form.
-
-    The forms see x only through the columns of the system at its pivot
-    columns C' (`rref`), which are independent; the other d - rank C
-    variables are free and give p^(n(d - rank C)).  With C' of full column
-    rank, gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) = 0 for every
-    variable, so x_u = K^T z_u for a basis K of ker gamma1, and q(L_i(x)) is
-    the restricted form K M K^T at L'_i(z): `quadratic_zero_count` of C' with
-    that form."""
-    p, n = factor.p, factor.n
-    pivots = rref(sys.coeffs, p)[1]
-    kernel = Subspace(p=p, ambient=n, basis=nullspace(factor.gamma1, p))
-    form = restrict(bilinear_of(factor.gamma2.forms[0]), kernel)
-    return p ** (n * (sys.d - len(pivots))) * quadratic_zero_count(
-        sys.coeffs[:, pivots], form.B, p, budget)
-
-
 def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
                           a_targets: Sequence[Sequence[int]],
                           b_targets: Sequence[Sequence[int]],
@@ -577,9 +554,8 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     The linear targets (a_1, ..., a_m) are first classified against the
     subspace Z of sequences compatible with the linear relations among the
     forms: outside Z the probability is exactly zero; inside Z it must be
-    within p^(d1 - d'*d1 - r/2) of p^(-d1*d' - d2*m).  With one homogeneous
-    form and zero targets the count is `_completefactor_zero_count`, taken as
-    `_use_gauss` decides; otherwise every assignment is enumerated.
+    within p^(d1 - d'*d1 - r/2) of p^(-d1*d' - d2*m).  The count is
+    `_factor_matches`.
     """
     _require_square_independent(sys)
     p, n = factor.p, factor.n
@@ -592,12 +568,7 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     W = relation_space(sys)
     in_Z = not ((W.basis @ A_t) % p).any() if d1 else True
 
-    homogeneous = (d2 == 1 and not factor.gamma2.forms[0].b.any()
-                   and not A_t.any() and not B_t.any())
-    if _use_gauss(homogeneous, m, d, n - d1, p, n):
-        matches = _completefactor_zero_count(sys, factor, budget)
-    else:
-        matches = _completefactor_matches(sys, factor, A_t, B_t, budget)
+    matches = _factor_matches(sys, factor, A_t, B_t, None, budget)
     P = Fraction(matches, p ** (n * d))
     d_prime = span_dimension(sys)
     r = factor_rank_or_inf(factor.gamma2, p)

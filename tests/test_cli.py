@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 import time
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from uniformity_lab import cli
+from uniformity_lab import cli, verification
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import balanced, save_function, uk_norm
@@ -167,6 +168,14 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["complexity", "--system", "nosuch"]) == 2
     assert main(["count", "--system", "ap3", "--p", "4", "--set", "quadzero"]) == 2
     assert main(["norm", "--p", "5", "--n", "2"]) == 2  # no function given
+    # options only `count` (--tolerance) or `count`/`verify` (--threads) read
+    for argv in (["norm", "--set", "quadzero", "--tolerance", "1e-3"],
+                 ["norm", "--set", "quadzero", "--threads", "2"],
+                 ["octahedron", "--check", "lift", "--threads", "2"],
+                 ["verify", "gauss", "--tolerance", "1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_exit_code_budget_refusal(tmp_path, capsys):
@@ -193,6 +202,19 @@ def test_quadzero_refuses_over_budget_before_building(argv, monkeypatch, capsys)
     monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
     assert main(argv + ["--p", "3", "--n", "16", "--budget", "1000"]) == 3
     assert "quadzero" in capsys.readouterr().err
+
+
+def test_badex_refuses_over_budget_before_building(monkeypatch, capsys):
+    # gw6a at p = 7, n = 2 enumerates (6 * 49^3 operations, below the closed
+    # form's estimate), so the refusal must come before any table is built
+    def refuse_to_build(*args):
+        raise AssertionError("table built before the budget check")
+
+    monkeypatch.setattr(verification, "quadratic_zero_set", refuse_to_build)
+    monkeypatch.setattr(verification.QuadraticFactor, "atom_codes", refuse_to_build)
+    assert main(["verify", "badex", "--system", "gw6a", "--p", "7", "--n", "2",
+                 "--budget", "1000"]) == 3
+    assert "49^3 assignments" in capsys.readouterr().err
 
 
 # cube7 at p = 7 (0.3 s of closed form) is left to the library test
@@ -302,3 +324,22 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].strip() == "1"
+
+
+def readme_cli_lines():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("uniformity-lab ")]
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    lines = readme_cli_lines()
+    assert len(lines) >= 10
+    monkeypatch.chdir(tmp_path)
+    for i, argv in enumerate(lines):
+        if "--out" not in argv:
+            argv = argv + ["--out", f"readme_{i}.json"]
+        assert main(argv) == 0, shlex.join(argv)
+        out = tmp_path / argv[argv.index("--out") + 1]
+        assert validate_report(json.loads(out.read_text())) == [], shlex.join(argv)

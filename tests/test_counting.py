@@ -179,9 +179,9 @@ def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
     kernel = counting.reduce_form_images
 
     def run(threads):
-        # the factor checks take no thread count; hand their kernel one
+        # the factor checks forward their own thread count (1); override it
         monkeypatch.setattr(verification, "reduce_form_images",
-                            lambda *args: kernel(*args, threads=threads))
+                            lambda *args, **forwarded: kernel(*args, threads=threads))
         return (average_product_direct(sys_, fs, threads=threads),
                 average_product_dual(sys_, fs, threads=threads),
                 count_solutions(sys_, A, threads=threads, with_degenerate=True),

@@ -12,7 +12,6 @@ from uniformity_lab.hypergraphs import (TripartiteFunction,
                                         counterexample_table, lift,
                                         octahedral_norm, octahedral_power,
                                         octahedral_power_exact,
-                                        roots_of_unity_demo,
                                         symmetric_sign_function,
                                         vertex_correlation,
                                         vertex_uniformity_counterexample)
@@ -133,11 +132,3 @@ def test_symmetric_sign_function_is_symmetric_pm1():
     u = symmetric_sign_function(10, np.random.default_rng(64))
     assert (u == u.T).all()
     assert set(np.unique(u)) <= {-1, 1}
-
-
-def test_roots_of_unity_demo_reports_only():
-    rep = roots_of_unity_demo(3, n_x=10, m=2)
-    assert rep.checks == []  # informational: no assertions by design
-    assert rep.observed["modulus"] >= 0
-    with pytest.raises(ValueError):
-        roots_of_unity_demo(3, n_x=10, m=5)

@@ -185,6 +185,17 @@ def test_factor_rank_examples():
     assert factor_rank(QuadraticMap(forms=(qa, qb))) == 2
     with pytest.raises(ValueError):
         factor_rank(QuadraticMap(forms=()))
+    # random maps against the minimum over every nonzero combination
+    rng = np.random.default_rng(177)
+    kinds = ("rank1", "corank1", "random")
+    for p, n, d2 in [(3, 4, 2), (3, 3, 3), (5, 3, 2), (5, 3, 3)] * 3:
+        mats = [random_symmetric(p, n, kinds[rng.integers(3)], rng) for _ in range(d2)]
+        gamma2 = QuadraticMap(forms=tuple(
+            QuadraticForm(p=p, M=M, b=np.zeros(n, dtype=np.int64)) for M in mats))
+        expected = min(
+            oracles.span_rank((sum(l * M for l, M in zip(lam, mats)) % p).tolist(), p)
+            for lam in product(range(p), repeat=d2) if any(lam))
+        assert factor_rank(gamma2) == expected
 
 
 def test_factor_validation():
