@@ -50,48 +50,48 @@ VERIFY_EXPERIMENTS = ("gauss", "badex", "gvn", "atoms", "quadfactor",
                       "pythagoras", "all")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="uniformity-lab",
-        description="Exact uniformity-norm, complexity and counting experiments over F_p^n.")
-    sub = parser.add_subparsers(dest="command", required=True)
+def _common(p_cmd, p=5, n=2, seed=1):
+    p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
+    p_cmd.add_argument("--n", type=int, default=n, help="dimension of F_p^n")
+    p_cmd.add_argument("--seed", type=int, default=seed)
+    p_cmd.add_argument("--budget", type=int, default=None,
+                       help="max scalar operations (default 1e10 or $UNIFORMITY_LAB_BUDGET)")
+    p_cmd.add_argument("--out", help="write the JSON report to this path")
 
-    def common(p_cmd, p=5, n=2, seed=1):
-        p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
-        p_cmd.add_argument("--n", type=int, default=n, help="dimension of F_p^n")
-        p_cmd.add_argument("--seed", type=int, default=seed)
-        p_cmd.add_argument("--budget", type=int, default=None,
-                           help="max scalar operations (default 1e10 or $UNIFORMITY_LAB_BUDGET)")
-        p_cmd.add_argument("--out", help="write the JSON report to this path")
 
-    def threads(p_cmd):
-        p_cmd.add_argument("--threads", type=int, default=1,
-                           help="worker threads; 1 is the bit-reproducible mode")
+def _threads(p_cmd):
+    p_cmd.add_argument("--threads", type=int, default=1,
+                       help="worker threads; 1 is the bit-reproducible mode")
 
-    c = sub.add_parser("list", help="catalog of built-in systems with invariants")
+
+def _list_args(c):
     c.add_argument("--p", type=int, default=7)
     c.add_argument("--csv", help="also write the catalog as a CSV table")
     c.add_argument("--out")
 
-    c = sub.add_parser("complexity", help="partition complexity of a system")
+
+def _complexity_args(c):
     c.add_argument("--system", required=True,
                    help=f"built-in name ({', '.join(BUILTIN_SYSTEM_NAMES)}) or file")
     c.add_argument("--p", type=int, default=7)
     c.add_argument("--out")
 
-    c = sub.add_parser("independence", help="power independence of a system")
+
+def _independence_args(c):
     c.add_argument("--system", required=True)
     c.add_argument("--p", type=int, default=7)
     c.add_argument("--k", type=int, default=1, help="test (k+1)-st powers")
     c.add_argument("--out")
 
-    c = sub.add_parser("normal-form", help="normal-form witness search")
+
+def _normal_form_args(c):
     c.add_argument("--system", required=True)
     c.add_argument("--p", type=int, default=7)
     c.add_argument("--s", type=int, required=True)
     c.add_argument("--out")
 
-    c = sub.add_parser("norm", help="uniformity norm of a function")
+
+def _norm_args(c):
     c.add_argument("--function", help="function file (complex/rational/indicator)")
     c.add_argument("--set", dest="set_name", choices=["quadzero"],
                    help="built-in set instead of a file")
@@ -100,9 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--k", type=int, default=2, help="norm degree (U^k)")
     c.add_argument("--method", choices=["direct", "fast"], default="direct",
                    help="direct: cube enumeration; fast: through the transform")
-    common(c)
+    _common(c)
 
-    c = sub.add_parser("count", help="configuration count for a set or functions")
+
+def _count_args(c):
     c.add_argument("--system", required=True)
     c.add_argument("--set", dest="set_name",
                    help="'quadzero' or a function/indicator file")
@@ -112,10 +113,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also report the degenerate-solution fraction")
     c.add_argument("--tolerance", type=float, default=DUAL_AGREEMENT_TOL,
                    help="allowed direct-vs-dual gap for --method both and all")
-    common(c)
-    threads(c)
+    _common(c)
+    _threads(c)
 
-    c = sub.add_parser("verify", help="run a named verification experiment")
+
+def _verify_args(c):
     c.add_argument("experiment", choices=VERIFY_EXPERIMENTS)
     c.add_argument("--system", default=None)
     c.add_argument("--k", type=int, default=None)
@@ -123,14 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--d2", type=int, default=1)
     c.add_argument("--count", type=int, default=20,
                    help="random instances for sampled experiments")
-    common(c)
-    threads(c)
+    _common(c)
+    _threads(c)
 
-    c = sub.add_parser("octahedron", help="tripartite-function checks")
+
+def _octahedron_args(c):
     c.add_argument("--check", choices=["lift", "counterexample"], required=True)
     c.add_argument("--size", type=int, default=64, help="vertex count for the counterexample")
-    common(c, p=3, n=2)
+    _common(c, p=3, n=2)
 
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every command; only `command`'s arguments are added
+    when it is given (the others parse nothing but their name), so that one
+    command line pays for one subparser."""
+    parser = argparse.ArgumentParser(
+        prog="uniformity-lab",
+        description="Exact uniformity-norm, complexity and counting experiments over F_p^n.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments, _) in COMMANDS.items():
+        c = sub.add_parser(name, help=text)
+        if command in (None, name):
+            add_arguments(c)
     return parser
 
 
@@ -372,7 +388,8 @@ def _experiment_reports(args) -> list:
         sys_ = resolve_system(args.system or "ap3", p)
         k = args.k if args.k is not None else int(cs_complexity(sys_))
         fs = [random_bounded_function(dom_fn(), rng) for _ in range(sys_.m)]
-        reports.append(verify_gvn(sys_, fs, k, budget=args.budget))
+        reports.append(verify_gvn(sys_, fs, k, budget=args.budget,
+                                  threads=args.threads))
     if name in ("atoms", "all"):
         factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
         reports.append(atom_distribution(factor, budget=args.budget))
@@ -380,7 +397,7 @@ def _experiment_reports(args) -> list:
         sys_ = resolve_system(args.system or "gw6b", p)
         q = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
         reports.append(verify_quadfactor(sys_, QuadraticMap(forms=(q,)),
-                                         budget=args.budget))
+                                         budget=args.budget, threads=args.threads))
     if name in ("completefactor", "all"):
         sys_ = resolve_system(args.system or "gw6b", p)
         d1 = min(args.d1, n)
@@ -389,7 +406,7 @@ def _experiment_reports(args) -> list:
         factor = QuadraticFactor(p=p, n=n, gamma1=G1, gamma2=QuadraticMap(forms=(q,)))
         reports.append(verify_completefactor(
             sys_, factor, [[0] * d1] * sys_.m, [[0]] * sys_.m,
-            budget=args.budget))
+            budget=args.budget, threads=args.threads))
     if name in ("projections", "all"):
         f = random_bounded_function(dom_fn(), rng)
         factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
@@ -449,23 +466,30 @@ def cmd_octahedron(args) -> tuple[int, dict]:
         make_report("octahedron", config, [rep.to_dict()])
 
 
-_HANDLERS = {
-    "list": cmd_list,
-    "complexity": cmd_complexity,
-    "independence": cmd_independence,
-    "normal-form": cmd_normal_form,
-    "norm": cmd_norm,
-    "count": cmd_count,
-    "verify": cmd_verify,
-    "octahedron": cmd_octahedron,
+# name -> (help, arguments, handler), in the order of the help listing
+COMMANDS = {
+    "list": ("catalog of built-in systems with invariants", _list_args, cmd_list),
+    "complexity": ("partition complexity of a system", _complexity_args,
+                   cmd_complexity),
+    "independence": ("power independence of a system", _independence_args,
+                     cmd_independence),
+    "normal-form": ("normal-form witness search", _normal_form_args,
+                    cmd_normal_form),
+    "norm": ("uniformity norm of a function", _norm_args, cmd_norm),
+    "count": ("configuration count for a set or functions", _count_args, cmd_count),
+    "verify": ("run a named verification experiment", _verify_args, cmd_verify),
+    "octahedron": ("tripartite-function checks", _octahedron_args, cmd_octahedron),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a first word that is no command (-h, nothing, a typo) gets every
+    # command's arguments, so help and errors read as with the full parser
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
-        code, report = _HANDLERS[args.command](args)
+        code, report = COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET

@@ -23,7 +23,11 @@ and discriminant class of each M_lambda = sum_i lambda_i l_i l_i^T.  Its cost
 depends on m, d and p, not on n, and it builds no domain.  It serves the
 quadratic zero set {x.x = 0} (`quadratic_zero_probability`, `count --method
 gauss`) and the homogeneous factor count in `verification`, and must equal
-the direct count exactly.
+the direct count exactly.  The same class enumeration also serves weighted
+averages: `quadratic_average` gives E prod_i g_i((X l_i)^T B (X l_i)) for any
+functions g_i on F_p, as a float sum of the Gauss sums weighted by the g_i's
+Fourier coefficients (`verify bound1`), and must agree with the direct
+average to rounding.
 
 Counting includes degenerate configurations (for instance zero-difference
 progressions); the reference probabilities are defined over the full
@@ -40,7 +44,7 @@ from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import batched_rank_class
+from .algebra import _legendre, batched_rank_class
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import GroupFunction, IndicatorSet, fourier
@@ -282,40 +286,67 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     return count, degenerate
 
 
-def _class_forms(C: np.ndarray, p: int) -> Iterator[np.ndarray]:
-    """M_lambda = sum_i lambda_i l_i l_i^T mod p for one lambda on each line
-    of F_p^m, in (count, d, d) blocks of at most max(CLASS_BLOCK, p) classes:
-    the lambdas whose first nonzero coordinate is 1.  Those with leading
-    coordinate `lead` range over a product of copies of F_p; a block fixes
-    the first few of those coordinates and is the outer sum, over the rest,
-    of the tables a -> a l_k l_k^T, built one coordinate at a time.  Every
-    entry is a sum of at most m residues, reduced mod p once."""
-    m, d = C.shape
-    outer = (C[:, :, None] * C[:, None, :] % p).reshape(m, d * d)
-    multiples = np.arange(p, dtype=np.int64)[:, None, None] * outer % p
+def _class_forms(mats: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(lambdas, forms) with forms[j] = sum_i lambdas[j, i] mats[i] mod p for
+    an (m, d, d) stack `mats`, one lambda on each line of F_p^m, in blocks of
+    at most max(CLASS_BLOCK, p) classes: the lambdas whose first nonzero
+    coordinate is 1, in lexicographic order.  Those with leading coordinate
+    `lead` range over a product of copies of F_p; a block fixes the first few
+    of those coordinates and is the outer sum, over the rest, of the tables
+    a -> a mats[k], built one coordinate at a time.  Every entry is a sum of
+    at most m residues, reduced mod p once."""
+    m, d, _ = mats.shape
+    flat = mats.reshape(m, d * d) % p
+    multiples = np.arange(p, dtype=np.int64)[:, None, None] * flat % p
     for lead in range(m):
         fixed = lead + 1
         while fixed < m and p ** (m - fixed) > CLASS_BLOCK:
             fixed += 1
+        rest = np.indices((p,) * (m - fixed)).reshape(m - fixed, p ** (m - fixed)).T
         for prefix in product(range(p), repeat=fixed - lead - 1):
-            acc = outer[lead].copy()
+            acc = flat[lead].copy()
             for k, a in enumerate(prefix, start=lead + 1):
                 acc += multiples[a, k]
             acc = acc[None]
             for k in range(fixed, m):
                 acc = (acc[:, None] + multiples[:, k]).reshape(-1, d * d)
             acc %= p
-            yield acc.reshape(-1, d, d)
+            head = np.broadcast_to((0,) * lead + (1,) + prefix, (len(rest), fixed))
+            yield np.concatenate([head, rest], axis=1), acc.reshape(-1, d, d)
 
 
-def quadratic_zero_op_count(m: int, d: int, width: int, p: int) -> int:
+def quadratic_zero_op_count(m: int, d: int, width: int, p: int,
+                            weighted: bool = False) -> int:
     """Entry operations of `quadratic_zero_count` for m forms in d variables
     and a width x width form: one elimination of the form, then for each of
     the (p^m - 1)/(p - 1) classes of lambda, M_lambda (m d^2 multiply-adds)
-    and its elimination (about d^3); a 0 x 0 form needs none of them."""
+    and its elimination (about d^3); a 0 x 0 form needs none of them.
+    `weighted` adds the (p - 1) m gathers and products with which
+    `quadratic_average` weights each class."""
     if not width:
         return 0
-    return width**3 + (p**m - 1) // (p - 1) * d * d * (m + d)
+    per_class = d * d * (m + d) + ((p - 1) * m if weighted else 0)
+    return width**3 + (p**m - 1) // (p - 1) * per_class
+
+
+def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
+    """The shared front of the closed forms: after the budget check, the rank
+    r_B and class eps_B of B and an iterator of (lambdas, ranks, classes)
+    blocks over the lines of lambda, the ranks and classes those of
+    M_lambda = sum_i lambda_i l_i l_i^T (`algebra.batched_rank_class`)."""
+    C = np.asarray(C, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    m, d = C.shape
+    check_budget(quadratic_zero_op_count(m, d, B.shape[0], p, weighted), budget,
+                 what=f"Gauss-sum count over {(p**m - 1) // (p - 1)} classes "
+                      f"of {d}x{d} forms")
+    (r_B,), (eps_B,) = batched_rank_class(B[None], p)
+
+    def blocks():
+        for lams, forms in _class_forms(C[:, :, None] * C[:, None, :], p):
+            yield (lams, *batched_rank_class(forms, p))
+
+    return int(r_B), int(eps_B), blocks()
 
 
 def quadratic_zero_count(C, B, p: int, budget: int | None = None) -> int:
@@ -333,20 +364,13 @@ def quadratic_zero_count(C, B, p: int, budget: int | None = None) -> int:
     lambda, c(r, eps) the number of classes with rank r and class eps,
     summed in Python ints.  The cost depends on m, d and p, not on n.
     """
-    C = np.asarray(C, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
-    m, d = C.shape
-    n = B.shape[0]
-    check_budget(quadratic_zero_op_count(m, d, n, p), budget,
-                 what=f"Gauss-sum count over {(p**m - 1) // (p - 1)} classes "
-                      f"of {d}x{d} forms")
-    (r_B,), (eps_B,) = batched_rank_class(B[None], p)
-    r_B, eps_B = int(r_B), int(eps_B)
+    m, d = np.shape(C)
+    n = np.shape(B)[0]
+    r_B, eps_B, blocks = _lambda_classes(C, B, p, budget)
     if r_B == 0:
         return p ** (n * d)
     tally = np.zeros(2 * d + 2, dtype=np.int64)
-    for block in _class_forms(C, p):
-        ranks, eps = batched_rank_class(block, p)
+    for _, ranks, eps in blocks:
         tally += np.bincount(2 * ranks + (eps > 0), minlength=2 * d + 2)
     chi_minus_one = 1 if p % 4 == 1 else -1
     total = p ** (n * d)
@@ -360,6 +384,46 @@ def quadratic_zero_count(C, B, p: int, budget: int | None = None) -> int:
     if rem:
         raise ArithmeticError("Gauss-sum total is not divisible by p^m")
     return count
+
+
+def quadratic_average(C, B, p: int, g, budget: int | None = None) -> complex:
+    """E over X in F_p^(n x d) of prod_i g_i((X l_i)^T B (X l_i)), for the rows
+    l_i of the (m, d) matrix C, B a symmetric (n, n) matrix and g an (m, p)
+    array whose row i is g_i on F_p.
+
+    Writing g_i(v) = sum_a ghat_i(a) omega^(a v) turns the average into
+    sum over lambda in F_p^m of prod_i ghat_i(lambda_i) S(lambda), with
+    S(lambda) = p^(-nd) G(B (x) M_lambda) = p^(-r r_B / 2) eps^(r_B) eps_B^r
+    u^(r r_B), u = g / sqrt(p) (1 or i), in the notation of
+    `quadratic_zero_count`, whose class enumeration it shares.  The multiple
+    a lambda has S(a lambda) = chi(a)^(r r_B) S(lambda), so each class of
+    lambda is weighted by sum_a chi(a)^(r r_B) prod_i ghat_i(a lambda_i).  A
+    float sum; its cost depends on m, d and p, not on n, and it builds no
+    domain.
+    """
+    g = np.asarray(g, dtype=np.complex128)
+    m, d = np.shape(C)
+    r_B, eps_B, blocks = _lambda_classes(C, B, p, budget, weighted=True)
+    if r_B == 0:
+        return complex(np.prod(g[:, 0]))
+    residues = np.arange(p)
+    ghat = g @ np.exp(-2j * np.pi * np.outer(residues, residues) / p) / p
+    # lines[i, l, a - 1] = ghat_i(a l), the weights along the line of l
+    units = residues[1:]
+    lines = ghat[:, np.outer(residues, units) % p]
+    chi = _legendre(units, p)
+    u = 1 if p % 4 == 1 else 1j
+    # S at key 2 r + (eps > 0), as the tally of `quadratic_zero_count`
+    S = np.array([(1 if e else -1) ** r_B * eps_B**r * u ** (r * r_B % 4)
+                  * p ** (-r * r_B / 2) for r in range(d + 1) for e in (0, 1)])
+    total = complex(np.prod(ghat[:, 0]))
+    for lams, ranks, eps in blocks:
+        w = lines[0, lams[:, 0]]
+        for i in range(1, m):
+            w = w * lines[i, lams[:, i]]
+        weight = np.where(ranks * r_B % 2 == 1, w @ chi, w.sum(axis=1))
+        total += complex((S[2 * ranks + (eps > 0)] * weight).sum())
+    return total
 
 
 def quadratic_zero_probability(sys: LinearFormSystem, n: int,

@@ -20,7 +20,10 @@ zero targets.  It makes the one path decision, `_use_gauss`: with one
 homogeneous form and zero targets it counts in closed form
 (`counting.quadratic_zero_count`) when that is estimated cheaper than
 enumerating the p^(nd) assignments; both paths give the same integer and so
-byte-identical reports.
+byte-identical reports.  `verify_bound1` makes the same decision for its
+average of the atom projection along the system when the factor is one
+homogeneous form with no linear part (`counting.quadratic_average`); that
+path is a float sum, so its average agrees with enumeration to rounding.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ import numpy as np
 from .algebra import (QuadraticForm, as_fp_matrix, batched_rank, bilinear_of,
                       nullspace, rank, rref)
 from .budget import check_budget
-from .counting import (average_product_direct, direct_op_count,
-                       quadratic_zero_count, quadratic_zero_op_count,
-                       reduce_form_images)
+from .counting import (_class_forms, average_product_direct, direct_op_count,
+                       quadratic_average, quadratic_zero_count,
+                       quadratic_zero_op_count, reduce_form_images)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, omega_power,
                         l2_norm, u2_norm_fast, uk_norm)
@@ -262,7 +265,7 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
 # Generalized von Neumann inequality.
 
 def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction], k: int,
-               budget: int | None = None) -> ExperimentReport:
+               budget: int | None = None, threads: int = 1) -> ExperimentReport:
     """|E prod_i f_i(L_i(x))| <= min_i U^(k+1)(f_i) for bounded f_i, provided
     the system's partition complexity is at most k."""
     actual = cs_complexity(sys)
@@ -272,7 +275,7 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction], k: int,
     for i, f in enumerate(fs):
         if f.linf() > 1 + 1e-12:
             raise ValueError(f"function {i} exceeds the unit sup-norm bound")
-    lhs = abs(average_product_direct(sys, fs, budget=budget))
+    lhs = abs(average_product_direct(sys, fs, budget=budget, threads=threads))
     norms = [uk_norm(f, k + 1, budget=budget) for f in fs]
     rhs = min(norms)
     rep = ExperimentReport(
@@ -349,14 +352,15 @@ class QuadraticFactor:
 
 def factor_rank(gamma2: QuadraticMap, p: int | None = None) -> int:
     """Minimum rank of a nonzero F_p-combination of the associated symmetric
-    bilinear forms, by one batched elimination of all p^d2 - 1 of them;
-    requires at least one quadratic form."""
+    bilinear forms.  A combination and its nonzero multiples share a rank,
+    so one combination on each line of F_p^d2 is eliminated, (p^d2 - 1)/(p - 1)
+    of them (`counting._class_forms`), in batches; requires at least one
+    quadratic form."""
     if gamma2.d2 == 0:
         raise ValueError("factor rank needs d2 >= 1")
     p = gamma2.forms[0].p if p is None else p
     mats = np.stack([bilinear_of(q).B for q in gamma2.forms])
-    lams = np.indices((p,) * gamma2.d2).reshape(gamma2.d2, -1).T[1:]
-    return int(batched_rank(np.tensordot(lams, mats, axes=1) % p, p).min())
+    return min(int(batched_rank(forms, p).min()) for _, forms in _class_forms(mats, p))
 
 
 def factor_rank_or_inf(gamma2: QuadraticMap, p: int) -> float:
@@ -402,13 +406,14 @@ def _require_square_independent(sys: LinearFormSystem) -> None:
             "operation requires a square-independent system")
 
 
-def _use_gauss(homogeneous: bool, m: int, d: int, width: int, p: int,
+def _use_gauss(homogeneous: bool, closed_ops: int, m: int, d: int, p: int,
                n: int) -> bool:
-    """Whether a count of m forms in d variables over F_p^n takes the closed
-    form `quadratic_zero_count` with a width x width form: only for
-    homogeneous inputs, and only when its operation estimate is below that of
-    enumerating the p^(nd) assignments, m p^(nd)."""
-    return homogeneous and quadratic_zero_op_count(m, d, width, p) < m * p ** (n * d)
+    """Whether a count or average of m forms in d variables over F_p^n takes
+    its closed form: only for homogeneous inputs, and only when the closed
+    form's operation estimate `closed_ops` (priced on the rank C pivot
+    columns it runs on) is below that of enumerating the p^(nd) assignments,
+    m p^(nd)."""
+    return homogeneous and closed_ops < m * p ** (n * d)
 
 
 def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
@@ -438,8 +443,9 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     homogeneous = (d2 == 1 and not factor.gamma2.forms[0].b.any()
                    and not A_t.any() and not B_t.any()
                    and not any(ph.any() for ph in phi_mats or ()))
-    if _use_gauss(homogeneous, m, d, n - factor.d1, p, n):
-        pivots = rref(sys.coeffs, p)[1]
+    pivots = rref(sys.coeffs, p)[1]
+    closed_ops = quadratic_zero_op_count(m, len(pivots), n - factor.d1, p)
+    if _use_gauss(homogeneous, closed_ops, m, d, p, n):
         K = nullspace(factor.gamma1, p)
         form = K @ factor.gamma2.forms[0].M @ K.T
         return p ** (n * (d - len(pivots))) * quadratic_zero_count(
@@ -486,7 +492,8 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
                       phis: Sequence[Optional[np.ndarray]] | None = None,
                       bs: Sequence[Sequence[int]] | None = None,
                       n: int | None = None,
-                      budget: int | None = None) -> ExperimentReport:
+                      budget: int | None = None,
+                      threads: int = 1) -> ExperimentReport:
     """Probability that gamma2(L_i(x)) = phi_i(x) + b_i for all i, against
     p^(-m*d2) with allowance p^(-r/2).
 
@@ -522,7 +529,7 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=np.int64),
                              gamma2=gamma2)
     matches = _factor_matches(sys, factor, np.zeros((m, 0), dtype=np.int64),
-                              b_arr, phi_mats, budget)
+                              b_arr, phi_mats, budget, threads)
     P = Fraction(matches, p ** (n * d))
     r = factor_rank_or_inf(gamma2, p)
     ref = Fraction(1, p ** (m * d2))
@@ -548,7 +555,8 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
 def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
                           a_targets: Sequence[Sequence[int]],
                           b_targets: Sequence[Sequence[int]],
-                          budget: int | None = None) -> ExperimentReport:
+                          budget: int | None = None,
+                          threads: int = 1) -> ExperimentReport:
     """Joint linear+quadratic factor equidistribution along the system.
 
     The linear targets (a_1, ..., a_m) are first classified against the
@@ -568,7 +576,7 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     W = relation_space(sys)
     in_Z = not ((W.basis @ A_t) % p).any() if d1 else True
 
-    matches = _factor_matches(sys, factor, A_t, B_t, None, budget)
+    matches = _factor_matches(sys, factor, A_t, B_t, None, budget, threads)
     P = Fraction(matches, p ** (n * d))
     d_prime = span_dimension(sys)
     r = factor_rank_or_inf(factor.gamma2, p)
@@ -612,17 +620,23 @@ def project_linear(f: GroupFunction, factor: QuadraticFactor) -> GroupFunction:
     return GroupFunction(domain=dom, values=means[codes])
 
 
-def project_atoms(f: GroupFunction, factor: QuadraticFactor) -> GroupFunction:
-    """Average f over the atoms of the full factor; empty atoms never occur
-    in the output because values are read back through the atom codes."""
-    dom = f.domain
-    codes = factor.atom_codes(dom)
+def _atom_means(f: GroupFunction,
+                factor: QuadraticFactor) -> tuple[np.ndarray, np.ndarray]:
+    """(atom code of every point, mean of f on every atom), the mean of an
+    empty atom being 0."""
+    codes = factor.atom_codes(f.domain)
     cells = factor.p ** (factor.d1 + factor.d2)
     counts = np.bincount(codes, minlength=cells)
     sums = np.bincount(codes, weights=f.values.real, minlength=cells) + \
         1j * np.bincount(codes, weights=f.values.imag, minlength=cells)
-    means = sums / np.maximum(counts, 1)
-    return GroupFunction(domain=dom, values=means[codes])
+    return codes, sums / np.maximum(counts, 1)
+
+
+def project_atoms(f: GroupFunction, factor: QuadraticFactor) -> GroupFunction:
+    """Average f over the atoms of the full factor; empty atoms never occur
+    in the output because values are read back through the atom codes."""
+    codes, means = _atom_means(f, factor)
+    return GroupFunction(domain=f.domain, values=means[codes])
 
 
 def verify_projection_lemmas(f: GroupFunction, factor: QuadraticFactor,
@@ -665,16 +679,34 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
                   sys: LinearFormSystem, budget: int | None = None,
                   threads: int = 1) -> ExperimentReport:
     """E prod_i f1(L_i(x)) for the atom projection f1 of a bounded f, against
-    4^m * c * p^(d1/4) + 2^(m+1) * p^(m(d1+d2) - r/2) with c = U2(f)."""
+    4^m * c * p^(d1/4) + 2^(m+1) * p^(m(d1+d2) - r/2) with c = U2(f).
+
+    When the factor is one homogeneous form q(x) = x^T M x (b = 0, d1 = 0),
+    f1 = g o q with g the per-atom mean, and the average is taken in closed
+    form when `_use_gauss` says so: `counting.quadratic_average` of the
+    system's pivot columns (the other variables drop out of an average) with
+    g for every form.  Otherwise every assignment is enumerated
+    (`average_product_direct`).
+    """
     _require_square_independent(sys)
     if f.linf() > 1 + 1e-12:
         raise ValueError("function exceeds the unit sup-norm bound")
-    p = factor.p
-    m = sys.m
+    p, n = factor.p, factor.n
+    m, d = sys.m, sys.d
     c = u2_norm_fast(f)
-    f1 = project_atoms(f, factor)
-    observed = average_product_direct(sys, [f1] * m, budget=budget,
-                                      threads=threads).real
+    codes, means = _atom_means(f, factor)
+    homogeneous = (factor.d1 == 0 and factor.d2 == 1
+                   and not factor.gamma2.forms[0].b.any())
+    pivots = rref(sys.coeffs, p)[1]
+    closed_ops = quadratic_zero_op_count(m, len(pivots), n, p, weighted=True)
+    if _use_gauss(homogeneous, closed_ops, m, d, p, n):
+        average = quadratic_average(sys.coeffs[:, pivots], factor.gamma2.forms[0].M,
+                                    p, np.tile(means, (m, 1)), budget)
+    else:
+        f1 = GroupFunction(domain=f.domain, values=means[codes])
+        average = average_product_direct(sys, [f1] * m, budget=budget,
+                                         threads=threads)
+    observed = average.real
     r = factor_rank_or_inf(factor.gamma2, p)
     tail = 0.0 if math.isinf(r) else 2 ** (m + 1) * p ** (m * (factor.d1 + factor.d2) - r / 2)
     bound = 4**m * c * p ** (factor.d1 / 4) + tail

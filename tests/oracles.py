@@ -2,7 +2,8 @@
 
 Everything here is deliberately written in the most literal way possible
 (itertools loops, span enumeration, Fractions) and shares no code paths with
-the package internals it checks.  Sizes must stay tiny.
+the package internals it checks.  Sizes must stay tiny.  `random_symmetric`
+draws the symmetric matrices the closed forms are checked on.
 """
 
 from __future__ import annotations
@@ -219,3 +220,17 @@ def naive_square_matrices_independent(rows, p):
         g = np.array(row) % p
         flats.append(tuple(int(v) for v in (np.outer(g, g) % p).ravel()))
     return span_rank(flats, p) == len(rows)
+
+
+def random_symmetric(p, n, rank_kind, rng):
+    """A symmetric n x n matrix: "zero", "rank1", "corank1" or "random"."""
+    if rank_kind == "zero":
+        return np.zeros((n, n), dtype=np.int64)
+    if rank_kind == "rank1":
+        v = rng.integers(1, p, size=n)
+        return np.outer(v, v) % p
+    M = rng.integers(0, p, size=(n, n))
+    M = (M + M.T) % p
+    if rank_kind == "corank1":
+        M[-1, :] = M[:, -1] = 0
+    return M

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from uniformity_lab import cli, verification
+from uniformity_lab import cli, counting, verification
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import balanced, save_function, uk_norm
@@ -304,6 +304,77 @@ def test_threads_flag_reproducibility(tmp_path):
     assert r1["results"] == r4["results"]
     assert [r["name"] for r in r1["results"]] == [
         "solution_probability", "average_direct", "average_dual", "direct_vs_dual"]
+
+
+def test_experiment_threads_reach_the_kernel(tmp_path, monkeypatch):
+    """Every enumerating experiment hands --threads to the kernel, and the
+    thread count leaves the results unchanged."""
+    received = []
+    kernel = counting.reduce_form_images
+
+    def spy(coeffs, dom, reduce, threads=1):
+        received.append(threads)
+        return kernel(coeffs, dom, reduce, threads)
+
+    monkeypatch.setattr(counting, "reduce_form_images", spy)
+    monkeypatch.setattr(verification, "reduce_form_images", spy)
+    monkeypatch.setattr(verification, "_use_gauss", lambda *a: False)
+    monkeypatch.setattr(counting, "CHUNK", 1000)  # so the pool splits the work
+    for argv in (["verify", "quadfactor", "--system", "gw6b"],
+                 ["verify", "completefactor", "--system", "gw6b"],
+                 ["verify", "gvn", "--system", "ap3"],
+                 ["verify", "bound1", "--system", "gw6b"],
+                 ["verify", "badex", "--system", "gw6a"]):
+        results = []
+        for threads in ("1", "4"):
+            received.clear()
+            code, report, _ = run(argv + ["--p", "5", "--n", "2", "--threads", threads],
+                                  tmp_path)
+            assert code == 0 and received == [int(threads)], (argv, received)
+            results.append(json.dumps(report["results"], sort_keys=True))
+        assert results[0] == results[1], argv
+
+
+def test_bound1_closed_form_runs_where_enumeration_is_refused(monkeypatch, capsys):
+    # gw6b at p = 5, n = 6: 6 * 5^18 assignments, over the default budget
+    def refuse(*args, **kwargs):
+        raise AssertionError("assignments enumerated")
+
+    monkeypatch.setattr(counting, "reduce_form_images", refuse)
+    monkeypatch.setattr(verification, "reduce_form_images", refuse)
+    assert main(["verify", "bound1", "--system", "gw6b", "--p", "5", "--n", "6"]) == 0
+    assert "bound1: pass" in capsys.readouterr().out
+
+
+# a command line per command, using each of its options
+COMMAND_LINES = {
+    "list": ["list", "--p", "11", "--csv", "catalog.csv", "--out", "r.json"],
+    "complexity": ["complexity", "--system", "ap4", "--p", "5"],
+    "independence": ["independence", "--system", "ap4", "--k", "2"],
+    "normal-form": ["normal-form", "--system", "ap4", "--s", "2"],
+    "norm": ["norm", "--set", "quadzero", "--balanced", "--k", "3",
+             "--method", "fast", "--p", "3", "--n", "3", "--seed", "4"],
+    "count": ["count", "--system", "ap3", "--set", "quadzero", "--method", "all",
+              "--degenerate", "--tolerance", "1e-6", "--threads", "2",
+              "--budget", "99"],
+    "verify": ["verify", "bound1", "--system", "gw6b", "--k", "2", "--d1", "0",
+               "--d2", "2", "--count", "3"],
+    "octahedron": ["octahedron", "--check", "lift", "--size", "8"],
+}
+
+
+def test_one_command_parser_matches_full_parser(capsys):
+    assert list(COMMAND_LINES) == list(cli.COMMANDS)
+    full = cli.build_parser()
+    for name, argv in COMMAND_LINES.items():
+        one = cli.build_parser(name)
+        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv)), name
+        helps = []
+        for parser in (one, full):
+            with pytest.raises(SystemExit):
+                parser.parse_args([name, "-h"])
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] and "--" in helps[0], name
 
 
 def test_report_schema_validator_flags_problems():

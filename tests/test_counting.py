@@ -8,7 +8,7 @@ from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
-                                     quadratic_zero_count,
+                                     quadratic_average, quadratic_zero_count,
                                      quadratic_zero_probability,
                                      solution_probability)
 from uniformity_lab.domains import domain
@@ -21,6 +21,7 @@ from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
                                          verify_quadfactor)
 
 import oracles
+from oracles import random_symmetric
 
 
 def make(p, rows):
@@ -297,3 +298,63 @@ def test_closed_form_count_edge_cases():
     with pytest.raises(BudgetExceededError):
         quadratic_zero_count(builtin_system("cube7", 5).coeffs,
                              np.eye(2, dtype=int), 5, budget=1000)
+
+
+# ------------------------------------------- closed-form weighted averages
+
+def quadratic_functions(dom, M, g):
+    """g_i o q on dom for q(x) = x^T M x, one function per row of g."""
+    q = QuadraticForm(p=dom.p, M=M, b=np.zeros(dom.n, dtype=np.int64))
+    values = QuadraticMap(forms=(q,)).value_codes(dom)
+    return [GroupFunction(domain=dom, values=row[values]) for row in g]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_quadratic_average_matches_enumeration(p):
+    """Every built-in system that is one at p (not at p = 3: ap4, ap5 and
+    nf4 have a coefficient 3, and two forms of gw6a agree mod 3),
+    square-dependent ones included, and a
+    system that uses two of its three variables, at n = 1, 2, 3 wherever the
+    p^(nd) assignments are at most 2 * 10^6.  B runs through the zero,
+    rank-1, corank-1 and random kinds; each form has its own random g_i."""
+    rng = np.random.default_rng(300 + p)
+    names = [name for name in BUILTIN_SYSTEM_NAMES
+             if p > 3 or name not in ("ap4", "ap5", "nf4", "gw6a")]
+    systems = [builtin_system(name, p) for name in names]
+    systems.append(make(p, [[1, 0, 0], [1, 1, 0], [1, 2, 0]]))
+    kinds = ("zero", "rank1", "corank1", "random")
+    cases = 0
+    for sys_ in systems:
+        for n in (1, 2, 3):
+            if p ** (n * sys_.d) > 2 * 10**6:
+                continue
+            M = random_symmetric(p, n, kinds[cases % 4], rng)
+            g = rng.uniform(-1, 1, (sys_.m, p)) + 1j * rng.uniform(-1, 1, (sys_.m, p))
+            direct = average_product_direct(sys_, quadratic_functions(domain(p, n), M, g))
+            closed = quadratic_average(sys_.coeffs, M, p, g)
+            assert abs(closed - direct) <= 1e-12, (sys_.name, n, M.tolist())
+            cases += 1
+    assert cases >= 12
+
+
+def test_quadratic_average_of_zero_indicators_is_the_zero_count():
+    rng = np.random.default_rng(72)
+    for name, p, n in (("gw6a", 5, 2), ("ap4", 7, 2), ("gw6b", 3, 3), ("cube7", 3, 2)):
+        C = builtin_system(name, p).coeffs
+        for kind in ("rank1", "corank1", "random"):
+            M = random_symmetric(p, n, kind, rng)
+            g = np.zeros((len(C), p))
+            g[:, 0] = 1
+            total = p ** (n * C.shape[1]) * quadratic_average(C, M, p, g)
+            assert round(total.real) == quadratic_zero_count(C, M, p), (name, kind)
+            assert abs(total.imag) < 1e-6
+
+
+def test_quadratic_average_edge_cases():
+    g = np.array([[0.5, 2, 3], [0.25, 1, 1j]])
+    C = np.array([[1, 0], [1, 1]])
+    # B = 0: every form is 0, so the average is prod_i g_i(0)
+    assert quadratic_average(C, np.zeros((2, 2), dtype=int), 3, g) == 0.125
+    with pytest.raises(BudgetExceededError):
+        quadratic_average(builtin_system("cube7", 5).coeffs, np.eye(2, dtype=int),
+                          5, np.ones((7, 5)), budget=1000)

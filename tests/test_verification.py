@@ -26,6 +26,7 @@ from uniformity_lab.verification import (Check, ComplexityPreconditionError,
                                          verify_pythagoras, verify_quadfactor)
 
 import oracles
+from oracles import random_symmetric
 
 
 def sum_of_squares_form(p, n):
@@ -196,6 +197,21 @@ def test_factor_rank_examples():
             oracles.span_rank((sum(l * M for l, M in zip(lam, mats)) % p).tolist(), p)
             for lam in product(range(p), repeat=d2) if any(lam))
         assert factor_rank(gamma2) == expected
+
+
+def test_factor_rank_eliminates_one_combination_per_line(monkeypatch):
+    eliminated = []
+    batched = verification.batched_rank
+    monkeypatch.setattr(verification, "batched_rank",
+                        lambda stack, p: eliminated.append(len(stack)) or batched(stack, p))
+    assert factor_rank(QuadraticMap(forms=(sum_of_squares_form(5, 6),))) == 6
+    assert eliminated == [1]
+    rng = np.random.default_rng(178)
+    forms = tuple(QuadraticForm(p=5, M=random_symmetric(5, 5, "random", rng),
+                                b=np.zeros(5, dtype=np.int64)) for _ in range(3))
+    eliminated.clear()
+    factor_rank(QuadraticMap(forms=forms))
+    assert sum(eliminated) == (5**3 - 1) // (5 - 1)
 
 
 def test_factor_validation():
@@ -373,20 +389,6 @@ def report_text(rep):
     return json.dumps(rep.to_dict(), sort_keys=True)
 
 
-def random_symmetric(p, n, rank_kind, rng):
-    """A symmetric n x n matrix: "zero", "rank1", "corank1" or "random"."""
-    if rank_kind == "zero":
-        return np.zeros((n, n), dtype=np.int64)
-    if rank_kind == "rank1":
-        v = rng.integers(1, p, size=n)
-        return np.outer(v, v) % p
-    M = rng.integers(0, p, size=(n, n))
-    M = (M + M.T) % p
-    if rank_kind == "corank1":
-        M[-1, :] = M[:, -1] = 0
-    return M
-
-
 def both_paths(monkeypatch, verify, *args):
     """The report with the closed-form count and with enumeration forced."""
     texts, seen = [], []
@@ -435,6 +437,76 @@ def test_completefactor_closed_form_matches_enumeration(monkeypatch):
 def test_badex_closed_form_matches_enumeration(monkeypatch):
     for name, p, n in (("gw6a", 7, 2), ("gw6a", 5, 2), ("ap4", 5, 3), ("ap3", 5, 4)):
         both_paths(monkeypatch, verify_badex, builtin_system(name, p), n)
+
+
+def test_closed_form_priced_on_pivot_columns(monkeypatch):
+    # at n = 1 the closed form on all three columns is estimated at 7,183
+    # operations, on the two pivot columns at 2,661, against 3,993 for
+    # enumeration: it must now be taken, and give the enumerated count
+    p = 11
+    sys_ = make(p, [[1, 0, 0], [1, 1, 0], [1, 2, 0]])
+    gamma2 = QuadraticMap(forms=(sum_of_squares_form(p, 1),))
+    calls = []
+    closed_form = verification.quadratic_zero_count
+    monkeypatch.setattr(verification, "quadratic_zero_count",
+                        lambda *a: calls.append(a) or closed_form(*a))
+    text = report_text(verify_quadfactor(sys_, gamma2))
+    assert len(calls) == 1 and calls[0][0].shape == (3, 2)
+    monkeypatch.setattr(verification, "_use_gauss", lambda *a: False)
+    assert report_text(verify_quadfactor(sys_, gamma2)) == text
+
+
+def bound1_both_paths(monkeypatch, f, factor, sys_):
+    """bound1 with the closed-form average and with enumeration forced: the
+    reports agree except for the average, which is the check's lhs."""
+    reports, seen = [], []
+    for gauss in (True, False):
+        def choose(homogeneous, *sizes, g=gauss):
+            seen.append(homogeneous)
+            return g
+        monkeypatch.setattr(verification, "_use_gauss", choose)
+        reports.append(verify_bound1(f, factor, sys_).to_dict())
+    closed, direct = reports
+    assert seen == [True, True]
+    assert abs(closed["observed"].pop("average") - direct["observed"].pop("average")) <= 1e-12
+    assert abs(closed["checks"][0].pop("lhs") - direct["checks"][0].pop("lhs")) <= 1e-12
+    assert closed == direct
+
+
+def test_bound1_closed_form_matches_enumeration(monkeypatch):
+    rng = np.random.default_rng(95)
+    cases = [("gw6b", 5, 2), ("gw6b", 3, 3), ("ap3", 7, 2), ("ap3", 3, 3)]
+    for name, p, n in cases + [(None, 5, 2)]:
+        # the last system uses two of its three variables
+        sys_ = builtin_system(name, p) if name else \
+            make(p, [[1, 0, 0], [1, 1, 0], [1, 2, 0]])
+        fs = [balanced(quadratic_zero_set(p, n)),
+              random_bounded_function(domain(p, n), rng)]
+        for kind in ("zero", "rank1", "corank1", "random"):
+            q = QuadraticForm(p=p, M=random_symmetric(p, n, kind, rng),
+                              b=np.zeros(n, dtype=np.int64))
+            factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=int),
+                                     gamma2=QuadraticMap(forms=(q,)))
+            for f in fs:
+                bound1_both_paths(monkeypatch, f, factor, sys_)
+
+
+def test_bound1_enumerates_other_factors(monkeypatch):
+    """A linear part or a linear term leaves bound1 on enumeration."""
+    seen = []
+    monkeypatch.setattr(verification, "_use_gauss",
+                        lambda homogeneous, *sizes: seen.append(homogeneous))
+    rng = np.random.default_rng(96)
+    f = random_bounded_function(domain(5, 2), rng)
+    sys_ = builtin_system("gw6b", 5)
+    linear = QuadraticFactor(p=5, n=2, gamma1=np.eye(2, dtype=int)[:1],
+                             gamma2=QuadraticMap(forms=(sum_of_squares_form(5, 2),)))
+    affine = QuadraticForm(p=5, M=np.eye(2, dtype=int), b=[1, 0])
+    shifted = QuadraticFactor(p=5, n=2, gamma1=np.zeros((0, 2), dtype=int),
+                              gamma2=QuadraticMap(forms=(affine,)))
+    for factor in (linear, shifted):
+        assert verify_bound1(f, factor, sys_).passed
+    assert seen == [False, False]
 
 
 def test_closed_forms_run_where_enumeration_cannot():
