@@ -147,10 +147,13 @@ def _eliminate(A: np.ndarray, p: int, symmetric: bool) -> tuple[np.ndarray, np.n
         pivot = candidates.argmax(axis=1)
         unused[batch, pivot] &= ~found
         ranks += found
-        rest = A[:, :, c + 1:]
-        row = rest[batch, pivot]
+        # in symmetric mode the pivot is row c (copied into `row` below), and
+        # it and the rows above it are finished: nothing reads them again
+        top = c + 1 if symmetric else 0
+        rest = A[:, top:, c + 1:]
+        row = A[batch, pivot, c + 1:]
         scale = np.where(found, A[batch, pivot, c], 1)
-        factor = A[:, :, c] * unused
+        factor = A[:, top:, c] * unused[:, top:]
         if symmetric:
             factor = factor * scale[:, None] % p
             product *= scale

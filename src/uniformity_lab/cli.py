@@ -123,8 +123,6 @@ def _verify_args(c):
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--d1", type=int, default=1)
     c.add_argument("--d2", type=int, default=1)
-    c.add_argument("--count", type=int, default=20,
-                   help="random instances for sampled experiments")
     _common(c)
     _threads(c)
 

@@ -9,9 +9,9 @@ i.e. averages on the physical side, sums on the frequency side.  The omega
 powers come from a single precomputed p-entry table so transforms are
 bit-reproducible run to run.
 
-U^k norms have two production paths, both built on the multiplicative
-derivative Delta_h g(x) = g(x) conj(g(x + h)) taken on the (p,)*n grid through
-the domain's translation views (no index table):
+U^k norms have two paths, both built on the multiplicative derivative
+Delta_h g(x) = g(x) conj(g(x + h)) taken on the (p,)*n grid through the
+domain's translation views (no index table):
 
 * `uk_norm` sums the defining 2^k-fold product over combinatorial cubes
   (x, h_1, ..., h_k) with no Fourier step.  The product over the first k - 2
@@ -19,10 +19,14 @@ the domain's translation views (no index table):
   formed in a Python loop over (h_1, ..., h_{k-2}) in lexicographic order;
   the last two directions are the U^2 cube sum
   sum_h |sum_x g(x) conj(g(x + h))|^2, computed as blocked matrix-vector
-  products over all h at once.
+  products over all h at once.  It is the independent side of every norm
+  check: `norm --method direct`, the octahedron lift identity and the test
+  suite use it.
 * `uk_norm_fast` uses the same recursion one level higher and the Fourier
   base case ||g||_{U^2}^4 = sum_r |g^(r)|^4, transforming a block of
-  derivatives over the last h at once.
+  derivatives over the last h at once.  It is the production path of
+  `norm --method fast` and of the experiments (`verify gvn`,
+  `verify pythagoras`).
 
 A budget guard refuses jobs whose operation count would run for hours.
 """

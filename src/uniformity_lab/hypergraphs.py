@@ -145,16 +145,3 @@ def vertex_uniformity_counterexample(seed: int, n_x: int = 64) -> ExperimentRepo
                   1.0 / n_x**0.5, "<=", derived_tolerance=True)
     return rep
 
-
-def counterexample_table(u: np.ndarray) -> TripartiteFunction:
-    """The full H table for a given symmetric sign function (small n_x)."""
-    n = u.shape[0]
-    H = (3.0 + u[:, :, None] + u[None, :, :] + u[:, None, :]) / 6.0
-    return TripartiteFunction(values=H)
-
-
-def vertex_correlation(F: TripartiteFunction, a: np.ndarray, b: np.ndarray,
-                       c: np.ndarray) -> complex:
-    """E F(x,y,z) a(x) b(y) c(z), the correlation vertex uniformity bounds."""
-    return complex(np.einsum("xyz,x,y,z->", F.values, a, b, c) /
-                   (len(a) * len(b) * len(c)))

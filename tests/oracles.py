@@ -3,7 +3,10 @@
 Everything here is deliberately written in the most literal way possible
 (itertools loops, span enumeration, Fractions) and shares no code paths with
 the package internals it checks.  Sizes must stay tiny.  `random_symmetric`
-draws the symmetric matrices the closed forms are checked on.
+draws the symmetric matrices the closed forms are checked on;
+`counterexample_table` and `vertex_correlation` are the full-table side of
+the vertex-uniformity counterexample, whose package form is exact and never
+builds the table.
 """
 
 from __future__ import annotations
@@ -210,6 +213,18 @@ def naive_octahedral_power(values):
                                 prod *= v.conjugate() if sum(e) % 2 else v
                             total += prod
     return total / (nx * ny * nz) ** 2
+
+
+def counterexample_table(u):
+    """The full (n, n, n) table H(x, y, z) = (3 + u(x,y) + u(y,z) + u(x,z))/6
+    for a symmetric sign table u (small n)."""
+    return (3.0 + u[:, :, None] + u[None, :, :] + u[:, None, :]) / 6.0
+
+
+def vertex_correlation(H, a, b, c):
+    """E H(x,y,z) a(x) b(y) c(z), the correlation vertex uniformity bounds."""
+    return complex(np.einsum("xyz,x,y,z->", H, a, b, c) /
+                   (len(a) * len(b) * len(c)))
 
 
 def naive_square_matrices_independent(rows, p):

@@ -358,7 +358,7 @@ COMMAND_LINES = {
               "--degenerate", "--tolerance", "1e-6", "--threads", "2",
               "--budget", "99"],
     "verify": ["verify", "bound1", "--system", "gw6b", "--k", "2", "--d1", "0",
-               "--d2", "2", "--count", "3"],
+               "--d2", "2"],
     "octahedron": ["octahedron", "--check", "lift", "--size", "8"],
 }
 

@@ -8,12 +8,10 @@ from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
                                       random_bounded_function, uk_norm)
-from uniformity_lab.hypergraphs import (TripartiteFunction,
-                                        counterexample_table, lift,
+from uniformity_lab.hypergraphs import (TripartiteFunction, lift,
                                         octahedral_norm, octahedral_power,
                                         octahedral_power_exact,
                                         symmetric_sign_function,
-                                        vertex_correlation,
                                         vertex_uniformity_counterexample)
 from uniformity_lab.verification import quadratic_zero_set
 
@@ -105,6 +103,10 @@ def test_counterexample_value_is_exact_rational():
     assert v.denominator <= 36 * 16**4
 
 
+def counterexample_table(u):
+    return TripartiteFunction(values=oracles.counterexample_table(u))
+
+
 def test_counterexample_constant_sign_sanity():
     n = 8
     H1 = counterexample_table(np.ones((n, n), dtype=int))
@@ -123,7 +125,7 @@ def test_counterexample_vertex_uniformity():
         a = rng.uniform(-1, 1, n)
         b = rng.uniform(-1, 1, n)
         c = rng.uniform(-1, 1, n)
-        corr = vertex_correlation(F, a, b, c)
+        corr = oracles.vertex_correlation(F.values, a, b, c)
         ref = density * a.mean() * b.mean() * c.mean()
         assert abs(corr - ref) <= 3 / n**0.5
 

@@ -1,15 +1,16 @@
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
 
-from uniformity_lab import verification
+from uniformity_lab import cli, counting, functions, verification
 from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
-                                      random_bounded_function)
+                                      random_bounded_function, uk_norm)
 from uniformity_lab.systems import (LinearFormSystem, builtin_system,
                                     cs_complexity)
 from uniformity_lab.verification import (Check, ComplexityPreconditionError,
@@ -157,6 +158,75 @@ def test_gvn_holds_across_the_whole_library():
         for _ in range(20):
             fs = [random_bounded_function(dom, rng) for _ in range(sys_.m)]
             assert verify_gvn(sys_, fs, k).passed, (name, k, n)
+
+
+@pytest.mark.parametrize("name,k", [("ap3", 1), ("ap4", 2), ("gw6a", 2),
+                                    ("ap5", 3)])
+def test_gvn_norms_match_the_direct_norm(name, k):
+    sys_ = builtin_system(name, 5)
+    n = 1 if sys_.d > 2 or k == 3 else 2
+    rng = np.random.default_rng(67)
+    fs = [random_bounded_function(domain(5, n), rng) for _ in range(sys_.m)]
+    rep = verify_gvn(sys_, fs, k)
+    direct = [uk_norm(f, k + 1) for f in fs]
+    assert np.allclose(rep.observed["norms"], direct, rtol=1e-12, atol=0)
+    assert rep.observed["min_norm"] == min(rep.observed["norms"])
+
+
+def spy_averages(monkeypatch):
+    """Record which average verify_gvn takes, passing the call through."""
+    taken = []
+    for name in ("average_product_direct", "average_product_dual"):
+        def spy(*args, _name=name, _f=getattr(verification, name), **kwargs):
+            taken.append(_name)
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(verification, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("name,k,path", [
+    ("ap3", 1, "average_product_dual"),      # 3 * 125 tuples against 3 * 125^2
+    ("ap4", 2, "average_product_direct"),    # 4 * 125^2 on both sides: a tie
+])
+def test_gvn_average_matches_the_direct_average(name, k, path, monkeypatch):
+    sys_ = builtin_system(name, 5)
+    rng = np.random.default_rng(68)
+    fs = [random_bounded_function(domain(5, 3), rng) for _ in range(sys_.m)]
+    direct = abs(counting.average_product_direct(sys_, fs))
+    taken = spy_averages(monkeypatch)
+    rep = verify_gvn(sys_, fs, k)
+    assert taken == [path]
+    if path == "average_product_direct":
+        assert rep.observed["average_modulus"] == direct
+    else:
+        assert abs(rep.observed["average_modulus"] - direct) <= 1e-12 * direct
+
+
+def test_gvn_budget_prices_the_path_that_runs(capsys):
+    # ap3 at p = 5, n = 3: the dual sums 3 * 125 tuples, the direct average
+    # 3 * 125^2 assignments, and the fast U^2 norm 125 * (3 * 5 + 4) operations
+    base = ["verify", "gvn", "--system", "ap3", "--p", "5", "--n", "3"]
+    assert cli.main(base + ["--budget", "374"]) == 3
+    assert "dual count over 125^1 frequency tuples" in capsys.readouterr().err
+    assert cli.main(base + ["--budget", "2375"]) == 0
+
+
+def test_no_verify_experiment_takes_the_direct_norm(monkeypatch, capsys):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return uk_norm(*args, **kwargs)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("uniformity_lab") and \
+                getattr(mod, "uk_norm", None) is uk_norm:
+            monkeypatch.setattr(mod, "uk_norm", spy)
+    assert functions.uk_norm is spy
+    for argv in (["all"], ["gvn", "--system", "ap4"],
+                 ["gvn", "--system", "ap5", "--k", "3"]):
+        assert cli.main(["verify", *argv, "--p", "5", "--n", "2"]) == 0, argv
+    assert calls == []
 
 
 def test_gvn_refuses_when_complexity_exceeds_k():
@@ -617,6 +687,16 @@ def test_pythagoras_trivial_cases():
     f = random_bounded_function(dom, rng).scaled(0.5)
     f = GroupFunction(domain=dom, values=f.values - f.values.mean())
     assert verify_pythagoras(f, 0.0).observed["gap"] < 1e-12
+
+
+def test_pythagoras_powers_match_the_direct_norm():
+    for p, n in ((3, 3), (5, 2)):
+        f = balanced(quadratic_zero_set(p, n)).scaled(0.5)
+        obs = verify_pythagoras(f, 0.5).observed
+        lhs = uk_norm(f.shifted(0.5), 3) ** 8
+        rhs = 0.5**8 + uk_norm(f, 3) ** 8
+        assert abs(obs["lhs_power"] - lhs) <= 1e-12 * lhs
+        assert abs(obs["rhs_power"] - rhs) <= 1e-12 * rhs
 
 
 def test_pythagoras_requires_mean_zero_and_boundedness():
