@@ -3,8 +3,7 @@ invariants, and configuration counts over F_p^n."""
 
 __version__ = "0.1.0"
 
-from .algebra import (QuadraticForm, Subspace, SymmetricBilinearForm,
-                      bilinear_of, in_span, rank, restrict, solve_affine)
+from .algebra import QuadraticForm, Subspace, rank, solve_affine
 from .budget import BudgetExceededError, check_budget, resolve_budget
 from .counting import (CountReport, average_product_direct,
                        average_product_dual, count_solutions,

@@ -205,23 +205,6 @@ def batched_rank_class(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     return ranks, _legendre(product, p)
 
 
-def in_span(v, vectors, p: int) -> bool:
-    """True iff v lies in the F_p-span of the given vectors."""
-    v = as_fp_vector(v, p)
-    if len(vectors) == 0:
-        return not v.any()
-    S = as_fp_matrix(np.vstack([as_fp_vector(w, p) for w in vectors]), p)
-    if S.shape[1] != v.shape[0]:
-        raise ValueError("dimension mismatch")
-    R, pivots = rref(S, p)
-    # reduce v against the echelon rows
-    res = v.copy()
-    for r, c in enumerate(pivots):
-        if res[c] != 0:
-            res = (res - res[c] * R[r]) % p
-    return not res.any()
-
-
 def nullspace(M, p: int) -> np.ndarray:
     """Basis (rows) of {x : Mx = 0}; shape (dim, cols)."""
     A = as_fp_matrix(M, p)
@@ -268,16 +251,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def is_affine(self) -> bool:
-        return self.offset is not None and bool(self.offset.any())
-
-    def contains(self, v) -> bool:
-        v = as_fp_vector(v, self.p)
-        if self.offset is not None:
-            v = (v - self.offset) % self.p
-        return in_span(v, list(self.basis), self.p)
-
     def points(self) -> np.ndarray:
         """All points, enumerated over basis coefficients; small dims only."""
         k = self.dim
@@ -309,7 +282,10 @@ def solve_affine(M, rhs, p: int) -> Optional[Subspace]:
 
 @dataclass(frozen=True)
 class QuadraticForm:
-    """q(x) = x^T M x + b^T x with M symmetric over F_p."""
+    """q(x) = x^T M x + b^T x with M symmetric over F_p.
+
+    Its polarization (q(x + y) - q(x) - q(y)) / 2 is x^T M y (p odd), so M
+    is also its associated symmetric bilinear form."""
 
     p: int
     M: np.ndarray
@@ -339,51 +315,3 @@ class QuadraticForm:
     @property
     def rank(self) -> int:
         return rank(self.M, self.p)
-
-
-@dataclass(frozen=True)
-class SymmetricBilinearForm:
-    """beta(x, y) = x^T B y with B symmetric over F_p."""
-
-    p: int
-    B: np.ndarray
-
-    def __post_init__(self):
-        check_modulus(self.p)
-        B = as_fp_matrix(self.B, self.p)
-        if B.shape[0] != B.shape[1] or not np.array_equal(B, B.T):
-            raise ValueError("bilinear form matrix must be square symmetric")
-        object.__setattr__(self, "B", B)
-
-    @property
-    def n(self) -> int:
-        return self.B.shape[0]
-
-    def __call__(self, x, y) -> int:
-        x = as_fp_vector(x, self.p)
-        y = as_fp_vector(y, self.p)
-        return int((x @ self.B @ y) % self.p)
-
-    @property
-    def rank(self) -> int:
-        return rank(self.B, self.p)
-
-
-def bilinear_of(q: QuadraticForm) -> SymmetricBilinearForm:
-    """Polarization (q(x+y) - q(x) - q(y)) / 2; the linear part drops out.
-
-    For q(x) = x^T M x + b^T x with M symmetric this is exactly x^T M y,
-    so the associated form is M itself.  Defined only for odd p.
-    """
-    return SymmetricBilinearForm(p=q.p, B=q.M)
-
-
-def restrict(form: SymmetricBilinearForm, W: Subspace) -> SymmetricBilinearForm:
-    """Restriction of the form to a linear subspace, in its basis coordinates."""
-    if W.is_affine:
-        raise ValueError("cannot restrict a bilinear form to an affine subspace")
-    if W.ambient != form.n or W.p != form.p:
-        raise ValueError("subspace does not match form")
-    B = W.basis @ form.B @ W.basis.T % form.p
-    # force exact symmetry after the mod reduction (it already is, by construction)
-    return SymmetricBilinearForm(p=form.p, B=B)

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .algebra import QuadraticForm
+from .algebra import check_modulus
 from .budget import BudgetExceededError, check_budget
 from .counting import (DUAL_AGREEMENT_TOL, average_product_direct,
                        average_product_dual, direct_op_count, dual_op_count,
@@ -29,9 +29,8 @@ from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, TrueComplexityUndecided,
                       conjectured_true_complexity, cs_complexity,
                       normal_form_check, power_independence, resolve_system)
-from .verification import (ComplexityPreconditionError, QuadraticFactor,
-                           QuadraticMap, SquareDependenceError,
-                           atom_distribution, gauss_sum_report,
+from .verification import (ComplexityPreconditionError, SquareDependenceError,
+                           atom_distribution, dot_factor, gauss_sum_report,
                            quadratic_zero_set, quadratic_zero_set_report,
                            random_factor, verify_badex, verify_bound1,
                            verify_completefactor, verify_gvn,
@@ -299,20 +298,21 @@ def cmd_count(args) -> tuple[int, dict]:
     indicator = None
     if "gauss" in methods and args.set_name != "quadzero":
         raise ValueError("--method gauss and all count --set quadzero only")
-    if methods == ("gauss",) and args.degenerate:
-        raise ValueError("--degenerate needs the direct count")
-    if args.set_name == "quadzero":
+    if not args.set_name:
+        raise ValueError("provide --set quadzero or a function/indicator file")
+    obj = load_function(args.set_name) if args.set_name != "quadzero" else None
+    if args.degenerate and not ("direct" in methods and (
+            obj is None or isinstance(obj, IndicatorSet))):
+        raise ValueError("--degenerate needs the direct count of an indicator "
+                         "set (--method direct, both or all)")
+    if obj is None:
         _check_quadzero_budget(sys_, args, methods)
         if methods != ("gauss",):
             indicator = quadratic_zero_set(args.p, args.n)
-    elif args.set_name:
-        obj = load_function(args.set_name)
-        if isinstance(obj, IndicatorSet):
-            indicator = obj
-        else:
-            fs = [obj] * sys_.m
+    elif isinstance(obj, IndicatorSet):
+        indicator = obj
     else:
-        raise ValueError("provide --set quadzero or a function/indicator file")
+        fs = [obj] * sys_.m
 
     exit_code = EXIT_OK
     if indicator is not None:
@@ -365,8 +365,10 @@ def cmd_count(args) -> tuple[int, dict]:
 
 
 def _experiment_reports(args) -> list:
-    """Build and run the requested experiment(s); returns ExperimentReports."""
-    p, n, seed = args.p, args.n, args.seed
+    """Build and run the requested experiment(s); returns ExperimentReports,
+    and under `all` a result record for each experiment skipped because its
+    default system is invalid at p."""
+    p, n, seed = check_modulus(args.p), args.n, args.seed
     rng = np.random.default_rng(seed)
     name = args.experiment
     reports = []
@@ -374,16 +376,30 @@ def _experiment_reports(args) -> list:
     def dom_fn(nn=None):
         return domain(p, nn or n)
 
+    def system(experiment, default):
+        """The --system system, else `default`; None when `default` is
+        invalid at p under `all`, which then records the experiment as
+        skipped instead of ending the run."""
+        if args.system:
+            return resolve_system(args.system, p)
+        try:
+            return resolve_system(default, p)
+        except ValueError as exc:
+            reason = (f"default system {default} is invalid at p = {p} ({exc}); "
+                      f"choose another with --system")
+            if name != "all":
+                raise ValueError(reason) from exc
+            reports.append({"name": experiment, "skipped": reason, "passed": None})
+            return None
+
     if name in ("gauss", "all"):
-        q = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
-        reports.append(gauss_sum_report(q, budget=args.budget))
+        reports.append(gauss_sum_report(dot_factor(p, n).gamma2.forms[0],
+                                        budget=args.budget))
         reports.append(quadratic_zero_set_report(p, n, budget=args.budget))
-    if name in ("badex", "all"):
-        sys_ = resolve_system(args.system or "gw6a", p)
+    if name in ("badex", "all") and (sys_ := system("badex", "gw6a")):
         reports.append(verify_badex(sys_, n, budget=args.budget,
                                     threads=args.threads))
-    if name in ("gvn", "all"):
-        sys_ = resolve_system(args.system or "ap3", p)
+    if name in ("gvn", "all") and (sys_ := system("gvn", "ap3")):
         k = args.k if args.k is not None else int(cs_complexity(sys_))
         fs = [random_bounded_function(dom_fn(), rng) for _ in range(sys_.m)]
         reports.append(verify_gvn(sys_, fs, k, budget=args.budget,
@@ -391,31 +407,21 @@ def _experiment_reports(args) -> list:
     if name in ("atoms", "all"):
         factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
         reports.append(atom_distribution(factor, budget=args.budget))
-    if name in ("quadfactor", "all"):
-        sys_ = resolve_system(args.system or "gw6b", p)
-        q = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
-        reports.append(verify_quadfactor(sys_, QuadraticMap(forms=(q,)),
+    if name in ("quadfactor", "all") and (sys_ := system("quadfactor", "gw6b")):
+        reports.append(verify_quadfactor(sys_, dot_factor(p, n).gamma2,
                                          budget=args.budget, threads=args.threads))
-    if name in ("completefactor", "all"):
-        sys_ = resolve_system(args.system or "gw6b", p)
+    if name in ("completefactor", "all") and (sys_ := system("completefactor", "gw6b")):
         d1 = min(args.d1, n)
-        G1 = np.eye(n, dtype=np.int64)[:d1]
-        q = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
-        factor = QuadraticFactor(p=p, n=n, gamma1=G1, gamma2=QuadraticMap(forms=(q,)))
         reports.append(verify_completefactor(
-            sys_, factor, [[0] * d1] * sys_.m, [[0]] * sys_.m,
+            sys_, dot_factor(p, n, d1), [[0] * d1] * sys_.m, [[0]] * sys_.m,
             budget=args.budget, threads=args.threads))
     if name in ("projections", "all"):
         f = random_bounded_function(dom_fn(), rng)
         factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
         reports.append(verify_projection_lemmas(f, factor, budget=args.budget))
-    if name in ("bound1", "all"):
-        sys_ = resolve_system(args.system or "gw6b", p)
+    if name in ("bound1", "all") and (sys_ := system("bound1", "gw6b")):
         f = balanced(quadratic_zero_set(p, n))
-        q = QuadraticForm(p=p, M=np.eye(n, dtype=np.int64), b=np.zeros(n, dtype=np.int64))
-        factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=np.int64),
-                                 gamma2=QuadraticMap(forms=(q,)))
-        reports.append(verify_bound1(f, factor, sys_, budget=args.budget,
+        reports.append(verify_bound1(f, dot_factor(p, n), sys_, budget=args.budget,
                                      threads=args.threads))
     if name in ("pythagoras", "all"):
         f = balanced(quadratic_zero_set(p, n)).scaled(0.5)
@@ -432,6 +438,10 @@ def cmd_verify(args) -> tuple[int, dict]:
     results = []
     ok = True
     for rep in reports:
+        if isinstance(rep, dict):
+            results.append(rep)
+            print(f"{rep['name']}: skipped  {rep['skipped']}")
+            continue
         results.append(rep.to_dict())
         status = "pass" if rep.passed else "FAIL"
         print(f"{rep.name}: {status}  " +

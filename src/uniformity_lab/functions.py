@@ -143,9 +143,11 @@ class IndicatorSet:
 
     @classmethod
     def from_member_vectors(cls, dom: GroupDomain, vectors) -> "IndicatorSet":
+        V = np.asarray(list(vectors) or np.zeros((0, dom.n)), dtype=np.int64)
+        if V.ndim != 2 or V.shape[1] != dom.n:
+            raise ValueError("member vector does not match domain dimension")
         members = np.zeros(dom.size, dtype=bool)
-        for v in vectors:
-            members[dom.index_of(v)] = True
+        members[np.ravel_multi_index(tuple((V % dom.p).T), dom.grid)] = True
         return cls(domain=dom, members=members)
 
     @property
@@ -157,7 +159,7 @@ class IndicatorSet:
         return Fraction(self.count, self.domain.size)
 
     def to_function(self) -> GroupFunction:
-        exact = np.array([Fraction(int(b)) for b in self.members], dtype=object) \
+        exact = np.where(self.members, Fraction(1), Fraction(0)) \
             if self.domain.size <= EXACT_MODE_MAX_SIZE else None
         return GroupFunction(domain=self.domain,
                              values=self.members.astype(np.complex128),
@@ -172,7 +174,7 @@ def balanced(A: IndicatorSet) -> GroupFunction:
     alpha = A.density
     exact = None
     if A.domain.size <= EXACT_MODE_MAX_SIZE:
-        exact = np.array([Fraction(int(b)) - alpha for b in A.members], dtype=object)
+        exact = np.where(A.members, 1 - alpha, -alpha)
     values = A.members.astype(np.float64) - float(alpha)
     return GroupFunction(domain=A.domain, values=values.astype(np.complex128),
                          exact=exact)

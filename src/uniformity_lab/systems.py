@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (batched_rank, check_modulus, in_span, nullspace,
+from .algebra import (batched_rank, check_modulus, nullspace,
                       rank, rref, Subspace)
 
 MAX_FORMS = 12
@@ -261,12 +261,13 @@ def conjectured_true_complexity(sys: LinearFormSystem) -> int:
 
 
 def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
-    """Greedy lowest-index-first maximal subset with independent squares."""
+    """Greedy lowest-index-first maximal subset with independent squares: a
+    square is kept when it raises the rank of those kept before it."""
     kept: list[int] = []
     tensors: list[np.ndarray] = []
     for i in range(sys.m):
         t = power_tensor(sys.coeffs[i], 1, sys.p)
-        if not in_span(t, tensors, sys.p):
+        if rank(np.vstack(tensors + [t]), sys.p) > len(tensors):
             kept.append(i)
             tensors.append(t)
     return kept

@@ -11,14 +11,17 @@ numbers, never cached.
 Bounds of the form p^(-r/2) are irrational; whenever the observed deviation
 is an exact rational, the comparison deviation <= p^(e - r/2) is performed
 exactly by squaring both sides (deviation^2 <= p^(2e - r)), alongside the
-floating-point record.
+floating-point record.  The atom histogram and the quadfactor and
+completefactor checks share one such verdict, `_add_deviation_check`: a
+factor with no quadratic part must deviate by exactly 0, one of factor rank
+r by at most p^(e - r/2).
 
 The zero-set dichotomy (badex) and the quadfactor and completefactor checks
 are one count, `_factor_matches`: the assignments whose form images all land
-in given atoms of a quadratic factor, badex being the factor x -> x.x with
-zero targets.  It makes the one path decision, `_use_gauss`: with one
-homogeneous form and zero targets it counts in closed form
-(`counting.quadratic_zero_count`) when that is estimated cheaper than
+in given atoms of a quadratic factor, badex being the factor x -> x.x
+(`dot_factor`) with zero targets.  It makes the one path decision,
+`_use_gauss`: with one homogeneous form and zero targets it counts in closed
+form (`counting.quadratic_zero_count`) when that is estimated cheaper than
 enumerating the p^(nd) assignments; both paths give the same integer and so
 byte-identical reports.  `verify_bound1` makes the same decision for its
 average of the atom projection along the system when the factor is one
@@ -32,15 +35,14 @@ direct or the dual side, whichever enumerates fewer tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (QuadraticForm, as_fp_matrix, batched_rank, bilinear_of,
-                      nullspace, rank, rref)
+from .algebra import (QuadraticForm, as_fp_matrix, batched_rank, nullspace,
+                      rank, rref)
 from .budget import check_budget
 from .counting import (_check_inputs, _class_forms, average_product_direct,
                        average_product_dual, direct_op_count, dual_op_count,
@@ -128,6 +130,24 @@ def _exact_power_bound(dev: Fraction, p: int, two_exponent: int) -> bool:
     else:
         bound_sq = Fraction(1, p**(-two_exponent))
     return dev * dev <= bound_sq
+
+
+def _add_deviation_check(rep: ExperimentReport, dev: Fraction, p: int,
+                         two_exponent: int, r: int | None) -> None:
+    """The verdict of a quadratic-factor count: with no quadratic part (r is
+    None) the deviation is exactly 0; with factor rank r it is at most
+    p^((two_exponent - r) / 2), compared exactly.  Records the bound (0 for
+    no quadratic part) as observed."""
+    exact, bounded = (("atoms_exactly_uniform", "atom_deviation_le_bound")
+                      if rep.name == "atoms" else
+                      ("probability_exact_reference", "deviation_le_bound"))
+    if r is None:
+        rep.observed["bound"] = 0.0
+        rep.add_check(exact, float(dev), 0.0, "==", exact_verdict=(dev == 0))
+    else:
+        bound = rep.observed["bound"] = p ** ((two_exponent - r) / 2)
+        rep.add_check(bounded, float(dev), bound, "<=",
+                      exact_verdict=_exact_power_bound(dev, p, two_exponent - r))
 
 
 def _encode(tables, base: int, size: int) -> np.ndarray:
@@ -228,15 +248,12 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
     p^n, so the zero set is never built.
     """
     p = sys.p
-    dot = np.eye(n, dtype=np.int64)
-    factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=np.int64),
-                             gamma2=QuadraticMap(forms=(QuadraticForm(
-                                 p=p, M=dot, b=np.zeros(n, dtype=np.int64)),)))
+    factor = dot_factor(p, n)
     count = _factor_matches(sys, factor, np.zeros((sys.m, 0), dtype=np.int64),
                             np.zeros((sys.m, 1), dtype=np.int64), None, budget,
                             threads)
-    alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64), dot,
-                                          p, budget), p**n)
+    alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64),
+                                          factor.gamma2.forms[0].M, p, budget), p**n)
     P = Fraction(count, p ** (n * sys.d))
     independent = power_independence(sys, 1)
     rep = ExperimentReport(
@@ -367,21 +384,24 @@ class QuadraticFactor:
         return self.linear_codes(dom) * self.p**self.d2 + self.gamma2.value_codes(dom)
 
 
+def dot_factor(p: int, n: int, d1: int = 0) -> QuadraticFactor:
+    """The factor of F_p^n cut out by the first d1 coordinates and x -> x.x."""
+    eye = np.eye(n, dtype=np.int64)
+    q = QuadraticForm(p=p, M=eye, b=np.zeros(n, dtype=np.int64))
+    return QuadraticFactor(p=p, n=n, gamma1=eye[:d1], gamma2=QuadraticMap(forms=(q,)))
+
+
 def factor_rank(gamma2: QuadraticMap, p: int | None = None) -> int:
     """Minimum rank of a nonzero F_p-combination of the associated symmetric
-    bilinear forms.  A combination and its nonzero multiples share a rank,
+    bilinear forms, the matrices M of the forms.  A combination and its nonzero multiples share a rank,
     so one combination on each line of F_p^d2 is eliminated, (p^d2 - 1)/(p - 1)
     of them (`counting._class_forms`), in batches; requires at least one
     quadratic form."""
     if gamma2.d2 == 0:
         raise ValueError("factor rank needs d2 >= 1")
     p = gamma2.forms[0].p if p is None else p
-    mats = np.stack([bilinear_of(q).B for q in gamma2.forms])
+    mats = np.stack([q.M for q in gamma2.forms])
     return min(int(batched_rank(forms, p).min()) for _, forms in _class_forms(mats, p))
-
-
-def factor_rank_or_inf(gamma2: QuadraticMap, p: int) -> float:
-    return math.inf if gamma2.d2 == 0 else factor_rank(gamma2, p)
 
 
 def atom_distribution(factor: QuadraticFactor,
@@ -393,24 +413,16 @@ def atom_distribution(factor: QuadraticFactor,
     check_budget(dom.size, budget, what=f"atom histogram over {p}^{n} points")
     cells = p ** (factor.d1 + factor.d2)
     counts = np.bincount(factor.atom_codes(dom), minlength=cells)
-    r = factor_rank_or_inf(factor.gamma2, p)
+    r = factor_rank(factor.gamma2, p) if factor.d2 else None
     ref = Fraction(1, cells)
     worst = max(abs(Fraction(int(c), dom.size) - ref) for c in counts)
-    bound = 0.0 if math.isinf(r) else p ** (-r / 2)
     rep = ExperimentReport(
         name="atoms",
-        parameters={"p": p, "n": n, "d1": factor.d1, "d2": factor.d2,
-                    "rank": None if math.isinf(r) else int(r)},
+        parameters={"p": p, "n": n, "d1": factor.d1, "d2": factor.d2, "rank": r},
         observed={"cells": cells, "count_min": int(counts.min()),
                   "count_max": int(counts.max()),
-                  "worst_deviation": float(worst),
-                  "reference": float(ref), "bound": bound})
-    if math.isinf(r):
-        rep.add_check("atoms_exactly_uniform", float(worst), 0.0, "==",
-                      exact_verdict=(worst == 0))
-    else:
-        rep.add_check("atom_deviation_le_bound", float(worst), bound, "<=",
-                      exact_verdict=_exact_power_bound(worst, p, -int(r)))
+                  "worst_deviation": float(worst), "reference": float(ref)})
+    _add_deviation_check(rep, worst, p, 0, r)
     return rep
 
 
@@ -548,24 +560,16 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     matches = _factor_matches(sys, factor, np.zeros((m, 0), dtype=np.int64),
                               b_arr, phi_mats, budget, threads)
     P = Fraction(matches, p ** (n * d))
-    r = factor_rank_or_inf(gamma2, p)
+    r = factor_rank(gamma2, p) if d2 else None
     ref = Fraction(1, p ** (m * d2))
     dev = abs(P - ref)
-    bound = 0.0 if math.isinf(r) else p ** (-r / 2)
     rep = ExperimentReport(
         name="quadfactor",
         parameters={"p": p, "n": n, "m": m, "d": d, "d2": d2,
-                    "system": sys.name or "custom",
-                    "rank": None if math.isinf(r) else int(r)},
+                    "system": sys.name or "custom", "rank": r},
         observed={"probability": float(P), "probability_exact": str(P),
-                  "reference": float(ref), "deviation": float(dev),
-                  "bound": bound})
-    if math.isinf(r):
-        rep.add_check("probability_exact_reference", float(dev), 0.0, "==",
-                      exact_verdict=(dev == 0))
-    else:
-        rep.add_check("deviation_le_bound", float(dev), bound, "<=",
-                      exact_verdict=_exact_power_bound(dev, p, -int(r)))
+                  "reference": float(ref), "deviation": float(dev)})
+    _add_deviation_check(rep, dev, p, 0, r)
     return rep
 
 
@@ -596,13 +600,12 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     matches = _factor_matches(sys, factor, A_t, B_t, None, budget, threads)
     P = Fraction(matches, p ** (n * d))
     d_prime = span_dimension(sys)
-    r = factor_rank_or_inf(factor.gamma2, p)
+    r = factor_rank(factor.gamma2, p) if d2 else None
     rep = ExperimentReport(
         name="completefactor",
         parameters={"p": p, "n": n, "m": m, "d": d, "d1": d1, "d2": d2,
                     "d_prime": d_prime, "system": sys.name or "custom",
-                    "rank": None if math.isinf(r) else int(r),
-                    "targets_in_Z": in_Z},
+                    "rank": r, "targets_in_Z": in_Z},
         observed={"probability": float(P), "probability_exact": str(P)})
     if not in_Z:
         rep.add_check("probability_zero_outside_Z", float(P), 0.0, "==",
@@ -610,16 +613,8 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
         return rep
     ref = Fraction(1, p ** (d1 * d_prime + d2 * m))
     dev = abs(P - ref)
-    exponent = d1 - d_prime * d1  # plus -r/2 handled by the squared compare
-    bound = 0.0 if math.isinf(r) else p ** (exponent - r / 2)
-    rep.observed.update({"reference": float(ref), "deviation": float(dev),
-                         "bound": bound})
-    if math.isinf(r):
-        rep.add_check("probability_exact_reference", float(dev), 0.0, "==",
-                      exact_verdict=(dev == 0))
-    else:
-        rep.add_check("deviation_le_bound", float(dev), bound, "<=",
-                      exact_verdict=_exact_power_bound(dev, p, 2 * exponent - int(r)))
+    rep.observed.update({"reference": float(ref), "deviation": float(dev)})
+    _add_deviation_check(rep, dev, p, 2 * (d1 - d_prime * d1), r)
     return rep
 
 
@@ -724,14 +719,13 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
         average = average_product_direct(sys, [f1] * m, budget=budget,
                                          threads=threads)
     observed = average.real
-    r = factor_rank_or_inf(factor.gamma2, p)
-    tail = 0.0 if math.isinf(r) else 2 ** (m + 1) * p ** (m * (factor.d1 + factor.d2) - r / 2)
+    r = factor_rank(factor.gamma2, p) if factor.d2 else None
+    tail = 0.0 if r is None else 2 ** (m + 1) * p ** (m * (factor.d1 + factor.d2) - r / 2)
     bound = 4**m * c * p ** (factor.d1 / 4) + tail
     rep = ExperimentReport(
         name="bound1",
         parameters={"p": p, "n": factor.n, "m": m, "d1": factor.d1,
-                    "d2": factor.d2, "system": sys.name or "custom",
-                    "rank": None if math.isinf(r) else int(r)},
+                    "d2": factor.d2, "system": sys.name or "custom", "rank": r},
         observed={"average": observed, "u2_norm": c, "bound": bound})
     rep.add_check("structured_average_le_bound", observed, bound, "<=", FLOAT_SLACK)
     return rep

@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from uniformity_lab.algebra import (QuadraticForm, Subspace,
-                                    SymmetricBilinearForm, batched_rank,
-                                    batched_rank_class, bilinear_of, check_modulus, in_span,
-                                    nullspace, rank, restrict, rref,
-                                    solve_affine)
+from uniformity_lab.algebra import (QuadraticForm, Subspace, batched_rank,
+                                    batched_rank_class, check_modulus,
+                                    nullspace, rank, rref, solve_affine)
 
 import oracles
 
@@ -119,26 +116,6 @@ def test_batched_rank_at_large_primes():
         assert set(ranks) == {3, 4}
 
 
-def test_in_span_examples():
-    assert in_span([1, 1], [[1, 0], [0, 1]], 5)
-    assert not in_span([1, 0], [], 5)
-    assert in_span([2, 4], [[1, 2]], 5)
-    with pytest.raises(ValueError):
-        in_span([1, 0, 0], [[1, 2]], 5)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(0, 3 ** 6 - 1), st.lists(st.integers(0, 3 ** 3 - 1),
-                                            max_size=3))
-def test_in_span_iff_rank_unchanged(vcode, scodes):
-    p, dim = 3, 3
-    v = [(vcode // p**j) % p for j in range(dim)]
-    S = [[(c // p**j) % p for j in range(dim)] for c in scodes]
-    expected = (rank(S + [v], p) == rank(S, p)) if S else not any(v)
-    assert in_span(v, S, p) == expected
-    assert in_span(v, S, p) == oracles.naive_in_span(v, S, p)
-
-
 def test_rref_is_deterministic_and_reduced():
     M = [[0, 2, 1], [3, 1, 4], [3, 3, 0]]
     R1, piv1 = rref(M, 5)
@@ -149,90 +126,84 @@ def test_rref_is_deterministic_and_reduced():
         assert col[r] == 1 and (col.sum() == 1)
 
 
-def test_bilinear_of_examples():
-    q = QuadraticForm(p=5, M=np.eye(2, dtype=int), b=[0, 0])
-    assert np.array_equal(bilinear_of(q).B, np.eye(2, dtype=int))
-    q = QuadraticForm(p=5, M=np.zeros((2, 2), dtype=int), b=[1, 2])
-    assert not bilinear_of(q).B.any()
-    q = QuadraticForm(p=5, M=[[0, 1], [1, 0]], b=[0, 0])  # q(x) = 2 x1 x2
-    assert np.array_equal(bilinear_of(q).B, [[0, 1], [1, 0]])
-
-
 def test_even_modulus_rejected():
     with pytest.raises(ValueError):
         QuadraticForm(p=2, M=[[1]], b=[0])
 
 
 def test_polarization_matches_quadratic_exhaustively():
-    # q(x) = beta(x, x) for homogeneous q; every point, small domains
+    # the associated bilinear form of q is q.M itself: q(x) = x^T M x for
+    # homogeneous q, every point, small domains
     rng = np.random.default_rng(12)
     for p, n in [(3, 4), (5, 2)]:
         M = rng.integers(0, p, size=(n, n))
         M = (M + M.T) % p
         q = QuadraticForm(p=p, M=M, b=np.zeros(n, dtype=int))
-        beta = bilinear_of(q)
         for x in np.ndindex(*(p,) * n):
             xv = np.array(x)
-            assert q(xv) == beta(xv, xv)
+            assert q(xv) == xv @ q.M @ xv % p
 
-    # and the defining difference identity with an offset present
+    # the defining difference identity with an offset present: the linear
+    # part drops out of (q(x + y) - q(x) - q(y)) / 2 = x^T M y
     q = QuadraticForm(p=5, M=[[1, 2], [2, 0]], b=[3, 1])
-    beta = bilinear_of(q)
     inv2 = pow(2, 5 - 2, 5)
     for x in np.ndindex(5, 5):
         for y in np.ndindex(5, 5):
             xv, yv = np.array(x), np.array(y)
             polar = (q((xv + yv) % 5) - q(xv) - q(yv)) * inv2 % 5
-            assert polar == beta(xv, yv)
+            assert polar == xv @ q.M @ yv % 5
+
+    # q(x) = 2 x1 x2 polarizes to the hyperbolic plane; a purely linear q to 0
+    q = QuadraticForm(p=5, M=[[0, 1], [1, 0]], b=[0, 0])
+    assert all(q(np.array(x)) == 2 * x[0] * x[1] % 5 for x in np.ndindex(5, 5))
+    assert not QuadraticForm(p=5, M=np.zeros((2, 2), dtype=int), b=[1, 2]).M.any()
+
+
+def random_basis(rng, p, k, n):
+    """k independent random vectors of F_p^n, as rows."""
+    while True:
+        cand = rng.integers(0, p, size=(k, n))
+        if rank(cand, p) == k:
+            return cand
 
 
 def test_restrict_examples():
-    B = SymmetricBilinearForm(p=5, B=np.eye(4, dtype=int))
-    W = Subspace(p=5, ambient=4, basis=np.eye(4, dtype=int)[:2])
-    R = restrict(B, W)
-    assert np.array_equal(R.B, np.eye(2, dtype=int)) and R.rank == 2
+    # the restriction of x^T M y to W = span(rows of W) is W M W^T in W's
+    # basis; its rank is the span rank of those rows
+    M = np.eye(4, dtype=int)
+    W = np.eye(4, dtype=int)[:2]
+    R = W @ M @ W.T % 5
+    assert np.array_equal(R, np.eye(2, dtype=int))
+    assert oracles.span_rank(list(R), 5) == 2
 
-    full = Subspace(p=5, ambient=4, basis=[[1, 1, 0, 0], [0, 1, 0, 0],
-                                           [0, 0, 1, 2], [0, 0, 0, 1]])
-    assert restrict(B, full).rank == 4
-
-
-def test_restrict_rejects_affine():
-    B = SymmetricBilinearForm(p=5, B=np.eye(2, dtype=int))
-    W = Subspace(p=5, ambient=2, basis=[[1, 0]], offset=[0, 1])
-    with pytest.raises(ValueError):
-        restrict(B, W)
+    full = np.array([[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 2], [0, 0, 0, 1]])
+    assert oracles.span_rank(list(full @ M @ full.T % 5), 5) == 4
+    # the drop of 2 codim W is reached: x1^2 + x2^2 at p = 5 vanishes on the
+    # line spanned by (2, 1), as 4 + 1 = 0, so rank 2 falls to 0 there
+    line = np.array([[2, 1]])
+    assert rank(line @ np.eye(2, dtype=int) @ line.T % 5, 5) == 0
 
 
 def test_rank_drop_under_restriction_randomized():
-    # restriction to codimension d1 loses at most 2*d1 of the rank
+    # restriction to codimension c loses at most 2c of the rank:
+    # rank(W M W^T) >= rank M - 2 codim W
     rng = np.random.default_rng(13)
     p = 5
     for _ in range(100):
         n = int(rng.integers(2, 9))
         M = rng.integers(0, p, size=(n, n))
-        B = SymmetricBilinearForm(p=p, B=(M + M.T) % p)
+        M = (M + M.T) % p
         k = int(rng.integers(1, n + 1))
-        basis = None
-        while basis is None:
-            cand = rng.integers(0, p, size=(k, n))
-            if rank(cand, p) == k:
-                basis = cand
-        W = Subspace(p=p, ambient=n, basis=basis)
-        d1 = n - k
-        assert restrict(B, W).rank >= B.rank - 2 * d1
+        W = random_basis(rng, p, k, n)
+        assert rank(W @ M @ W.T % p, p) >= rank(M, p) - 2 * (n - k)
 
 
 def test_identity_codim1_restriction_keeps_rank_at_least_4():
     rng = np.random.default_rng(14)
-    B = SymmetricBilinearForm(p=5, B=np.eye(6, dtype=int))
+    M = np.eye(6, dtype=int)
     for _ in range(20):
-        basis = None
-        while basis is None:
-            cand = rng.integers(0, 5, size=(5, 6))
-            if rank(cand, 5) == 5:
-                basis = cand
-        assert restrict(B, Subspace(p=5, ambient=6, basis=basis)).rank >= 4
+        W = random_basis(rng, 5, 5, 6)
+        assert rank(W @ M @ W.T % 5, 5) >= 4
 
 
 def test_solve_affine_examples():

@@ -258,6 +258,38 @@ def test_count_gauss_runs_beyond_the_domain_limit(tmp_path, capsys):
     assert main(["count", "--system", "ap3", "--p", "5", "--method", "all"]) == 2
 
 
+def test_count_degenerate_needs_a_direct_indicator_count(tmp_path, capsys):
+    base = ["count", "--system", "ap3", "--p", "5", "--n", "2", "--degenerate"]
+    assert main(base + ["--set", "quadzero", "--method", "dual"]) == 2
+    assert "--degenerate" in capsys.readouterr().err
+    path = tmp_path / "f.json"
+    save_function(balanced(quadratic_zero_set(5, 2)), str(path))
+    assert main(base + ["--set", str(path), "--method", "both"]) == 2
+    assert "--degenerate" in capsys.readouterr().err
+    code, report, _ = run(base + ["--set", "quadzero", "--method", "both"], tmp_path)
+    assert code == 0
+    entry = next(r for r in report["results"] if r["name"] == "solution_probability")
+    assert 0 < entry["degenerate_fraction"] < 1
+
+
+def test_verify_all_skips_a_default_system_invalid_at_p(tmp_path, capsys):
+    # badex's default gw6a has two forms equal mod 3, (1, 2, -1) and (1, -1, 2)
+    code, report, _ = run(["verify", "all", "--p", "3", "--n", "2"], tmp_path)
+    assert code == 0 and report["passed"] and validate_report(report) == []
+    names = [r["name"] for r in report["results"]]
+    assert names == ["gauss", "quadzero", "badex", "gvn", "atoms", "quadfactor",
+                     "completefactor", "projections", "bound1", "pythagoras"]
+    skipped = report["results"][2]
+    assert skipped["passed"] is None and "gw6a" in skipped["skipped"]
+    assert all(r["passed"] for r in report["results"] if r is not skipped)
+    assert "badex: skipped" in capsys.readouterr().out
+    assert main(["verify", "badex", "--p", "3", "--n", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "gw6a" in err and "--system" in err
+    # a system named on the command line is never skipped
+    assert main(["verify", "all", "--system", "gw6a", "--p", "3", "--n", "2"]) == 2
+
+
 @pytest.mark.parametrize("argv", [["verify", "badex", "--n", "50"],
                                   ["verify", "quadfactor", "--p", "5", "--n", "20"]])
 def test_closed_form_experiments_run_at_large_n(argv, tmp_path, capsys):

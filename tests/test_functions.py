@@ -276,6 +276,21 @@ def test_balanced_quadratic_zero_set_values():
     assert set(f.exact) == {Fraction(-9, 25), Fraction(16, 25)}
 
 
+def test_member_vectors_build_the_exact_tables():
+    dom = domain(5, 2)
+    # entries are read mod p; a repeated member counts once
+    A = IndicatorSet.from_member_vectors(dom, [[0, 1], [7, -1], [2, 4]])
+    assert np.flatnonzero(A.members).tolist() == sorted(
+        [dom.index_of([0, 1]), dom.index_of([2, 4])])
+    assert list(A.to_function().exact) == [Fraction(int(b)) for b in A.members]
+    assert list(balanced(A).exact) == [Fraction(int(b)) - Fraction(2, 25)
+                                       for b in A.members]
+    assert IndicatorSet.from_member_vectors(dom, []).count == 0
+    for bad in ([[1, 2, 3]], [[1], [2]], [1, 2], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            IndicatorSet.from_member_vectors(dom, bad)
+
+
 # ---------------------------------------------------------------- files
 
 def test_function_file_roundtrips(tmp_path):

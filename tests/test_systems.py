@@ -324,6 +324,26 @@ def test_maximal_square_independent_subsystem():
     assert maximal_square_independent_subsystem(make(5, [[1, 0], [2, 0]])) == [0]
 
 
+@pytest.mark.parametrize("p", [5, 7])
+def test_maximal_square_independent_subsystem_matches_greedy_oracle(p):
+    # greedy lowest-index-first over the flattened gamma gamma^T, a form kept
+    # when its square is outside the span of the kept ones (span enumeration)
+    rng = np.random.default_rng(30 + p)
+    checked = 0
+    while checked < 25:
+        m, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        rows = [[int(v) for v in r] for r in rng.integers(0, p, size=(m, d))]
+        if not all(any(r) for r in rows) or len({tuple(r) for r in rows}) < m:
+            continue
+        squares = [(np.outer(r, r) % p).ravel() for r in rows]
+        kept = []
+        for i, sq in enumerate(squares):
+            if not oracles.naive_in_span(sq, [squares[j] for j in kept], p):
+                kept.append(i)
+        assert maximal_square_independent_subsystem(make(p, rows)) == kept, rows
+        checked += 1
+
+
 # ---------------------------------------------------------------- relations
 
 def test_relation_space_examples():
