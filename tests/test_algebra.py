@@ -153,10 +153,27 @@ def test_polarization_matches_quadratic_exhaustively():
             polar = (q((xv + yv) % 5) - q(xv) - q(yv)) * inv2 % 5
             assert polar == xv @ q.M @ yv % 5
 
-    # q(x) = 2 x1 x2 polarizes to the hyperbolic plane; a purely linear q to 0
-    q = QuadraticForm(p=5, M=[[0, 1], [1, 0]], b=[0, 0])
+
+def polar_matrix(q):
+    """Gram matrix of (q(x + y) - q(x) - q(y)) / 2 on the standard basis."""
+    n, p = q.n, q.p
+    inv2 = pow(2, p - 2, p)
+    e = np.eye(n, dtype=int)
+    return np.array([[(q((e[i] + e[j]) % p) - q(e[i]) - q(e[j])) * inv2 % p
+                      for j in range(n)] for i in range(n)])
+
+
+def test_bilinear_of_examples():
+    # the associated bilinear form, read off q by polarization, is q.M
+    q = QuadraticForm(p=5, M=np.eye(2, dtype=int), b=[0, 0])
+    assert np.array_equal(polar_matrix(q), np.eye(2, dtype=int))
+    assert np.array_equal(q.M, polar_matrix(q))
+    q = QuadraticForm(p=5, M=np.zeros((2, 2), dtype=int), b=[1, 2])
+    assert not polar_matrix(q).any() and not q.M.any()
+    q = QuadraticForm(p=5, M=[[0, 1], [1, 0]], b=[0, 0])  # q(x) = 2 x1 x2
     assert all(q(np.array(x)) == 2 * x[0] * x[1] % 5 for x in np.ndindex(5, 5))
-    assert not QuadraticForm(p=5, M=np.zeros((2, 2), dtype=int), b=[1, 2]).M.any()
+    assert np.array_equal(polar_matrix(q), [[0, 1], [1, 0]])
+    assert np.array_equal(q.M, polar_matrix(q))
 
 
 def random_basis(rng, p, k, n):
