@@ -3,11 +3,12 @@ invariants, and configuration counts over F_p^n."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .algebra import QuadraticForm, Subspace, rank, solve_affine
 from .budget import BudgetExceededError, check_budget, resolve_budget
-from .counting import (CountReport, average_product_direct,
-                       average_product_dual, count_solutions,
-                       solution_probability)
+from .counting import (average_product_direct, average_product_dual,
+                       count_solutions)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, balanced, convolve,
                         fourier, inverse_fourier, l2_norm, load_function,
@@ -28,4 +29,7 @@ from .verification import (Check, ExperimentReport, QuadraticFactor,
                            verify_gvn, verify_projection_lemmas,
                            verify_pythagoras, verify_quadfactor)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the imported names; the submodules, bound as attributes by the imports
+# above, stay reachable as `uniformity_lab.<module>` but are not exported
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -251,17 +251,6 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    def points(self) -> np.ndarray:
-        """All points, enumerated over basis coefficients; small dims only."""
-        k = self.dim
-        count = self.p**k
-        coeffs = (np.arange(count)[:, None] //
-                  self.p ** np.arange(k - 1, -1, -1)[None, :]) % self.p
-        pts = coeffs @ self.basis % self.p if k else np.zeros((1, self.ambient), dtype=np.int64)
-        if self.offset is not None:
-            pts = (pts + self.offset) % self.p
-        return pts % self.p
-
 
 def solve_affine(M, rhs, p: int) -> Optional[Subspace]:
     """Solution set of Mx = rhs as an affine Subspace, or None if inconsistent."""

@@ -12,15 +12,16 @@ import argparse
 import csv
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 
 from .algebra import check_modulus
 from .budget import BudgetExceededError, check_budget
 from .counting import (DUAL_AGREEMENT_TOL, average_product_direct,
-                       average_product_dual, direct_op_count, dual_op_count,
-                       quadratic_zero_op_count, quadratic_zero_probability,
-                       solution_probability)
+                       average_product_dual, count_solutions, direct_op_count,
+                       dual_op_count, quadratic_zero_count,
+                       quadratic_zero_op_count)
 from .domains import domain
 from .functions import (IndicatorSet, balanced, load_function,
                         random_bounded_function, uk_norm, uk_norm_fast,
@@ -174,15 +175,12 @@ def cmd_list(args) -> tuple[int, dict]:
               f"square_independent={sq} conjectured_true={true_k}")
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["name", "m", "d", "cs_complexity",
-                             "square_independent",
-                             "conjectured_true_complexity"])
-            for row in results:
-                writer.writerow([row["name"], row["m"], row["d"],
-                                 row["cs_complexity"],
-                                 row["square_independent"],
-                                 row["conjectured_true_complexity"]])
+            writer = csv.DictWriter(fh, ["name", "m", "d", "cs_complexity",
+                                         "square_independent",
+                                         "conjectured_true_complexity"],
+                                    extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(results)
     return EXIT_OK, make_report("list", {"p": args.p, "csv": args.csv}, results)
 
 
@@ -287,6 +285,28 @@ def _check_quadzero_budget(sys_, args, methods) -> None:
                          what=f"dual count of quadzero on size {dom.size}")
 
 
+def _probability(name, count, total, alpha, m, method, op_count,
+                 degenerate=None) -> dict:
+    """The record of P = count / total against alpha^m, printed as a P line;
+    `degenerate`, the solutions with two coinciding form images, adds their
+    fraction of the count."""
+    observed = Fraction(count, total)
+    reference = alpha**m
+    deviation = abs(float(observed) - float(reference))
+    record = {"name": name, "observed": _cx(float(observed)),
+              "reference": _cx(float(reference)), "deviation": deviation,
+              "bound": None, "method": method, "op_count": op_count,
+              "observed_exact": str(observed), "reference_exact": str(reference),
+              "passed": None}
+    if degenerate is not None:
+        record["degenerate_fraction"] = \
+            float(Fraction(degenerate, count)) if count else 0.0
+    print(f"P = {observed} = {_fmt(float(observed))}   "
+          f"alpha^m = {_fmt(float(reference))}   deviation = {_fmt(deviation)}"
+          + (" (gauss)" if method == "gauss" else ""))
+    return record
+
+
 def cmd_count(args) -> tuple[int, dict]:
     sys_ = resolve_system(args.system, args.p)
     config = {"system": args.system, "set": args.set_name, "p": args.p,
@@ -318,16 +338,17 @@ def cmd_count(args) -> tuple[int, dict]:
     if indicator is not None:
         fs = [indicator.to_function()] * sys_.m
         if "direct" in methods:
-            rep = solution_probability(sys_, indicator, budget=args.budget,
-                                       threads=args.threads,
-                                       with_degenerate=args.degenerate)
-            entry = {"name": "solution_probability", **rep.to_dict(), "passed": None}
+            dom = indicator.domain
+            count, degenerate = count_solutions(
+                sys_, indicator, budget=args.budget, threads=args.threads,
+                with_degenerate=args.degenerate)
+            entry = _probability("solution_probability", count, dom.size**sys_.d,
+                                 indicator.density, sys_.m, "direct",
+                                 direct_op_count(sys_, dom), degenerate)
             results.append(entry)
-            print(f"P = {rep.observed_exact} = {_fmt(rep.observed.real)}   "
-                  f"alpha^m = {_fmt(rep.reference.real)}   "
-                  f"deviation = {_fmt(rep.deviation)}")
-            direct = rep.observed  # 0/1 products sum exactly: count / N^d
-            direct_exact = rep.observed_exact
+            # 0/1 products sum exactly: the average is count / N^d
+            direct = complex(entry["observed"]["re"])
+            direct_exact = entry["observed_exact"]
     if "direct" in methods:
         if indicator is None:
             direct = average_product_direct(sys_, fs, budget=args.budget,
@@ -348,14 +369,17 @@ def cmd_count(args) -> tuple[int, dict]:
         if not ok:
             exit_code = EXIT_FAIL
     if "gauss" in methods:
-        rep = quadratic_zero_probability(sys_, args.n, budget=args.budget)
-        results.append({"name": "solution_probability_gauss", **rep.to_dict(),
-                        "passed": None})
-        print(f"P = {rep.observed_exact} = {_fmt(rep.observed.real)}   "
-              f"alpha^m = {_fmt(rep.reference.real)}   "
-              f"deviation = {_fmt(rep.deviation)} (gauss)")
+        # the count and alpha (the m = d = 1 count over p^n) by the closed
+        # form: no domain is built and n may be any size
+        p, n, dot = args.p, args.n, np.eye(args.n, dtype=np.int64)
+        count = quadratic_zero_count(sys_.coeffs, dot, p, args.budget)
+        alpha = Fraction(quadratic_zero_count([[1]], dot, p, args.budget), p**n)
+        entry = _probability("solution_probability_gauss", count, p ** (n * sys_.d),
+                             alpha, sys_.m, "gauss",
+                             quadratic_zero_op_count(sys_.m, sys_.d, n, p))
+        results.append(entry)
         if "direct" in methods:
-            same = rep.observed_exact == direct_exact
+            same = entry["observed_exact"] == direct_exact
             results.append({"name": "gauss_vs_direct", "exact_match": same,
                             "passed": same})
             print(f"gauss vs direct: {'exact match' if same else 'MISMATCH'}")
@@ -372,9 +396,6 @@ def _experiment_reports(args) -> list:
     rng = np.random.default_rng(seed)
     name = args.experiment
     reports = []
-
-    def dom_fn(nn=None):
-        return domain(p, nn or n)
 
     def system(experiment, default):
         """The --system system, else `default`; None when `default` is
@@ -401,7 +422,7 @@ def _experiment_reports(args) -> list:
                                     threads=args.threads))
     if name in ("gvn", "all") and (sys_ := system("gvn", "ap3")):
         k = args.k if args.k is not None else int(cs_complexity(sys_))
-        fs = [random_bounded_function(dom_fn(), rng) for _ in range(sys_.m)]
+        fs = [random_bounded_function(domain(p, n), rng) for _ in range(sys_.m)]
         reports.append(verify_gvn(sys_, fs, k, budget=args.budget,
                                   threads=args.threads))
     if name in ("atoms", "all"):
@@ -416,7 +437,7 @@ def _experiment_reports(args) -> list:
             sys_, dot_factor(p, n, d1), [[0] * d1] * sys_.m, [[0]] * sys_.m,
             budget=args.budget, threads=args.threads))
     if name in ("projections", "all"):
-        f = random_bounded_function(dom_fn(), rng)
+        f = random_bounded_function(domain(p, n), rng)
         factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
         reports.append(verify_projection_lemmas(f, factor, budget=args.budget))
     if name in ("bound1", "all") and (sys_ := system("bound1", "gw6b")):

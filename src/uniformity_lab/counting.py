@@ -21,24 +21,22 @@ The third strategy counts quadratic zeros in closed form:
 exact sum of Gauss sums over the lines of lambda in F_p^m, read off the rank
 and discriminant class of each M_lambda = sum_i lambda_i l_i l_i^T.  Its cost
 depends on m, d and p, not on n, and it builds no domain.  It serves the
-quadratic zero set {x.x = 0} (`quadratic_zero_probability`, `count --method
-gauss`) and the homogeneous factor count in `verification`, and must equal
-the direct count exactly.  The same class enumeration also serves weighted
-averages: `quadratic_average` gives E prod_i g_i((X l_i)^T B (X l_i)) for any
+quadratic zero set {x.x = 0} (`count --method gauss`) and the homogeneous
+factor count in `verification`, and must equal the direct count exactly.
+The same class enumeration also serves weighted averages:
+`quadratic_average` gives E prod_i g_i((X l_i)^T B (X l_i)) for any
 functions g_i on F_p, as a float sum of the Gauss sums weighted by the g_i's
 Fourier coefficients (`verify bound1`), and must agree with the direct
 average to rounding.
 
 Counting includes degenerate configurations (for instance zero-difference
-progressions); the reference probabilities are defined over the full
-parameter space the same way.
+progressions); the reference probabilities alpha^m of `count` are defined
+over the full parameter space the same way.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Iterator, Optional, Sequence
 
@@ -57,55 +55,6 @@ CHUNK = 1 << 19
 CLASS_BLOCK = 1 << 15
 
 DUAL_AGREEMENT_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class CountReport:
-    """Observed average against its reference value, with optional bound.
-
-    The deviation is always recomputed from the stored observed/reference
-    pair, and `passed` from deviation and bound, so the verdict can be
-    re-derived from the report alone.
-    """
-
-    observed: complex
-    reference: complex
-    method: str
-    op_count: int
-    bound: Optional[float] = None
-    observed_exact: Optional[str] = None
-    reference_exact: Optional[str] = None
-    degenerate_fraction: Optional[float] = None
-    tolerance: float = 1e-9
-
-    @property
-    def deviation(self) -> float:
-        return abs(self.observed - self.reference)
-
-    @property
-    def passed(self) -> Optional[bool]:
-        if self.bound is None:
-            return None
-        return self.deviation <= self.bound + self.tolerance
-
-    def to_dict(self) -> dict:
-        out = {
-            "observed": {"re": float(self.observed.real), "im": float(self.observed.imag)},
-            "reference": {"re": float(self.reference.real), "im": float(self.reference.imag)},
-            "deviation": self.deviation,
-            "bound": self.bound,
-            "method": self.method,
-            "op_count": self.op_count,
-        }
-        if self.observed_exact is not None:
-            out["observed_exact"] = self.observed_exact
-        if self.reference_exact is not None:
-            out["reference_exact"] = self.reference_exact
-        if self.degenerate_fraction is not None:
-            out["degenerate_fraction"] = self.degenerate_fraction
-        if self.passed is not None:
-            out["passed"] = self.passed
-        return out
 
 
 def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDomain:
@@ -424,51 +373,3 @@ def quadratic_average(C, B, p: int, g, budget: int | None = None) -> complex:
         weight = np.where(ranks * r_B % 2 == 1, w @ chi, w.sum(axis=1))
         total += complex((S[2 * ranks + (eps > 0)] * weight).sum())
     return total
-
-
-def quadratic_zero_probability(sys: LinearFormSystem, n: int,
-                               budget: int | None = None) -> CountReport:
-    """`solution_probability` of A = {x in F_p^n : x.x = 0} by the closed form
-    (method "gauss"), against alpha^m: the count and A's density alpha (the
-    m = d = 1 count over p^n) are both `quadratic_zero_count`, so no domain
-    is built and n may be any size."""
-    dot = np.eye(n, dtype=np.int64)
-    count = quadratic_zero_count(sys.coeffs, dot, sys.p, budget)
-    alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64), dot,
-                                          sys.p, budget), sys.p**n)
-    observed = Fraction(count, sys.p ** (n * sys.d))
-    reference = alpha**sys.m
-    return CountReport(
-        observed=complex(float(observed)),
-        reference=complex(float(reference)),
-        method="gauss",
-        op_count=quadratic_zero_op_count(sys.m, sys.d, n, sys.p),
-        observed_exact=str(observed),
-        reference_exact=str(reference),
-    )
-
-
-def solution_probability(sys: LinearFormSystem, A: IndicatorSet,
-                         budget: int | None = None, threads: int = 1,
-                         with_degenerate: bool = False,
-                         bound: float | None = None) -> CountReport:
-    """Probability that every form image lands in A, against alpha^m."""
-    dom = A.domain
-    count, degenerate = count_solutions(sys, A, budget=budget, threads=threads,
-                                        with_degenerate=with_degenerate)
-    total = dom.size**sys.d
-    observed = Fraction(count, total)
-    reference = A.density**sys.m
-    deg_fraction = None
-    if degenerate is not None:
-        deg_fraction = float(Fraction(degenerate, count)) if count else 0.0
-    return CountReport(
-        observed=complex(float(observed)),
-        reference=complex(float(reference)),
-        method="direct",
-        op_count=direct_op_count(sys, dom),
-        bound=bound,
-        observed_exact=str(observed),
-        reference_exact=str(reference),
-        degenerate_fraction=deg_fraction,
-    )

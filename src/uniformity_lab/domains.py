@@ -62,12 +62,6 @@ class GroupDomain:
         """
         return _digits(self.p, self.n)
 
-    def index_of(self, vec) -> int:
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        if v.shape != (self.n,):
-            raise ValueError("vector does not match domain dimension")
-        return int(np.ravel_multi_index(tuple(v), self.grid))
-
     @property
     def grid(self) -> tuple[int, ...]:
         """Shape (p,)*n under which a value table is indexed by coordinates."""

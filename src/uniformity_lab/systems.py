@@ -231,6 +231,11 @@ def power_tensor(form: np.ndarray, k: int, p: int) -> np.ndarray:
     return np.array(entries, dtype=np.int64)
 
 
+def _power_matrix(sys: LinearFormSystem, k: int) -> np.ndarray:
+    """(m, monomials) matrix whose row i is the (k+1)-st power of form i."""
+    return np.vstack([power_tensor(sys.coeffs[i], k, sys.p) for i in range(sys.m)])
+
+
 def power_independence(sys: LinearFormSystem, k: int) -> bool:
     """Are the (k+1)-st powers of the forms linearly independent over F_p?
 
@@ -241,8 +246,7 @@ def power_independence(sys: LinearFormSystem, k: int) -> bool:
         raise ValueError("k must be >= 1")
     if sys.p <= k + 1:
         raise ValueError(f"p={sys.p} too small for power k+1={k + 1}")
-    T = np.vstack([power_tensor(sys.coeffs[i], k, sys.p) for i in range(sys.m)])
-    return rank(T, sys.p) == sys.m
+    return rank(_power_matrix(sys, k), sys.p) == sys.m
 
 
 def conjectured_true_complexity(sys: LinearFormSystem) -> int:
@@ -261,16 +265,10 @@ def conjectured_true_complexity(sys: LinearFormSystem) -> int:
 
 
 def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
-    """Greedy lowest-index-first maximal subset with independent squares: a
-    square is kept when it raises the rank of those kept before it."""
-    kept: list[int] = []
-    tensors: list[np.ndarray] = []
-    for i in range(sys.m):
-        t = power_tensor(sys.coeffs[i], 1, sys.p)
-        if rank(np.vstack(tensors + [t]), sys.p) > len(tensors):
-            kept.append(i)
-            tensors.append(t)
-    return kept
+    """Greedy lowest-index-first maximal subset with independent squares: the
+    pivot columns of the squares stacked as columns, since square i is a
+    pivot exactly when it lies outside the span of the squares before it."""
+    return rref(_power_matrix(sys, 1).T, sys.p)[1]
 
 
 def relation_space(sys: LinearFormSystem) -> Subspace:

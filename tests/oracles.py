@@ -79,6 +79,18 @@ def naive_points(p, n):
     return points, {v: i for i, v in enumerate(points)}
 
 
+def subspace_points(sub):
+    """The points offset + sum_j c_j basis_j of a Subspace, one for each
+    coefficient tuple c in F_p^dim, as tuples."""
+    basis = [[int(x) for x in row] for row in sub.basis]
+    offset = [0] * sub.ambient if sub.offset is None else [int(x) for x in sub.offset]
+    points = []
+    for c in product(range(sub.p), repeat=len(basis)):
+        points.append(tuple((o + sum(cj * row[k] for cj, row in zip(c, basis))) % sub.p
+                            for k, o in enumerate(offset)))
+    return points
+
+
 def naive_uk_power(values, p, n, k):
     """The U^k cube average by literal enumeration of (x, h_1, ..., h_k),
     adding digit vectors mod p."""

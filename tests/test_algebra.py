@@ -231,7 +231,7 @@ def test_solve_affine_examples():
 
     sol = solve_affine([[1, 2], [2, 4]], [1, 2], 5)
     assert sol is not None and sol.dim == 1
-    for pt in sol.points():
+    for pt in oracles.subspace_points(sol):
         assert (np.array([[1, 2], [2, 4]]) @ pt % 5 == [1, 2]).all()
 
 
@@ -248,7 +248,7 @@ def test_solve_affine_full_solution_set():
         if sol is None:
             assert not brute
         else:
-            assert {tuple(pt) for pt in sol.points()} == brute
+            assert set(oracles.subspace_points(sol)) == brute
 
 
 def test_nullspace_vectors_annihilate():

@@ -3,17 +3,22 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from uniformity_lab import cli, counting, verification
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
-from uniformity_lab.functions import balanced, save_function, uk_norm
+from uniformity_lab.functions import (IndicatorSet, balanced, save_function,
+                                      uk_norm)
 from uniformity_lab.reports import validate_report
-from uniformity_lab.systems import BUILTIN_SYSTEM_NAMES
+from uniformity_lab.systems import BUILTIN_SYSTEM_NAMES, builtin_system
 from uniformity_lab.verification import quadratic_zero_set
+
+import oracles
 
 
 def run(args, tmp_path=None, out_name="report.json"):
@@ -270,6 +275,60 @@ def test_count_degenerate_needs_a_direct_indicator_count(tmp_path, capsys):
     assert code == 0
     entry = next(r for r in report["results"] if r["name"] == "solution_probability")
     assert 0 < entry["degenerate_fraction"] < 1
+
+
+def _expected_probability(count, total, alpha, m):
+    observed, reference = Fraction(count, total), alpha**m
+    return {"observed": {"re": float(observed), "im": 0.0},
+            "reference": {"re": float(reference), "im": 0.0},
+            "observed_exact": str(observed), "reference_exact": str(reference),
+            "deviation": abs(float(observed) - float(reference)),
+            "bound": None, "passed": None}
+
+
+def test_count_probability_records_match_naive_counts(tmp_path, capsys):
+    """The P records of `count` against the naive oracles: the direct record
+    of a seeded random indicator set with its degenerate fraction, and the
+    gauss record of the quadratic zero set.  The set's P lies below alpha^m
+    and the zero set's above it, so both signs of the deviation are met."""
+    p, n = 5, 2
+    sys_ = builtin_system("ap3", p)
+    rows = sys_.coeffs.tolist()
+    N = p**n
+    rng = np.random.default_rng(58)
+    A = IndicatorSet(domain=domain(p, n), members=rng.random(N) < 0.5)
+    path = tmp_path / "a.json"
+    save_function(A, str(path))
+    code, report, _ = run(["count", "--system", "ap3", "--set", str(path),
+                           "--p", str(p), "--n", str(n), "--method", "direct",
+                           "--degenerate"], tmp_path)
+    assert code == 0 and validate_report(report) == []
+    members = A.members.tolist()
+    count = oracles.naive_count_solutions(rows, p, n, members)
+    images, _ = oracles.naive_form_images(rows, p, n, 0, N**sys_.d)
+    degenerate = sum(all(members[i] for i in col) and len(set(col)) < len(col)
+                     for col in zip(*images))
+    assert 0 < degenerate < count
+    assert Fraction(count, N**sys_.d) < Fraction(sum(members), N)**sys_.m
+    (entry, _) = report["results"]
+    assert entry == {"name": "solution_probability", "method": "direct",
+                     "op_count": sys_.m * N**sys_.d,
+                     "degenerate_fraction": float(Fraction(degenerate, count)),
+                     **_expected_probability(count, N**sys_.d,
+                                             Fraction(sum(members), N), sys_.m)}
+
+    dot = np.eye(n, dtype=np.int64)
+    code, report, _ = run(["count", "--system", "ap3", "--set", "quadzero",
+                           "--p", str(p), "--n", str(n), "--method", "gauss"],
+                          tmp_path)
+    assert code == 0 and validate_report(report) == []
+    alpha = Fraction(oracles.naive_quadratic_zero_count([[1]], dot, p, n), N)
+    (entry,) = report["results"]
+    assert entry == {"name": "solution_probability_gauss", "method": "gauss",
+                     "op_count": counting.quadratic_zero_op_count(sys_.m, sys_.d, n, p),
+                     **_expected_probability(
+                         oracles.naive_quadratic_zero_count(rows, dot, p, n),
+                         p ** (n * sys_.d), alpha, sys_.m)}
 
 
 def test_verify_all_skips_a_default_system_invalid_at_p(tmp_path, capsys):

@@ -8,9 +8,7 @@ from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
-                                     quadratic_average, quadratic_zero_count,
-                                     quadratic_zero_probability,
-                                     solution_probability)
+                                     quadratic_average, quadratic_zero_count)
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
@@ -115,29 +113,17 @@ def test_multilinearity_in_a_slot():
 def test_solution_probability_single_form_is_density():
     dom = domain(5, 1)
     A = IndicatorSet.from_member_vectors(dom, [[0], [1]])
-    rep = solution_probability(make(5, [[1]]), A)
-    assert rep.observed_exact == "2/5"
-    assert rep.observed == complex(float(Fraction(2, 5)))
+    assert count_solutions(make(5, [[1]]), A) == (2, None)
+    assert A.density == Fraction(2, 5)
 
 
 def test_solution_probability_full_set():
+    # every assignment is a solution; ap3's images x, x+y, x+2y coincide
+    # exactly when y = 0, on 9 of the 81 assignments
     dom = domain(3, 2)
     A = IndicatorSet(domain=dom, members=np.ones(dom.size, dtype=bool))
-    rep = solution_probability(builtin_system("ap3", 3), A)
-    assert rep.observed == 1 and rep.reference == 1 and rep.deviation == 0
-
-
-def test_solution_probability_bound_verdict():
-    # p=5, n=2 zero set under gw6a: deviation from alpha^m sits inside 1/5
-    from uniformity_lab.verification import quadratic_zero_set
-    A = quadratic_zero_set(5, 2)
-    rep = solution_probability(builtin_system("gw6a", 5), A, bound=1 / 5)
-    assert rep.passed is True
-    assert abs(rep.observed.real - 5.0**-6) <= 1 / 5
-    tight = solution_probability(builtin_system("gw6a", 5), A, bound=1e-6)
-    assert tight.passed is False
-    d = rep.to_dict()
-    assert d["passed"] is True and d["bound"] == 1 / 5
+    assert count_solutions(builtin_system("ap3", 3), A, with_degenerate=True) == (81, 9)
+    assert A.density == 1
 
 
 def test_count_matches_naive_oracle():
@@ -261,11 +247,11 @@ def test_closed_form_count_matches_enumeration_on_builtin_systems(p):
             if p ** (n * sys_.d) > 2 * 10**6:
                 continue
             A = quadratic_zero_set(p, n)
-            direct = count_solutions(sys_, A)[0]
-            rep = quadratic_zero_probability(sys_, n)
-            assert rep.observed_exact == str(Fraction(direct, p ** (n * sys_.d))), (name, n)
-            assert rep.reference_exact == str(A.density**sys_.m)
-            assert rep.method == "gauss"
+            dot = np.eye(n, dtype=np.int64)
+            assert quadratic_zero_count(sys_.coeffs, dot, p) == \
+                count_solutions(sys_, A)[0], (name, n)
+            # alpha, the density of A, is the m = d = 1 count over p^n
+            assert quadratic_zero_count([[1]], dot, p) == A.count
 
 
 def test_closed_form_count_matches_naive_oracle_on_random_systems():

@@ -97,7 +97,6 @@ def test_indicator_file_lists_member_coordinates(tmp_path, p, n):
     assert listed == [list(x) for x, m in zip(points, A.members) if m]
     B = load_function(str(path))
     assert (B.members == A.members).all()
-    assert all(dom.index_of(x) == i for i, x in enumerate(points))
 
 
 @pytest.mark.parametrize("p,n", [(p, n) for p, n in SHAPES if p**n <= 343])
