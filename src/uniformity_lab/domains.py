@@ -8,14 +8,17 @@ whose entry at x is sum_k tables[k][x_k] (`_outer_sum`): `linear_values`
 gives x -> s.x mod p, `codes` gives x -> c*x read in any base, and
 `coordinate_sum` gives x -> sum_k t(x_k) for one residue table t.  A value
 table reshaped to `grid` = (p,)*n is indexed by coordinate vectors, so
-translation by h is a cyclic shift of that array (`translates`,
-`translation_blocks`); the U^k norms use these and need no index table.
-Sums of points are formed without digit arithmetic through `sum_grid`: `enc`
-writes a point's digits in base 2p - 1, so adding two codes never carries,
-and the index of x + y is P[enc[x] + enc[y]], P being `arange(size)` on the
-same wrap-padded grid that `translates` uses.  The (size, n) digit table and
-the index tables for + and - remain as properties that no production path
-reads.
+translation by h is a cyclic shift of that array.  The U^k norms wrap-pad a
+table once (`wrap_padded`) and read shifts of it as slices: `derivatives`
+gives x -> g(x) conj(g(x + h)) as one slice product per h, and
+`translation_blocks` the rows x -> g(x + h) as blocks of a sliding window,
+each for one h of every pair {h, -h} (`translation_pairs`); they need no
+index table.  Sums of points are formed without digit arithmetic through
+`sum_grid`: `enc` writes a point's digits in base 2p - 1, so adding two codes
+never carries, and the index of x + y is P[enc[x] + enc[y]], P being
+`arange(size)` on the grid wrap-padded by p - 1.  The (size, n) digit table
+and the index tables for + and - remain as properties that no production
+path reads.
 """
 
 from __future__ import annotations
@@ -32,9 +35,11 @@ from .algebra import as_fp_vector, check_modulus
 
 MAX_DOMAIN_SIZE = 2**26  # keeps index tables within platform-native ints / memory
 
-# Cap on the entries of one block of translates: 4 MB of complex128, so the
-# block and the temporaries computed from it stay in cache-sized pieces.
-TRANSLATION_BLOCK_ENTRIES = 2**18
+# Cap on the entries of one block of translates: 1 MB of complex128, so the
+# block and the temporaries computed from it stay in cache-sized pieces that
+# the allocator reuses.  At N = 625 a 4 MB cap gives blocks of 1.25 MB, which
+# a long-running process mapped afresh, and page-faulted on, at every U^2 norm.
+TRANSLATION_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=True)
@@ -67,26 +72,62 @@ class GroupDomain:
         """Shape (p,)*n under which a value table is indexed by coordinates."""
         return (self.p,) * self.n
 
-    def translates(self, values: np.ndarray) -> np.ndarray:
-        """View W of shape grid + grid with W[h..., x...] = values[x + h].
+    @property
+    def translation_pairs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(h, weight) for one h of each pair {h, -h}, in enumeration order:
+        h = 0 at weight 1, then each h != 0 whose first nonzero digit is at
+        most (p - 1)/2 at weight 2.  The weights sum to size (p is odd, so
+        h = 0 is the only h with -h = h)."""
+        return _translation_pairs(self.p, self.n)
 
-        It is a sliding window over one copy of the table wrap-padded by p - 1
-        along every axis, so it holds (2p - 1)^n entries, of any dtype.
+    def wrap_padded(self, values, levels: int) -> np.ndarray:
+        """values on `grid`, wrap-padded by levels * (p - 1) along every axis.
+
+        Each of `derivatives` and `translation_blocks` reads one level of
+        padding, so a table padded once by L levels serves L of them in turn.
         """
-        return sliding_window_view(_wrap_padded(values, self.p, self.n), self.grid)
+        return _wrap_padded(values, self.p, self.n, levels)
 
-    def translation_blocks(self, values: np.ndarray) -> Iterator[np.ndarray]:
-        """The rows x -> values[x + h], h in enumeration order, as (rows, size)
-        blocks of at most max(TRANSLATION_BLOCK_ENTRIES, size) entries.
+    def unpadded(self, padded: np.ndarray) -> np.ndarray:
+        """(size,) table of the values of a padded table on `grid` itself."""
+        return padded[(slice(0, self.p),) * self.n].reshape(self.size)
 
+    def derivatives(self, padded: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+        """(D, weight) for (h, weight) in `translation_pairs`, D the table
+        x -> g(x) conj(g(x + h)) of the padded table g, padded one level less.
+
+        Each D is one slice product, head * conj(shifted), with no padding.
+        """
+        extent = padded.shape[0] - (self.p - 1)
+        head = padded[(slice(0, extent),) * self.n]
+        for h, weight in self.translation_pairs:
+            shifted = padded[tuple(slice(c, c + extent) for c in h)]
+            yield head * np.conj(shifted), weight
+
+    def translation_blocks(self, padded: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
+        """(rows, weight): the rows x -> g(x + h) of a table g padded by one
+        level, for the h of `translation_pairs`, as (rows, size) blocks of at
+        most max(TRANSLATION_BLOCK_ENTRIES, size) entries.
+
+        Row h = 0 comes alone at weight 1; every other block is at weight 2.
         A block fixes the leading digits of h and runs over the trailing ones.
+        When the fixed prefix has a nonzero digit, either every h in the
+        block is a representative or none is, so the block is one window
+        slice or skipped; only the all-zero prefix gathers its rows.
         """
-        W = self.translates(values)
+        W = sliding_window_view(padded, self.grid)
         free = 0
         while free < self.n and self.p ** (free + 1) * self.size <= TRANSLATION_BLOCK_ENTRIES:
             free += 1
+        half = (self.p + 1) // 2
+        yield W[(0,) * self.n].reshape(1, self.size), 1
         for prefix in product(range(self.p), repeat=self.n - free):
-            yield W[prefix].reshape(self.p**free, self.size)
+            lead = next((c for c in prefix if c), 0)
+            if lead == 0 and free:
+                rows = W[prefix][_half_digits(self.p, free)]
+                yield rows.reshape(-1, self.size), 2
+            elif 0 < lead < half:
+                yield W[prefix].reshape(self.p**free, self.size), 2
 
     @property
     def sum_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -151,10 +192,30 @@ def _digits(p: int, n: int) -> np.ndarray:
     return out
 
 
-def _wrap_padded(values, p: int, n: int) -> np.ndarray:
-    """values on the (p,)*n grid, wrap-padded by p - 1 along every axis."""
+def _wrap_padded(values, p: int, n: int, levels: int) -> np.ndarray:
+    """values on the (p,)*n grid, wrap-padded by levels * (p - 1) along every
+    axis."""
     g = np.asarray(values).reshape((p,) * n)
-    return np.pad(g, [(0, p - 1)] * n, mode="wrap")
+    return np.pad(g, [(0, levels * (p - 1))] * n, mode="wrap")
+
+
+@lru_cache(maxsize=None)
+def _half_digits(p: int, m: int) -> tuple[np.ndarray, ...]:
+    """The digit vectors h != 0 of length m whose first nonzero digit is at
+    most (p - 1)/2, in enumeration order, as a tuple of m digit arrays: their
+    indices are, for each e < m, the run from p^e up to (p + 1)/2 * p^e."""
+    half = (p + 1) // 2
+    runs = np.concatenate([np.arange(p**e, half * p**e) for e in range(m)])
+    out = np.unravel_index(runs, (p,) * m)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _translation_pairs(p: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    digits = np.stack(_half_digits(p, n), axis=1).tolist()
+    return (((0,) * n, 1),) + tuple((tuple(h), 2) for h in digits)
 
 
 def _outer_sum(tables) -> np.ndarray:
@@ -175,7 +236,7 @@ def _codes(p: int, n: int, c: int, base: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sum_grid(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    padded = _wrap_padded(np.arange(p**n, dtype=np.int64), p, n).ravel()
+    padded = _wrap_padded(np.arange(p**n, dtype=np.int64), p, n, 1).ravel()
     enc = _codes(p, n, 1, 2 * p - 1)
     padded.setflags(write=False)
     enc.setflags(write=False)

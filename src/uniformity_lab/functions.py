@@ -11,22 +11,24 @@ bit-reproducible run to run.
 
 U^k norms have two paths, both built on the multiplicative derivative
 Delta_h g(x) = g(x) conj(g(x + h)) taken on the (p,)*n grid through the
-domain's translation views (no index table):
+domain's padded tables (no index table):
 
 * `uk_norm` sums the defining 2^k-fold product over combinatorial cubes
   (x, h_1, ..., h_k) with no Fourier step.  The product over the first k - 2
-  directions is the iterated derivative g = Delta_{h_1}...Delta_{h_{k-2}} f,
-  formed in a Python loop over (h_1, ..., h_{k-2}) in lexicographic order;
+  directions is the iterated derivative g = Delta_{h_1}...Delta_{h_{k-2}} f;
   the last two directions are the U^2 cube sum
   sum_h |sum_x g(x) conj(g(x + h))|^2, computed as blocked matrix-vector
-  products over all h at once.  It is the independent side of every norm
-  check: `norm --method direct`, the octahedron lift identity and the test
-  suite use it.
-* `uk_norm_fast` uses the same recursion one level higher and the Fourier
-  base case ||g||_{U^2}^4 = sum_r |g^(r)|^4, transforming a block of
-  derivatives over the last h at once.  It is the production path of
-  `norm --method fast` and of the experiments (`verify gvn`,
-  `verify pythagoras`).
+  products over all h at once.  Since Delta_{-h} g is a translate of
+  conj(Delta_h g), every h runs over one representative of each pair
+  {h, -h} at weight 2, and h = 0 at weight 1 (`_derivative_sum`), with f
+  wrap-padded once for all levels.  It is the independent side of every
+  norm check: `norm --method direct`, the octahedron lift identity and the
+  test suite use it.
+* `uk_norm_fast` uses the same recursion, with the same pairing, one level
+  higher and the Fourier base case ||g||_{U^2}^4 = sum_r |g^(r)|^4,
+  transforming a block of derivatives over the last h at once.  It is the
+  production path of `norm --method fast` and of the experiments
+  (`verify gvn`, `verify pythagoras`).
 
 A budget guard refuses jobs whose operation count would run for hours.
 """
@@ -37,7 +39,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iter_product
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -216,8 +217,10 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
 # U^k norms.
 
 def uk_norm_op_count(dom: GroupDomain, k: int) -> int:
-    """N^(k-2) cube sums of N^2 multiply-adds, plus the N^j derivative
-    tables of N entries built at each level j = 1..k-2."""
+    """The cube-enumeration count: N^(k-2) cube sums of N^2 multiply-adds,
+    plus the N^j derivative tables of N entries built at each level
+    j = 1..k-2.  Summing each pair {h, -h} once, the direct pass executes
+    about 2^-(k-1) of it."""
     N = dom.size
     return N**k + sum(N ** (j + 1) for j in range(1, k - 1))
 
@@ -235,16 +238,23 @@ def _check_k(k: int) -> None:
 
 def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
                     base: Callable[[np.ndarray], float | Fraction]):
-    """sum over (h_1..h_depth), lexicographic, of base(Delta_{h_1}...Delta_{h_depth} g)
-    with Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype."""
-    if depth == 0:
-        return base(g)
-    W = dom.translates(g)
-    total = 0
-    for h in iter_product(range(dom.p), repeat=dom.n):
-        total += _derivative_sum(dom, g * np.conj(W[h].reshape(dom.size)),
-                                 depth - 1, base)
-    return total
+    """sum over (h_1..h_depth) of base(Delta_{h_1}...Delta_{h_depth} g) with
+    Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype.
+
+    base must not change under translation or conjugation of its argument;
+    since Delta_{-h} g(x) = conj(Delta_h g(x - h)), each pair {h, -h} is then
+    taken once at weight 2 and h = 0 once at weight 1 (`translation_pairs`).
+    g is wrap-padded once, by depth + 1 levels; every level of derivatives is
+    a slice product of the padded table, and base receives its table padded
+    by the one level `translation_blocks` reads.
+    """
+    def fold(padded: np.ndarray, depth: int):
+        if depth == 0:
+            return base(padded)
+        return sum(weight * fold(deriv, depth - 1)
+                   for deriv, weight in dom.derivatives(padded))
+
+    return fold(dom.wrap_padded(g, depth + 1), depth)
 
 
 def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
@@ -253,13 +263,14 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
     dom = f.domain
     check_budget(uk_norm_op_count(dom, k), budget, what=f"U^{k} norm on size {dom.size}")
 
-    def cube_sum(g: np.ndarray) -> float:
-        # sum_h |sum_x g(x) conj(g(x + h))|^2; block @ gc is the conjugate sum
-        gc = np.conj(g)
+    def cube_sum(padded: np.ndarray) -> float:
+        # sum_h |sum_x g(x) conj(g(x + h))|^2, where a(-h) = conj(a(h)) for the
+        # inner sum a(h); block @ gc is the conjugate sum
+        gc = np.conj(dom.unpadded(padded))
         total = 0.0
-        for block in dom.translation_blocks(g):
+        for block, weight in dom.translation_blocks(padded):
             sums = block @ gc
-            total += float((sums.real**2 + sums.imag**2).sum())
+            total += weight * float((sums.real**2 + sums.imag**2).sum())
         return total
 
     power_sum = _derivative_sum(dom, f.values, k - 2, cube_sum)
@@ -279,11 +290,12 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     check_budget(uk_norm_op_count(dom, k), budget,
                  what=f"exact U^{k} norm on size {dom.size}")
 
-    def cube_sum(g: np.ndarray) -> Fraction:
+    def cube_sum(padded: np.ndarray) -> Fraction:
+        g = dom.unpadded(padded)
         total = Fraction(0)
-        for block in dom.translation_blocks(g):
+        for block, weight in dom.translation_blocks(padded):
             sums = block @ g
-            total += (sums * sums).sum()
+            total += weight * (sums * sums).sum()
         return total
 
     return _derivative_sum(dom, f.exact, k - 2, cube_sum) / Fraction(dom.size) ** (k + 1)
@@ -301,16 +313,16 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
     N = dom.size
     D = _dft_matrix(dom.p)
 
-    def fourier_sum(g: np.ndarray) -> float:
+    def fourier_sum(padded: np.ndarray) -> float:
         # sum over h of sum_r |(Delta_h g)^(r)|^4, one block of h per transform;
         # g(x + h) conj(g(x)) is the conjugate of Delta_h g, with the same sum
-        gc = np.conj(g)
+        gc = np.conj(dom.unpadded(padded))
         total = 0.0
-        for block in dom.translation_blocks(g):
+        for block, weight in dom.translation_blocks(padded):
             deriv = (block * gc).reshape((-1,) + dom.grid)
             dh = _dft_axes(deriv, D, first=1) / N
             mags = dh.real**2 + dh.imag**2
-            total += float((mags**2).sum())
+            total += weight * float((mags**2).sum())
         return total
 
     power = _derivative_sum(dom, f.values, k - 3, fourier_sum) / N ** (k - 2)

@@ -62,11 +62,14 @@ def octahedral_power(F: TripartiteFunction, budget: int | None = None) -> float:
     nx, ny, nz = F.sizes
     total = 0.0
     # E_{x0,x1,y0,y1} |E_z F(x0,y0,z) conj(F(x1,y0,z)) conj(F(x0,y1,z)) F(x1,y1,z)|^2,
-    # accumulated one x0-slice at a time to bound memory.
+    # accumulated one x0-slice at a time to bound memory.  Swapping x0 and x1
+    # conjugates the inner sum, so x1 runs over x1 >= x0: the diagonal at
+    # weight 1, the rest at weight 2.
     for a in range(nx):
-        A = vals[a][None, :, :] * np.conj(vals)  # (x1, y, z)
-        S = np.einsum("bmz,bnz->bmn", A, np.conj(A))
-        total += float((S.real**2 + S.imag**2).sum())
+        A = vals[a] * np.conj(vals[a:])  # (x1, y, z)
+        S = A @ np.conj(A).transpose(0, 2, 1)  # (x1, y0, y1)
+        mags = S.real**2 + S.imag**2
+        total += float(mags[0].sum()) + 2 * float(mags[1:].sum())
     return total / (nx * nx * ny * ny * nz * nz)
 
 

@@ -113,6 +113,13 @@ def naive_uk_power(values, p, n, k):
     return total / N ** (k + 1)
 
 
+def fft_u2_norm(values, p, n):
+    """U^2 norm as the fourth root of sum_r |f^(r)|^4, with f^ from numpy's
+    FFT on the (p,)*n grid (its sign convention does not change |f^|)."""
+    fh = np.fft.fftn(np.asarray(values).reshape((p,) * n)) / p**n
+    return float((np.abs(fh) ** 4).sum() ** 0.25)
+
+
 def naive_convolve(values_f, values_g, p, n):
     """E_{y+z=x} f(y) g(z), with z = x - y formed on digit vectors."""
     points, index = naive_points(p, n)

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.algebra import QuadraticForm
-from uniformity_lab.domains import _add_table, _digits, domain
+from uniformity_lab.domains import (TRANSLATION_BLOCK_ENTRIES, _add_table,
+                                    _digits, domain)
 from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       convolve, fourier, inverse_fourier,
                                       l2_norm, load_function, save_function,
@@ -104,6 +105,48 @@ def test_uk_norm_matches_naive_enumeration():
         naive = oracles.naive_uk_power(list(f.values), p, n, k)
         assert abs(naive.imag) < 1e-12, (p, n, k)
         assert abs(uk_norm(f, k) ** 2**k - naive.real) <= 1e-9 * naive.real, (p, n, k)
+
+
+@pytest.mark.parametrize("p,n", [(5, 4), (5, 5), (3, 7)])
+def test_u2_norm_matches_numpy_fft_across_translation_blocks(p, n):
+    dom = domain(p, n)
+    assert dom.size**2 > TRANSLATION_BLOCK_ENTRIES  # rows split into blocks
+    f = random_function(dom, np.random.default_rng(40 + p + n))
+    points, index = oracles.naive_points(p, n)
+    neg = [index[tuple(-x % p for x in v)] for v in points]
+    # a generic input: neither even nor conjugate-even
+    assert np.abs(f.values - f.values[neg]).max() > 0.1
+    assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
+    want = oracles.fft_u2_norm(f.values, p, n)
+    assert abs(uk_norm(f, 2) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("p,n,k", [(3, 1, 4), (5, 1, 4), (3, 2, 3)])
+def test_exact_uk_power_equals_naive_fraction(p, n, k):
+    dom = domain(p, n)
+    rng = np.random.default_rng(41 + p * n * k)
+    f = GroupFunction.from_rational(
+        dom, [Fraction(int(v), 5) for v in rng.integers(-5, 6, dom.size)])
+    assert uk_power_exact(f, k) == oracles.naive_uk_power(list(f.exact), p, n, k)
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_norms_wrap_pad_once(monkeypatch, k):
+    calls = []
+    pad = np.pad
+
+    def counting_pad(*args, **kwargs):
+        calls.append(args[0].shape)
+        return pad(*args, **kwargs)
+
+    monkeypatch.setattr(np, "pad", counting_pad)
+    rng = np.random.default_rng(42)
+    f = GroupFunction.from_rational(
+        domain(3, 2), [Fraction(int(v), 3) for v in rng.integers(-3, 4, 9)])
+    for norm in (uk_norm, uk_power_exact, uk_norm_fast):
+        calls.clear()
+        norm(f, k)
+        assert len(calls) <= 1, (norm.__name__, calls)
 
 
 def test_direct_fast_and_exact_uk_agree():

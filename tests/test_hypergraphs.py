@@ -43,6 +43,17 @@ def test_octahedral_matches_naive_on_random_complex():
     assert abs(naive.imag) < 1e-12
 
 
+@pytest.mark.parametrize("shape", [(1, 3, 2), (2, 4, 3), (5, 3, 2)])
+def test_octahedral_matches_naive_on_complex_non_cubic(shape):
+    # nx = 1 is the diagonal alone; nx = 5 pairs x0 < x1 across several rows
+    rng = np.random.default_rng(65 + shape[0])
+    vals = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
+    naive = oracles.naive_octahedral_power(vals)
+    assert abs(naive.imag) < 1e-12
+    assert abs(octahedral_power(TripartiteFunction(values=vals)) - naive.real) \
+        <= 1e-12 * naive.real
+
+
 def test_lift_identity_on_random_functions():
     dom = domain(3, 2)
     rng = np.random.default_rng(62)

@@ -1,6 +1,7 @@
 """Every table of point values the package builds (`linear_values` and the
-tables built on it, the lift index, indicator files, and the retained digit
-and index tables), checked point by point against digit tuples from
+tables built on it, the lift index, indicator files, the translation pairs,
+blocks and derivatives of the U^k norms, and the retained digit and index
+tables), checked point by point against digit tuples from
 `oracles.naive_points` and per-point arithmetic."""
 
 import json
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from uniformity_lab.algebra import QuadraticForm
-from uniformity_lab.domains import domain
+from uniformity_lab.domains import TRANSLATION_BLOCK_ENTRIES, domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet,
                                       load_function, save_function)
 from uniformity_lab.hypergraphs import lift
@@ -109,3 +110,68 @@ def test_retained_digit_and_index_tables_per_point(p, n):
     for i, x in enumerate(points):
         assert add[i].tolist() == [index[tuple((a + b) % p for a, b in zip(x, y))]
                                    for y in points]
+
+
+def add(x, h, p):
+    return tuple((a + b) % p for a, b in zip(x, h))
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (3, 5, 7, 11) for n in (1, 2, 3, 4)])
+def test_translation_pairs_cover_each_pair_once(p, n):
+    points, _ = oracles.naive_points(p, n)
+    pairs = domain(p, n).translation_pairs
+    reps = [h for h, _ in pairs]
+    weights = dict(pairs)
+    assert len(weights) == len(pairs)  # no h listed twice
+    assert reps == sorted(reps)  # enumeration order
+    assert pairs[0] == ((0,) * n, 1)
+    assert set(weights.values()) <= {1, 2}
+    assert [h for h, w in pairs if w == 1] == [(0,) * n]
+    assert sum(weights.values()) == p**n
+    negated = {tuple(-c % p for c in h) for h in reps}
+    assert set(reps) | negated == set(points)
+    assert set(reps) & negated == {(0,) * n}
+    assert all(next(c for c in h if c) <= (p - 1) // 2 for h in reps[1:])
+
+
+# single-block shapes and shapes whose rows split into several blocks
+BLOCK_SHAPES = [(3, 1), (5, 2), (3, 5), (7, 3), (3, 6), (5, 4), (11, 3), (3, 7)]
+
+
+@pytest.mark.parametrize("p,n", BLOCK_SHAPES)
+def test_translation_blocks_take_each_pair_once(p, n):
+    points, index = oracles.naive_points(p, n)
+    dom = domain(p, n)
+    seen = {}
+    blocks = list(dom.translation_blocks(dom.wrap_padded(np.arange(dom.size), 1)))
+    assert (len(blocks) > 2) == (dom.size**2 > TRANSLATION_BLOCK_ENTRIES)
+    for rows, weight in blocks:
+        assert rows.size <= max(TRANSLATION_BLOCK_ENTRIES, dom.size)
+        for row in rows:
+            h = points[row[0]]
+            assert h not in seen
+            seen[h] = weight
+            if dom.size <= 343:
+                assert row.tolist() == [index[add(x, h, p)] for x in points]
+            else:
+                assert row[::97].tolist() == [index[add(x, h, p)] for x in points[::97]]
+    assert seen == dict(dom.translation_pairs)
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3)])
+def test_derivatives_are_padded_slice_products(p, n):
+    points, index = oracles.naive_points(p, n)
+    dom = domain(p, n)
+    rng = np.random.default_rng(500 * p + n)
+    g = rng.uniform(-1, 1, dom.size) + 1j * rng.uniform(-1, 1, dom.size)
+    padded = dom.wrap_padded(g, 2)
+    assert dom.unpadded(padded).tolist() == g.tolist()
+    derivs = list(dom.derivatives(padded))
+    assert [w for _, w in derivs] == [w for _, w in dom.translation_pairs]
+    for (deriv, _), (h, _) in zip(derivs, dom.translation_pairs):
+        expected = np.array([g[i] * np.conj(g[index[add(x, h, p)]])
+                             for i, x in enumerate(points)])
+        # to rounding: a vectorized complex product may fuse multiply-adds
+        assert np.abs(dom.unpadded(deriv) - expected).max() < 1e-15
+        # one level of padding left, wrapped like a fresh pad
+        assert (deriv == dom.wrap_padded(dom.unpadded(deriv), 1)).all()
