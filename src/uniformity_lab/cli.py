@@ -134,17 +134,21 @@ def _octahedron_args(c):
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command; only `command`'s arguments are added
-    when it is given (the others parse nothing but their name), so that one
-    command line pays for one subparser."""
+    """The parser with every command, or with `command`'s subparser alone
+    when it names one, so that one command line pays for one subparser.  That
+    parser's command metavar lists every command, so its usage lines and
+    error messages read as the full parser's."""
     parser = argparse.ArgumentParser(
         prog="uniformity-lab",
         description="Exact uniformity-norm, complexity and counting experiments over F_p^n.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    if command not in COMMANDS:
+        command = None
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
     for name, (text, add_arguments, _) in COMMANDS.items():
-        c = sub.add_parser(name, help=text)
         if command in (None, name):
-            add_arguments(c)
+            add_arguments(sub.add_parser(name, help=text))
     return parser
 
 
@@ -161,14 +165,15 @@ def cmd_list(args) -> tuple[int, dict]:
     for name in BUILTIN_SYSTEM_NAMES:
         sys_ = resolve_system(name, args.p)
         cs = cs_complexity(sys_)
-        sq = power_independence(sys_, 1)
         try:
             true_k = conjectured_true_complexity(sys_)
         except TrueComplexityUndecided:
             true_k = None
+        # the search tests k = 1 first, and every odd prime allows it
+        sq = true_k == 1
         results.append({"name": name, "m": sys_.m, "d": sys_.d,
                         "cs_complexity": None if math.isinf(cs) else int(cs),
-                        "square_independent": bool(sq),
+                        "square_independent": sq,
                         "conjectured_true_complexity": true_k,
                         "passed": None})
         print(f"{name:7s} m={sys_.m} d={sys_.d} cs={cs} "

@@ -189,16 +189,20 @@ def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
 
 
 def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-                         budget: int | None = None, threads: int = 1) -> complex:
+                         budget: int | None = None, threads: int = 1, *,
+                         _transforms: Sequence[GroupFunction] | None = None) -> complex:
     """Same average, evaluated as a sum of Fourier-coefficient products over
     the annihilator of the system's frequency relations: its tuples are the
     images of the w-variable forms given by the columns of the relation
-    basis (w = 0 is the single zero tuple)."""
+    basis (w = 0 is the single zero tuple).  A caller that already holds
+    the transforms of fs passes them as `_transforms`."""
     dom = _check_inputs(sys, fs)
     W = relation_space(sys)
     check_budget(dual_op_count(sys, dom), budget,
                  what=f"dual count over {dom.size}^{W.dim} frequency tuples")
-    return _sum_of_products(W.basis.T, dom, [fourier(f).values for f in fs],
+    if _transforms is None:
+        _transforms = [fourier(f) for f in fs]
+    return _sum_of_products(W.basis.T, dom, [fh.values for fh in _transforms],
                             threads)
 
 

@@ -301,15 +301,18 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     return _derivative_sum(dom, f.exact, k - 2, cube_sum) / Fraction(dom.size) ** (k + 1)
 
 
-def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
+def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None, *,
+                 _transform: GroupFunction | None = None) -> float:
     """U^k norm through the transform: E_{h_1..h_(k-2)} of the fourth power of
-    the U^2 norm of Delta_{h_1}...Delta_{h_(k-2)} f, to the 2^k-th root."""
+    the U^2 norm of Delta_{h_1}...Delta_{h_(k-2)} f, to the 2^k-th root.  At
+    k = 2 a caller that already holds the transform of f passes it as
+    `_transform`."""
     _check_k(k)
     dom = f.domain
     check_budget(uk_norm_fast_op_count(dom, k), budget,
                  what=f"fast U^{k} norm on size {dom.size}")
     if k == 2:
-        return u2_norm_fast(f)
+        return u2_norm_fast(f) if _transform is None else _l4_norm(_transform)
     N = dom.size
     D = _dft_matrix(dom.p)
 
@@ -331,8 +334,12 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
 
 def u2_norm_fast(f: GroupFunction) -> float:
     """U^2 norm through the transform: fourth root of sum_r |f^(r)|^4."""
-    fh = fourier(f).values
-    mags = fh.real**2 + fh.imag**2
+    return _l4_norm(fourier(f))
+
+
+def _l4_norm(fhat: GroupFunction) -> float:
+    """(sum_r |fhat(r)|^4)^(1/4), the U^2 norm of f read off its transform."""
+    mags = fhat.values.real**2 + fhat.values.imag**2
     return float((mags**2).sum() ** 0.25)
 
 

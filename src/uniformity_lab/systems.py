@@ -8,10 +8,11 @@ forms, and the relation space of linear dependencies among the forms.
 Partition complexity is computed by exact branch-and-bound search over class
 assignments, with classes as bitmasks over the forms.  Every span test is one
 lookup in a table of the ranks of all 2^m subsets of the forms, built once per
-system by a batched elimination mod p.  Both the table and the search are
-exponential in m, so systems are capped at m <= 12 forms: the table then has
-4096 entries (a 32 KiB list), and each block of its elimination holds at most
-256 x 12 x 12 int64 entries (288 KiB) per temporary.
+system by one incremental echelon pass mod p that adds a form at a time to
+every subset's basis.  Both the table and the search are exponential in m, so
+systems are capped at m <= 12 forms: the table then has 4096 entries (a
+32 KiB list), and the bases it keeps are 2^(m-1) r x r int64 arrays, r <= m
+the rank of the system, so at most 2048 x 12 x 12 entries (2.25 MiB).
 """
 
 from __future__ import annotations
@@ -25,13 +26,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (batched_rank, check_modulus, nullspace,
-                      rank, rref, Subspace)
+from .algebra import check_modulus, nullspace, rank, rref, Subspace
 
 MAX_FORMS = 12
-
-# masks per batched_rank call when tabulating subset ranks
-SUBSET_BLOCK = 256
 
 INFINITE = math.inf
 
@@ -100,21 +97,44 @@ def support(form: Sequence[int] | np.ndarray) -> frozenset[int]:
 def _subset_ranks(sys: LinearFormSystem) -> list[int]:
     """rank[S] of every subset S of the forms, S a bitmask over form indices.
 
-    The columns are first cut to the pivot columns of rref(C): the other
+    The columns are first cut to the r pivot columns of rref(C): the other
     columns are fixed combinations of those, in every row, so no subset's rank
-    changes and each matrix has at most min(m, d) columns.  The 2^m masks go
-    through `batched_rank` in blocks of SUBSET_BLOCK, which bounds the
-    temporaries at SUBSET_BLOCK * m * min(m, d) entries.
+    changes.  The table then grows one form at a time, by
+    rank[S | 1 << j] = rank[S] + [form j not in span S], reducing form j
+    against the echelon bases of all the subsets S of the forms before it at
+    once.  E[S] is that basis as an (r, r) array whose row c, when nonzero, is
+    the basis vector with leading column c.  For each c in turn the residual
+    v becomes a v - b E[S][c] (a = E[S][c, c], b = v[c]; a = 1 where row c is
+    zero), which clears v[c] without inverting anything and scales the whole
+    of v by a nonzero a.  Entries stay below p, so the products stay exact in
+    int64 as in `algebra._eliminate`.  Form j lies outside span S exactly when
+    its residual is nonzero, and E[S | 1 << j] is E[S] with that residual put
+    in the row of its leading column.  Only the bases of subsets of the first
+    m - 1 forms are ever read, so E is one (2^(m-1), r, r) array, and each
+    (S, j) costs O(r^2).
     """
     p, m = sys.p, sys.m
     C = sys.coeffs[:, rref(sys.coeffs, p)[1]]
-    bits = np.arange(m)
-    ranks = []
-    for start in range(0, 1 << m, SUBSET_BLOCK):
-        masks = np.arange(start, min(start + SUBSET_BLOCK, 1 << m))
-        chosen = (masks[:, None] >> bits) & 1
-        ranks.extend(batched_rank(chosen[:, :, None] * C, p).tolist())
-    return ranks
+    r = C.shape[1]
+    ranks = np.zeros(1 << m, dtype=np.int64)
+    E = np.zeros((1 << (m - 1), r, r), dtype=np.int64)
+    for j in range(m):
+        size = 1 << j
+        basis = E[:size]
+        v = np.repeat(C[j][None, :], size, axis=0)
+        # a row c of zeros (no basis vector leads there) leaves v as it is
+        lead = np.diagonal(basis, axis1=1, axis2=2)
+        scale = np.where(lead != 0, lead, 1)
+        for c in range(r):
+            v = (scale[:, c, None] * v - v[:, c, None] * basis[:, c]) % p
+        new = v.any(axis=1)
+        ranks[size:2 * size] = ranks[:size] + new
+        if j < m - 1:
+            grown = E[size:2 * size]
+            grown[...] = basis
+            rows = np.flatnonzero(new)
+            grown[rows, (v[rows] != 0).argmax(axis=1)] = v[rows]
+    return ranks.tolist()
 
 
 def _min_partition_classes(ranks: list[int], m: int, i: int) -> float:

@@ -49,7 +49,7 @@ from .counting import (_check_inputs, _class_forms, average_product_direct,
                        quadratic_average, quadratic_zero_count,
                        quadratic_zero_op_count, reduce_form_images)
 from .domains import GroupDomain, domain
-from .functions import (GroupFunction, IndicatorSet, omega_power,
+from .functions import (GroupFunction, IndicatorSet, fourier, omega_power,
                         l2_norm, u2_norm_fast, uk_norm_fast)
 from .systems import (LinearFormSystem, cs_complexity,
                       maximal_square_independent_subsystem,
@@ -297,7 +297,8 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction], k: int,
     is below that of the direct sum over assignments, and over the
     assignments otherwise, ties included.  Both run on the same kernel, so
     the two counts compare alike, and the budget is checked on the path that
-    runs."""
+    runs.  At k = 1 on the dual side the U^2 norms read the transforms the
+    dual average sums over, so each function is transformed once."""
     actual = cs_complexity(sys)
     if not actual <= k:
         raise ComplexityPreconditionError(
@@ -306,11 +307,16 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction], k: int,
         if f.linf() > 1 + 1e-12:
             raise ValueError(f"function {i} exceeds the unit sup-norm bound")
     dom = _check_inputs(sys, fs)
-    average = (average_product_dual
-               if dual_op_count(sys, dom) < direct_op_count(sys, dom)
-               else average_product_direct)
-    lhs = abs(average(sys, fs, budget=budget, threads=threads))
-    norms = [uk_norm_fast(f, k + 1, budget=budget) for f in fs]
+    transforms = None
+    if dual_op_count(sys, dom) < direct_op_count(sys, dom):
+        if k == 1:
+            transforms = [fourier(f) for f in fs]
+        lhs = abs(average_product_dual(sys, fs, budget=budget, threads=threads,
+                                       _transforms=transforms))
+    else:
+        lhs = abs(average_product_direct(sys, fs, budget=budget, threads=threads))
+    norms = [uk_norm_fast(f, k + 1, budget=budget, _transform=fh)
+             for f, fh in zip(fs, transforms or [None] * len(fs))]
     rhs = min(norms)
     rep = ExperimentReport(
         name="gvn",

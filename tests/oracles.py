@@ -38,6 +38,25 @@ def span_rank(rows, p):
     return r
 
 
+def naive_rank(rows, p):
+    """Rank by textbook row reduction on Python ints, dividing each pivot row
+    by its pivot (Fermat inverse): the oracle for spans too large to list."""
+    rows = [[int(x) % p for x in r] for r in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
 def naive_in_span(v, rows, p):
     v = tuple(int(x) % p for x in v)
     if not rows:

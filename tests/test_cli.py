@@ -454,6 +454,11 @@ COMMAND_LINES = {
 }
 
 
+# commands with a required argument: the command word alone misses it
+NEEDS_AN_ARGUMENT = ("complexity", "independence", "normal-form", "count",
+                     "verify", "octahedron")
+
+
 def test_one_command_parser_matches_full_parser(capsys):
     assert list(COMMAND_LINES) == list(cli.COMMANDS)
     full = cli.build_parser()
@@ -466,6 +471,17 @@ def test_one_command_parser_matches_full_parser(capsys):
                 parser.parse_args([name, "-h"])
             helps.append(capsys.readouterr().out)
         assert helps[0] == helps[1] and "--" in helps[0], name
+        errors = [[name, "--bogus"], [name, "stray"]]
+        if name in NEEDS_AN_ARGUMENT:
+            errors.append([name])
+        for bad in errors:
+            outcomes = []
+            for parser in (one, full):
+                with pytest.raises(SystemExit) as exit_:
+                    parser.parse_args(bad)
+                outcomes.append((exit_.value.code, capsys.readouterr()))
+            assert outcomes[0] == outcomes[1], bad
+            assert outcomes[0][0] == 2 and "error:" in outcomes[0][1].err, bad
 
 
 def test_report_schema_validator_flags_problems():

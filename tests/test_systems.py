@@ -158,6 +158,29 @@ def test_cs_complexity_matches_brute_force():
     assert infinite >= 1
 
 
+def system_with_relations(rng, p, m, d):
+    """A random system in which about a third of the forms are forced
+    combinations of one to three earlier forms; returns it and the list of
+    (form, the earlier forms it combines)."""
+    rows, seen, relations = [], set(), []
+    while len(rows) < m:
+        sources = []
+        if rows and rng.random() < 0.35:
+            sources = sorted(rng.choice(len(rows), size=min(len(rows), int(
+                rng.integers(1, 4))), replace=False).tolist())
+            coeffs = rng.integers(1, p, size=len(sources)).tolist()
+            row = tuple(sum(c * rows[i][u] for c, i in zip(coeffs, sources)) % p
+                        for u in range(d))
+        else:
+            row = tuple(int(v) for v in rng.integers(0, p, size=d))
+        if any(row) and row not in seen:
+            if sources:
+                relations.append((len(rows), sources))
+            seen.add(row)
+            rows.append(list(row))
+    return make(p, rows), relations
+
+
 def test_subset_rank_table_matches_span_enumeration():
     for name in ("gw6a", "cube7"):
         sys_ = builtin_system(name, 5)
@@ -167,6 +190,33 @@ def test_subset_rank_table_matches_span_enumeration():
         for mask, r in enumerate(ranks):
             subset = [rows[j] for j in range(sys_.m) if mask >> j & 1]
             assert r == oracles.span_rank(subset, 5)
+    # seeded random systems with forced dependencies: every mask for m <= 6,
+    # else 48 random masks, the full mask and each relation's masks.  A span
+    # of at most 27 points is listed (`span_rank`); larger ones are reduced
+    # by `naive_rank`.
+    rng = np.random.default_rng(15)
+    for p in (3, 5, 7, 11, 13, 2147483647):
+        for m in range(1, 13):
+            d = int(rng.integers(1, 14))
+            while p**d <= m:
+                d += 1
+            sys_, relations = system_with_relations(rng, p, m, d)
+            rows = [list(map(int, r)) for r in sys_.coeffs]
+            ranks = _subset_ranks(sys_)
+            assert len(ranks) == 2**m
+            masks = set(range(2**m)) if m <= 6 else \
+                set(rng.integers(0, 2**m, size=48).tolist()) | {2**m - 1}
+            for j, sources in relations:
+                below = sum(1 << i for i in sources)
+                masks |= {below, below | 1 << j}
+            for mask in sorted(masks):
+                subset = [rows[j] for j in range(m) if mask >> j & 1]
+                want = oracles.span_rank(subset, p) \
+                    if p ** min(len(subset), d) <= 27 else oracles.naive_rank(subset, p)
+                assert ranks[mask] == want, (p, m, d, mask)
+            for j, sources in relations:
+                below = sum(1 << i for i in sources)
+                assert ranks[below | 1 << j] == ranks[below], (p, m, j)
 
 
 def test_cs_complexity_at_large_primes():

@@ -202,6 +202,25 @@ def test_gvn_average_matches_the_direct_average(name, k, path, monkeypatch):
         assert abs(rep.observed["average_modulus"] - direct) <= 1e-12 * direct
 
 
+def test_gvn_transforms_each_function_once_on_the_dual_side(monkeypatch):
+    # ap3 at k = 1 takes the dual average and the fast U^2 norms, which read
+    # the same transforms
+    sys_ = builtin_system("ap3", 5)
+    rng = np.random.default_rng(69)
+    fs = [random_bounded_function(domain(5, 3), rng) for _ in range(sys_.m)]
+    expected = verify_gvn(sys_, fs, 1).to_dict()
+    transformed = []
+
+    def spy(f, _fourier=functions.fourier):
+        transformed.append(id(f))
+        return _fourier(f)
+
+    for mod in (functions, counting, verification):
+        monkeypatch.setattr(mod, "fourier", spy, raising=False)
+    assert verify_gvn(sys_, fs, 1).to_dict() == expected
+    assert sorted(transformed) == sorted(map(id, fs))
+
+
 def test_gvn_budget_prices_the_path_that_runs(capsys):
     # ap3 at p = 5, n = 3: the dual sums 3 * 125 tuples, the direct average
     # 3 * 125^2 assignments, and the fast U^2 norm 125 * (3 * 5 + 4) operations
