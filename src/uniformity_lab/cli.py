@@ -50,6 +50,19 @@ VERIFY_EXPERIMENTS = ("gauss", "badex", "gvn", "atoms", "quadfactor",
                       "pythagoras", "all")
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low, refused at parse time (exit 2)."""
+    def parse(text):
+        if (value := int(text)) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # so that a non-integer reads "invalid int value"
+    return parse
+
+
+NONNEGATIVE_INT, POSITIVE_INT = _int_at_least(0), _int_at_least(1)
+
+
 def _common(p_cmd, p=5, n=2, seed=1):
     p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
     p_cmd.add_argument("--n", type=int, default=n, help="dimension of F_p^n")
@@ -60,7 +73,7 @@ def _common(p_cmd, p=5, n=2, seed=1):
 
 
 def _threads(p_cmd):
-    p_cmd.add_argument("--threads", type=int, default=1,
+    p_cmd.add_argument("--threads", type=POSITIVE_INT, default=1,
                        help="worker threads; 1 is the bit-reproducible mode")
 
 
@@ -121,15 +134,16 @@ def _verify_args(c):
     c.add_argument("experiment", choices=VERIFY_EXPERIMENTS)
     c.add_argument("--system", default=None)
     c.add_argument("--k", type=int, default=None)
-    c.add_argument("--d1", type=int, default=1)
-    c.add_argument("--d2", type=int, default=1)
+    c.add_argument("--d1", type=NONNEGATIVE_INT, default=1)
+    c.add_argument("--d2", type=NONNEGATIVE_INT, default=1)
     _common(c)
     _threads(c)
 
 
 def _octahedron_args(c):
     c.add_argument("--check", choices=["lift", "counterexample"], required=True)
-    c.add_argument("--size", type=int, default=64, help="vertex count for the counterexample")
+    c.add_argument("--size", type=POSITIVE_INT, default=64,
+                   help="vertex count for the counterexample")
     _common(c, p=3, n=2)
 
 
@@ -202,11 +216,18 @@ def cmd_complexity(args) -> tuple[int, dict]:
 
 def cmd_independence(args) -> tuple[int, dict]:
     sys_ = resolve_system(args.system, args.p)
-    indep = power_independence(sys_, args.k)
     try:
         true_k = conjectured_true_complexity(sys_)
     except TrueComplexityUndecided:
         true_k = None
+    # The search tests k = 1, 2, ... up to min(m, p - 2) and stops at the
+    # first independent order, and independence is monotone in k while
+    # p > k + 1.  So only a k beyond m with no independent order found is
+    # tested anew, and a k outside 1 <= k < p - 1 is refused by that test.
+    if not 1 <= args.k < sys_.p - 1 or true_k is None and args.k > sys_.m:
+        indep = power_independence(sys_, args.k)
+    else:
+        indep = true_k is not None and true_k <= args.k
     print(f"power_independence(k={args.k}) = {indep}; "
           f"conjectured_true_complexity = {true_k}")
     results = [{"name": f"power_independence_k{args.k}", "value": bool(indep),

@@ -46,7 +46,7 @@ from .algebra import _legendre, batched_rank_class
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import GroupFunction, IndicatorSet, fourier
-from .systems import LinearFormSystem, relation_space
+from .systems import LinearFormSystem
 
 CHUNK = 1 << 19
 
@@ -184,8 +184,7 @@ def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
 
 
 def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
-    w = relation_space(sys).dim
-    return sys.m * dom.size**w
+    return sys.m * dom.size**sys.relations.dim
 
 
 def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
@@ -194,10 +193,10 @@ def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     """Same average, evaluated as a sum of Fourier-coefficient products over
     the annihilator of the system's frequency relations: its tuples are the
     images of the w-variable forms given by the columns of the relation
-    basis (w = 0 is the single zero tuple).  A caller that already holds
-    the transforms of fs passes them as `_transforms`."""
+    basis, `sys.relations` (w = 0 is the single zero tuple).  A caller that
+    already holds the transforms of fs passes them as `_transforms`."""
     dom = _check_inputs(sys, fs)
-    W = relation_space(sys)
+    W = sys.relations
     check_budget(dual_op_count(sys, dom), budget,
                  what=f"dual count over {dom.size}^{W.dim} frequency tuples")
     if _transforms is None:

@@ -383,6 +383,8 @@ def load_function(path: str) -> GroupFunction | IndicatorSet:
                 dom, [complex(re, im) for re, im in doc["values"]])
     except KeyError as exc:
         raise ValueError(f"function file {path} missing field {exc}") from exc
+    except TypeError as exc:  # not an object, or a null field
+        raise ValueError(f"function file {path} is malformed: {exc}") from exc
     raise ValueError(f"unknown function mode {doc['mode']!r}")
 
 

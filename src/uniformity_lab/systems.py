@@ -5,6 +5,10 @@ The invariants computed here: the minimum-partition (Cauchy-Schwarz style)
 complexity, normal-form witnesses, independence of the (k+1)-st powers of the
 forms, and the relation space of linear dependencies among the forms.
 
+A system's coefficients C are read-only, so the pivot columns of rref(C)
+(`pivots`) and the relation space (`relations`, basis the nullspace of C^T)
+are computed once, on first use, and cached on the system for every caller.
+
 Partition complexity is computed by exact branch-and-bound search over class
 assignments, with classes as bitmasks over the forms.  Every span test is one
 lookup in a table of the ranks of all 2^m subsets of the forms, built once per
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement
 from math import factorial
 from typing import Optional, Sequence
@@ -73,7 +78,22 @@ class LinearFormSystem:
             if key in seen:
                 raise ValueError("forms must be pairwise distinct")
             seen.add(key)
+        # read-only, so that the cached invariants below never go stale
+        C.flags.writeable = False
         object.__setattr__(self, "coeffs", C)
+
+    @cached_property
+    def pivots(self) -> tuple[int, ...]:
+        """Pivot columns of rref(C); their number is the rank of C."""
+        return tuple(rref(self.coeffs, self.p)[1])
+
+    @cached_property
+    def relations(self) -> Subspace:
+        """Subspace of coefficient vectors mu with sum_i mu_i L_i = 0, the
+        nullspace of C^T; its basis is read-only like C."""
+        W = Subspace(p=self.p, ambient=self.m, basis=nullspace(self.coeffs.T, self.p))
+        W.basis.flags.writeable = False
+        return W
 
     @property
     def m(self) -> int:
@@ -97,7 +117,7 @@ def support(form: Sequence[int] | np.ndarray) -> frozenset[int]:
 def _subset_ranks(sys: LinearFormSystem) -> list[int]:
     """rank[S] of every subset S of the forms, S a bitmask over form indices.
 
-    The columns are first cut to the r pivot columns of rref(C): the other
+    The columns are first cut to the r pivot columns `sys.pivots`: the other
     columns are fixed combinations of those, in every row, so no subset's rank
     changes.  The table then grows one form at a time, by
     rank[S | 1 << j] = rank[S] + [form j not in span S], reducing form j
@@ -114,7 +134,7 @@ def _subset_ranks(sys: LinearFormSystem) -> list[int]:
     (S, j) costs O(r^2).
     """
     p, m = sys.p, sys.m
-    C = sys.coeffs[:, rref(sys.coeffs, p)[1]]
+    C = sys.coeffs[:, sys.pivots]
     r = C.shape[1]
     ranks = np.zeros(1 << m, dtype=np.int64)
     E = np.zeros((1 << (m - 1), r, r), dtype=np.int64)
@@ -292,14 +312,13 @@ def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
 
 
 def relation_space(sys: LinearFormSystem) -> Subspace:
-    """Subspace of coefficient vectors mu with sum_i mu_i L_i = 0."""
-    basis = nullspace(sys.coeffs.T, sys.p)
-    return Subspace(p=sys.p, ambient=sys.m, basis=basis)
+    """The system's cached `relations`."""
+    return sys.relations
 
 
 def span_dimension(sys: LinearFormSystem) -> int:
-    """Dimension of the span of the forms (m minus the relation count)."""
-    return sys.m - relation_space(sys).dim
+    """Dimension of the span of the forms, the rank of C."""
+    return len(sys.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +364,8 @@ def load_system(path: str, p: int | None = None) -> LinearFormSystem:
             name=str(doc.get("name", "")))
     except KeyError as exc:
         raise ValueError(f"system file {path} missing field {exc}") from exc
+    except TypeError as exc:  # not an object, or a null field
+        raise ValueError(f"system file {path} is malformed: {exc}") from exc
 
 
 def save_system(sys: LinearFormSystem, path: str) -> None:

@@ -42,7 +42,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .algebra import (QuadraticForm, as_fp_matrix, batched_rank, nullspace,
-                      rank, rref)
+                      rank)
 from .budget import check_budget
 from .counting import (_check_inputs, _class_forms, average_product_direct,
                        average_product_dual, direct_op_count, dual_op_count,
@@ -50,10 +50,10 @@ from .counting import (_check_inputs, _class_forms, average_product_direct,
                        quadratic_zero_op_count, reduce_form_images)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, fourier, omega_power,
-                        l2_norm, u2_norm_fast, uk_norm_fast)
+                        l2_norm, u2_norm_fast, uk_norm_fast,
+                        uk_norm_fast_op_count)
 from .systems import (LinearFormSystem, cs_complexity,
-                      maximal_square_independent_subsystem,
-                      power_independence, relation_space, span_dimension)
+                      maximal_square_independent_subsystem, power_independence)
 
 FLOAT_SLACK = 1e-9
 
@@ -461,7 +461,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
 
     With one form q(x) = x^T M x, zero targets and no side maps, the count
     is in closed form when `_use_gauss` says so.  The forms see x only
-    through the system's pivot columns C' (`rref`), which are independent;
+    through C' = C[:, sys.pivots], the pivot columns, which are independent;
     the other d - rank C variables are free and give p^(n(d - rank C)).  With
     C' of full column rank, gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) =
     0 for every variable, so x_u = K^T z_u for the basis K of ker gamma1
@@ -478,13 +478,12 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     homogeneous = (d2 == 1 and not factor.gamma2.forms[0].b.any()
                    and not A_t.any() and not B_t.any()
                    and not any(ph.any() for ph in phi_mats or ()))
-    pivots = rref(sys.coeffs, p)[1]
-    closed_ops = quadratic_zero_op_count(m, len(pivots), n - factor.d1, p)
+    closed_ops = quadratic_zero_op_count(m, len(sys.pivots), n - factor.d1, p)
     if _use_gauss(homogeneous, closed_ops, m, d, p, n):
         K = nullspace(factor.gamma1, p)
         form = K @ factor.gamma2.forms[0].M @ K.T
-        return p ** (n * (d - len(pivots))) * quadratic_zero_count(
-            sys.coeffs[:, pivots], form, p, budget)
+        return p ** (n * (d - len(sys.pivots))) * quadratic_zero_count(
+            sys.coeffs[:, sys.pivots], form, p, budget)
 
     dom = domain(p, n)
     check_budget(direct_op_count(sys, dom), budget,
@@ -600,12 +599,11 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
         np.zeros((m, 0), dtype=np.int64)
     B_t = np.asarray(b_targets, dtype=np.int64).reshape(m, d2) % p if d2 else \
         np.zeros((m, 0), dtype=np.int64)
-    W = relation_space(sys)
-    in_Z = not ((W.basis @ A_t) % p).any() if d1 else True
+    in_Z = not ((sys.relations.basis @ A_t) % p).any() if d1 else True
 
     matches = _factor_matches(sys, factor, A_t, B_t, None, budget, threads)
     P = Fraction(matches, p ** (n * d))
-    d_prime = span_dimension(sys)
+    d_prime = len(sys.pivots)
     r = factor_rank(factor.gamma2, p) if d2 else None
     rep = ExperimentReport(
         name="completefactor",
@@ -665,8 +663,12 @@ def verify_projection_lemmas(f: GroupFunction, factor: QuadraticFactor,
     - projection shrinks U2: U2(g) <= U2(f),
     - fiber-constant L2 bound: L2(g)^4 <= p^d1 * U2(g)^4,
     - mean preservation: E f1 = E f.
+
+    The budget, three fast U^2 norms, is checked before any table is built.
     """
     dom = f.domain
+    check_budget(3 * uk_norm_fast_op_count(dom, 2), budget,
+                 what=f"projection lemmas on size {dom.size}")
     g = project_linear(f, factor)
     f1 = project_atoms(f, factor)
     diff = GroupFunction(domain=dom, values=f.values - g.values)
@@ -715,10 +717,9 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
     codes, means = _atom_means(f, factor)
     homogeneous = (factor.d1 == 0 and factor.d2 == 1
                    and not factor.gamma2.forms[0].b.any())
-    pivots = rref(sys.coeffs, p)[1]
-    closed_ops = quadratic_zero_op_count(m, len(pivots), n, p, weighted=True)
+    closed_ops = quadratic_zero_op_count(m, len(sys.pivots), n, p, weighted=True)
     if _use_gauss(homogeneous, closed_ops, m, d, p, n):
-        average = quadratic_average(sys.coeffs[:, pivots], factor.gamma2.forms[0].M,
+        average = quadratic_average(sys.coeffs[:, sys.pivots], factor.gamma2.forms[0].M,
                                     p, np.tile(means, (m, 1)), budget)
     else:
         f1 = GroupFunction(domain=f.domain, values=means[codes])

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniformity_lab import cli, counting, verification
+from uniformity_lab import algebra, cli, counting, systems, verification
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (IndicatorSet, balanced, save_function,
@@ -141,11 +141,36 @@ def test_normal_form_command(tmp_path, capsys):
     assert report["results"][0]["witness"] is None
 
 
-def test_independence_command(tmp_path):
+def test_independence_command(tmp_path, monkeypatch, capsys):
     code, report, _ = run(["independence", "--system", "gw6b", "--p", "5"],
                           tmp_path)
     assert code == 0
     assert report["results"][0]["value"] is True
+    # the answer is read off the true-complexity search: no order is tested
+    # twice, and the value is that of a direct test at k
+    direct = systems.power_independence
+    tested = []
+
+    def spy(sys_, k):
+        tested.append(k)
+        return direct(sys_, k)
+
+    monkeypatch.setattr(systems, "power_independence", spy)
+    monkeypatch.setattr(cli, "power_independence", spy)
+    for name in BUILTIN_SYSTEM_NAMES:
+        for p in (5, 7, 11):
+            sys_ = builtin_system(name, p)
+            for k in (1, 2, 3):
+                tested.clear()
+                code, report, _ = run(["independence", "--system", name,
+                                       "--p", str(p), "--k", str(k)], tmp_path)
+                assert code == 0 and len(tested) == len(set(tested)), (name, p, k)
+                assert report["results"][0]["value"] is direct(sys_, k), (name, p, k)
+    capsys.readouterr()
+    assert main(["independence", "--system", "ap3", "--k", "0"]) == 2
+    assert "k must be >= 1" in capsys.readouterr().err
+    assert main(["independence", "--system", "ap3", "--p", "5", "--k", "4"]) == 2
+    assert "p=5 too small for power k+1=5" in capsys.readouterr().err
 
 
 def test_octahedron_commands(tmp_path):
@@ -181,6 +206,40 @@ def test_exit_code_config_error(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+    # input files that are no JSON object, or hold a null p, n or d
+    for name, text in (("list.json", "[1, 2]"),
+                       ("null_p.json", '{"p": null, "n": 1, "mode": "indicator", '
+                                       '"members": []}'),
+                       ("null_n.json", '{"p": 5, "n": null, "mode": "indicator", '
+                                       '"members": []}'),
+                       ("null_d.json", '{"p": 5, "d": null, "forms": [[1]]}')):
+        path = tmp_path / name
+        path.write_text(text)
+        argvs = [["norm", "--function", str(path)],
+                 ["count", "--system", "ap3", "--set", str(path)],
+                 ["complexity", "--system", str(path)]]
+        for argv in argvs:
+            capsys.readouterr()
+            assert main(argv) == 2, argv
+            assert name in capsys.readouterr().err, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "atoms", "--d2", "-1"],
+    ["verify", "projections", "--d1", "-1"],
+    ["verify", "all", "--d2", "-1"],
+    ["octahedron", "--check", "counterexample", "--size", "0"],
+    ["count", "--system", "ap3", "--set", "quadzero", "--threads", "0"],
+    ["verify", "gvn", "--threads", "-2"],
+    ["verify", "atoms", "--d1", "one"],
+])
+def test_out_of_range_integer_options_are_refused_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --" in err
+    assert ("must be at least" in err) != ("invalid int value" in err)
 
 
 def test_exit_code_budget_refusal(tmp_path, capsys):
@@ -220,6 +279,47 @@ def test_badex_refuses_over_budget_before_building(monkeypatch, capsys):
     assert main(["verify", "badex", "--system", "gw6a", "--p", "7", "--n", "2",
                  "--budget", "1000"]) == 3
     assert "49^3 assignments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["gauss", "atoms", "projections"])
+def test_verify_refuses_over_budget_before_building(experiment, monkeypatch, capsys):
+    def refuse_to_build(*args):
+        raise AssertionError("table built before the budget check")
+
+    for name in ("_form_values", "u2_norm_fast"):
+        monkeypatch.setattr(verification, name, refuse_to_build)
+    for name in ("atom_codes", "linear_codes"):
+        monkeypatch.setattr(verification.QuadraticFactor, name, refuse_to_build)
+    assert main(["verify", experiment, "--p", "3", "--n", "6", "--budget", "10"]) == 3
+    assert "budget refusal" in capsys.readouterr().err
+
+
+def test_each_job_derives_a_systems_invariants_once(monkeypatch, capsys):
+    """Per job, the relation basis (the nullspace of C^T) is computed once
+    and rref(C) at most once, whichever module asks for them."""
+    calls = {"nullspace": 0, "rref": 0}
+    C = None
+    originals = {"nullspace": algebra.nullspace, "rref": algebra.rref}
+
+    def spy(name, target):
+        def wrapped(M, p):
+            A = np.asarray(M)
+            if A.shape == target().shape and np.array_equal(A % p, target()):
+                calls[name] += 1
+            return originals[name](M, p)
+        return wrapped
+
+    for module in (algebra, systems, counting, verification):
+        monkeypatch.setattr(module, "nullspace", spy("nullspace", lambda: C.T),
+                            raising=False)
+        monkeypatch.setattr(module, "rref", spy("rref", lambda: C), raising=False)
+    for system, argv in (("ap3", ["verify", "gvn"]),
+                         ("gw6b", ["verify", "completefactor"]),
+                         ("diff3", ["count", "--set", "quadzero", "--method", "both"])):
+        C = builtin_system(system, 5).coeffs
+        calls.update(nullspace=0, rref=0)
+        assert main(argv + ["--system", system, "--p", "5", "--n", "3"]) == 0
+        assert calls["nullspace"] == 1 and calls["rref"] <= 1, (argv, calls)
 
 
 # cube7 at p = 7 (0.3 s of closed form) is left to the library test

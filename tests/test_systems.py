@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from uniformity_lab.algebra import rank
-from uniformity_lab.systems import (INFINITE, LinearFormSystem,
+from uniformity_lab.algebra import nullspace, rank, rref
+from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, INFINITE,
+                                    LinearFormSystem,
                                     TrueComplexityUndecided, builtin_system,
                                     conjectured_true_complexity,
                                     cs_complexity, is_s_complex_at,
@@ -412,6 +413,24 @@ def test_relation_space_vectors_annihilate():
             assert not ((mu @ sys_.coeffs) % sys_.p).any()
 
 
+def test_pivots_and_relations_are_cached_on_a_read_only_system():
+    for name in BUILTIN_SYSTEM_NAMES:
+        sys_ = builtin_system(name, 7)
+        assert sys_.pivots == tuple(rref(sys_.coeffs, 7)[1])
+        assert len(sys_.pivots) == oracles.naive_rank(sys_.coeffs.tolist(), 7)
+        assert np.array_equal(sys_.relations.basis, nullspace(sys_.coeffs.T, 7))
+        assert sys_.pivots is sys_.pivots and relation_space(sys_) is sys_.relations
+        # writing into C, or into the cached relation basis, is refused
+        with pytest.raises(ValueError, match="read-only"):
+            sys_.coeffs[0, 0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            sys_.relations.basis[...] = 0
+    # the caller's array is copied, and stays writable
+    rows = np.array([[1, 0], [1, 1]])
+    make(5, rows)
+    rows[0, 0] = 2
+
+
 # ---------------------------------------------------------------- file format
 
 def test_system_file_roundtrip(tmp_path):
@@ -429,4 +448,14 @@ def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"p": 5}')
     with pytest.raises(ValueError):
+        load_system(str(path))
+
+
+@pytest.mark.parametrize("text", ['[1, 2]', '"ap3"',
+                                  '{"p": null, "d": 1, "forms": [[1]]}',
+                                  '{"p": 5, "d": null, "forms": [[1]]}'])
+def test_load_rejects_malformed_documents(text, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="bad.json"):
         load_system(str(path))
