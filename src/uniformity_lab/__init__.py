@@ -21,7 +21,7 @@ from .systems import (INFINITE, LinearFormSystem, NormalFormWitness,
                       cs_complexity, is_s_complex_at, load_system,
                       maximal_square_independent_subsystem,
                       normal_form_check, power_independence, relation_space,
-                      save_system, span_dimension, support)
+                      save_system, support)
 from .verification import (Check, ExperimentReport, QuadraticFactor,
                            QuadraticMap, atom_distribution, factor_rank,
                            gauss_sum, gauss_sum_report, quadratic_zero_set,

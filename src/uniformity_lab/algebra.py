@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
 
 def is_odd_prime(p: int) -> bool:
     if p < 3 or p % 2 == 0:

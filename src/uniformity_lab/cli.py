@@ -27,9 +27,9 @@ from .functions import (IndicatorSet, balanced, load_function,
                         random_bounded_function, uk_norm, uk_norm_fast,
                         uk_norm_fast_op_count, uk_norm_op_count)
 from .reports import dump_report, make_report
-from .systems import (BUILTIN_SYSTEM_NAMES, TrueComplexityUndecided,
-                      conjectured_true_complexity, cs_complexity,
-                      normal_form_check, power_independence, resolve_system)
+from .systems import (BUILTIN_SYSTEM_NAMES, conjectured_true_complexity,
+                      cs_complexity, normal_form_check, power_independence,
+                      resolve_system)
 from .verification import (ComplexityPreconditionError, SquareDependenceError,
                            atom_distribution, dot_factor, gauss_sum_report,
                            quadratic_zero_set, quadratic_zero_set_report,
@@ -174,15 +174,19 @@ def _cx(value: complex) -> dict:
     return {"re": float(value.real), "im": float(value.imag)}
 
 
+def _config(args) -> dict:
+    """The report's echo of the command line: every parsed option but --out,
+    each under its option name (--set's dest `set_name` reads as `set`)."""
+    return {"set" if key == "set_name" else key: value
+            for key, value in vars(args).items() if key not in ("command", "out")}
+
+
 def cmd_list(args) -> tuple[int, dict]:
     results = []
     for name in BUILTIN_SYSTEM_NAMES:
         sys_ = resolve_system(name, args.p)
         cs = cs_complexity(sys_)
-        try:
-            true_k = conjectured_true_complexity(sys_)
-        except TrueComplexityUndecided:
-            true_k = None
+        true_k = conjectured_true_complexity(sys_)
         # the search tests k = 1 first, and every odd prime allows it
         sq = true_k == 1
         results.append({"name": name, "m": sys_.m, "d": sys_.d,
@@ -200,7 +204,7 @@ def cmd_list(args) -> tuple[int, dict]:
                                     extrasaction="ignore")
             writer.writeheader()
             writer.writerows(results)
-    return EXIT_OK, make_report("list", {"p": args.p, "csv": args.csv}, results)
+    return EXIT_OK, make_report("list", _config(args), results)
 
 
 def cmd_complexity(args) -> tuple[int, dict]:
@@ -210,16 +214,12 @@ def cmd_complexity(args) -> tuple[int, dict]:
     results = [{"name": "cs_complexity", "system": sys_.name or args.system,
                 "value": None if math.isinf(cs) else int(cs),
                 "infinite": bool(math.isinf(cs)), "passed": None}]
-    return EXIT_OK, make_report("complexity", {"system": args.system, "p": args.p},
-                                results)
+    return EXIT_OK, make_report("complexity", _config(args), results)
 
 
 def cmd_independence(args) -> tuple[int, dict]:
     sys_ = resolve_system(args.system, args.p)
-    try:
-        true_k = conjectured_true_complexity(sys_)
-    except TrueComplexityUndecided:
-        true_k = None
+    true_k = conjectured_true_complexity(sys_)
     # The search tests k = 1, 2, ... up to min(m, p - 2) and stops at the
     # first independent order, and independence is monotone in k while
     # p > k + 1.  So only a k beyond m with no independent order found is
@@ -232,8 +232,7 @@ def cmd_independence(args) -> tuple[int, dict]:
           f"conjectured_true_complexity = {true_k}")
     results = [{"name": f"power_independence_k{args.k}", "value": bool(indep),
                 "conjectured_true_complexity": true_k, "passed": None}]
-    return EXIT_OK, make_report(
-        "independence", {"system": args.system, "p": args.p, "k": args.k}, results)
+    return EXIT_OK, make_report("independence", _config(args), results)
 
 
 def cmd_normal_form(args) -> tuple[int, dict]:
@@ -248,8 +247,7 @@ def cmd_normal_form(args) -> tuple[int, dict]:
         print(f"in {args.s}-normal form; tau = {tau}")
         results = [{"name": "normal_form", "s": args.s, "witness": tau,
                     "passed": None}]
-    return EXIT_OK, make_report(
-        "normal-form", {"system": args.system, "p": args.p, "s": args.s}, results)
+    return EXIT_OK, make_report("normal-form", _config(args), results)
 
 
 def _load_cli_function(args):
@@ -283,11 +281,7 @@ def cmd_norm(args) -> tuple[int, dict]:
               "method": method, "domain": {"p": dom.p, "n": dom.n},
               "passed": None}
     print(f"U^{args.k} = {_fmt(value)} ({method})")
-    config = {"function": args.function, "set": args.set_name,
-              "balanced": args.balanced, "k": args.k, "method": args.method,
-              "p": args.p, "n": args.n, "seed": args.seed,
-              "budget": args.budget}
-    return EXIT_OK, make_report("norm", config, [record])
+    return EXIT_OK, make_report("norm", _config(args), [record])
 
 
 COUNT_METHODS = {"direct": ("direct",), "dual": ("dual",),
@@ -335,10 +329,6 @@ def _probability(name, count, total, alpha, m, method, op_count,
 
 def cmd_count(args) -> tuple[int, dict]:
     sys_ = resolve_system(args.system, args.p)
-    config = {"system": args.system, "set": args.set_name, "p": args.p,
-              "n": args.n, "method": args.method, "seed": args.seed,
-              "budget": args.budget, "threads": args.threads,
-              "tolerance": args.tolerance}
     methods = COUNT_METHODS[args.method]
     results = []
     indicator = None
@@ -411,7 +401,7 @@ def cmd_count(args) -> tuple[int, dict]:
             print(f"gauss vs direct: {'exact match' if same else 'MISMATCH'}")
             if not same:
                 exit_code = EXIT_FAIL
-    return exit_code, make_report("count", config, results)
+    return exit_code, make_report("count", _config(args), results)
 
 
 def _experiment_reports(args) -> list:
@@ -447,24 +437,22 @@ def _experiment_reports(args) -> list:
         reports.append(verify_badex(sys_, n, budget=args.budget,
                                     threads=args.threads))
     if name in ("gvn", "all") and (sys_ := system("gvn", "ap3")):
-        k = args.k if args.k is not None else int(cs_complexity(sys_))
         fs = [random_bounded_function(domain(p, n), rng) for _ in range(sys_.m)]
-        reports.append(verify_gvn(sys_, fs, k, budget=args.budget,
+        reports.append(verify_gvn(sys_, fs, args.k, budget=args.budget,
                                   threads=args.threads))
     if name in ("atoms", "all"):
-        factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
+        factor = random_factor(p, n, args.d1, args.d2, rng)
         reports.append(atom_distribution(factor, budget=args.budget))
     if name in ("quadfactor", "all") and (sys_ := system("quadfactor", "gw6b")):
         reports.append(verify_quadfactor(sys_, dot_factor(p, n).gamma2,
                                          budget=args.budget, threads=args.threads))
     if name in ("completefactor", "all") and (sys_ := system("completefactor", "gw6b")):
-        d1 = min(args.d1, n)
         reports.append(verify_completefactor(
-            sys_, dot_factor(p, n, d1), [[0] * d1] * sys_.m, [[0]] * sys_.m,
-            budget=args.budget, threads=args.threads))
+            sys_, dot_factor(p, n, args.d1), [[0] * args.d1] * sys_.m,
+            [[0]] * sys_.m, budget=args.budget, threads=args.threads))
     if name in ("projections", "all"):
         f = random_bounded_function(domain(p, n), rng)
-        factor = random_factor(p, n, min(args.d1, n), args.d2, rng)
+        factor = random_factor(p, n, args.d1, args.d2, rng)
         reports.append(verify_projection_lemmas(f, factor, budget=args.budget))
     if name in ("bound1", "all") and (sys_ := system("bound1", "gw6b")):
         f = balanced(quadratic_zero_set(p, n))
@@ -477,10 +465,6 @@ def _experiment_reports(args) -> list:
 
 
 def cmd_verify(args) -> tuple[int, dict]:
-    config = {"experiment": args.experiment, "system": args.system,
-              "p": args.p, "n": args.n, "k": args.k, "d1": args.d1,
-              "d2": args.d2, "seed": args.seed, "budget": args.budget,
-              "threads": args.threads}
     reports = _experiment_reports(args)
     results = []
     ok = True
@@ -496,12 +480,12 @@ def cmd_verify(args) -> tuple[int, dict]:
                        for k, v in rep.observed.items()
                        if isinstance(v, (int, float))))
         ok &= rep.passed
-    return (EXIT_OK if ok else EXIT_FAIL), make_report("verify", config, results)
+    return (EXIT_OK if ok else EXIT_FAIL), \
+        make_report("verify", _config(args), results)
 
 
 def cmd_octahedron(args) -> tuple[int, dict]:
-    config = {"check": args.check, "size": args.size, "p": args.p,
-              "n": args.n, "seed": args.seed, "budget": args.budget}
+    config = _config(args)
     if args.check == "lift":
         rng = np.random.default_rng(args.seed)
         g = random_bounded_function(domain(args.p, args.n), rng)
@@ -549,7 +533,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (ValueError, KeyError, OSError, SquareDependenceError,
-            ComplexityPreconditionError, TrueComplexityUndecided) as exc:
+            ComplexityPreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = getattr(args, "out", None)

@@ -25,21 +25,17 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement
-from math import factorial
+from itertools import chain, combinations, combinations_with_replacement
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .algebra import check_modulus, nullspace, rank, rref, Subspace
+from .budget import check_budget
 
 MAX_FORMS = 12
 
 INFINITE = math.inf
-
-
-class TrueComplexityUndecided(RuntimeError):
-    """No power independence found at any testable order k <= m."""
 
 
 @dataclass(frozen=True)
@@ -247,40 +243,36 @@ def normal_form_check(sys: LinearFormSystem, s: int) -> Optional[NormalFormWitne
     return NormalFormWitness(tau=tuple(taus))
 
 
-def _multinomial(counts: Sequence[int]) -> int:
-    total = sum(counts)
-    out = factorial(total)
-    for c in counts:
-        out //= factorial(c)
-    return out
-
-
-def power_tensor(form: np.ndarray, k: int, p: int) -> np.ndarray:
-    """Coefficient vector of the (k+1)-st power of the form, one entry per
-    degree-(k+1) monomial, multinomial factors included, reduced mod p."""
-    d = form.shape[0]
-    entries = []
-    for mono in combinations_with_replacement(range(d), k + 1):
-        counts = [0] * d
-        for u in mono:
-            counts[u] += 1
-        coeff = _multinomial([c for c in counts if c]) % p
-        for u in mono:
-            coeff = coeff * int(form[u]) % p
-        entries.append(coeff)
-    return np.array(entries, dtype=np.int64)
-
-
 def _power_matrix(sys: LinearFormSystem, k: int) -> np.ndarray:
-    """(m, monomials) matrix whose row i is the (k+1)-st power of form i."""
-    return np.vstack([power_tensor(sys.coeffs[i], k, sys.p) for i in range(sys.m)])
+    """(m, M) matrix whose row i is the (k+1)-st power of form i, one column
+    per degree-(k+1) monomial x_u1 ... x_u(k+1) (u1 <= ... <= u(k+1)), of
+    which there are M = C(d + k, k + 1): the column is the product of the
+    coefficient columns C[:, u1] ... C[:, u(k+1)], reduced mod p after each
+    factor.
+
+    The multinomial factor of each monomial is left out.  It divides (k+1)!,
+    a unit mod p when p > k + 1, so leaving it out scales columns by units,
+    which keeps the rank and, on the transpose, the pivot columns.  The
+    matrix costs about m M (k + 1) products to build and m M m to eliminate,
+    and is refused over budget before it is allocated."""
+    m, d, p = sys.m, sys.d, sys.p
+    size = math.comb(d + k, k + 1)
+    check_budget(m * size * (k + 1 + m),
+                 what=f"order-{k + 1} power matrix of {m} x {size}")
+    monomials = np.fromiter(
+        chain.from_iterable(combinations_with_replacement(range(d), k + 1)),
+        dtype=np.intp, count=size * (k + 1)).reshape(size, k + 1)
+    P = sys.coeffs[:, monomials[:, 0]]
+    for u in monomials[:, 1:].T:
+        P = P * sys.coeffs[:, u] % p
+    return P
 
 
 def power_independence(sys: LinearFormSystem, k: int) -> bool:
     """Are the (k+1)-st powers of the forms linearly independent over F_p?
 
-    k = 1 is square independence.  Requires p > k+1 so the multinomial
-    coefficients stay invertible mod p.
+    k = 1 is square independence.  Requires p > k+1, so that the power
+    matrix's dropped multinomial factors are units mod p.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -289,19 +281,17 @@ def power_independence(sys: LinearFormSystem, k: int) -> bool:
     return rank(_power_matrix(sys, k), sys.p) == sys.m
 
 
-def conjectured_true_complexity(sys: LinearFormSystem) -> int:
-    """Smallest k >= 1 with independent (k+1)-st powers.
+def conjectured_true_complexity(sys: LinearFormSystem) -> Optional[int]:
+    """Smallest k >= 1 with independent (k+1)-st powers, or None when the
+    powers are dependent at every testable order k <= m with p > k + 1.
 
     This is the conjectured value of the uniformity degree governing the
     system; callers should label it as conjectured in any report.
     """
-    for k in range(1, sys.m + 1):
-        if sys.p <= k + 1:
-            break
+    for k in range(1, min(sys.m, sys.p - 2) + 1):
         if power_independence(sys, k):
             return k
-    raise TrueComplexityUndecided(
-        f"powers dependent at all testable orders k <= {sys.m} (p={sys.p})")
+    return None
 
 
 def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
@@ -314,11 +304,6 @@ def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
 def relation_space(sys: LinearFormSystem) -> Subspace:
     """The system's cached `relations`."""
     return sys.relations
-
-
-def span_dimension(sys: LinearFormSystem) -> int:
-    """Dimension of the span of the forms, the rank of C."""
-    return len(sys.pivots)
 
 
 # ---------------------------------------------------------------------------

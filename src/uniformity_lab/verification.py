@@ -52,7 +52,7 @@ from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, fourier, omega_power,
                         l2_norm, u2_norm_fast, uk_norm_fast,
                         uk_norm_fast_op_count)
-from .systems import (LinearFormSystem, cs_complexity,
+from .systems import (INFINITE, LinearFormSystem, cs_complexity,
                       maximal_square_independent_subsystem, power_independence)
 
 FLOAT_SLACK = 1e-9
@@ -255,7 +255,8 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
     alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64),
                                           factor.gamma2.forms[0].M, p, budget), p**n)
     P = Fraction(count, p ** (n * sys.d))
-    independent = power_independence(sys, 1)
+    l = len(maximal_square_independent_subsystem(sys))
+    independent = l == sys.m
     rep = ExperimentReport(
         name="badex",
         parameters={"p": p, "n": n, "m": sys.m, "d": sys.d,
@@ -270,7 +271,6 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
         rep.add_check("probability_near_p^-m", float(dev), p ** (-n / 2), "<=",
                       exact_verdict=_exact_power_bound(dev, p, -n))
     else:
-        l = len(maximal_square_independent_subsystem(sys))
         excess = P - alpha**sys.m
         rep.parameters["independent_subsystem_size"] = l
         rep.observed["excess_over_alpha^m"] = float(excess)
@@ -286,10 +286,12 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
 # ---------------------------------------------------------------------------
 # Generalized von Neumann inequality.
 
-def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction], k: int,
-               budget: int | None = None, threads: int = 1) -> ExperimentReport:
+def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
+               k: int | None = None, budget: int | None = None,
+               threads: int = 1) -> ExperimentReport:
     """|E prod_i f_i(L_i(x))| <= min_i U^(k+1)(f_i) for bounded f_i, provided
-    the system's partition complexity is at most k.
+    the system's partition complexity is at most k; k = None takes that
+    complexity itself, and refuses an infinite one (two parallel forms).
 
     The norms are the fast U^(k+1) norms (`uk_norm_fast`); the direct cube
     sum `uk_norm` stays the suite's cross-check.  The average sums over the
@@ -300,6 +302,12 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction], k: int,
     runs.  At k = 1 on the dual side the U^2 norms read the transforms the
     dual average sums over, so each function is transformed once."""
     actual = cs_complexity(sys)
+    if k is None:
+        if actual == INFINITE:
+            raise ComplexityPreconditionError(
+                "system has infinite partition complexity (two parallel "
+                "forms): no U^k norm controls its average")
+        k = int(actual)
     if not actual <= k:
         raise ComplexityPreconditionError(
             f"system has partition complexity {actual}, need <= {k}")
@@ -392,6 +400,8 @@ class QuadraticFactor:
 
 def dot_factor(p: int, n: int, d1: int = 0) -> QuadraticFactor:
     """The factor of F_p^n cut out by the first d1 coordinates and x -> x.x."""
+    if d1 > n:
+        raise ValueError("d1 cannot exceed n")
     eye = np.eye(n, dtype=np.int64)
     q = QuadraticForm(p=p, M=eye, b=np.zeros(n, dtype=np.int64))
     return QuadraticFactor(p=p, n=n, gamma1=eye[:d1], gamma2=QuadraticMap(forms=(q,)))

@@ -12,7 +12,7 @@ builds the table.
 from __future__ import annotations
 
 import cmath
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -273,6 +273,28 @@ def naive_square_matrices_independent(rows, p):
         g = np.array(row) % p
         flats.append(tuple(int(v) for v in (np.outer(g, g) % p).ravel()))
     return span_rank(flats, p) == len(rows)
+
+
+def naive_power_rows(rows, k, p):
+    """Coefficient vector of the (k+1)-st power of each form, as Python-int
+    rows: the form is multiplied out k+1 times as a polynomial (a dict from
+    sorted variable tuples to coefficients), so every monomial carries its
+    multinomial factor, and the coefficients are listed mod p in the order
+    of itertools.combinations_with_replacement."""
+    d = len(rows[0])
+    out = []
+    for row in rows:
+        poly = {(): 1}
+        for _ in range(k + 1):
+            grown = {}
+            for mono, c in poly.items():
+                for u in range(d):
+                    key = tuple(sorted(mono + (u,)))
+                    grown[key] = grown.get(key, 0) + c * int(row[u])
+            poly = grown
+        out.append([poly[mono] % p
+                    for mono in combinations_with_replacement(range(d), k + 1)])
+    return out
 
 
 def random_symmetric(p, n, rank_kind, rng):

@@ -1,3 +1,4 @@
+import argparse
 import json
 import shlex
 import subprocess
@@ -322,6 +323,61 @@ def test_each_job_derives_a_systems_invariants_once(monkeypatch, capsys):
         assert calls["nullspace"] == 1 and calls["rref"] <= 1, (argv, calls)
 
 
+def test_verify_gvn_takes_its_k_from_one_subset_rank_table(monkeypatch, capsys):
+    """Without --k, gvn runs at the system's partition complexity, found by
+    the one table build its precondition check makes."""
+    table = systems._subset_ranks
+    calls = []
+
+    def spy(sys_):
+        calls.append(sys_.name)
+        return table(sys_)
+
+    monkeypatch.setattr(systems, "_subset_ranks", spy)
+    assert main(["verify", "gvn", "--system", "ap3", "--p", "5", "--n", "2"]) == 0
+    assert calls == ["ap3"]
+    assert "gvn: pass" in capsys.readouterr().out
+
+
+def test_verify_gvn_refuses_an_infinite_complexity(tmp_path, capsys):
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps({"p": 5, "d": 2, "forms": [[1, 0], [2, 0], [0, 1]]}))
+    assert main(["verify", "gvn", "--system", str(path), "--p", "5", "--n", "2"]) == 2
+    assert "infinite partition complexity" in capsys.readouterr().err
+    assert main(["verify", "gvn", "--system", str(path), "--p", "5", "--n", "2",
+                 "--k", "2"]) == 2
+    assert "need <= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["atoms", "completefactor", "projections"])
+def test_d1_above_n_is_a_config_error(experiment, capsys):
+    assert main(["verify", experiment, "--d1", "5", "--p", "5", "--n", "2"]) == 2
+    assert "d1 cannot exceed n" in capsys.readouterr().err
+
+
+def test_power_matrix_over_budget_is_refused_before_it_is_built(
+        tmp_path, monkeypatch, capsys):
+    """Three forms in 10 variables, two of them parallel, so that no order
+    is independent: under a budget of 1000 the squares (3 x 55, priced
+    3 * 55 * 5 = 825) are built and the cubes (3 x 220) are refused."""
+    path = tmp_path / "wide.json"
+    forms = [[1, 2, 0, 3, 0, 1, 0, 0, 4, 1], [2, 4, 0, 6, 0, 2, 0, 0, 8, 2],
+             [0, 1, 1, 0, 1, 0, 1, 1, 0, 0]]
+    path.write_text(json.dumps({"p": 13, "d": 10, "forms": forms}))
+    orders = []
+    monomials = systems.combinations_with_replacement
+
+    def spy(items, r):
+        orders.append(r)
+        return monomials(items, r)
+
+    monkeypatch.setattr(systems, "combinations_with_replacement", spy)
+    monkeypatch.setenv("UNIFORMITY_LAB_BUDGET", "1000")
+    assert main(["independence", "--system", str(path), "--p", "13"]) == 3
+    assert "order-3 power matrix of 3 x 220" in capsys.readouterr().err
+    assert orders == [2]
+
+
 # cube7 at p = 7 (0.3 s of closed form) is left to the library test
 CHEAP_ALL_CASES = [(name, p, 1) for p in (5, 7) for name in BUILTIN_SYSTEM_NAMES
                    if (name, p) != ("cube7", 7)] + \
@@ -582,6 +638,23 @@ def test_one_command_parser_matches_full_parser(capsys):
                 outcomes.append((exit_.value.code, capsys.readouterr()))
             assert outcomes[0] == outcomes[1], bad
             assert outcomes[0][0] == 2 and "error:" in outcomes[0][1].err, bad
+
+
+def test_report_config_echoes_exactly_the_parsed_options(tmp_path, monkeypatch):
+    """Each command's report config holds one key per option of its parser,
+    named as on the command line, with --out the one option left out."""
+    monkeypatch.chdir(tmp_path)
+    for name, argv in COMMAND_LINES.items():
+        (sub,) = [action for action in cli.build_parser(name)._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        options = {action.option_strings[-1].lstrip("-") if action.option_strings
+                   else action.dest for action in sub.choices[name]._actions
+                   if not isinstance(action, argparse._HelpAction)}
+        argv = [arg for arg in argv if arg not in ("--out", "r.json")]
+        if "--budget" in argv:  # the line's budget of 99 refuses the run
+            argv[argv.index("--budget") + 1] = str(10**10)
+        _, report, _ = run(argv, tmp_path)
+        assert set(report["config"]) == options - {"out"}, name
 
 
 def test_report_schema_validator_flags_problems():

@@ -5,14 +5,13 @@ import pytest
 
 from uniformity_lab.algebra import nullspace, rank, rref
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, INFINITE,
-                                    LinearFormSystem,
-                                    TrueComplexityUndecided, builtin_system,
+                                    LinearFormSystem, builtin_system,
                                     conjectured_true_complexity,
                                     cs_complexity, is_s_complex_at,
                                     load_system, maximal_square_independent_subsystem,
                                     normal_form_check, power_independence,
-                                    power_tensor, relation_space, save_system,
-                                    span_dimension, support,
+                                    relation_space, save_system, support,
+                                    _BUILTIN_ROWS, _power_matrix,
                                     _subset_ranks)
 
 import oracles
@@ -338,21 +337,46 @@ def test_power_independence_validation():
         power_independence(builtin_system("ap3", 5), 4)  # p <= k+1
 
 
-def test_power_tensor_cubes_of_ap4():
-    # cubes of (x + i*y) have coefficient rows (1, 3i, 3i^2, i^3)
-    sys_ = builtin_system("ap4", 7)
-    T = np.vstack([power_tensor(sys_.form(i), 2, 7) for i in range(4)])
-    expected = np.array([[1, 3 * i % 7, 3 * i * i % 7, i**3 % 7]
-                         for i in range(4)])
-    assert np.array_equal(T, expected)
+def _power_cases():
+    """The integer rows of every built-in system and of 50 seeded random
+    systems with entries in [-2, 2], half of them holding a form and its
+    negative (a parallel pair, so that every power is dependent)."""
+    cases = [_BUILTIN_ROWS[name][1] for name in BUILTIN_SYSTEM_NAMES]
+    rng = np.random.default_rng(17)
+    while len(cases) < len(BUILTIN_SYSTEM_NAMES) + 50:
+        m, d = int(rng.integers(1, 6)), int(rng.integers(1, 5))
+        rows = rng.integers(-2, 3, size=(m, d)).tolist()
+        if len(cases) % 2:
+            rows.append([-v for v in rows[0]])
+        if all(any(r) for r in rows) and len({tuple(r) for r in rows}) == len(rows):
+            cases.append(rows)
+    return cases
+
+
+def test_power_matrix_matches_multinomial_rows():
+    """The monomial-product power matrix against the multinomial coefficient
+    rows, at every order k with k + 1 < p and k <= m: the same rank, and the
+    same pivot columns on the transposes (the forms kept by a greedy scan)."""
+    dependent = 0
+    for rows in _power_cases():
+        for p in (5, 7, 11, 13):
+            sys_ = make(p, rows)
+            for k in range(1, min(sys_.m, p - 2) + 1):
+                P = _power_matrix(sys_, k)
+                oracle = oracles.naive_power_rows(rows, k, p)
+                assert P.shape == (sys_.m, len(oracle[0])), (rows, p, k)
+                r = oracles.naive_rank(oracle, p)
+                assert rank(P, p) == r, (rows, p, k)
+                assert rref(P.T, p)[1] == rref(np.array(oracle).T, p)[1], (rows, p, k)
+                dependent += r < sys_.m
+    assert dependent > 100
 
 
 def test_conjectured_true_complexity_examples():
     assert conjectured_true_complexity(builtin_system("ap4", 7)) == 2
     assert conjectured_true_complexity(builtin_system("gw6b", 5)) == 1
     assert conjectured_true_complexity(make(5, [[1, 0]])) == 1
-    with pytest.raises(TrueComplexityUndecided):
-        conjectured_true_complexity(make(5, [[1], [2]]))
+    assert conjectured_true_complexity(make(5, [[1], [2]])) is None
 
 
 def test_power_independence_monotone_on_library():
@@ -399,7 +423,7 @@ def test_maximal_square_independent_subsystem_matches_greedy_oracle(p):
 
 def test_relation_space_examples():
     W = relation_space(builtin_system("ap4", 7))
-    assert W.dim == 2 and span_dimension(builtin_system("ap4", 7)) == 2
+    assert W.dim == 2 and len(builtin_system("ap4", 7).pivots) == 2
     assert relation_space(make(5, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])).dim == 0
     assert relation_space(make(5, [[1], [2]])).dim == 1
 
@@ -408,7 +432,7 @@ def test_relation_space_vectors_annihilate():
     for name in ("ap3", "ap4", "ap5", "diff3", "gw6a", "gw6b", "cube7", "nf4"):
         sys_ = builtin_system(name, 7)
         W = relation_space(sys_)
-        assert W.dim + span_dimension(sys_) == sys_.m
+        assert W.dim + len(sys_.pivots) == sys_.m
         for mu in W.basis:
             assert not ((mu @ sys_.coeffs) % sys_.p).any()
 
