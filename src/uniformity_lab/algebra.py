@@ -2,8 +2,15 @@
 
 Scalars are Python ints in [0, p), vectors and matrices are numpy int64
 arrays reduced mod p.  Everything here is exact integer arithmetic; no
-floating point.  Gaussian elimination uses the first nonzero pivot, so all
-reduced forms are deterministic.
+floating point.  There is one elimination per shape:
+
+- one matrix goes through `rref`, with whole-row array operations and the
+  first nonzero pivot, so all reduced forms are deterministic; `rank`
+  eliminates whichever of M and M^T has fewer columns, and `nullspace` and
+  `solve_affine` read their answers off the reduced form;
+- a (B, d, d) stack of symmetric matrices goes through `_eliminate`, one
+  symmetric congruence vectorized over the stack, which gives each matrix's
+  rank and discriminant class (`batched_rank_class`).
 """
 
 from __future__ import annotations
@@ -64,36 +71,41 @@ def as_fp_vector(v, p: int) -> np.ndarray:
 
 
 def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, first-nonzero pivoting."""
-    A = as_fp_matrix(M, p).copy()
+    """Reduced row echelon form and pivot columns, first-nonzero pivoting.
+
+    Per column, one array operation finds the pivot row and one outer product
+    of whole rows clears the column (the pivot row is then restored); entries
+    stay below p, so each product is below (p - 1)^2 < 2^63 (`check_modulus`)
+    and exact in int64."""
+    A = as_fp_matrix(M, p)
     rows, cols = A.shape
     pivots: list[int] = []
-    r = 0
     for c in range(cols):
-        pivot = -1
-        for i in range(r, rows):
-            if A[i, c] != 0:
-                pivot = i
-                break
-        if pivot == -1:
-            continue
-        if pivot != r:
-            A[[r, pivot]] = A[[pivot, r]]
-        A[r] = (A[r] * inv_mod(int(A[r, c]), p)) % p
-        for i in range(rows):
-            if i != r and A[i, c] != 0:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == rows:
             break
+        below = np.flatnonzero(A[r:, c])
+        if not below.size:
+            continue
+        i = r + below[0]
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        row = A[r] * inv_mod(int(A[r, c]), p) % p
+        A -= np.outer(A[:, c], row)
+        A %= p
+        A[r] = row
+        pivots.append(c)
     return A, pivots
 
 
 def rank(M, p: int) -> int:
-    if np.asarray(M).size == 0:
+    """Rank of M, eliminating whichever of M and M^T has fewer columns."""
+    A = np.asarray(M)
+    if A.size == 0:
         return 0
-    return len(rref(M, p)[1])
+    if A.ndim == 2 and A.shape[1] > A.shape[0]:
+        A = A.T
+    return len(rref(A, p)[1])
 
 
 def _diagonal_pivot(A: np.ndarray, c: int, p: int) -> None:
@@ -112,65 +124,39 @@ def _diagonal_pivot(A: np.ndarray, c: int, p: int) -> None:
     A[k, :, c] = (A[k, :, c] + t * A[k, :, i]) % p
 
 
-def _eliminate(A: np.ndarray, p: int, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
-    """(ranks, pivot product mod p) of a (B, rows, cols) int64 stack reduced
-    mod p, which it overwrites.
+def _eliminate(A: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ranks, pivot product mod p) of a (B, d, d) int64 stack of symmetric
+    matrices reduced mod p, which it overwrites.
 
-    One Gaussian elimination vectorized over the stack: per column, the first
-    unused row with a nonzero entry becomes the pivot, and each other unused
-    row r is replaced by a*r - b*pivot_row (a the pivot entry, b the entry of
-    r), which clears the column without inverting anything and scales r by a
-    nonzero a.  Entries stay below p, so the products stay exact in int64 as
-    in `rref`.
-
-    With `symmetric`, the stack is square and symmetric and the elimination
-    is a congruence A -> E A E^T: `_diagonal_pivot` first puts a nonzero
-    entry on the diagonal, so the pivot of column c is row c, and the column
-    operations, which meet zeros in the pivot column, scale the rest by a
-    once more (so r becomes a^2 r - ab pivot_row).  The rows and columns still
-    to be eliminated then always hold a congruent image of the remaining form,
-    and the pivots are the diagonal of a diagonalization: their product is the
-    discriminant of the nondegenerate part up to squares.
+    One symmetric Gaussian elimination vectorized over the stack, run as a
+    congruence A -> E A E^T.  Per column c, `_diagonal_pivot` first puts a
+    nonzero entry on the diagonal, so the pivot is a = A[c, c] whenever
+    column c is nonzero: the rows above c are finished, and in the congruence
+    they are zero in column c (the loop never reads them again).  Each later
+    row r becomes a^2 r - ab row_c (b the entry of r in column c): the row
+    operation a*r - b*row_c, then the column operation, which meets zeros in
+    the pivot column and scales by a once more.  Nothing is inverted, and
+    entries stay below p, so the products stay exact in int64 as in `rref`.
+    The rows and columns still to be eliminated always hold a congruent image
+    of the remaining form, and the pivots are the diagonal of a
+    diagonalization: their product is the discriminant of the nondegenerate
+    part up to squares.
     """
-    B, rows, cols = A.shape
+    B, d, _ = A.shape
     ranks = np.zeros(B, dtype=np.int64)
     product = np.ones(B, dtype=np.int64)
-    unused = np.ones((B, rows), dtype=bool)
-    batch = np.arange(B)
-    for c in range(cols):
-        if symmetric:
-            _diagonal_pivot(A, c, p)
-        candidates = unused & (A[:, :, c] != 0)
-        found = candidates.any(axis=1)
-        pivot = candidates.argmax(axis=1)
-        unused[batch, pivot] &= ~found
+    for c in range(d):
+        _diagonal_pivot(A, c, p)
+        found = A[:, c, c] != 0
         ranks += found
-        # in symmetric mode the pivot is row c (copied into `row` below), and
-        # it and the rows above it are finished: nothing reads them again
-        top = c + 1 if symmetric else 0
-        rest = A[:, top:, c + 1:]
-        row = A[batch, pivot, c + 1:]
-        scale = np.where(found, A[batch, pivot, c], 1)
-        factor = A[:, top:, c] * unused[:, top:]
-        if symmetric:
-            factor = factor * scale[:, None] % p
-            product *= scale
-            product %= p
-            scale = scale * scale % p
-        rest *= scale[:, None, None]
-        rest -= factor[:, :, None] * row[:, None, :]
+        scale = np.where(found, A[:, c, c], 1)
+        product = product * scale % p
+        factor = A[:, c + 1:, c] * scale[:, None] % p
+        rest = A[:, c + 1:, c + 1:]
+        rest *= (scale * scale % p)[:, None, None]
+        rest -= factor[:, :, None] * A[:, c, None, c + 1:]
         rest %= p
     return ranks, product
-
-
-def batched_rank(stack, p: int) -> np.ndarray:
-    """Ranks of a (B, rows, cols) stack of matrices, shape (B,), by one
-    elimination vectorized over the stack (`_eliminate`).  Worth it for many
-    small matrices; `rank` stays the path for a single one."""
-    A = np.asarray(stack, dtype=np.int64) % p
-    if A.ndim != 3:
-        raise ValueError("expected a (B, rows, cols) stack")
-    return _eliminate(A, p, symmetric=False)[0]
 
 
 def _legendre(a, p: int) -> np.ndarray:
@@ -199,23 +185,18 @@ def batched_rank_class(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     A = np.asarray(stack, dtype=np.int64) % p
     if A.ndim != 3 or not np.array_equal(A, A.transpose(0, 2, 1)):
         raise ValueError("expected a (B, d, d) stack of symmetric matrices")
-    ranks, product = _eliminate(A, p, symmetric=True)
+    ranks, product = _eliminate(A, p)
     return ranks, _legendre(product, p)
 
 
 def nullspace(M, p: int) -> np.ndarray:
-    """Basis (rows) of {x : Mx = 0}; shape (dim, cols)."""
-    A = as_fp_matrix(M, p)
-    rows, cols = A.shape
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    R, pivots = rref(A, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for r, c in enumerate(pivots):
-            basis[k, c] = (-R[r, fc]) % p
+    """Basis (rows) of {x : Mx = 0}; shape (dim, cols).  Free column f of R
+    = rref(M) gives e_f minus column f of R, spread over the pivot columns."""
+    R, pivots = rref(M, p)
+    free = np.delete(np.arange(R.shape[1]), pivots)
+    basis = np.zeros((free.size, R.shape[1]), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = -R[:len(pivots), free].T % p
     return basis
 
 
@@ -262,8 +243,7 @@ def solve_affine(M, rhs, p: int) -> Optional[Subspace]:
     if cols in pivots:
         return None
     x0 = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivots):
-        x0[c] = R[r, cols]
+    x0[pivots] = R[:len(pivots), cols]
     return Subspace(p=p, ambient=cols, basis=nullspace(A, p), offset=x0)
 
 

@@ -63,6 +63,18 @@ def _int_at_least(low):
 NONNEGATIVE_INT, POSITIVE_INT = _int_at_least(0), _int_at_least(1)
 
 
+def _tolerance(text):
+    """argparse type: a finite float >= 0, refused at parse time (exit 2);
+    a negative or NaN tolerance fails every comparison, and NaN or infinity
+    is no JSON number."""
+    if not 0 <= (value := float(text)) < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
+
+
+_tolerance.__name__ = "float"  # so that a non-number reads "invalid float value"
+
+
 def _common(p_cmd, p=5, n=2, seed=1):
     p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
     p_cmd.add_argument("--n", type=int, default=n, help="dimension of F_p^n")
@@ -124,7 +136,7 @@ def _count_args(c):
                    default="both")
     c.add_argument("--degenerate", action="store_true",
                    help="also report the degenerate-solution fraction")
-    c.add_argument("--tolerance", type=float, default=DUAL_AGREEMENT_TOL,
+    c.add_argument("--tolerance", type=_tolerance, default=DUAL_AGREEMENT_TOL,
                    help="allowed direct-vs-dual gap for --method both and all")
     _common(c)
     _threads(c)

@@ -29,7 +29,8 @@ from .verification import ExperimentReport
 @dataclass(frozen=True)
 class TripartiteFunction:
     """Dense table over X x Y x Z; complex in float mode, Fractions in exact
-    mode (exact mode is the oracle for the norm-of-zero property)."""
+    mode (the exact table is what the test suite's rational octahedral oracle
+    reads)."""
 
     values: np.ndarray
     exact: Optional[np.ndarray] = None
@@ -75,25 +76,6 @@ def octahedral_power(F: TripartiteFunction, budget: int | None = None) -> float:
 
 def octahedral_norm(F: TripartiteFunction, budget: int | None = None) -> float:
     return max(octahedral_power(F, budget), 0.0) ** 0.125
-
-
-def octahedral_power_exact(F: TripartiteFunction) -> Fraction:
-    """Exact rational eighth power for real rational tables; small sizes only."""
-    if F.exact is None:
-        raise ValueError("function carries no exact rational table")
-    nx, ny, nz = F.sizes
-    vals = F.exact
-    total = Fraction(0)
-    for x0 in range(nx):
-        for x1 in range(nx):
-            for y0 in range(ny):
-                for y1 in range(ny):
-                    s = Fraction(0)
-                    for z in range(nz):
-                        s += vals[x0, y0, z] * vals[x1, y0, z] * \
-                            vals[x0, y1, z] * vals[x1, y1, z]
-                    total += s * s
-    return total / ((nx * ny) ** 2 * nz**2)
 
 
 def lift(g: GroupFunction) -> TripartiteFunction:

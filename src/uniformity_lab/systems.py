@@ -302,7 +302,9 @@ def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
 
 
 def relation_space(sys: LinearFormSystem) -> Subspace:
-    """The system's cached `relations`."""
+    """The system's cached `relations`.  Kept public, although the package
+    reads `sys.relations` directly, because the benchmark's checks
+    (`perfbench/checks.py`) import it."""
     return sys.relations
 
 

@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (QuadraticForm, as_fp_matrix, batched_rank, nullspace,
-                      rank)
+from .algebra import (QuadraticForm, as_fp_matrix, batched_rank_class,
+                      nullspace, rank)
 from .budget import check_budget
 from .counting import (_check_inputs, _class_forms, average_product_direct,
                        average_product_dual, direct_op_count, dual_op_count,
@@ -409,15 +409,17 @@ def dot_factor(p: int, n: int, d1: int = 0) -> QuadraticFactor:
 
 def factor_rank(gamma2: QuadraticMap, p: int | None = None) -> int:
     """Minimum rank of a nonzero F_p-combination of the associated symmetric
-    bilinear forms, the matrices M of the forms.  A combination and its nonzero multiples share a rank,
-    so one combination on each line of F_p^d2 is eliminated, (p^d2 - 1)/(p - 1)
-    of them (`counting._class_forms`), in batches; requires at least one
-    quadratic form."""
+    bilinear forms, the matrices M of the forms.  A combination and its
+    nonzero multiples share a rank, so one combination on each line of F_p^d2
+    is eliminated, (p^d2 - 1)/(p - 1) of them (`counting._class_forms`), in
+    batches, by the symmetric stack elimination (the ranks of
+    `algebra.batched_rank_class`); requires at least one quadratic form."""
     if gamma2.d2 == 0:
         raise ValueError("factor rank needs d2 >= 1")
     p = gamma2.forms[0].p if p is None else p
     mats = np.stack([q.M for q in gamma2.forms])
-    return min(int(batched_rank(forms, p).min()) for _, forms in _class_forms(mats, p))
+    return min(int(batched_rank_class(forms, p)[0].min())
+               for _, forms in _class_forms(mats, p))
 
 
 def atom_distribution(factor: QuadraticFactor,

@@ -12,6 +12,7 @@ builds the table.
 from __future__ import annotations
 
 import cmath
+from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import numpy as np
@@ -251,6 +252,23 @@ def naive_octahedral_power(values):
                                 prod *= v.conjugate() if sum(e) % 2 else v
                             total += prod
     return total / (nx * ny * nz) ** 2
+
+
+def octahedral_power_exact(table):
+    """Exact eighth power of the octahedral norm of a real table of Fractions:
+    E_{x0,x1,y0,y1} (E_z F(x0,y0,z) F(x1,y0,z) F(x0,y1,z) F(x1,y1,z))^2."""
+    nx, ny, nz = table.shape
+    total = Fraction(0)
+    for x0 in range(nx):
+        for x1 in range(nx):
+            for y0 in range(ny):
+                for y1 in range(ny):
+                    s = Fraction(0)
+                    for z in range(nz):
+                        s += table[x0, y0, z] * table[x1, y0, z] * \
+                            table[x0, y1, z] * table[x1, y1, z]
+                    total += s * s
+    return total / ((nx * ny) ** 2 * nz**2)
 
 
 def counterexample_table(u):

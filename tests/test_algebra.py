@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uniformity_lab.algebra import (QuadraticForm, Subspace, batched_rank,
+from uniformity_lab.algebra import (QuadraticForm, Subspace,
                                     batched_rank_class, check_modulus,
                                     nullspace, rank, rref, solve_affine)
 
@@ -44,22 +44,43 @@ def test_rank_transpose_randomized():
         assert rank(M, p) == rank(M.T, p)
 
 
-def test_batched_rank_matches_span_enumeration():
+def assert_rref(R, pivots, M, p):
+    """R is reduced row echelon with these pivots and spans the rows of M."""
+    r = len(pivots)
+    assert R.shape == np.shape(M) and not R[r:].any()
+    assert pivots == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert not R[i, :c].any()
+        assert R[:, c].tolist() == [int(j == i) for j in range(R.shape[0])]
+    assert oracles.naive_rank(np.concatenate([R[:r], M]), p) == r
+
+
+def test_rank_and_rref_match_naive_rank():
+    """Wide, tall, square and all-zero matrices, rank deficient by repeated
+    and combined rows, with entries -1 that must reduce to p - 1, up to
+    p = 2^31 - 1, where a product of two residues is close to 2^62."""
     rng = np.random.default_rng(12)
-    # (B, rows, cols): square, rows > cols, cols > rows, a stack of one
-    shapes = [(40, 3, 3), (30, 5, 2), (30, 2, 5), (1, 4, 4), (1, 1, 3), (25, 6, 3)]
-    for p in (3, 5, 7, 11):
-        for B, rows, cols in shapes:
-            stack = rng.integers(0, p, size=(B, rows, cols))
-            # zero rows, and entries equal to -1, which must reduce to p - 1
-            stack[rng.random((B, rows)) < 0.3] = 0
-            stack[rng.random((B, rows, cols)) < 0.1] = -1
-            ranks = batched_rank(stack, p)
-            assert ranks.shape == (B,)
-            assert ranks.tolist() == [oracles.span_rank(list(M), p) for M in stack]
-    assert batched_rank(np.zeros((3, 4, 2), dtype=int), 5).tolist() == [0, 0, 0]
+    shapes = [(3, 3), (5, 2), (2, 5), (1, 9), (9, 1), (4, 12), (12, 4), (6, 6)]
+    for p in (3, 5, 7, 11, 1000003, 2147483647):
+        for rows, cols in shapes:
+            for _ in range(4):
+                M = rng.integers(0, p, size=(rows, cols))
+                M[rng.random(rows) < 0.3] = 0
+                M[rng.random((rows, cols)) < 0.1] = -1
+                if rows >= 3:
+                    M[-1] = (M[0] * (p - 2) + M[1] * 3) % p
+                expected = oracles.naive_rank(M.tolist(), p)
+                assert rank(M, p) == rank(M.T, p) == expected, (M, p)
+                R, pivots = rref(M, p)
+                assert len(pivots) == expected
+                assert_rref(R, pivots, M % p, p)
+            zero = np.zeros((rows, cols), dtype=np.int64)
+            assert rank(zero, p) == 0
+            R, pivots = rref(zero, p)
+            assert pivots == [] and not R.any()
+    assert rank(np.zeros((0, 4), dtype=int), 5) == 0
     with pytest.raises(ValueError):
-        batched_rank(np.eye(3, dtype=int), 5)
+        rank([1, 2, 3], 5)
 
 
 def symmetric_stack(p, d, count, rng):
@@ -89,7 +110,7 @@ def test_batched_rank_class_gives_gauss_sums(p):
         count = 12 if p**d <= 2401 else 5
         S = symmetric_stack(p, d, count, rng)
         ranks, eps = batched_rank_class(S, p)
-        assert ranks.tolist() == batched_rank(S, p).tolist()
+        assert ranks.tolist() == [oracles.span_rank(list(M), p) for M in S]
         for M, r, e in zip(S, ranks.tolist(), eps.tolist()):
             assert e in (1, -1)
             expected = p ** (d - r) * e * g**r
@@ -100,20 +121,44 @@ def test_batched_rank_class_gives_gauss_sums(p):
         batched_rank_class(np.array([[[0, 1], [0, 0]]]), p)
 
 
-def test_batched_rank_at_large_primes():
-    # entries up to p - 1 near 2^31, where a*r - b*pivot_row is close to the
-    # int64 limit; a third of the rows are combinations of the others, so the
-    # ranks fall short of full, and `rank` (rref through inverses) decides
+def test_batched_rank_class_at_large_primes():
+    """Symmetric M = X D X^T with X invertible mod p is congruent to D, so its
+    rank is the number of nonzero entries of D and its class is chi of their
+    product; D's zeros force rank deficiency.  A third of the stack puts a
+    hyperbolic plane [[0, 1], [1, 0]] (discriminant -1) at the top of D and
+    e_0 as the first row of X, so M[0, 0] = 0 and the diagonal pivot has to
+    move.  Entries near 2^31 put each product close to the int64 limit, and
+    `rank` (rref through inverses) decides the ranks."""
     rng = np.random.default_rng(13)
+    d = 5
     for p in (1000003, 2147483647):
-        stack = rng.integers(0, p, size=(30, 6, 5))
-        stack[:, 4] = (stack[:, 0] * 7 + stack[:, 1] * (p - 3)) % p
-        stack[:, 5] = (stack[:, 2] * (p - 1) + stack[:, 4] * 11) % p
-        stack[:10, :, 0] = 0
-        stack[10:20, 3] = stack[10:20, 2]
-        ranks = batched_rank(stack, p).tolist()
-        assert ranks == [rank(M, p) for M in stack]
-        assert set(ranks) == {3, 4}
+        stack, ranks, classes = [], [], []
+        for b in range(30):
+            while True:
+                X = rng.integers(0, p, size=(d, d))
+                if b % 3 == 0:
+                    X[0] = np.eye(d, dtype=np.int64)[0]
+                if rank(X, p) == d:
+                    break
+            diag = rng.integers(1, p, size=d) * (rng.random(d) < 0.7)
+            D = np.diag(diag)
+            # the nonzero diagonal of a diagonalization of D; the plane is
+            # congruent to diag(1, -1)
+            pivots = [int(x) for x in diag if x]
+            if b % 3 == 0:
+                D[:2, :2] = [[0, 1], [1, 0]]
+                pivots = [1, p - 1] + [int(x) for x in diag[2:] if x]
+            M = X.astype(object) @ D.astype(object) @ X.T.astype(object) % p
+            stack.append(M.astype(np.int64))
+            ranks.append(len(pivots))
+            disc = int(np.prod(pivots, dtype=object)) % p
+            classes.append(1 if pow(disc, (p - 1) // 2, p) == 1 else -1)
+        S = np.array(stack)
+        assert (S[::3, 0, 0] == 0).all() and S[::3, 0].any(axis=1).all()
+        got_ranks, got_classes = batched_rank_class(S, p)
+        assert got_ranks.tolist() == [rank(M, p) for M in S] == ranks
+        assert got_classes.tolist() == classes
+        assert min(ranks) < d
 
 
 def test_rref_is_deterministic_and_reduced():

@@ -36,8 +36,6 @@ def test_public_api_is_pinned():
 # Top-level names that no other line of the package reads, kept on purpose.
 KEPT_UNREFERENCED = {
     "validate_report": "the report checker the README documents for users",
-    "octahedral_power_exact": "the exact oracle octahedral_norm is tested "
-                              "against, kept until that oracle moves to tests",
 }
 
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -241,6 +242,27 @@ def test_out_of_range_integer_options_are_refused_at_parse_time(argv, capsys):
     err = capsys.readouterr().err
     assert "error: argument --" in err
     assert ("must be at least" in err) != ("invalid int value" in err)
+
+
+@pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf", "-inf", "tiny"])
+def test_tolerance_outside_finite_nonnegative_floats_is_refused(value, capsys):
+    """A negative or NaN tolerance would fail an agreeing pair, and NaN or
+    infinity would be written into the report as no JSON number."""
+    argv = ["count", "--system", "ap3", "--set", "quadzero", "--p", "5",
+            "--n", "2", f"--tolerance={value}"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: argument --tolerance" in err
+    assert ("must be a finite number >= 0" in err) != ("invalid float value" in err)
+
+
+def test_tolerance_zero_and_positive_are_accepted():
+    parser = cli.build_parser("count")
+    for value in ("0", "1e-9", "2.5"):
+        args = parser.parse_args(["count", "--system", "ap3", "--tolerance", value])
+        assert args.tolerance == float(value)
 
 
 def test_exit_code_budget_refusal(tmp_path, capsys):
@@ -670,9 +692,13 @@ def test_report_schema_validator_flags_problems():
 
 
 def test_console_entry_point_runs():
+    # the child imports the package the suite imported, installed or not
+    package_root = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "uniformity_lab.cli",
                            "complexity", "--system", "diff3"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].strip() == "1"
 

@@ -372,6 +372,31 @@ def test_power_matrix_matches_multinomial_rows():
     assert dependent > 100
 
 
+def test_power_tests_hand_rref_at_most_m_columns(monkeypatch):
+    """The m x M power matrix is eliminated on its narrow side: rref sees at
+    most m columns, however many monomials M there are."""
+    widths = []
+
+    def spy(M, p):
+        widths.append(np.shape(M)[1])
+        return rref(M, p)
+
+    monkeypatch.setattr("uniformity_lab.algebra.rref", spy)
+    monkeypatch.setattr("uniformity_lab.systems.rref", spy)
+    wide = 0
+    for name in BUILTIN_SYSTEM_NAMES:
+        sys_ = builtin_system(name, 13)
+        for k in range(1, sys_.m + 1):
+            widths.clear()
+            power_independence(sys_, k)
+            assert widths and max(widths) <= sys_.m, (name, k, widths)
+            wide += _power_matrix(sys_, k).shape[1] > sys_.m
+        widths.clear()
+        maximal_square_independent_subsystem(sys_)
+        assert widths == [sys_.m], name
+    assert wide > 20
+
+
 def test_conjectured_true_complexity_examples():
     assert conjectured_true_complexity(builtin_system("ap4", 7)) == 2
     assert conjectured_true_complexity(builtin_system("gw6b", 5)) == 1

@@ -290,8 +290,8 @@ def test_factor_rank_examples():
 
 def test_factor_rank_eliminates_one_combination_per_line(monkeypatch):
     eliminated = []
-    batched = verification.batched_rank
-    monkeypatch.setattr(verification, "batched_rank",
+    batched = verification.batched_rank_class
+    monkeypatch.setattr(verification, "batched_rank_class",
                         lambda stack, p: eliminated.append(len(stack)) or batched(stack, p))
     assert factor_rank(QuadraticMap(forms=(sum_of_squares_form(5, 6),))) == 6
     assert eliminated == [1]
