@@ -18,7 +18,7 @@ from .hypergraphs import (TripartiteFunction, lift, octahedral_norm,
                           vertex_uniformity_counterexample)
 from .systems import (INFINITE, LinearFormSystem, NormalFormWitness,
                       builtin_system, conjectured_true_complexity,
-                      cs_complexity, is_s_complex_at, load_system,
+                      cs_complexity, load_system,
                       maximal_square_independent_subsystem,
                       normal_form_check, power_independence, relation_space,
                       save_system, support)

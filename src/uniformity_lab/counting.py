@@ -1,20 +1,34 @@
 """Exact configuration counting over (F_p^n)^d by three independent strategies.
 
-The direct strategy enumerates every assignment of the d variables and
-evaluates the product of the functions at the images of the forms.  The dual
+The direct strategy sums the product of the functions at the images of the
+forms over the assignments of the d variables.  It runs at the rank r of the
+coefficients C, not at d.  With piv the pivot columns of rref(C),
+C = C[:, piv] T, and the images are constant on the N^(d-r) points of each
+fibre of T, so the sum is N^(d-r) times the sum over G^r of the cut forms
+C[:, piv] (the pivot cut).  Then, while some direction u of F_p^r is
+involved in fewer than the current rank of independent forms, u is summed
+out (`_direct_passes`, variable elimination as in bucket elimination): one
+kernel pass over G^rho turns the factors involving u into one table on
+G^(rho - 1), and the rank drops by one.  The candidates are read off the
+copoints of the cached subset-rank table (`LinearFormSystem.subset_ranks`).
+A final pass enumerates what is left; where no direction lowers the
+exponent, that is the one pass, with the cut coefficients (C itself at full
+rank) and the plain reducer.  A degenerate count tests each assignment for
+coinciding images, so it takes the pivot cut but no elimination.  The dual
 strategy evaluates the same average on the frequency side: it enumerates the
 annihilator subspace of frequency tuples (r_1, ..., r_m) with
 sum_i c_iu r_i = 0 for every variable u and sums the products of Fourier
-coefficients.  The two must agree to 1e-8 wherever both run, which is the
-central cross-check of the whole package.
+coefficients.  It stays on the plain kernel, so that the direct-vs-dual
+check compares two independent computations.  The two must agree to 1e-8
+wherever both run, which is the central cross-check of the whole package.
 
 Both strategies, `count_solutions` and the enumerating factor count in
 `verification` share one kernel, `reduce_form_images`: chunked enumeration,
 form images, a per-chunk reducer called with (images, xs), the point indices
-of the forms' values and of the variables, an optional thread pool and
-partials in chunk order.  The images are gathered through the domain's
-wrap-padded sum grid (`GroupDomain.sum_grid`); no digit tensor of the
-assignments is built.
+of the forms' values and of the variables (or with images alone, when it
+reads no xs), an optional thread pool and partials in chunk order.  The
+images are gathered through the domain's wrap-padded sum grid
+(`GroupDomain.sum_grid`); no digit tensor of the assignments is built.
 
 The third strategy counts quadratic zeros in closed form:
 `quadratic_zero_count` gives #{X : (X l_i)^T B (X l_i) = 0 for all i} as an
@@ -36,17 +50,18 @@ over the full parameter space the same way.
 
 from __future__ import annotations
 
+import inspect
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .algebra import _legendre, batched_rank_class
+from .algebra import _legendre, batched_rank_class, inv_mod, nullspace, rref
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import GroupFunction, IndicatorSet, fourier
-from .systems import LinearFormSystem
+from .systems import LinearFormSystem, _rank_table
 
 CHUNK = 1 << 19
 
@@ -88,29 +103,33 @@ def _row_pieces(col: int, length: int, N: int) -> list[tuple[slice, slice, slice
 
 
 def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
-                       reduce: Callable[[np.ndarray, np.ndarray], Any],
-                       threads: int = 1) -> list:
+                       reduce: Callable[..., Any], threads: int = 1) -> list:
     """reduce(images, xs) on each CHUNK of the N^d assignments of d variables.
 
     `coeffs` is an (m, d) coefficient matrix; for a chunk of assignments in
     base-N lexicographic order, xs is the (d, len) array of the variables'
     point indices and images the (m, len) point indices of the forms' values.
-    A chunk is a run of rows of the (N^(d-1), N) grid of (prefix, last
-    variable).  A form's value is built without digit arithmetic: its first
-    d - 1 terms are added over the chunk's few prefixes, each sum one gather
-    through `dom.sum_grid`, and the last term joins as one broadcast add of
-    its `c*x` code table and one gather.  For d = 1 the images are the `c*x`
-    table itself and the grid is never built.  The partial results come back
-    in chunk order whatever the number of worker threads, so a fixed-order
-    reduction of them is bit-reproducible.  Callers check their own budget.
+    A reducer that takes one argument is called as reduce(images), and no xs
+    is built for it.  A chunk is a run of rows of the (N^(d-1), N) grid of
+    (prefix, last variable).  A form's value is built without digit
+    arithmetic: its first d - 1 terms are added over the chunk's few
+    prefixes, each sum one gather through `dom.sum_grid`, and the last term
+    joins as one broadcast add of its `c*x` code table and one gather, both
+    written into the form's row of images.  For d = 1 the images are the
+    `c*x` table itself and the grid is never built.  The partial results
+    come back in chunk order whatever the number of worker threads, so a
+    fixed-order reduction of them is bit-reproducible.  Callers check their
+    own budget.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % dom.p
     m, d = coeffs.shape
     N = dom.size
     total = N**d
+    with_xs = len(inspect.signature(reduce).parameters) > 1
     if d == 0:
-        return [reduce(np.zeros((m, 1), dtype=np.int64),
-                       np.zeros((0, 1), dtype=np.int64))]
+        images = np.zeros((m, 1), dtype=np.int64)
+        return [reduce(images, np.zeros((0, 1), dtype=np.int64)) if with_xs
+                else reduce(images)]
     if d == 1:
         scaled = {c: dom.codes(c) for c in np.unique(coeffs).tolist()}
     else:
@@ -124,26 +143,30 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
         prefixes = np.arange(row, (start + length - 1) // N + 1, dtype=np.int64)
         pre = [(prefixes // N ** (d - 2 - u)) % N for u in range(d - 1)]
         pieces = _row_pieces(col, length, N)
+        images = np.empty((m, length), dtype=np.int64)
+        if d == 1:
+            for i, c in enumerate(coeffs[:, 0].tolist()):
+                images[i] = scaled[c][col:col + length]
+        else:
+            for i, c in enumerate(coeffs.tolist()):
+                acc = scaled[c[0]][pre[0]]
+                for u in range(1, d - 1):
+                    acc = enc[P[acc + scaled[c[u]][pre[u]]]]
+                codes = images[i]
+                for cells, r, x, shape in pieces:
+                    np.add(acc[r, None], scaled[c[-1]][x],
+                           out=codes[cells].reshape(shape))
+                # "clip" lets take write straight into its `out` (the default
+                # mode buffers it), each code read before its index overwrites
+                # it; every code sum is a grid index, so it never clips
+                np.take(P, codes, out=codes, mode="clip")
+        if not with_xs:
+            return reduce(images)
         xs = np.empty((d, length), dtype=np.int64)
         for cells, r, x, shape in pieces:
             for u in range(d - 1):
                 xs[u, cells].reshape(shape)[...] = pre[u][r, None]
             xs[d - 1, cells].reshape(shape)[...] = points[x]
-        images = np.empty((m, length), dtype=np.int64)
-        if d == 1:
-            for i, c in enumerate(coeffs[:, 0].tolist()):
-                images[i] = scaled[c][col:col + length]
-            return reduce(images, xs)
-        sums = np.empty(length, dtype=np.int64)
-        for i, c in enumerate(coeffs.tolist()):
-            acc = scaled[c[0]][pre[0]]
-            for u in range(1, d - 1):
-                acc = enc[P[acc + scaled[c[u]][pre[u]]]]
-            for cells, r, x, shape in pieces:
-                np.add(acc[r, None], scaled[c[-1]][x], out=sums[cells].reshape(shape))
-            # "clip" lets take write straight into images[i] (the default
-            # mode buffers `out`); every code sum is a grid index, so it never clips
-            np.take(P, sums, out=images[i], mode="clip")
         return reduce(images, xs)
 
     starts = range(0, total, CHUNK)
@@ -153,34 +176,199 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
     return [run(s) for s in starts]
 
 
-def _sum_of_products(coeffs: np.ndarray, dom: GroupDomain,
-                     tables: Sequence[np.ndarray], threads: int) -> complex:
-    """Sum over all assignments of prod_i tables[i][L_i(x)], added in fixed
-    chunk order (an explicit loop: the builtin sum may compensate)."""
-    def chunk_sum(images: np.ndarray, xs: np.ndarray) -> complex:
-        prod = tables[0][images[0]]
-        for table, idx in zip(tables[1:], images[1:]):
-            prod *= table[idx]
-        return complex(prod.sum())
+def _cut_coeffs(sys: LinearFormSystem) -> np.ndarray:
+    """C[:, piv] for the pivot columns piv of rref(C) (`sys.pivots`); C
+    itself when the forms have full rank d."""
+    return sys.coeffs if len(sys.pivots) == sys.d else sys.coeffs[:, sys.pivots]
 
-    total = 0j
-    for s in reduce_form_images(coeffs, dom, chunk_sum, threads):
-        total += s
+
+def _copoint_step(ranks: Sequence[int], masks: Sequence[int], k: int):
+    """(H, involved) for a direction u of least fill exponent, or None when
+    no direction has one below the current rank k.
+
+    `ranks` is the rank table (`systems._rank_table`) of the current forms,
+    which span F_p^k, and masks[f] the bitmask of factor f's forms.  The
+    forms vanishing at u form a flat; its rank is at most k - 1, and the
+    factors not inside it are those involving u.  A larger flat involves
+    fewer factors, so only copoints, flats H of rank k - 1, need trying; u is
+    then unique up to scale, with span(H) = u^perp.  The fill exponent of u
+    is rho = the rank of the forms of the factors involving it.  Returns the
+    first H of least rho when rho < k, and the indices of its factors."""
+    rk = np.asarray(ranks)
+    sets = np.arange(rk.size)
+    flat = rk == k - 1
+    for j in range(rk.size.bit_length() - 1):
+        flat &= ((sets & (1 << j)) != 0) | (rk[sets | (1 << j)] > rk)
+    H = sets[flat]
+    union = np.zeros_like(H)
+    for mask in masks:
+        union |= np.where((mask & ~H) != 0, mask, 0)
+    rho = rk[union]
+    if not rho.size or rho.min() >= k:
+        return None
+    best = int(H[rho.argmin()])
+    return best, [f for f, mask in enumerate(masks) if mask & ~best]
+
+
+def _direct_passes(sys: LinearFormSystem) -> list[tuple[list[int], np.ndarray]]:
+    """The elimination plan of the direct sum over G^r, r the rank of C.
+
+    Factors start as the m forms of `_cut_coeffs`, one table each.  While a
+    direction u has a fill exponent rho below the current rank k
+    (`_copoint_step`), u is summed out: the factors involving it span a
+    rho-dimensional space V with rref basis B; lambda = B_i0 / B_i0.u for the
+    first row of nonzero B_i.u, and kappa_j = B_j - (B_j.u) lambda for the
+    other rows.  A form l of V is l[P_j] kappa_j summed over j != i0, plus
+    (l.u) lambda, P the pivot columns of B; along the line y + t u every
+    kappa_j is constant and lambda takes every value once.  So the sum over
+    t of the involved factors is a sum over G^rho of their forms in the
+    coordinates (kappa, lambda), reduced over the last variable into a new
+    factor on G^(rho - 1), indexed by the rho - 1 forms kappa_j.  Every form
+    left vanishes at u, so the variables drop to F_p^(k-1) by deleting a
+    column c with u_c != 0.  The final pass enumerates what is left.
+
+    Returns passes (factor ids, coefficients): each but the last fills
+    factor m, m + 1, ... over G^(columns); the coefficient rows are the
+    factors' forms in id order.  With nothing to eliminate it is one pass,
+    of every form over `_cut_coeffs`.  The planned exponent, the largest
+    column count, is never above r."""
+    p = sys.p
+    C = _cut_coeffs(sys)
+    forms = [C[i:i + 1] for i in range(sys.m)]
+    active = list(range(sys.m))
+    ranks = sys.subset_ranks
+    passes: list[tuple[list[int], np.ndarray]] = []
+    while True:
+        widths = [forms[f].shape[0] for f in active]
+        offsets = np.cumsum([0] + widths[:-1]).tolist()
+        masks = [((1 << w) - 1) << o for w, o in zip(widths, offsets)]
+        if passes:
+            ranks = _rank_table(C, p)
+        step = _copoint_step(ranks, masks, C.shape[1])
+        if step is None:
+            break
+        H, involved = step
+        u = nullspace(C[[j for j in range(C.shape[0]) if H >> j & 1]], p)[0]
+        ids = [active[f] for f in involved]
+        R = np.concatenate([forms[f] for f in ids])
+        B, P = rref(R, p)
+        B = B[:len(P)]
+        Bu = (B * u % p).sum(axis=1) % p
+        i0 = int(np.flatnonzero(Bu)[0])
+        lam = B[i0] * inv_mod(int(Bu[i0]), p) % p
+        rest = [j for j in range(len(P)) if j != i0]
+        kappa = (B[rest] - Bu[rest, None] * lam % p) % p
+        passes.append((ids, np.concatenate(
+            [R[:, [P[j] for j in rest]], ((R * u % p).sum(axis=1) % p)[:, None]],
+            axis=1)))
+        c = int(np.flatnonzero(u)[0])
+        active = [f for f in active if f not in ids] + [len(forms)]
+        forms = [np.delete(F, c, axis=1) for F in forms]
+        forms.append(np.delete(kappa, c, axis=1))
+        C = np.concatenate([forms[f] for f in active])
+    passes.append((active, C))
+    return passes
+
+
+def _gather(table: np.ndarray, width: int, images: np.ndarray, row: int,
+            N: int) -> np.ndarray:
+    """table[index] over one chunk, index the base-N number whose digits are
+    the images in rows row, ..., row + width - 1 (a width-0 table is its one
+    entry)."""
+    if not width:
+        return table[0]
+    idx = images[row]
+    for k in range(row + 1, row + width):
+        idx = idx * N + images[k]
+    return table[idx]
+
+
+def _factor_product(tables: Sequence[np.ndarray], widths: Sequence[int],
+                    images: np.ndarray, N: int) -> np.ndarray:
+    """prod_f tables[f][index_f] over one chunk (`_gather`), factor f reading
+    the next widths[f] rows of `images`.  Each gathered array is multiplied
+    in and dropped at once, so the allocator reuses its block."""
+    prod = _gather(tables[0], widths[0], images, 0, N)
+    row = widths[0]
+    for table, width in zip(tables[1:], widths[1:]):
+        if np.result_type(prod, table) == prod.dtype:
+            prod *= _gather(table, width, images, row, N)
+        else:
+            prod = prod * _gather(table, width, images, row, N)
+        row += width
+    return prod
+
+
+def _run_passes(passes: Sequence[tuple[Sequence[int], np.ndarray]],
+                dom: GroupDomain, tables: Sequence[np.ndarray], threads: int):
+    """Sum over G^k of the product of the factors of the last of `passes`
+    (`_direct_passes`), tables[f] the (N,) table of form f, after each
+    earlier pass has filled its factor: a table on G^(columns - 1), its
+    entries the sums over the last variable, added in chunk order.  Each
+    pass is one `reduce_form_images` call.  The chunk sums are added in an
+    explicit loop (the builtin sum may compensate), so the total, a Python
+    int for tables of 0/1 or ints and complex for complex ones, is
+    bit-reproducible."""
+    N = dom.size
+    tables, widths = list(tables), [1] * len(tables)
+    for ids, coeffs in passes[:-1]:
+        held = [tables[f] for f in ids]
+        held_widths = [widths[f] for f in ids]
+
+        def fill(images: np.ndarray, xs: np.ndarray) -> tuple[int, np.ndarray]:
+            prod = _factor_product(held, held_widths, images, N)
+            # a row of the (N^(w-1), N) grid starts where the last variable is 0
+            starts = np.flatnonzero(xs[-1] == 0)
+            if not starts.size or starts[0]:
+                starts = np.concatenate([[0], starts])
+            row = 0
+            for x in xs[:-1, 0].tolist():
+                row = row * N + x
+            return row, np.add.reduceat(prod, starts)
+
+        width = coeffs.shape[1] - 1
+        table = np.zeros(N**width, dtype=np.result_type(np.int64, *held))
+        for row, sums in reduce_form_images(coeffs, dom, fill, threads):
+            table[row:row + sums.size] += sums
+        tables.append(table)
+        widths.append(width)
+    ids, coeffs = passes[-1]
+    held = [tables[f] for f in ids]
+    held_widths = [widths[f] for f in ids]
+    total = np.result_type(np.int64, *held).type(0).item()
+    for s in reduce_form_images(
+            coeffs, dom, lambda images: _factor_product(
+                held, held_widths, images, N).sum(), threads):
+        total += s.item()
     return total
 
 
+def _sum_of_products(coeffs: np.ndarray, dom: GroupDomain,
+                     tables: Sequence[np.ndarray], threads: int) -> complex:
+    """Sum over all assignments of prod_i tables[i][L_i(x)]: `_run_passes`
+    with the one pass of every form."""
+    return complex(_run_passes([(range(len(tables)), coeffs)], dom, tables, threads))
+
+
 def direct_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
+    """m N^d, the entry operations of a full enumeration.  The direct side
+    runs over G^r, r the rank of C, and sums directions out where that lowers
+    the exponent (`_direct_passes`), so this overstates the work it executes;
+    the formula is kept so that reports and budget refusals do not depend on
+    the plan."""
     return sys.m * dom.size**sys.d
 
 
 def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
                            budget: int | None = None, threads: int = 1) -> complex:
-    """E over all assignments of prod_i f_i(L_i(x)), by full enumeration."""
+    """E over all assignments of prod_i f_i(L_i(x)): the sum over G^r of
+    `_direct_passes`, over N^r.  A plan of one pass is `_sum_of_products` on
+    the cut coefficients, which are C itself at full rank."""
     dom = _check_inputs(sys, fs)
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"direct count over {dom.size}^{sys.d} assignments")
-    return _sum_of_products(sys.coeffs, dom, [f.values for f in fs],
-                            threads) / dom.size**sys.d
+    total = _run_passes(_direct_passes(sys), dom, [f.values for f in fs], threads)
+    return complex(total) / dom.size**len(sys.pivots)
 
 
 def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
@@ -212,6 +400,9 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
 
     Returns (count, degenerate_count) where the second entry counts the
     solutions in which two form images coincide (None unless requested).
+    The count is the 0/1 sum of `_direct_passes`; the degenerate count
+    tests each assignment for coinciding images, so it enumerates G^r in one
+    pass with no elimination.
     """
     dom = A.domain
     if dom.p != sys.p:
@@ -219,23 +410,25 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"solution count over {dom.size}^{sys.d} assignments")
 
-    def chunk_counts(images: np.ndarray, xs: np.ndarray) -> tuple[int, int]:
+    # the form images are constant on the N^(d - r) points of each fibre of
+    # the cut, so every count is N^(d - r) times the count over G^r
+    fibre = dom.size ** (sys.d - len(sys.pivots))
+    if not with_degenerate:
+        return fibre * _run_passes(_direct_passes(sys), dom, [A.members] * sys.m,
+                                   threads), None
+
+    def chunk_counts(images: np.ndarray) -> tuple[int, int]:
         ok = A.members[images[0]]
         for idx in images[1:]:
             ok &= A.members[idx]
-        deg = 0
-        if with_degenerate and sys.m > 1:
-            coincide = np.zeros(images.shape[1], dtype=bool)
-            for i in range(sys.m):
-                for j in range(i + 1, sys.m):
-                    coincide |= images[i] == images[j]
-            deg = int((ok & coincide).sum())
-        return int(ok.sum()), deg
+        coincide = np.zeros(images.shape[1], dtype=bool)
+        for i in range(sys.m):
+            for j in range(i + 1, sys.m):
+                coincide |= images[i] == images[j]
+        return int(ok.sum()), int((ok & coincide).sum())
 
-    partials = reduce_form_images(sys.coeffs, dom, chunk_counts, threads)
-    count = sum(c for c, _ in partials)
-    degenerate = sum(g for _, g in partials) if with_degenerate else None
-    return count, degenerate
+    partials = reduce_form_images(_cut_coeffs(sys), dom, chunk_counts, threads)
+    return fibre * sum(c for c, _ in partials), fibre * sum(g for _, g in partials)
 
 
 def _class_forms(mats: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:

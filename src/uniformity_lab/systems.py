@@ -6,8 +6,9 @@ complexity, normal-form witnesses, independence of the (k+1)-st powers of the
 forms, and the relation space of linear dependencies among the forms.
 
 A system's coefficients C are read-only, so the pivot columns of rref(C)
-(`pivots`) and the relation space (`relations`, basis the nullspace of C^T)
-are computed once, on first use, and cached on the system for every caller.
+(`pivots`), the relation space (`relations`, basis the nullspace of C^T) and
+the ranks of all subsets of the forms (`subset_ranks`) are computed once, on
+first use, and cached on the system for every caller.
 
 Partition complexity is computed by exact branch-and-bound search over class
 assignments, with classes as bitmasks over the forms.  Every span test is one
@@ -91,6 +92,12 @@ class LinearFormSystem:
         W.basis.flags.writeable = False
         return W
 
+    @cached_property
+    def subset_ranks(self) -> list[int]:
+        """rank[S] of every subset S of the forms, S a bitmask over form
+        indices (`_subset_ranks`)."""
+        return _subset_ranks(self)
+
     @property
     def m(self) -> int:
         return self.coeffs.shape[0]
@@ -111,27 +118,31 @@ def support(form: Sequence[int] | np.ndarray) -> frozenset[int]:
 
 
 def _subset_ranks(sys: LinearFormSystem) -> list[int]:
-    """rank[S] of every subset S of the forms, S a bitmask over form indices.
+    """The rank table (`_rank_table`) of the forms cut to the r pivot columns
+    `sys.pivots`: the other columns are fixed combinations of those, in every
+    row, so no subset's rank changes."""
+    return _rank_table(sys.coeffs[:, sys.pivots], sys.p)
 
-    The columns are first cut to the r pivot columns `sys.pivots`: the other
-    columns are fixed combinations of those, in every row, so no subset's rank
-    changes.  The table then grows one form at a time, by
-    rank[S | 1 << j] = rank[S] + [form j not in span S], reducing form j
-    against the echelon bases of all the subsets S of the forms before it at
+
+def _rank_table(C: np.ndarray, p: int) -> list[int]:
+    """rank[S] of every subset S of the rows of the (m, r) matrix C mod p, S a
+    bitmask over row indices.
+
+    The table grows one row at a time, by
+    rank[S | 1 << j] = rank[S] + [row j not in span S], reducing row j
+    against the echelon bases of all the subsets S of the rows before it at
     once.  E[S] is that basis as an (r, r) array whose row c, when nonzero, is
     the basis vector with leading column c.  For each c in turn the residual
     v becomes a v - b E[S][c] (a = E[S][c, c], b = v[c]; a = 1 where row c is
     zero), which clears v[c] without inverting anything and scales the whole
     of v by a nonzero a.  Entries stay below p, so the products stay exact in
-    int64 as in `algebra._eliminate`.  Form j lies outside span S exactly when
+    int64 as in `algebra._eliminate`.  Row j lies outside span S exactly when
     its residual is nonzero, and E[S | 1 << j] is E[S] with that residual put
     in the row of its leading column.  Only the bases of subsets of the first
-    m - 1 forms are ever read, so E is one (2^(m-1), r, r) array, and each
+    m - 1 rows are ever read, so E is one (2^(m-1), r, r) array, and each
     (S, j) costs O(r^2).
     """
-    p, m = sys.p, sys.m
-    C = sys.coeffs[:, sys.pivots]
-    r = C.shape[1]
+    m, r = C.shape
     ranks = np.zeros(1 << m, dtype=np.int64)
     E = np.zeros((1 << (m - 1), r, r), dtype=np.int64)
     for j in range(m):
@@ -189,20 +200,10 @@ def _min_partition_classes(ranks: list[int], m: int, i: int) -> float:
     return best
 
 
-def is_s_complex_at(sys: LinearFormSystem, i: int, s: int) -> bool:
-    """Can the other forms be split into <= s+1 classes, none of whose spans
-    contains form i?  (Empty classes are harmless, so fewer is also fine.)"""
-    if not 0 <= i < sys.m:
-        raise IndexError("form index out of range")
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    return _min_partition_classes(_subset_ranks(sys), sys.m, i) <= s + 1
-
-
 def cs_complexity(sys: LinearFormSystem) -> float:
     """Least s making the system s-complex at every index; INFINITE when two
     forms are scalar multiples of each other (no partition ever avoids both)."""
-    ranks = _subset_ranks(sys)
+    ranks = sys.subset_ranks
     worst = 0
     for i in range(sys.m):
         k = _min_partition_classes(ranks, sys.m, i)

@@ -205,6 +205,21 @@ def naive_count_solutions(rows, p, n, members):
     return count
 
 
+def naive_count_with_degenerate(rows, p, n, members):
+    """(count, degenerate): the assignments with every form image in the set
+    of `members`, and those among them where two form images coincide."""
+    points, index = naive_points(p, n)
+    N = len(points)
+    d = len(rows[0])
+    count = degenerate = 0
+    for assign in product(range(N), repeat=d):
+        images = [index[_naive_form_value(row, assign, points, p, n)] for row in rows]
+        if all(members[i] for i in images):
+            count += 1
+            degenerate += len(set(images)) < len(images)
+    return count, degenerate
+
+
 def naive_gauss_sum(M, p):
     """sum over y in F_p^d of omega^(y^T M y), omega = exp(2 pi i / p), by
     enumerating F_p^d with plain integers."""

@@ -15,7 +15,7 @@ PUBLIC_NAMES = [
     "check_budget", "conjectured_true_complexity", "convolve",
     "count_solutions", "cs_complexity", "domain", "factor_rank",
     "fourier", "gauss_sum", "gauss_sum_report", "inverse_fourier",
-    "is_s_complex_at", "l2_norm", "lift", "load_function",
+    "l2_norm", "lift", "load_function",
     "load_system", "maximal_square_independent_subsystem",
     "normal_form_check", "octahedral_norm", "power_independence",
     "quadratic_zero_set", "rank", "relation_space", "resolve_budget",

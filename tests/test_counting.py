@@ -194,6 +194,7 @@ def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
     (7, 2, 0), (7, 2, 1), (7, 2, 2), (7, 1, 3), (7, 1, 4)])
 def test_form_images_match_digitwise_oracle(monkeypatch, p, n, d):
     # every chunk's images and variables against digit tuples added mod p,
+    # and the images a one-argument reducer gets (with no xs built for it),
     # with one chunk (CHUNK above N^d), chunks spanning several rows of the
     # (prefix, last variable) grid, and chunks shorter than a row (CHUNK
     # below N, so a chunk can straddle two rows)
@@ -207,8 +208,10 @@ def test_form_images_match_digitwise_oracle(monkeypatch, p, n, d):
     for chunk in (N**d + 1, 2 * N + 3, N - 2):
         monkeypatch.setattr(counting, "CHUNK", chunk)
         seen = counting.reduce_form_images(coeffs, dom, lambda im, x: (im, x))
-        assert len(seen) == -(-N**d // chunk)
+        alone = counting.reduce_form_images(coeffs, dom, lambda im: im)
+        assert len(seen) == len(alone) == -(-N**d // chunk)
         for k, (im, x) in enumerate(seen):
+            assert np.array_equal(alone[k], im)
             window = slice(k * chunk, min((k + 1) * chunk, N**d))
             assert im.tolist() == [row[window] for row in images]
             assert x.shape == (d, im.shape[1])
@@ -231,6 +234,168 @@ def test_mismatched_inputs_rejected():
         average_product_direct(builtin_system("ap3", 7), fs)
     with pytest.raises(ValueError):
         average_product_direct(builtin_system("ap4", 5), fs)
+
+
+# ------------------------------------------ direct side at the rank of C
+
+def planned_exponent(sys_):
+    """Largest number of variables a pass of the direct side enumerates."""
+    return max(coeffs.shape[1] for _, coeffs in counting._direct_passes(sys_))
+
+
+def random_structured_system(rng, p):
+    """Forms in r variables, each entry zero with probability 1/2 (so that a
+    variable is often in few forms), some rows forced to be combinations of
+    two others, carried into d >= r variables by a random rank-r map."""
+    while True:
+        r = int(rng.integers(1, 5))
+        d = r + int(rng.integers(0, 2))
+        m = int(rng.integers(1, 8))
+        rows = rng.integers(0, p, size=(m, r)) * (rng.random((m, r)) < 0.5)
+        for i in range(2, m):
+            if rng.random() < 0.25:
+                a, b = rng.integers(1, p, size=2)
+                rows[i] = (a * rows[i - 1] + b * rows[i - 2]) % p
+        T = rng.integers(0, p, size=(r, d))
+        if oracles.naive_rank(T.tolist(), p) < r:
+            continue
+        C = rows @ T % p
+        if C.any(axis=1).all() and len({tuple(row) for row in C.tolist()}) == m:
+            return make(p, C.tolist())
+
+
+def exactness_cases():
+    """Every built-in system at p = 3, 5, 7 (where it is one), at the largest
+    n <= 3 with N^d <= 729, and 36 seeded random systems with N^d <= 729."""
+    cases = []
+    for p in (3, 5, 7):
+        for name in BUILTIN_SYSTEM_NAMES:
+            if p == 3 and name in ("ap4", "ap5", "nf4", "gw6a"):
+                continue
+            sys_ = builtin_system(name, p)
+            n = max(n for n in (1, 2, 3) if n == 1 or p ** (n * sys_.d) <= 729)
+            cases.append((sys_, n))
+    rng = np.random.default_rng(19)
+    for k in range(36):
+        p = (3, 5, 7)[k % 3]
+        sys_ = random_structured_system(rng, p)
+        while p**sys_.d > 729:
+            sys_ = random_structured_system(rng, p)
+        n = 2 if p ** (2 * sys_.d) <= 729 and rng.random() < 0.5 else 1
+        cases.append((sys_, n))
+    return cases
+
+
+def test_direct_side_is_exact_on_cut_and_eliminated_systems():
+    """Counts with and without degenerates, and complex averages, against the
+    digit-tuple oracles.  Among the cases the pivot cut (rank C < d) and the
+    elimination (more than one pass) each run many times."""
+    rng = np.random.default_rng(20)
+    cut = eliminated = 0
+    for sys_, n in exactness_cases():
+        p, rows = sys_.p, sys_.coeffs.tolist()
+        dom = domain(p, n)
+        members = rng.random(dom.size) < 0.7
+        A = IndicatorSet(domain=dom, members=members)
+        count, degenerate = oracles.naive_count_with_degenerate(rows, p, n, members)
+        assert count_solutions(sys_, A) == (count, None), (rows, n)
+        assert count_solutions(sys_, A, with_degenerate=True) == (count, degenerate)
+        fs = random_functions(dom, rng, sys_.m)
+        naive = oracles.naive_average_product(rows, p, n, [f.values for f in fs])
+        assert abs(average_product_direct(sys_, fs) - naive) < 1e-12, (rows, n)
+        cut += len(sys_.pivots) < sys_.d
+        eliminated += len(counting._direct_passes(sys_)) > 1
+    assert cut >= 10 and eliminated >= 10, (cut, eliminated)
+
+
+def test_planned_exponent_is_at_most_the_rank():
+    """Never above rank C; 2 for diff3 (the cut), 3 for cube7 (an
+    elimination), also under random changes of variables."""
+    rng = np.random.default_rng(21)
+    for sys_, _ in exactness_cases():
+        assert planned_exponent(sys_) <= len(sys_.pivots), sys_.coeffs.tolist()
+    assert planned_exponent(builtin_system("diff3", 5)) == 2
+    for p in (5, 7, 11):
+        cube7 = builtin_system("cube7", p)
+        assert planned_exponent(cube7) == 3
+        for _ in range(3):
+            T = rng.integers(0, p, size=(4, 4))
+            while oracles.naive_rank(T.tolist(), p) < 4:
+                T = rng.integers(0, p, size=(4, 4))
+            assert planned_exponent(make(p, (cube7.coeffs @ T % p).tolist())) == 3
+
+
+def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
+    """cube7 (an elimination, then a pass over N^3) and diff3 (the pivot cut)
+    at CHUNK = 100: several chunks per pass and a fill row cut between
+    chunks.  Four threads give the bits of one; counts equal one chunk's."""
+    rng = np.random.default_rng(22)
+    for name, p, n in (("cube7", 3, 2), ("cube7", 5, 1), ("diff3", 5, 2)):
+        sys_ = builtin_system(name, p)
+        dom = domain(p, n)
+        A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.7)
+        fs = random_functions(dom, rng, sys_.m)
+
+        def run(threads):
+            return (count_solutions(sys_, A, threads=threads),
+                    count_solutions(sys_, A, threads=threads, with_degenerate=True),
+                    average_product_direct(sys_, fs, threads=threads))
+
+        monkeypatch.setattr(counting, "CHUNK", 1 << 19)
+        whole = run(1)
+        monkeypatch.setattr(counting, "CHUNK", 100)
+        serial = run(1)
+        assert serial == run(4), name
+        assert serial[:2] == whole[:2]
+        assert abs(serial[2] - whole[2]) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ap3", "ap4", "ap5", "gw6a", "gw6b", "random"])
+def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
+    """With no direction to sum out, the direct side is one kernel call on
+    C itself, and its average has the bits of `_sum_of_products` and of a
+    plain chunk-by-chunk product sum."""
+    rng = np.random.default_rng(23)
+    if name == "random":
+        while True:
+            C = rng.integers(0, 7, size=(5, 3))
+            sys_ = make(7, C.tolist())
+            if len(sys_.pivots) == 3 and len(counting._direct_passes(sys_)) == 1:
+                break
+    else:
+        sys_ = builtin_system(name, 7)
+    dom = domain(7, 2)
+    fs = random_functions(dom, rng, sys_.m)
+    A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.7)
+    tables = [f.values for f in fs]
+    kernel = counting.reduce_form_images
+    seen = []
+
+    def spy(coeffs, *args, **kwargs):
+        seen.append(coeffs)
+        return kernel(coeffs, *args, **kwargs)
+
+    def chunk_sum(images, xs):
+        prod = tables[0][images[0]]
+        for table, idx in zip(tables[1:], images[1:]):
+            prod *= table[idx]
+        return complex(prod.sum())
+
+    plain = 0j
+    for part in kernel(sys_.coeffs, dom, chunk_sum):
+        plain += part
+    monkeypatch.setattr(counting, "reduce_form_images", spy)
+    average = average_product_direct(sys_, fs)
+    count = count_solutions(sys_, A)
+    assert len(seen) == 2 and all(c is sys_.coeffs for c in seen)
+    assert average == counting._sum_of_products(sys_.coeffs, dom, tables, 1) \
+        / dom.size**sys_.d
+    assert average == plain / dom.size**sys_.d
+    plain_count = 0
+    for part in kernel(sys_.coeffs, dom, lambda images, xs: int(
+            np.logical_and.reduce(A.members[images]).sum())):
+        plain_count += part
+    assert count == (plain_count, None)
 
 
 # ------------------------------------------------ closed-form quadratic counts

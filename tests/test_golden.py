@@ -27,6 +27,10 @@ CASES = {
     "normal_form_nf4": ["normal-form", "--system", "nf4", "--p", "7", "--s", "1"],
     "count_direct_ap3": ["count", "--system", "ap3", "--set", "quadzero", "--p", "5",
                          "--n", "2", "--method", "direct", "--degenerate"],
+    "count_both_diff3": ["count", "--system", "diff3", "--set", "quadzero", "--p", "5",
+                         "--n", "3", "--method", "both"],
+    "count_direct_cube7": ["count", "--system", "cube7", "--set", "quadzero", "--p", "3",
+                           "--n", "3", "--method", "direct", "--degenerate"],
     "count_gauss_gw6a": ["count", "--system", "gw6a", "--set", "quadzero", "--p", "5",
                          "--n", "3", "--method", "gauss"],
     "verify_badex_gw6a": ["verify", "badex", "--system", "gw6a", "--p", "5", "--n", "2"],

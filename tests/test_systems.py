@@ -7,14 +7,20 @@ from uniformity_lab.algebra import nullspace, rank, rref
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, INFINITE,
                                     LinearFormSystem, builtin_system,
                                     conjectured_true_complexity,
-                                    cs_complexity, is_s_complex_at,
+                                    cs_complexity,
                                     load_system, maximal_square_independent_subsystem,
                                     normal_form_check, power_independence,
                                     relation_space, save_system, support,
-                                    _BUILTIN_ROWS, _power_matrix,
-                                    _subset_ranks)
+                                    _BUILTIN_ROWS, _min_partition_classes,
+                                    _power_matrix, _subset_ranks)
 
 import oracles
+
+
+def is_s_complex_at(sys_, i, s):
+    """Can the forms other than form i be split into <= s + 1 classes, none
+    of whose spans contains form i?"""
+    return _min_partition_classes(sys_.subset_ranks, sys_.m, i) <= s + 1
 
 
 def make(p, rows):
