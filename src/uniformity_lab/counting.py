@@ -5,22 +5,32 @@ forms over the assignments of the d variables.  It runs at the rank r of the
 coefficients C, not at d.  With piv the pivot columns of rref(C),
 C = C[:, piv] T, and the images are constant on the N^(d-r) points of each
 fibre of T, so the sum is N^(d-r) times the sum over G^r of the cut forms
-C[:, piv] (the pivot cut).  Then, while some direction u of F_p^r is
-involved in fewer than the current rank of independent forms, u is summed
-out (`_direct_passes`, variable elimination as in bucket elimination): one
-kernel pass over G^rho turns the factors involving u into one table on
-G^(rho - 1), and the rank drops by one.  The candidates are read off the
-copoints of the cached subset-rank table (`LinearFormSystem.subset_ranks`).
-A final pass enumerates what is left; where no direction lowers the
-exponent, that is the one pass, with the cut coefficients (C itself at full
-rank) and the plain reducer.  A degenerate count tests each assignment for
-coinciding images, so it takes the pivot cut but no elimination.  The dual
-strategy evaluates the same average on the frequency side: it enumerates the
-annihilator subspace of frequency tuples (r_1, ..., r_m) with
-sum_i c_iu r_i = 0 for every variable u and sums the products of Fourier
-coefficients.  It stays on the plain kernel, so that the direct-vs-dual
-check compares two independent computations.  The two must agree to 1e-8
-wherever both run, which is the central cross-check of the whole package.
+C[:, piv] (the pivot cut).  Then a plan of variable elimination (`_plan`,
+as in bucket elimination, or the FAQ of Abo Khamis, Ngo and Rudra) sums
+out one direction u of F_p^r at a time: the factors involving u become one
+table on G^(rho - 1), rho the rank of their forms, and the rank drops by
+one.  The candidates are read off the copoints of the subset-rank table
+(cached on the system as `LinearFormSystem.subset_ranks`).  A fill is
+taken where rho is below the current rank, by one kernel pass over G^rho;
+where the factors involving u are exactly three independent single forms
+it is one matrix product instead (`_product_fill`: the N^3 multiply-adds
+run in BLAS, or exactly in int64 for 0/1 tables), and that fill is also
+taken at rho = 3 equal to the rank, where enumeration would lower nothing.
+A final pass enumerates what is left; with nothing to eliminate, that is
+the one pass, with the cut coefficients (C itself at full rank) and the
+plain reducer.  A degenerate count tests each assignment for coinciding
+images, so it takes the pivot cut but no elimination.  The dual strategy
+evaluates the same average on the frequency side: it sums the products of
+Fourier coefficients over the annihilator subspace of frequency tuples
+(r_1, ..., r_m) with sum_i c_iu r_i = 0 for every variable u, the images of
+the w forms of the relation basis, through the same plan (so ap5's N^3 dual
+is one matrix product and a pass over N^2).  The direct-vs-dual check still
+compares two independent computations: the two sides sum different tables
+(the functions, their transforms) over different spaces (G^r, the
+annihilator) with different plans; they share only the planner and the
+kernels, which the oracle tests pin on each side alone.  The two must
+agree to 1e-8 wherever both run, which is the central cross-check of the
+whole package.
 
 Both strategies, `count_solutions` and the enumerating factor count in
 `verification` share one kernel, `reduce_form_images`: chunked enumeration,
@@ -53,7 +63,7 @@ from __future__ import annotations
 import inspect
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -183,8 +193,7 @@ def _cut_coeffs(sys: LinearFormSystem) -> np.ndarray:
 
 
 def _copoint_step(ranks: Sequence[int], masks: Sequence[int], k: int):
-    """(H, involved) for a direction u of least fill exponent, or None when
-    no direction has one below the current rank k.
+    """(H, involved, product) for a direction u to sum out, or None.
 
     `ranks` is the rank table (`systems._rank_table`) of the current forms,
     which span F_p^k, and masks[f] the bitmask of factor f's forms.  The
@@ -192,82 +201,128 @@ def _copoint_step(ranks: Sequence[int], masks: Sequence[int], k: int):
     factors not inside it are those involving u.  A larger flat involves
     fewer factors, so only copoints, flats H of rank k - 1, need trying; u is
     then unique up to scale, with span(H) = u^perp.  The fill exponent of u
-    is rho = the rank of the forms of the factors involving it.  Returns the
-    first H of least rho when rho < k, and the indices of its factors."""
+    is rho = the rank of the forms of the factors involving it.  A fill
+    admits a matrix product (`_product_fill`) when those factors are exactly
+    three single forms with rho = 3.  Among the H of least rho, the first
+    that admits one is taken, else the first; when the least rho is the rank
+    k itself, only a matrix-product fill (so k = 3) is taken.  Returns H, the
+    indices of its factors and whether the fill is a matrix product."""
     rk = np.asarray(ranks)
     sets = np.arange(rk.size)
     flat = rk == k - 1
     for j in range(rk.size.bit_length() - 1):
         flat &= ((sets & (1 << j)) != 0) | (rk[sets | (1 << j)] > rk)
     H = sets[flat]
-    union = np.zeros_like(H)
-    for mask in masks:
-        union |= np.where((mask & ~H) != 0, mask, 0)
-    rho = rk[union]
-    if not rho.size or rho.min() >= k:
+    if not H.size:
         return None
-    best = int(H[rho.argmin()])
-    return best, [f for f, mask in enumerate(masks) if mask & ~best]
+    union = np.zeros_like(H)
+    singles = np.zeros_like(H)
+    wide = np.zeros(H.shape, dtype=bool)
+    for mask in masks:
+        hit = (mask & ~H) != 0
+        union |= np.where(hit, mask, 0)
+        if mask & (mask - 1):
+            wide |= hit
+        else:
+            singles += hit
+    rho = rk[union]
+    product = (rho == 3) & (singles == 3) & ~wide
+    least = rho == rho.min()
+    take = least & product
+    if not take.any():
+        if rho.min() >= k:
+            return None
+        take = least
+    at = int(take.argmax())
+    best = int(H[at])
+    return best, [f for f, mask in enumerate(masks) if mask & ~best], bool(product[at])
 
 
-def _direct_passes(sys: LinearFormSystem) -> list[tuple[list[int], np.ndarray]]:
-    """The elimination plan of the direct sum over G^r, r the rank of C.
+class _Pass(NamedTuple):
+    """One pass of an elimination plan (`_plan`): the factors `ids` and
+    their forms, the rows of `coeffs` in id order.  A pass that fills a
+    factor sums out the last column's variable; `product` marks a fill run
+    as one matrix product (`_product_fill`)."""
 
-    Factors start as the m forms of `_cut_coeffs`, one table each.  While a
-    direction u has a fill exponent rho below the current rank k
-    (`_copoint_step`), u is summed out: the factors involving it span a
-    rho-dimensional space V with rref basis B; lambda = B_i0 / B_i0.u for the
-    first row of nonzero B_i.u, and kappa_j = B_j - (B_j.u) lambda for the
-    other rows.  A form l of V is l[P_j] kappa_j summed over j != i0, plus
-    (l.u) lambda, P the pivot columns of B; along the line y + t u every
-    kappa_j is constant and lambda takes every value once.  So the sum over
-    t of the involved factors is a sum over G^rho of their forms in the
-    coordinates (kappa, lambda), reduced over the last variable into a new
-    factor on G^(rho - 1), indexed by the rho - 1 forms kappa_j.  Every form
-    left vanishes at u, so the variables drop to F_p^(k-1) by deleting a
-    column c with u_c != 0.  The final pass enumerates what is left.
+    ids: list[int]
+    coeffs: np.ndarray
+    product: bool = False
 
-    Returns passes (factor ids, coefficients): each but the last fills
-    factor m, m + 1, ... over G^(columns); the coefficient rows are the
-    factors' forms in id order.  With nothing to eliminate it is one pass,
-    of every form over `_cut_coeffs`.  The planned exponent, the largest
-    column count, is never above r."""
-    p = sys.p
-    C = _cut_coeffs(sys)
-    forms = [C[i:i + 1] for i in range(sys.m)]
-    active = list(range(sys.m))
-    ranks = sys.subset_ranks
-    passes: list[tuple[list[int], np.ndarray]] = []
+
+def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pass]:
+    """The elimination plan of the sum over G^k of prod_i f_i(L_i(x)), the
+    forms L_i the rows of the (m, k) matrix C of rank k.  `ranks` is C's
+    rank table (`systems._rank_table`), built here when not given.
+
+    Factors start as the m forms, one table each.  While `_copoint_step`
+    finds a direction u, it is summed out: the factors involving it span a
+    rho-dimensional space V, written in coordinates (kappa, lambda) with
+    every kappa_j vanishing at u and lambda(u) = 1, so that along the line
+    y + t u every kappa_j is constant and lambda takes every value once.  So
+    the sum over t of the involved factors is a sum over G^rho of their
+    forms in those coordinates, reduced over the last variable into a new
+    factor on G^(rho - 1), indexed by the rho - 1 forms kappa_j.  For an
+    enumerated fill, B is the rref basis of V, lambda = B_i0 / B_i0.u for the
+    first row of nonzero B_i.u and kappa_j = B_j - (B_j.u) lambda for the
+    other rows; a form l of V is l[P_j] kappa_j summed over j != i0, plus
+    (l.u) lambda, P the pivot columns of B.  For a matrix-product fill of
+    forms a, b, c, lambda = a / a.u and kappa = (b - (b.u) lambda,
+    c - (c.u) lambda), so the forms read (0, 0, a.u), (1, 0, b.u) and
+    (0, 1, c.u).  Every form left vanishes at u, so the variables drop to
+    F_p^(k-1) by deleting a column c with u_c != 0.  The final pass
+    enumerates what is left.
+
+    Each pass but the last fills factor m, m + 1, ... over G^(columns).
+    With nothing to eliminate the plan is one pass, of every form over C
+    itself.  The planned exponent, the largest column count, is never
+    above k."""
+    forms = [C[i:i + 1] for i in range(C.shape[0])]
+    active = list(range(C.shape[0]))
+    if C.shape[1] < 2:  # no rho is below k, and a matrix product needs k = 3
+        return [_Pass(active, C)]
+    if ranks is None:
+        ranks = _rank_table(C, p)
+    passes: list[_Pass] = []
     while True:
         widths = [forms[f].shape[0] for f in active]
         offsets = np.cumsum([0] + widths[:-1]).tolist()
         masks = [((1 << w) - 1) << o for w, o in zip(widths, offsets)]
-        if passes:
-            ranks = _rank_table(C, p)
         step = _copoint_step(ranks, masks, C.shape[1])
         if step is None:
             break
-        H, involved = step
+        H, involved, product = step
         u = nullspace(C[[j for j in range(C.shape[0]) if H >> j & 1]], p)[0]
         ids = [active[f] for f in involved]
         R = np.concatenate([forms[f] for f in ids])
-        B, P = rref(R, p)
-        B = B[:len(P)]
-        Bu = (B * u % p).sum(axis=1) % p
-        i0 = int(np.flatnonzero(Bu)[0])
-        lam = B[i0] * inv_mod(int(Bu[i0]), p) % p
-        rest = [j for j in range(len(P)) if j != i0]
-        kappa = (B[rest] - Bu[rest, None] * lam % p) % p
-        passes.append((ids, np.concatenate(
-            [R[:, [P[j] for j in rest]], ((R * u % p).sum(axis=1) % p)[:, None]],
-            axis=1)))
+        Ru = (R * u % p).sum(axis=1) % p
+        if product:
+            lam = R[0] * inv_mod(int(Ru[0]), p) % p
+            kappa = (R[1:] - Ru[1:, None] * lam % p) % p
+            axes = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
+        else:
+            B, P = rref(R, p)
+            B = B[:len(P)]
+            Bu = (B * u % p).sum(axis=1) % p
+            i0 = int(np.flatnonzero(Bu)[0])
+            lam = B[i0] * inv_mod(int(Bu[i0]), p) % p
+            rest = [j for j in range(len(P)) if j != i0]
+            kappa = (B[rest] - Bu[rest, None] * lam % p) % p
+            axes = R[:, [P[j] for j in rest]]
+        passes.append(_Pass(ids, np.concatenate([axes, Ru[:, None]], axis=1), product))
         c = int(np.flatnonzero(u)[0])
         active = [f for f in active if f not in ids] + [len(forms)]
         forms = [np.delete(F, c, axis=1) for F in forms]
         forms.append(np.delete(kappa, c, axis=1))
         C = np.concatenate([forms[f] for f in active])
-    passes.append((active, C))
+        ranks = _rank_table(C, p)
+    passes.append(_Pass(active, C))
     return passes
+
+
+def _direct_passes(sys: LinearFormSystem) -> list[_Pass]:
+    """The plan of the direct sum over G^r, r the rank of C: `_plan` of the
+    cut coefficients (`_cut_coeffs`), with the system's cached rank table."""
+    return _plan(_cut_coeffs(sys), sys.p, sys.subset_ranks)
 
 
 def _gather(table: np.ndarray, width: int, images: np.ndarray, row: int,
@@ -299,21 +354,69 @@ def _factor_product(tables: Sequence[np.ndarray], widths: Sequence[int],
     return prod
 
 
-def _run_passes(passes: Sequence[tuple[Sequence[int], np.ndarray]],
-                dom: GroupDomain, tables: Sequence[np.ndarray], threads: int):
+def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
+                  dom: GroupDomain, threads: int) -> np.ndarray:
+    """The factor F(s, t) = sum over z of g_a(alpha z) g_b(s + beta z)
+    g_c(t + gamma z), for tables (g_a, g_b, g_c) and scales (alpha, beta,
+    gamma), flattened row-major into N^2 entries.
+
+    F = G_b diag(w) G_c^T with G_b[s, z] = g_b(s + beta z), G_c[t, z] =
+    g_c(t + gamma z) and w[z] = g_a(alpha z), so the N^3 multiply-adds are
+    matrix products: in int64 for 0/1 and integer tables, which is exact,
+    and through BLAS for float and complex ones.  G_b and G_c are gathered
+    through `dom.sum_grid` in blocks of CHUNK // N rows, so that, F aside,
+    the temporaries stay within a few CHUNK entries; each block of rows of F
+    is one task, run by up to `threads` worker threads, and its entries do
+    not depend on how many there are."""
+    g_a, g_b, g_c = tables
+    alpha, beta, gamma = scales
+    N = dom.size
+    dtype = np.result_type(np.int64, *tables)
+    P, enc = dom.sum_grid
+    shift_b, shift_c = (dom.codes(c, 2 * dom.p - 1) for c in (beta, gamma))
+    w = g_a[dom.codes(alpha)].astype(dtype)
+    rows = max(1, CHUNK // N)
+    starts = range(0, N, rows)
+    F = np.empty((N, N), dtype=dtype)
+
+    def block(g: np.ndarray, shift: np.ndarray, lo: int) -> np.ndarray:
+        return g[P[enc[lo:lo + rows, None] + shift]].astype(dtype, copy=False)
+
+    def fill(lo: int) -> None:
+        left = block(g_b, shift_b, lo)
+        left *= w
+        for top in starts:
+            F[lo:lo + rows, top:top + rows] = left @ block(g_c, shift_c, top).T
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(fill, starts))
+    else:
+        for lo in starts:
+            fill(lo)
+    return F.reshape(-1)
+
+
+def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
+                tables: Sequence[np.ndarray], threads: int):
     """Sum over G^k of the product of the factors of the last of `passes`
-    (`_direct_passes`), tables[f] the (N,) table of form f, after each
-    earlier pass has filled its factor: a table on G^(columns - 1), its
-    entries the sums over the last variable, added in chunk order.  Each
-    pass is one `reduce_form_images` call.  The chunk sums are added in an
-    explicit loop (the builtin sum may compensate), so the total, a Python
-    int for tables of 0/1 or ints and complex for complex ones, is
-    bit-reproducible."""
+    (`_plan`), tables[f] the (N,) table of form f, after each earlier pass
+    has filled its factor: a table on G^(columns - 1), its entries the sums
+    over the last variable.  A matrix-product pass is one `_product_fill`;
+    any other is one `reduce_form_images` call, its sums added in chunk
+    order.  The chunk sums of the last pass are added in an explicit loop
+    (the builtin sum may compensate), so the total, a Python int for tables
+    of 0/1 or ints and complex for complex ones, is bit-reproducible."""
     N = dom.size
     tables, widths = list(tables), [1] * len(tables)
-    for ids, coeffs in passes[:-1]:
+    for ids, coeffs, product in passes[:-1]:
         held = [tables[f] for f in ids]
         held_widths = [widths[f] for f in ids]
+        width = coeffs.shape[1] - 1
+        if product:
+            tables.append(_product_fill(held, coeffs[:, -1].tolist(), dom, threads))
+            widths.append(width)
+            continue
 
         def fill(images: np.ndarray, xs: np.ndarray) -> tuple[int, np.ndarray]:
             prod = _factor_product(held, held_widths, images, N)
@@ -326,13 +429,12 @@ def _run_passes(passes: Sequence[tuple[Sequence[int], np.ndarray]],
                 row = row * N + x
             return row, np.add.reduceat(prod, starts)
 
-        width = coeffs.shape[1] - 1
         table = np.zeros(N**width, dtype=np.result_type(np.int64, *held))
         for row, sums in reduce_form_images(coeffs, dom, fill, threads):
             table[row:row + sums.size] += sums
         tables.append(table)
         widths.append(width)
-    ids, coeffs = passes[-1]
+    ids, coeffs, _ = passes[-1]
     held = [tables[f] for f in ids]
     held_widths = [widths[f] for f in ids]
     total = np.result_type(np.int64, *held).type(0).item()
@@ -343,27 +445,20 @@ def _run_passes(passes: Sequence[tuple[Sequence[int], np.ndarray]],
     return total
 
 
-def _sum_of_products(coeffs: np.ndarray, dom: GroupDomain,
-                     tables: Sequence[np.ndarray], threads: int) -> complex:
-    """Sum over all assignments of prod_i tables[i][L_i(x)]: `_run_passes`
-    with the one pass of every form."""
-    return complex(_run_passes([(range(len(tables)), coeffs)], dom, tables, threads))
-
-
 def direct_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
     """m N^d, the entry operations of a full enumeration.  The direct side
     runs over G^r, r the rank of C, and sums directions out where that lowers
-    the exponent (`_direct_passes`), so this overstates the work it executes;
-    the formula is kept so that reports and budget refusals do not depend on
-    the plan."""
+    the exponent or turns a fill into a matrix product (`_plan`), so this
+    overstates the work it executes; the formula is kept so that reports and
+    budget refusals do not depend on the plan."""
     return sys.m * dom.size**sys.d
 
 
 def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
                            budget: int | None = None, threads: int = 1) -> complex:
     """E over all assignments of prod_i f_i(L_i(x)): the sum over G^r of
-    `_direct_passes`, over N^r.  A plan of one pass is `_sum_of_products` on
-    the cut coefficients, which are C itself at full rank."""
+    `_direct_passes`, over N^r.  A plan of one pass is one kernel call on the
+    cut coefficients, which are C itself at full rank."""
     dom = _check_inputs(sys, fs)
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"direct count over {dom.size}^{sys.d} assignments")
@@ -372,6 +467,10 @@ def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
 
 
 def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
+    """m N^w, w the dimension of the relation space: the entry operations of
+    enumerating every frequency tuple.  The dual side sums directions out
+    (`_plan`), so this overstates the work it executes; the formula is kept
+    so that reports and budget refusals stay byte-identical."""
     return sys.m * dom.size**sys.relations.dim
 
 
@@ -381,16 +480,18 @@ def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     """Same average, evaluated as a sum of Fourier-coefficient products over
     the annihilator of the system's frequency relations: its tuples are the
     images of the w-variable forms given by the columns of the relation
-    basis, `sys.relations` (w = 0 is the single zero tuple).  A caller that
-    already holds the transforms of fs passes them as `_transforms`."""
+    basis, `sys.relations` (w = 0 is the single zero tuple).  Those forms,
+    the rows of the basis transposed, have full column rank w, so the sum is
+    `_plan` of them with no cut.  A caller that already holds the transforms
+    of fs passes them as `_transforms`."""
     dom = _check_inputs(sys, fs)
     W = sys.relations
     check_budget(dual_op_count(sys, dom), budget,
                  what=f"dual count over {dom.size}^{W.dim} frequency tuples")
     if _transforms is None:
         _transforms = [fourier(f) for f in fs]
-    return _sum_of_products(W.basis.T, dom, [fh.values for fh in _transforms],
-                            threads)
+    return complex(_run_passes(_plan(W.basis.T, sys.p), dom,
+                               [fh.values for fh in _transforms], threads))
 
 
 def count_solutions(sys: LinearFormSystem, A: IndicatorSet,

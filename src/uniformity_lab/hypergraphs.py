@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 import numpy as np
 
@@ -28,23 +27,15 @@ from .verification import ExperimentReport
 
 @dataclass(frozen=True)
 class TripartiteFunction:
-    """Dense table over X x Y x Z; complex in float mode, Fractions in exact
-    mode (the exact table is what the test suite's rational octahedral oracle
-    reads)."""
+    """Dense complex table over X x Y x Z."""
 
     values: np.ndarray
-    exact: Optional[np.ndarray] = None
 
     def __post_init__(self):
         v = np.asarray(self.values)
         if v.ndim != 3:
             raise ValueError("expected a 3-d value table")
         object.__setattr__(self, "values", v.astype(np.complex128))
-        if self.exact is not None:
-            e = np.asarray(self.exact, dtype=object)
-            if e.shape != v.shape:
-                raise ValueError("exact table shape mismatch")
-            object.__setattr__(self, "exact", e)
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -84,8 +75,7 @@ def lift(g: GroupFunction) -> TripartiteFunction:
     # index of x + y + z as two gathers: first x + y, then (x + y) + z
     xy = P[enc[:, None] + enc[None, :]]
     idx3 = P[enc[xy][:, :, None] + enc]
-    exact = g.exact[idx3] if g.exact is not None else None
-    return TripartiteFunction(values=g.values[idx3], exact=exact)
+    return TripartiteFunction(values=g.values[idx3])
 
 
 def symmetric_sign_function(n_x: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,7 +10,7 @@ from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
                                      quadratic_average, quadratic_zero_count)
 from uniformity_lab.domains import domain
-from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced
+from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced, fourier
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
                                     builtin_system)
 from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
@@ -240,7 +240,16 @@ def test_mismatched_inputs_rejected():
 
 def planned_exponent(sys_):
     """Largest number of variables a pass of the direct side enumerates."""
-    return max(coeffs.shape[1] for _, coeffs in counting._direct_passes(sys_))
+    return max(pass_.coeffs.shape[1] for pass_ in counting._direct_passes(sys_))
+
+
+def plan_shape(passes):
+    """(columns, matrix product) of each pass of a plan."""
+    return [(pass_.coeffs.shape[1], pass_.product) for pass_ in passes]
+
+
+def dual_plan(sys_):
+    return counting._plan(sys_.relations.basis.T, sys_.p)
 
 
 def random_structured_system(rng, p):
@@ -326,11 +335,14 @@ def test_planned_exponent_is_at_most_the_rank():
 
 
 def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
-    """cube7 (an elimination, then a pass over N^3) and diff3 (the pivot cut)
-    at CHUNK = 100: several chunks per pass and a fill row cut between
-    chunks.  Four threads give the bits of one; counts equal one chunk's."""
+    """cube7 (a matrix-product fill, then a pass over N^3), diff3 (the pivot
+    cut), gw6b (a matrix-product fill on both sides, N = 49) and ap5 (one on
+    its dual side, N = 25) at CHUNK = 100: several chunks per pass, a fill
+    row cut between chunks, and G_b and G_c gathered in blocks of 2 and 4
+    rows.  Four threads give the bits of one; counts equal one chunk's."""
     rng = np.random.default_rng(22)
-    for name, p, n in (("cube7", 3, 2), ("cube7", 5, 1), ("diff3", 5, 2)):
+    for name, p, n in (("cube7", 3, 2), ("cube7", 5, 1), ("diff3", 5, 2),
+                       ("gw6b", 7, 2), ("ap5", 5, 2)):
         sys_ = builtin_system(name, p)
         dom = domain(p, n)
         A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.7)
@@ -339,7 +351,8 @@ def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
         def run(threads):
             return (count_solutions(sys_, A, threads=threads),
                     count_solutions(sys_, A, threads=threads, with_degenerate=True),
-                    average_product_direct(sys_, fs, threads=threads))
+                    average_product_direct(sys_, fs, threads=threads),
+                    average_product_dual(sys_, fs, threads=threads))
 
         monkeypatch.setattr(counting, "CHUNK", 1 << 19)
         whole = run(1)
@@ -347,18 +360,107 @@ def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
         serial = run(1)
         assert serial == run(4), name
         assert serial[:2] == whole[:2]
-        assert abs(serial[2] - whole[2]) < 1e-12
+        for chunked, one in zip(serial[2:], whole[2:]):
+            assert abs(chunked - one) < 1e-12, name
 
 
-@pytest.mark.parametrize("name", ["ap3", "ap4", "ap5", "gw6a", "gw6b", "random"])
+def dual_cases():
+    """Twelve seeded random systems with three relations, so that the dual
+    sums over G^3: sparse ones from `random_structured_system` and, at
+    p = 5 and 7, dense ones of five pairwise independent forms in two
+    variables (like ap5: any three of their relation forms are independent,
+    so every copoint leaves three of them to a matrix product), at the
+    largest n with N^3 <= 729."""
+    rng = np.random.default_rng(25)
+    cases = []
+    while len(cases) < 12:
+        p = (3, 5, 7)[len(cases) % 3]
+        if p == 3 or len(cases) % 2:
+            sys_ = random_structured_system(rng, p)
+        else:
+            C = rng.integers(0, p, size=(5, 2))
+            minors = (np.outer(C[:, 0], C[:, 1]) - np.outer(C[:, 1], C[:, 0])) % p
+            if np.count_nonzero(minors) < 20:  # two forms are parallel
+                continue
+            sys_ = make(p, C.tolist())
+        if sys_.relations.dim == 3:
+            cases.append((sys_, 2 if p == 3 else 1))
+    return cases
+
+
+def naive_dual_sum(sys_, n, fs):
+    """N^w times the digit-tuple oracle's average over the w-variable forms
+    of the relation basis, of the Fourier tables."""
+    rows = sys_.relations.basis.T.tolist()
+    N = sys_.p**n
+    return N**len(rows[0]) * oracles.naive_average_product(
+        rows, sys_.p, n, [fourier(f).values for f in fs])
+
+
+def test_dual_side_matches_naive_oracle():
+    """The dual sum against the digit-tuple oracle, on every case of
+    `exactness_cases` and `dual_cases`.  The matrix-product fill runs on
+    ap5's and gw6b's duals and on at least five random systems."""
+    rng = np.random.default_rng(26)
+    fired = set()
+    for k, (sys_, n) in enumerate(exactness_cases() + dual_cases()):
+        fs = random_functions(domain(sys_.p, n), rng, sys_.m)
+        naive = naive_dual_sum(sys_, n, fs)
+        assert abs(average_product_dual(sys_, fs) - naive) < 1e-12, \
+            (sys_.coeffs.tolist(), n)
+        if any(pass_.product for pass_ in dual_plan(sys_)):
+            fired.add(sys_.name or k)
+    assert {"ap5", "gw6b"} <= fired
+    assert len(fired - set(BUILTIN_SYSTEM_NAMES)) >= 5, fired
+
+
+def test_matrix_product_plans():
+    """A fill of exactly three independent single forms is one matrix
+    product: ap5's dual and both sides of gw6b are such a fill followed by
+    a pass over N^2, and cube7's direct side such a fill followed by a pass
+    over N^3.  Four forms involve every direction of gw6a and of cube7's
+    dual, so those stay one pass of every form.  gw6b at p = 5, n = 2 (the
+    built-in cases of the oracle tests take n = 1 there) is exact on both
+    sides."""
+    for p in (5, 7, 11):
+        ap5, gw6a, gw6b, cube7 = (builtin_system(name, p)
+                                  for name in ("ap5", "gw6a", "gw6b", "cube7"))
+        assert plan_shape(dual_plan(ap5)) == [(3, True), (2, False)]
+        assert plan_shape(counting._direct_passes(gw6b)) == [(3, True), (2, False)]
+        assert plan_shape(dual_plan(gw6b)) == [(3, True), (2, False)]
+        assert plan_shape(counting._direct_passes(cube7)) == [(3, True), (3, False)]
+        (only,) = counting._direct_passes(gw6a)
+        assert only.ids == list(range(6)) and only.coeffs is gw6a.coeffs
+        for sys_ in (gw6a, cube7):
+            (only,) = dual_plan(sys_)
+            assert only.ids == list(range(sys_.m))
+            assert np.array_equal(only.coeffs, sys_.relations.basis.T)
+    rng = np.random.default_rng(27)
+    gw6b, dom = builtin_system("gw6b", 5), domain(5, 2)
+    rows = gw6b.coeffs.tolist()
+    members = rng.random(dom.size) < 0.7
+    assert count_solutions(gw6b, IndicatorSet(domain=dom, members=members))[0] == \
+        oracles.naive_count_solutions(rows, 5, 2, members)
+    fs = random_functions(dom, rng, gw6b.m)
+    naive = oracles.naive_average_product(rows, 5, 2, [f.values for f in fs])
+    assert abs(average_product_direct(gw6b, fs) - naive) < 1e-12
+    assert abs(average_product_dual(gw6b, fs) - naive) < 1e-12
+
+
+@pytest.mark.parametrize("name", ["ap3", "ap4", "ap5", "gw6a", "random"])
 def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
     """With no direction to sum out, the direct side is one kernel call on
-    C itself, and its average has the bits of `_sum_of_products` and of a
-    plain chunk-by-chunk product sum."""
+    C itself, and its average has the bits of the one-pass `_run_passes`
+    and of a plain chunk-by-chunk product sum.  The random system is drawn
+    with neither an enumerated nor a matrix-product fill."""
     rng = np.random.default_rng(23)
     if name == "random":
         while True:
-            C = rng.integers(0, 7, size=(5, 3))
+            # five forms in three variables always leave a copoint that
+            # involves at most three, so draw six
+            C = rng.integers(0, 7, size=(6, 3))
+            if not C.any(axis=1).all() or len({tuple(row) for row in C.tolist()}) < 6:
+                continue
             sys_ = make(7, C.tolist())
             if len(sys_.pivots) == 3 and len(counting._direct_passes(sys_)) == 1:
                 break
@@ -388,7 +490,8 @@ def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
     average = average_product_direct(sys_, fs)
     count = count_solutions(sys_, A)
     assert len(seen) == 2 and all(c is sys_.coeffs for c in seen)
-    assert average == counting._sum_of_products(sys_.coeffs, dom, tables, 1) \
+    one_pass = [counting._Pass(list(range(sys_.m)), sys_.coeffs)]
+    assert average == complex(counting._run_passes(one_pass, dom, tables, 1)) \
         / dom.size**sys_.d
     assert average == plain / dom.size**sys_.d
     plain_count = 0

@@ -185,7 +185,7 @@ def test_norm_paths_build_no_addition_table(tmp_path):
     lifted = lift(f)
     points, index = oracles.naive_points(3, 2)
     xyz = tuple((a + b + c) % 3 for a, b, c in zip(points[1], points[2], points[4]))
-    assert lifted.exact[1, 2, 4] == f.exact[index[xyz]]
+    assert lifted.values[1, 2, 4] == f.values[index[xyz]]
 
     q = QuadraticForm(p=3, M=[[1, 2], [2, 0]], b=[1, 1])
     gauss_sum(q)

@@ -76,18 +76,14 @@ def test_lift_of_constant_is_constant():
 
 def test_exact_norm_zero_iff_zero_exhaustive():
     for bits in product([0, 1], repeat=8):
-        vals = np.array(bits, dtype=float).reshape(2, 2, 2)
         exact = np.array([Fraction(b) for b in bits], dtype=object).reshape(2, 2, 2)
-        F = TripartiteFunction(values=vals, exact=exact)
-        power = oracles.octahedral_power_exact(F.exact)
+        power = oracles.octahedral_power_exact(exact)
         assert (power == 0) == (not any(bits))
         assert power >= 0
     # signed values on a flat 2x2x1 table
     for signs in product([-1, 0, 1], repeat=4):
         exact = np.array([Fraction(s) for s in signs], dtype=object).reshape(2, 2, 1)
-        F = TripartiteFunction(values=np.array(signs, dtype=float).reshape(2, 2, 1),
-                               exact=exact)
-        power = oracles.octahedral_power_exact(F.exact)
+        power = oracles.octahedral_power_exact(exact)
         assert (power == 0) == (not any(signs))
         assert power >= 0
 
