@@ -14,26 +14,37 @@ one.  The candidates are read off the copoints of the subset-rank table
 taken where rho is below the current rank, by one kernel pass over G^rho;
 where the factors involving u are exactly three independent single forms
 it is one matrix product instead (`_product_fill`: the N^3 multiply-adds
-run in BLAS, or exactly in int64 for 0/1 tables), and that fill is also
-taken at rho = 3 equal to the rank, where enumeration would lower nothing.
-A final pass enumerates what is left; with nothing to eliminate, that is
-the one pass, with the cut coefficients (C itself at full rank) and the
-plain reducer.  A degenerate count tests each assignment for coinciding
-images, so it takes the pivot cut but no elimination.  The dual strategy
-evaluates the same average on the frequency side: it sums the products of
-Fourier coefficients over the annihilator subspace of frequency tuples
+run in BLAS, in float64 for integer tables while that is exact), and that
+fill is also taken at rho = 3 equal to the rank, where enumeration would
+lower nothing.  Where no such step exists at rank 2 or 3, a direction whose
+single forms fall into two pencils (`_pencil_step`: two classes of forms
+collinear modulo a form phi vanishing at u, or parallel at rank 2) is
+summed out by a convolution fill (`_convolution_fill`): each of its
+N^(rho - 2) slices is one correlation on G, three transforms of N n p
+multiply-adds, rounded back to integers for integer tables under an a
+priori error bound, with the enumerated pass where the bound or the cost
+does not admit it.  A final pass enumerates what is left; with nothing to
+eliminate, that is the one pass, with the cut coefficients (C itself at
+full rank) and the plain reducer.  So ap3 and diff3 enumerate N on the
+direct side, after a convolution; gw6a and cube7 enumerate N^2 on both
+sides, in place of N^3; ap4, ap5, nf4 and gw6b plan no convolution.  A
+degenerate count tests each assignment for coinciding images, so it takes
+the pivot cut but no elimination.  The dual strategy evaluates the same
+average on the frequency side: it sums the products of Fourier
+coefficients over the annihilator subspace of frequency tuples
 (r_1, ..., r_m) with sum_i c_iu r_i = 0 for every variable u, the images of
 the w forms of the relation basis, through the same plan (so ap5's N^3 dual
-is one matrix product and a pass over N^2).  The direct-vs-dual check still
-compares two independent computations: the two sides sum different tables
+is one matrix product and a pass over N^2), its rank table read off the
+system's by matroid duality.  The direct-vs-dual check still compares two
+independent computations: the two sides sum different tables
 (the functions, their transforms) over different spaces (G^r, the
 annihilator) with different plans; they share only the planner and the
 kernels, which the oracle tests pin on each side alone.  The two must
 agree to 1e-8 wherever both run, which is the central cross-check of the
 whole package.
 
-Both strategies, `count_solutions` and the enumerating factor count in
-`verification` share one kernel, `reduce_form_images`: chunked enumeration,
+Both strategies, `count_solutions` and the factor counts in `verification`
+share the plan and one kernel, `reduce_form_images`: chunked enumeration,
 form images, a per-chunk reducer called with (images, xs), the point indices
 of the forms' values and of the variables (or with images alone, when it
 reads no xs), an optional thread pool and partials in chunk order.  The
@@ -61,6 +72,7 @@ over the full parameter space the same way.
 from __future__ import annotations
 
 import inspect
+import math
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
@@ -70,7 +82,8 @@ import numpy as np
 from .algebra import _legendre, batched_rank_class, inv_mod, nullspace, rref
 from .budget import check_budget
 from .domains import GroupDomain
-from .functions import GroupFunction, IndicatorSet, fourier
+from .functions import (GroupFunction, IndicatorSet, _dft_axes, _dft_matrix,
+                        fourier)
 from .systems import LinearFormSystem, _rank_table
 
 CHUNK = 1 << 19
@@ -80,6 +93,9 @@ CHUNK = 1 << 19
 CLASS_BLOCK = 1 << 15
 
 DUAL_AGREEMENT_TOL = 1e-8
+
+# How a pass of an elimination plan fills its factor (`_Pass.kind`).
+ENUMERATE, PRODUCT, CONVOLUTION = "enumerate", "product", "convolution"
 
 
 def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDomain:
@@ -192,40 +208,46 @@ def _cut_coeffs(sys: LinearFormSystem) -> np.ndarray:
     return sys.coeffs if len(sys.pivots) == sys.d else sys.coeffs[:, sys.pivots]
 
 
-def _copoint_step(ranks: Sequence[int], masks: Sequence[int], k: int):
-    """(H, involved, product) for a direction u to sum out, or None.
+def _copoints(ranks: np.ndarray, k: int) -> np.ndarray:
+    """The flats of rank k - 1 (copoints) of the rank table `ranks`, as
+    bitmasks: the sets S of rank k - 1 to which no form adds without raising
+    the rank."""
+    sets = np.arange(ranks.size)
+    flat = ranks == k - 1
+    for j in range(ranks.size.bit_length() - 1):
+        flat &= ((sets & (1 << j)) != 0) | (ranks[sets | (1 << j)] > ranks)
+    return sets[flat]
+
+
+def _copoint_step(ranks: np.ndarray, flats: np.ndarray, masks: Sequence[int], k: int):
+    """(H, involved, kind) for a direction u to sum out, or None.
 
     `ranks` is the rank table (`systems._rank_table`) of the current forms,
-    which span F_p^k, and masks[f] the bitmask of factor f's forms.  The
-    forms vanishing at u form a flat; its rank is at most k - 1, and the
-    factors not inside it are those involving u.  A larger flat involves
-    fewer factors, so only copoints, flats H of rank k - 1, need trying; u is
-    then unique up to scale, with span(H) = u^perp.  The fill exponent of u
-    is rho = the rank of the forms of the factors involving it.  A fill
-    admits a matrix product (`_product_fill`) when those factors are exactly
-    three single forms with rho = 3.  Among the H of least rho, the first
-    that admits one is taken, else the first; when the least rho is the rank
-    k itself, only a matrix-product fill (so k = 3) is taken.  Returns H, the
-    indices of its factors and whether the fill is a matrix product."""
-    rk = np.asarray(ranks)
-    sets = np.arange(rk.size)
-    flat = rk == k - 1
-    for j in range(rk.size.bit_length() - 1):
-        flat &= ((sets & (1 << j)) != 0) | (rk[sets | (1 << j)] > rk)
-    H = sets[flat]
-    if not H.size:
+    which span F_p^k, `flats` its copoints (`_copoints`) and masks[f] the bitmask
+    of factor f's forms.  The forms vanishing at u form a flat; its rank is
+    at most k - 1, and the factors not inside it are those involving u.  A
+    larger flat involves fewer factors, so only copoints, flats H of rank
+    k - 1, need trying; u is then unique up to scale, with span(H) = u^perp.
+    The fill exponent of u is rho = the rank of the forms of the factors
+    involving it.  A fill admits a matrix product (`_product_fill`) when
+    those factors are exactly three single forms with rho = 3.  Among the H
+    of least rho, the first that admits one is taken, else the first; when
+    the least rho is the rank k itself, only a matrix-product fill (so
+    k = 3) is taken.  Returns H, the indices of its factors and the pass
+    kind, PRODUCT or ENUMERATE."""
+    if not flats.size:
         return None
-    union = np.zeros_like(H)
-    singles = np.zeros_like(H)
-    wide = np.zeros(H.shape, dtype=bool)
+    union = np.zeros_like(flats)
+    singles = np.zeros_like(flats)
+    wide = np.zeros(flats.shape, dtype=bool)
     for mask in masks:
-        hit = (mask & ~H) != 0
+        hit = (mask & ~flats) != 0
         union |= np.where(hit, mask, 0)
         if mask & (mask - 1):
             wide |= hit
         else:
             singles += hit
-    rho = rk[union]
+    rho = ranks[union]
     product = (rho == 3) & (singles == 3) & ~wide
     least = rho == rho.min()
     take = least & product
@@ -234,19 +256,88 @@ def _copoint_step(ranks: Sequence[int], masks: Sequence[int], k: int):
             return None
         take = least
     at = int(take.argmax())
-    best = int(H[at])
-    return best, [f for f, mask in enumerate(masks) if mask & ~best], bool(product[at])
+    best = int(flats[at])
+    return (best, [f for f, mask in enumerate(masks) if mask & ~best],
+            PRODUCT if product[at] else ENUMERATE)
+
+
+def _cross(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, int, int]:
+    """a x b mod p for vectors of F_p^3, in Python ints."""
+    return ((a[1] * b[2] - a[2] * b[1]) % p, (a[2] * b[0] - a[0] * b[2]) % p,
+            (a[0] * b[1] - a[1] * b[0]) % p)
+
+
+def _pencil_step(C: np.ndarray, flats: np.ndarray, masks: Sequence[int], p: int):
+    """(H, involved, u, phi) for a direction u whose fill is a convolution
+    (`_convolution_fill`), or None; for the current forms, the rows of C,
+    spanning F_p^k with k = 2 or 3, when no copoint H in `flats` lowers
+    the exponent, so that every fill has rho = k, and no factor has k forms.
+
+    The factors involving u must be single forms, and fall into two classes
+    A and B of forms that are collinear modulo a (k - 2)-dimensional space
+    Phi of forms vanishing at u.  At k = 2, Phi = 0 and the classes are
+    parallel forms; the copoints are then the classes of parallel forms, and
+    u splits its fill exactly when there are three of them.  At k = 3, Phi
+    is one form phi: the forms of a class lie in a plane through phi, and
+    since the involved forms span F_p^3, one class holds two independent
+    forms x, y, whose plane meets u^perp in phi = (x cross y) cross u.  One
+    of the classes holds the first involved form a, and the other the first
+    form b not parallel to a, so the pairs (a, y) and (b, y) give every
+    candidate phi.  A candidate splits the involved forms when the forms l
+    with det(a, l, phi) = l . (phi cross a) != 0 (not in class A) are all
+    collinear with the first of them modulo phi, tested the same way.  A
+    factor of two forms must lie in H.  The copoints are tried in order, the
+    candidates in turn; the first split is taken.  phi is None at k = 2.
+    u is read off the nonzero forms of H (a zero form, which relation forms
+    can have, lies in every flat).  The search runs on Python ints: it
+    touches a few dozen vectors."""
+    k = C.shape[1]
+    if k == 2 and flats.size != 3:
+        return None
+    rows = C.tolist()
+    if k == 2:
+        h = int(flats[0])
+        a = next(r for j, r in enumerate(rows) if h >> j & 1 and any(r))
+        return h, [f for f, mask in enumerate(masks) if mask & ~h], \
+            np.array([-a[1] % p, a[0]]), None
+
+    def dot(x, y):
+        return (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]) % p
+
+    wide = [mask for mask in masks if mask & (mask - 1)]
+    for h in flats.tolist():
+        if any(mask & ~h for mask in wide):
+            continue
+        inside = [r for j, r in enumerate(rows) if h >> j & 1 and any(r)]
+        R = [r for j, r in enumerate(rows) if not h >> j & 1]
+        u = next(n for n in (_cross(inside[0], r, p) for r in inside[1:]) if any(n))
+        a = R[0]
+        b = next(r for r in R if any(_cross(a, r, p)))
+        for x in (a, b):
+            for y in R:
+                n = _cross(x, y, p)
+                if not any(n):
+                    continue
+                phi = _cross(n, u, p)
+                off_a = [l for l in R if dot(l, _cross(phi, a, p))]
+                if off_a and not any(dot(l, _cross(phi, off_a[0], p)) for l in off_a):
+                    return h, [f for f, mask in enumerate(masks) if mask & ~h], \
+                        np.array(u), np.array(phi)
+    return None
 
 
 class _Pass(NamedTuple):
     """One pass of an elimination plan (`_plan`): the factors `ids` and
     their forms, the rows of `coeffs` in id order.  A pass that fills a
-    factor sums out the last column's variable; `product` marks a fill run
-    as one matrix product (`_product_fill`)."""
+    factor sums out the last column's variable; its `kind` says how:
+    ENUMERATE (one kernel pass over G^(columns)), PRODUCT (one matrix
+    product, `_product_fill`) or CONVOLUTION (transforms on G,
+    `_convolution_fill`, where `_convolution_admitted`, else the enumerated
+    pass)."""
 
     ids: list[int]
     coeffs: np.ndarray
-    product: bool = False
+    kind: str = ENUMERATE
 
 
 def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pass]:
@@ -255,22 +346,32 @@ def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pa
     rank table (`systems._rank_table`), built here when not given.
 
     Factors start as the m forms, one table each.  While `_copoint_step`
-    finds a direction u, it is summed out: the factors involving it span a
-    rho-dimensional space V, written in coordinates (kappa, lambda) with
-    every kappa_j vanishing at u and lambda(u) = 1, so that along the line
-    y + t u every kappa_j is constant and lambda takes every value once.  So
-    the sum over t of the involved factors is a sum over G^rho of their
-    forms in those coordinates, reduced over the last variable into a new
-    factor on G^(rho - 1), indexed by the rho - 1 forms kappa_j.  For an
-    enumerated fill, B is the rref basis of V, lambda = B_i0 / B_i0.u for the
-    first row of nonzero B_i.u and kappa_j = B_j - (B_j.u) lambda for the
-    other rows; a form l of V is l[P_j] kappa_j summed over j != i0, plus
-    (l.u) lambda, P the pivot columns of B.  For a matrix-product fill of
-    forms a, b, c, lambda = a / a.u and kappa = (b - (b.u) lambda,
-    c - (c.u) lambda), so the forms read (0, 0, a.u), (1, 0, b.u) and
-    (0, 1, c.u).  Every form left vanishes at u, so the variables drop to
-    F_p^(k-1) by deleting a column c with u_c != 0.  The final pass
-    enumerates what is left.
+    finds a direction u, or, at k = 2 or 3 where it finds none,
+    `_pencil_step` a two-class split, u is summed out: the factors involving
+    it span a rho-dimensional space V, written in coordinates
+    (kappa, lambda) with every kappa_j vanishing at u and lambda(u) = 1, so
+    that along the line y + t u every kappa_j is constant and lambda takes
+    every value once.  So the sum over t of the involved factors is a sum
+    over G^rho of their forms in those coordinates, reduced over the last
+    variable into a new factor on G^(rho - 1), indexed by the rho - 1 forms
+    kappa_j.  For an enumerated fill, B is the rref basis of V,
+    lambda = B_i0 / B_i0.u for the first row of nonzero B_i.u and
+    kappa_j = B_j - (B_j.u) lambda for the other rows; a form l of V is
+    l[P_j] kappa_j summed over j != i0, plus (l.u) lambda, P the pivot
+    columns of B.  For a matrix-product fill of forms a, b, c,
+    lambda = a / a.u and kappa = (b - (b.u) lambda, c - (c.u) lambda), so the
+    forms read (0, 0, a.u), (1, 0, b.u) and (0, 1, c.u).  For a convolution
+    fill of classes A and B, with a and b the first form of each and phi
+    scaled to 1 at its first nonzero column j, lambda = a / a.u and
+    kappa = (phi, b / b.u - lambda), without phi at k = 2: a form l of A is
+    then beta phi + (l.u) lambda and one of B is
+    delta phi + (l.u)(kappa_2 + lambda), so they read (beta, 0, l.u) and
+    (delta, l.u, l.u), beta and delta the j-th entries of what is left of l
+    after its u-part.  Every form left vanishes at u, so the variables drop
+    to F_p^(k-1) by deleting a column c with u_c != 0.  A factor of k forms
+    (independent, as every filled factor's are) involves every direction at
+    rho = k and is no single form, so no step follows it, and the final
+    pass enumerates what is left.
 
     Each pass but the last fills factor m, m + 1, ... over G^(columns).
     With nothing to eliminate the plan is one pass, of every form over C
@@ -278,27 +379,48 @@ def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pa
     above k."""
     forms = [C[i:i + 1] for i in range(C.shape[0])]
     active = list(range(C.shape[0]))
-    if C.shape[1] < 2:  # no rho is below k, and a matrix product needs k = 3
-        return [_Pass(active, C)]
-    if ranks is None:
-        ranks = _rank_table(C, p)
     passes: list[_Pass] = []
-    while True:
+    while (k := C.shape[1]) >= 2:
         widths = [forms[f].shape[0] for f in active]
+        if max(widths) >= k:
+            break
+        ranks = np.asarray(_rank_table(C, p) if ranks is None else ranks)
         offsets = np.cumsum([0] + widths[:-1]).tolist()
         masks = [((1 << w) - 1) << o for w, o in zip(widths, offsets)]
-        step = _copoint_step(ranks, masks, C.shape[1])
-        if step is None:
+        flats = _copoints(ranks, k)
+        step = _copoint_step(ranks, flats, masks, k)
+        if step is not None:
+            H, involved, kind = step
+            u = nullspace(C[np.flatnonzero(H >> np.arange(C.shape[0]) & 1)], p)[0]
+        elif k in (2, 3) and (split := _pencil_step(C, flats, masks, p)) is not None:
+            H, involved, u, phi = split
+            kind = CONVOLUTION
+        else:
             break
-        H, involved, product = step
-        u = nullspace(C[[j for j in range(C.shape[0]) if H >> j & 1]], p)[0]
         ids = [active[f] for f in involved]
         R = np.concatenate([forms[f] for f in ids])
         Ru = (R * u % p).sum(axis=1) % p
-        if product:
+        if kind != ENUMERATE:  # single forms, so none vanishes at u
             lam = R[0] * inv_mod(int(Ru[0]), p) % p
+        if kind == PRODUCT:
             kappa = (R[1:] - Ru[1:, None] * lam % p) % p
             axes = np.array([[0, 0], [1, 0], [0, 1]], dtype=np.int64)
+        elif kind == CONVOLUTION:
+            rest = (R - Ru[:, None] * lam % p) % p  # each row vanishes at u
+            if phi is None:
+                in_a = ~rest.any(axis=1)
+            else:
+                j = int(np.flatnonzero(phi)[0])
+                phi = phi * inv_mod(int(phi[j]), p) % p
+                in_a = ~((rest - rest[:, j, None] * phi % p) % p).any(axis=1)
+            b = int(np.flatnonzero(~in_a)[0])
+            kap = (R[b] * inv_mod(int(Ru[b]), p) - lam) % p
+            second = np.where(in_a, 0, Ru)
+            if phi is None:
+                kappa, axes = kap[None], second[:, None]
+            else:
+                first = ((rest - second[:, None] * kap % p) % p)[:, j]
+                kappa, axes = np.stack([phi, kap]), np.stack([first, second], axis=1)
         else:
             B, P = rref(R, p)
             B = B[:len(P)]
@@ -308,13 +430,14 @@ def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pa
             rest = [j for j in range(len(P)) if j != i0]
             kappa = (B[rest] - Bu[rest, None] * lam % p) % p
             axes = R[:, [P[j] for j in rest]]
-        passes.append(_Pass(ids, np.concatenate([axes, Ru[:, None]], axis=1), product))
+        passes.append(_Pass(ids, np.concatenate([axes, Ru[:, None]], axis=1), kind))
         c = int(np.flatnonzero(u)[0])
+        cols = [j for j in range(k) if j != c]
         active = [f for f in active if f not in ids] + [len(forms)]
-        forms = [np.delete(F, c, axis=1) for F in forms]
-        forms.append(np.delete(kappa, c, axis=1))
+        forms.append(kappa)
+        forms = [F[:, cols] if f in active else F for f, F in enumerate(forms)]
         C = np.concatenate([forms[f] for f in active])
-        ranks = _rank_table(C, p)
+        ranks = None
     passes.append(_Pass(active, C))
     return passes
 
@@ -354,6 +477,18 @@ def _factor_product(tables: Sequence[np.ndarray], widths: Sequence[int],
     return prod
 
 
+def _integer_bound(N: int, tables: Sequence[np.ndarray]) -> int | None:
+    """N prod_t max |t| for tables of integers (bool or int), a bound on
+    every partial sum of a sum of at most N products of one entry of each;
+    None when a table holds floats or complex numbers."""
+    bound = N
+    for t in tables:
+        if t.dtype.kind not in "biu":
+            return None
+        bound *= max(int(t.max(initial=0)), -int(t.min(initial=0)))
+    return bound
+
+
 def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
                   dom: GroupDomain, threads: int) -> np.ndarray:
     """The factor F(s, t) = sum over z of g_a(alpha z) g_b(s + beta z)
@@ -362,16 +497,23 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
 
     F = G_b diag(w) G_c^T with G_b[s, z] = g_b(s + beta z), G_c[t, z] =
     g_c(t + gamma z) and w[z] = g_a(alpha z), so the N^3 multiply-adds are
-    matrix products: in int64 for 0/1 and integer tables, which is exact,
-    and through BLAS for float and complex ones.  G_b and G_c are gathered
-    through `dom.sum_grid` in blocks of CHUNK // N rows, so that, F aside,
-    the temporaries stay within a few CHUNK entries; each block of rows of F
-    is one task, run by up to `threads` worker threads, and its entries do
-    not depend on how many there are."""
+    matrix products through BLAS.  Integer tables are multiplied as float64
+    when N max|g_a| max|g_b| max|g_c| < 2^53 (`_integer_bound`): every
+    product and partial sum is then an integer below 2^53, so the result is
+    exact in any summation order and is read back as int64; above that
+    bound they are multiplied in int64.  G_b and G_c are gathered through
+    `dom.sum_grid` in blocks of CHUNK // N rows, so that, F aside, the
+    temporaries stay within a few CHUNK entries; each block of rows of F is
+    one task, run by up to `threads` worker threads, and its entries do not
+    depend on how many there are."""
     g_a, g_b, g_c = tables
     alpha, beta, gamma = scales
     N = dom.size
     dtype = np.result_type(np.int64, *tables)
+    bound = _integer_bound(N, tables)
+    exact = bound is not None and bound < 2**53
+    if exact:
+        dtype = np.float64
     P, enc = dom.sum_grid
     shift_b, shift_c = (dom.codes(c, 2 * dom.p - 1) for c in (beta, gamma))
     w = g_a[dom.codes(alpha)].astype(dtype)
@@ -388,12 +530,120 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
         for top in starts:
             F[lo:lo + rows, top:top + rows] = left @ block(g_c, shift_c, top).T
 
+    _each(fill, starts, threads)
+    return (F.astype(np.int64) if exact else F).reshape(-1)
+
+
+def _each(task: Callable[[int], None], starts: Sequence[int], threads: int) -> None:
+    """task(start) for each start, on up to `threads` worker threads."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, starts))
+            list(pool.map(task, starts))
     else:
         for lo in starts:
-            fill(lo)
+            task(lo)
+
+
+def _convolution_error(N: int, n: int, p: int, bound: int) -> float:
+    """A priori bound on the error of every entry of a `_convolution_fill`
+    slice of integer tables, `bound` = N M_A M_B (`_integer_bound`), M_A and
+    M_B the products of the largest |entries| of the tables of each class.
+
+    Take a, b as exact float64 slices (their entries are integer products
+    below M_A, M_B < 2^53).  One p-point stage of `functions._dft_axes` is a
+    BLAS product with the omega table, whose entries are within 24 u of
+    omega^(jk) (the angle 2 pi k / p carries 3 roundings, exp one more;
+    13.6 u is the largest error measured up to p = 1009), u = 2^-53; a
+    complex product and a sum of p of them add 2 sqrt(2) p u relative to the
+    sum of |terms|.  So each output entry is within c sum_k |x_k| of the
+    exact one, c = (3 p + 24) u, and by Cauchy-Schwarz on each line of p
+    entries a stage adds an l2 error of at most c p |x|_2, while the exact
+    stage multiplies |x|_2 by sqrt(p).  Over the n stages the error of a
+    transform of x is at most K sqrt(N) |x|_2, K = n c sqrt(p) (first order).
+    With |a|_2 <= sqrt(N) M_A, the transforms a^ and b^ are within K N M_A
+    and K N M_B in l2, and at most N M_A, N M_B entrywise.  Their product
+    is then within N^2 M_A M_B (2 K + sqrt(5) u) in l2, its l2 norm at most
+    N^2 M_A M_B, so the inverse transform is within
+    N^(5/2) M_A M_B (3 K + sqrt(5) u), and after the division by N (one
+    more rounding of entries at most N M_A M_B) every entry is within
+    N^(3/2) M_A M_B (3 K + 4 u).  Doubled to cover the second-order terms:
+    2 sqrt(N) bound (3 n (3 p + 24) sqrt(p) + 4) u."""
+    return 2 * math.sqrt(N) * bound * (3 * n * (3 * p + 24) * math.sqrt(p) + 4) * 2.0**-53
+
+
+def _convolution_admitted(tables: Sequence[np.ndarray], dom: GroupDomain) -> bool:
+    """Whether a convolution fill runs: its transforms cost fewer than the N
+    entries per point of a slice that the enumerated pass takes (n p < N, so
+    never at n = 1), and for integer tables the rounding bound
+    (`_convolution_error`) is below 1/4, so that rounding recovers every
+    entry."""
+    if dom.n * dom.p >= dom.size:
+        return False
+    bound = _integer_bound(dom.size, tables)
+    return bound is None or _convolution_error(dom.size, dom.n, dom.p, bound) < 0.25
+
+
+def _convolution_fill(tables: Sequence[np.ndarray], coeffs: np.ndarray,
+                      dom: GroupDomain, threads: int) -> np.ndarray:
+    """The factor F(s, t) = sum over z of A_s(z) B_s(z + t), flattened
+    row-major into N^(w + 1) entries, for a CONVOLUTION pass of width w + 1
+    (`_plan`): the rows of `coeffs` are (beta, 0, alpha) for the forms of
+    class A and (delta, gamma, gamma) for those of B (without the first
+    column when w = 0, so that there is no s), and A_s(z) = prod_A
+    g(beta s + alpha z), B_s(v) = prod_B g(delta s + gamma v).
+
+    Each of the N^w slices is one correlation on G, evaluated through the
+    package's transform (`functions._dft_axes` over every axis but the
+    slice axis): with a^-(r) = sum_z A_s(z) omega^(-r.z) and
+    b^(r) = sum_v B_s(v) omega^(r.v),
+    F(s, t) = N^-1 sum_r a^-(r) b^(r) omega^(-r.t), so three transforms of N
+    points, N n p multiply-adds each, replace the N^2 of the slice.  For
+    integer tables the result is rounded to int64, and ArithmeticError is
+    raised if any entry lies more than 1/4 from its integer (the caller
+    takes this fill only where `_convolution_error` is below 1/4), so a
+    count is never rounded quietly; float tables give their real part.
+    The slices are built in blocks of at most CHUNK entries (at least one
+    slice), each block one task on up to `threads` worker threads, and its
+    entries do not depend on how many there are."""
+    N, p = dom.size, dom.p
+    width = coeffs.shape[1] - 1
+    slices = N ** (width - 1)
+    integer = _integer_bound(N, tables) is not None
+    dtype = np.result_type(np.int64, *tables)
+    work = np.complex128 if dtype == np.complex128 else np.float64
+    P, _ = dom.sum_grid
+    D = _dft_matrix(p)
+    Dc = np.conj(D)
+    rows = max(1, CHUNK // N)
+    # per class, (table, codes of beta s or None, codes of alpha z) of each form
+    classes = ([], [])
+    for t, row in enumerate(coeffs.tolist()):
+        slope = dom.codes(row[0], 2 * p - 1) if width > 1 and row[0] else None
+        shift = dom.codes(row[-1], 2 * p - 1) if slope is not None else dom.codes(row[-1])
+        classes[row[-2] != 0].append((tables[t], slope, shift))
+    F = np.empty((slices, N), dtype=dtype)
+
+    def side(forms: list, lo: int) -> np.ndarray:
+        """prod over the forms of g(beta s + alpha z), for the slices s of the
+        block at lo, on the (slices, p, ..., p) grid."""
+        prod = np.ones((min(rows, slices - lo), N), dtype=work)
+        for g, slope, shift in forms:
+            prod *= g[shift if slope is None else P[slope[lo:lo + rows, None] + shift]]
+        return prod.reshape(-1, *dom.grid)
+
+    def fill(lo: int) -> None:
+        a = _dft_axes(side(classes[0], lo), Dc, first=1)
+        a *= _dft_axes(side(classes[1], lo), D, first=1)
+        out = _dft_axes(a, Dc, first=1).reshape(-1, N) / N
+        if integer:
+            rounded = np.rint(out.real)
+            if np.abs(out - rounded).max() > 0.25:
+                raise ArithmeticError("convolution fill is not within 1/4 of an integer")
+            F[lo:lo + rows] = rounded
+        else:
+            F[lo:lo + rows] = out if work == np.complex128 else out.real
+
+    _each(fill, range(0, slices, rows), threads)
     return F.reshape(-1)
 
 
@@ -402,20 +652,24 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
     """Sum over G^k of the product of the factors of the last of `passes`
     (`_plan`), tables[f] the (N,) table of form f, after each earlier pass
     has filled its factor: a table on G^(columns - 1), its entries the sums
-    over the last variable.  A matrix-product pass is one `_product_fill`;
+    over the last variable.  A PRODUCT pass is one `_product_fill`, a
+    CONVOLUTION pass one `_convolution_fill` where `_convolution_admitted`;
     any other is one `reduce_form_images` call, its sums added in chunk
     order.  The chunk sums of the last pass are added in an explicit loop
     (the builtin sum may compensate), so the total, a Python int for tables
     of 0/1 or ints and complex for complex ones, is bit-reproducible."""
     N = dom.size
     tables, widths = list(tables), [1] * len(tables)
-    for ids, coeffs, product in passes[:-1]:
+    for ids, coeffs, kind in passes[:-1]:
         held = [tables[f] for f in ids]
         held_widths = [widths[f] for f in ids]
         width = coeffs.shape[1] - 1
-        if product:
+        widths.append(width)
+        if kind == PRODUCT:
             tables.append(_product_fill(held, coeffs[:, -1].tolist(), dom, threads))
-            widths.append(width)
+            continue
+        if kind == CONVOLUTION and _convolution_admitted(held, dom):
+            tables.append(_convolution_fill(held, coeffs, dom, threads))
             continue
 
         def fill(images: np.ndarray, xs: np.ndarray) -> tuple[int, np.ndarray]:
@@ -433,7 +687,6 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
         for row, sums in reduce_form_images(coeffs, dom, fill, threads):
             table[row:row + sums.size] += sums
         tables.append(table)
-        widths.append(width)
     ids, coeffs, _ = passes[-1]
     held = [tables[f] for f in ids]
     held_widths = [widths[f] for f in ids]
@@ -482,7 +735,8 @@ def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     images of the w-variable forms given by the columns of the relation
     basis, `sys.relations` (w = 0 is the single zero tuple).  Those forms,
     the rows of the basis transposed, have full column rank w, so the sum is
-    `_plan` of them with no cut.  A caller that already holds the transforms
+    `_plan` of them with no cut, from their rank table by duality
+    (`_relation_ranks`).  A caller that already holds the transforms
     of fs passes them as `_transforms`."""
     dom = _check_inputs(sys, fs)
     W = sys.relations
@@ -490,8 +744,19 @@ def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
                  what=f"dual count over {dom.size}^{W.dim} frequency tuples")
     if _transforms is None:
         _transforms = [fourier(f) for f in fs]
-    return complex(_run_passes(_plan(W.basis.T, sys.p), dom,
+    return complex(_run_passes(_plan(W.basis.T, sys.p, _relation_ranks(sys)), dom,
                                [fh.values for fh in _transforms], threads))
+
+
+def _relation_ranks(sys: LinearFormSystem) -> np.ndarray:
+    """The rank table of the relation forms, the rows of the relation basis
+    transposed, read off the cached `sys.subset_ranks` by matroid duality:
+    the rows S of the basis span the restriction of the relation space W to
+    the coordinates S, of dimension w minus that of the relations supported
+    off S, so r*(S) = |S| - r + r(E - S), r the rank of C and E all m forms."""
+    ranks = np.asarray(sys.subset_ranks)
+    sizes = np.bitwise_count(np.arange(ranks.size)).astype(np.int64)
+    return sizes - len(sys.pivots) + ranks[::-1]
 
 
 def count_solutions(sys: LinearFormSystem, A: IndicatorSet,

@@ -22,8 +22,9 @@ in given atoms of a quadratic factor, badex being the factor x -> x.x
 (`dot_factor`) with zero targets.  It makes the one path decision,
 `_use_gauss`: with one homogeneous form and zero targets it counts in closed
 form (`counting.quadratic_zero_count`) when that is estimated cheaper than
-enumerating the p^(nd) assignments; both paths give the same integer and so
-byte-identical reports.  `verify_bound1` makes the same decision for its
+enumerating the p^(nd) assignments, and otherwise, with no side maps, on the
+direct side's elimination plan (`counting._run_passes`); both paths give the
+same integer and so byte-identical reports.  `verify_bound1` makes the same decision for its
 average of the atom projection along the system when the factor is one
 homogeneous form with no linear part (`counting.quadratic_average`); that
 path is a float sum, so its average agrees with enumeration to rounding.
@@ -44,10 +45,11 @@ import numpy as np
 from .algebra import (QuadraticForm, as_fp_matrix, batched_rank_class,
                       nullspace, rank)
 from .budget import check_budget
-from .counting import (_check_inputs, _class_forms, average_product_direct,
-                       average_product_dual, direct_op_count, dual_op_count,
-                       quadratic_average, quadratic_zero_count,
-                       quadratic_zero_op_count, reduce_form_images)
+from .counting import (_check_inputs, _class_forms, _direct_passes, _run_passes,
+                       average_product_direct, average_product_dual,
+                       direct_op_count, dual_op_count, quadratic_average,
+                       quadratic_zero_count, quadratic_zero_op_count,
+                       reduce_form_images)
 from .domains import GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, fourier, omega_power,
                         l2_norm, u2_norm_fast, uk_norm_fast,
@@ -433,7 +435,8 @@ def atom_distribution(factor: QuadraticFactor,
     counts = np.bincount(factor.atom_codes(dom), minlength=cells)
     r = factor_rank(factor.gamma2, p) if factor.d2 else None
     ref = Fraction(1, cells)
-    worst = max(abs(Fraction(int(c), dom.size) - ref) for c in counts)
+    # |c / N - 1 / cells| = |c cells - N| / (N cells), one Fraction for all
+    worst = Fraction(int(np.abs(counts * cells - dom.size).max()), dom.size * cells)
     rep = ExperimentReport(
         name="atoms",
         parameters={"p": p, "n": n, "d1": factor.d1, "d2": factor.d2, "rank": r},
@@ -480,9 +483,13 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     (`nullspace`, the identity when d1 = 0), and q(L_i(x)) is the form
     K M K^T at L'_i(z): `quadratic_zero_count` of C' with that form.
 
-    Otherwise every assignment is enumerated, the budget checked before any
-    table is built, and the atom code of each image compared with
-    a_i p^d2 + b_i.
+    Otherwise the budget is checked before any table is built.  With no
+    side maps the count is sum_x prod_i h_i(L_i(x)) for the 0/1 tables
+    h_i = [atom code = a_i p^d2 + b_i] on G, the product sum that
+    `count_solutions` runs: p^(n(d - rank C)) times the sum of
+    `counting._direct_passes` over G^(rank C).  With side maps the condition
+    reads the assignment itself, so every assignment is enumerated and the
+    atom code of each image compared with a_i p^d2 + phi_i(x) + b_i.
     """
     p, n = factor.p, factor.n
     m, d = sys.m, sys.d
@@ -510,14 +517,16 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     phi_codes = [[(u, _encode((dom.linear_values(row) for row in block), B, dom.size))
                   for u, block in enumerate(np.split(ph, d, axis=1)) if block.any()]
                  for ph in phi_mats] if phi_mats is not None else [[]] * m
-    if any(phi_codes):
-        a_codes = _encode(A_t.T, p, m) * p**d2
-        b_codes = _encode(B_t.T, B, m)
-        cells = np.arange(B**d2, dtype=np.int64)
-        decode = _encode((cells // B**j % B % p for j in range(d2 - 1, -1, -1)),
-                         p, B**d2)
     # a form without a side map has a fixed target: gather its hits
     hits = {t: codes == t for t, ph in zip(targets, phi_codes) if not ph}
+    if not any(phi_codes):
+        return p ** (n * (d - len(sys.pivots))) * _run_passes(
+            _direct_passes(sys), dom, [hits[t] for t in targets], threads)
+    a_codes = _encode(A_t.T, p, m) * p**d2
+    b_codes = _encode(B_t.T, B, m)
+    cells = np.arange(B**d2, dtype=np.int64)
+    decode = _encode((cells // B**j % B % p for j in range(d2 - 1, -1, -1)),
+                     p, B**d2)
 
     def chunk_matches(images: np.ndarray, xs: np.ndarray) -> int:
         ok = np.ones(images.shape[1], dtype=bool)

@@ -342,3 +342,32 @@ def random_symmetric(p, n, rank_kind, rng):
     if rank_kind == "corank1":
         M[-1, :] = M[:, -1] = 0
     return M
+
+
+def enumerated_factor_count(sys_, factor, A_t, B_t):
+    """#{x : atom of L_i(x) is (a_i, b_i) for every i}, with no side maps,
+    the way the package counted it before its factor counts ran on the
+    elimination plan: all N^d assignments of the system's own coefficients,
+    no pivot cut, through the enumeration kernel (whose images the suite
+    pins against digit tuples), each form's atom code compared with its
+    target a_i p^d2 + b_i."""
+    from uniformity_lab.counting import reduce_form_images
+    from uniformity_lab.domains import domain
+
+    p = factor.p
+    dom = domain(p, factor.n)
+    codes = factor.atom_codes(dom)
+    targets = []
+    for row in np.concatenate([A_t, B_t], axis=1).tolist():
+        code = 0
+        for digit in row:
+            code = code * p + int(digit)
+        targets.append(code)
+
+    def chunk_matches(images):
+        ok = np.ones(images.shape[1], dtype=bool)
+        for idx, target in zip(images, targets):
+            ok &= codes[idx] == target
+        return int(ok.sum())
+
+    return sum(reduce_form_images(sys_.coeffs, dom, chunk_matches))

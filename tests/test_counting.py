@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from uniformity_lab import counting, verification
-from uniformity_lab.algebra import QuadraticForm
-from uniformity_lab.budget import BudgetExceededError
+from uniformity_lab.algebra import QuadraticForm, is_odd_prime
+from uniformity_lab.budget import DEFAULT_BUDGET, BudgetExceededError
 from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
                                      quadratic_average, quadratic_zero_count)
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced, fourier
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
-                                    builtin_system)
+                                    _rank_table, builtin_system)
 from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
                                          quadratic_zero_set,
                                          verify_completefactor,
@@ -244,8 +244,8 @@ def planned_exponent(sys_):
 
 
 def plan_shape(passes):
-    """(columns, matrix product) of each pass of a plan."""
-    return [(pass_.coeffs.shape[1], pass_.product) for pass_ in passes]
+    """(columns, kind) of each pass of a plan."""
+    return [(pass_.coeffs.shape[1], pass_.kind) for pass_ in passes]
 
 
 def dual_plan(sys_):
@@ -335,14 +335,17 @@ def test_planned_exponent_is_at_most_the_rank():
 
 
 def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
-    """cube7 (a matrix-product fill, then a pass over N^3), diff3 (the pivot
-    cut), gw6b (a matrix-product fill on both sides, N = 49) and ap5 (one on
-    its dual side, N = 25) at CHUNK = 100: several chunks per pass, a fill
-    row cut between chunks, and G_b and G_c gathered in blocks of 2 and 4
-    rows.  Four threads give the bits of one; counts equal one chunk's."""
+    """cube7 (a matrix-product fill, then a convolution fill where n = 2
+    and an enumerated one where n = 1), diff3 (the pivot cut, then a
+    convolution fill), gw6b (a matrix-product fill on both sides, N = 49),
+    ap5 (one on its dual side, N = 25) and gw6a (a convolution fill on both
+    sides, N = 25) at CHUNK = 100: several chunks per pass, a fill row cut
+    between chunks, G_b and G_c gathered in blocks of 2 and 4 rows, and
+    convolution slices in blocks of 4 (at N = 25).  Two and four threads
+    give the bits of one; counts equal one chunk's."""
     rng = np.random.default_rng(22)
     for name, p, n in (("cube7", 3, 2), ("cube7", 5, 1), ("diff3", 5, 2),
-                       ("gw6b", 7, 2), ("ap5", 5, 2)):
+                       ("gw6b", 7, 2), ("ap5", 5, 2), ("gw6a", 5, 2)):
         sys_ = builtin_system(name, p)
         dom = domain(p, n)
         A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.7)
@@ -358,7 +361,7 @@ def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
         whole = run(1)
         monkeypatch.setattr(counting, "CHUNK", 100)
         serial = run(1)
-        assert serial == run(4), name
+        assert serial == run(2) == run(4), name
         assert serial[:2] == whole[:2]
         for chunked, one in zip(serial[2:], whole[2:]):
             assert abs(chunked - one) < 1e-12, name
@@ -408,7 +411,7 @@ def test_dual_side_matches_naive_oracle():
         naive = naive_dual_sum(sys_, n, fs)
         assert abs(average_product_dual(sys_, fs) - naive) < 1e-12, \
             (sys_.coeffs.tolist(), n)
-        if any(pass_.product for pass_ in dual_plan(sys_)):
+        if any(pass_.kind == counting.PRODUCT for pass_ in dual_plan(sys_)):
             fired.add(sys_.name or k)
     assert {"ap5", "gw6b"} <= fired
     assert len(fired - set(BUILTIN_SYSTEM_NAMES)) >= 5, fired
@@ -417,24 +420,19 @@ def test_dual_side_matches_naive_oracle():
 def test_matrix_product_plans():
     """A fill of exactly three independent single forms is one matrix
     product: ap5's dual and both sides of gw6b are such a fill followed by
-    a pass over N^2, and cube7's direct side such a fill followed by a pass
-    over N^3.  Four forms involve every direction of gw6a and of cube7's
-    dual, so those stay one pass of every form.  gw6b at p = 5, n = 2 (the
+    a pass over N^2, and cube7's direct side such a fill, then a
+    convolution fill and a pass over N^2.  gw6b at p = 5, n = 2 (the
     built-in cases of the oracle tests take n = 1 there) is exact on both
     sides."""
     for p in (5, 7, 11):
-        ap5, gw6a, gw6b, cube7 = (builtin_system(name, p)
-                                  for name in ("ap5", "gw6a", "gw6b", "cube7"))
-        assert plan_shape(dual_plan(ap5)) == [(3, True), (2, False)]
-        assert plan_shape(counting._direct_passes(gw6b)) == [(3, True), (2, False)]
-        assert plan_shape(dual_plan(gw6b)) == [(3, True), (2, False)]
-        assert plan_shape(counting._direct_passes(cube7)) == [(3, True), (3, False)]
-        (only,) = counting._direct_passes(gw6a)
-        assert only.ids == list(range(6)) and only.coeffs is gw6a.coeffs
-        for sys_ in (gw6a, cube7):
-            (only,) = dual_plan(sys_)
-            assert only.ids == list(range(sys_.m))
-            assert np.array_equal(only.coeffs, sys_.relations.basis.T)
+        ap5, gw6b, cube7 = (builtin_system(name, p)
+                            for name in ("ap5", "gw6b", "cube7"))
+        assert plan_shape(dual_plan(ap5)) == [(3, "product"), (2, "enumerate")]
+        assert plan_shape(counting._direct_passes(gw6b)) == \
+            [(3, "product"), (2, "enumerate")]
+        assert plan_shape(dual_plan(gw6b)) == [(3, "product"), (2, "enumerate")]
+        assert plan_shape(counting._direct_passes(cube7)) == \
+            [(3, "product"), (3, "convolution"), (2, "enumerate")]
     rng = np.random.default_rng(27)
     gw6b, dom = builtin_system("gw6b", 5), domain(5, 2)
     rows = gw6b.coeffs.tolist()
@@ -447,19 +445,213 @@ def test_matrix_product_plans():
     assert abs(average_product_dual(gw6b, fs) - naive) < 1e-12
 
 
-@pytest.mark.parametrize("name", ["ap3", "ap4", "ap5", "gw6a", "random"])
+# ------------------------------------------- two-pencil convolution fills
+
+def enumerated_exponent(passes):
+    """Largest number of variables a pass of the plan enumerates (a matrix
+    product or convolution fill enumerates none)."""
+    return max(pass_.coeffs.shape[1] for pass_ in passes
+               if pass_.kind == counting.ENUMERATE)
+
+
+def test_convolution_plans():
+    """gw6a and cube7 on both sides, and ap3 and diff3 on the direct side,
+    sum out a direction whose forms fall into two pencils by a convolution
+    fill, so that what they enumerate drops to N^2 (gw6a, cube7) and N
+    (ap3, diff3); ap4, ap5 and gw6b plan none."""
+    for p in (5, 7, 11):
+        gw6a, cube7, ap3, diff3 = (builtin_system(name, p)
+                                   for name in ("gw6a", "cube7", "ap3", "diff3"))
+        assert plan_shape(counting._direct_passes(gw6a)) == \
+            [(3, "convolution"), (2, "enumerate")]
+        assert plan_shape(dual_plan(gw6a)) == [(3, "convolution"), (2, "enumerate")]
+        # cube7's direct plan (a product, then a convolution) is pinned in
+        # test_matrix_product_plans
+        assert plan_shape(dual_plan(cube7)) == [(3, "convolution"), (2, "enumerate")]
+        for sys_ in (gw6a, cube7):
+            assert enumerated_exponent(counting._direct_passes(sys_)) == 2
+            assert enumerated_exponent(dual_plan(sys_)) == 2
+        for sys_ in (ap3, diff3):
+            assert plan_shape(counting._direct_passes(sys_)) == \
+                [(2, "convolution"), (1, "enumerate")]
+        for name in ("ap4", "ap5", "gw6b"):
+            sys_ = builtin_system(name, p)
+            for passes in (counting._direct_passes(sys_), dual_plan(sys_)):
+                assert all(pass_.kind != counting.CONVOLUTION for pass_ in passes), name
+
+
+def random_three_variable_system(rng, p):
+    """Four to seven distinct nonzero forms of rank 3 in three variables."""
+    while True:
+        C = rng.integers(0, p, size=(int(rng.integers(4, 8)), 3))
+        if C.any(axis=1).all() and len({tuple(row) for row in C.tolist()}) == len(C) \
+                and oracles.naive_rank(C.tolist(), p) == 3:
+            return make(p, C.tolist())
+
+
+def test_convolution_sides_match_naive_oracles(monkeypatch):
+    """Counts, direct averages and dual sums against the digit-tuple oracles
+    at n = 2, where the transforms run (n p < N): the built-in systems that
+    convolve, and sixteen seeded random three-variable systems at p = 3, of
+    which some split on a side and some on neither."""
+    fills = []
+    fill = counting._convolution_fill
+    monkeypatch.setattr(counting, "_convolution_fill",
+                        lambda *a: (fills.append(1), fill(*a))[1])
+    rng = np.random.default_rng(28)
+    cases = [(builtin_system(name, p), p) for name, p in
+             (("gw6a", 5), ("cube7", 3), ("ap3", 5), ("ap3", 7), ("diff3", 3))]
+    cases += [(random_three_variable_system(rng, 3), 3) for _ in range(16)]
+    split = unsplit = 0
+    for sys_, p in cases:
+        rows, dom = sys_.coeffs.tolist(), domain(p, 2)
+        fills.clear()
+        members = rng.random(dom.size) < 0.6
+        A = IndicatorSet(domain=dom, members=members)
+        assert count_solutions(sys_, A)[0] == \
+            oracles.naive_count_solutions(rows, p, 2, members), rows
+        fs = random_functions(dom, rng, sys_.m)
+        naive = oracles.naive_average_product(rows, p, 2, [f.values for f in fs])
+        assert abs(average_product_direct(sys_, fs) - naive) < 1e-12, rows
+        assert abs(average_product_dual(sys_, fs) - naive_dual_sum(sys_, 2, fs)) \
+            < 1e-12, rows
+        direct, dual = ([pass_.kind for pass_ in passes].count(counting.CONVOLUTION)
+                        for passes in (counting._direct_passes(sys_), dual_plan(sys_)))
+        # the count and the direct average each run the direct plan
+        assert len(fills) == 2 * direct + dual, rows
+        split += direct + dual > 0
+        unsplit += direct + dual == 0
+    assert split >= 10 and unsplit >= 3, (split, unsplit)
+
+
+def test_convolution_rounding_bound_at_the_largest_budgeted_n():
+    """The default budget admits ap3's direct count while 3 N^2 <= 10^10;
+    the largest N = p^n there with n p < N (so that the transforms run) is
+    239^2 = 57,121.  At that N the a priori bound on a fill of 0/1 tables is
+    below 1/4, the unrounded float fill lies within it of the integer one,
+    and the count equals the one numpy's FFT gives (the tests' independent
+    transform): (1/N) sum_r A^(r)^2 A^(-2r), rounded."""
+    # n >= 2 and p^n <= 57,735 keep p below 241 and n below 12
+    budgeted = [(p**n, p, n) for n in range(2, 12) for p in range(3, 241)
+                if is_odd_prime(p) and n * p < p**n
+                and 3 * p ** (2 * n) <= DEFAULT_BUDGET]
+    N, p, n = max(budgeted)
+    assert (N, p, n) == (57121, 239, 2)
+    bound = counting._convolution_error(N, n, p, N)
+    assert bound < 0.25
+    ap3, dom = builtin_system("ap3", p), domain(p, n)
+    members = np.random.default_rng(29).random(N) < 0.5
+    conv, _ = counting._direct_passes(ap3)
+    exact = counting._convolution_fill([members] * 2, conv.coeffs, dom, 1)
+    unrounded = counting._convolution_fill([members.astype(float)] * 2, conv.coeffs,
+                                           dom, 1)
+    assert np.abs(unrounded - exact).max() <= bound
+    count, _ = count_solutions(ap3, IndicatorSet(domain=dom, members=members),
+                               budget=DEFAULT_BUDGET)
+    Ah = np.fft.fftn(members.reshape(p, p).astype(float))
+    twice = (-2 * np.arange(p)) % p
+    fft_count = (Ah**2 * Ah[twice][:, twice]).sum().real / N
+    assert abs(fft_count - count) < 0.01 and count == round(fft_count)
+
+
+def test_convolution_bound_forces_the_enumerated_pass(monkeypatch):
+    """Integer tables with entries near 2^20 put the bound above 1/4, so
+    ap3's fill is the enumerated pass (two kernel calls), with the Python-int
+    sum; tables with small entries take the convolution (one call), to
+    their Python-int sum too.  At n = 1 the N-point transform costs as much
+    as the slice (n p = N), so even 0/1 tables take the enumerated pass."""
+    ones = [np.ones(5, dtype=bool)] * 2
+    assert not counting._convolution_admitted(ones, domain(5, 1))
+    assert counting._convolution_admitted([np.ones(25, dtype=bool)] * 2, domain(5, 2))
+    p, n = 5, 2
+    dom = domain(p, n)
+    ap3 = builtin_system("ap3", p)
+    passes = counting._direct_passes(ap3)
+    points, index = oracles.naive_points(p, n)
+    rng = np.random.default_rng(30)
+    kernel = counting.reduce_form_images
+    calls = []
+    monkeypatch.setattr(counting, "reduce_form_images",
+                        lambda *a: (calls.append(1), kernel(*a))[1])
+    for top, admitted in ((2**20, False), (3, True)):
+        tables = [rng.integers(-top, top, dom.size) for _ in range(3)]
+        held = [tables[f] for f in passes[0].ids]
+        assert counting._convolution_admitted(held, dom) == admitted
+        naive = 0
+        for x in range(dom.size):
+            for y in range(dom.size):
+                prod = 1
+                for table, row in zip(tables, ap3.coeffs.tolist()):
+                    prod *= int(table[index[oracles._naive_form_value(
+                        row, (x, y), points, p, n)]])
+                naive += prod
+        calls.clear()
+        assert counting._run_passes(passes, dom, tables, 1) == naive
+        assert len(calls) == (1 if admitted else 2)
+
+
+def test_convolution_fill_refuses_to_round_a_far_value(monkeypatch):
+    """A transform 1% too large scales the fill of the full set, 25 at
+    every point, by 1.01^6 to about 26.5: the count raises rather than
+    rounds."""
+    ap3, dom = builtin_system("ap3", 5), domain(5, 2)
+    D = counting._dft_matrix(5)
+    monkeypatch.setattr(counting, "_dft_matrix", lambda p: 1.01 * D)
+    with pytest.raises(ArithmeticError):
+        count_solutions(ap3, IndicatorSet(domain=dom, members=np.ones(25, dtype=bool)))
+
+
+def test_product_fill_is_exact_on_both_sides_of_two_to_the_53():
+    """Integer tables are multiplied in float64 while N max|g_a| max|g_b|
+    max|g_c| < 2^53, exactly, and in int64 above; both equal the Python-int
+    sums."""
+    p, n = 5, 2
+    dom = domain(p, n)
+    points, index = oracles.naive_points(p, n)
+    rng = np.random.default_rng(31)
+    for top in (2**16 - 1, 2**19):  # 25 * 2^57 still fits in int64
+        tables = [rng.integers(-top, top + 1, dom.size) for _ in range(3)]
+        for t in tables:
+            t[0] = top
+        assert (counting._integer_bound(dom.size, tables) < 2**53) == (top < 2**19)
+        F = counting._product_fill(tables, [1, 2, 3], dom, 1)
+        assert F.dtype == np.int64
+
+        def at(t, c, z):  # index of t + c z
+            return index[oracles._naive_form_value([1, c], (t, z), points, p, n)]
+
+        for s_, t_ in ((0, 0), (3, 17), (24, 24)):
+            naive = sum(int(tables[0][at(0, 1, z)]) * int(tables[1][at(s_, 2, z)])
+                        * int(tables[2][at(t_, 3, z)]) for z in range(dom.size))
+            assert int(F[s_ * dom.size + t_]) == naive
+
+
+def test_relation_ranks_by_duality_equal_the_rank_table():
+    """r*(S) = |S| - r + r(E - S) read off the cached subset ranks equals
+    the rank table of the relation forms built by elimination."""
+    rng = np.random.default_rng(32)
+    systems = [sys_ for sys_, _ in exactness_cases() + dual_cases()]
+    systems += [random_structured_system(rng, p) for p in (3, 5, 7, 11) * 10]
+    for sys_ in systems:
+        W = sys_.relations.basis.T
+        expected = _rank_table(W, sys_.p) if W.shape[1] else [0] * (1 << sys_.m)
+        assert counting._relation_ranks(sys_).tolist() == expected, sys_.coeffs.tolist()
+
+
+@pytest.mark.parametrize("name", ["ap4", "ap5", "random"])
 def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
     """With no direction to sum out, the direct side is one kernel call on
     C itself, and its average has the bits of the one-pass `_run_passes`
     and of a plain chunk-by-chunk product sum.  The random system is drawn
-    with neither an enumerated nor a matrix-product fill."""
+    with no fill of any kind."""
     rng = np.random.default_rng(23)
     if name == "random":
         while True:
             # five forms in three variables always leave a copoint that
-            # involves at most three, so draw six
-            C = rng.integers(0, 7, size=(6, 3))
-            if not C.any(axis=1).all() or len({tuple(row) for row in C.tolist()}) < 6:
+            # involves at most three, and six mostly split into two
+            # pencils at some copoint, so draw seven
+            C = rng.integers(0, 7, size=(7, 3))
+            if not C.any(axis=1).all() or len({tuple(row) for row in C.tolist()}) < 7:
                 continue
             sys_ = make(7, C.tolist())
             if len(sys_.pivots) == 3 and len(counting._direct_passes(sys_)) == 1:

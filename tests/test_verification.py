@@ -11,8 +11,8 @@ from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
                                       random_bounded_function, uk_norm)
-from uniformity_lab.systems import (LinearFormSystem, builtin_system,
-                                    cs_complexity)
+from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
+                                    builtin_system, cs_complexity)
 from uniformity_lab.verification import (Check, ComplexityPreconditionError,
                                          ExperimentReport, QuadraticFactor,
                                          QuadraticMap, SquareDependenceError,
@@ -470,6 +470,83 @@ def test_completefactor_with_trivial_linear_part_matches_quadfactor():
     quad = verify_quadfactor(sys_, QuadraticMap(forms=(sum_of_squares_form(5, 2),)))
     assert complete.observed["probability_exact"] == \
         quad.observed["probability_exact"]
+
+
+def factor_count_cases():
+    """Every built-in system at p = 3 (where it is one) and 5, and twelve
+    seeded random systems with rank C < d, each at the largest n <= 2 with
+    N^d <= 15,625, so that the enumeration oracle stays small."""
+    rng = np.random.default_rng(95)
+    cases = []
+    for p in (3, 5):
+        for name in BUILTIN_SYSTEM_NAMES:
+            try:
+                sys_ = builtin_system(name, p)
+            except ValueError:  # a coefficient too large for p
+                continue
+            cases.append((sys_, 2 if p ** (2 * sys_.d) <= 15625 else 1))
+    while len(cases) < 24:
+        p = (3, 5)[len(cases) % 2]
+        r = int(rng.integers(1, 3))
+        d = r + 1
+        rows = rng.integers(0, p, size=(int(rng.integers(2, 6)), r))
+        C = rows @ rng.integers(0, p, size=(r, d)) % p
+        if not C.any(axis=1).all() or len({tuple(c) for c in C.tolist()}) < len(C):
+            continue
+        sys_ = make(p, C.tolist())
+        if len(sys_.pivots) < d:
+            cases.append((sys_, 2 if p ** (2 * d) <= 15625 else 1))
+    return cases
+
+
+def test_factor_counts_on_the_plan_match_the_enumeration():
+    """Without side maps the factor count runs on the elimination plan;
+    it equals the enumeration of every assignment (`oracles`), with targets
+    read off a random assignment (so hit at least once) and random ones,
+    for d1 = 0, 1, 2 (up to n), with the closed form never taken."""
+    rng = np.random.default_rng(96)
+    hits = 0
+    for sys_, n in factor_count_cases():
+        p, m = sys_.p, sys_.m
+        dom = domain(p, n)
+        for d1 in range(min(2, n) + 1):
+            factor = random_factor(p, n, d1, 1, rng)
+            codes = factor.atom_codes(dom)
+            points, index = oracles.naive_points(p, n)
+            x = rng.integers(0, dom.size, size=sys_.d).tolist()
+            image = [codes[index[oracles._naive_form_value(row, x, points, p, n)]]
+                     for row in sys_.coeffs.tolist()]
+            read = np.array([[c // p ** (d1 - j) % p for j in range(d1 + 1)]
+                             for c in image], dtype=np.int64)
+            drawn = rng.integers(0, p, size=(m, d1 + 1))
+            for targets in (read, drawn):
+                A_t, B_t = targets[:, :d1], targets[:, d1:]
+                count = verification._factor_matches(sys_, factor, A_t, B_t, None, None)
+                assert count == oracles.enumerated_factor_count(sys_, factor, A_t, B_t), \
+                    (sys_.coeffs.tolist(), n, d1)
+                hits += count > 0
+    assert hits >= 40, hits
+
+
+def test_badex_runs_the_convolution_and_product_fills(monkeypatch):
+    """verify badex on gw6a reaches the convolution fill, and on gw6b the
+    matrix-product fill, with the count of the enumeration."""
+    seen = []
+    for name in ("_convolution_fill", "_product_fill"):
+        fill = getattr(counting, name)
+        monkeypatch.setattr(counting, name, lambda *a, fill=fill, name=name: (
+            seen.append(name), fill(*a))[1])
+    monkeypatch.setattr(verification, "_use_gauss", lambda *a: False)
+    for name, kind in (("gw6a", "_convolution_fill"), ("gw6b", "_product_fill")):
+        sys_ = builtin_system(name, 5)
+        seen.clear()
+        rep = verify_badex(sys_, 2)
+        assert seen == [kind], name
+        factor = verification.dot_factor(5, 2)
+        zeros = np.zeros((sys_.m, 0), dtype=np.int64)
+        count = oracles.enumerated_factor_count(sys_, factor, zeros,
+                                                np.zeros((sys_.m, 1), dtype=np.int64))
+        assert Fraction(rep.observed["probability_exact"]) == Fraction(count, 5 ** 6)
 
 
 # ------------------------------------------- closed form against enumeration
