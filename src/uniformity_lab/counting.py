@@ -572,12 +572,13 @@ def _convolution_error(N: int, n: int, p: int, bound: int) -> float:
 
 
 def _convolution_admitted(tables: Sequence[np.ndarray], dom: GroupDomain) -> bool:
-    """Whether a convolution fill runs: its transforms cost fewer than the N
-    entries per point of a slice that the enumerated pass takes (n p < N, so
-    never at n = 1), and for integer tables the rounding bound
-    (`_convolution_error`) is below 1/4, so that rounding recovers every
-    entry."""
-    if dom.n * dom.p >= dom.size:
+    """Whether a convolution fill runs: n > 1, and for integer tables the
+    rounding bound (`_convolution_error`) is below 1/4, so that rounding
+    recovers every entry.  At n = 1 the transform is one dense N x N matrix
+    (`_dft_matrix(p)`, cached for the process): N^2 complex entries where the
+    enumerated pass holds a few CHUNK, and 3 N^2 multiply-adds a slice
+    against its N^2."""
+    if dom.n == 1:
         return False
     bound = _integer_bound(dom.size, tables)
     return bound is None or _convolution_error(dom.size, dom.n, dom.p, bound) < 0.25
@@ -608,8 +609,8 @@ def _convolution_fill(tables: Sequence[np.ndarray], coeffs: np.ndarray,
     N, p = dom.size, dom.p
     width = coeffs.shape[1] - 1
     slices = N ** (width - 1)
-    integer = _integer_bound(N, tables) is not None
     dtype = np.result_type(np.int64, *tables)
+    integer = dtype.kind in "iu"
     work = np.complex128 if dtype == np.complex128 else np.float64
     P, _ = dom.sum_grid
     D = _dft_matrix(p)
@@ -755,7 +756,10 @@ def _relation_ranks(sys: LinearFormSystem) -> np.ndarray:
     the coordinates S, of dimension w minus that of the relations supported
     off S, so r*(S) = |S| - r + r(E - S), r the rank of C and E all m forms."""
     ranks = np.asarray(sys.subset_ranks)
-    sizes = np.bitwise_count(np.arange(ranks.size)).astype(np.int64)
+    sets = np.arange(ranks.size)
+    sizes = np.zeros(ranks.size, dtype=np.int64)
+    for j in range(sys.m):
+        sizes += (sets >> j) & 1
     return sizes - len(sys.pivots) + ranks[::-1]
 
 
