@@ -14,9 +14,9 @@ one.  The candidates are read off the copoints of the subset-rank table
 taken where rho is below the current rank, by one kernel pass over G^rho;
 where the factors involving u are exactly three independent single forms
 it is one matrix product instead (`_product_fill`: the N^3 multiply-adds
-run in BLAS, in float64 for integer tables while that is exact), and that
-fill is also taken at rho = 3 equal to the rank, where enumeration would
-lower nothing.  Where no such step exists at rank 2 or 3, a direction whose
+run in BLAS, in float64, and integer tables raise where that is not exact),
+and that fill is also taken at rho = 3 equal to the rank, where enumeration
+would lower nothing.  Where no such step exists at rank 2 or 3, a direction whose
 single forms fall into two pencils (`_pencil_step`: two classes of forms
 collinear modulo a form phi vanishing at u, or parallel at rank 2) is
 summed out by a convolution fill (`_convolution_fill`): each of its
@@ -497,23 +497,23 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
 
     F = G_b diag(w) G_c^T with G_b[s, z] = g_b(s + beta z), G_c[t, z] =
     g_c(t + gamma z) and w[z] = g_a(alpha z), so the N^3 multiply-adds are
-    matrix products through BLAS.  Integer tables are multiplied as float64
-    when N max|g_a| max|g_b| max|g_c| < 2^53 (`_integer_bound`): every
-    product and partial sum is then an integer below 2^53, so the result is
-    exact in any summation order and is read back as int64; above that
-    bound they are multiplied in int64.  G_b and G_c are gathered through
-    `dom.sum_grid` in blocks of CHUNK // N rows, so that, F aside, the
-    temporaries stay within a few CHUNK entries; each block of rows of F is
-    one task, run by up to `threads` worker threads, and its entries do not
-    depend on how many there are."""
+    matrix products through BLAS.  Integer tables are multiplied as float64,
+    which is exact while N max|g_a| max|g_b| max|g_c| < 2^53
+    (`_integer_bound`): every product and partial sum is then an integer
+    below 2^53, so the result does not depend on the summation order and is
+    read back as int64.  At a larger bound it raises ArithmeticError.  G_b
+    and G_c are gathered through `dom.sum_grid` in blocks of CHUNK // N
+    rows, so that, F aside, the temporaries stay within a few CHUNK entries;
+    each block of rows of F is one task, run by up to `threads` worker
+    threads, and its entries do not depend on how many there are."""
     g_a, g_b, g_c = tables
     alpha, beta, gamma = scales
     N = dom.size
-    dtype = np.result_type(np.int64, *tables)
     bound = _integer_bound(N, tables)
-    exact = bound is not None and bound < 2**53
-    if exact:
-        dtype = np.float64
+    if bound is not None and bound >= 2**53:
+        raise ArithmeticError(f"integer product fill of bound {bound} >= 2^53 "
+                              "is not exact in float64")
+    dtype = np.result_type(*tables) if bound is None else np.float64
     P, enc = dom.sum_grid
     shift_b, shift_c = (dom.codes(c, 2 * dom.p - 1) for c in (beta, gamma))
     w = g_a[dom.codes(alpha)].astype(dtype)
@@ -531,7 +531,7 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
             F[lo:lo + rows, top:top + rows] = left @ block(g_c, shift_c, top).T
 
     _each(fill, starts, threads)
-    return (F.astype(np.int64) if exact else F).reshape(-1)
+    return (F if bound is None else F.astype(np.int64)).reshape(-1)
 
 
 def _each(task: Callable[[int], None], starts: Sequence[int], threads: int) -> None:

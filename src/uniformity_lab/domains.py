@@ -9,11 +9,10 @@ gives x -> s.x mod p, `codes` gives x -> c*x read in any base, and
 `coordinate_sum` gives x -> sum_k t(x_k) for one residue table t.  A value
 table reshaped to `grid` = (p,)*n is indexed by coordinate vectors, so
 translation by h is a cyclic shift of that array.  The U^k norms wrap-pad a
-table once (`wrap_padded`) and read shifts of it as slices: `derivatives`
-gives x -> g(x) conj(g(x + h)) as one slice product per h, and
-`translation_blocks` the rows x -> g(x + h) as blocks of a sliding window,
-each for one h of every pair {h, -h} (`translation_pairs`); they need no
-index table.  Sums of points are formed without digit arithmetic through
+table once (`wrap_padded`) and read shifts of it as slices:
+`derivative_blocks` gives the tables x -> conj(g(x)) g(x + h) of a stack of
+padded tables g, for one h of every pair {h, -h} (`translation_pairs`), in
+blocks of h that are window slices; it needs no index table.  Sums of points are formed without digit arithmetic through
 `sum_grid`: `enc` writes a point's digits in base 2p - 1, so adding two codes
 never carries, and the index of x + y is P[enc[x] + enc[y]], P being
 `arange(size)` on the grid wrap-padded by p - 1.  The (size, n) digit table
@@ -34,12 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .algebra import as_fp_vector, check_modulus
 
 MAX_DOMAIN_SIZE = 2**26  # keeps index tables within platform-native ints / memory
-
-# Cap on the entries of one block of translates: 1 MB of complex128, so the
-# block and the temporaries computed from it stay in cache-sized pieces that
-# the allocator reuses.  At N = 625 a 4 MB cap gives blocks of 1.25 MB, which
-# a long-running process mapped afresh, and page-faulted on, at every U^2 norm.
-TRANSLATION_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True, eq=True)
@@ -83,51 +76,64 @@ class GroupDomain:
     def wrap_padded(self, values, levels: int) -> np.ndarray:
         """values on `grid`, wrap-padded by levels * (p - 1) along every axis.
 
-        Each of `derivatives` and `translation_blocks` reads one level of
-        padding, so a table padded once by L levels serves L of them in turn.
+        Each level of `derivative_blocks` reads one level of padding, so a
+        table padded once by L levels serves L levels of derivatives.
         """
         return _wrap_padded(values, self.p, self.n, levels)
 
-    def unpadded(self, padded: np.ndarray) -> np.ndarray:
-        """(size,) table of the values of a padded table on `grid` itself."""
-        return padded[(slice(0, self.p),) * self.n].reshape(self.size)
+    def derivative_blocks(self, stack: np.ndarray,
+                          rows: int) -> Iterator[tuple[np.ndarray, int]]:
+        """(D, weight) for the h of `translation_pairs` in blocks: `stack`
+        is an (S, ...) stack of tables g padded by at least one level, and D
+        the (S * B, ...) stack of the tables x -> conj(g(x)) g(x + h),
+        conj(Delta_h g), for the B h of one block, padded one level less;
+        row s * B + j of D derives stack[s] along the j-th h.
 
-    def derivatives(self, padded: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-        """(D, weight) for (h, weight) in `translation_pairs`, D the table
-        x -> g(x) conj(g(x + h)) of the padded table g, padded one level less.
-
-        Each D is one slice product, head * conj(shifted), with no padding.
+        Each block is at one weight, which the h of `translation_pairs`
+        carry: h = 0 comes alone at weight 1, then at weight 2 the
+        representatives whose first n - free digits are zero, then for each
+        prefix of n - free digits whose first nonzero digit is at most
+        (p - 1)/2 the p^free h with that prefix, where free is the largest
+        count up to n with p^free <= rows; so B <= max(rows, 1).  A prefix
+        block is one product with a window slice; only the all-zero prefix
+        gathers its shifts.
         """
-        extent = padded.shape[0] - (self.p - 1)
-        head = padded[(slice(0, extent),) * self.n]
-        for h, weight in self.translation_pairs:
-            shifted = padded[tuple(slice(c, c + extent) for c in h)]
-            yield head * np.conj(shifted), weight
-
-    def translation_blocks(self, padded: np.ndarray) -> Iterator[tuple[np.ndarray, int]]:
-        """(rows, weight): the rows x -> g(x + h) of a table g padded by one
-        level, for the h of `translation_pairs`, as (rows, size) blocks of at
-        most max(TRANSLATION_BLOCK_ENTRIES, size) entries.
-
-        Row h = 0 comes alone at weight 1; every other block is at weight 2.
-        A block fixes the leading digits of h and runs over the trailing ones.
-        When the fixed prefix has a nonzero digit, either every h in the
-        block is a representative or none is, so the block is one window
-        slice or skipped; only the all-zero prefix gathers its rows.
-        """
-        W = sliding_window_view(padded, self.grid)
+        p, n = self.p, self.n
+        extent = stack.shape[1] - (p - 1)
+        shape = (extent,) * n
+        head = np.conj(stack[(slice(None),) + (slice(0, extent),) * n])
+        W = sliding_window_view(stack, shape, axis=tuple(range(1, n + 1)))
         free = 0
-        while free < self.n and self.p ** (free + 1) * self.size <= TRANSLATION_BLOCK_ENTRIES:
+        while free < n and p ** (free + 1) <= rows:
             free += 1
-        half = (self.p + 1) // 2
-        yield W[(0,) * self.n].reshape(1, self.size), 1
-        for prefix in product(range(self.p), repeat=self.n - free):
+
+        def block(shifted: np.ndarray, conj_head: np.ndarray) -> np.ndarray:
+            return (shifted * conj_head).reshape((-1,) + shape)
+
+        yield block(W[(slice(None),) + (0,) * n], head), 1
+        half = (p + 1) // 2
+        spread = head.reshape(head.shape[:1] + (1,) * free + shape)
+        for prefix in product(range(p), repeat=n - free):
             lead = next((c for c in prefix if c), 0)
+            window = W[(slice(None),) + prefix]
             if lead == 0 and free:
-                rows = W[prefix][_half_digits(self.p, free)]
-                yield rows.reshape(-1, self.size), 2
+                yield block(window[(slice(None),) + _pair_digits(p, free, 1)],
+                            head[:, None]), 2
             elif 0 < lead < half:
-                yield W[prefix].reshape(self.p**free, self.size), 2
+                yield block(window, spread), 2
+
+    def split_translates(self, stack: np.ndarray, trailing: int, lo: int,
+                         hi: int) -> np.ndarray:
+        """(S, hi - lo, p^(n - trailing), p^trailing) array whose entry
+        [s, j, b, y] is g(b, y + h_j), for g = stack[s] a table padded by one
+        level, its point split as x = (b, y) at the last `trailing`
+        coordinates, and h_j the j-th h of the `translation_pairs` of
+        F_p^trailing.  At (lo, hi) = (0, 1) it is the table itself, split.
+        One gather through two index tables of N and (p^trailing + 1)/2
+        entries."""
+        rows, shifts = _split_index(self.p, self.n, trailing)
+        flat = stack.reshape(len(stack), -1)
+        return np.take(flat, rows + shifts[lo:hi, None, None], axis=1)
 
     @property
     def sum_grid(self) -> tuple[np.ndarray, np.ndarray]:
@@ -200,13 +206,13 @@ def _wrap_padded(values, p: int, n: int, levels: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _half_digits(p: int, m: int) -> tuple[np.ndarray, ...]:
-    """The digit vectors h != 0 of length m whose first nonzero digit is at
-    most (p - 1)/2, in enumeration order, as a tuple of m digit arrays: their
-    indices are, for each e < m, the run from p^e up to (p + 1)/2 * p^e."""
+def _pair_digits(p: int, m: int, first: int = 0) -> tuple[np.ndarray, ...]:
+    """The digit arrays of the h of `translation_pairs` on F_p^m, from the
+    `first`-th on: h = 0, then each h != 0 whose first nonzero digit is at
+    most (p - 1)/2."""
     half = (p + 1) // 2
-    runs = np.concatenate([np.arange(p**e, half * p**e) for e in range(m)])
-    out = np.unravel_index(runs, (p,) * m)
+    runs = np.concatenate([[0]] + [np.arange(p**e, half * p**e) for e in range(m)])
+    out = np.unravel_index(runs[first:], (p,) * m)
     for a in out:
         a.setflags(write=False)
     return out
@@ -214,8 +220,24 @@ def _half_digits(p: int, m: int) -> tuple[np.ndarray, ...]:
 
 @lru_cache(maxsize=None)
 def _translation_pairs(p: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    digits = np.stack(_half_digits(p, n), axis=1).tolist()
-    return (((0,) * n, 1),) + tuple((tuple(h), 2) for h in digits)
+    digits = np.stack(_pair_digits(p, n), axis=1).tolist()
+    return tuple((tuple(h), 2 if any(h) else 1) for h in digits)
+
+
+@lru_cache(maxsize=None)
+def _split_index(p: int, n: int, trailing: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, shifts) for `split_translates`: rows[b, y] is the flat index of
+    the point (b, y) in a table padded by one level, (2p - 1)^n entries, and
+    shifts[j] that of (0, h_j), h_j the j-th pair representative of
+    F_p^trailing."""
+    lead = n - trailing
+    padded = (2 * p - 1,) * n
+    rows = np.arange((2 * p - 1) ** n).reshape(padded)[(slice(0, p),) * n]
+    rows = rows.reshape(p**lead, p**trailing)
+    shifts = np.ravel_multi_index((0,) * lead + _pair_digits(p, trailing), padded)
+    for a in (rows, shifts):
+        a.setflags(write=False)
+    return rows, shifts
 
 
 def _outer_sum(tables) -> np.ndarray:

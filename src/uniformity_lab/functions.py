@@ -11,24 +11,30 @@ bit-reproducible run to run.
 
 U^k norms have two paths, both built on the multiplicative derivative
 Delta_h g(x) = g(x) conj(g(x + h)) taken on the (p,)*n grid through the
-domain's padded tables (no index table):
+domain's padded tables (no index table), and both read the derivatives from
+one generator, `GroupDomain.derivative_blocks`, in blocks of h capped by a
+fixed number of entries:
 
 * `uk_norm` sums the defining 2^k-fold product over combinatorial cubes
   (x, h_1, ..., h_k) with no Fourier step.  The product over the first k - 2
   directions is the iterated derivative g = Delta_{h_1}...Delta_{h_{k-2}} f;
   the last two directions are the U^2 cube sum
-  sum_h |sum_x g(x) conj(g(x + h))|^2, computed as blocked matrix-vector
-  products over all h at once.  Since Delta_{-h} g is a translate of
-  conj(Delta_h g), every h runs over one representative of each pair
-  {h, -h} at weight 2, and h = 0 at weight 1 (`_derivative_sum`), with f
-  wrap-padded once for all levels.  It is the independent side of every
-  norm check: `norm --method direct`, the octahedron lift identity and the
-  test suite use it.
-* `uk_norm_fast` uses the same recursion, with the same pairing, one level
-  higher and the Fourier base case ||g||_{U^2}^4 = sum_r |g^(r)|^4,
-  transforming a block of derivatives over the last h at once.  It is the
-  production path of `norm --method fast` and of the experiments
-  (`verify gvn`, `verify pythagoras`).
+  sum_h |sum_x g(x) conj(g(x + h))|^2.  Splitting x = (a, y) at the last
+  ceil(n/2) coordinates, it is one batched matrix product per block of
+  derivatives and shifts y -> y + h1 (level-3 BLAS), and a gather of the
+  sums over a (`_cube_sum`); it still executes the N^2 multiply-adds of each
+  cube sum.  Since Delta_{-h} g is a translate of conj(Delta_h g), every h
+  runs over one representative of each pair {h, -h} at weight 2, and h = 0
+  at weight 1 (`_derivative_sum`), with f wrap-padded once for all levels.
+  It is the independent side of every norm check: `norm --method direct`,
+  the octahedron lift identity and the test suite use it.  `uk_power_exact`
+  is the same enumeration in Fractions, with plain row sums of the last
+  level of derivatives at its base.
+* `uk_norm_fast` uses the same recursion, with the same pairing, and the
+  Fourier base case ||g||_{U^2}^4 = sum_r |g^(r)|^4, transforming a block of
+  derivatives over the last h at once.  It is the production path of
+  `norm --method fast` and of the experiments (`verify gvn`,
+  `verify pythagoras`).
 
 A budget guard refuses jobs whose operation count would run for hours.
 """
@@ -44,9 +50,19 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .budget import check_budget
-from .domains import GroupDomain, domain
+from .domains import MAX_DOMAIN_SIZE, GroupDomain, domain
 
 EXACT_MODE_MAX_SIZE = 10**4
+
+# Caps on the complex entries of one block of the U^k norms' work, fixed so
+# that a value repeats bit for bit.  The direct norm's matrix products and
+# gathers run fastest at 2^14 entries (256 KB of complex128), which also
+# keeps its peak memory near the padded table's.  The fast norm's blocks of
+# derivatives stay at 1 MB, cache-sized pieces that the allocator reuses: at
+# N = 625 a 4 MB cap gives blocks of 1.25 MB, which a long-running process
+# mapped afresh, and page-faulted on, at every norm.
+CUBE_BLOCK_ENTRIES = 2**14
+FOURIER_BLOCK_ENTRIES = 2**16
 
 
 @lru_cache(maxsize=None)
@@ -58,6 +74,13 @@ def _omega_table(p: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _dft_matrix(p: int) -> np.ndarray:
+    """The dense p x p transform table omega^(r x), refused before it is
+    built when its p^2 entries exceed `domains.MAX_DOMAIN_SIZE`, the cap on
+    a table of point values."""
+    if p * p > MAX_DOMAIN_SIZE:
+        raise ValueError(f"the {p} x {p} transform table has {p * p} entries "
+                         f"({16 * p * p} bytes of complex128), more than the "
+                         f"supported maximum of {MAX_DOMAIN_SIZE}")
     om = _omega_table(p)
     out = om[np.outer(np.arange(p), np.arange(p)) % p]
     out.setflags(write=False)
@@ -220,7 +243,9 @@ def uk_norm_op_count(dom: GroupDomain, k: int) -> int:
     """The cube-enumeration count: N^(k-2) cube sums of N^2 multiply-adds,
     plus the N^j derivative tables of N entries built at each level
     j = 1..k-2.  Summing each pair {h, -h} once, the direct pass executes
-    about 2^-(k-1) of it."""
+    about 2^-(k-1) of it, the cube sums as blocked matrix products; the
+    count still prices the enumeration, so budgets and reported op counts
+    do not depend on how the products are blocked."""
     N = dom.size
     return N**k + sum(N ** (j + 1) for j in range(1, k - 1))
 
@@ -237,43 +262,109 @@ def _check_k(k: int) -> None:
 
 
 def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
-                    base: Callable[[np.ndarray], float | Fraction]):
-    """sum over (h_1..h_depth) of base(Delta_{h_1}...Delta_{h_depth} g) with
-    Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype.
+                    base: Callable[[np.ndarray], float | Fraction], *,
+                    pad: int, entries: int, base_entries: int = 0):
+    """sum over (h_1..h_depth) of base([Delta_{h_1}...Delta_{h_depth} g])
+    with Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype,
+    and base takes a stack of tables and returns the sum of its value on
+    each.
 
     base must not change under translation or conjugation of its argument;
     since Delta_{-h} g(x) = conj(Delta_h g(x - h)), each pair {h, -h} is then
-    taken once at weight 2 and h = 0 once at weight 1 (`translation_pairs`).
-    g is wrap-padded once, by depth + 1 levels; every level of derivatives is
-    a slice product of the padded table, and base receives its table padded
-    by the one level `translation_blocks` reads.
+    taken once at weight 2 and h = 0 once at weight 1 (`translation_pairs`),
+    and a level may take conj(Delta_h g) as `derivative_blocks` gives it.  g
+    is wrap-padded once, by depth + pad levels; every level of derivatives
+    is a block of window products of the padded stack before it, and base
+    receives stacks padded by `pad` levels.  A level's blocks hold at most
+    entries // (S c) tables per table of the stack S they derive (at least
+    one), c the entries of a derivative table, or at the last level the
+    entries base touches per table if larger (base_entries), so they depend
+    on the shape alone.
     """
-    def fold(padded: np.ndarray, depth: int):
-        if depth == 0:
-            return base(padded)
-        return sum(weight * fold(deriv, depth - 1)
-                   for deriv, weight in dom.derivatives(padded))
+    p, n = dom.p, dom.n
 
-    return fold(dom.wrap_padded(g, depth + 1), depth)
+    def fold(stack: np.ndarray, weight: int, depth: int):
+        if depth == 0:
+            return weight * base(stack)
+        cost = (p + (depth - 1 + pad) * (p - 1)) ** n
+        if depth == 1:
+            cost = max(cost, base_entries)
+        rows = entries // (len(stack) * cost)
+        return sum(fold(block, weight * w, depth - 1)
+                   for block, w in dom.derivative_blocks(stack, rows))
+
+    return fold(dom.wrap_padded(g, depth + pad)[None], 1, depth)
+
+
+def _cube_split(dom: GroupDomain) -> tuple[int, int]:
+    """(trailing, entries): `uk_norm` splits a point as x = (a, y) at its last
+    ceil(n/2) coordinates, and one table of its U^2 base touches about
+    entries = H N complex values, H = (p^trailing + 1)/2 the number of
+    representatives of the pairs {y, -y}."""
+    trailing = (dom.n + 1) // 2
+    return trailing, (dom.p**trailing + 1) // 2 * dom.size
+
+
+def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
+    """sum over the tables g of `stack`, padded by one level, of the U^2 cube
+    sum sum_h |sum_x g(x) conj(g(x + h))|^2, as matrix products.
+
+    With x = (a, y) split at the last `trailing` coordinates and
+    h = (h2, h1), M[(j, b), a] = sum_y g(b, y + h1_j) conj(g(a, y)) is one
+    matrix product for a block of representatives h1_j of the pairs
+    {h1, -h1}, batched over the stack, and the inner sum for h is
+    sum_a M[(j, a + h2), a], one gather over a fixed table of a + h2.
+    h1 = 0 is at weight 1 and every other h1_j at weight 2, over all h2.  A
+    block holds at most CUBE_BLOCK_ENTRIES // (S max(N, N2^2)) of the h1_j
+    (at least one), N2 = p^(n - trailing), which caps both the rows of g
+    gathered and the entries of M.
+    """
+    S = len(stack)
+    N1, N2 = dom.p**trailing, dom.size // dom.p**trailing
+    pairs = (N1 + 1) // 2
+    diagonal = _diagonal_index(dom.p, dom.n - trailing)
+    step = max(1, CUBE_BLOCK_ENTRIES // (S * max(dom.size, N2 * N2)))
+    total = 0.0
+    for lo in range(0, pairs, step):
+        hi = min(pairs, lo + step)
+        rows = dom.split_translates(stack, trailing, lo, hi)
+        if lo == 0:  # h1_0 = 0: the rows of g itself
+            ac = np.conj(rows[:, 0]).transpose(0, 2, 1)
+        M = np.matmul(rows.reshape(S, -1, N1), ac).reshape(S, hi - lo, N2 * N2)
+        sums = np.take(M, diagonal, axis=2).sum(axis=3)
+        mags = (sums.real**2 + sums.imag**2).sum(axis=(0, 2))
+        total += 2 * float(mags.sum()) - (float(mags[0]) if lo == 0 else 0.0)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _diagonal_index(p: int, m: int) -> np.ndarray:
+    """(p^m, p^m) table whose entry [h, a] is (a + h) p^m + a, a and h points
+    of F_p^m: the flat index of M[a + h, a] in a p^m x p^m matrix.  a + h is
+    one gather through `sum_grid`."""
+    if m == 0:
+        return np.zeros((1, 1), dtype=np.int64)
+    P, enc = domain(p, m).sum_grid
+    size = p**m
+    out = P[enc[:, None] + enc[None, :]] * size + np.arange(size)
+    out.setflags(write=False)
+    return out
 
 
 def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
-    """U^k norm from the defining cube average; exact enumeration, no Fourier."""
+    """U^k norm from the defining cube average; exact enumeration, no Fourier.
+
+    The last two directions are the U^2 cube sum of each iterated derivative
+    (`_cube_sum`), taken as matrix products in blocks of derivatives and of
+    shifts of at most about CUBE_BLOCK_ENTRIES complex entries; the block
+    sizes depend on (p, n, k) alone, so a value repeats bit for bit."""
     _check_k(k)
     dom = f.domain
     check_budget(uk_norm_op_count(dom, k), budget, what=f"U^{k} norm on size {dom.size}")
-
-    def cube_sum(padded: np.ndarray) -> float:
-        # sum_h |sum_x g(x) conj(g(x + h))|^2, where a(-h) = conj(a(h)) for the
-        # inner sum a(h); block @ gc is the conjugate sum
-        gc = np.conj(dom.unpadded(padded))
-        total = 0.0
-        for block, weight in dom.translation_blocks(padded):
-            sums = block @ gc
-            total += weight * float((sums.real**2 + sums.imag**2).sum())
-        return total
-
-    power_sum = _derivative_sum(dom, f.values, k - 2, cube_sum)
+    trailing, entries = _cube_split(dom)
+    power_sum = _derivative_sum(dom, f.values, k - 2,
+                                lambda stack: _cube_sum(dom, stack, trailing),
+                                pad=1, entries=CUBE_BLOCK_ENTRIES, base_entries=entries)
     # |sum_x|^2 contributes N^2 and the k-1 outer averages contribute N^(k-1)
     power = float(power_sum) / dom.size ** (k + 1)
     power = max(power, 0.0)
@@ -282,7 +373,9 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
 
 def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fraction:
     """Exact rational value of the U^k cube average (the 2^k-th power of the
-    norm) for real rational-valued f; the oracle for the float path."""
+    norm) for real rational-valued f; the oracle for the float path.  The
+    U^2 cube sum at the base is sum_h (sum_x Delta_h g(x))^2, plain row sums
+    of Fractions over the last level of derivatives."""
     if f.exact is None:
         raise ValueError("function carries no exact rational table")
     _check_k(k)
@@ -290,15 +383,13 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     check_budget(uk_norm_op_count(dom, k), budget,
                  what=f"exact U^{k} norm on size {dom.size}")
 
-    def cube_sum(padded: np.ndarray) -> Fraction:
-        g = dom.unpadded(padded)
-        total = Fraction(0)
-        for block, weight in dom.translation_blocks(padded):
-            sums = block @ g
-            total += weight * (sums * sums).sum()
-        return total
+    def square_sums(stack: np.ndarray) -> Fraction:
+        sums = stack.reshape(len(stack), -1).sum(axis=1)
+        return (sums * sums).sum()
 
-    return _derivative_sum(dom, f.exact, k - 2, cube_sum) / Fraction(dom.size) ** (k + 1)
+    power_sum = _derivative_sum(dom, f.exact, k - 1, square_sums, pad=0,
+                                entries=CUBE_BLOCK_ENTRIES)
+    return power_sum / Fraction(dom.size) ** (k + 1)
 
 
 def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None, *,
@@ -316,19 +407,14 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None, *,
     N = dom.size
     D = _dft_matrix(dom.p)
 
-    def fourier_sum(padded: np.ndarray) -> float:
-        # sum over h of sum_r |(Delta_h g)^(r)|^4, one block of h per transform;
-        # g(x + h) conj(g(x)) is the conjugate of Delta_h g, with the same sum
-        gc = np.conj(dom.unpadded(padded))
-        total = 0.0
-        for block, weight in dom.translation_blocks(padded):
-            deriv = (block * gc).reshape((-1,) + dom.grid)
-            dh = _dft_axes(deriv, D, first=1) / N
-            mags = dh.real**2 + dh.imag**2
-            total += weight * float((mags**2).sum())
-        return total
+    def fourier_sum(stack: np.ndarray) -> float:
+        # sum over the stack of sum_r |g^(r)|^4, one transform for the stack
+        dh = _dft_axes(stack, D, first=1) / N
+        mags = dh.real**2 + dh.imag**2
+        return float((mags**2).sum())
 
-    power = _derivative_sum(dom, f.values, k - 3, fourier_sum) / N ** (k - 2)
+    power = _derivative_sum(dom, f.values, k - 2, fourier_sum, pad=0,
+                            entries=FOURIER_BLOCK_ENTRIES) / N ** (k - 2)
     return float(max(power, 0.0) ** (1.0 / 2**k))
 
 

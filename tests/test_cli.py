@@ -441,6 +441,37 @@ def test_count_gauss_runs_beyond_the_domain_limit(tmp_path, capsys):
     assert main(["count", "--system", "ap3", "--p", "5", "--method", "all"]) == 2
 
 
+def test_dual_count_refuses_the_dense_transform_table_before_building_it(
+        monkeypatch, capsys):
+    """At n = 1 the transform is one dense p x p table; at p = 20011 its
+    4 * 10^8 entries exceed the domain cap, so the dual count exits 2 with
+    the entries and bytes named, and no (p, p) array is ever built."""
+    import tracemalloc
+
+    p = 20011
+    outer = np.outer
+    shapes = []
+
+    def spy(a, b, *args, **kwargs):
+        shapes.append((np.size(a), np.size(b)))
+        assert np.size(a) * np.size(b) < p * p, "a (p, p) table is built"
+        return outer(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "outer", spy)
+    tracemalloc.start()
+    try:
+        code = main(["count", "--system", "ap3", "--set", "quadzero", "--p", str(p),
+                     "--n", "1", "--method", "dual"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{p * p} entries" in err and f"{16 * p * p} bytes" in err
+    assert (p, p) not in shapes
+    assert peak < 64 * 2**20  # a (p, p) int64 table alone is 3.2 GB
+
+
 def test_count_degenerate_needs_a_direct_indicator_count(tmp_path, capsys):
     base = ["count", "--system", "ap3", "--p", "5", "--n", "2", "--degenerate"]
     assert main(base + ["--set", "quadzero", "--method", "dual"]) == 2

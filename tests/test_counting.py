@@ -602,17 +602,21 @@ def test_convolution_fill_refuses_to_round_a_far_value(monkeypatch):
 
 def test_product_fill_is_exact_on_both_sides_of_two_to_the_53():
     """Integer tables are multiplied in float64 while N max|g_a| max|g_b|
-    max|g_c| < 2^53, exactly, and in int64 above; both equal the Python-int
-    sums."""
+    max|g_c| < 2^53, exactly, equal to the Python-int sums; above that bound
+    the fill raises rather than round."""
     p, n = 5, 2
     dom = domain(p, n)
     points, index = oracles.naive_points(p, n)
     rng = np.random.default_rng(31)
-    for top in (2**16 - 1, 2**19):  # 25 * 2^57 still fits in int64
+    for top in (2**16 - 1, 2**19):
         tables = [rng.integers(-top, top + 1, dom.size) for _ in range(3)]
         for t in tables:
             t[0] = top
         assert (counting._integer_bound(dom.size, tables) < 2**53) == (top < 2**19)
+        if top == 2**19:
+            with pytest.raises(ArithmeticError):
+                counting._product_fill(tables, [1, 2, 3], dom, 1)
+            continue
         F = counting._product_fill(tables, [1, 2, 3], dom, 1)
         assert F.dtype == np.int64
 

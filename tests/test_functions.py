@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -6,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.algebra import QuadraticForm
-from uniformity_lab.domains import (TRANSLATION_BLOCK_ENTRIES, _add_table,
-                                    _digits, domain)
+from uniformity_lab import functions
+from uniformity_lab.domains import GroupDomain, _add_table, _digits, domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       convolve, fourier, inverse_fourier,
                                       l2_norm, load_function, save_function,
@@ -86,12 +88,12 @@ def test_u2_norm_of_character_is_one():
     assert abs(u2_norm_fast(f) - 1) < 1e-9
 
 
-NAIVE_UK_CASES = [(p, n, k) for p in (3, 5, 7) for n in (1, 2, 3) for k in (2, 3, 4)
+NAIVE_UK_CASES = [(p, n, k) for p in (3, 5, 7) for n in (1, 2, 3) for k in (2, 3, 4, 5)
                   if (p**n) ** (k + 1) * 2**k <= 2 * 10**5]
 
 
 def test_uk_norm_matches_naive_enumeration():
-    assert {(p, k) for p, _, k in NAIVE_UK_CASES} >= {(3, 4), (5, 4), (7, 3)}
+    assert {(p, k) for p, _, k in NAIVE_UK_CASES} >= {(3, 4), (5, 4), (7, 3), (3, 5)}
     assert {n for _, n, _ in NAIVE_UK_CASES} == {1, 2, 3}
     rng = np.random.default_rng(32)
     for p, n, k in NAIVE_UK_CASES:
@@ -110,7 +112,9 @@ def test_uk_norm_matches_naive_enumeration():
 @pytest.mark.parametrize("p,n", [(5, 4), (5, 5), (3, 7)])
 def test_u2_norm_matches_numpy_fft_across_translation_blocks(p, n):
     dom = domain(p, n)
-    assert dom.size**2 > TRANSLATION_BLOCK_ENTRIES  # rows split into blocks
+    # (5, 4) takes its shifts in one block, (5, 5) and (3, 7) in several
+    _, entries = functions._cube_split(dom)
+    assert (entries > functions.CUBE_BLOCK_ENTRIES) == (dom.size > 625)
     f = random_function(dom, np.random.default_rng(40 + p + n))
     points, index = oracles.naive_points(p, n)
     neg = [index[tuple(-x % p for x in v)] for v in points]
@@ -119,6 +123,100 @@ def test_u2_norm_matches_numpy_fft_across_translation_blocks(p, n):
     assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
     want = oracles.fft_u2_norm(f.values, p, n)
     assert abs(uk_norm(f, 2) - want) <= 1e-12 * want
+
+
+def generic_function(dom, rng):
+    """A complex function that is neither even nor conjugate-even."""
+    f = random_function(dom, rng)
+    points, index = oracles.naive_points(dom.p, dom.n)
+    neg = [index[tuple(-x % dom.p for x in v)] for v in points]
+    assert np.abs(f.values - f.values[neg]).max() > 0.1
+    assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
+    return f
+
+
+def cube_sum_by_rolls(g, p, n):
+    """sum_h |sum_x g(x) conj(g(x + h))|^2, each translate an np.roll."""
+    grid = g.reshape((p,) * n)
+    total = 0.0
+    for h in product(range(p), repeat=n):
+        shifted = np.roll(grid, [-c for c in h], axis=tuple(range(n)))
+        total += abs(np.vdot(shifted, grid)) ** 2
+    return total
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2),
+                                 (3, 4), (5, 3)])
+def test_cube_sum_at_every_split_equals_the_definition(p, n):
+    """The matrix-product U^2 cube sum of a stack of generic tables, at every
+    split x = (a, y) including n = 1 and no leading coordinate, equals the
+    definition, and the literal cube enumeration where that is small."""
+    dom = domain(p, n)
+    rng = np.random.default_rng(50 + 10 * p + n)
+    gs = [generic_function(dom, rng).values for _ in range(3)]
+    stack = np.stack([dom.wrap_padded(g, 1) for g in gs])
+    want = [cube_sum_by_rolls(g, p, n) for g in gs]
+    if dom.size <= 9:
+        for g, w in zip(gs, want):
+            naive = oracles.naive_uk_power(list(g), p, n, 2) * dom.size**3
+            assert abs(naive - w) <= 1e-12 * w
+    for trailing in range(1, n + 1):
+        got = functions._cube_sum(dom, stack, trailing)
+        assert abs(got - sum(want)) <= 1e-12 * sum(want), trailing
+        assert abs(functions._cube_sum(dom, stack[1:2], trailing) - want[1]) <= 1e-12 * want[1]
+
+
+@pytest.mark.parametrize("p,n,k,caps", [(3, 3, 3, (54, 540)), (5, 2, 3, (50, 600)),
+                                        (3, 2, 4, (9, 100, 300)), (3, 4, 2, (162,)),
+                                        (3, 2, 3, (9, 75))])
+def test_uk_norm_under_a_lowered_block_cap(monkeypatch, p, n, k, caps):
+    """With the block cap lowered, the blocks of derivatives and of shifts
+    end mid-range, and the value stays that of the default blocks, of the
+    fast norm and, where small, of the literal cube enumeration."""
+    dom = domain(p, n)
+    f = generic_function(dom, np.random.default_rng(70 + p * n * k))
+    want = uk_norm(f, k)
+    assert abs(uk_norm_fast(f, k) - want) <= 1e-12 * want
+    if dom.size ** (k + 1) * 2**k <= 10**5:
+        naive = oracles.naive_uk_power(list(f.values), p, n, k).real
+        assert abs(want ** 2**k - naive) <= 1e-12 * naive
+    trailing, _ = functions._cube_split(dom)
+    pairs = (p**trailing + 1) // 2
+    split = GroupDomain.split_translates
+    calls = []
+
+    def spy(self, stack, trailing, lo, hi):
+        calls.append((len(stack), lo, hi))
+        return split(self, stack, trailing, lo, hi)
+
+    monkeypatch.setattr(GroupDomain, "split_translates", spy)
+    reps = len(dom.translation_pairs)
+    stacks, shift_blocks = set(), set()
+    for cap in caps:
+        monkeypatch.setattr(functions, "CUBE_BLOCK_ENTRIES", cap)
+        calls.clear()
+        assert abs(uk_norm(f, k) - want) <= 1e-13 * want, cap
+        stacks |= {S for S, _, _ in calls}
+        shift_blocks |= {(lo, hi) for _, lo, hi in calls}
+    if k > 2:  # some block of derivatives holds more than one h, not all
+        assert any(1 < S < reps ** (k - 2) for S in stacks), stacks
+    # some block of shifts ends before the last representative
+    assert any(hi < pairs for _, hi in shift_blocks), shift_blocks
+
+
+@pytest.mark.parametrize("p,n,k", [(5, 5, 2), (7, 3, 3)])
+def test_uk_norm_peak_memory(p, n, k):
+    """The blocks keep the direct norm's traced peak under 2 MB, about the
+    wrap-padded table (945 KB at p = 5, n = 5)."""
+    f = random_function(domain(p, n), np.random.default_rng(80 + p + n))
+    uk_norm(f, k)  # index tables built and cached
+    tracemalloc.start()
+    try:
+        uk_norm(f, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6, peak
 
 
 @pytest.mark.parametrize("p,n,k", [(3, 1, 4), (5, 1, 4), (3, 2, 3)])

@@ -1,8 +1,8 @@
 """Every table of point values the package builds (`linear_values` and the
-tables built on it, the lift index, indicator files, the translation pairs,
-blocks and derivatives of the U^k norms, and the retained digit and index
-tables), checked point by point against digit tuples from
-`oracles.naive_points` and per-point arithmetic."""
+tables built on it, the lift index, indicator files, the translation pairs
+of the U^k norms with their blocks of derivatives and split translates, and
+the retained digit and index tables), checked point by point against digit
+tuples from `oracles.naive_points` and per-point arithmetic."""
 
 import json
 
@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from uniformity_lab.algebra import QuadraticForm
-from uniformity_lab.domains import TRANSLATION_BLOCK_ENTRIES, domain
+from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet,
-                                      load_function, save_function)
+                                      FOURIER_BLOCK_ENTRIES, load_function,
+                                      save_function)
 from uniformity_lab.hypergraphs import lift
 from uniformity_lab.verification import (QuadraticMap, quadratic_zero_set,
                                          random_factor)
@@ -134,44 +135,91 @@ def test_translation_pairs_cover_each_pair_once(p, n):
     assert all(next(c for c in h if c) <= (p - 1) // 2 for h in reps[1:])
 
 
-# single-block shapes and shapes whose rows split into several blocks
+# single-block shapes and shapes whose derivatives split into several blocks
 BLOCK_SHAPES = [(3, 1), (5, 2), (3, 5), (7, 3), (3, 6), (5, 4), (11, 3), (3, 7)]
+
+
+def unpadded(dom, table):
+    """The values of a padded table on the grid itself, in enumeration order."""
+    return table[(slice(0, dom.p),) * dom.n].reshape(dom.size)
 
 
 @pytest.mark.parametrize("p,n", BLOCK_SHAPES)
 def test_translation_blocks_take_each_pair_once(p, n):
+    """`derivative_blocks` at the fast norm's block cap takes each h of
+    `translation_pairs` once, at its weight, in blocks of at most the cap;
+    with g(x) = 1 + i*index(x), conj(g(x)) g(x + h) has imaginary part
+    index(x + h) - index(x), which names h and checks every point."""
     points, index = oracles.naive_points(p, n)
     dom = domain(p, n)
+    rows = FOURIER_BLOCK_ENTRIES // dom.size
+    g = 1 + 1j * np.arange(dom.size)
     seen = {}
-    blocks = list(dom.translation_blocks(dom.wrap_padded(np.arange(dom.size), 1)))
-    assert (len(blocks) > 2) == (dom.size**2 > TRANSLATION_BLOCK_ENTRIES)
-    for rows, weight in blocks:
-        assert rows.size <= max(TRANSLATION_BLOCK_ENTRIES, dom.size)
-        for row in rows:
-            h = points[row[0]]
+    blocks = list(dom.derivative_blocks(dom.wrap_padded(g, 1)[None], rows))
+    assert (len(blocks) > 2) == (dom.size > rows)
+    for block, weight in blocks:
+        assert block.shape[1:] == dom.grid
+        assert len(block) <= max(rows, 1)
+        for table in block.reshape(len(block), dom.size):
+            h = points[int(table[0].imag)]
             assert h not in seen
             seen[h] = weight
-            if dom.size <= 343:
-                assert row.tolist() == [index[add(x, h, p)] for x in points]
-            else:
-                assert row[::97].tolist() == [index[add(x, h, p)] for x in points[::97]]
+            at = range(0, dom.size, 1 if dom.size <= 343 else 97)
+            shifted = [index[add(points[i], h, p)] for i in at]
+            assert table[at].imag.tolist() == [s_ - i for i, s_ in zip(at, shifted)]
+            assert table[at].real.tolist() == [1 + s_ * i for i, s_ in zip(at, shifted)]
     assert seen == dict(dom.translation_pairs)
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3)])
 def test_derivatives_are_padded_slice_products(p, n):
+    """A stack of tables padded by two levels derives into stacks padded by
+    one: row s * B + j of a block is conj(g_s(x)) g_s(x + h_j), wrapped like
+    a fresh pad, for every block size."""
     points, index = oracles.naive_points(p, n)
     dom = domain(p, n)
     rng = np.random.default_rng(500 * p + n)
-    g = rng.uniform(-1, 1, dom.size) + 1j * rng.uniform(-1, 1, dom.size)
-    padded = dom.wrap_padded(g, 2)
-    assert dom.unpadded(padded).tolist() == g.tolist()
-    derivs = list(dom.derivatives(padded))
-    assert [w for _, w in derivs] == [w for _, w in dom.translation_pairs]
-    for (deriv, _), (h, _) in zip(derivs, dom.translation_pairs):
-        expected = np.array([g[i] * np.conj(g[index[add(x, h, p)]])
-                             for i, x in enumerate(points)])
-        # to rounding: a vectorized complex product may fuse multiply-adds
-        assert np.abs(dom.unpadded(deriv) - expected).max() < 1e-15
-        # one level of padding left, wrapped like a fresh pad
-        assert (deriv == dom.wrap_padded(dom.unpadded(deriv), 1)).all()
+    gs = rng.uniform(-1, 1, (2, dom.size)) + 1j * rng.uniform(-1, 1, (2, dom.size))
+    stack = np.stack([dom.wrap_padded(g, 2) for g in gs])
+    assert [unpadded(dom, t).tolist() for t in stack] == gs.tolist()
+    pairs = dom.translation_pairs
+    for rows in (1, p, dom.size):
+        taken = []
+        for block, weight in dom.derivative_blocks(stack, rows):
+            B = len(block) // 2
+            assert len(block) == 2 * B and B <= max(rows, 1)
+            hs = [h for h, _ in pairs[len(taken):len(taken) + B]]
+            assert {w for h, w in pairs if h in hs} == {weight}
+            for s_, g in enumerate(gs):
+                for j, h in enumerate(hs):
+                    deriv = block[s_ * B + j]
+                    expected = np.array([np.conj(g[i]) * g[index[add(x, h, p)]]
+                                         for i, x in enumerate(points)])
+                    # to rounding: a vectorized complex product may fuse
+                    # multiply-adds
+                    assert np.abs(unpadded(dom, deriv) - expected).max() < 1e-15
+                    assert (deriv == dom.wrap_padded(unpadded(dom, deriv), 1)).all()
+            taken += hs
+        assert taken == [h for h, _ in pairs]
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (3, 3), (5, 2), (7, 2), (3, 4)])
+def test_split_translates_per_point(p, n):
+    """Entry [s, j, b, y] of `split_translates` is g_s(b, y + h_j) for the
+    pair representatives h_j of F_p^trailing, at every split."""
+    points, index = oracles.naive_points(p, n)
+    dom = domain(p, n)
+    rng = np.random.default_rng(600 * p + n)
+    gs = rng.uniform(-1, 1, (2, dom.size))
+    stack = np.stack([dom.wrap_padded(g, 1) for g in gs])
+    for trailing in range(1, n + 1):
+        reps = [h for h, _ in domain(p, trailing).translation_pairs]
+        lo, hi = len(reps) // 3, len(reps)
+        rows = dom.split_translates(stack, trailing, lo, hi)
+        assert rows.shape == (2, hi - lo, p ** (n - trailing), p**trailing)
+        for s_, g in enumerate(gs):
+            for j, h in enumerate(reps[lo:hi]):
+                shift = (0,) * (n - trailing) + h
+                expected = [g[index[add(x, shift, p)]] for x in points]
+                assert rows[s_, j].reshape(-1).tolist() == expected
+        assert (dom.split_translates(stack, trailing, 0, 1)[:, 0].reshape(2, -1) == gs).all()
