@@ -14,9 +14,9 @@ one.  The candidates are read off the copoints of the subset-rank table
 taken where rho is below the current rank, by one kernel pass over G^rho;
 where the factors involving u are exactly three independent single forms
 it is one matrix product instead (`_product_fill`: the N^3 multiply-adds
-run in BLAS, in float64, and integer tables raise where that is not exact),
-and that fill is also taken at rho = 3 equal to the rank, where enumeration
-would lower nothing.  Where no such step exists at rank 2 or 3, a direction whose
+run in BLAS, in float64, raising for integer tables where it is inexact), and
+that fill is also taken at rho = 3 equal to the rank, where enumeration would
+lower nothing.  Where no such step exists at rank 2 or 3, a direction whose
 single forms fall into two pencils (`_pencil_step`: two classes of forms
 collinear modulo a form phi vanishing at u, or parallel at rank 2) is
 summed out by a convolution fill (`_convolution_fill`): each of its

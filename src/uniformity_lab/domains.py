@@ -12,12 +12,14 @@ translation by h is a cyclic shift of that array.  The U^k norms wrap-pad a
 table once (`wrap_padded`) and read shifts of it as slices:
 `derivative_blocks` gives the tables x -> conj(g(x)) g(x + h) of a stack of
 padded tables g, for one h of every pair {h, -h} (`translation_pairs`), in
-blocks of h that are window slices; it needs no index table.  Sums of points are formed without digit arithmetic through
-`sum_grid`: `enc` writes a point's digits in base 2p - 1, so adding two codes
-never carries, and the index of x + y is P[enc[x] + enc[y]], P being
-`arange(size)` on the grid wrap-padded by p - 1.  The (size, n) digit table
-and the index tables for + and - remain as properties that no production
-path reads.
+blocks of h that are window products, and `split_translates` the rows
+g(b, y + h) of a table split at its trailing coordinates, as one gather;
+neither builds a table of size^2 entries.  Sums of points are formed
+without digit arithmetic through `sum_grid`: `enc` writes a point's digits
+in base 2p - 1, so adding two codes never carries, and the index of x + y is
+P[enc[x] + enc[y]], P being `arange(size)` on the grid wrap-padded by
+p - 1.  The (size, n) digit table and the index tables for + and - remain
+as properties that no production path reads.
 """
 
 from __future__ import annotations

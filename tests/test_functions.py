@@ -88,6 +88,16 @@ def test_u2_norm_of_character_is_one():
     assert abs(u2_norm_fast(f) - 1) < 1e-9
 
 
+def generic_function(dom, rng):
+    """A complex function that is neither even nor conjugate-even."""
+    f = random_function(dom, rng)
+    points, index = oracles.naive_points(dom.p, dom.n)
+    neg = [index[tuple(-x % dom.p for x in v)] for v in points]
+    assert np.abs(f.values - f.values[neg]).max() > 0.1
+    assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
+    return f
+
+
 NAIVE_UK_CASES = [(p, n, k) for p in (3, 5, 7) for n in (1, 2, 3) for k in (2, 3, 4, 5)
                   if (p**n) ** (k + 1) * 2**k <= 2 * 10**5]
 
@@ -97,13 +107,7 @@ def test_uk_norm_matches_naive_enumeration():
     assert {n for _, n, _ in NAIVE_UK_CASES} == {1, 2, 3}
     rng = np.random.default_rng(32)
     for p, n, k in NAIVE_UK_CASES:
-        dom = domain(p, n)
-        f = random_function(dom, rng)
-        points, index = oracles.naive_points(p, n)
-        neg = [index[tuple(-x % p for x in v)] for v in points]
-        # a generic input: neither even nor conjugate-even
-        assert np.abs(f.values - f.values[neg]).max() > 0.1
-        assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
+        f = generic_function(domain(p, n), rng)
         naive = oracles.naive_uk_power(list(f.values), p, n, k)
         assert abs(naive.imag) < 1e-12, (p, n, k)
         assert abs(uk_norm(f, k) ** 2**k - naive.real) <= 1e-9 * naive.real, (p, n, k)
@@ -115,24 +119,9 @@ def test_u2_norm_matches_numpy_fft_across_translation_blocks(p, n):
     # (5, 4) takes its shifts in one block, (5, 5) and (3, 7) in several
     _, entries = functions._cube_split(dom)
     assert (entries > functions.CUBE_BLOCK_ENTRIES) == (dom.size > 625)
-    f = random_function(dom, np.random.default_rng(40 + p + n))
-    points, index = oracles.naive_points(p, n)
-    neg = [index[tuple(-x % p for x in v)] for v in points]
-    # a generic input: neither even nor conjugate-even
-    assert np.abs(f.values - f.values[neg]).max() > 0.1
-    assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
+    f = generic_function(dom, np.random.default_rng(40 + p + n))
     want = oracles.fft_u2_norm(f.values, p, n)
     assert abs(uk_norm(f, 2) - want) <= 1e-12 * want
-
-
-def generic_function(dom, rng):
-    """A complex function that is neither even nor conjugate-even."""
-    f = random_function(dom, rng)
-    points, index = oracles.naive_points(dom.p, dom.n)
-    neg = [index[tuple(-x % dom.p for x in v)] for v in points]
-    assert np.abs(f.values - f.values[neg]).max() > 0.1
-    assert np.abs(f.values - np.conj(f.values[neg])).max() > 0.1
-    return f
 
 
 def cube_sum_by_rolls(g, p, n):
