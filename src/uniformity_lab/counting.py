@@ -44,11 +44,11 @@ agree to 1e-8 wherever both run, which is the central cross-check of the
 whole package.
 
 Both strategies, `count_solutions` and the factor counts in `verification`
-share the plan and one kernel, `reduce_form_images`: chunked enumeration,
-form images, a per-chunk reducer called with (images, xs), the point indices
-of the forms' values and of the variables (or with images alone, when it
-reads no xs), an optional thread pool and partials in chunk order.  The
-images are gathered through the domain's wrap-padded sum grid
+share the plan and one kernel, `reduce_form_images`: enumeration in tiles of
+whole rows of the (prefix, last variable) grid (of part of one row when N
+is above CHUNK), form images, a reducer called with the (m, rows, width)
+images of a tile alone, an optional thread pool and partials in tile
+order.  The images are gathered through the domain's wrap-padded sum grid
 (`GroupDomain.sum_grid`); no digit tensor of the assignments is built.
 
 The third strategy counts quadratic zeros in closed form:
@@ -71,7 +71,6 @@ over the full parameter space the same way.
 
 from __future__ import annotations
 
-import inspect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
@@ -110,92 +109,61 @@ def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDo
     return dom
 
 
-def _row_pieces(col: int, length: int, N: int) -> list[tuple[slice, slice, slice, tuple]]:
-    """Cut `length` consecutive cells of a grid with rows of N cells, counted
-    row-major from cell (0, col), into (cells, rows, columns, shape) pieces: a
-    head row, the whole rows and a tail row.  Each piece is a (rows, columns)
-    block, so filling the cells costs `length` whatever N is."""
-    head = min(N - col, length)
-    body = (length - head) // N
-    tail = length - head - body * N
-    pieces = [(slice(0, head), slice(0, 1), slice(col, col + head), (1, head))]
-    if body:
-        pieces.append((slice(head, head + body * N), slice(1, body + 1),
-                       slice(0, N), (body, N)))
-    if tail:
-        pieces.append((slice(length - tail, length), slice(body + 1, body + 2),
-                       slice(0, tail), (1, tail)))
-    return pieces
-
-
 def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
-                       reduce: Callable[..., Any], threads: int = 1) -> list:
-    """reduce(images, xs) on each CHUNK of the N^d assignments of d variables.
+                       reduce: Callable[[np.ndarray], Any], threads: int = 1) -> list:
+    """reduce(images) on each tile of the N^d assignments of d variables.
 
-    `coeffs` is an (m, d) coefficient matrix; for a chunk of assignments in
-    base-N lexicographic order, xs is the (d, len) array of the variables'
-    point indices and images the (m, len) point indices of the forms' values.
-    A reducer that takes one argument is called as reduce(images), and no xs
-    is built for it.  A chunk is a run of rows of the (N^(d-1), N) grid of
-    (prefix, last variable).  A form's value is built without digit
-    arithmetic: its first d - 1 terms are added over the chunk's few
-    prefixes, each sum one gather through `dom.sum_grid`, and the last term
-    joins as one broadcast add of its `c*x` code table and one gather, both
-    written into the form's row of images.  For d = 1 the images are the
-    `c*x` table itself and the grid is never built.  The partial results
-    come back in chunk order whatever the number of worker threads, so a
-    fixed-order reduction of them is bit-reproducible.  Callers check their
-    own budget.
+    `coeffs` is an (m, d) coefficient matrix.  The assignments, in base-N
+    lexicographic order, are the (N^(d-1), N) grid of (prefix, last
+    variable); a tile is max(1, CHUNK // N) whole rows of it, or CHUNK
+    columns of one row when N > CHUNK, so no tile straddles a row.  images
+    is the (m, rows, width) array of the point indices of the forms' values
+    on a tile; a unit row e_u among the coefficients gives variable u's
+    point indices.  A form's value is built without digit arithmetic: its
+    first d - 1 terms are added over the tile's rows, each sum one gather
+    through `dom.sum_grid`, and the last term joins as one broadcast add of
+    its `c*x` code table and one gather, both written into the form's slice
+    of images.  For d = 1 the images are the `c*x` table itself and the
+    grid is never built; for d = 0 there is one tile of one cell.  The
+    partial results come back in tile order whatever the number of worker
+    threads, so a fixed-order reduction of them is bit-reproducible.
+    Callers check their own budget.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % dom.p
     m, d = coeffs.shape
     N = dom.size
-    total = N**d
-    with_xs = len(inspect.signature(reduce).parameters) > 1
     if d == 0:
-        images = np.zeros((m, 1), dtype=np.int64)
-        return [reduce(images, np.zeros((0, 1), dtype=np.int64)) if with_xs
-                else reduce(images)]
+        return [reduce(np.zeros((m, 1, 1), dtype=np.int64))]
     if d == 1:
         scaled = {c: dom.codes(c) for c in np.unique(coeffs).tolist()}
     else:
         P, enc = dom.sum_grid
         scaled = {c: dom.codes(c, 2 * dom.p - 1) for c in np.unique(coeffs).tolist()}
-    points = np.arange(N, dtype=np.int64)
+    prefixes = N ** (d - 1)
+    rows, width = max(1, CHUNK // N), min(CHUNK, N)
 
-    def run(start: int):
-        length = min(start + CHUNK, total) - start
-        row, col = divmod(start, N)
-        prefixes = np.arange(row, (start + length - 1) // N + 1, dtype=np.int64)
-        pre = [(prefixes // N ** (d - 2 - u)) % N for u in range(d - 1)]
-        pieces = _row_pieces(col, length, N)
-        images = np.empty((m, length), dtype=np.int64)
-        if d == 1:
-            for i, c in enumerate(coeffs[:, 0].tolist()):
-                images[i] = scaled[c][col:col + length]
-        else:
-            for i, c in enumerate(coeffs.tolist()):
-                acc = scaled[c[0]][pre[0]]
-                for u in range(1, d - 1):
-                    acc = enc[P[acc + scaled[c[u]][pre[u]]]]
-                codes = images[i]
-                for cells, r, x, shape in pieces:
-                    np.add(acc[r, None], scaled[c[-1]][x],
-                           out=codes[cells].reshape(shape))
-                # "clip" lets take write straight into its `out` (the default
-                # mode buffers it), each code read before its index overwrites
-                # it; every code sum is a grid index, so it never clips
-                np.take(P, codes, out=codes, mode="clip")
-        if not with_xs:
-            return reduce(images)
-        xs = np.empty((d, length), dtype=np.int64)
-        for cells, r, x, shape in pieces:
-            for u in range(d - 1):
-                xs[u, cells].reshape(shape)[...] = pre[u][r, None]
-            xs[d - 1, cells].reshape(shape)[...] = points[x]
-        return reduce(images, xs)
+    def run(start: tuple[int, int]):
+        row, col = start
+        prefix = np.arange(row, min(row + rows, prefixes), dtype=np.int64)
+        pre = [prefix // N ** (d - 2 - u) % N for u in range(d - 1)]
+        cols = slice(col, min(col + width, N))
+        images = np.empty((m, len(prefix), cols.stop - col), dtype=np.int64)
+        for i, c in enumerate(coeffs.tolist()):
+            if d == 1:
+                images[i] = scaled[c[0]][cols]
+                continue
+            acc = scaled[c[0]][pre[0]]
+            for u in range(1, d - 1):
+                acc = enc[P[acc + scaled[c[u]][pre[u]]]]
+            np.add(acc[:, None], scaled[c[-1]][cols], out=images[i])
+            # "clip" lets take write straight into its `out` (the default
+            # mode buffers it), each code read before its index overwrites
+            # it; every code sum is a grid index, so it never clips
+            np.take(P, images[i], out=images[i], mode="clip")
+        return reduce(images)
 
-    starts = range(0, total, CHUNK)
+    starts = [(row, col) for row in range(0, prefixes, rows)
+              for col in range(0, N, width)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run, starts))
@@ -340,7 +308,8 @@ class _Pass(NamedTuple):
     kind: str = ENUMERATE
 
 
-def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pass]:
+def _plan(C: np.ndarray, p: int,
+          ranks: Sequence[int] | None = None) -> tuple[_Pass, ...]:
     """The elimination plan of the sum over G^k of prod_i f_i(L_i(x)), the
     forms L_i the rows of the (m, k) matrix C of rank k.  `ranks` is C's
     rank table (`systems._rank_table`), built here when not given.
@@ -376,7 +345,9 @@ def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pa
     Each pass but the last fills factor m, m + 1, ... over G^(columns).
     With nothing to eliminate the plan is one pass, of every form over C
     itself.  The planned exponent, the largest column count, is never
-    above k."""
+    above k.  The plan is a tuple and its arrays, C among them, are made
+    read-only, so that a system can keep it (`LinearFormSystem.direct_plan`
+    and `dual_plan`)."""
     forms = [C[i:i + 1] for i in range(C.shape[0])]
     active = list(range(C.shape[0]))
     passes: list[_Pass] = []
@@ -439,19 +410,15 @@ def _plan(C: np.ndarray, p: int, ranks: Sequence[int] | None = None) -> list[_Pa
         C = np.concatenate([forms[f] for f in active])
         ranks = None
     passes.append(_Pass(active, C))
-    return passes
-
-
-def _direct_passes(sys: LinearFormSystem) -> list[_Pass]:
-    """The plan of the direct sum over G^r, r the rank of C: `_plan` of the
-    cut coefficients (`_cut_coeffs`), with the system's cached rank table."""
-    return _plan(_cut_coeffs(sys), sys.p, sys.subset_ranks)
+    for pass_ in passes:
+        pass_.coeffs.flags.writeable = False
+    return tuple(passes)
 
 
 def _gather(table: np.ndarray, width: int, images: np.ndarray, row: int,
             N: int) -> np.ndarray:
-    """table[index] over one chunk, index the base-N number whose digits are
-    the images in rows row, ..., row + width - 1 (a width-0 table is its one
+    """table[index] over one tile, index the base-N number whose digits are
+    images[row], ..., images[row + width - 1] (a width-0 table is its one
     entry)."""
     if not width:
         return table[0]
@@ -463,8 +430,8 @@ def _gather(table: np.ndarray, width: int, images: np.ndarray, row: int,
 
 def _factor_product(tables: Sequence[np.ndarray], widths: Sequence[int],
                     images: np.ndarray, N: int) -> np.ndarray:
-    """prod_f tables[f][index_f] over one chunk (`_gather`), factor f reading
-    the next widths[f] rows of `images`.  Each gathered array is multiplied
+    """prod_f tables[f][index_f] over one tile (`_gather`), factor f reading
+    the next widths[f] forms' images.  Each gathered array is multiplied
     in and dropped at once, so the allocator reuses its block."""
     prod = _gather(tables[0], widths[0], images, 0, N)
     row = widths[0]
@@ -655,10 +622,12 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
     has filled its factor: a table on G^(columns - 1), its entries the sums
     over the last variable.  A PRODUCT pass is one `_product_fill`, a
     CONVOLUTION pass one `_convolution_fill` where `_convolution_admitted`;
-    any other is one `reduce_form_images` call, its sums added in chunk
-    order.  The chunk sums of the last pass are added in an explicit loop
-    (the builtin sum may compensate), so the total, a Python int for tables
-    of 0/1 or ints and complex for complex ones, is bit-reproducible."""
+    any other is one `reduce_form_images` call, whose tiles are summed over
+    the last variable, and a row split into several tiles (N > CHUNK) adds
+    its tiles' sums.  The tile sums of the last pass are added in an
+    explicit loop (the builtin sum may compensate), so the total, a Python
+    int for tables of 0/1 or ints and complex for complex ones, is
+    bit-reproducible."""
     N = dom.size
     tables, widths = list(tables), [1] * len(tables)
     for ids, coeffs, kind in passes[:-1]:
@@ -673,21 +642,11 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
             tables.append(_convolution_fill(held, coeffs, dom, threads))
             continue
 
-        def fill(images: np.ndarray, xs: np.ndarray) -> tuple[int, np.ndarray]:
-            prod = _factor_product(held, held_widths, images, N)
-            # a row of the (N^(w-1), N) grid starts where the last variable is 0
-            starts = np.flatnonzero(xs[-1] == 0)
-            if not starts.size or starts[0]:
-                starts = np.concatenate([[0], starts])
-            row = 0
-            for x in xs[:-1, 0].tolist():
-                row = row * N + x
-            return row, np.add.reduceat(prod, starts)
+        def fill(images: np.ndarray) -> np.ndarray:
+            return _factor_product(held, held_widths, images, N).sum(axis=-1)
 
-        table = np.zeros(N**width, dtype=np.result_type(np.int64, *held))
-        for row, sums in reduce_form_images(coeffs, dom, fill, threads):
-            table[row:row + sums.size] += sums
-        tables.append(table)
+        sums = np.concatenate(reduce_form_images(coeffs, dom, fill, threads))
+        tables.append(sums.reshape(N**width, -1).sum(axis=1))
     ids, coeffs, _ = passes[-1]
     held = [tables[f] for f in ids]
     held_widths = [widths[f] for f in ids]
@@ -711,12 +670,12 @@ def direct_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
 def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
                            budget: int | None = None, threads: int = 1) -> complex:
     """E over all assignments of prod_i f_i(L_i(x)): the sum over G^r of
-    `_direct_passes`, over N^r.  A plan of one pass is one kernel call on the
-    cut coefficients, which are C itself at full rank."""
+    the system's `direct_plan`, over N^r.  A plan of one pass is one kernel
+    call on the cut coefficients, which are C itself at full rank."""
     dom = _check_inputs(sys, fs)
     check_budget(direct_op_count(sys, dom), budget,
                  what=f"direct count over {dom.size}^{sys.d} assignments")
-    total = _run_passes(_direct_passes(sys), dom, [f.values for f in fs], threads)
+    total = _run_passes(sys.direct_plan, dom, [f.values for f in fs], threads)
     return complex(total) / dom.size**len(sys.pivots)
 
 
@@ -736,17 +695,17 @@ def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     images of the w-variable forms given by the columns of the relation
     basis, `sys.relations` (w = 0 is the single zero tuple).  Those forms,
     the rows of the basis transposed, have full column rank w, so the sum is
-    `_plan` of them with no cut, from their rank table by duality
-    (`_relation_ranks`).  A caller that already holds the transforms
-    of fs passes them as `_transforms`."""
+    the system's `dual_plan`, with no cut, from their rank table by duality
+    (`_relation_ranks`).  A caller that already holds the transforms of fs
+    passes them as `_transforms`."""
     dom = _check_inputs(sys, fs)
     W = sys.relations
     check_budget(dual_op_count(sys, dom), budget,
                  what=f"dual count over {dom.size}^{W.dim} frequency tuples")
     if _transforms is None:
         _transforms = [fourier(f) for f in fs]
-    return complex(_run_passes(_plan(W.basis.T, sys.p, _relation_ranks(sys)), dom,
-                               [fh.values for fh in _transforms], threads))
+    return complex(_run_passes(sys.dual_plan, dom, [fh.values for fh in _transforms],
+                               threads))
 
 
 def _relation_ranks(sys: LinearFormSystem) -> np.ndarray:
@@ -770,9 +729,9 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
 
     Returns (count, degenerate_count) where the second entry counts the
     solutions in which two form images coincide (None unless requested).
-    The count is the 0/1 sum of `_direct_passes`; the degenerate count
-    tests each assignment for coinciding images, so it enumerates G^r in one
-    pass with no elimination.
+    The count is the 0/1 sum of the system's `direct_plan`; the degenerate
+    count tests each assignment for coinciding images, so it enumerates G^r
+    in one pass with no elimination.
     """
     dom = A.domain
     if dom.p != sys.p:
@@ -784,20 +743,20 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     # the cut, so every count is N^(d - r) times the count over G^r
     fibre = dom.size ** (sys.d - len(sys.pivots))
     if not with_degenerate:
-        return fibre * _run_passes(_direct_passes(sys), dom, [A.members] * sys.m,
+        return fibre * _run_passes(sys.direct_plan, dom, [A.members] * sys.m,
                                    threads), None
 
-    def chunk_counts(images: np.ndarray) -> tuple[int, int]:
+    def tile_counts(images: np.ndarray) -> tuple[int, int]:
         ok = A.members[images[0]]
         for idx in images[1:]:
             ok &= A.members[idx]
-        coincide = np.zeros(images.shape[1], dtype=bool)
+        coincide = np.zeros(images.shape[1:], dtype=bool)
         for i in range(sys.m):
             for j in range(i + 1, sys.m):
                 coincide |= images[i] == images[j]
         return int(ok.sum()), int((ok & coincide).sum())
 
-    partials = reduce_form_images(_cut_coeffs(sys), dom, chunk_counts, threads)
+    partials = reduce_form_images(_cut_coeffs(sys), dom, tile_counts, threads)
     return fibre * sum(c for c, _ in partials), fibre * sum(g for _, g in partials)
 
 

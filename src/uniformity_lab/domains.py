@@ -11,7 +11,7 @@ table reshaped to `grid` = (p,)*n is indexed by coordinate vectors, so
 translation by h is a cyclic shift of that array.  The U^k norms wrap-pad a
 table once (`wrap_padded`) and read shifts of it as slices:
 `derivative_blocks` gives the tables x -> conj(g(x)) g(x + h) of a stack of
-padded tables g, for one h of every pair {h, -h} (`translation_pairs`), in
+padded tables g, for one h of every pair {h, -h} (`_pair_digits`), in
 blocks of h that are window products, and `split_translates` the rows
 g(b, y + h) of a table split at its trailing coordinates, as one gather;
 neither builds a table of size^2 entries.  Sums of points are formed
@@ -67,14 +67,6 @@ class GroupDomain:
         """Shape (p,)*n under which a value table is indexed by coordinates."""
         return (self.p,) * self.n
 
-    @property
-    def translation_pairs(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(h, weight) for one h of each pair {h, -h}, in enumeration order:
-        h = 0 at weight 1, then each h != 0 whose first nonzero digit is at
-        most (p - 1)/2 at weight 2.  The weights sum to size (p is odd, so
-        h = 0 is the only h with -h = h)."""
-        return _translation_pairs(self.p, self.n)
-
     def wrap_padded(self, values, levels: int) -> np.ndarray:
         """values on `grid`, wrap-padded by levels * (p - 1) along every axis.
 
@@ -85,20 +77,20 @@ class GroupDomain:
 
     def derivative_blocks(self, stack: np.ndarray,
                           rows: int) -> Iterator[tuple[np.ndarray, int]]:
-        """(D, weight) for the h of `translation_pairs` in blocks: `stack`
+        """(D, weight) for the h of `_pair_digits` in blocks: `stack`
         is an (S, ...) stack of tables g padded by at least one level, and D
         the (S * B, ...) stack of the tables x -> conj(g(x)) g(x + h),
         conj(Delta_h g), for the B h of one block, padded one level less;
         row s * B + j of D derives stack[s] along the j-th h.
 
-        Each block is at one weight, which the h of `translation_pairs`
-        carry: h = 0 comes alone at weight 1, then at weight 2 the
-        representatives whose first n - free digits are zero, then for each
-        prefix of n - free digits whose first nonzero digit is at most
-        (p - 1)/2 the p^free h with that prefix, where free is the largest
-        count up to n with p^free <= rows; so B <= max(rows, 1).  A prefix
-        block is one product with a window slice; only the all-zero prefix
-        gathers its shifts.
+        Each block is at one weight, which the h of `_pair_digits` carry:
+        h = 0 comes alone at weight 1, then at weight 2 the representatives
+        whose first n - free digits are zero, then for each prefix of
+        n - free digits whose first nonzero digit is at most (p - 1)/2 the
+        p^free h with that prefix, where free is the largest count up to n
+        with p^free <= rows; so B <= max(rows, 1).  A prefix block is one
+        product with a window slice; only the all-zero prefix gathers its
+        shifts.
         """
         p, n = self.p, self.n
         extent = stack.shape[1] - (p - 1)
@@ -129,7 +121,7 @@ class GroupDomain:
         """(S, hi - lo, p^(n - trailing), p^trailing) array whose entry
         [s, j, b, y] is g(b, y + h_j), for g = stack[s] a table padded by one
         level, its point split as x = (b, y) at the last `trailing`
-        coordinates, and h_j the j-th h of the `translation_pairs` of
+        coordinates, and h_j the j-th h of the `_pair_digits` of
         F_p^trailing.  At (lo, hi) = (0, 1) it is the table itself, split.
         One gather through two index tables of N and (p^trailing + 1)/2
         entries."""
@@ -209,21 +201,17 @@ def _wrap_padded(values, p: int, n: int, levels: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _pair_digits(p: int, m: int, first: int = 0) -> tuple[np.ndarray, ...]:
-    """The digit arrays of the h of `translation_pairs` on F_p^m, from the
-    `first`-th on: h = 0, then each h != 0 whose first nonzero digit is at
-    most (p - 1)/2."""
+    """The digit arrays of one h of each pair {h, -h} of F_p^m, in
+    enumeration order, from the `first`-th on: h = 0, at weight 1 in a sum
+    that takes each pair once, then each h != 0 whose first nonzero digit is
+    at most (p - 1)/2, at weight 2.  The weights sum to p^m (p is odd, so
+    h = 0 is the only h with -h = h)."""
     half = (p + 1) // 2
     runs = np.concatenate([[0]] + [np.arange(p**e, half * p**e) for e in range(m)])
     out = np.unravel_index(runs[first:], (p,) * m)
     for a in out:
         a.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def _translation_pairs(p: int, n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    digits = np.stack(_pair_digits(p, n), axis=1).tolist()
-    return tuple((tuple(h), 2 if any(h) else 1) for h in digits)
 
 
 @lru_cache(maxsize=None)

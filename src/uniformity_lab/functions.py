@@ -271,7 +271,7 @@ def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
 
     base must not change under translation or conjugation of its argument;
     since Delta_{-h} g(x) = conj(Delta_h g(x - h)), each pair {h, -h} is then
-    taken once at weight 2 and h = 0 once at weight 1 (`translation_pairs`),
+    taken once at weight 2 and h = 0 once at weight 1 (`_pair_digits`),
     and a level may take conj(Delta_h g) as `derivative_blocks` gives it.  g
     is wrap-padded once, by depth + pad levels; every level of derivatives
     is a block of window products of the padded stack before it, and base

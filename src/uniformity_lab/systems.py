@@ -6,9 +6,10 @@ complexity, normal-form witnesses, independence of the (k+1)-st powers of the
 forms, and the relation space of linear dependencies among the forms.
 
 A system's coefficients C are read-only, so the pivot columns of rref(C)
-(`pivots`), the relation space (`relations`, basis the nullspace of C^T) and
-the ranks of all subsets of the forms (`subset_ranks`) are computed once, on
-first use, and cached on the system for every caller.
+(`pivots`), the relation space (`relations`, basis the nullspace of C^T), the
+ranks of all subsets of the forms (`subset_ranks`) and the elimination plans
+of the direct and dual sums (`direct_plan`, `dual_plan`) are computed once,
+on first use, and cached on the system for every caller.
 
 Partition complexity is computed by exact branch-and-bound search over class
 assignments, with classes as bitmasks over the forms.  Every span test is one
@@ -97,6 +98,23 @@ class LinearFormSystem:
         """rank[S] of every subset S of the forms, S a bitmask over form
         indices (`_subset_ranks`)."""
         return _subset_ranks(self)
+
+    @cached_property
+    def direct_plan(self) -> tuple:
+        """The elimination plan (`counting._plan`) of the direct sum over
+        G^(rank C): of the pivot cut C[:, pivots], from `subset_ranks`.  Its
+        arrays are read-only like C."""
+        from .counting import _cut_coeffs, _plan  # counting imports this module
+        return _plan(_cut_coeffs(self), self.p, self.subset_ranks)
+
+    @cached_property
+    def dual_plan(self) -> tuple:
+        """The elimination plan of the dual sum over the annihilator: of the
+        relation forms, the rows of the relation basis transposed, from
+        their rank table by duality (`counting._relation_ranks`).  Its
+        arrays are read-only like C."""
+        from .counting import _plan, _relation_ranks
+        return _plan(self.relations.basis.T, self.p, _relation_ranks(self))
 
     @property
     def m(self) -> int:

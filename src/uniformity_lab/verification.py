@@ -45,7 +45,7 @@ import numpy as np
 from .algebra import (QuadraticForm, as_fp_matrix, batched_rank_class,
                       nullspace, rank)
 from .budget import check_budget
-from .counting import (_check_inputs, _class_forms, _direct_passes, _run_passes,
+from .counting import (_check_inputs, _class_forms, _run_passes,
                        average_product_direct, average_product_dual,
                        direct_op_count, dual_op_count, quadratic_average,
                        quadratic_zero_count, quadratic_zero_op_count,
@@ -487,9 +487,11 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     side maps the count is sum_x prod_i h_i(L_i(x)) for the 0/1 tables
     h_i = [atom code = a_i p^d2 + b_i] on G, the product sum that
     `count_solutions` runs: p^(n(d - rank C)) times the sum of
-    `counting._direct_passes` over G^(rank C).  With side maps the condition
-    reads the assignment itself, so every assignment is enumerated and the
-    atom code of each image compared with a_i p^d2 + phi_i(x) + b_i.
+    the system's `direct_plan` over G^(rank C).  With side maps the condition
+    reads the assignment itself, so every assignment is enumerated, with the
+    unit rows e_u appended to C so that the kernel's images m + u are the
+    point indices of the variables x_u, and the atom code of each image
+    compared with a_i p^d2 + phi_i(x) + b_i.
     """
     p, n = factor.p, factor.n
     m, d = sys.m, sys.d
@@ -521,26 +523,27 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     hits = {t: codes == t for t, ph in zip(targets, phi_codes) if not ph}
     if not any(phi_codes):
         return p ** (n * (d - len(sys.pivots))) * _run_passes(
-            _direct_passes(sys), dom, [hits[t] for t in targets], threads)
+            sys.direct_plan, dom, [hits[t] for t in targets], threads)
     a_codes = _encode(A_t.T, p, m) * p**d2
     b_codes = _encode(B_t.T, B, m)
     cells = np.arange(B**d2, dtype=np.int64)
     decode = _encode((cells // B**j % B % p for j in range(d2 - 1, -1, -1)),
                      p, B**d2)
 
-    def chunk_matches(images: np.ndarray, xs: np.ndarray) -> int:
-        ok = np.ones(images.shape[1], dtype=bool)
+    def tile_matches(images: np.ndarray) -> int:
+        ok = np.ones(images.shape[1:], dtype=bool)
         for i in range(m):
             if phi_codes[i]:
                 code = b_codes[i]
                 for u, table in phi_codes[i]:
-                    code = code + table[xs[u]]
+                    code = code + table[images[m + u]]
                 ok &= codes[images[i]] == a_codes[i] + decode[code]
             else:
                 ok &= hits[targets[i]][images[i]]
         return int(ok.sum())
 
-    return sum(reduce_form_images(sys.coeffs, dom, chunk_matches, threads=threads))
+    with_units = np.concatenate([sys.coeffs, np.eye(d, dtype=np.int64)])
+    return sum(reduce_form_images(with_units, dom, tile_matches, threads=threads))
 
 
 def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,

@@ -163,21 +163,17 @@ def _naive_form_value(row, assign, points, p, n):
 
 
 def naive_form_images(rows, p, n, start, stop):
-    """Point indices of the forms' values, and of the variables, for the
-    assignments start..stop-1 in base-N lexicographic order: (m, len) and
-    (d, len) lists."""
+    """Point indices of the forms' values for the assignments start..stop-1
+    in base-N lexicographic order: an (m, len) list."""
     points, index = naive_points(p, n)
     N = len(points)
     d = len(rows[0]) if len(rows) else 0
     images = [[] for _ in rows]
-    xs = [[] for _ in range(d)]
     for t in range(start, stop):
         assign = [(t // N ** (d - 1 - u)) % N for u in range(d)]
-        for u, x in enumerate(assign):
-            xs[u].append(x)
         for i, row in enumerate(rows):
             images[i].append(index[_naive_form_value(row, assign, points, p, n)])
-    return images, xs
+    return images
 
 
 def naive_average_product(rows, p, n, fs_values):
@@ -364,10 +360,10 @@ def enumerated_factor_count(sys_, factor, A_t, B_t):
             code = code * p + int(digit)
         targets.append(code)
 
-    def chunk_matches(images):
-        ok = np.ones(images.shape[1], dtype=bool)
+    def tile_matches(images):
+        ok = np.ones(images.shape[1:], dtype=bool)
         for idx, target in zip(images, targets):
             ok &= codes[idx] == target
         return int(ok.sum())
 
-    return sum(reduce_form_images(sys_.coeffs, dom, chunk_matches))
+    return sum(reduce_form_images(sys_.coeffs, dom, tile_matches))

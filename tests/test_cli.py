@@ -514,7 +514,7 @@ def test_count_probability_records_match_naive_counts(tmp_path, capsys):
     assert code == 0 and validate_report(report) == []
     members = A.members.tolist()
     count = oracles.naive_count_solutions(rows, p, n, members)
-    images, _ = oracles.naive_form_images(rows, p, n, 0, N**sys_.d)
+    images = oracles.naive_form_images(rows, p, n, 0, N**sys_.d)
     degenerate = sum(all(members[i] for i in col) and len(set(col)) < len(col)
                      for col in zip(*images))
     assert 0 < degenerate < count
@@ -604,6 +604,27 @@ def test_threads_flag_reproducibility(tmp_path):
     assert r1["results"] == r4["results"]
     assert [r["name"] for r in r1["results"]] == [
         "solution_probability", "average_direct", "average_dual", "direct_vs_dual"]
+
+
+def test_count_both_plans_each_side_once(tmp_path, monkeypatch):
+    """`count --method both` runs the direct side twice (the count and the
+    average) and the dual side once, but plans each side once: the plans
+    are kept with the system, with read-only arrays."""
+    planned = []
+    plan = counting._plan
+
+    def spy(C, p, ranks=None):
+        planned.append(C.tolist())
+        return plan(C, p, ranks)
+
+    monkeypatch.setattr(counting, "_plan", spy)
+    code, report, _ = run(["count", "--system", "gw6a", "--set", "quadzero",
+                           "--p", "5", "--n", "2", "--method", "both"], tmp_path)
+    assert code == 0 and len(report["results"]) == 4
+    gw6a = builtin_system("gw6a", 5)
+    assert planned == [gw6a.coeffs.tolist(), gw6a.relations.basis.T.tolist()]
+    for plan_ in (gw6a.direct_plan, gw6a.dual_plan):
+        assert all(not pass_.coeffs.flags.writeable for pass_ in plan_)
 
 
 def test_experiment_threads_reach_the_kernel(tmp_path, monkeypatch):

@@ -149,8 +149,11 @@ def test_threads_do_not_change_results():
 
 
 def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
-    # gw6b at p=5, n=2: 25^3 = 15,625 assignments and 25^3 dual tuples,
-    # sixteen chunks of 1000, so the thread pool really splits the work
+    # gw6b at p=5, n=2: 25^3 = 15,625 assignments and 25^3 dual tuples, in
+    # tiles of 40 rows of 25 (CHUNK = 1000) and in tiles of 10 columns,
+    # narrower than a row (CHUNK = 10), so the thread pool really splits the
+    # work; the side-map count (quadfactor with phis) reads its variables
+    # off unit forms in those tiles too
     p, n = 5, 2
     dom = domain(p, n)
     rng = np.random.default_rng(47)
@@ -177,15 +180,16 @@ def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
                                       [[0]] * sys_.m).to_dict())
 
     one_chunk = run(1)
-    monkeypatch.setattr(counting, "CHUNK", 1000)
-    serial = run(1)
-    assert serial == run(4)  # identical bits: reduction order fixed by chunk index
-    assert serial[2] == one_chunk[2] and serial[2][1] > 0
-    assert serial[3] == one_chunk[3] and serial[4] == one_chunk[4]
-    assert serial[3]["observed"]["probability"] > 0
-    assert serial[4]["observed"]["probability"] > 0
-    for chunked, whole in zip(serial[:2], one_chunk[:2]):
-        assert abs(chunked - whole) < 1e-12
+    for chunk in (1000, 10):
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+        serial = run(1)
+        assert serial == run(4)  # identical bits: reduction order fixed by tile index
+        assert serial[2] == one_chunk[2] and serial[2][1] > 0
+        assert serial[3] == one_chunk[3] and serial[4] == one_chunk[4]
+        assert serial[3]["observed"]["probability"] > 0
+        assert serial[4]["observed"]["probability"] > 0
+        for chunked, whole in zip(serial[:2], one_chunk[:2]):
+            assert abs(chunked - whole) < 1e-12
 
 
 @pytest.mark.parametrize("p, n, d", [
@@ -193,29 +197,30 @@ def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
     (5, 2, 0), (5, 2, 1), (5, 2, 2), (5, 2, 3), (5, 1, 4),
     (7, 2, 0), (7, 2, 1), (7, 2, 2), (7, 1, 3), (7, 1, 4)])
 def test_form_images_match_digitwise_oracle(monkeypatch, p, n, d):
-    # every chunk's images and variables against digit tuples added mod p,
-    # and the images a one-argument reducer gets (with no xs built for it),
-    # with one chunk (CHUNK above N^d), chunks spanning several rows of the
-    # (prefix, last variable) grid, and chunks shorter than a row (CHUNK
-    # below N, so a chunk can straddle two rows)
+    # the tiles' images, flattened in tile order, against digit tuples added
+    # mod p, with one tile (CHUNK above N^d), tiles of one whole row of the
+    # (prefix, last variable) grid (CHUNK between N and 2N) and tiles of
+    # CHUNK columns of one row (CHUNK below N); the unit rows e_u give the
+    # variables' point indices
     N = p**n
     rng = np.random.default_rng(1000 * p + 10 * n + d)
     coeffs = rng.integers(-1, p, size=(4, d))
     if d:
         coeffs[0, 0], coeffs[1, -1], coeffs[2, 0] = 0, p - 1, -1
-    images, xs = oracles.naive_form_images(coeffs.tolist(), p, n, 0, N**d)
+    coeffs = np.concatenate([coeffs, np.eye(d, dtype=np.int64)])
+    images = oracles.naive_form_images(coeffs.tolist(), p, n, 0, N**d)
     dom = domain(p, n)
-    for chunk in (N**d + 1, 2 * N + 3, N - 2):
+    for chunk in (N**d + 1, 2 * N - 1, N - 2):
         monkeypatch.setattr(counting, "CHUNK", chunk)
-        seen = counting.reduce_form_images(coeffs, dom, lambda im, x: (im, x))
-        alone = counting.reduce_form_images(coeffs, dom, lambda im: im)
-        assert len(seen) == len(alone) == -(-N**d // chunk)
-        for k, (im, x) in enumerate(seen):
-            assert np.array_equal(alone[k], im)
-            window = slice(k * chunk, min((k + 1) * chunk, N**d))
-            assert im.tolist() == [row[window] for row in images]
-            assert x.shape == (d, im.shape[1])
-            assert x.tolist() == [row[window] for row in xs]
+        tiles = counting.reduce_form_images(coeffs, dom, lambda im: im)
+        rows, width = max(1, chunk // N), min(chunk, N)
+        widths = [min(width, N - col) for col in range(0, N, width)] if d else [1]
+        assert len(tiles) == (-(-N ** (d - 1) // rows) * len(widths) if d else 1)
+        for tile in tiles:
+            assert tile.shape[0] == len(coeffs) and tile.shape[1] <= rows
+            assert tile.shape[2] in widths
+        flat = np.concatenate([tile.reshape(len(coeffs), -1) for tile in tiles], axis=1)
+        assert flat.tolist() == images
 
 
 def test_budget_refusal_names_required_count():
@@ -240,7 +245,7 @@ def test_mismatched_inputs_rejected():
 
 def planned_exponent(sys_):
     """Largest number of variables a pass of the direct side enumerates."""
-    return max(pass_.coeffs.shape[1] for pass_ in counting._direct_passes(sys_))
+    return max(pass_.coeffs.shape[1] for pass_ in sys_.direct_plan)
 
 
 def plan_shape(passes):
@@ -313,7 +318,7 @@ def test_direct_side_is_exact_on_cut_and_eliminated_systems():
         naive = oracles.naive_average_product(rows, p, n, [f.values for f in fs])
         assert abs(average_product_direct(sys_, fs) - naive) < 1e-12, (rows, n)
         cut += len(sys_.pivots) < sys_.d
-        eliminated += len(counting._direct_passes(sys_)) > 1
+        eliminated += len(sys_.direct_plan) > 1
     assert cut >= 10 and eliminated >= 10, (cut, eliminated)
 
 
@@ -338,33 +343,48 @@ def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
     """cube7 (a matrix-product fill, then a convolution fill where n = 2
     and an enumerated one where n = 1), diff3 (the pivot cut, then a
     convolution fill), gw6b (a matrix-product fill on both sides, N = 49),
-    ap5 (one on its dual side, N = 25) and gw6a (a convolution fill on both
-    sides, N = 25) at CHUNK = 100: several chunks per pass, a fill row cut
-    between chunks, G_b and G_c gathered in blocks of 2 and 4 rows, and
-    convolution slices in blocks of 4 (at N = 25).  Two and four threads
-    give the bits of one; counts equal one chunk's."""
+    ap5 (one on its dual side, N = 25), gw6a (a convolution fill on both
+    sides, N = 25) and a random system at p = 3 with two-column enumerated
+    fills at CHUNK = 100: several tiles per pass, G_b and G_c gathered in
+    blocks of 2 and 4 rows, and convolution slices in blocks of 4 (at
+    N = 25); and at CHUNK = (N + 1) / 2, tiles narrower than a row, so that
+    a fill adds two tiles per row.  Two and four threads give the bits of
+    one; counts equal one tile's, and averages are within 1e-12 of it."""
+    structured = np.random.default_rng(3)
+    while True:
+        two_column = random_structured_system(structured, 3)
+        if any(pass_.kind == counting.ENUMERATE and pass_.coeffs.shape[1] == 2
+               for pass_ in two_column.direct_plan[:-1]):
+            break
     rng = np.random.default_rng(22)
-    for name, p, n in (("cube7", 3, 2), ("cube7", 5, 1), ("diff3", 5, 2),
-                       ("gw6b", 7, 2), ("ap5", 5, 2), ("gw6a", 5, 2)):
-        sys_ = builtin_system(name, p)
+    cases = [(builtin_system(name, p), n) for name, p, n in (
+        ("cube7", 3, 2), ("cube7", 5, 1), ("diff3", 5, 2), ("gw6b", 7, 2),
+        ("ap5", 5, 2), ("gw6a", 5, 2))]
+    for sys_, n in cases + [(two_column, 2)]:
+        name, p = sys_.name or sys_.coeffs.tolist(), sys_.p
         dom = domain(p, n)
         A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.7)
         fs = random_functions(dom, rng, sys_.m)
 
         def run(threads):
             return (count_solutions(sys_, A, threads=threads),
-                    count_solutions(sys_, A, threads=threads, with_degenerate=True),
                     average_product_direct(sys_, fs, threads=threads),
                     average_product_dual(sys_, fs, threads=threads))
 
+        def degenerate(threads):
+            return count_solutions(sys_, A, threads=threads, with_degenerate=True)
+
         monkeypatch.setattr(counting, "CHUNK", 1 << 19)
-        whole = run(1)
+        whole, whole_degenerate = run(1), degenerate(1)
         monkeypatch.setattr(counting, "CHUNK", 100)
-        serial = run(1)
-        assert serial == run(2) == run(4), name
-        assert serial[:2] == whole[:2]
-        for chunked, one in zip(serial[2:], whole[2:]):
-            assert abs(chunked - one) < 1e-12, name
+        assert degenerate(1) == degenerate(2) == degenerate(4) == whole_degenerate, name
+        for chunk in (100, (dom.size + 1) // 2):
+            monkeypatch.setattr(counting, "CHUNK", chunk)
+            serial = run(1)
+            assert serial == run(2) == run(4), name
+            assert serial[0] == whole[0]
+            for chunked, one in zip(serial[1:], whole[1:]):
+                assert abs(chunked - one) < 1e-12, name
 
 
 def dual_cases():
@@ -428,10 +448,10 @@ def test_matrix_product_plans():
         ap5, gw6b, cube7 = (builtin_system(name, p)
                             for name in ("ap5", "gw6b", "cube7"))
         assert plan_shape(dual_plan(ap5)) == [(3, "product"), (2, "enumerate")]
-        assert plan_shape(counting._direct_passes(gw6b)) == \
+        assert plan_shape(gw6b.direct_plan) == \
             [(3, "product"), (2, "enumerate")]
         assert plan_shape(dual_plan(gw6b)) == [(3, "product"), (2, "enumerate")]
-        assert plan_shape(counting._direct_passes(cube7)) == \
+        assert plan_shape(cube7.direct_plan) == \
             [(3, "product"), (3, "convolution"), (2, "enumerate")]
     rng = np.random.default_rng(27)
     gw6b, dom = builtin_system("gw6b", 5), domain(5, 2)
@@ -462,21 +482,21 @@ def test_convolution_plans():
     for p in (5, 7, 11):
         gw6a, cube7, ap3, diff3 = (builtin_system(name, p)
                                    for name in ("gw6a", "cube7", "ap3", "diff3"))
-        assert plan_shape(counting._direct_passes(gw6a)) == \
+        assert plan_shape(gw6a.direct_plan) == \
             [(3, "convolution"), (2, "enumerate")]
         assert plan_shape(dual_plan(gw6a)) == [(3, "convolution"), (2, "enumerate")]
         # cube7's direct plan (a product, then a convolution) is pinned in
         # test_matrix_product_plans
         assert plan_shape(dual_plan(cube7)) == [(3, "convolution"), (2, "enumerate")]
         for sys_ in (gw6a, cube7):
-            assert enumerated_exponent(counting._direct_passes(sys_)) == 2
+            assert enumerated_exponent(sys_.direct_plan) == 2
             assert enumerated_exponent(dual_plan(sys_)) == 2
         for sys_ in (ap3, diff3):
-            assert plan_shape(counting._direct_passes(sys_)) == \
+            assert plan_shape(sys_.direct_plan) == \
                 [(2, "convolution"), (1, "enumerate")]
         for name in ("ap4", "ap5", "gw6b"):
             sys_ = builtin_system(name, p)
-            for passes in (counting._direct_passes(sys_), dual_plan(sys_)):
+            for passes in (sys_.direct_plan, dual_plan(sys_)):
                 assert all(pass_.kind != counting.CONVOLUTION for pass_ in passes), name
 
 
@@ -516,7 +536,7 @@ def test_convolution_sides_match_naive_oracles(monkeypatch):
         assert abs(average_product_dual(sys_, fs) - naive_dual_sum(sys_, 2, fs)) \
             < 1e-12, rows
         direct, dual = ([pass_.kind for pass_ in passes].count(counting.CONVOLUTION)
-                        for passes in (counting._direct_passes(sys_), dual_plan(sys_)))
+                        for passes in (sys_.direct_plan, dual_plan(sys_)))
         # the count and the direct average each run the direct plan
         assert len(fills) == 2 * direct + dual, rows
         split += direct + dual > 0
@@ -540,7 +560,7 @@ def test_convolution_rounding_bound_at_the_largest_budgeted_n():
     assert bound < 0.25
     ap3, dom = builtin_system("ap3", p), domain(p, n)
     members = np.random.default_rng(29).random(N) < 0.5
-    conv, _ = counting._direct_passes(ap3)
+    conv, _ = ap3.direct_plan
     exact = counting._convolution_fill([members] * 2, conv.coeffs, dom, 1)
     unrounded = counting._convolution_fill([members.astype(float)] * 2, conv.coeffs,
                                            dom, 1)
@@ -565,7 +585,7 @@ def test_convolution_bound_forces_the_enumerated_pass(monkeypatch):
     p, n = 5, 2
     dom = domain(p, n)
     ap3 = builtin_system("ap3", p)
-    passes = counting._direct_passes(ap3)
+    passes = ap3.direct_plan
     points, index = oracles.naive_points(p, n)
     rng = np.random.default_rng(30)
     kernel = counting.reduce_form_images
@@ -659,7 +679,7 @@ def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
             if not C.any(axis=1).all() or len({tuple(row) for row in C.tolist()}) < 7:
                 continue
             sys_ = make(7, C.tolist())
-            if len(sys_.pivots) == 3 and len(counting._direct_passes(sys_)) == 1:
+            if len(sys_.pivots) == 3 and len(sys_.direct_plan) == 1:
                 break
     else:
         sys_ = builtin_system(name, 7)
@@ -674,14 +694,14 @@ def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
         seen.append(coeffs)
         return kernel(coeffs, *args, **kwargs)
 
-    def chunk_sum(images, xs):
+    def tile_sum(images):
         prod = tables[0][images[0]]
         for table, idx in zip(tables[1:], images[1:]):
             prod *= table[idx]
         return complex(prod.sum())
 
     plain = 0j
-    for part in kernel(sys_.coeffs, dom, chunk_sum):
+    for part in kernel(sys_.coeffs, dom, tile_sum):
         plain += part
     monkeypatch.setattr(counting, "reduce_form_images", spy)
     average = average_product_direct(sys_, fs)
@@ -692,7 +712,7 @@ def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
         / dom.size**sys_.d
     assert average == plain / dom.size**sys_.d
     plain_count = 0
-    for part in kernel(sys_.coeffs, dom, lambda images, xs: int(
+    for part in kernel(sys_.coeffs, dom, lambda images: int(
             np.logical_and.reduce(A.members[images]).sum())):
         plain_count += part
     assert count == (plain_count, None)

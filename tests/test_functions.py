@@ -179,7 +179,7 @@ def test_uk_norm_under_a_lowered_block_cap(monkeypatch, p, n, k, caps):
         return split(self, stack, trailing, lo, hi)
 
     monkeypatch.setattr(GroupDomain, "split_translates", spy)
-    reps = len(dom.translation_pairs)
+    reps = (dom.size + 1) // 2  # one h of each pair {h, -h}
     stacks, shift_blocks = set(), set()
     for cap in caps:
         monkeypatch.setattr(functions, "CUBE_BLOCK_ENTRIES", cap)
