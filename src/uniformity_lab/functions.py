@@ -22,10 +22,15 @@ fixed number of entries:
   sum_h |sum_x g(x) conj(g(x + h))|^2.  Splitting x = (a, y) at the last
   ceil(n/2) coordinates, it is one batched matrix product per block of
   derivatives and shifts y -> y + h1 (level-3 BLAS), and a gather of the
-  sums over a (`_cube_sum`); it still executes the N^2 multiply-adds of each
-  cube sum.  Since Delta_{-h} g is a translate of conj(Delta_h g), every h
-  runs over one representative of each pair {h, -h} at weight 2, and h = 0
-  at weight 1 (`_derivative_sum`), with f wrap-padded once for all levels.
+  sums over a, reduced by one matrix-vector product (`_cube_sum`); it still
+  executes the N^2 multiply-adds of each cube sum.  Since Delta_{-h} g is a
+  translate of conj(Delta_h g), every h runs over one representative of
+  each pair {h, -h} at weight 2, and h = 0 at weight 1 (`_derivative_sum`),
+  with f wrap-padded once for all levels.  `GroupFunction` stores every
+  table as complex128, but a table whose imaginary parts are all exactly
+  zero enters the enumeration as float64 (`_narrowed`), so its derivatives,
+  products and gathers run in real arithmetic; any nonzero imaginary part
+  keeps the complex path.
   It is the independent side of every norm check: `norm --method direct`,
   the octahedron lift identity and the test suite use it.  `uk_power_exact`
   is the same enumeration in Fractions, with plain row sums of the last
@@ -54,13 +59,13 @@ from .domains import MAX_DOMAIN_SIZE, GroupDomain, domain
 
 EXACT_MODE_MAX_SIZE = 10**4
 
-# Caps on the complex entries of one block of the U^k norms' work, fixed so
-# that a value repeats bit for bit.  The direct norm's matrix products and
-# gathers run fastest at 2^14 entries (256 KB of complex128), which also
-# keeps its peak memory near the padded table's.  The fast norm's blocks of
-# derivatives stay at 1 MB, cache-sized pieces that the allocator reuses: at
-# N = 625 a 4 MB cap gives blocks of 1.25 MB, which a long-running process
-# mapped afresh, and page-faulted on, at every norm.
+# Caps on the entries of one block of the U^k norms' work, fixed so that a
+# value repeats bit for bit.  The direct norm's matrix products and gathers
+# run fastest at 2^14 entries, real or complex, which also keeps its peak
+# memory near the padded table's.  The fast norm's blocks of derivatives
+# stay at 2^16 complex entries (1 MB), cache-sized pieces that the allocator
+# reuses: at N = 625 a 4 MB cap gives blocks of 1.25 MB, which a
+# long-running process mapped afresh, and page-faulted on, at every norm.
 CUBE_BLOCK_ENTRIES = 2**14
 FOURIER_BLOCK_ENTRIES = 2**16
 
@@ -85,6 +90,19 @@ def _dft_matrix(p: int) -> np.ndarray:
     out = om[np.outer(np.arange(p), np.arange(p)) % p]
     out.setflags(write=False)
     return out
+
+
+def _narrowed(values) -> np.ndarray:
+    """values as a float64 table when every imaginary part is exactly zero,
+    else as complex128: products of a real table then run in real
+    arithmetic, and no nonzero imaginary part, however small, is dropped."""
+    v = np.asarray(values)
+    if v.dtype.kind not in "biuf":
+        v = v.astype(np.complex128, copy=False)
+        if v.imag.any():
+            return v
+        v = v.real
+    return np.ascontiguousarray(v, dtype=np.float64)
 
 
 def omega_power(p: int, e) -> np.ndarray | complex:
@@ -299,7 +317,7 @@ def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
 def _cube_split(dom: GroupDomain) -> tuple[int, int]:
     """(trailing, entries): `uk_norm` splits a point as x = (a, y) at its last
     ceil(n/2) coordinates, and one table of its U^2 base touches about
-    entries = H N complex values, H = (p^trailing + 1)/2 the number of
+    entries = H N values, H = (p^trailing + 1)/2 the number of
     representatives of the pairs {y, -y}."""
     trailing = (dom.n + 1) // 2
     return trailing, (dom.p**trailing + 1) // 2 * dom.size
@@ -307,13 +325,16 @@ def _cube_split(dom: GroupDomain) -> tuple[int, int]:
 
 def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
     """sum over the tables g of `stack`, padded by one level, of the U^2 cube
-    sum sum_h |sum_x g(x) conj(g(x + h))|^2, as matrix products.
+    sum sum_h |sum_x g(x) conj(g(x + h))|^2, as matrix products in the
+    stack's dtype (float64 for real tables, complex128 otherwise).
 
     With x = (a, y) split at the last `trailing` coordinates and
     h = (h2, h1), M[(j, b), a] = sum_y g(b, y + h1_j) conj(g(a, y)) is one
     matrix product for a block of representatives h1_j of the pairs
     {h1, -h1}, batched over the stack, and the inner sum for h is
-    sum_a M[(j, a + h2), a], one gather over a fixed table of a + h2.
+    sum_a M[(j, a + h2), a]: one gather over a fixed table of a + h2, then
+    one matrix-vector product with a vector of ones, cheaper than numpy's
+    sum over that short last axis.
     h1 = 0 is at weight 1 and every other h1_j at weight 2, over all h2.  A
     block holds at most CUBE_BLOCK_ENTRIES // (S max(N, N2^2)) of the h1_j
     (at least one), N2 = p^(n - trailing), which caps both the rows of g
@@ -324,6 +345,7 @@ def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
     pairs = (N1 + 1) // 2
     diagonal = _diagonal_index(dom.p, dom.n - trailing)
     step = max(1, CUBE_BLOCK_ENTRIES // (S * max(dom.size, N2 * N2)))
+    ones = np.ones(N2, dtype=stack.dtype)
     total = 0.0
     for lo in range(0, pairs, step):
         hi = min(pairs, lo + step)
@@ -331,7 +353,7 @@ def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
         if lo == 0:  # h1_0 = 0: the rows of g itself
             ac = np.conj(rows[:, 0]).transpose(0, 2, 1)
         M = np.matmul(rows.reshape(S, -1, N1), ac).reshape(S, hi - lo, N2 * N2)
-        sums = np.take(M, diagonal, axis=2).sum(axis=3)
+        sums = np.take(M, diagonal, axis=2) @ ones
         mags = (sums.real**2 + sums.imag**2).sum(axis=(0, 2))
         total += 2 * float(mags.sum()) - (float(mags[0]) if lo == 0 else 0.0)
     return total
@@ -356,13 +378,14 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
 
     The last two directions are the U^2 cube sum of each iterated derivative
     (`_cube_sum`), taken as matrix products in blocks of derivatives and of
-    shifts of at most about CUBE_BLOCK_ENTRIES complex entries; the block
-    sizes depend on (p, n, k) alone, so a value repeats bit for bit."""
+    shifts of at most about CUBE_BLOCK_ENTRIES entries; the block sizes
+    depend on (p, n, k) alone, so a value repeats bit for bit.  A real f
+    (every imaginary part exactly zero) is enumerated in float64."""
     _check_k(k)
     dom = f.domain
     check_budget(uk_norm_op_count(dom, k), budget, what=f"U^{k} norm on size {dom.size}")
     trailing, entries = _cube_split(dom)
-    power_sum = _derivative_sum(dom, f.values, k - 2,
+    power_sum = _derivative_sum(dom, _narrowed(f.values), k - 2,
                                 lambda stack: _cube_sum(dom, stack, trailing),
                                 pad=1, entries=CUBE_BLOCK_ENTRIES, base_entries=entries)
     # |sum_x|^2 contributes N^2 and the k-1 outer averages contribute N^(k-1)
@@ -483,4 +506,4 @@ def random_bounded_function(dom: GroupDomain, rng: np.random.Generator,
         vals = rng.uniform(-1.0, 1.0, size=dom.size)
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return GroupFunction(domain=dom, values=vals.astype(np.complex128))
+    return GroupFunction(domain=dom, values=vals)

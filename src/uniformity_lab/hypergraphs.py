@@ -4,8 +4,12 @@ The octahedral norm is the eighth root of the expectation of the 8-fold
 product of a function F on X x Y x Z over pairs (x0,x1), (y0,y1), (z0,z1).
 For complex-valued F the factors carry a conjugation on odd coordinate
 parity, the same pattern as the U^3 cube product, so that the expectation is
-real and nonnegative; real F reduces to the plain product.  Lifting a group
-function g to F(x,y,z) = g(x+y+z) turns this norm into the U^3 norm of g.
+real and nonnegative; real F reduces to the plain product.  A
+`TripartiteFunction` whose imaginary parts are all exactly zero keeps a
+float64 table, and its norm is computed in real arithmetic with no
+conjugates; any other keeps complex128.  Lifting a group function g to
+F(x,y,z) = g(x+y+z) turns this norm into the U^3 norm of g, and the lift of
+a real g is real.
 
 The counterexample: H(x,y,z) = (3 + u(x,y) + u(y,z) + u(x,z))/6 for a random
 symmetric sign function u is vertex uniform with density about 1/2, yet the
@@ -21,13 +25,14 @@ from fractions import Fraction
 import numpy as np
 
 from .budget import check_budget
-from .functions import GroupFunction
+from .functions import GroupFunction, _narrowed
 from .verification import ExperimentReport
 
 
 @dataclass(frozen=True)
 class TripartiteFunction:
-    """Dense complex table over X x Y x Z."""
+    """Dense table over X x Y x Z: float64 when every imaginary part is
+    exactly zero, complex128 otherwise."""
 
     values: np.ndarray
 
@@ -35,7 +40,7 @@ class TripartiteFunction:
         v = np.asarray(self.values)
         if v.ndim != 3:
             raise ValueError("expected a 3-d value table")
-        object.__setattr__(self, "values", v.astype(np.complex128))
+        object.__setattr__(self, "values", _narrowed(v))
 
     @property
     def sizes(self) -> tuple[int, int, int]:
@@ -57,10 +62,14 @@ def octahedral_power(F: TripartiteFunction, budget: int | None = None) -> float:
     # accumulated one x0-slice at a time to bound memory.  Swapping x0 and x1
     # conjugates the inner sum, so x1 runs over x1 >= x0: the diagonal at
     # weight 1, the rest at weight 2.
+    if np.iscomplexobj(vals):
+        conj, square = np.conj, lambda S: S.real**2 + S.imag**2
+    else:  # a real table needs no conjugates, and S is squared directly
+        conj, square = (lambda t: t), np.square
     for a in range(nx):
-        A = vals[a] * np.conj(vals[a:])  # (x1, y, z)
-        S = A @ np.conj(A).transpose(0, 2, 1)  # (x1, y0, y1)
-        mags = S.real**2 + S.imag**2
+        A = vals[a] * conj(vals[a:])  # (x1, y, z)
+        S = A @ conj(A).transpose(0, 2, 1)  # (x1, y0, y1)
+        mags = square(S)
         total += float(mags[0].sum()) + 2 * float(mags[1:].sum())
     return total / (nx * nx * ny * ny * nz * nz)
 
@@ -70,7 +79,8 @@ def octahedral_norm(F: TripartiteFunction, budget: int | None = None) -> float:
 
 
 def lift(g: GroupFunction) -> TripartiteFunction:
-    """F(x, y, z) = g(x + y + z) on X = Y = Z = the domain of g."""
+    """F(x, y, z) = g(x + y + z) on X = Y = Z = the domain of g, a float64
+    table when g is real."""
     P, enc = g.domain.sum_grid
     # index of x + y + z as two gathers: first x + y, then (x + y) + z
     xy = P[enc[:, None] + enc[None, :]]

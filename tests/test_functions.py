@@ -98,19 +98,82 @@ def generic_function(dom, rng):
     return f
 
 
+def real_generic_function(dom, rng):
+    """A real function that is not even."""
+    f = random_function(dom, rng, complex_valued=False)
+    points, index = oracles.naive_points(dom.p, dom.n)
+    neg = [index[tuple(-x % dom.p for x in v)] for v in points]
+    assert np.abs(f.values - f.values[neg]).max() > 0.1
+    return f
+
+
 NAIVE_UK_CASES = [(p, n, k) for p in (3, 5, 7) for n in (1, 2, 3) for k in (2, 3, 4, 5)
                   if (p**n) ** (k + 1) * 2**k <= 2 * 10**5]
 
 
 def test_uk_norm_matches_naive_enumeration():
+    """On a generic complex table within 1e-9, and on a generic real one,
+    which takes the float64 path, within 1e-12."""
     assert {(p, k) for p, _, k in NAIVE_UK_CASES} >= {(3, 4), (5, 4), (7, 3), (3, 5)}
     assert {n for _, n, _ in NAIVE_UK_CASES} == {1, 2, 3}
-    rng = np.random.default_rng(32)
+    rng, real_rng = np.random.default_rng(32), np.random.default_rng(35)
     for p, n, k in NAIVE_UK_CASES:
-        f = generic_function(domain(p, n), rng)
-        naive = oracles.naive_uk_power(list(f.values), p, n, k)
-        assert abs(naive.imag) < 1e-12, (p, n, k)
-        assert abs(uk_norm(f, k) ** 2**k - naive.real) <= 1e-9 * naive.real, (p, n, k)
+        dom = domain(p, n)
+        for f, tol in ((generic_function(dom, rng), 1e-9),
+                       (real_generic_function(dom, real_rng), 1e-12)):
+            naive = oracles.naive_uk_power(list(f.values), p, n, k)
+            assert abs(naive.imag) < 1e-12, (p, n, k)
+            assert abs(uk_norm(f, k) ** 2**k - naive.real) <= tol * naive.real, (p, n, k)
+
+
+@pytest.mark.parametrize("p,n,k", [(3, 2, 2), (5, 2, 2), (3, 2, 3), (5, 2, 3),
+                                   (3, 2, 4), (5, 1, 5)])
+def test_real_uk_norm_equals_the_exact_power_on_halves(p, n, k):
+    """On values in {0, +-1/2, +-1} every sum of the real path is exact in
+    float64, so the norm is the root of the exact power rounded once."""
+    dom = domain(p, n)
+    rng = np.random.default_rng(90 + p * n * k)
+    f = GroupFunction.from_rational(
+        dom, [Fraction(int(v), 2) for v in rng.integers(-2, 3, dom.size)])
+    assert uk_norm(f, k) == float(uk_power_exact(f, k)) ** (1.0 / 2**k)
+
+
+def cube_sum_dtypes(monkeypatch, f, k):
+    """uk_norm(f, k) and the dtypes of the stacks its cube sums receive."""
+    dtypes = set()
+    cube_sum = functions._cube_sum
+
+    def spy(dom, stack, trailing):
+        dtypes.add(stack.dtype)
+        return cube_sum(dom, stack, trailing)
+
+    monkeypatch.setattr(functions, "_cube_sum", spy)
+    return uk_norm(f, k), dtypes
+
+
+@pytest.mark.parametrize("p,n,k", [(5, 2, 2), (3, 2, 3), (3, 2, 4)])
+def test_real_tables_take_the_real_path(monkeypatch, p, n, k):
+    dom = domain(p, n)
+    rng = np.random.default_rng(95 + p + n + k)
+    real = random_function(dom, rng, complex_valued=False)
+    assert real.values.dtype == np.complex128  # the storage stays complex
+    _, dtypes = cube_sum_dtypes(monkeypatch, real, k)
+    assert dtypes == {np.dtype(np.float64)}
+    _, dtypes = cube_sum_dtypes(monkeypatch, generic_function(dom, rng), k)
+    assert dtypes == {np.dtype(np.complex128)}
+
+
+@pytest.mark.parametrize("p,n,k", [(3, 2, 2), (5, 1, 3), (3, 1, 4)])
+def test_a_tiny_imaginary_part_keeps_the_complex_path(monkeypatch, p, n, k):
+    """Imaginary parts of 1e-200 are nonzero, so the table is not cut to
+    its real part, and the value is that of the enumeration."""
+    dom = domain(p, n)
+    vals = np.random.default_rng(98 + p * n * k).uniform(-1, 1, dom.size) + 1e-200j
+    f = GroupFunction(domain=dom, values=vals)
+    value, dtypes = cube_sum_dtypes(monkeypatch, f, k)
+    assert dtypes == {np.dtype(np.complex128)}
+    naive = oracles.naive_uk_power(list(f.values), p, n, k)
+    assert abs(value ** 2**k - naive.real) <= 1e-12 * naive.real
 
 
 @pytest.mark.parametrize("p,n", [(5, 4), (5, 5), (3, 7)])
@@ -137,22 +200,27 @@ def cube_sum_by_rolls(g, p, n):
 @pytest.mark.parametrize("p,n", [(3, 1), (5, 1), (3, 2), (5, 2), (3, 3), (7, 2),
                                  (3, 4), (5, 3)])
 def test_cube_sum_at_every_split_equals_the_definition(p, n):
-    """The matrix-product U^2 cube sum of a stack of generic tables, at every
-    split x = (a, y) including n = 1 and no leading coordinate, equals the
-    definition, and the literal cube enumeration where that is small."""
+    """The matrix-product U^2 cube sum of a stack of generic complex tables,
+    and of one of generic real float64 tables, at every split x = (a, y)
+    including n = 1 and no leading coordinate, equals the definition, and
+    the literal cube enumeration where that is small."""
     dom = domain(p, n)
     rng = np.random.default_rng(50 + 10 * p + n)
-    gs = [generic_function(dom, rng).values for _ in range(3)]
-    stack = np.stack([dom.wrap_padded(g, 1) for g in gs])
-    want = [cube_sum_by_rolls(g, p, n) for g in gs]
-    if dom.size <= 9:
-        for g, w in zip(gs, want):
-            naive = oracles.naive_uk_power(list(g), p, n, 2) * dom.size**3
-            assert abs(naive - w) <= 1e-12 * w
-    for trailing in range(1, n + 1):
-        got = functions._cube_sum(dom, stack, trailing)
-        assert abs(got - sum(want)) <= 1e-12 * sum(want), trailing
-        assert abs(functions._cube_sum(dom, stack[1:2], trailing) - want[1]) <= 1e-12 * want[1]
+    complex_gs = [generic_function(dom, rng).values for _ in range(3)]
+    real_gs = [real_generic_function(dom, rng).values.real for _ in range(3)]
+    for gs, dtype in ((complex_gs, np.complex128), (real_gs, np.float64)):
+        stack = np.stack([dom.wrap_padded(g, 1) for g in gs])
+        assert stack.dtype == dtype
+        want = [cube_sum_by_rolls(g, p, n) for g in gs]
+        if dom.size <= 9:
+            for g, w in zip(gs, want):
+                naive = oracles.naive_uk_power(list(g), p, n, 2) * dom.size**3
+                assert abs(naive - w) <= 1e-12 * w
+        for trailing in range(1, n + 1):
+            got = functions._cube_sum(dom, stack, trailing)
+            assert abs(got - sum(want)) <= 1e-12 * sum(want), (dtype, trailing)
+            one = functions._cube_sum(dom, stack[1:2], trailing)
+            assert abs(one - want[1]) <= 1e-12 * want[1], (dtype, trailing)
 
 
 @pytest.mark.parametrize("p,n,k,caps", [(3, 3, 3, (54, 540)), (5, 2, 3, (50, 600)),
@@ -193,11 +261,16 @@ def test_uk_norm_under_a_lowered_block_cap(monkeypatch, p, n, k, caps):
     assert any(hi < pairs for _, hi in shift_blocks), shift_blocks
 
 
-@pytest.mark.parametrize("p,n,k", [(5, 5, 2), (7, 3, 3)])
-def test_uk_norm_peak_memory(p, n, k):
+@pytest.mark.parametrize("p,n,k,complex_valued", [
+    pytest.param(5, 5, 2, True, id="5-5-2"), pytest.param(7, 3, 3, True, id="7-3-3"),
+    pytest.param(5, 5, 2, False, id="5-5-2-real"),
+    pytest.param(7, 3, 3, False, id="7-3-3-real")])
+def test_uk_norm_peak_memory(p, n, k, complex_valued):
     """The blocks keep the direct norm's traced peak under 2 MB, about the
-    wrap-padded table (945 KB at p = 5, n = 5)."""
-    f = random_function(domain(p, n), np.random.default_rng(80 + p + n))
+    complex wrap-padded table (945 KB at p = 5, n = 5), on complex and on
+    real tables."""
+    f = random_function(domain(p, n), np.random.default_rng(80 + p + n),
+                        complex_valued)
     uk_norm(f, k)  # index tables built and cached
     tracemalloc.start()
     try:

@@ -53,12 +53,50 @@ def test_octahedral_matches_naive_on_complex_non_cubic(shape):
         <= 1e-12 * naive.real
 
 
-def test_lift_identity_on_random_functions():
+@pytest.mark.parametrize("shape", [(1, 3, 2), (2, 3, 2), (3, 2, 4)])
+def test_real_octahedral_power_matches_naive_and_exact(shape):
+    """A real table is kept as float64 and its power agrees with the
+    enumeration; on values in {0, +-1/2, +-1} every sum of the real path is
+    exact, so the power is the exact value rounded once."""
+    rng = np.random.default_rng(66 + sum(shape))
+    vals = rng.uniform(-1, 1, size=shape)
+    F = TripartiteFunction(values=vals + 0j)
+    assert F.values.dtype == np.float64
+    naive = oracles.naive_octahedral_power(vals)
+    assert abs(octahedral_power(F) - naive.real) <= 1e-12 * naive.real
+    exact = np.array([Fraction(int(v), 2) for v in rng.integers(-2, 3, np.prod(shape))],
+                     dtype=object).reshape(shape)
+    want = float(oracles.octahedral_power_exact(exact))
+    assert octahedral_power(TripartiteFunction(values=exact)) == want
+    assert octahedral_power(TripartiteFunction(values=exact.astype(float))) == want
+
+
+def test_tables_keep_the_complex_path_for_any_imaginary_part():
+    vals = np.random.default_rng(69).uniform(-1, 1, size=(2, 3, 2))
+    assert TripartiteFunction(values=vals + 1e-200j).values.dtype == np.complex128
+    assert TripartiteFunction(values=np.ones((2, 2, 2), dtype=int)).values.dtype \
+        == np.float64
     dom = domain(3, 2)
-    rng = np.random.default_rng(62)
-    for _ in range(20):
-        g = random_bounded_function(dom, rng)
-        assert abs(octahedral_norm(lift(g)) - uk_norm(g, 3)) < 1e-9
+    real = random_bounded_function(dom, np.random.default_rng(70))
+    assert real.values.dtype == np.complex128
+    assert lift(real).values.dtype == np.float64
+    assert lift(GroupFunction.character(dom, [1, 2])).values.dtype == np.complex128
+    tiny = GroupFunction(domain=dom, values=real.values + 1e-200j)
+    assert lift(tiny).values.dtype == np.complex128
+
+
+def test_lift_identity_on_random_functions():
+    """Real g, whose lift is float64, at p = 3, n = 2 and at the benchmark's
+    p = 3, n = 3 and p = 5, n = 2, then one complex g at each shape."""
+    for p, n, draws, seed in ((3, 2, 20, 62), (3, 3, 3, 74), (5, 2, 3, 76)):
+        dom = domain(p, n)
+        rng = np.random.default_rng(seed)
+        for _ in range(draws):
+            g = random_bounded_function(dom, rng)
+            assert abs(octahedral_norm(lift(g)) - uk_norm(g, 3)) < 1e-9
+        twisted = GroupFunction(
+            domain=dom, values=g.values * GroupFunction.character(dom, [1] * n).values)
+        assert abs(octahedral_norm(lift(twisted)) - uk_norm(twisted, 3)) < 1e-9
 
 
 def test_lift_identity_balanced_and_character():
