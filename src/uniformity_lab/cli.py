@@ -37,7 +37,7 @@ from .verification import (ComplexityPreconditionError, SquareDependenceError,
                            verify_completefactor, verify_gvn,
                            verify_projection_lemmas, verify_pythagoras,
                            verify_quadfactor)
-from .hypergraphs import (lift, octahedral_norm,
+from .hypergraphs import (lift, octahedral_norm, octahedral_op_count,
                           vertex_uniformity_counterexample)
 
 EXIT_OK = 0
@@ -471,6 +471,9 @@ def _experiment_reports(args) -> list:
         reports.append(verify_bound1(f, dot_factor(p, n), sys_, budget=args.budget,
                                      threads=args.threads))
     if name in ("pythagoras", "all"):
+        # refuse the fast U^3 norms before the set is built
+        check_budget(uk_norm_fast_op_count(domain(p, n), 3), args.budget,
+                     what=f"fast U^3 norm on size {p**n}")
         f = balanced(quadratic_zero_set(p, n)).scaled(0.5)
         reports.append(verify_pythagoras(f, 0.5, budget=args.budget))
     return reports
@@ -501,6 +504,9 @@ def cmd_octahedron(args) -> tuple[int, dict]:
     if args.check == "lift":
         rng = np.random.default_rng(args.seed)
         g = random_bounded_function(domain(args.p, args.n), rng)
+        # refuse before the lift builds its N x N x N tables
+        check_budget(octahedral_op_count((g.domain.size,) * 3), args.budget,
+                     what="octahedral norm")
         oct_norm = octahedral_norm(lift(g), budget=args.budget)
         direct = uk_norm(g, 3, budget=args.budget)
         gap = abs(oct_norm - direct)
@@ -509,7 +515,7 @@ def cmd_octahedron(args) -> tuple[int, dict]:
         results = [{"name": "lift_identity", "octahedral": oct_norm,
                     "u3": direct, "gap": gap, "passed": bool(ok)}]
         return (EXIT_OK if ok else EXIT_FAIL), make_report("octahedron", config, results)
-    rep = vertex_uniformity_counterexample(args.seed, args.size)
+    rep = vertex_uniformity_counterexample(args.seed, args.size, budget=args.budget)
     status = "pass" if rep.passed else "FAIL"
     print(f"counterexample: {status}  value = "
           f"{_fmt(rep.observed['double_edge_average'])}  (5/18 = {_fmt(5 / 18)})")

@@ -162,18 +162,17 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
             np.take(P, images[i], out=images[i], mode="clip")
         return reduce(images)
 
-    starts = [(row, col) for row in range(0, prefixes, rows)
-              for col in range(0, N, width)]
+    return _each(run, [(row, col) for row in range(0, prefixes, rows)
+                       for col in range(0, N, width)], threads)
+
+
+def _each(task: Callable[[Any], Any], items: Sequence, threads: int) -> list:
+    """[task(item) for item in items], on up to `threads` worker threads; the
+    results come back in the order of items."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, starts))
-    return [run(s) for s in starts]
-
-
-def _cut_coeffs(sys: LinearFormSystem) -> np.ndarray:
-    """C[:, piv] for the pivot columns piv of rref(C) (`sys.pivots`); C
-    itself when the forms have full rank d."""
-    return sys.coeffs if len(sys.pivots) == sys.d else sys.coeffs[:, sys.pivots]
+            return list(pool.map(task, items))
+    return [task(item) for item in items]
 
 
 def _copoints(ranks: np.ndarray, k: int) -> np.ndarray:
@@ -501,16 +500,6 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
     return (F if bound is None else F.astype(np.int64)).reshape(-1)
 
 
-def _each(task: Callable[[int], None], starts: Sequence[int], threads: int) -> None:
-    """task(start) for each start, on up to `threads` worker threads."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(task, starts))
-    else:
-        for lo in starts:
-            task(lo)
-
-
 def _convolution_error(N: int, n: int, p: int, bound: int) -> float:
     """A priori bound on the error of every entry of a `_convolution_fill`
     slice of integer tables, `bound` = N M_A M_B (`_integer_bound`), M_A and
@@ -673,8 +662,7 @@ def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     the system's `direct_plan`, over N^r.  A plan of one pass is one kernel
     call on the cut coefficients, which are C itself at full rank."""
     dom = _check_inputs(sys, fs)
-    check_budget(direct_op_count(sys, dom), budget,
-                 what=f"direct count over {dom.size}^{sys.d} assignments")
+    _check_average_budget(sys, dom, False, budget)
     total = _run_passes(sys.direct_plan, dom, [f.values for f in fs], threads)
     return complex(total) / dom.size**len(sys.pivots)
 
@@ -687,24 +675,30 @@ def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
     return sys.m * dom.size**sys.relations.dim
 
 
+def _check_average_budget(sys: LinearFormSystem, dom: GroupDomain, dual: bool,
+                          budget: int | None) -> None:
+    """Refuse the dual average (`dual`), else the direct one, over budget."""
+    if dual:
+        check_budget(dual_op_count(sys, dom), budget,
+                     what=f"dual count over {dom.size}^{sys.relations.dim} frequency tuples")
+    else:
+        check_budget(direct_op_count(sys, dom), budget,
+                     what=f"direct count over {dom.size}^{sys.d} assignments")
+
+
 def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-                         budget: int | None = None, threads: int = 1, *,
-                         _transforms: Sequence[GroupFunction] | None = None) -> complex:
+                         budget: int | None = None, threads: int = 1) -> complex:
     """Same average, evaluated as a sum of Fourier-coefficient products over
     the annihilator of the system's frequency relations: its tuples are the
     images of the w-variable forms given by the columns of the relation
     basis, `sys.relations` (w = 0 is the single zero tuple).  Those forms,
     the rows of the basis transposed, have full column rank w, so the sum is
     the system's `dual_plan`, with no cut, from their rank table by duality
-    (`_relation_ranks`).  A caller that already holds the transforms of fs
-    passes them as `_transforms`."""
+    (`_relation_ranks`).  Each function's transform is the one it keeps, so
+    m copies of one function are transformed once."""
     dom = _check_inputs(sys, fs)
-    W = sys.relations
-    check_budget(dual_op_count(sys, dom), budget,
-                 what=f"dual count over {dom.size}^{W.dim} frequency tuples")
-    if _transforms is None:
-        _transforms = [fourier(f) for f in fs]
-    return complex(_run_passes(sys.dual_plan, dom, [fh.values for fh in _transforms],
+    _check_average_budget(sys, dom, True, budget)
+    return complex(_run_passes(sys.dual_plan, dom, [fourier(f).values for f in fs],
                                threads))
 
 
@@ -756,7 +750,7 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
                 coincide |= images[i] == images[j]
         return int(ok.sum()), int((ok & coincide).sum())
 
-    partials = reduce_form_images(_cut_coeffs(sys), dom, tile_counts, threads)
+    partials = reduce_form_images(sys.cut, dom, tile_counts, threads)
     return fibre * sum(c for c, _ in partials), fibre * sum(g for _, g in partials)
 
 

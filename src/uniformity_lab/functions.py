@@ -7,7 +7,8 @@ Sign convention, fixed once and used by every identity in the package:
 
 i.e. averages on the physical side, sums on the frequency side.  The omega
 powers come from a single precomputed p-entry table so transforms are
-bit-reproducible run to run.
+bit-reproducible run to run.  A function's table is read-only, and its
+transform is computed once and kept on it (`GroupFunction.transform`).
 
 U^k norms have two paths, both built on the multiplicative derivative
 Delta_h g(x) = g(x) conj(g(x + h)) taken on the (p,)*n grid through the
@@ -49,7 +50,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -115,7 +116,9 @@ class GroupFunction:
     """Complex-valued function on F_p^n as a dense table in enumeration order.
 
     `exact` optionally carries a parallel table of Fractions (real rational
-    values) used as the oracle for the floating-point identities.
+    values) used as the oracle for the floating-point identities.  A table
+    must not change after construction: `values` is a read-only view (the
+    caller's array keeps its flags), so the kept `transform` stays valid.
     """
 
     domain: GroupDomain
@@ -123,9 +126,10 @@ class GroupFunction:
     exact: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.complex128)
+        v = np.asarray(self.values, dtype=np.complex128).view()
         if v.shape != (self.domain.size,):
             raise ValueError("value table does not match domain size")
+        v.flags.writeable = False
         object.__setattr__(self, "values", v)
         if self.exact is not None:
             if self.domain.size > EXACT_MODE_MAX_SIZE:
@@ -153,6 +157,13 @@ class GroupFunction:
     def character(cls, dom: GroupDomain, freq) -> "GroupFunction":
         """x -> omega^(s.x) for the frequency vector s."""
         return cls(domain=dom, values=_omega_table(dom.p)[dom.linear_values(freq)])
+
+    @cached_property
+    def transform(self) -> "GroupFunction":
+        """The Fourier transform of f (`fourier`), computed once and kept."""
+        dom = self.domain
+        arr = _dft_axes(self.values.reshape(dom.grid), _dft_matrix(dom.p))
+        return GroupFunction(domain=dom, values=arr.reshape(dom.size) / dom.size)
 
     def mean(self) -> complex:
         return complex(self.values.mean())
@@ -203,9 +214,7 @@ class IndicatorSet:
     def to_function(self) -> GroupFunction:
         exact = np.where(self.members, Fraction(1), Fraction(0)) \
             if self.domain.size <= EXACT_MODE_MAX_SIZE else None
-        return GroupFunction(domain=self.domain,
-                             values=self.members.astype(np.complex128),
-                             exact=exact)
+        return GroupFunction(domain=self.domain, values=self.members, exact=exact)
 
 
 def balanced(A: IndicatorSet) -> GroupFunction:
@@ -218,8 +227,7 @@ def balanced(A: IndicatorSet) -> GroupFunction:
     if A.domain.size <= EXACT_MODE_MAX_SIZE:
         exact = np.where(A.members, 1 - alpha, -alpha)
     values = A.members.astype(np.float64) - float(alpha)
-    return GroupFunction(domain=A.domain, values=values.astype(np.complex128),
-                         exact=exact)
+    return GroupFunction(domain=A.domain, values=values, exact=exact)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +242,8 @@ def _dft_axes(arr: np.ndarray, D: np.ndarray, first: int = 0) -> np.ndarray:
 
 
 def fourier(f: GroupFunction) -> GroupFunction:
-    dom = f.domain
-    arr = _dft_axes(f.values.reshape(dom.grid), _dft_matrix(dom.p))
-    return GroupFunction(domain=dom, values=arr.reshape(dom.size) / dom.size)
+    """The transform of f, kept on f (`GroupFunction.transform`)."""
+    return f.transform
 
 
 def inverse_fourier(fhat: GroupFunction) -> GroupFunction:
@@ -249,9 +256,8 @@ def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
     """(f*g)(x) = E_{y+z=x} f(y) g(z), computed through the transform."""
     if f.domain != g.domain:
         raise ValueError("functions live on different domains")
-    fh = fourier(f).values
-    gh = fourier(g).values
-    return inverse_fourier(GroupFunction(domain=f.domain, values=fh * gh))
+    return inverse_fourier(GroupFunction(
+        domain=f.domain, values=fourier(f).values * fourier(g).values))
 
 
 # ---------------------------------------------------------------------------
@@ -415,18 +421,15 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     return power_sum / Fraction(dom.size) ** (k + 1)
 
 
-def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None, *,
-                 _transform: GroupFunction | None = None) -> float:
+def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
     """U^k norm through the transform: E_{h_1..h_(k-2)} of the fourth power of
-    the U^2 norm of Delta_{h_1}...Delta_{h_(k-2)} f, to the 2^k-th root.  At
-    k = 2 a caller that already holds the transform of f passes it as
-    `_transform`."""
+    the U^2 norm of Delta_{h_1}...Delta_{h_(k-2)} f, to the 2^k-th root."""
     _check_k(k)
     dom = f.domain
     check_budget(uk_norm_fast_op_count(dom, k), budget,
                  what=f"fast U^{k} norm on size {dom.size}")
     if k == 2:
-        return u2_norm_fast(f) if _transform is None else _l4_norm(_transform)
+        return u2_norm_fast(f)
     N = dom.size
     D = _dft_matrix(dom.p)
 
@@ -443,12 +446,8 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None, *,
 
 def u2_norm_fast(f: GroupFunction) -> float:
     """U^2 norm through the transform: fourth root of sum_r |f^(r)|^4."""
-    return _l4_norm(fourier(f))
-
-
-def _l4_norm(fhat: GroupFunction) -> float:
-    """(sum_r |fhat(r)|^4)^(1/4), the U^2 norm of f read off its transform."""
-    mags = fhat.values.real**2 + fhat.values.imag**2
+    fhat = fourier(f).values
+    mags = fhat.real**2 + fhat.imag**2
     return float((mags**2).sum() ** 0.25)
 
 

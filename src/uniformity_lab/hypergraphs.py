@@ -47,14 +47,14 @@ class TripartiteFunction:
         return self.values.shape  # type: ignore[return-value]
 
 
-def octahedral_op_count(F: TripartiteFunction) -> int:
-    nx, ny, nz = F.sizes
+def octahedral_op_count(sizes: tuple[int, int, int]) -> int:
+    nx, ny, nz = sizes
     return (nx * ny * nz) ** 2
 
 
 def octahedral_power(F: TripartiteFunction, budget: int | None = None) -> float:
     """The 8-fold product expectation (the eighth power of the norm)."""
-    check_budget(octahedral_op_count(F), budget, what="octahedral norm")
+    check_budget(octahedral_op_count(F.sizes), budget, what="octahedral norm")
     vals = F.values
     nx, ny, nz = F.sizes
     total = 0.0
@@ -94,21 +94,26 @@ def symmetric_sign_function(n_x: int, rng: np.random.Generator) -> np.ndarray:
     return np.triu(upper) + np.triu(upper, 1).T
 
 
-def vertex_uniformity_counterexample(seed: int, n_x: int = 64) -> ExperimentReport:
+def vertex_uniformity_counterexample(seed: int, n_x: int = 64,
+                                     budget: int | None = None) -> ExperimentReport:
     """Exact double-edge average of H against 5/18, for the drawn u.
 
     The slack 0.16/sqrt(n_x) covers the sign-sum concentration plus the
     O(1/n_x) degenerate-tuple bias; at n_x = 64 it equals 0.02.  The density
-    check uses 1/sqrt(n_x).
+    check uses 1/sqrt(n_x).  The n_x^2 signs are priced before they are
+    drawn, and an n_x with 36 n_x^3 >= 2^63 raises ValueError (see below).
     """
+    check_budget(n_x * n_x, budget, what=f"counterexample on {n_x} vertices")
+    if 36 * n_x**3 >= 2**63:
+        raise ValueError(f"{n_x} vertices: a row sum of squared numerators "
+                         "could overflow int64")
     rng = np.random.default_rng(seed)
     u = symmetric_sign_function(n_x, rng)
     # E_z H(x,y,z) has integer numerator n_x*(3 + u(x,y)) + rowsum(x) + rowsum(y)
-    # over denominator 6*n_x; everything downstream stays exact.
+    # in [0, 6 n_x] over 6*n_x; its squares sum exactly, by int64 rows, then ints
     rowsum = u.sum(axis=1)
     numer = n_x * (3 + u) + rowsum[:, None] + rowsum[None, :]
-    value = Fraction(int((numer.astype(object) ** 2).sum()),
-                     36 * n_x**4)
+    value = Fraction(sum((numer * numer).sum(axis=1).tolist()), 36 * n_x**4)
     # each of the three u-terms contributes n_x * sum(u) to the total of 6*H
     density = Fraction(3 * n_x**3 + 3 * n_x * int(u.sum()), 6 * n_x**3)
     slack = 0.16 / n_x**0.5

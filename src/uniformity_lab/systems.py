@@ -6,10 +6,10 @@ complexity, normal-form witnesses, independence of the (k+1)-st powers of the
 forms, and the relation space of linear dependencies among the forms.
 
 A system's coefficients C are read-only, so the pivot columns of rref(C)
-(`pivots`), the relation space (`relations`, basis the nullspace of C^T), the
-ranks of all subsets of the forms (`subset_ranks`) and the elimination plans
-of the direct and dual sums (`direct_plan`, `dual_plan`) are computed once,
-on first use, and cached on the system for every caller.
+(`pivots`) and the pivot cut C[:, pivots] (`cut`), the relation space
+(`relations`, basis the nullspace of C^T), the ranks of all subsets of the
+forms (`subset_ranks`) and the elimination plans of the direct and dual sums
+(`direct_plan`, `dual_plan`) are computed once, on first use, and cached.
 
 Partition complexity is computed by exact branch-and-bound search over class
 assignments, with classes as bitmasks over the forms.  Every span test is one
@@ -86,6 +86,14 @@ class LinearFormSystem:
         return tuple(rref(self.coeffs, self.p)[1])
 
     @cached_property
+    def cut(self) -> np.ndarray:
+        """The pivot cut C[:, pivots], read-only, C itself at full rank d: the
+        other columns are fixed combinations of these in every row."""
+        cut = self.coeffs if len(self.pivots) == self.d else self.coeffs[:, list(self.pivots)]
+        cut.flags.writeable = False
+        return cut
+
+    @cached_property
     def relations(self) -> Subspace:
         """Subspace of coefficient vectors mu with sum_i mu_i L_i = 0, the
         nullspace of C^T; its basis is read-only like C."""
@@ -96,16 +104,16 @@ class LinearFormSystem:
     @cached_property
     def subset_ranks(self) -> list[int]:
         """rank[S] of every subset S of the forms, S a bitmask over form
-        indices (`_subset_ranks`)."""
-        return _subset_ranks(self)
+        indices: the rank table (`_rank_table`) of `cut`."""
+        return _rank_table(self.cut, self.p)
 
     @cached_property
     def direct_plan(self) -> tuple:
         """The elimination plan (`counting._plan`) of the direct sum over
-        G^(rank C): of the pivot cut C[:, pivots], from `subset_ranks`.  Its
-        arrays are read-only like C."""
-        from .counting import _cut_coeffs, _plan  # counting imports this module
-        return _plan(_cut_coeffs(self), self.p, self.subset_ranks)
+        G^(rank C): of `cut`, from `subset_ranks`.  Its arrays are read-only
+        like C."""
+        from .counting import _plan  # counting imports this module
+        return _plan(self.cut, self.p, self.subset_ranks)
 
     @cached_property
     def dual_plan(self) -> tuple:
@@ -133,13 +141,6 @@ def support(form: Sequence[int] | np.ndarray) -> frozenset[int]:
     """Indices (0-based) of the variables the form actually uses."""
     row = np.asarray(form)
     return frozenset(int(u) for u in np.nonzero(row)[0])
-
-
-def _subset_ranks(sys: LinearFormSystem) -> list[int]:
-    """The rank table (`_rank_table`) of the forms cut to the r pivot columns
-    `sys.pivots`: the other columns are fixed combinations of those, in every
-    row, so no subset's rank changes."""
-    return _rank_table(sys.coeffs[:, sys.pivots], sys.p)
 
 
 def _rank_table(C: np.ndarray, p: int) -> list[int]:

@@ -45,15 +45,14 @@ import numpy as np
 from .algebra import (QuadraticForm, as_fp_matrix, batched_rank_class,
                       nullspace, rank)
 from .budget import check_budget
-from .counting import (_check_inputs, _class_forms, _run_passes,
-                       average_product_direct, average_product_dual,
-                       direct_op_count, dual_op_count, quadratic_average,
-                       quadratic_zero_count, quadratic_zero_op_count,
-                       reduce_form_images)
+from .counting import (_check_average_budget, _check_inputs, _class_forms,
+                       _run_passes, average_product_direct,
+                       average_product_dual, direct_op_count, dual_op_count,
+                       quadratic_average, quadratic_zero_count,
+                       quadratic_zero_op_count, reduce_form_images)
 from .domains import GroupDomain, domain
-from .functions import (GroupFunction, IndicatorSet, fourier, omega_power,
-                        l2_norm, u2_norm_fast, uk_norm_fast,
-                        uk_norm_fast_op_count)
+from .functions import (GroupFunction, IndicatorSet, l2_norm, omega_power,
+                        u2_norm_fast, uk_norm_fast, uk_norm_fast_op_count)
 from .systems import (INFINITE, LinearFormSystem, cs_complexity,
                       maximal_square_independent_subsystem, power_independence)
 
@@ -300,9 +299,9 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     dual's frequency tuples (`average_product_dual`) when its operation count
     is below that of the direct sum over assignments, and over the
     assignments otherwise, ties included.  Both run on the same kernel, so
-    the two counts compare alike, and the budget is checked on the path that
-    runs.  At k = 1 on the dual side the U^2 norms read the transforms the
-    dual average sums over, so each function is transformed once."""
+    the two counts compare alike.  The average is priced on the path that
+    runs and taken after the norms, so every refusal comes before it.  The U^2
+    norms and a dual average read the transform each function keeps."""
     actual = cs_complexity(sys)
     if k is None:
         if actual == INFINITE:
@@ -317,16 +316,11 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
         if f.linf() > 1 + 1e-12:
             raise ValueError(f"function {i} exceeds the unit sup-norm bound")
     dom = _check_inputs(sys, fs)
-    transforms = None
-    if dual_op_count(sys, dom) < direct_op_count(sys, dom):
-        if k == 1:
-            transforms = [fourier(f) for f in fs]
-        lhs = abs(average_product_dual(sys, fs, budget=budget, threads=threads,
-                                       _transforms=transforms))
-    else:
-        lhs = abs(average_product_direct(sys, fs, budget=budget, threads=threads))
-    norms = [uk_norm_fast(f, k + 1, budget=budget, _transform=fh)
-             for f, fh in zip(fs, transforms or [None] * len(fs))]
+    dual = dual_op_count(sys, dom) < direct_op_count(sys, dom)
+    _check_average_budget(sys, dom, dual, budget)
+    norms = [uk_norm_fast(f, k + 1, budget=budget) for f in fs]
+    average = average_product_dual if dual else average_product_direct
+    lhs = abs(average(sys, fs, budget=budget, threads=threads))
     rhs = min(norms)
     rep = ExperimentReport(
         name="gvn",
@@ -476,7 +470,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
 
     With one form q(x) = x^T M x, zero targets and no side maps, the count
     is in closed form when `_use_gauss` says so.  The forms see x only
-    through C' = C[:, sys.pivots], the pivot columns, which are independent;
+    through C' = `sys.cut`, the pivot columns, which are independent;
     the other d - rank C variables are free and give p^(n(d - rank C)).  With
     C' of full column rank, gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) =
     0 for every variable, so x_u = K^T z_u for the basis K of ker gamma1
@@ -504,7 +498,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
         K = nullspace(factor.gamma1, p)
         form = K @ factor.gamma2.forms[0].M @ K.T
         return p ** (n * (d - len(sys.pivots))) * quadratic_zero_count(
-            sys.coeffs[:, sys.pivots], form, p, budget)
+            sys.cut, form, p, budget)
 
     dom = domain(p, n)
     check_budget(direct_op_count(sys, dom), budget,
@@ -728,7 +722,7 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
     When the factor is one homogeneous form q(x) = x^T M x (b = 0, d1 = 0),
     f1 = g o q with g the per-atom mean, and the average is taken in closed
     form when `_use_gauss` says so: `counting.quadratic_average` of the
-    system's pivot columns (the other variables drop out of an average) with
+    system's pivot cut (the other variables drop out of an average) with
     g for every form.  Otherwise every assignment is enumerated
     (`average_product_direct`).
     """
@@ -743,8 +737,8 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
                    and not factor.gamma2.forms[0].b.any())
     closed_ops = quadratic_zero_op_count(m, len(sys.pivots), n, p, weighted=True)
     if _use_gauss(homogeneous, closed_ops, m, d, p, n):
-        average = quadratic_average(sys.coeffs[:, sys.pivots], factor.gamma2.forms[0].M,
-                                    p, np.tile(means, (m, 1)), budget)
+        average = quadratic_average(sys.cut, factor.gamma2.forms[0].M, p,
+                                    np.tile(means, (m, 1)), budget)
     else:
         f1 = GroupFunction(domain=f.domain, values=means[codes])
         average = average_product_direct(sys, [f1] * m, budget=budget,

@@ -96,3 +96,20 @@ def test_every_class_member_is_read_or_kept():
                     if not name.startswith("__")
                     and not any(r[0] == name and r[1:] != (file, line) for r in read))
     assert unread == sorted(KEPT_UNREAD_MEMBERS)
+
+
+def test_no_function_takes_a_private_parameter():
+    """No function of the package takes a parameter whose name starts with
+    an underscore: a value one caller hands another through a private
+    parameter belongs with the object it derives from."""
+    private = []
+    for file, tree in package_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + \
+                    [x for x in (a.vararg, a.kwarg) if x is not None]
+                name = getattr(node, "name", "<lambda>")
+                private += [f"{file}:{name}.{x.arg}" for x in params
+                            if x.arg.startswith("_")]
+    assert private == []

@@ -11,11 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniformity_lab import algebra, cli, counting, systems, verification
+from uniformity_lab import (algebra, cli, counting, functions, hypergraphs,
+                            systems, verification)
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
-from uniformity_lab.functions import (IndicatorSet, balanced, save_function,
-                                      uk_norm)
+from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
+                                      save_function, uk_norm)
 from uniformity_lab.reports import validate_report
 from uniformity_lab.systems import BUILTIN_SYSTEM_NAMES, builtin_system
 from uniformity_lab.verification import quadratic_zero_set
@@ -317,6 +318,42 @@ def test_verify_refuses_over_budget_before_building(experiment, monkeypatch, cap
     assert "budget refusal" in capsys.readouterr().err
 
 
+def test_pythagoras_refuses_over_budget_before_building(monkeypatch, capsys):
+    # the fast U^3 norms at p = 3, n = 13 price 3^26 * (3 * 13 + 4) operations
+    def refuse_to_build(p, n):
+        raise AssertionError("quadzero set built before the budget check")
+
+    monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
+    assert main(["verify", "pythagoras", "--p", "3", "--n", "13"]) == 3
+    assert "fast U^3 norm on size 1594323" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("p,n", [(3, 5), (5, 4)])
+def test_lift_refuses_over_budget_before_building(p, n, monkeypatch, capsys):
+    # the octahedral norm of the N x N x N lift prices N^6 operations
+    def refuse_to_build(g):
+        raise AssertionError("lift built before the budget check")
+
+    monkeypatch.setattr(cli, "lift", refuse_to_build)
+    assert main(["octahedron", "--check", "lift", "--p", str(p), "--n", str(n)]) == 3
+    err = capsys.readouterr().err
+    assert f"operation count {p ** (6 * n)} for octahedral norm" in err
+
+
+def test_counterexample_refuses_over_budget_before_drawing(tmp_path, monkeypatch,
+                                                           capsys):
+    # the counterexample prices its n_x^2 table of signs
+    def refuse_to_draw(n_x, rng):
+        raise AssertionError("sign function drawn before the budget check")
+
+    argv = ["octahedron", "--check", "counterexample", "--size", "300", "--budget"]
+    with monkeypatch.context() as patch:
+        patch.setattr(hypergraphs, "symmetric_sign_function", refuse_to_draw)
+        assert main(argv + ["89999"]) == 3
+    assert "counterexample on 300 vertices" in capsys.readouterr().err
+    assert main(argv + ["90000", "--out", str(tmp_path / "c.json")]) == 0
+
+
 def test_each_job_derives_a_systems_invariants_once(monkeypatch, capsys):
     """Per job, the relation basis (the nullspace of C^T) is computed once
     and rref(C) at most once, whichever module asks for them."""
@@ -347,17 +384,18 @@ def test_each_job_derives_a_systems_invariants_once(monkeypatch, capsys):
 
 def test_verify_gvn_takes_its_k_from_one_subset_rank_table(monkeypatch, capsys):
     """Without --k, gvn runs at the system's partition complexity, found by
-    the one table build its precondition check makes."""
-    table = systems._subset_ranks
+    the one table build its precondition check makes: the system's
+    `subset_ranks`, the rank table of its pivot cut."""
+    table = systems._rank_table
     calls = []
 
-    def spy(sys_):
-        calls.append(sys_.name)
-        return table(sys_)
+    def spy(C, p):
+        calls.append(np.asarray(C).tolist())
+        return table(C, p)
 
-    monkeypatch.setattr(systems, "_subset_ranks", spy)
+    monkeypatch.setattr(systems, "_rank_table", spy)
     assert main(["verify", "gvn", "--system", "ap3", "--p", "5", "--n", "2"]) == 0
-    assert calls == ["ap3"]
+    assert calls == [builtin_system("ap3", 5).cut.tolist()]
     assert "gvn: pass" in capsys.readouterr().out
 
 
@@ -625,6 +663,32 @@ def test_count_both_plans_each_side_once(tmp_path, monkeypatch):
     assert planned == [gw6a.coeffs.tolist(), gw6a.relations.basis.T.tolist()]
     for plan_ in (gw6a.direct_plan, gw6a.dual_plan):
         assert all(not pass_.coeffs.flags.writeable for pass_ in plan_)
+
+
+@pytest.mark.parametrize("kind", ["quadzero", "indicator", "complex"])
+def test_count_both_transforms_its_function_once(kind, tmp_path, monkeypatch):
+    """The dual average of `count --method both` reads m copies of one
+    function, which keeps its transform: one whole-function transform."""
+    dom = domain(5, 2)
+    if kind == "quadzero":
+        ref = "quadzero"
+    else:
+        ref = str(tmp_path / f"{kind}.json")
+        rng = np.random.default_rng(71)
+        save_function(IndicatorSet(dom, rng.random(dom.size) < 0.4) if kind == "indicator"
+                      else GroupFunction(dom, np.exp(2j * rng.random(dom.size))), ref)
+    transforms = []
+    dft_axes = functions._dft_axes
+
+    def spy(arr, D, first=0):
+        transforms.append(first)
+        return dft_axes(arr, D, first)
+
+    monkeypatch.setattr(functions, "_dft_axes", spy)
+    code, report, _ = run(["count", "--system", "ap3", "--set", ref, "--p", "5",
+                           "--n", "2", "--method", "both"], tmp_path)
+    assert code == 0 and report["results"][-1]["passed"]
+    assert transforms == [0]
 
 
 def test_experiment_threads_reach_the_kernel(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +223,30 @@ def test_form_images_match_digitwise_oracle(monkeypatch, p, n, d):
             assert tile.shape[2] in widths
         flat = np.concatenate([tile.reshape(len(coeffs), -1) for tile in tiles], axis=1)
         assert flat.tolist() == images
+
+
+def test_tiles_come_back_in_order_at_any_thread_count(monkeypatch):
+    # 81 tiles of one row each (CHUNK = 16, N = 9, d = 3), every other one
+    # slowed, so that pooled workers finish out of order
+    p, n = 3, 2
+    N = p**n
+    dom = domain(p, n)
+    coeffs = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 1]])
+    monkeypatch.setattr(counting, "CHUNK", 16)
+    workers = set()
+
+    def reduce(images):
+        workers.add(threading.get_ident())
+        time.sleep(0.001 * (1 + images[1, 0, 0] % 2))
+        return images
+
+    naive = oracles.naive_form_images(coeffs.tolist(), p, n, 0, N**3)
+    for threads in (1, 2, 4):
+        workers.clear()
+        tiles = counting.reduce_form_images(coeffs, dom, reduce, threads)
+        assert len(tiles) == N**2 and (len(workers) > 1) == (threads > 1)
+        flat = np.concatenate([tile.reshape(len(coeffs), -1) for tile in tiles], axis=1)
+        assert flat.tolist() == naive
 
 
 def test_budget_refusal_names_required_count():

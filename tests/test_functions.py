@@ -72,6 +72,22 @@ def test_parseval_and_inversion():
         assert np.abs(inverse_fourier(fh).values - f.values).max() < 1e-9
 
 
+def test_values_are_read_only_and_the_transform_is_kept():
+    dom = domain(3, 2)
+    own = np.exp(1j * np.arange(dom.size, dtype=np.float64))
+    f = GroupFunction(domain=dom, values=own)
+    with pytest.raises(ValueError, match="read-only"):
+        f.values[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        f.values *= 2
+    # the caller's array keeps its flags; the table is a view of it
+    assert own.flags.writeable and np.shares_memory(own, f.values)
+    assert fourier(f) is f.transform and fourier(f) is fourier(f)
+    naive = oracles.naive_fourier(own, dom.digits, 3)
+    assert np.abs(fourier(f).values - naive).max() < 1e-12
+    assert not fourier(f).values.flags.writeable
+
+
 # ---------------------------------------------------------------- U^k norms
 
 def test_uk_norm_of_constant_is_the_constant():

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from uniformity_lab import hypergraphs
 from uniformity_lab.budget import BudgetExceededError
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
@@ -145,6 +146,30 @@ def test_counterexample_value_is_exact_rational():
     v = Fraction(rep.observed["double_edge_exact"])
     assert float(v) == rep.observed["double_edge_average"]
     assert v.denominator <= 36 * 16**4
+
+
+@pytest.mark.parametrize("seed,n_x", [(1, 1), (2, 7), (3, 64), (4, 101), (5, 250)])
+def test_counterexample_sums_exactly_in_int64(seed, n_x):
+    # the value against the squares summed as Python ints over the same u
+    rep = vertex_uniformity_counterexample(seed, n_x)
+    u = symmetric_sign_function(n_x, np.random.default_rng(seed)).astype(object)
+    rowsum = u.sum(axis=1)
+    numer = n_x * (3 + u) + rowsum[:, None] + rowsum[None, :]
+    exact = Fraction(int((numer**2).sum()), 36 * n_x**4)
+    assert Fraction(rep.observed["double_edge_exact"]) == exact
+
+
+def test_counterexample_refuses_before_drawing(monkeypatch):
+    def refuse_to_draw(n_x, rng):
+        raise AssertionError("sign function drawn before the checks")
+
+    monkeypatch.setattr(hypergraphs, "symmetric_sign_function", refuse_to_draw)
+    with pytest.raises(BudgetExceededError, match="counterexample on 300 vertices"):
+        vertex_uniformity_counterexample(1, 300, budget=300**2 - 1)
+    # 635129 is the largest n_x with 36 n_x^3 < 2^63, a row sum's bound
+    assert 36 * 635129**3 < 2**63 <= 36 * 635130**3
+    with pytest.raises(ValueError, match="overflow"):
+        vertex_uniformity_counterexample(1, 635130, budget=10**12)
 
 
 def counterexample_table(u):

@@ -12,7 +12,7 @@ from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, INFINITE,
                                     normal_form_check, power_independence,
                                     relation_space, save_system, support,
                                     _BUILTIN_ROWS, _min_partition_classes,
-                                    _power_matrix, _subset_ranks)
+                                    _power_matrix)
 
 import oracles
 
@@ -191,7 +191,7 @@ def test_subset_rank_table_matches_span_enumeration():
     for name in ("gw6a", "cube7"):
         sys_ = builtin_system(name, 5)
         rows = [list(map(int, r)) for r in sys_.coeffs]
-        ranks = _subset_ranks(sys_)
+        ranks = sys_.subset_ranks
         assert len(ranks) == 2 ** sys_.m
         for mask, r in enumerate(ranks):
             subset = [rows[j] for j in range(sys_.m) if mask >> j & 1]
@@ -208,7 +208,7 @@ def test_subset_rank_table_matches_span_enumeration():
                 d += 1
             sys_, relations = system_with_relations(rng, p, m, d)
             rows = [list(map(int, r)) for r in sys_.coeffs]
-            ranks = _subset_ranks(sys_)
+            ranks = sys_.subset_ranks
             assert len(ranks) == 2**m
             masks = set(range(2**m)) if m <= 6 else \
                 set(rng.integers(0, 2**m, size=48).tolist()) | {2**m - 1}
@@ -225,6 +225,23 @@ def test_subset_rank_table_matches_span_enumeration():
                 assert ranks[below | 1 << j] == ranks[below], (p, m, j)
 
 
+def test_cut_is_the_read_only_pivot_columns():
+    for name in BUILTIN_SYSTEM_NAMES:
+        sys_ = builtin_system(name, 7)
+        cut = sys_.cut
+        assert cut is sys_.cut and not cut.flags.writeable
+        if len(sys_.pivots) == sys_.d:
+            assert cut is sys_.coeffs
+        else:
+            assert cut.tolist() == sys_.coeffs[:, list(sys_.pivots)].tolist()
+            assert rank(cut, 7) == cut.shape[1] == len(sys_.pivots)
+    diff3, nf4 = builtin_system("diff3", 7), builtin_system("nf4", 7)
+    assert diff3.cut.tolist() == [[6, 1], [6, 0], [0, 6]]
+    assert nf4.pivots == (0, 1) and nf4.cut.tolist() == [[4, 5], [5, 6], [6, 0], [0, 1]]
+    with pytest.raises(ValueError, match="read-only"):
+        diff3.cut[0, 0] = 1
+
+
 def test_cs_complexity_at_large_primes():
     # the table and the search hold nothing of size p
     for p in (1000003, 2147483647):
@@ -235,7 +252,7 @@ def test_cs_complexity_at_large_primes():
     rng = np.random.default_rng(21)
     p = 2147483647
     sys_ = random_system(rng, p, 8, 5)
-    ranks = _subset_ranks(sys_)
+    ranks = sys_.subset_ranks
     for mask, r in enumerate(ranks):
         assert r == rank(sys_.coeffs[[j for j in range(8) if mask >> j & 1]], p)
 

@@ -202,23 +202,86 @@ def test_gvn_average_matches_the_direct_average(name, k, path, monkeypatch):
         assert abs(rep.observed["average_modulus"] - direct) <= 1e-12 * direct
 
 
+def spy_transforms(monkeypatch):
+    """Record the table of every whole-function transform (`_dft_axes` from
+    the first axis, as `GroupFunction.transform` runs it), passing the call
+    through."""
+    tables = []
+
+    def spy(arr, D, first=0, _dft_axes=functions._dft_axes):
+        if first == 0:
+            tables.append(arr)
+        return _dft_axes(arr, D, first)
+
+    monkeypatch.setattr(functions, "_dft_axes", spy)
+    return tables
+
+
+def times_transformed(tables, fs):
+    """How many of the recorded transforms read each function's table."""
+    return [sum(np.shares_memory(t, f.values) for t in tables) for f in fs]
+
+
 def test_gvn_transforms_each_function_once_on_the_dual_side(monkeypatch):
     # ap3 at k = 1 takes the dual average and the fast U^2 norms, which read
-    # the same transforms
+    # the transform each function keeps
     sys_ = builtin_system("ap3", 5)
-    rng = np.random.default_rng(69)
-    fs = [random_bounded_function(domain(5, 3), rng) for _ in range(sys_.m)]
-    expected = verify_gvn(sys_, fs, 1).to_dict()
-    transformed = []
 
-    def spy(f, _fourier=functions.fourier):
-        transformed.append(id(f))
-        return _fourier(f)
+    def draw():
+        rng = np.random.default_rng(69)
+        return [random_bounded_function(domain(5, 3), rng) for _ in range(sys_.m)]
 
-    for mod in (functions, counting, verification):
-        monkeypatch.setattr(mod, "fourier", spy, raising=False)
+    expected = verify_gvn(sys_, draw(), 1).to_dict()
+    fs = draw()
+    tables = spy_transforms(monkeypatch)
     assert verify_gvn(sys_, fs, 1).to_dict() == expected
-    assert sorted(transformed) == sorted(map(id, fs))
+    assert times_transformed(tables, fs) == [1] * sys_.m
+    assert len(tables) == sys_.m
+
+
+# A system of partition complexity 1 whose direct sum over 125^3
+# assignments ties the dual's 125^3 frequency tuples, so gvn at k = 1 takes
+# the direct average.
+DIRECT_K1_ROWS = [[0, 0, -2], [0, 1, 0], [-1, 0, 2], [-2, -1, 2], [-1, 1, -1],
+                  [2, 0, 2]]
+
+
+@pytest.mark.parametrize("rows,k,path,once", [
+    (DIRECT_K1_ROWS, 1, "average_product_direct", 1),  # the U^2 norms alone
+    ("ap3", 2, "average_product_dual", 1),             # the dual average alone
+    ("ap4", 2, "average_product_direct", 0),           # U^3 norms and a direct sum
+    ("cube7", 1, "average_product_dual", 1),           # both read one transform
+])
+def test_gvn_transforms_each_function_at_most_once(rows, k, path, once, monkeypatch):
+    sys_ = builtin_system(rows, 5) if isinstance(rows, str) else make(5, rows)
+    assert cs_complexity(sys_) <= k
+    rng = np.random.default_rng(70)
+    fs = [random_bounded_function(domain(5, 3), rng) for _ in range(sys_.m)]
+    taken = spy_averages(monkeypatch)
+    tables = spy_transforms(monkeypatch)
+    assert verify_gvn(sys_, fs, k).passed
+    assert taken == [path]
+    assert times_transformed(tables, fs) == [once] * sys_.m
+    assert len(tables) == once * sys_.m
+
+
+def test_gvn_prices_its_norms_before_the_average(monkeypatch, capsys):
+    """An unaffordable U^(k+1) norm is refused before the average runs; an
+    unaffordable average still reads as the average's refusal."""
+    def refuse_to_run(*args, **kwargs):
+        raise AssertionError("average taken before the norms were priced")
+
+    for name in ("average_product_direct", "average_product_dual"):
+        monkeypatch.setattr(verification, name, refuse_to_run)
+    for argv, what in (
+            (["--system", "gw6a", "--p", "7", "--n", "3", "--k", "4"],
+             "fast U^5 norm on size 343"),
+            (["--system", "ap3", "--p", "3", "--n", "12", "--k", "3"],
+             "fast U^4 norm on size 531441"),
+            (["--system", "ap3", "--p", "5", "--n", "3", "--budget", "374"],
+             "dual count over 125^1 frequency tuples")):
+        assert cli.main(["verify", "gvn"] + argv) == 3
+        assert what in capsys.readouterr().err
 
 
 def test_gvn_budget_prices_the_path_that_runs(capsys):
