@@ -23,20 +23,20 @@ from .counting import (DUAL_AGREEMENT_TOL, average_product_direct,
                        dual_op_count, quadratic_zero_count,
                        quadratic_zero_op_count)
 from .domains import domain
-from .functions import (IndicatorSet, balanced, load_function,
-                        random_bounded_function, uk_norm, uk_norm_fast,
-                        uk_norm_fast_op_count, uk_norm_op_count)
+from .functions import (IndicatorSet, _check_fast_budget, balanced,
+                        load_function, random_bounded_function, uk_norm,
+                        uk_norm_fast, uk_norm_fast_op_count, uk_norm_op_count)
 from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, conjectured_true_complexity,
                       cs_complexity, normal_form_check, power_independence,
                       resolve_system)
 from .verification import (ComplexityPreconditionError, SquareDependenceError,
-                           atom_distribution, dot_factor, gauss_sum_report,
-                           quadratic_zero_set, quadratic_zero_set_report,
-                           random_factor, verify_badex, verify_bound1,
-                           verify_completefactor, verify_gvn,
-                           verify_projection_lemmas, verify_pythagoras,
-                           verify_quadfactor)
+                           _price_gvn, atom_distribution, dot_factor,
+                           gauss_sum_report, quadratic_zero_set,
+                           quadratic_zero_set_report, random_factor,
+                           verify_badex, verify_bound1, verify_completefactor,
+                           verify_gvn, verify_projection_lemmas,
+                           verify_pythagoras, verify_quadfactor)
 from .hypergraphs import (lift, octahedral_norm, octahedral_op_count,
                           vertex_uniformity_counterexample)
 
@@ -449,6 +449,7 @@ def _experiment_reports(args) -> list:
         reports.append(verify_badex(sys_, n, budget=args.budget,
                                     threads=args.threads))
     if name in ("gvn", "all") and (sys_ := system("gvn", "ap3")):
+        _price_gvn(sys_, domain(p, n), args.k, args.budget)  # before drawing
         fs = [random_bounded_function(domain(p, n), rng) for _ in range(sys_.m)]
         reports.append(verify_gvn(sys_, fs, args.k, budget=args.budget,
                                   threads=args.threads))
@@ -471,9 +472,7 @@ def _experiment_reports(args) -> list:
         reports.append(verify_bound1(f, dot_factor(p, n), sys_, budget=args.budget,
                                      threads=args.threads))
     if name in ("pythagoras", "all"):
-        # refuse the fast U^3 norms before the set is built
-        check_budget(uk_norm_fast_op_count(domain(p, n), 3), args.budget,
-                     what=f"fast U^3 norm on size {p**n}")
+        _check_fast_budget(domain(p, n), 3, args.budget)  # before the set is built
         f = balanced(quadratic_zero_set(p, n)).scaled(0.5)
         reports.append(verify_pythagoras(f, 0.5, budget=args.budget))
     return reports

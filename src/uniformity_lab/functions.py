@@ -34,8 +34,8 @@ fixed number of entries:
   keeps the complex path.
   It is the independent side of every norm check: `norm --method direct`,
   the octahedron lift identity and the test suite use it.  `uk_power_exact`
-  is the same enumeration in Fractions, with plain row sums of the last
-  level of derivatives at its base.
+  is the same enumeration in Python ints on the integer table of a rational
+  f (`GroupFunction.exact`), with plain row sums of the last derivatives.
 * `uk_norm_fast` uses the same recursion, with the same pairing, and the
   Fourier base case ||g||_{U^2}^4 = sum_r |g^(r)|^4, transforming a block of
   derivatives over the last h at once.  It is the production path of
@@ -48,6 +48,7 @@ A budget guard refuses jobs whose operation count would run for hours.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -57,8 +58,6 @@ import numpy as np
 
 from .budget import check_budget
 from .domains import MAX_DOMAIN_SIZE, GroupDomain, domain
-
-EXACT_MODE_MAX_SIZE = 10**4
 
 # Caps on the entries of one block of the U^k norms' work, fixed so that a
 # value repeats bit for bit.  The direct norm's matrix products and gathers
@@ -115,15 +114,14 @@ def omega_power(p: int, e) -> np.ndarray | complex:
 class GroupFunction:
     """Complex-valued function on F_p^n as a dense table in enumeration order.
 
-    `exact` optionally carries a parallel table of Fractions (real rational
-    values) used as the oracle for the floating-point identities.  A table
-    must not change after construction: `values` is a read-only view (the
-    caller's array keeps its flags), so the kept `transform` stays valid.
-    """
+    `exact`, set by `from_rational` alone, is (F, D): f = F / D with F a
+    read-only object table of Python ints and D > 0 an int.  A table must
+    not change after construction: `values` is a read-only view (the
+    caller's array keeps its flags), so the kept `transform` stays valid."""
 
     domain: GroupDomain
     values: np.ndarray
-    exact: Optional[np.ndarray] = None
+    exact: Optional[tuple[np.ndarray, int]] = None
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.complex128).view()
@@ -131,13 +129,6 @@ class GroupFunction:
             raise ValueError("value table does not match domain size")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-        if self.exact is not None:
-            if self.domain.size > EXACT_MODE_MAX_SIZE:
-                raise ValueError("exact mode limited to domains of size <= 10^4")
-            e = np.asarray(self.exact, dtype=object)
-            if e.shape != (self.domain.size,):
-                raise ValueError("exact table does not match domain size")
-            object.__setattr__(self, "exact", e)
 
     @classmethod
     def from_values(cls, dom: GroupDomain, values: Sequence[complex]) -> "GroupFunction":
@@ -145,9 +136,13 @@ class GroupFunction:
 
     @classmethod
     def from_rational(cls, dom: GroupDomain, values: Sequence[Fraction]) -> "GroupFunction":
-        exact = np.array([Fraction(v) for v in values], dtype=object)
-        return cls(domain=dom, values=np.array([float(v) for v in exact]),
-                   exact=exact)
+        """`values` (any input `Fraction` takes) as F / D, D their least common
+        denominator; values[x] is the float nearest F[x] / D."""
+        fracs = [Fraction(v) for v in values]
+        D = math.lcm(*(v.denominator for v in fracs))
+        F = np.array([v.numerator * (D // v.denominator) for v in fracs], dtype=object)
+        F.flags.writeable = False
+        return cls(domain=dom, values=F / D, exact=(F, D))
 
     @classmethod
     def constant(cls, dom: GroupDomain, c: complex) -> "GroupFunction":
@@ -175,10 +170,7 @@ class GroupFunction:
         return GroupFunction(domain=self.domain, values=self.values + a)
 
     def scaled(self, c: complex) -> "GroupFunction":
-        exact = None
-        if self.exact is not None and isinstance(c, (int, Fraction)):
-            exact = np.array([v * Fraction(c) for v in self.exact], dtype=object)
-        return GroupFunction(domain=self.domain, values=self.values * c, exact=exact)
+        return GroupFunction(domain=self.domain, values=self.values * c)
 
 
 @dataclass(frozen=True)
@@ -212,22 +204,13 @@ class IndicatorSet:
         return Fraction(self.count, self.domain.size)
 
     def to_function(self) -> GroupFunction:
-        exact = np.where(self.members, Fraction(1), Fraction(0)) \
-            if self.domain.size <= EXACT_MODE_MAX_SIZE else None
-        return GroupFunction(domain=self.domain, values=self.members, exact=exact)
+        return GroupFunction(domain=self.domain, values=self.members)
 
 
 def balanced(A: IndicatorSet) -> GroupFunction:
-    """Recentre the indicator to mean zero: A(x) - density.
-
-    In exact mode the mean is zero as a rational number, not just to rounding.
-    """
-    alpha = A.density
-    exact = None
-    if A.domain.size <= EXACT_MODE_MAX_SIZE:
-        exact = np.where(A.members, 1 - alpha, -alpha)
-    values = A.members.astype(np.float64) - float(alpha)
-    return GroupFunction(domain=A.domain, values=values, exact=exact)
+    """Recentre the indicator to mean zero: A(x) - density."""
+    values = A.members.astype(np.float64) - float(A.density)
+    return GroupFunction(domain=A.domain, values=values)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +268,14 @@ def _check_k(k: int) -> None:
         raise ValueError("uniformity norms are defined for k >= 2")
 
 
+def _check_fast_budget(dom: GroupDomain, k: int, budget: int | None) -> None:
+    """Refuse the fast U^k norm on dom over budget (`uk_norm_fast`)."""
+    check_budget(uk_norm_fast_op_count(dom, k), budget,
+                 what=f"fast U^{k} norm on size {dom.size}")
+
+
 def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
-                    base: Callable[[np.ndarray], float | Fraction], *,
+                    base: Callable[[np.ndarray], float | int], *,
                     pad: int, entries: int, base_entries: int = 0):
     """sum over (h_1..h_depth) of base([Delta_{h_1}...Delta_{h_depth} g])
     with Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype,
@@ -401,10 +390,10 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
 
 
 def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fraction:
-    """Exact rational value of the U^k cube average (the 2^k-th power of the
-    norm) for real rational-valued f; the oracle for the float path.  The
-    U^2 cube sum at the base is sum_h (sum_x Delta_h g(x))^2, plain row sums
-    of Fractions over the last level of derivatives."""
+    """Exact U^k cube average (the 2^k-th power of the norm) of a rational
+    f = F / D (`exact`), the oracle for the float path: the same cube sums
+    on F in Python ints, sum_h (sum_x Delta_h g(x))^2 at the base as plain
+    row sums, divided once by D^(2^k) N^(k+1)."""
     if f.exact is None:
         raise ValueError("function carries no exact rational table")
     _check_k(k)
@@ -412,13 +401,14 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     check_budget(uk_norm_op_count(dom, k), budget,
                  what=f"exact U^{k} norm on size {dom.size}")
 
-    def square_sums(stack: np.ndarray) -> Fraction:
+    def square_sums(stack: np.ndarray) -> int:
         sums = stack.reshape(len(stack), -1).sum(axis=1)
         return (sums * sums).sum()
 
-    power_sum = _derivative_sum(dom, f.exact, k - 1, square_sums, pad=0,
+    F, D = f.exact
+    power_sum = _derivative_sum(dom, F, k - 1, square_sums, pad=0,
                                 entries=CUBE_BLOCK_ENTRIES)
-    return power_sum / Fraction(dom.size) ** (k + 1)
+    return Fraction(power_sum, D ** 2**k * dom.size ** (k + 1))
 
 
 def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
@@ -426,8 +416,7 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
     the U^2 norm of Delta_{h_1}...Delta_{h_(k-2)} f, to the 2^k-th root."""
     _check_k(k)
     dom = f.domain
-    check_budget(uk_norm_fast_op_count(dom, k), budget,
-                 what=f"fast U^{k} norm on size {dom.size}")
+    _check_fast_budget(dom, k, budget)
     if k == 2:
         return u2_norm_fast(f)
     N = dom.size
@@ -466,8 +455,9 @@ def save_function(obj: GroupFunction | IndicatorSet, path: str) -> None:
         doc = {"p": obj.domain.p, "n": obj.domain.n, "mode": "indicator",
                "members": np.stack(coords, axis=1).tolist()}
     elif obj.exact is not None:
+        F, D = obj.exact
         doc = {"p": obj.domain.p, "n": obj.domain.n, "mode": "rational",
-               "values": [str(v) for v in obj.exact]}
+               "values": [str(Fraction(a, D)) for a in F]}
     else:
         doc = {"p": obj.domain.p, "n": obj.domain.n, "mode": "complex",
                "values": [[float(v.real), float(v.imag)] for v in obj.values]}
@@ -485,7 +475,7 @@ def load_function(path: str) -> GroupFunction | IndicatorSet:
         if mode == "indicator":
             return IndicatorSet.from_member_vectors(dom, doc["members"])
         if mode == "rational":
-            return GroupFunction.from_rational(dom, [Fraction(s) for s in doc["values"]])
+            return GroupFunction.from_rational(dom, doc["values"])
         if mode == "complex":
             return GroupFunction.from_values(
                 dom, [complex(re, im) for re, im in doc["values"]])

@@ -264,27 +264,27 @@ def normal_form_check(sys: LinearFormSystem, s: int) -> Optional[NormalFormWitne
 
 
 def _power_matrix(sys: LinearFormSystem, k: int) -> np.ndarray:
-    """(m, M) matrix whose row i is the (k+1)-st power of form i, one column
-    per degree-(k+1) monomial x_u1 ... x_u(k+1) (u1 <= ... <= u(k+1)), of
-    which there are M = C(d + k, k + 1): the column is the product of the
-    coefficient columns C[:, u1] ... C[:, u(k+1)], reduced mod p after each
-    factor.
+    """(m, M) matrix whose row i is the (k+1)-st power of form i over the
+    r = rank C columns of the pivot cut (C = cut T with T onto, so these
+    powers obey the relations of the powers in all d variables), one column
+    per monomial y_u1 ... y_u(k+1) (u1 <= ... <= u(k+1)), M = C(r + k, k + 1)
+    of them: the cut's columns u1 ... u(k+1) multiplied, mod p after each.
 
     The multinomial factor of each monomial is left out.  It divides (k+1)!,
     a unit mod p when p > k + 1, so leaving it out scales columns by units,
     which keeps the rank and, on the transpose, the pivot columns.  The
     matrix costs about m M (k + 1) products to build and m M m to eliminate,
     and is refused over budget before it is allocated."""
-    m, d, p = sys.m, sys.d, sys.p
-    size = math.comb(d + k, k + 1)
+    cut, m, p, r = sys.cut, sys.m, sys.p, len(sys.pivots)
+    size = math.comb(r + k, k + 1)
     check_budget(m * size * (k + 1 + m),
                  what=f"order-{k + 1} power matrix of {m} x {size}")
     monomials = np.fromiter(
-        chain.from_iterable(combinations_with_replacement(range(d), k + 1)),
+        chain.from_iterable(combinations_with_replacement(range(r), k + 1)),
         dtype=np.intp, count=size * (k + 1)).reshape(size, k + 1)
-    P = sys.coeffs[:, monomials[:, 0]]
+    P = cut[:, monomials[:, 0]]
     for u in monomials[:, 1:].T:
-        P = P * sys.coeffs[:, u] % p
+        P = P * cut[:, u] % p
     return P
 
 

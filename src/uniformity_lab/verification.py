@@ -51,8 +51,9 @@ from .counting import (_check_average_budget, _check_inputs, _class_forms,
                        quadratic_average, quadratic_zero_count,
                        quadratic_zero_op_count, reduce_form_images)
 from .domains import GroupDomain, domain
-from .functions import (GroupFunction, IndicatorSet, l2_norm, omega_power,
-                        u2_norm_fast, uk_norm_fast, uk_norm_fast_op_count)
+from .functions import (GroupFunction, IndicatorSet, _check_fast_budget,
+                        l2_norm, omega_power, u2_norm_fast, uk_norm_fast,
+                        uk_norm_fast_op_count)
 from .systems import (INFINITE, LinearFormSystem, cs_complexity,
                       maximal_square_independent_subsystem, power_independence)
 
@@ -287,6 +288,26 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
 # ---------------------------------------------------------------------------
 # Generalized von Neumann inequality.
 
+def _price_gvn(sys: LinearFormSystem, dom: GroupDomain, k: int | None,
+               budget: int | None) -> tuple[int, float, bool]:
+    """(k, complexity, dual) of `verify_gvn` on dom, or its refusal, with
+    nothing allocated: the precondition, then the average's price on the
+    side that runs, then the fast U^(k+1) norms' price."""
+    actual = cs_complexity(sys)
+    if k is None and actual == INFINITE:
+        raise ComplexityPreconditionError(
+            "system has infinite partition complexity (two parallel "
+            "forms): no U^k norm controls its average")
+    k = int(actual) if k is None else k
+    if not actual <= k:
+        raise ComplexityPreconditionError(
+            f"system has partition complexity {actual}, need <= {k}")
+    dual = dual_op_count(sys, dom) < direct_op_count(sys, dom)
+    _check_average_budget(sys, dom, dual, budget)
+    _check_fast_budget(dom, k + 1, budget)
+    return k, actual, dual
+
+
 def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
                k: int | None = None, budget: int | None = None,
                threads: int = 1) -> ExperimentReport:
@@ -298,26 +319,15 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     sum `uk_norm` stays the suite's cross-check.  The average sums over the
     dual's frequency tuples (`average_product_dual`) when its operation count
     is below that of the direct sum over assignments, and over the
-    assignments otherwise, ties included.  Both run on the same kernel, so
-    the two counts compare alike.  The average is priced on the path that
-    runs and taken after the norms, so every refusal comes before it.  The U^2
-    norms and a dual average read the transform each function keeps."""
-    actual = cs_complexity(sys)
-    if k is None:
-        if actual == INFINITE:
-            raise ComplexityPreconditionError(
-                "system has infinite partition complexity (two parallel "
-                "forms): no U^k norm controls its average")
-        k = int(actual)
-    if not actual <= k:
-        raise ComplexityPreconditionError(
-            f"system has partition complexity {actual}, need <= {k}")
+    assignments otherwise, ties included (one kernel runs both, so the
+    counts compare alike); the average and the norms are priced first
+    (`_price_gvn`).  The U^2 norms and a dual average read the transform
+    each function keeps."""
+    dom = _check_inputs(sys, fs)
+    k, actual, dual = _price_gvn(sys, dom, k, budget)
     for i, f in enumerate(fs):
         if f.linf() > 1 + 1e-12:
             raise ValueError(f"function {i} exceeds the unit sup-norm bound")
-    dom = _check_inputs(sys, fs)
-    dual = dual_op_count(sys, dom) < direct_op_count(sys, dom)
-    _check_average_budget(sys, dom, dual, budget)
     norms = [uk_norm_fast(f, k + 1, budget=budget) for f in fs]
     average = average_product_dual if dual else average_product_direct
     lhs = abs(average(sys, fs, budget=budget, threads=threads))

@@ -328,6 +328,17 @@ def test_pythagoras_refuses_over_budget_before_building(monkeypatch, capsys):
     assert "fast U^3 norm on size 1594323" in capsys.readouterr().err
 
 
+def test_gvn_refuses_over_budget_before_drawing(monkeypatch, capsys):
+    # the fast U^4 norms at p = 3, n = 12 price 3^36 * (3 * 12 + 4) operations
+    def refuse_to_draw(dom, rng, kind="uniform"):
+        raise AssertionError("functions drawn before the budget check")
+
+    monkeypatch.setattr(cli, "random_bounded_function", refuse_to_draw)
+    argv = ["verify", "gvn", "--system", "ap3", "--p", "3", "--n", "12", "--k", "3"]
+    assert main(argv) == 3
+    assert "fast U^4 norm on size 531441" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("p,n", [(3, 5), (5, 4)])
 def test_lift_refuses_over_budget_before_building(p, n, monkeypatch, capsys):
     # the octahedral norm of the N x N x N lift prices N^6 operations
@@ -417,12 +428,14 @@ def test_d1_above_n_is_a_config_error(experiment, capsys):
 
 def test_power_matrix_over_budget_is_refused_before_it_is_built(
         tmp_path, monkeypatch, capsys):
-    """Three forms in 10 variables, two of them parallel, so that no order
-    is independent: under a budget of 1000 the squares (3 x 55, priced
-    3 * 55 * 5 = 825) are built and the cubes (3 x 220) are refused."""
+    """Six forms of rank 5 in 10 variables, two of them parallel, so that no
+    order is independent: under a budget of 1000 the squares over the
+    5-column pivot cut (6 x 15, priced 6 * 15 * 8 = 720) are built and the
+    cubes (6 x 35) are refused."""
     path = tmp_path / "wide.json"
     forms = [[1, 2, 0, 3, 0, 1, 0, 0, 4, 1], [2, 4, 0, 6, 0, 2, 0, 0, 8, 2],
-             [0, 1, 1, 0, 1, 0, 1, 1, 0, 0]]
+             [0, 1, 1, 0, 1, 0, 1, 1, 0, 0], [0, 0, 1, 0, 0, 0, 0, 0, 0, 5],
+             [0, 0, 0, 1, 0, 0, 2, 0, 0, 0], [3, 0, 0, 0, 0, 1, 0, 0, 0, 0]]
     path.write_text(json.dumps({"p": 13, "d": 10, "forms": forms}))
     orders = []
     monomials = systems.combinations_with_replacement
@@ -434,7 +447,7 @@ def test_power_matrix_over_budget_is_refused_before_it_is_built(
     monkeypatch.setattr(systems, "combinations_with_replacement", spy)
     monkeypatch.setenv("UNIFORMITY_LAB_BUDGET", "1000")
     assert main(["independence", "--system", str(path), "--p", "13"]) == 3
-    assert "order-3 power matrix of 3 x 220" in capsys.readouterr().err
+    assert "order-3 power matrix of 6 x 35" in capsys.readouterr().err
     assert orders == [2]
 
 

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from uniformity_lab.budget import BudgetExceededError
+from uniformity_lab.cli import main
 from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab import functions
 from uniformity_lab.domains import GroupDomain, _add_table, _digits, domain
@@ -301,9 +303,9 @@ def test_uk_norm_peak_memory(p, n, k, complex_valued):
 def test_exact_uk_power_equals_naive_fraction(p, n, k):
     dom = domain(p, n)
     rng = np.random.default_rng(41 + p * n * k)
-    f = GroupFunction.from_rational(
-        dom, [Fraction(int(v), 5) for v in rng.integers(-5, 6, dom.size)])
-    assert uk_power_exact(f, k) == oracles.naive_uk_power(list(f.exact), p, n, k)
+    fracs = [Fraction(int(v), 5) for v in rng.integers(-5, 6, dom.size)]
+    f = GroupFunction.from_rational(dom, fracs)
+    assert uk_power_exact(f, k) == oracles.naive_uk_power(fracs, p, n, k)
 
 
 @pytest.mark.parametrize("k", [3, 4])
@@ -338,6 +340,13 @@ def test_direct_fast_and_exact_uk_agree():
     for p, n, k in [(3, 3, 2), (3, 3, 3), (5, 2, 3), (3, 2, 4), (5, 1, 5)]:
         f = random_function(domain(p, n), rng)
         assert abs(uk_norm(f, k) - uk_norm_fast(f, k)) < 1e-12
+    for p, n, k in [(5, 3, 3), (3, 4, 3)]:
+        dom = domain(p, n)
+        fracs = [Fraction(int(v), 7) for v in rng.integers(-7, 8, dom.size)]
+        f = GroupFunction.from_rational(dom, fracs)
+        exact = float(uk_power_exact(f, k))
+        assert abs(uk_norm(f, k) ** 2**k - exact) <= 1e-12 * exact
+        assert abs(uk_norm_fast(f, k) ** 2**k - exact) <= 1e-12 * exact
 
 
 def test_fast_uk_at_two_is_u2_norm_fast():
@@ -493,8 +502,9 @@ def test_balanced_quadratic_zero_set_values():
     A = quadratic_zero_set(5, 2)
     assert A.count == 9
     f = balanced(A)
-    assert sum(f.exact) == 0  # mean zero exactly, as rationals
-    assert set(f.exact) == {Fraction(-9, 25), Fraction(16, 25)}
+    assert f.exact is None
+    assert set(f.values) == {-9 / 25, 16 / 25}
+    assert abs(f.mean()) < 1e-15
 
 
 def test_member_vectors_build_the_exact_tables():
@@ -503,9 +513,9 @@ def test_member_vectors_build_the_exact_tables():
     A = IndicatorSet.from_member_vectors(dom, [[0, 1], [7, -1], [2, 4]])
     _, index = oracles.naive_points(5, 2)
     assert np.flatnonzero(A.members).tolist() == sorted([index[0, 1], index[2, 4]])
-    assert list(A.to_function().exact) == [Fraction(int(b)) for b in A.members]
-    assert list(balanced(A).exact) == [Fraction(int(b)) - Fraction(2, 25)
-                                       for b in A.members]
+    assert A.to_function().exact is None and balanced(A).exact is None
+    assert A.to_function().values.tolist() == [float(b) for b in A.members]
+    assert balanced(A).values.tolist() == [float(b) - 2 / 25 for b in A.members]
     assert IndicatorSet.from_member_vectors(dom, []).count == 0
     for bad in ([[1, 2, 3]], [[1], [2]], [1, 2], [[1, 2], [3]]):
         with pytest.raises(ValueError):
@@ -527,12 +537,46 @@ def test_function_file_roundtrips(tmp_path):
     fr = GroupFunction.from_rational(dom, [Fraction(i - 4, 9) for i in range(9)])
     save_function(fr, str(path))
     g = load_function(str(path))
-    assert list(g.exact) == list(fr.exact)
+    assert [Fraction(a, g.exact[1]) for a in g.exact[0]] == \
+        [Fraction(a, fr.exact[1]) for a in fr.exact[0]]
 
     A = quadratic_zero_set(3, 2)
     save_function(A, str(path))
     B = load_function(str(path))
     assert isinstance(B, IndicatorSet) and (B.members == A.members).all()
+
+
+def test_rational_file_above_ten_thousand_points_roundtrips(tmp_path):
+    # 3^9 = 19683 points: loaded into one integer table over the common
+    # denominator, whatever the size, and saved back to the same strings
+    dom = domain(3, 9)
+    rng = np.random.default_rng(44)
+    strings = [str(Fraction(int(a), int(b))) for a, b in
+               zip(rng.integers(-9, 10, dom.size), rng.integers(1, 10, dom.size))]
+    path, again = tmp_path / "f.json", tmp_path / "g.json"
+    path.write_text(json.dumps({"p": 3, "n": 9, "mode": "rational", "values": strings}))
+    f = load_function(str(path))
+    F, D = f.exact
+    assert [str(Fraction(a, D)) for a in F] == strings
+    assert f.values.tolist() == [float(Fraction(v)) for v in strings]
+    save_function(f, str(again))
+    assert json.loads(again.read_text())["values"] == strings
+    assert main(["norm", "--function", str(path), "--k", "2", "--method", "fast",
+                 "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_exact_table_is_read_only_and_only_rationals_carry_one():
+    f = GroupFunction.from_rational(domain(3, 1), [Fraction(1, 2), 2, Fraction(-1, 3)])
+    F, D = f.exact
+    assert D == 6 and F.tolist() == [3, 12, -2]
+    assert all(type(a) is int for a in F)
+    with pytest.raises(ValueError):
+        F[0] = 1
+    A = quadratic_zero_set(3, 2)
+    for g in (A.to_function(), balanced(A), f.scaled(2)):
+        assert g.exact is None
+        with pytest.raises(ValueError, match="no exact rational table"):
+            uk_power_exact(g, 2)
 
 
 def test_indicator_density_exact():

@@ -377,9 +377,11 @@ def _power_cases():
 
 
 def test_power_matrix_matches_multinomial_rows():
-    """The monomial-product power matrix against the multinomial coefficient
-    rows, at every order k with k + 1 < p and k <= m: the same rank, and the
-    same pivot columns on the transposes (the forms kept by a greedy scan)."""
+    """The monomial-product power matrix, over the pivot cut's rank C
+    variables, against the multinomial coefficient rows over all d
+    variables, at every order k with k + 1 < p and k <= m: the same rank,
+    and the same pivot columns on the transposes (the forms kept by a greedy
+    scan)."""
     dependent = 0
     for rows in _power_cases():
         for p in (5, 7, 11, 13):
@@ -387,7 +389,8 @@ def test_power_matrix_matches_multinomial_rows():
             for k in range(1, min(sys_.m, p - 2) + 1):
                 P = _power_matrix(sys_, k)
                 oracle = oracles.naive_power_rows(rows, k, p)
-                assert P.shape == (sys_.m, len(oracle[0])), (rows, p, k)
+                width = math.comb(len(sys_.pivots) + k, k + 1)
+                assert P.shape == (sys_.m, width), (rows, p, k)
                 r = oracles.naive_rank(oracle, p)
                 assert rank(P, p) == r, (rows, p, k)
                 assert rref(P.T, p)[1] == rref(np.array(oracle).T, p)[1], (rows, p, k)
@@ -425,6 +428,10 @@ def test_conjectured_true_complexity_examples():
     assert conjectured_true_complexity(builtin_system("gw6b", 5)) == 1
     assert conjectured_true_complexity(make(5, [[1, 0]])) == 1
     assert conjectured_true_complexity(make(5, [[1], [2]])) is None
+    # x + i y (i = 0..11) in 10 variables: powers of 12 binary forms, over
+    # a pivot cut of 2 columns; independent from order k + 1 = 11 on
+    assert conjectured_true_complexity(
+        make(13, [[1, i] + [0] * 8 for i in range(12)])) == 10
 
 
 def test_power_independence_monotone_on_library():
