@@ -449,10 +449,10 @@ def _experiment_reports(args) -> list:
         reports.append(verify_badex(sys_, n, budget=args.budget,
                                     threads=args.threads))
     if name in ("gvn", "all") and (sys_ := system("gvn", "ap3")):
-        _price_gvn(sys_, domain(p, n), args.k, args.budget)  # before drawing
+        priced = _price_gvn(sys_, domain(p, n), args.k, args.budget)  # before drawing
         fs = [random_bounded_function(domain(p, n), rng) for _ in range(sys_.m)]
-        reports.append(verify_gvn(sys_, fs, args.k, budget=args.budget,
-                                  threads=args.threads))
+        reports.append(verify_gvn(sys_, fs, budget=args.budget,
+                                  threads=args.threads, priced=priced))
     if name in ("atoms", "all"):
         factor = random_factor(p, n, args.d1, args.d2, rng)
         reports.append(atom_distribution(factor, budget=args.budget))

@@ -135,11 +135,19 @@ class GroupFunction:
         return cls(domain=dom, values=np.asarray(values, dtype=np.complex128))
 
     @classmethod
-    def from_rational(cls, dom: GroupDomain, values: Sequence[Fraction]) -> "GroupFunction":
+    def from_rational(cls, dom: GroupDomain,
+                      values: Sequence[Fraction | int | str]) -> "GroupFunction":
         """`values` (any input `Fraction` takes) as F / D, D their least common
-        denominator; values[x] is the float nearest F[x] / D."""
+        denominator; values[x] is the float nearest F[x] / D.  D grows with N
+        when the denominators are distinct primes, so F is refused before it
+        is built when it would hold over 2^30 bits (128 MB)."""
         fracs = [Fraction(v) for v in values]
-        D = math.lcm(*(v.denominator for v in fracs))
+        D = 1
+        for q in {v.denominator for v in fracs}:
+            D = math.lcm(D, q)
+            if len(fracs) * D.bit_length() > 2**30:
+                raise ValueError(f"the common denominator of {len(fracs)} rational "
+                                 "values makes an integer table above 2^30 bits")
         F = np.array([v.numerator * (D // v.denominator) for v in fracs], dtype=object)
         F.flags.writeable = False
         return cls(domain=dom, values=F / D, exact=(F, D))
@@ -384,8 +392,7 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
                                 lambda stack: _cube_sum(dom, stack, trailing),
                                 pad=1, entries=CUBE_BLOCK_ENTRIES, base_entries=entries)
     # |sum_x|^2 contributes N^2 and the k-1 outer averages contribute N^(k-1)
-    power = float(power_sum) / dom.size ** (k + 1)
-    power = max(power, 0.0)
+    power = max(float(power_sum) / dom.size ** (k + 1), 0.0)
     return float(power ** (1.0 / 2**k))
 
 
@@ -398,8 +405,7 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
         raise ValueError("function carries no exact rational table")
     _check_k(k)
     dom = f.domain
-    check_budget(uk_norm_op_count(dom, k), budget,
-                 what=f"exact U^{k} norm on size {dom.size}")
+    check_budget(uk_norm_op_count(dom, k), budget, what=f"exact U^{k} norm on size {dom.size}")
 
     def square_sums(stack: np.ndarray) -> int:
         sums = stack.reshape(len(stack), -1).sum(axis=1)

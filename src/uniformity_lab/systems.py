@@ -264,17 +264,14 @@ def normal_form_check(sys: LinearFormSystem, s: int) -> Optional[NormalFormWitne
 
 
 def _power_matrix(sys: LinearFormSystem, k: int) -> np.ndarray:
-    """(m, M) matrix whose row i is the (k+1)-st power of form i over the
-    r = rank C columns of the pivot cut (C = cut T with T onto, so these
-    powers obey the relations of the powers in all d variables), one column
-    per monomial y_u1 ... y_u(k+1) (u1 <= ... <= u(k+1)), M = C(r + k, k + 1)
-    of them: the cut's columns u1 ... u(k+1) multiplied, mod p after each.
-
-    The multinomial factor of each monomial is left out.  It divides (k+1)!,
-    a unit mod p when p > k + 1, so leaving it out scales columns by units,
-    which keeps the rank and, on the transpose, the pivot columns.  The
-    matrix costs about m M (k + 1) products to build and m M m to eliminate,
-    and is refused over budget before it is allocated."""
+    """(m, M) matrix whose row i is the (k+1)-st power of form i in the
+    r = rank C variables of the pivot cut (C = cut T, T onto, so the powers
+    keep their relations), one column per monomial y_u1 ... y_u(k+1)
+    (u1 <= ... <= u(k+1)), M = C(r + k, k + 1): the cut's columns multiplied,
+    mod p after each.  The multinomial factors divide (k+1)!, units mod p
+    when p > k + 1, so leaving them out keeps the rank and, on the
+    transpose, the pivot columns.  Building and eliminating cost about
+    m M (k + 1 + m), refused over budget before allocation."""
     cut, m, p, r = sys.cut, sys.m, sys.p, len(sys.pivots)
     size = math.comb(r + k, k + 1)
     check_budget(m * size * (k + 1 + m),

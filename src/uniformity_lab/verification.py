@@ -290,9 +290,8 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
 
 def _price_gvn(sys: LinearFormSystem, dom: GroupDomain, k: int | None,
                budget: int | None) -> tuple[int, float, bool]:
-    """(k, complexity, dual) of `verify_gvn` on dom, or its refusal, with
-    nothing allocated: the precondition, then the average's price on the
-    side that runs, then the fast U^(k+1) norms' price."""
+    """(k, complexity, dual) of `verify_gvn` on dom, or its refusal before any
+    allocation: the precondition, the average's price, the norms' price."""
     actual = cs_complexity(sys)
     if k is None and actual == INFINITE:
         raise ComplexityPreconditionError(
@@ -309,22 +308,20 @@ def _price_gvn(sys: LinearFormSystem, dom: GroupDomain, k: int | None,
 
 
 def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-               k: int | None = None, budget: int | None = None,
-               threads: int = 1) -> ExperimentReport:
+               k: int | None = None, budget: int | None = None, threads: int = 1,
+               *, priced: tuple[int, float, bool] | None = None) -> ExperimentReport:
     """|E prod_i f_i(L_i(x))| <= min_i U^(k+1)(f_i) for bounded f_i, provided
     the system's partition complexity is at most k; k = None takes that
     complexity itself, and refuses an infinite one (two parallel forms).
 
-    The norms are the fast U^(k+1) norms (`uk_norm_fast`); the direct cube
-    sum `uk_norm` stays the suite's cross-check.  The average sums over the
-    dual's frequency tuples (`average_product_dual`) when its operation count
-    is below that of the direct sum over assignments, and over the
-    assignments otherwise, ties included (one kernel runs both, so the
-    counts compare alike); the average and the norms are priced first
-    (`_price_gvn`).  The U^2 norms and a dual average read the transform
-    each function keeps."""
-    dom = _check_inputs(sys, fs)
-    k, actual, dual = _price_gvn(sys, dom, k, budget)
+    The norms are the fast U^(k+1) norms (`uk_norm_fast`; the direct `uk_norm`
+    is the suite's cross-check).  The average sums over the dual's frequency
+    tuples (`average_product_dual`) when that counts fewer operations than
+    the direct sum over assignments, ties going direct (one kernel runs
+    both, so the counts compare alike).  Both are priced first by
+    `_price_gvn`, whose result a caller that priced before drawing fs passes
+    as `priced`.  The U^2 norms and a dual average read the kept transforms."""
+    k, actual, dual = priced or _price_gvn(sys, _check_inputs(sys, fs), k, budget)
     for i, f in enumerate(fs):
         if f.linf() > 1 + 1e-12:
             raise ValueError(f"function {i} exceeds the unit sup-norm bound")

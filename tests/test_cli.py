@@ -396,17 +396,24 @@ def test_each_job_derives_a_systems_invariants_once(monkeypatch, capsys):
 def test_verify_gvn_takes_its_k_from_one_subset_rank_table(monkeypatch, capsys):
     """Without --k, gvn runs at the system's partition complexity, found by
     the one table build its precondition check makes: the system's
-    `subset_ranks`, the rank table of its pivot cut."""
-    table = systems._rank_table
-    calls = []
+    `subset_ranks`, the rank table of its pivot cut.  The job is priced
+    once, so the precondition's complexity search runs once."""
+    table, complexity = systems._rank_table, verification.cs_complexity
+    calls, searches = [], []
 
     def spy(C, p):
         calls.append(np.asarray(C).tolist())
         return table(C, p)
 
+    def count_search(sys_):
+        searches.append(sys_.name)
+        return complexity(sys_)
+
     monkeypatch.setattr(systems, "_rank_table", spy)
+    monkeypatch.setattr(verification, "cs_complexity", count_search)
     assert main(["verify", "gvn", "--system", "ap3", "--p", "5", "--n", "2"]) == 0
     assert calls == [builtin_system("ap3", 5).cut.tolist()]
+    assert searches == ["ap3"]
     assert "gvn: pass" in capsys.readouterr().out
 
 

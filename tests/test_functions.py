@@ -2,6 +2,7 @@ import json
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -563,6 +564,31 @@ def test_rational_file_above_ten_thousand_points_roundtrips(tmp_path):
     assert json.loads(again.read_text())["values"] == strings
     assert main(["norm", "--function", str(path), "--k", "2", "--method", "fast",
                  "--out", str(tmp_path / "r.json")]) == 0
+
+
+def test_rational_file_with_distinct_prime_denominators_is_refused(
+        tmp_path, monkeypatch, capsys):
+    # 1/q over the first 3^9 primes: the common denominator would take about
+    # 330,000 bits and the integer table 19683 times that, so the load is
+    # refused (exit 2) before the table is built
+    sieve = np.ones(230_000, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 480):
+        if sieve[i]:
+            sieve[i * i::i] = False
+    primes = np.flatnonzero(sieve)[:3**9]
+    assert len(primes) == 3**9
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"p": 3, "n": 9, "mode": "rational",
+                                "values": [f"1/{q}" for q in primes]}))
+
+    def no_table(*args, **kwargs):
+        raise AssertionError("integer table built")
+
+    monkeypatch.setattr(functions, "np", SimpleNamespace(array=no_table))
+    assert main(["norm", "--function", str(path), "--k", "2",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "integer table above 2^30 bits" in capsys.readouterr().err
 
 
 def test_exact_table_is_read_only_and_only_rationals_carry_one():
