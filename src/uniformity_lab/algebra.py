@@ -118,7 +118,7 @@ def _diagonal_pivot(A: np.ndarray, c: int, p: int) -> None:
     k = np.nonzero((A[:, c, c] == 0) & below.any(axis=1))[0]
     if not k.size:
         return
-    i = c + 1 + below[k].argmax(axis=1)
+    i = c + 1 + (below[k] != 0).argmax(axis=1)
     t = np.where((A[k, i, i] + 2 * A[k, i, c]) % p == 0, p - 1, 1)[:, None]
     A[k, c, :] = (A[k, c, :] + t * A[k, i, :]) % p
     A[k, :, c] = (A[k, :, c] + t * A[k, :, i]) % p

@@ -4,6 +4,12 @@ One command per process.  Every command echoes its configuration (seed
 included) into a versioned JSON report; identical configuration and seed
 give byte-identical reports.  Exit status: 0 when every check passes, 1 on
 a failed assertion, 2 on configuration or parse errors, 3 on budget refusal.
+
+A command line whose first word names a command is parsed once, by that
+command's parser alone, which reads exactly as its subparser in the full
+parser (`build_parser`).  Help with no command, a first word that is no
+command, and a line with words left over go to the full parser, so help and
+error output are those of `build_parser().parse_args(argv)`.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ _tolerance.__name__ = "float"  # so that a non-number reads "invalid float value
 
 def _common(p_cmd, p=5, n=2, seed=1):
     p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
-    p_cmd.add_argument("--n", type=int, default=n, help="dimension of F_p^n")
+    p_cmd.add_argument("--n", type=POSITIVE_INT, default=n, help="dimension of F_p^n")
     p_cmd.add_argument("--seed", type=int, default=seed)
     p_cmd.add_argument("--budget", type=int, default=None,
                        help="max scalar operations (default 1e10 or $UNIFORMITY_LAB_BUDGET)")
@@ -159,23 +165,30 @@ def _octahedron_args(c):
     _common(c, p=3, n=2)
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every command, or with `command`'s subparser alone
-    when it names one, so that one command line pays for one subparser.  That
-    parser's command metavar lists every command, so its usage lines and
-    error messages read as the full parser's."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser with every command, each a subparser."""
     parser = argparse.ArgumentParser(
         prog="uniformity-lab",
         description="Exact uniformity-norm, complexity and counting experiments over F_p^n.")
-    if command not in COMMANDS:
-        command = None
-    sub = parser.add_subparsers(
-        dest="command", required=True,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, add_arguments, _) in COMMANDS.items():
-        if command in (None, name):
-            add_arguments(sub.add_parser(name, help=text))
+        add_arguments(sub.add_parser(name, help=text))
     return parser
+
+
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace of `build_parser().parse_args(argv)`.  Where argv[0]
+    names a command, its parser alone parses the rest once; its prog, usage,
+    help and errors are its subparser's.  Words left over send the whole
+    line to the full parser, which reports them under the root usage line."""
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"uniformity-lab {argv[0]}")
+        COMMANDS[argv[0]][1](parser)
+        parser.set_defaults(command=argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _fmt(v: float) -> str:
@@ -539,11 +552,7 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # a first word that is no command (-h, nothing, a typo) gets every
-    # command's arguments, so help and errors read as with the full parser
-    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         code, report = COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:

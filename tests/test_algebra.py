@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from uniformity_lab.algebra import (QuadraticForm, Subspace,
+from uniformity_lab.algebra import (QuadraticForm, Subspace, _diagonal_pivot,
                                     batched_rank_class, check_modulus,
                                     nullspace, rank, rref, solve_affine)
 
@@ -119,6 +119,21 @@ def test_batched_rank_class_gives_gauss_sums(p):
         == [[0, 0], [1, 1]]
     with pytest.raises(ValueError):
         batched_rank_class(np.array([[[0, 1], [0, 0]]]), p)
+
+
+def test_diagonal_pivot_takes_the_first_nonzero_entry_below():
+    """Column 0 is zero on the diagonal and holds 1 in row 2 and 4 in row 3:
+    the congruence adds row and column 2 (the first nonzero), not 3 (the
+    largest), and a matrix with a nonzero diagonal entry is left as it is."""
+    p = 5
+    M = np.array([[0, 0, 1, 4], [0, 2, 3, 1], [1, 3, 1, 0], [4, 1, 0, 3]])
+    A = np.array([M, np.eye(4, dtype=np.int64)])
+    _diagonal_pivot(A, 0, p)
+    E = np.eye(4, dtype=np.int64)
+    E[0, 2] = 1  # t = +1: A[2, 2] + 2 * A[2, 0] = 3 is nonzero mod 5
+    assert A[0].tolist() == (E @ M @ E.T % p).tolist()
+    assert A[0, 0, 0] == 3
+    assert A[1].tolist() == np.eye(4, dtype=np.int64).tolist()
 
 
 def test_batched_rank_class_at_large_primes():

@@ -260,10 +260,25 @@ def test_tolerance_outside_finite_nonnegative_floats_is_refused(value, capsys):
 
 
 def test_tolerance_zero_and_positive_are_accepted():
-    parser = cli.build_parser("count")
     for value in ("0", "1e-9", "2.5"):
-        args = parser.parse_args(["count", "--system", "ap3", "--tolerance", value])
+        args = cli.parse_args(["count", "--system", "ap3", "--tolerance", value])
         assert args.tolerance == float(value)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--system", "ap3", "--set", "quadzero", "--p", "5", "--n", "0",
+     "--method", "gauss"],
+    ["count", "--system", "ap3", "--set", "quadzero", "--p", "5", "--n", "-2",
+     "--method", "gauss"],
+    ["verify", "gauss", "--p", "3", "--n", "0"],
+])
+def test_dimension_below_one_is_refused_at_parse_time(argv, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert "error: argument --n: must be at least 1, got" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_exit_code_budget_refusal(tmp_path, capsys):
@@ -777,12 +792,11 @@ def test_one_command_parser_matches_full_parser(capsys):
     assert list(COMMAND_LINES) == list(cli.COMMANDS)
     full = cli.build_parser()
     for name, argv in COMMAND_LINES.items():
-        one = cli.build_parser(name)
-        assert vars(one.parse_args(argv)) == vars(full.parse_args(argv)), name
+        assert vars(cli.parse_args(argv)) == vars(full.parse_args(argv)), name
         helps = []
-        for parser in (one, full):
+        for parse in (cli.parse_args, full.parse_args):
             with pytest.raises(SystemExit):
-                parser.parse_args([name, "-h"])
+                parse([name, "-h"])
             helps.append(capsys.readouterr().out)
         assert helps[0] == helps[1] and "--" in helps[0], name
         errors = [[name, "--bogus"], [name, "stray"]]
@@ -790,21 +804,32 @@ def test_one_command_parser_matches_full_parser(capsys):
             errors.append([name])
         for bad in errors:
             outcomes = []
-            for parser in (one, full):
+            for parse in (cli.parse_args, full.parse_args):
                 with pytest.raises(SystemExit) as exit_:
-                    parser.parse_args(bad)
+                    parse(bad)
                 outcomes.append((exit_.value.code, capsys.readouterr()))
             assert outcomes[0] == outcomes[1], bad
             assert outcomes[0][0] == 2 and "error:" in outcomes[0][1].err, bad
+
+
+def test_a_line_that_parses_builds_no_full_parser(tmp_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("full parser built")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for name, argv in COMMAND_LINES.items():
+        # the count line's budget of 99 refuses the run (exit 3)
+        assert main(argv) == (3 if name == "count" else 0), name
 
 
 def test_report_config_echoes_exactly_the_parsed_options(tmp_path, monkeypatch):
     """Each command's report config holds one key per option of its parser,
     named as on the command line, with --out the one option left out."""
     monkeypatch.chdir(tmp_path)
+    (sub,) = [action for action in cli.build_parser()._actions
+              if isinstance(action, argparse._SubParsersAction)]
     for name, argv in COMMAND_LINES.items():
-        (sub,) = [action for action in cli.build_parser(name)._actions
-                  if isinstance(action, argparse._SubParsersAction)]
         options = {action.option_strings[-1].lstrip("-") if action.option_strings
                    else action.dest for action in sub.choices[name]._actions
                    if not isinstance(action, argparse._HelpAction)}
