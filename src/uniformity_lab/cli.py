@@ -23,27 +23,28 @@ from fractions import Fraction
 import numpy as np
 
 from .algebra import check_modulus
-from .budget import BudgetExceededError, check_budget
-from .counting import (DUAL_AGREEMENT_TOL, average_product_direct,
+from .budget import BudgetExceededError
+from .counting import (DUAL_AGREEMENT_TOL, _check_average_budget,
+                       _check_gauss_budget, average_product_direct,
                        average_product_dual, count_solutions, direct_op_count,
-                       dual_op_count, quadratic_zero_count,
-                       quadratic_zero_op_count)
+                       quadratic_zero_count, quadratic_zero_op_count)
 from .domains import domain
-from .functions import (IndicatorSet, _check_fast_budget, balanced,
-                        load_function, random_bounded_function, uk_norm,
-                        uk_norm_fast, uk_norm_fast_op_count, uk_norm_op_count)
+from .functions import (IndicatorSet, _check_direct_budget, _check_fast_budget,
+                        balanced, load_function, random_bounded_function,
+                        uk_norm, uk_norm_fast)
 from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, conjectured_true_complexity,
                       cs_complexity, normal_form_check, power_independence,
                       resolve_system)
 from .verification import (ComplexityPreconditionError, SquareDependenceError,
-                           _price_gvn, atom_distribution, dot_factor,
-                           gauss_sum_report, quadratic_zero_set,
+                           _price_gvn, _price_projections,
+                           _require_square_independent, atom_distribution,
+                           dot_factor, gauss_sum_report, quadratic_zero_set,
                            quadratic_zero_set_report, random_factor,
                            verify_badex, verify_bound1, verify_completefactor,
                            verify_gvn, verify_projection_lemmas,
                            verify_pythagoras, verify_quadfactor)
-from .hypergraphs import (lift, octahedral_norm, octahedral_op_count,
+from .hypergraphs import (_check_octahedral_budget, lift, octahedral_norm,
                           vertex_uniformity_counterexample)
 
 EXIT_OK = 0
@@ -207,9 +208,11 @@ def _config(args) -> dict:
 
 
 def cmd_list(args) -> tuple[int, dict]:
+    # every system is resolved before any row is printed, so that a modulus
+    # one of them refuses prints nothing
+    systems = [resolve_system(name, args.p) for name in BUILTIN_SYSTEM_NAMES]
     results = []
-    for name in BUILTIN_SYSTEM_NAMES:
-        sys_ = resolve_system(name, args.p)
+    for name, sys_ in zip(BUILTIN_SYSTEM_NAMES, systems):
         cs = cs_complexity(sys_)
         true_k = conjectured_true_complexity(sys_)
         # the search tests k = 1 first, and every odd prime allows it
@@ -290,10 +293,8 @@ def _load_cli_function(args):
 def cmd_norm(args) -> tuple[int, dict]:
     if args.set_name == "quadzero" and not args.function and args.k >= 2:
         # refuse before the set and its complex table are built
-        dom = domain(args.p, args.n)
-        op_count = uk_norm_fast_op_count if args.method == "fast" else uk_norm_op_count
-        check_budget(op_count(dom, args.k), args.budget,
-                     what=f"{args.method} U^{args.k} norm of quadzero on size {dom.size}")
+        check = _check_fast_budget if args.method == "fast" else _check_direct_budget
+        check(domain(args.p, args.n), args.k, args.budget)
     f = _load_cli_function(args)
     dom = f.domain
     if args.method == "fast":
@@ -312,22 +313,6 @@ def cmd_norm(args) -> tuple[int, dict]:
 COUNT_METHODS = {"direct": ("direct",), "dual": ("dual",),
                  "both": ("direct", "dual"), "gauss": ("gauss",),
                  "all": ("direct", "dual", "gauss")}
-
-
-def _check_quadzero_budget(sys_, args, methods) -> None:
-    """Refuse a quadzero count over budget before the set is built."""
-    p, n = args.p, args.n
-    if "gauss" in methods:
-        check_budget(quadratic_zero_op_count(sys_.m, sys_.d, n, p), args.budget,
-                     what=f"Gauss-sum count of quadzero for {sys_.m} forms")
-    if "direct" in methods or "dual" in methods:
-        dom = domain(p, n)
-        if "direct" in methods:
-            check_budget(direct_op_count(sys_, dom), args.budget,
-                         what=f"direct count of quadzero over {dom.size}^{sys_.d} assignments")
-        if "dual" in methods:
-            check_budget(dual_op_count(sys_, dom), args.budget,
-                         what=f"dual count of quadzero on size {dom.size}")
 
 
 def _probability(name, count, total, alpha, m, method, op_count,
@@ -367,7 +352,13 @@ def cmd_count(args) -> tuple[int, dict]:
         raise ValueError("--degenerate needs the direct count of an indicator "
                          "set (--method direct, both or all)")
     if obj is None:
-        _check_quadzero_budget(sys_, args, methods)
+        # refuse each method over budget before the set is built
+        if "gauss" in methods:
+            _check_gauss_budget(sys_.m, sys_.d, args.n, args.p, args.budget)
+        for method in ("direct", "dual"):
+            if method in methods:
+                _check_average_budget(sys_, domain(args.p, args.n),
+                                      method == "dual", args.budget)
         if methods != ("gauss",):
             indicator = quadratic_zero_set(args.p, args.n)
     elif isinstance(obj, IndicatorSet):
@@ -477,10 +468,14 @@ def _experiment_reports(args) -> list:
             sys_, dot_factor(p, n, args.d1), [[0] * args.d1] * sys_.m,
             [[0]] * sys_.m, budget=args.budget, threads=args.threads))
     if name in ("projections", "all"):
+        _price_projections(domain(p, n), args.budget)  # before drawing
         f = random_bounded_function(domain(p, n), rng)
         factor = random_factor(p, n, args.d1, args.d2, rng)
         reports.append(verify_projection_lemmas(f, factor, budget=args.budget))
     if name in ("bound1", "all") and (sys_ := system("bound1", "gw6b")):
+        # the precondition, then the U^2 norm's price, before the set is built
+        _require_square_independent(sys_)
+        _check_fast_budget(domain(p, n), 2, args.budget)
         f = balanced(quadratic_zero_set(p, n))
         reports.append(verify_bound1(f, dot_factor(p, n), sys_, budget=args.budget,
                                      threads=args.threads))
@@ -514,11 +509,10 @@ def cmd_verify(args) -> tuple[int, dict]:
 def cmd_octahedron(args) -> tuple[int, dict]:
     config = _config(args)
     if args.check == "lift":
-        rng = np.random.default_rng(args.seed)
-        g = random_bounded_function(domain(args.p, args.n), rng)
-        # refuse before the lift builds its N x N x N tables
-        check_budget(octahedral_op_count((g.domain.size,) * 3), args.budget,
-                     what="octahedral norm")
+        # refuse before g is drawn and the lift builds its N x N x N tables
+        dom = domain(args.p, args.n)
+        _check_octahedral_budget((dom.size,) * 3, args.budget)
+        g = random_bounded_function(dom, np.random.default_rng(args.seed))
         oct_norm = octahedral_norm(lift(g), budget=args.budget)
         direct = uk_norm(g, 3, budget=args.budget)
         gap = abs(oct_norm - direct)

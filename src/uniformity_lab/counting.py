@@ -677,7 +677,9 @@ def dual_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
 
 def _check_average_budget(sys: LinearFormSystem, dom: GroupDomain, dual: bool,
                           budget: int | None) -> None:
-    """Refuse the dual average (`dual`), else the direct one, over budget."""
+    """Refuse the dual average (`dual`), else the direct one, over budget:
+    also the price of `count_solutions` and of the enumerated factor counts,
+    which run the direct plan."""
     if dual:
         check_budget(dual_op_count(sys, dom), budget,
                      what=f"dual count over {dom.size}^{sys.relations.dim} frequency tuples")
@@ -730,8 +732,7 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     dom = A.domain
     if dom.p != sys.p:
         raise ValueError("set domain modulus does not match the system")
-    check_budget(direct_op_count(sys, dom), budget,
-                 what=f"solution count over {dom.size}^{sys.d} assignments")
+    _check_average_budget(sys, dom, False, budget)
 
     # the form images are constant on the N^(d - r) points of each fibre of
     # the cut, so every count is N^(d - r) times the count over G^r
@@ -797,6 +798,14 @@ def quadratic_zero_op_count(m: int, d: int, width: int, p: int,
     return width**3 + (p**m - 1) // (p - 1) * per_class
 
 
+def _check_gauss_budget(m: int, d: int, width: int, p: int, budget: int | None,
+                       weighted: bool = False) -> None:
+    """Refuse a closed form of `quadratic_zero_op_count` over budget."""
+    check_budget(quadratic_zero_op_count(m, d, width, p, weighted), budget,
+                 what=f"Gauss-sum count over {(p**m - 1) // (p - 1)} classes "
+                      f"of {d}x{d} forms")
+
+
 def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
     """The shared front of the closed forms: after the budget check, the rank
     r_B and class eps_B of B and an iterator of (lambdas, ranks, classes)
@@ -805,9 +814,7 @@ def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
     C = np.asarray(C, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     m, d = C.shape
-    check_budget(quadratic_zero_op_count(m, d, B.shape[0], p, weighted), budget,
-                 what=f"Gauss-sum count over {(p**m - 1) // (p - 1)} classes "
-                      f"of {d}x{d} forms")
+    _check_gauss_budget(m, d, B.shape[0], p, budget, weighted)
     (r_B,), (eps_B,) = batched_rank_class(B[None], p)
 
     def blocks():

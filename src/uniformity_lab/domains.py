@@ -134,7 +134,8 @@ class GroupDomain:
         """(P, enc) with P[enc[x] + enc[y]] the index of point x + point y.
 
         enc[x] is `codes(1, 2p - 1)`; P is the flat copy of arange(size) on
-        `grid`, wrap-padded by p - 1 along every axis: (2p - 1)^n entries.
+        `grid`, wrap-padded by p - 1 along every axis: (2p - 1)^n entries,
+        refused before it is built when they exceed MAX_DOMAIN_SIZE.
         """
         return _sum_grid(self.p, self.n)
 
@@ -248,6 +249,10 @@ def _codes(p: int, n: int, c: int, base: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sum_grid(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    if (entries := (2 * p - 1) ** n) > MAX_DOMAIN_SIZE:
+        raise ValueError(f"the sum grid of {p}^{n} has {entries} entries "
+                         f"({8 * entries} bytes of int64), more than the "
+                         f"supported maximum of {MAX_DOMAIN_SIZE}")
     padded = _wrap_padded(np.arange(p**n, dtype=np.int64), p, n, 1).ravel()
     enc = _codes(p, n, 1, 2 * p - 1)
     padded.setflags(write=False)

@@ -276,6 +276,12 @@ def _check_k(k: int) -> None:
         raise ValueError("uniformity norms are defined for k >= 2")
 
 
+def _check_direct_budget(dom: GroupDomain, k: int, budget: int | None) -> None:
+    """Refuse the direct U^k norm on dom over budget (`uk_norm`,
+    `uk_power_exact`)."""
+    check_budget(uk_norm_op_count(dom, k), budget, what=f"U^{k} norm on size {dom.size}")
+
+
 def _check_fast_budget(dom: GroupDomain, k: int, budget: int | None) -> None:
     """Refuse the fast U^k norm on dom over budget (`uk_norm_fast`)."""
     check_budget(uk_norm_fast_op_count(dom, k), budget,
@@ -386,7 +392,7 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
     (every imaginary part exactly zero) is enumerated in float64."""
     _check_k(k)
     dom = f.domain
-    check_budget(uk_norm_op_count(dom, k), budget, what=f"U^{k} norm on size {dom.size}")
+    _check_direct_budget(dom, k, budget)
     trailing, entries = _cube_split(dom)
     power_sum = _derivative_sum(dom, _narrowed(f.values), k - 2,
                                 lambda stack: _cube_sum(dom, stack, trailing),
@@ -405,7 +411,7 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
         raise ValueError("function carries no exact rational table")
     _check_k(k)
     dom = f.domain
-    check_budget(uk_norm_op_count(dom, k), budget, what=f"exact U^{k} norm on size {dom.size}")
+    _check_direct_budget(dom, k, budget)
 
     def square_sums(stack: np.ndarray) -> int:
         sums = stack.reshape(len(stack), -1).sum(axis=1)

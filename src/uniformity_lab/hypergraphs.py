@@ -52,9 +52,14 @@ def octahedral_op_count(sizes: tuple[int, int, int]) -> int:
     return (nx * ny * nz) ** 2
 
 
+def _check_octahedral_budget(sizes: tuple[int, int, int], budget: int | None) -> None:
+    """Refuse the octahedral norm of a table of shape `sizes` over budget."""
+    check_budget(octahedral_op_count(sizes), budget, what="octahedral norm")
+
+
 def octahedral_power(F: TripartiteFunction, budget: int | None = None) -> float:
     """The 8-fold product expectation (the eighth power of the norm)."""
-    check_budget(octahedral_op_count(F.sizes), budget, what="octahedral norm")
+    _check_octahedral_budget(F.sizes, budget)
     vals = F.values
     nx, ny, nz = F.sizes
     total = 0.0

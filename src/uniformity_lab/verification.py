@@ -134,15 +134,19 @@ def _exact_power_bound(dev: Fraction, p: int, two_exponent: int) -> bool:
     return dev * dev <= bound_sq
 
 
+# the (exact, bounded) check names of a factor probability's verdict
+_PROBABILITY_CHECKS = ("probability_exact_reference", "deviation_le_bound")
+
+
 def _add_deviation_check(rep: ExperimentReport, dev: Fraction, p: int,
-                         two_exponent: int, r: int | None) -> None:
-    """The verdict of a quadratic-factor count: with no quadratic part (r is
-    None) the deviation is exactly 0; with factor rank r it is at most
-    p^((two_exponent - r) / 2), compared exactly.  Records the bound (0 for
-    no quadratic part) as observed."""
-    exact, bounded = (("atoms_exactly_uniform", "atom_deviation_le_bound")
-                      if rep.name == "atoms" else
-                      ("probability_exact_reference", "deviation_le_bound"))
+                         two_exponent: int, r: int | None,
+                         names: tuple[str, str]) -> None:
+    """The verdict of a quadratic-factor count, under the check names
+    (exact, bounded): with no quadratic part (r is None) the deviation is
+    exactly 0; with factor rank r it is at most p^((two_exponent - r) / 2),
+    compared exactly.  Records the bound (0 for no quadratic part) as
+    observed."""
+    exact, bounded = names
     if r is None:
         rep.observed["bound"] = 0.0
         rep.add_check(exact, float(dev), 0.0, "==", exact_verdict=(dev == 0))
@@ -444,7 +448,8 @@ def atom_distribution(factor: QuadraticFactor,
         observed={"cells": cells, "count_min": int(counts.min()),
                   "count_max": int(counts.max()),
                   "worst_deviation": float(worst), "reference": float(ref)})
-    _add_deviation_check(rep, worst, p, 0, r)
+    _add_deviation_check(rep, worst, p, 0, r,
+                         ("atoms_exactly_uniform", "atom_deviation_le_bound"))
     return rep
 
 
@@ -508,8 +513,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
             sys.cut, form, p, budget)
 
     dom = domain(p, n)
-    check_budget(direct_op_count(sys, dom), budget,
-                 what=f"factor count over {dom.size}^{d} assignments")
+    _check_average_budget(sys, dom, False, budget)
     codes = factor.atom_codes(dom)
     targets = _encode(np.concatenate([A_t, B_t], axis=1).T, p, m).tolist()
     # Where phi_i is nonzero, phi_i(x) + b_i is b_i plus one value table per
@@ -599,7 +603,7 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
                     "system": sys.name or "custom", "rank": r},
         observed={"probability": float(P), "probability_exact": str(P),
                   "reference": float(ref), "deviation": float(dev)})
-    _add_deviation_check(rep, dev, p, 0, r)
+    _add_deviation_check(rep, dev, p, 0, r, _PROBABILITY_CHECKS)
     return rep
 
 
@@ -643,7 +647,7 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
     ref = Fraction(1, p ** (d1 * d_prime + d2 * m))
     dev = abs(P - ref)
     rep.observed.update({"reference": float(ref), "deviation": float(dev)})
-    _add_deviation_check(rep, dev, p, 2 * (d1 - d_prime * d1), r)
+    _add_deviation_check(rep, dev, p, 2 * (d1 - d_prime * d1), r, _PROBABILITY_CHECKS)
     return rep
 
 
@@ -680,6 +684,13 @@ def project_atoms(f: GroupFunction, factor: QuadraticFactor) -> GroupFunction:
     return GroupFunction(domain=f.domain, values=means[codes])
 
 
+def _price_projections(dom: GroupDomain, budget: int | None) -> None:
+    """Refuse `verify_projection_lemmas` on dom over budget: three fast U^2
+    norms."""
+    check_budget(3 * uk_norm_fast_op_count(dom, 2), budget,
+                 what=f"projection lemmas on size {dom.size}")
+
+
 def verify_projection_lemmas(f: GroupFunction, factor: QuadraticFactor,
                              budget: int | None = None) -> ExperimentReport:
     """Checks for g = E(f|linear factor) and f1 = E(f|atoms):
@@ -692,8 +703,7 @@ def verify_projection_lemmas(f: GroupFunction, factor: QuadraticFactor,
     The budget, three fast U^2 norms, is checked before any table is built.
     """
     dom = f.domain
-    check_budget(3 * uk_norm_fast_op_count(dom, 2), budget,
-                 what=f"projection lemmas on size {dom.size}")
+    _price_projections(dom, budget)
     g = project_linear(f, factor)
     f1 = project_atoms(f, factor)
     diff = GroupFunction(domain=dom, values=f.values - g.values)
@@ -738,7 +748,7 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
         raise ValueError("function exceeds the unit sup-norm bound")
     p, n = factor.p, factor.n
     m, d = sys.m, sys.d
-    c = u2_norm_fast(f)
+    c = uk_norm_fast(f, 2, budget=budget)
     codes, means = _atom_means(f, factor)
     homogeneous = (factor.d1 == 0 and factor.d2 == 1
                    and not factor.gamma2.forms[0].b.any())

@@ -113,3 +113,14 @@ def test_no_function_takes_a_private_parameter():
                 private += [f"{file}:{name}.{x.arg}" for x in params
                             if x.arg.startswith("_")]
     assert private == []
+
+
+def test_cli_prices_only_through_library_owners():
+    """cli.py calls no `check_budget`: each price and its refusal message
+    have one owner in the module that runs the computation, and the CLI
+    calls that owner before it builds or draws anything."""
+    path = Path(uniformity_lab.__file__).parent / "cli.py"
+    calls = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and "check_budget" in
+             (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls == []

@@ -94,6 +94,14 @@ def test_list_csv_export(tmp_path):
     assert gw6a.split(",")[3] == "2"
 
 
+def test_list_refuses_a_small_modulus_before_printing(capsys):
+    # ap3's coefficient 3 needs p > 3: no row of the catalog is printed
+    assert main(["list", "--p", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "modulus 3 too small" in err
+
+
 def test_list_command(tmp_path, capsys):
     code, report, _ = run(["list"], tmp_path)
     assert code == 0
@@ -292,19 +300,69 @@ def test_verify_gauss_refuses_over_budget_before_building(capsys):
     assert "Gauss sum over 3^14 points" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [
-    ["norm", "--set", "quadzero", "--balanced"],
-    ["norm", "--set", "quadzero", "--method", "fast", "--k", "3"],
-    ["count", "--system", "ap3", "--set", "quadzero", "--method", "both"],
-    ["count", "--system", "ap3", "--set", "quadzero", "--method", "all"],
-])
-def test_quadzero_refuses_over_budget_before_building(argv, monkeypatch, capsys):
+@pytest.mark.parametrize("argv,message", [
+    (["norm", "--set", "quadzero", "--balanced"], "U^2 norm on size 43046721"),
+    (["norm", "--set", "quadzero", "--method", "fast", "--k", "3"],
+     "fast U^3 norm on size 43046721"),
+    (["count", "--system", "ap3", "--set", "quadzero", "--method", "both"],
+     "direct count over 43046721^2 assignments"),
+    (["count", "--system", "ap3", "--set", "quadzero", "--method", "all"],
+     "Gauss-sum count over 13 classes of 2x2 forms"),
+], ids=[f"argv{i}" for i in range(4)])
+def test_quadzero_refuses_over_budget_before_building(argv, message, monkeypatch,
+                                                      capsys):
     def refuse_to_build(p, n):
         raise AssertionError("quadzero set built before the budget check")
 
     monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
     assert main(argv + ["--p", "3", "--n", "16", "--budget", "1000"]) == 3
-    assert "quadzero" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["octahedron", "--check", "lift", "--n", "14"], "octahedral norm"),
+    (["verify", "projections", "--n", "14", "--budget", "1000"],
+     "projection lemmas on size 4782969"),
+    (["verify", "bound1", "--system", "gw6b", "--n", "14", "--budget", "1000"],
+     "fast U^2 norm on size 4782969"),
+    # the closed-form average is within this budget; the fast U^2 norm of
+    # the balanced set, 3^12 * (3 * 12 + 4) operations, is not
+    (["verify", "bound1", "--system", "gw6b", "--n", "12", "--budget", "1000000"],
+     "operation count 21257640 for fast U^2 norm on size 531441"),
+])
+def test_refuses_over_budget_before_drawing(argv, message, monkeypatch, capsys):
+    # each command prices its work through the library's own check before it
+    # draws a function or a factor or builds the quadzero set
+    def refuse_to_draw(*args):
+        raise AssertionError("input drawn before the budget check")
+
+    for name in ("random_bounded_function", "random_factor", "quadratic_zero_set"):
+        monkeypatch.setattr(cli, name, refuse_to_draw)
+    assert main(argv + ["--p", "3"]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_bound1_checks_square_independence_before_pricing(monkeypatch, capsys):
+    # ap4 is square-dependent: the precondition (exit 2) comes before the
+    # U^2 norm's refusal, and neither builds the set
+    def refuse_to_build(p, n):
+        raise AssertionError("quadzero set built before the precondition")
+
+    monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
+    assert main(["verify", "bound1", "--system", "ap4", "--p", "7", "--n", "8",
+                 "--budget", "1000"]) == 2
+    assert "square-independent" in capsys.readouterr().err
+
+
+def test_sum_grid_over_cap_exits_config_without_report(tmp_path, capsys):
+    # the direct count at p = 3, n = 13 is within this budget, but its kernel
+    # would gather through a sum grid of 5^13 int64 entries
+    out = tmp_path / "c.json"
+    assert main(["count", "--system", "ap3", "--set", "quadzero", "--p", "3",
+                 "--n", "13", "--method", "direct", "--budget", str(10**14),
+                 "--out", str(out)]) == 2
+    assert f"sum grid of 3^13 has {5**13} entries" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_badex_refuses_over_budget_before_building(monkeypatch, capsys):

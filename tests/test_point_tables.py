@@ -5,6 +5,7 @@ the retained digit and index tables), checked point by point against digit
 tuples from `oracles.naive_points` and per-point arithmetic."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,3 +231,16 @@ def test_split_translates_per_point(p, n):
                 expected = [g[index[add(x, shift, p)]] for x in points]
                 assert rows[s_, j].reshape(-1).tolist() == expected
         assert (dom.split_translates(stack, trailing, 0, 1)[:, 0].reshape(2, -1) == gs).all()
+
+
+def test_sum_grid_over_cap_refuses_before_building():
+    """(2p - 1)^n = 5^12 entries exceed MAX_DOMAIN_SIZE although 3^12 does
+    not: the grid is refused by name, with no table allocated."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"sum grid of 3\\^12 has {5**12} entries"):
+            domain(3, 12).sum_grid
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
