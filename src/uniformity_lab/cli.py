@@ -37,7 +37,7 @@ from .systems import (BUILTIN_SYSTEM_NAMES, conjectured_true_complexity,
                       cs_complexity, normal_form_check, power_independence,
                       resolve_system)
 from .verification import (ComplexityPreconditionError, SquareDependenceError,
-                           _price_gvn, _price_projections,
+                           _price_atoms, _price_gvn, _price_projections,
                            _require_square_independent, atom_distribution,
                            dot_factor, gauss_sum_report, quadratic_zero_set,
                            quadratic_zero_set_report, random_factor,
@@ -458,6 +458,7 @@ def _experiment_reports(args) -> list:
         reports.append(verify_gvn(sys_, fs, budget=args.budget,
                                   threads=args.threads, priced=priced))
     if name in ("atoms", "all"):
+        _price_atoms(p, n, args.d1, args.d2, args.budget)  # before drawing
         factor = random_factor(p, n, args.d1, args.d2, rng)
         reports.append(atom_distribution(factor, budget=args.budget))
     if name in ("quadfactor", "all") and (sys_ := system("quadfactor", "gw6b")):

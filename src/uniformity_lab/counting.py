@@ -73,12 +73,12 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from itertools import product
-from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import _legendre, batched_rank_class, inv_mod, nullspace, rref
+from .algebra import (_class_forms, _legendre, batched_rank_class, inv_mod,
+                      nullspace, rref)
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import (GroupFunction, IndicatorSet, _dft_axes, _dft_matrix,
@@ -86,10 +86,6 @@ from .functions import (GroupFunction, IndicatorSet, _dft_axes, _dft_matrix,
 from .systems import LinearFormSystem, _rank_table
 
 CHUNK = 1 << 19
-
-# Classes of lambda per batched elimination in `quadratic_zero_count`: keeps
-# the (count, d, d) stack and its temporaries to a few MB for small d.
-CLASS_BLOCK = 1 << 15
 
 DUAL_AGREEMENT_TOL = 1e-8
 
@@ -753,35 +749,6 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
 
     partials = reduce_form_images(sys.cut, dom, tile_counts, threads)
     return fibre * sum(c for c, _ in partials), fibre * sum(g for _, g in partials)
-
-
-def _class_forms(mats: np.ndarray, p: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(lambdas, forms) with forms[j] = sum_i lambdas[j, i] mats[i] mod p for
-    an (m, d, d) stack `mats`, one lambda on each line of F_p^m, in blocks of
-    at most max(CLASS_BLOCK, p) classes: the lambdas whose first nonzero
-    coordinate is 1, in lexicographic order.  Those with leading coordinate
-    `lead` range over a product of copies of F_p; a block fixes the first few
-    of those coordinates and is the outer sum, over the rest, of the tables
-    a -> a mats[k], built one coordinate at a time.  Every entry is a sum of
-    at most m residues, reduced mod p once."""
-    m, d, _ = mats.shape
-    flat = mats.reshape(m, d * d) % p
-    multiples = np.arange(p, dtype=np.int64)[:, None, None] * flat % p
-    for lead in range(m):
-        fixed = lead + 1
-        while fixed < m and p ** (m - fixed) > CLASS_BLOCK:
-            fixed += 1
-        rest = np.indices((p,) * (m - fixed)).reshape(m - fixed, p ** (m - fixed)).T
-        for prefix in product(range(p), repeat=fixed - lead - 1):
-            acc = flat[lead].copy()
-            for k, a in enumerate(prefix, start=lead + 1):
-                acc += multiples[a, k]
-            acc = acc[None]
-            for k in range(fixed, m):
-                acc = (acc[:, None] + multiples[:, k]).reshape(-1, d * d)
-            acc %= p
-            head = np.broadcast_to((0,) * lead + (1,) + prefix, (len(rest), fixed))
-            yield np.concatenate([head, rest], axis=1), acc.reshape(-1, d, d)
 
 
 def quadratic_zero_op_count(m: int, d: int, width: int, p: int,

@@ -193,10 +193,22 @@ def _digits(p: int, n: int) -> np.ndarray:
     return out
 
 
+def _check_entries(what: str, p: int, n: int, entries: int, dtype) -> None:
+    """Refuse (ValueError) a table of more than MAX_DOMAIN_SIZE entries
+    before it is built, naming its entries and bytes."""
+    if entries > MAX_DOMAIN_SIZE:
+        dtype = np.dtype(dtype)
+        raise ValueError(f"the {what} of {p}^{n} has {entries} entries "
+                         f"({dtype.itemsize * entries} bytes of {dtype}), more "
+                         f"than the supported maximum of {MAX_DOMAIN_SIZE}")
+
+
 def _wrap_padded(values, p: int, n: int, levels: int) -> np.ndarray:
     """values on the (p,)*n grid, wrap-padded by levels * (p - 1) along every
-    axis."""
+    axis: (p + levels (p - 1))^n entries, refused before they are built when
+    they exceed MAX_DOMAIN_SIZE."""
     g = np.asarray(values).reshape((p,) * n)
+    _check_entries("wrap-padded table", p, n, (p + levels * (p - 1)) ** n, g.dtype)
     return np.pad(g, [(0, levels * (p - 1))] * n, mode="wrap")
 
 
@@ -220,9 +232,11 @@ def _split_index(p: int, n: int, trailing: int) -> tuple[np.ndarray, np.ndarray]
     """(rows, shifts) for `split_translates`: rows[b, y] is the flat index of
     the point (b, y) in a table padded by one level, (2p - 1)^n entries, and
     shifts[j] that of (0, h_j), h_j the j-th pair representative of
-    F_p^trailing."""
+    F_p^trailing.  The padded index has (2p - 1)^n entries, refused before
+    it is built when they exceed MAX_DOMAIN_SIZE."""
     lead = n - trailing
     padded = (2 * p - 1,) * n
+    _check_entries("split index", p, n, (2 * p - 1) ** n, np.int64)
     rows = np.arange((2 * p - 1) ** n).reshape(padded)[(slice(0, p),) * n]
     rows = rows.reshape(p**lead, p**trailing)
     shifts = np.ravel_multi_index((0,) * lead + _pair_digits(p, trailing), padded)
@@ -249,10 +263,7 @@ def _codes(p: int, n: int, c: int, base: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _sum_grid(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    if (entries := (2 * p - 1) ** n) > MAX_DOMAIN_SIZE:
-        raise ValueError(f"the sum grid of {p}^{n} has {entries} entries "
-                         f"({8 * entries} bytes of int64), more than the "
-                         f"supported maximum of {MAX_DOMAIN_SIZE}")
+    _check_entries("sum grid", p, n, (2 * p - 1) ** n, np.int64)
     padded = _wrap_padded(np.arange(p**n, dtype=np.int64), p, n, 1).ravel()
     enc = _codes(p, n, 1, 2 * p - 1)
     padded.setflags(write=False)

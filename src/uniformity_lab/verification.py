@@ -29,6 +29,15 @@ average of the atom projection along the system when the factor is one
 homogeneous form with no linear part (`counting.quadratic_average`); that
 path is a float sum, so its average agrees with enumeration to rounding.
 
+The atom histogram (`atom_distribution`) is exact in closed form at any n
+and builds no domain: each combination of the quadratic forms on one line
+of lambda, restricted to one coset of gamma1, is an affine form whose
+completed square `algebra.batched_affine_class` reads off
+(`algebra._atom_counts`).  Where the forms so outnumber the coset
+dimensions that visiting the p^n points takes fewer operations, it visits
+them; `_price_atoms` makes that choice and refuses either count before
+anything is built.
+
 `verify_gvn` and `verify_pythagoras` take their U^k norms through the
 transform (`functions.uk_norm_fast`), and `verify_gvn` its average on the
 direct or the dual side, whichever enumerates fewer tuples.
@@ -42,15 +51,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (QuadraticForm, as_fp_matrix, batched_rank_class,
-                      nullspace, rank)
+from .algebra import (ATOM_BLOCK, QuadraticForm, _atom_counts, _batches,
+                      _class_forms, _line_block, as_fp_matrix,
+                      atom_count_cost, batched_rank_class, nullspace, rank)
 from .budget import check_budget
-from .counting import (_check_average_budget, _check_inputs, _class_forms,
-                       _run_passes, average_product_direct,
-                       average_product_dual, direct_op_count, dual_op_count,
-                       quadratic_average, quadratic_zero_count,
-                       quadratic_zero_op_count, reduce_form_images)
-from .domains import GroupDomain, domain
+from .counting import (_check_average_budget, _check_inputs, _run_passes,
+                       average_product_direct, average_product_dual,
+                       direct_op_count, dual_op_count, quadratic_average,
+                       quadratic_zero_count, quadratic_zero_op_count,
+                       reduce_form_images)
+from .domains import MAX_DOMAIN_SIZE, GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, _check_fast_budget,
                         l2_norm, omega_power, u2_norm_fast, uk_norm_fast,
                         uk_norm_fast_op_count)
@@ -418,35 +428,65 @@ def factor_rank(gamma2: QuadraticMap, p: int | None = None) -> int:
     """Minimum rank of a nonzero F_p-combination of the associated symmetric
     bilinear forms, the matrices M of the forms.  A combination and its
     nonzero multiples share a rank, so one combination on each line of F_p^d2
-    is eliminated, (p^d2 - 1)/(p - 1) of them (`counting._class_forms`), in
-    batches, by the symmetric stack elimination (the ranks of
-    `algebra.batched_rank_class`); requires at least one quadratic form."""
+    is eliminated, (p^d2 - 1)/(p - 1) of them (`algebra._class_forms`), in
+    stacks of at most ATOM_BLOCK entries (`algebra._batches`), by the
+    symmetric stack elimination (the ranks of `algebra.batched_rank_class`);
+    requires at least one quadratic form."""
     if gamma2.d2 == 0:
         raise ValueError("factor rank needs d2 >= 1")
     p = gamma2.forms[0].p if p is None else p
     mats = np.stack([q.M for q in gamma2.forms])
+    blocks = _class_forms(mats, p, _line_block(mats.shape[1]))
     return min(int(batched_rank_class(forms, p)[0].min())
-               for _, forms in _class_forms(mats, p))
+               for _, forms in _batches(blocks, ATOM_BLOCK))
+
+
+def _price_atoms(p: int, n: int, d1: int, d2: int, budget: int | None) -> bool:
+    """Price `atom_distribution` of a factor of F_p^n with d1 linear and d2
+    quadratic parts before anything is built, and say how it counts: True
+    for the closed form (`algebra._atom_counts`), False for visiting the p^n
+    points, whichever takes fewer operations (the visit only where d2 is
+    large against n - d1).  A visit takes n (d1 + d2 (n + 1)) operations a
+    point and one a cell, and needs p^n points and p^(d1 + d2) cells within
+    MAX_DOMAIN_SIZE; the closed form's operations and int64 words a cell
+    are `algebra.atom_count_cost`'s, and it refuses a histogram of more
+    than MAX_DOMAIN_SIZE words.  The cheaper count is refused over budget."""
+    if d1 > n:
+        raise ValueError("d1 cannot exceed n")
+    cells = p ** (d1 + d2)
+    words, ops = atom_count_cost(p, n, d1, d2)
+    if max(points := p**n, cells) <= MAX_DOMAIN_SIZE:
+        if (visit := points * n * (d1 + d2 * (n + 1)) + cells) < ops:
+            check_budget(visit, budget, what=f"atom histogram over {p}^{n} points")
+            return False
+    if cells * words > MAX_DOMAIN_SIZE:
+        raise ValueError(f"the atom histogram has {p}^{d1 + d2} = {cells} cells "
+                         f"({cells * words} int64 words), more than the "
+                         f"supported maximum of {MAX_DOMAIN_SIZE}")
+    check_budget(ops, budget, what=f"atom histogram of {p}^{d1 + d2} cells")
+    return True
 
 
 def atom_distribution(factor: QuadraticFactor,
                       budget: int | None = None) -> ExperimentReport:
-    """Exact histogram of the atoms; every cell probability must be within
-    p^(-r/2) of p^(-d1-d2), r the factor rank."""
+    """Exact histogram of the atoms, in closed form (`algebra._atom_counts`)
+    or over the p^n points, as `_price_atoms` decides; every cell
+    probability must be within p^(-r/2) of p^(-d1-d2), r the factor rank."""
     p, n = factor.p, factor.n
-    dom = domain(p, n)
-    check_budget(dom.size, budget, what=f"atom histogram over {p}^{n} points")
-    cells = p ** (factor.d1 + factor.d2)
-    counts = np.bincount(factor.atom_codes(dom), minlength=cells)
+    cells, size = p ** (factor.d1 + factor.d2), p**n
+    if _price_atoms(p, n, factor.d1, factor.d2, budget):
+        counts = _atom_counts(factor.gamma1, factor.gamma2.forms, p)
+    else:
+        counts = np.bincount(factor.atom_codes(domain(p, n)), minlength=cells)
+    low, high = int(counts.min()), int(counts.max())
     r = factor_rank(factor.gamma2, p) if factor.d2 else None
     ref = Fraction(1, cells)
-    # |c / N - 1 / cells| = |c cells - N| / (N cells), one Fraction for all
-    worst = Fraction(int(np.abs(counts * cells - dom.size).max()), dom.size * cells)
+    # |c / N - 1 / cells| = |c cells - N| / (N cells), largest at an extreme c
+    worst = Fraction(max(high * cells - size, size - low * cells), size * cells)
     rep = ExperimentReport(
         name="atoms",
         parameters={"p": p, "n": n, "d1": factor.d1, "d2": factor.d2, "rank": r},
-        observed={"cells": cells, "count_min": int(counts.min()),
-                  "count_max": int(counts.max()),
+        observed={"cells": cells, "count_min": low, "count_max": high,
                   "worst_deviation": float(worst), "reference": float(ref)})
     _add_deviation_check(rep, worst, p, 0, r,
                          ("atoms_exactly_uniform", "atom_deviation_le_bound"))

@@ -6,7 +6,8 @@ the package internals it checks.  Sizes must stay tiny.  `random_symmetric`
 draws the symmetric matrices the closed forms are checked on;
 `counterexample_table` and `vertex_correlation` are the full-table side of
 the vertex-uniformity counterexample, whose package form is exact and never
-builds the table.
+builds the table.  `naive_affine_class` and `naive_atom_histogram` are the
+enumeration side of the closed-form atom histogram.
 """
 
 from __future__ import annotations
@@ -367,3 +368,56 @@ def enumerated_factor_count(sys_, factor, A_t, B_t):
         return int(ok.sum())
 
     return sum(reduce_form_images(sys_.coeffs, dom, tile_matches))
+
+
+def naive_affine_class(M, p):
+    """(rank, class, consistent, s) of the augmented form [[A, h], [h^T, g]]
+    ((k+1) x (k+1)) by enumerating F_p^k with Python ints: the rank by
+    `naive_rank`; consistent when some y has A y = h, and then s = g - y^T A
+    y; the class eps from the number of z with z^T A z = t, which is p^(k-1)
+    plus eps chi(-1)^(r/2) (p - 1) p^(k - 1 - r/2) at t = 0 for even r > 0,
+    and plus eps chi(-1)^((r-1)/2) p^(k - (r+1)/2) at t = 1 for odd r
+    (Lidl-Niederreiter, Finite Fields, ch. 6); eps = 1 for A = 0."""
+    M = [[int(v) % p for v in row] for row in M]
+    k = len(M) - 1
+    A = [row[:k] for row in M[:k]]
+    h = [M[i][k] for i in range(k)]
+    points = list(product(range(p), repeat=k))
+
+    def form(z):
+        return sum(A[i][j] * z[i] * z[j] for i in range(k) for j in range(k)) % p
+
+    y = next((z for z in points
+              if all(sum(A[i][j] * z[j] for j in range(k)) % p == h[i]
+                     for i in range(k))), None)
+    r = naive_rank(A, p)
+    eps = 1
+    if r:
+        t, unit = (0, (p - 1) * p ** (k - 1 - r // 2)) if r % 2 == 0 else \
+            (1, p ** (k - (r + 1) // 2))
+        excess = sum(form(z) == t for z in points) - p ** (k - 1)
+        assert abs(excess) == unit, (M, r, excess)
+        chi_minus_one = 1 if p % 4 == 1 else -1
+        eps = (1 if excess > 0 else -1) * chi_minus_one ** (r // 2)
+    return r, eps, y is not None, None if y is None else (M[k][k] - form(y)) % p
+
+
+def naive_atom_histogram(factor):
+    """#{x : gamma1(x) = a, gamma2(x) = c} for every cell (a, c), indexed by
+    the digits of a then c read in base p, by visiting every digit tuple x
+    of F_p^n and evaluating each linear and quadratic form at it in Python
+    ints."""
+    p, n = factor.p, factor.n
+    G1 = [[int(v) for v in row] for row in factor.gamma1]
+    forms = [([[int(v) for v in row] for row in q.M], [int(v) for v in q.b])
+             for q in factor.gamma2.forms]
+    counts = [0] * p ** (len(G1) + len(forms))
+    for x in product(range(p), repeat=n):
+        code = 0
+        for row in G1:
+            code = code * p + sum(g * xi for g, xi in zip(row, x)) % p
+        for M, b in forms:
+            value = sum(M[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
+            code = code * p + (value + sum(bi * xi for bi, xi in zip(b, x))) % p
+        counts[code] += 1
+    return counts

@@ -1,9 +1,13 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
-from uniformity_lab.algebra import (QuadraticForm, Subspace, _diagonal_pivot,
-                                    batched_rank_class, check_modulus,
-                                    nullspace, rank, rref, solve_affine)
+from uniformity_lab.algebra import (QuadraticForm, Subspace, _batches,
+                                    _diagonal_pivot, _radon,
+                                    batched_affine_class, batched_rank_class,
+                                    check_modulus, nullspace, rank, rref,
+                                    solve_affine)
 
 import oracles
 
@@ -174,6 +178,108 @@ def test_batched_rank_class_at_large_primes():
         assert got_ranks.tolist() == [rank(M, p) for M in S] == ranks
         assert got_classes.tolist() == classes
         assert min(ranks) < d
+
+
+def augmented_stack(p, k, count, rng):
+    """(count, k+1, k+1) augmented forms [[A, h], [h^T, g]] over the
+    matrices A of `symmetric_stack`: h = A y (consistent) for every fourth,
+    h = 0 with g != 0 for the next, h random for the rest; then A = 0 gets
+    h = e_0, the rank-1 matrix v v^T gets h = v + e_0, outside its column
+    space, and the rank-deficient one (last row zero) gets h = e_(k-1)."""
+    S = np.zeros((count, k + 1, k + 1), dtype=np.int64)
+    S[:, :k, :k] = symmetric_stack(p, k, count, rng)
+    h = rng.integers(0, p, size=(count, k))
+    h[::4] = np.einsum("bij,bj->bi", S[::4, :k, :k], h[::4]) % p
+    h[1::4] = 0
+    S[:, k, k] = rng.integers(0, p, size=count)
+    S[1::4, k, k] = rng.integers(1, p, size=len(S[1::4]))
+    h[0] = np.eye(k, dtype=np.int64)[0]
+    h[1] = (S[1, 0, :k] * pow(int(S[1, 0, 0]), p - 2, p) + np.eye(k, dtype=np.int64)[0]) % p
+    if k >= 2:
+        h[4] = np.eye(k, dtype=np.int64)[k - 1]
+    S[:, :k, k] = S[:, k, :k] = h
+    return S
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_batched_affine_class_matches_enumeration(p):
+    """(rank, class, consistent, s) of each augmented form, alone, against
+    `oracles.naive_affine_class` (s only where consistent); the ranks and
+    classes are those `batched_rank_class` gives the leading blocks, and
+    the stacks hold A = 0 with beta != 0, rank-deficient A with beta outside
+    its column space, and beta = 0 with gamma != 0."""
+    rng = np.random.default_rng(900 + p)
+    for k in (k for k in range(1, 5) if p**k <= 2401):
+        S = augmented_stack(p, k, 12, rng)
+        ranks, classes, consistent, s = batched_affine_class(S, p)
+        expected = [oracles.naive_affine_class(M.tolist(), p) for M in S]
+        assert ranks.tolist() == [e[0] for e in expected]
+        assert classes.tolist() == [e[1] for e in expected]
+        assert consistent.tolist() == [e[2] for e in expected]
+        assert [int(v) if ok else None for v, ok in zip(s, consistent)] == \
+            [e[3] for e in expected]
+        assert [v.tolist() for v in batched_rank_class(S[:, :k, :k], p)] == \
+            [ranks.tolist(), classes.tolist()]
+        assert not consistent[0]
+        assert k < 2 or not (consistent[1] or consistent[4]) and ranks[4] < k
+        assert consistent[1::4][1:].all() and (S[1::4, k, k] != 0).all()
+    # k = 0: the form is the constant gamma
+    ranks, classes, consistent, s = batched_affine_class([[[3]], [[0]]], p)
+    assert (ranks.tolist(), classes.tolist(), consistent.tolist(), s.tolist()) \
+        == ([0, 0], [1, 1], [True, True], [3 % p, 0])
+
+
+def test_batched_affine_class_at_large_primes():
+    """A = X D X^T with X invertible, beta = 2 A y and gamma = s + y^T A y in
+    Python ints: the constant s comes back through the inverse square of the
+    pivot product, at primes where a product of two residues is near 2^62."""
+    rng = np.random.default_rng(14)
+    k = 4
+    for p in (1000003, 2147483647):
+        stack, want = [], []
+        for b in range(12):
+            while True:
+                X = rng.integers(0, p, size=(k, k))
+                if rank(X, p) == k:
+                    break
+            D = np.diag(rng.integers(1, p, size=k) * (rng.random(k) < 0.7))
+            A = X.astype(object) @ D.astype(object) @ X.T.astype(object) % p
+            y = rng.integers(0, p, size=k).astype(object)
+            s = int(rng.integers(0, p))
+            M = np.zeros((k + 1, k + 1), dtype=object)
+            M[:k, :k] = A
+            M[:k, k] = M[k, :k] = A @ y % p
+            M[k, k] = (s + y @ A @ y) % p
+            stack.append(M.astype(np.int64))
+            want.append((int((np.diag(D) != 0).sum()), s))
+        ranks, _, consistent, s = batched_affine_class(np.array(stack), p)
+        assert consistent.all()
+        assert list(zip(ranks.tolist(), s.tolist())) == want
+
+
+@pytest.mark.parametrize("p, m", [(3, 0), (3, 1), (3, 3), (5, 2), (7, 1)])
+def test_radon_matches_direct_sums(p, m):
+    """_radon(g)[b, t, c] is the sum over mu in F_p^m of g[b, mu, t + mu.c],
+    mu and c read as base-p digits, first digit most significant."""
+    rng = np.random.default_rng(40 + p + m)
+    g = rng.integers(-50, 50, size=(2, p**m, p))
+    H = _radon(g, p)
+    digits = list(product(range(p), repeat=m))
+    for b in range(2):
+        for t in range(p):
+            for ci, c in enumerate(digits):
+                want = sum(g[b, mi, (t + sum(x * y for x, y in zip(mu, c))) % p]
+                           for mi, mu in enumerate(digits))
+                assert H[b, t, ci] == want
+
+
+def test_batches_join_consecutive_arrays_up_to_the_limit():
+    items = [(i, np.full(size, i)) for i, size in enumerate([3, 2, 6, 1, 1, 4])]
+    batches = list(_batches(items, 5))
+    assert [tags for tags, _ in batches] == [[0, 1], [2], [3, 4], [5]]
+    assert batches[0][1].tolist() == [0, 0, 0, 1, 1]
+    assert batches[2][1].tolist() == [3, 4]
+    assert [tags for tags, _ in _batches(items, 100)] == [[0, 1, 2, 3, 4, 5]]
 
 
 def test_rref_is_deterministic_and_reduced():

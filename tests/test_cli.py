@@ -11,8 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uniformity_lab import (algebra, cli, counting, functions, hypergraphs,
-                            systems, verification)
+from uniformity_lab import (algebra, cli, counting, domains, functions,
+                            hypergraphs, systems, verification)
 from uniformity_lab.cli import main
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
@@ -329,6 +329,10 @@ def test_quadzero_refuses_over_budget_before_building(argv, message, monkeypatch
     # the balanced set, 3^12 * (3 * 12 + 4) operations, is not
     (["verify", "bound1", "--system", "gw6b", "--n", "12", "--budget", "1000000"],
      "operation count 21257640 for fast U^2 norm on size 531441"),
+    # two eliminations of 14 x 14 per coset of gamma1 and d2 (p + 1) = 4
+    # transform additions for each of the 9 cells
+    (["verify", "atoms", "--n", "14", "--budget", "1000"],
+     "operation count 16500 for atom histogram of 3^2 cells"),
 ])
 def test_refuses_over_budget_before_drawing(argv, message, monkeypatch, capsys):
     # each command prices its work through the library's own check before it
@@ -340,6 +344,72 @@ def test_refuses_over_budget_before_drawing(argv, message, monkeypatch, capsys):
         monkeypatch.setattr(cli, name, refuse_to_draw)
     assert main(argv + ["--p", "3"]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_atoms_run_in_closed_form_beyond_the_domain_cap(monkeypatch, tmp_path):
+    """At p = 5, n = 30 no domain of F_p^n exists (5^30 points), yet the
+    histogram is exact: no domain is built, and its 625 counts sum to 5^30."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a domain was built")
+
+    for module in (domains, functions, verification, cli):
+        monkeypatch.setattr(module, "domain", refuse)
+    monkeypatch.setattr(domains.GroupDomain, "__post_init__", refuse)
+    histograms = []
+    counts = verification._atom_counts
+
+    def spy(*args):
+        histograms.append(counts(*args))
+        return histograms[-1]
+
+    monkeypatch.setattr(verification, "_atom_counts", spy)
+    code, report, _ = run(["verify", "atoms", "--p", "5", "--n", "30", "--d1", "2",
+                           "--d2", "2"], tmp_path)
+    assert code == 0 and report["passed"]
+    (counts,) = histograms
+    assert len(counts) == 625 and sum(counts) == 5**30
+    observed = report["results"][0]["observed"]
+    assert (observed["count_min"], observed["count_max"]) == (min(counts), max(counts))
+
+
+@pytest.mark.parametrize("p, n, d1, d2", [(3037000493, 1, 0, 1), (8191, 40, 1, 1)])
+def test_atoms_over_the_cell_cap_refuse_before_drawing(p, n, d1, d2, monkeypatch,
+                                                       capsys):
+    """A histogram whose cells take more than MAX_DOMAIN_SIZE int64 words is
+    refused (exit 2) before the factor is drawn or anything large is
+    allocated: p^1 cells above the cap, or 8191^2 cells just below it whose
+    counts, near 8191^39, are Python ints of 13 words each."""
+    import tracemalloc
+
+    def refuse_to_draw(*args):
+        raise AssertionError("factor drawn before the cap check")
+
+    monkeypatch.setattr(cli, "random_factor", refuse_to_draw)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["verify", "atoms", "--p", str(p), "--n", str(n),
+                     "--d1", str(d1), "--d2", str(d2)])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    cells = p ** (d1 + d2)
+    assert f"the atom histogram has {p}^{d1 + d2} = {cells} cells" \
+        in capsys.readouterr().err
+    assert peak < 2**20 and elapsed < 5
+
+
+def test_wrap_padded_over_cap_exits_config_without_report(tmp_path, capsys):
+    """The direct U^2 norm at p = 3, n = 13 is within this budget, but it
+    would wrap-pad the table to 5^13 float64 entries (9.1 GB)."""
+    out = tmp_path / "n.json"
+    assert main(["norm", "--set", "quadzero", "--p", "3", "--n", "13", "--balanced",
+                 "--budget", str(10**14), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"wrap-padded table of 3^13 has {5**13} entries" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_bound1_checks_square_independence_before_pricing(monkeypatch, capsys):

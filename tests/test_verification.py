@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from uniformity_lab import cli, counting, functions, verification
-from uniformity_lab.algebra import QuadraticForm
+from uniformity_lab.algebra import QuadraticForm, _atom_counts
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
                                       random_bounded_function, uk_norm)
@@ -401,6 +401,69 @@ def test_atom_distribution_random_factors():
         d2 = int(rng.integers(0, 3 - (d1 > 0)))
         factor = random_factor(5, n, d1, d2, rng)
         assert atom_distribution(factor).passed
+
+
+def test_atom_histogram_matches_enumeration():
+    """The closed-form histogram equals `oracles.naive_atom_histogram` cell
+    for cell on 204 seeded factors: p in {3, 5, 7, 11}, every d1 from 0 to n
+    and every d2 from 0 to 3, then per p three with linear forms only (M = 0,
+    b != 0), one of them also with a homogeneous form (b = 0)."""
+    rng = np.random.default_rng(29)
+    factors = []
+    for p, top in ((3, 5), (5, 4), (7, 3), (11, 2)):
+        factors += [random_factor(p, n, d1, d2, rng) for n in range(1, top + 1)
+                    for d1 in range(n + 1) for d2 in range(4)]
+        for d2 in (1, 2, 3):
+            n = 3
+            forms = [QuadraticForm(p=p, M=np.zeros((n, n), dtype=np.int64),
+                                   b=rng.integers(1, p, size=n)) for _ in range(d2)]
+            if d2 == 3:
+                forms[0] = sum_of_squares_form(p, n)
+            factors.append(QuadraticFactor(p=p, n=n, gamma1=np.eye(n, dtype=np.int64)[:1],
+                                           gamma2=QuadraticMap(forms=tuple(forms))))
+    assert len(factors) == 204
+    for factor in factors:
+        counts = _atom_counts(factor.gamma1, factor.gamma2.forms, factor.p)
+        assert counts.tolist() == oracles.naive_atom_histogram(factor), \
+            (factor.p, factor.n, factor.d1, factor.d2)
+
+
+def test_atom_histogram_in_small_blocks_matches_enumeration(monkeypatch):
+    """With ATOM_BLOCK cut to 40 entries the lines of lambda come in blocks
+    that fix a middle coordinate (c_lead + mid.c_mid in the transform) and
+    the cosets in several steps; the counts do not move.  The factors include
+    more forms than coset dimensions (d2 > n - d1)."""
+    from uniformity_lab import algebra
+
+    rng = np.random.default_rng(31)
+    factors = [random_factor(p, n, d1, d2, rng) for p, n, d1, d2 in
+               ((3, 1, 0, 4), (3, 2, 0, 5), (3, 2, 1, 4), (5, 1, 0, 3),
+                (5, 2, 1, 3), (3, 3, 2, 3), (7, 2, 1, 2))]
+    monkeypatch.setattr(algebra, "ATOM_BLOCK", 40)
+    for factor in factors:
+        counts = _atom_counts(factor.gamma1, factor.gamma2.forms, factor.p)
+        assert counts.tolist() == oracles.naive_atom_histogram(factor), \
+            (factor.p, factor.n, factor.d1, factor.d2)
+
+
+def test_atoms_visit_the_points_only_where_that_is_cheaper(monkeypatch):
+    """With many more forms than coset dimensions (p = 3, n = 2, d2 = 10:
+    29524 lines of lambda, 9 points) the histogram is counted over the
+    points, at the benchmark's shapes in closed form; both give the same
+    exact report, and the closed form's counts equal the enumeration's."""
+    assert not verification._price_atoms(3, 2, 0, 10, None)
+    assert not verification._price_atoms(3, 3, 1, 9, None)
+    # 88573 lines of lambda against 9 points: visited, within the default budget
+    assert not verification._price_atoms(3, 2, 0, 11, 10**10)
+    for shape in ((5, 6, 2, 2), (7, 4, 1, 2), (5, 5, 0, 3), (3, 8, 3, 2),
+                  (5, 30, 2, 2)):
+        assert verification._price_atoms(*shape, None)
+    factor = random_factor(3, 2, 0, 10, np.random.default_rng(12))
+    counts = _atom_counts(factor.gamma1, factor.gamma2.forms, 3)
+    assert counts.tolist() == oracles.naive_atom_histogram(factor)
+    visited = atom_distribution(factor)
+    monkeypatch.setattr(verification, "_price_atoms", lambda *args: True)
+    assert atom_distribution(factor) == visited
 
 
 # ------------------------------------------------- factor equidistribution
