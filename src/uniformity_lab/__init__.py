@@ -10,8 +10,8 @@ from .budget import BudgetExceededError, check_budget, resolve_budget
 from .counting import (average_product_direct, average_product_dual,
                        count_solutions)
 from .domains import GroupDomain, domain
-from .functions import (GroupFunction, IndicatorSet, balanced, convolve,
-                        fourier, inverse_fourier, l2_norm, load_function,
+from .functions import (GroupFunction, IndicatorSet, balanced, fourier,
+                        inverse_fourier, l2_norm, load_function,
                         save_function, u2_norm_fast, uk_norm, uk_norm_fast,
                         uk_power_exact)
 from .hypergraphs import (TripartiteFunction, lift, octahedral_norm,

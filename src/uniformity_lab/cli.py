@@ -5,11 +5,14 @@ included) into a versioned JSON report; identical configuration and seed
 give byte-identical reports.  Exit status: 0 when every check passes, 1 on
 a failed assertion, 2 on configuration or parse errors, 3 on budget refusal.
 
-A command line whose first word names a command is parsed once, by that
-command's parser alone, which reads exactly as its subparser in the full
-parser (`build_parser`).  Help with no command, a first word that is no
-command, and a line with words left over go to the full parser, so help and
-error output are those of `build_parser().parse_args(argv)`.
+A command line has two parse paths.  Where its first word names a command
+and the rest is exact `--name value` options and flags (and the `verify`
+experiment, anywhere), it is read against that command's `add_argument`
+calls, recorded without building a parser, into the namespace the full
+parser returns.  Any other line (help, an unknown or abbreviated option,
+`--opt=value`, `--`, a repeated option, a missing or bad value, a missing
+required option) goes to the full parser, `build_parser().parse_args(argv)`,
+so help and error output are its own.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -85,8 +89,8 @@ _tolerance.__name__ = "float"  # so that a non-number reads "invalid float value
 def _common(p_cmd, p=5, n=2, seed=1):
     p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
     p_cmd.add_argument("--n", type=POSITIVE_INT, default=n, help="dimension of F_p^n")
-    p_cmd.add_argument("--seed", type=int, default=seed)
-    p_cmd.add_argument("--budget", type=int, default=None,
+    p_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=seed)
+    p_cmd.add_argument("--budget", type=NONNEGATIVE_INT, default=None,
                        help="max scalar operations (default 1e10 or $UNIFORMITY_LAB_BUDGET)")
     p_cmd.add_argument("--out", help="write the JSON report to this path")
 
@@ -177,19 +181,105 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the add_argument keywords and actions the plain read handles, on one
+# `--name` flag or one positional a call; a command that uses anything else
+# sends each of its lines to the full parser
+PLAIN_KEYWORDS = frozenset({"action", "choices", "default", "dest", "help",
+                            "required", "type"})
+PLAIN_ACTIONS = (None, "store_true")
+# a word argparse reads as a negative number, not as an option
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+class _Recorder:
+    """Stands in for a command's parser: keeps its add_argument calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def add_argument(self, *flags, **kw):
+        self.calls.append((flags, kw))
+
+
+def _typed(kw, text):
+    """`text` through the option's type and choices; raises where argparse
+    reports an error."""
+    value = kw["type"](text) if kw.get("type") else text
+    if kw.get("choices") is not None and value not in kw["choices"]:
+        raise ValueError(f"invalid choice: {value!r}")
+    return value
+
+
+def _plain_read(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace of `build_parser().parse_args(argv)` for a line whose
+    first word names a command and whose other words are its exact options,
+    each given once as `--name value` (a value may be a negative number) or
+    as a store_true flag, and its positionals, anywhere; None for any other
+    line, and wherever argparse would report an error."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    recorder = _Recorder()
+    COMMANDS[argv[0]][1](recorder)
+    actions, options, pending = [], {}, []
+    for flags, kw in recorder.calls:
+        if len(flags) != 1 or not kw.keys() <= PLAIN_KEYWORDS or \
+                kw.get("action") not in PLAIN_ACTIONS:
+            return None
+        (flag,) = flags
+        if flag.startswith("--"):
+            dest = kw.get("dest") or flag.lstrip("-").replace("-", "_")
+            options[flag] = action = (dest, kw)
+        elif flag.startswith("-"):
+            return None
+        else:
+            pending.append(action := (flag, kw))
+        actions.append(action)
+    given = {}
+    words = iter(argv[1:])
+    try:
+        for word in words:
+            if word in options:
+                dest, kw = options[word]
+                if kw.get("action"):  # store_true
+                    value = True
+                else:
+                    text = next(words, None)
+                    if text is None or text.startswith("-") and \
+                            not NEGATIVE_NUMBER.match(text):
+                        return None
+                    value = _typed(kw, text)
+            elif pending and not word.startswith("-"):
+                dest, kw = pending.pop(0)
+                value = _typed(kw, word)
+            else:
+                return None
+            if dest in given:
+                return None
+            given[dest] = value
+        if pending:
+            return None
+        namespace = argparse.Namespace(command=argv[0])
+        for dest, kw in actions:
+            if dest in given:
+                value = given[dest]
+            elif kw.get("required"):
+                return None
+            else:
+                value = kw.get("default", False if kw.get("action") else None)
+                if isinstance(value, str) and kw.get("type"):
+                    value = kw["type"](value)
+            setattr(namespace, dest, value)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return namespace
+
+
 def parse_args(argv: list[str]) -> argparse.Namespace:
-    """The namespace of `build_parser().parse_args(argv)`.  Where argv[0]
-    names a command, its parser alone parses the rest once; its prog, usage,
-    help and errors are its subparser's.  Words left over send the whole
-    line to the full parser, which reports them under the root usage line."""
-    if argv and argv[0] in COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"uniformity-lab {argv[0]}")
-        COMMANDS[argv[0]][1](parser)
-        parser.set_defaults(command=argv[0])
-        args, extra = parser.parse_known_args(argv[1:])
-        if not extra:
-            return args
-    return build_parser().parse_args(argv)
+    """The namespace of `build_parser().parse_args(argv)`: the plain read's
+    where it reads the line, else the full parser's, which prints help and
+    errors and exits."""
+    args = _plain_read(argv)
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def _fmt(v: float) -> str:

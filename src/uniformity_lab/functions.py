@@ -243,14 +243,6 @@ def inverse_fourier(fhat: GroupFunction) -> GroupFunction:
     return GroupFunction(domain=dom, values=arr.reshape(dom.size))
 
 
-def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
-    """(f*g)(x) = E_{y+z=x} f(y) g(z), computed through the transform."""
-    if f.domain != g.domain:
-        raise ValueError("functions live on different domains")
-    return inverse_fourier(GroupFunction(
-        domain=f.domain, values=fourier(f).values * fourier(g).values))
-
-
 # ---------------------------------------------------------------------------
 # U^k norms.
 

@@ -7,7 +7,9 @@ draws the symmetric matrices the closed forms are checked on;
 `counterexample_table` and `vertex_correlation` are the full-table side of
 the vertex-uniformity counterexample, whose package form is exact and never
 builds the table.  `naive_affine_class` and `naive_atom_histogram` are the
-enumeration side of the closed-form atom histogram.
+enumeration side of the closed-form atom histogram.  `convolve` is the one
+exception: the convolution through the package's transform, which only the
+tests use; `naive_convolve` checks it.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
 import numpy as np
+
+from uniformity_lab.functions import GroupFunction, fourier, inverse_fourier
 
 
 def span_points(rows, p):
@@ -139,6 +143,14 @@ def fft_u2_norm(values, p, n):
     FFT on the (p,)*n grid (its sign convention does not change |f^|)."""
     fh = np.fft.fftn(np.asarray(values).reshape((p,) * n)) / p**n
     return float((np.abs(fh) ** 4).sum() ** 0.25)
+
+
+def convolve(f: GroupFunction, g: GroupFunction) -> GroupFunction:
+    """(f*g)(x) = E_{y+z=x} f(y) g(z), computed through the transform."""
+    if f.domain != g.domain:
+        raise ValueError("functions live on different domains")
+    return inverse_fourier(GroupFunction(
+        domain=f.domain, values=fourier(f).values * fourier(g).values))
 
 
 def naive_convolve(values_f, values_g, p, n):

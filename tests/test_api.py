@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "QuadraticMap", "Subspace", "TripartiteFunction",
     "atom_distribution", "average_product_direct",
     "average_product_dual", "balanced", "builtin_system",
-    "check_budget", "conjectured_true_complexity", "convolve",
+    "check_budget", "conjectured_true_complexity",
     "count_solutions", "cs_complexity", "domain", "factor_rank",
     "fourier", "gauss_sum", "gauss_sum_report", "inverse_fourier",
     "l2_norm", "lift", "load_function",

@@ -1,4 +1,6 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -18,7 +20,8 @@ from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       save_function, uk_norm)
 from uniformity_lab.reports import validate_report
-from uniformity_lab.systems import BUILTIN_SYSTEM_NAMES, builtin_system
+from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, builtin_system,
+                                    save_system)
 from uniformity_lab.verification import quadratic_zero_set
 
 import oracles
@@ -243,6 +246,11 @@ def test_exit_code_config_error(tmp_path, capsys):
     ["count", "--system", "ap3", "--set", "quadzero", "--threads", "0"],
     ["verify", "gvn", "--threads", "-2"],
     ["verify", "atoms", "--d1", "one"],
+    ["norm", "--set", "quadzero", "--p", "5", "--n", "2", "--budget", "-1"],
+    ["verify", "gvn", "--p", "5", "--n", "2", "--seed", "-3", "--system", "ap3"],
+    ["octahedron", "--check", "counterexample", "--seed", "-1"],
+    ["count", "--system", "ap3", "--set", "quadzero", "--p", "5", "--n", "2",
+     "--seed", "-3"],
 ])
 def test_out_of_range_integer_options_are_refused_at_parse_time(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -940,15 +948,189 @@ def test_one_command_parser_matches_full_parser(capsys):
             assert outcomes[0][0] == 2 and "error:" in outcomes[0][1].err, bad
 
 
+def workload_shaped_lines(tmp_path):
+    """One line shaped like each kind of job of the benchmark's workloads
+    (perfbench/workloads.py), at small sizes, on the documented system and
+    function files; each exits 0."""
+    rng = np.random.default_rng(30)
+    systems = {}
+    for name in ("ap3", "gw6b", "nf4"):
+        path = tmp_path / f"sys_{name}.json"
+        save_system(builtin_system(name, 7 if name == "nf4" else 5), str(path))
+        systems[name] = str(path)
+    bounded, qz, random_set = (str(tmp_path / name) for name in
+                               ("bounded.json", "qz.json", "set.json"))
+    save_function(functions.random_bounded_function(domain(3, 2), rng), bounded)
+    save_function(quadratic_zero_set(3, 2), qz)
+    save_function(IndicatorSet(domain(5, 2), rng.random(25) < 0.5), random_set)
+    lines = [
+        ["norm", "--function", bounded, "--p", "3", "--n", "2", "--k", "3",
+         "--method", "direct"],
+        ["norm", "--function", qz, "--p", "3", "--n", "2", "--k", "2",
+         "--method", "fast", "--balanced"],
+        ["octahedron", "--check", "lift", "--p", "3", "--n", "1", "--seed", "1234567"],
+        ["verify", "pythagoras", "--p", "3", "--n", "2"],
+        ["count", "--system", systems["ap3"], "--set", "quadzero", "--p", "5",
+         "--n", "2", "--method", "both"],
+        ["count", "--system", systems["ap3"], "--set", random_set, "--p", "5",
+         "--n", "2", "--method", "both"],
+        ["verify", "badex", "--system", systems["gw6b"], "--p", "5", "--n", "2"],
+        ["list", "--p", "7", "--csv", str(tmp_path / "catalog.csv")],
+        ["complexity", "--system", systems["gw6b"], "--p", "5"],
+        ["independence", "--system", systems["gw6b"], "--p", "5", "--k", "2"],
+        ["normal-form", "--system", systems["nf4"], "--p", "7", "--s", "2"],
+        ["normal-form", "--system", "nf4", "--s", "1"],
+    ]
+    for experiment, opts in (("quadfactor", ["--system", systems["gw6b"]]),
+                             ("completefactor", ["--system", systems["gw6b"], "--d1", "1"]),
+                             ("atoms", ["--d1", "1", "--d2", "2"]),
+                             ("projections", ["--d1", "1", "--d2", "1"]),
+                             ("bound1", ["--system", systems["gw6b"]]),
+                             ("gvn", ["--system", systems["ap3"]])):
+        lines.append(["verify", experiment, "--p", "5", "--n", "2",
+                      "--seed", "987654321"] + opts)
+    return [argv + ["--out", str(tmp_path / "report.json")] for argv in lines]
+
+
 def test_a_line_that_parses_builds_no_full_parser(tmp_path, monkeypatch, capsys):
-    def refuse():
-        raise AssertionError("full parser built")
+    """Well-formed lines, each command's and one shaped like each kind of
+    workload job, run through main without building any ArgumentParser."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("ArgumentParser built")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(cli, "build_parser", refuse)
-    for name, argv in COMMAND_LINES.items():
-        # the count line's budget of 99 refuses the run (exit 3)
-        assert main(argv) == (3 if name == "count" else 0), name
+    # the count line's budget of 99 refuses the run (exit 3)
+    lines = [(argv, 3 if name == "count" else 0) for name, argv in COMMAND_LINES.items()]
+    lines += [(argv, 0) for argv in workload_shaped_lines(tmp_path)]
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    for argv, code in lines:
+        assert main(argv) == code, argv
+
+
+def test_plain_read_handles_every_option_keyword():
+    """Every add_argument call of every command uses only keywords, actions
+    and `--name` flags the plain read handles, so a new keyword (nargs=, say)
+    fails here rather than quietly sending each line to the full parser."""
+    for name, (_, add_arguments, _) in cli.COMMANDS.items():
+        recorder = cli._Recorder()
+        add_arguments(recorder)
+        assert recorder.calls, name
+        for flags, kw in recorder.calls:
+            assert kw.keys() <= cli.PLAIN_KEYWORDS, (name, flags, kw)
+            assert kw.get("action") in cli.PLAIN_ACTIONS, (name, flags, kw)
+            assert len(flags) == 1 and (flags[0].startswith("--") or
+                                        not flags[0].startswith("-")), (name, flags)
+
+
+def namespace_items(args):
+    """("namespace", its (key, type, value) triples in order)."""
+    return ("namespace", [(key, type(value), value) for key, value in vars(args).items()])
+
+
+def parse_outcome(parse, argv):
+    """The namespace_items of parse(argv), or ("exit", code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parse(argv)
+    except SystemExit as exc:
+        return ("exit", exc.code, out.getvalue(), err.getvalue())
+    return namespace_items(args)
+
+
+# option values by type (by name for the untyped string options): well-formed
+# ones, negative numbers, and words argparse refuses or reads as options
+TYPED_VALUES = {"int": ["0", "1", "3", "7", "12", "-1", "-3", "x", "1.5", "-x"],
+                "float": ["0", "1e-6", "2.5", ".5", "-1", "-.5", "-1e-9", "nan", "inf"],
+                None: ["ap3", "quadzero", "r.json", "-", "", "-x", "--p", "a b", "-1"]}
+# ways to break a line; each sends it to the full parser
+MALFORMED = ("abbreviate", "equals", "repeat", "double-dash", "help", "drop value",
+             "bad choice", "stray word", "unknown option", "missing positional")
+
+
+def random_line(name, rng):
+    """(argv, malformation): a seeded command line for `name` from its
+    recorded options, a random subset in random order with the positional
+    anywhere and values of every kind, and now and then one of MALFORMED
+    applied to it (else None)."""
+    recorder = cli._Recorder()
+    cli.COMMANDS[name][1](recorder)
+    words, positional, flags = [], [], {}
+    for (flag,), kw in recorder.calls:
+        if not flag.startswith("-"):
+            positional = [str(rng.choice(list(kw["choices"])))]
+            continue
+        flags[flag] = kw.get("action") != "store_true"  # takes a value
+        if rng.random() < 0.5 and not (kw.get("required") and rng.random() < 0.95):
+            continue
+        if not flags[flag]:
+            words.append([flag])
+        elif kw.get("choices"):
+            words.append([flag, str(rng.choice(list(kw["choices"])))])
+        else:
+            pool = TYPED_VALUES[getattr(kw.get("type"), "__name__", None)]
+            words.append([flag, str(rng.choice(pool[:5] if rng.random() < 0.8 else pool))])
+    rng.shuffle(words)
+    argv = [word for option in words for word in option]
+    if positional:
+        argv.insert(int(rng.integers(len(argv) + 1)), positional[0])
+    kind = str(rng.choice(MALFORMED)) if rng.random() < 0.4 else None
+    given = [i for i, word in enumerate(argv) if word in flags and
+             (i == 0 or argv[i - 1] not in flags or not flags[argv[i - 1]])]
+    valued = [i for i in given if flags[argv[i]]]
+    at = int(rng.integers(len(argv) + 1))
+    if kind == "abbreviate" and (long := [i for i in given if len(argv[i]) > 4]):
+        i = int(rng.choice(long))
+        argv[i] = argv[i][:int(rng.integers(3, len(argv[i])))]
+        if argv[i] in flags:  # a prefix that is another option is no abbreviation
+            kind = None
+    elif kind == "equals" and valued:
+        i = int(rng.choice(valued))
+        argv[i:i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+    elif kind == "repeat" and words:
+        argv[at:at] = words[int(rng.integers(len(words)))]
+    elif kind == "double-dash":
+        argv.insert(at, "--")
+    elif kind == "help":
+        argv.insert(at, str(rng.choice(["-h", "--help"])))
+    elif kind == "drop value" and valued:
+        del argv[int(rng.choice(valued)) + 1:]
+    elif kind == "bad choice":
+        argv[at:at] = (["--method", "bogus"] if rng.random() < 0.5 else ["nowhere"])
+    elif kind == "stray word":
+        argv.insert(at, "stray")
+    elif kind == "unknown option":
+        argv[at:at] = ["--bogus", "1"]
+    elif kind == "missing positional" and positional:
+        argv.remove(positional[0])
+    else:
+        kind = None
+    return [name] + argv, kind
+
+
+def test_plain_read_matches_full_parser_on_random_lines(monkeypatch):
+    """On 2,400 seeded lines the plain read returns None or the full
+    parser's namespace, None on every malformed one, and parse_args gives
+    the full parser's namespace or its exit code, stdout and stderr."""
+    rng = np.random.default_rng(20071185)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda: full)  # one build, not 1,500
+    read, negative, moved, malformed = 0, 0, 0, set()
+    for i in range(2400):
+        argv, kind = random_line(list(cli.COMMANDS)[i % len(cli.COMMANDS)], rng)
+        expected = parse_outcome(full.parse_args, argv)
+        plain = cli._plain_read(argv)
+        if kind is not None:
+            assert plain is None, (kind, argv)
+            malformed.add(kind)
+        elif plain is not None:
+            read += 1
+            negative += any(cli.NEGATIVE_NUMBER.match(word) for word in argv)
+            moved += argv[0] == "verify" and argv[1] != plain.experiment
+            assert namespace_items(plain) == expected, argv
+        assert parse_outcome(cli.parse_args, argv) == expected, argv
+    assert read >= 600 and malformed == set(MALFORMED), (read, malformed)
+    assert negative >= 20 and moved >= 20, (negative, moved)
 
 
 def test_report_config_echoes_exactly_the_parsed_options(tmp_path, monkeypatch):
