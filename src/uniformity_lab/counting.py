@@ -50,6 +50,8 @@ is above CHUNK), form images, a reducer called with the (m, rows, width)
 images of a tile alone, an optional thread pool and partials in tile
 order.  The images are gathered through the domain's wrap-padded sum grid
 (`GroupDomain.sum_grid`); no digit tensor of the assignments is built.
+`plan_op_count` gives the operations `_run_passes` executes over a plan,
+against which `verification` weighs the closed form below.
 
 The third strategy counts quadratic zeros in closed form:
 `quadratic_zero_count` gives #{X : (X l_i)^T B (X l_i) = 0 for all i} as an
@@ -77,8 +79,8 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (_class_forms, _legendre, batched_rank_class, inv_mod,
-                      nullspace, rref)
+from .algebra import (CLASS_BLOCK, _batches, _class_forms, _eliminate,
+                      _legendre, batched_rank_class, inv_mod, nullspace, rref)
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import (GroupFunction, IndicatorSet, _dft_axes, _dft_matrix,
@@ -91,6 +93,14 @@ DUAL_AGREEMENT_TOL = 1e-8
 
 # How a pass of an elimination plan fills its factor (`_Pass.kind`).
 ENUMERATE, PRODUCT, CONVOLUTION = "enumerate", "product", "convolution"
+
+# `_product_fill` multiply-adds that cost one elementwise operation of an
+# enumerated pass (`plan_cost`).  On a 2-vCPU Xeon VM, BLAS on one thread,
+# 0/1 tables, best of 7: a multiply-add of the fill took 1.1 ns at N = 49,
+# 0.22 at 125, 0.19 at 343 and 0.10 at 625, an entry of the ap4 and ap5
+# passes over G^2 18-22, 7.2, 4.8-5.3 and 4.8-5.4 ns: 16 to 55 of them.  The
+# least, so that the product is not priced below its cost at small N.
+PRODUCT_MADDS_PER_OP = 16
 
 
 def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDomain:
@@ -643,6 +653,35 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
     return total
 
 
+def plan_op_count(passes: Sequence[_Pass], dom: GroupDomain) -> tuple[int, int]:
+    """(elementwise operations, BLAS multiply-adds) of `_run_passes` over
+    `passes` on `dom`.  An enumerated pass, a fill or the final one, costs
+    forms x N^columns entry operations; a PRODUCT fill N^3 multiply-adds and
+    3 N^2 operations for its two gathers and its output; a CONVOLUTION fill,
+    where n > 1, 3 N n p for its transforms and forms x N for its products
+    on each of its N^(columns - 2) slices, and at n = 1, where it is not
+    admitted (`_convolution_admitted`), the enumerated pass's price."""
+    N = dom.size
+    elementwise = madds = 0
+    for pass_ in passes:
+        forms, columns = pass_.coeffs.shape
+        if pass_.kind == PRODUCT:
+            madds += N**3
+            elementwise += 3 * N**2
+        elif pass_.kind == CONVOLUTION and dom.n > 1:
+            elementwise += N ** (columns - 2) * (3 * N * dom.n * dom.p + forms * N)
+        else:
+            elementwise += forms * N**columns
+    return elementwise, madds
+
+
+def plan_cost(passes: Sequence[_Pass], dom: GroupDomain) -> int:
+    """`plan_op_count` in elementwise operations, PRODUCT_MADDS_PER_OP
+    multiply-adds to one."""
+    elementwise, madds = plan_op_count(passes, dom)
+    return elementwise + madds // PRODUCT_MADDS_PER_OP
+
+
 def direct_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
     """m N^d, the entry operations of a full enumeration.  The direct side
     runs over G^r, r the rank of C, and sums directions out where that lowers
@@ -777,7 +816,12 @@ def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
     """The shared front of the closed forms: after the budget check, the rank
     r_B and class eps_B of B and an iterator of (lambdas, ranks, classes)
     blocks over the lines of lambda, the ranks and classes those of
-    M_lambda = sum_i lambda_i l_i l_i^T (`algebra.batched_rank_class`)."""
+    M_lambda = sum_i lambda_i l_i l_i^T (as `algebra.batched_rank_class`
+    gives them).  The blocks are those of `_class_forms`; consecutive ones
+    are eliminated as one stack of at most CLASS_BLOCK classes
+    (`algebra._batches`), by `_eliminate` directly, since they are built
+    symmetric and reduced mod p, and handed on block by block, so that the
+    float sums of `quadratic_average` do not depend on the joining."""
     C = np.asarray(C, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     m, d = C.shape
@@ -785,8 +829,12 @@ def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
     (r_B,), (eps_B,) = batched_rank_class(B[None], p)
 
     def blocks():
-        for lams, forms in _class_forms(C[:, :, None] * C[:, None, :], p):
-            yield (lams, *batched_rank_class(forms, p))
+        stacks = _class_forms(C[:, :, None] * C[:, None, :], p)
+        for lam_blocks, forms in _batches(stacks, CLASS_BLOCK * d * d):
+            ranks, product = _eliminate(forms, p)
+            cuts = np.cumsum([len(lams) for lams in lam_blocks])[:-1]
+            yield from zip(lam_blocks, np.split(ranks, cuts),
+                           np.split(_legendre(product, p), cuts))
 
     return int(r_B), int(eps_B), blocks()
 

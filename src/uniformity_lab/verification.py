@@ -22,9 +22,10 @@ in given atoms of a quadratic factor, badex being the factor x -> x.x
 (`dot_factor`) with zero targets.  It makes the one path decision,
 `_use_gauss`: with one homogeneous form and zero targets it counts in closed
 form (`counting.quadratic_zero_count`) when that is estimated cheaper than
-enumerating the p^(nd) assignments, and otherwise, with no side maps, on the
-direct side's elimination plan (`counting._run_passes`); both paths give the
-same integer and so byte-identical reports.  `verify_bound1` makes the same decision for its
+the direct side's elimination plan (`counting.plan_cost`), or when the
+enumeration's budget price refuses, and otherwise, with no side maps, on
+that plan (`counting._run_passes`); both paths give the same integer and so
+byte-identical reports.  `verify_bound1` makes the same decision for its
 average of the atom projection along the system when the factor is one
 homogeneous form with no linear part (`counting.quadratic_average`); that
 path is a float sum, so its average agrees with enumeration to rounding.
@@ -54,12 +55,12 @@ import numpy as np
 from .algebra import (ATOM_BLOCK, QuadraticForm, _atom_counts, _batches,
                       _class_forms, _line_block, as_fp_matrix,
                       atom_count_cost, batched_rank_class, nullspace, rank)
-from .budget import check_budget
+from .budget import check_budget, resolve_budget
 from .counting import (_check_average_budget, _check_inputs, _run_passes,
                        average_product_direct, average_product_dual,
-                       direct_op_count, dual_op_count, quadratic_average,
-                       quadratic_zero_count, quadratic_zero_op_count,
-                       reduce_form_images)
+                       direct_op_count, dual_op_count, plan_cost,
+                       quadratic_average, quadratic_zero_count,
+                       quadratic_zero_op_count, reduce_form_images)
 from .domains import MAX_DOMAIN_SIZE, GroupDomain, domain
 from .functions import (GroupFunction, IndicatorSet, _check_fast_budget,
                         l2_norm, omega_power, u2_norm_fast, uk_norm_fast,
@@ -502,14 +503,29 @@ def _require_square_independent(sys: LinearFormSystem) -> None:
             "operation requires a square-independent system")
 
 
-def _use_gauss(homogeneous: bool, closed_ops: int, m: int, d: int, p: int,
-               n: int) -> bool:
-    """Whether a count or average of m forms in d variables over F_p^n takes
-    its closed form: only for homogeneous inputs, and only when the closed
-    form's operation estimate `closed_ops` (priced on the rank C pivot
-    columns it runs on) is below that of enumerating the p^(nd) assignments,
-    m p^(nd)."""
-    return homogeneous and closed_ops < m * p ** (n * d)
+def _use_gauss(homogeneous: bool, closed_ops: int, sys: LinearFormSystem,
+               n: int, budget: int | None) -> bool:
+    """Whether a count or average of the system's forms over F_p^n takes its
+    closed form, of operation estimate `closed_ops` (priced on the rank C
+    pivot columns it runs on), rather than the direct side's elimination
+    plan.  Only homogeneous inputs have one, and it is never taken at or
+    above m N^d, the enumeration's budget price (`direct_op_count`).  Below
+    that it is taken where it costs at most N, below any plan (one pass over
+    G), without building the plan; where the enumeration cannot run, its
+    domain above `MAX_DOMAIN_SIZE` or its price over budget; and otherwise
+    where it is below `plan_cost` of the system's cached `direct_plan`,
+    which the enumeration, where it wins, then runs.  So it refuses exactly
+    the jobs, with the same message, that taking the closed form wherever
+    it is below m N^d would refuse."""
+    if not homogeneous:
+        return False
+    N = sys.p**n
+    enumeration = sys.m * N**sys.d
+    if closed_ops >= enumeration:
+        return False
+    if closed_ops <= N or N > MAX_DOMAIN_SIZE or enumeration > resolve_budget(budget):
+        return True
+    return closed_ops < plan_cost(sys.direct_plan, domain(sys.p, n))
 
 
 def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
@@ -546,7 +562,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
                    and not A_t.any() and not B_t.any()
                    and not any(ph.any() for ph in phi_mats or ()))
     closed_ops = quadratic_zero_op_count(m, len(sys.pivots), n - factor.d1, p)
-    if _use_gauss(homogeneous, closed_ops, m, d, p, n):
+    if _use_gauss(homogeneous, closed_ops, sys, n, budget):
         K = nullspace(factor.gamma1, p)
         form = K @ factor.gamma2.forms[0].M @ K.T
         return p ** (n * (d - len(sys.pivots))) * quadratic_zero_count(
@@ -780,20 +796,20 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
     f1 = g o q with g the per-atom mean, and the average is taken in closed
     form when `_use_gauss` says so: `counting.quadratic_average` of the
     system's pivot cut (the other variables drop out of an average) with
-    g for every form.  Otherwise every assignment is enumerated
-    (`average_product_direct`).
+    g for every form.  Otherwise the average runs on the system's direct
+    plan (`average_product_direct`).
     """
     _require_square_independent(sys)
     if f.linf() > 1 + 1e-12:
         raise ValueError("function exceeds the unit sup-norm bound")
     p, n = factor.p, factor.n
-    m, d = sys.m, sys.d
+    m = sys.m
     c = uk_norm_fast(f, 2, budget=budget)
     codes, means = _atom_means(f, factor)
     homogeneous = (factor.d1 == 0 and factor.d2 == 1
                    and not factor.gamma2.forms[0].b.any())
     closed_ops = quadratic_zero_op_count(m, len(sys.pivots), n, p, weighted=True)
-    if _use_gauss(homogeneous, closed_ops, m, d, p, n):
+    if _use_gauss(homogeneous, closed_ops, sys, n, budget):
         average = quadratic_average(sys.cut, factor.gamma2.forms[0].M, p,
                                     np.tile(means, (m, 1)), budget)
     else:

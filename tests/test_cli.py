@@ -456,6 +456,17 @@ def test_badex_refuses_over_budget_before_building(monkeypatch, capsys):
     assert "49^3 assignments" in capsys.readouterr().err
 
 
+def test_badex_over_the_enumeration_budget_runs_in_closed_form(tmp_path):
+    # cube7 at p = 7, n = 2 takes its elimination plan by default, but its
+    # enumeration is priced at 7 * 49^4 = 40,353,607 operations, over this
+    # budget, and its closed form at 24,157,240, within it: the job runs
+    argv = ["verify", "badex", "--system", "cube7", "--p", "7", "--n", "2"]
+    code, report, _ = run(argv + ["--budget", "30000000"], tmp_path)
+    assert code == 0 and report["passed"]
+    _, default, _ = run(argv, tmp_path, "default.json")
+    assert report["results"] == default["results"]
+
+
 @pytest.mark.parametrize("experiment", ["gauss", "atoms", "projections"])
 def test_verify_refuses_over_budget_before_building(experiment, monkeypatch, capsys):
     def refuse_to_build(*args):
@@ -1172,6 +1183,43 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].strip() == "1"
+
+
+def test_console_entry_pins_blas_threads(monkeypatch, capsys):
+    import uniformity_lab_console as entry
+    for var in entry.BLAS_THREAD_VARS:
+        monkeypatch.delenv(var, raising=False)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert entry.main(["complexity", "--system", "diff3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].strip() == "1"
+    assert [os.environ[var] for var in entry.BLAS_THREAD_VARS] == ["1", "2", "1"]
+
+
+def test_console_entry_leaves_output_unchanged(tmp_path):
+    """In a fresh process with no BLAS variables, the console entry loads
+    nothing of numpy before it pins BLAS, and a BLAS-bound job prints the
+    same bytes and writes the same report as the CLI module run unpinned."""
+    package_root = str(Path(cli.__file__).parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root,
+                                                      env.get("PYTHONPATH")]))
+    probe = subprocess.run([sys.executable, "-c", "import sys, uniformity_lab_console; "
+                            "print(sorted({'numpy', 'uniformity_lab'} & set(sys.modules)))"],
+                           capture_output=True, text=True, env=env)
+    assert probe.returncode == 0 and probe.stdout.strip() == "[]"
+    job = ["norm", "--set", "quadzero", "--balanced", "--p", "5", "--n", "3",
+           "--k", "3", "--method", "fast"]
+    outputs = []
+    for module in ("uniformity_lab_console", "uniformity_lab.cli"):
+        out = tmp_path / f"{module}.json"
+        printed = subprocess.run([sys.executable, "-m", module, *job],
+                                 capture_output=True, env=env)
+        written = subprocess.run([sys.executable, "-m", module, *job, "--out", str(out)],
+                                 capture_output=True, env=env)
+        assert printed.returncode == written.returncode == 0
+        outputs.append((printed.stdout, out.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def readme_cli_lines():

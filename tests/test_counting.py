@@ -526,6 +526,33 @@ def test_convolution_plans():
                 assert all(pass_.kind != counting.CONVOLUTION for pass_ in passes), name
 
 
+def test_plan_op_count_by_hand():
+    """plan_op_count of the ap3, ap4, gw6b and cube7 direct plans at p = 5,
+    counted by hand.  At n = 2 (N = 25): ap3's convolution is 3 * 25 * 2 * 5
+    for its transforms and 2 * 25 for its products on one slice, then a pass
+    of 2 forms over N; ap4 is one pass of 4 forms over N^2; gw6b's matrix
+    product is N^3 multiply-adds and 3 N^2 operations, then a pass of 5
+    forms over N^2; cube7's product, then a convolution of 4 forms over 25
+    slices and a pass of 4 forms over N^2.  At n = 1 (N = 5) a convolution
+    is priced as its enumerated pass, forms x N^columns."""
+    counts = {}
+    for n in (1, 2):
+        dom = domain(5, n)
+        for name in ("ap3", "ap4", "gw6b", "cube7"):
+            counts[name, n] = counting.plan_op_count(builtin_system(name, 5).direct_plan, dom)
+    assert counts == {
+        ("ap3", 2): (750 + 50 + 2 * 25, 0),
+        ("ap4", 2): (4 * 25**2, 0),
+        ("gw6b", 2): (3 * 25**2 + 5 * 25**2, 25**3),
+        ("cube7", 2): (3 * 25**2 + 25 * (750 + 4 * 25) + 4 * 25**2, 25**3),
+        ("ap3", 1): (2 * 5**2 + 2 * 5, 0),
+        ("ap4", 1): (4 * 5**2, 0),
+        ("gw6b", 1): (3 * 5**2 + 5 * 5**2, 5**3),
+        ("cube7", 1): (3 * 5**2 + 4 * 5**3 + 4 * 5**2, 5**3)}
+    assert counting.plan_cost(builtin_system("gw6b", 5).direct_plan, domain(5, 2)) == \
+        5000 + 25**3 // counting.PRODUCT_MADDS_PER_OP
+
+
 def random_three_variable_system(rng, p):
     """Four to seven distinct nonzero forms of rank 3 in three variables."""
     while True:

@@ -732,12 +732,16 @@ def test_badex_closed_form_matches_enumeration(monkeypatch):
 
 
 def test_closed_form_priced_on_pivot_columns(monkeypatch):
-    # at n = 1 the closed form on all three columns is estimated at 7,183
-    # operations, on the two pivot columns at 2,661, against 3,993 for
-    # enumeration: it must now be taken, and give the enumerated count
-    p = 11
+    # the system uses two of its three variables: at p = 7, n = 2 the closed
+    # form on the two pivot columns is estimated at 1,148 operations, on all
+    # three at 3,086, against 2,254 for the elimination plan (a convolution
+    # and a pass at N): it must be taken, and give the enumerated count
+    p, n = 7, 2
     sys_ = make(p, [[1, 0, 0], [1, 1, 0], [1, 2, 0]])
-    gamma2 = QuadraticMap(forms=(sum_of_squares_form(p, 1),))
+    planned = counting.plan_cost(sys_.direct_plan, domain(p, n))
+    assert (counting.quadratic_zero_op_count(3, 2, n, p), planned,
+            counting.quadratic_zero_op_count(3, 3, n, p)) == (1148, 2254, 3086)
+    gamma2 = QuadraticMap(forms=(sum_of_squares_form(p, n),))
     calls = []
     closed_form = verification.quadratic_zero_count
     monkeypatch.setattr(verification, "quadratic_zero_count",
@@ -746,6 +750,65 @@ def test_closed_form_priced_on_pivot_columns(monkeypatch):
     assert len(calls) == 1 and calls[0][0].shape == (3, 2)
     monkeypatch.setattr(verification, "_use_gauss", lambda *a: False)
     assert report_text(verify_quadfactor(sys_, gamma2)) == text
+
+
+def closed_form_taken(monkeypatch, verify, *args):
+    """Whether `verify(*args)` took the closed form, and whether it built the
+    system's direct plan."""
+    calls = []
+    for name in ("quadratic_zero_count", "quadratic_average"):
+        closed_form = getattr(verification, name)
+        monkeypatch.setattr(verification, name, lambda *a, f=closed_form: (
+            calls.append(a), f(*a))[1])
+    built = []
+    plan = counting._plan
+    monkeypatch.setattr(counting, "_plan", lambda *a: (built.append(a), plan(*a))[1])
+    verify(*args)
+    monkeypatch.undo()
+    # badex counts the density of x.x = 0 in closed form on either path
+    return len(calls) > (verify is verify_badex), bool(built)
+
+
+def test_closed_form_taken_where_it_beats_the_plan(monkeypatch):
+    """The closed form is priced against the plan the enumeration runs:
+    gw6b's N^3 matrix product beats it at p = 5, n = 3 but not at n = 4,
+    ap3's convolution does not beat its 57 classes at p = 7, cube7's plan
+    beats its 137,257 classes at p = 7, n = 2, and a form on no coset
+    dimension is taken without building the plan."""
+    def quadfactor(name, p, n):
+        return verify_quadfactor, builtin_system(name, p), \
+            QuadraticMap(forms=(sum_of_squares_form(p, n),))
+
+    rng = np.random.default_rng(97)
+    complete = QuadraticFactor(p=7, n=2, gamma1=np.eye(2, dtype=np.int64),
+                               gamma2=QuadraticMap(forms=(sum_of_squares_form(7, 2),)))
+    cases = [(quadfactor("gw6b", 5, 3), (False, True)),
+             (quadfactor("gw6b", 5, 4), (True, True)),
+             (quadfactor("ap3", 7, 3), (True, True)),
+             ((verify_completefactor, builtin_system("gw6b", 7), complete,
+               [[0, 0]] * 6, [[0]] * 6), (True, False)),
+             ((verify_badex, builtin_system("cube7", 7), 2), (False, True)),
+             ((verify_bound1, random_bounded_function(domain(5, 3), rng),
+               QuadraticFactor(p=5, n=3, gamma1=np.zeros((0, 3), dtype=np.int64),
+                               gamma2=QuadraticMap(forms=(sum_of_squares_form(5, 3),))),
+               builtin_system("gw6b", 5)), (False, True))]
+    for (verify, *args), expected in cases:
+        assert closed_form_taken(monkeypatch, verify, *args) == expected, args
+
+
+def test_closed_form_taken_where_enumeration_is_refused():
+    """Over the enumeration's budget price the closed form is taken even
+    where the plan is cheaper, as long as it is below that price: cube7 at
+    p = 7, n = 2 enumerates at 7 * 49^4 = 40,353,607 and counts in closed
+    form at 24,157,240."""
+    sys_ = builtin_system("cube7", 7)
+    closed = counting.quadratic_zero_op_count(7, 4, 2, 7)
+    assert closed == 24_157_240
+    assert not verification._use_gauss(True, closed, sys_, 2, None)
+    assert verification._use_gauss(True, closed, sys_, 2, 30_000_000)
+    assert verification._use_gauss(True, closed, sys_, 2, 20_000_000)
+    assert not verification._use_gauss(True, 7 * 49**4, sys_, 2, 30_000_000)
+    assert not verification._use_gauss(False, closed, sys_, 2, 30_000_000)
 
 
 def bound1_both_paths(monkeypatch, f, factor, sys_):
