@@ -14,11 +14,13 @@ forms (`subset_ranks`) and the elimination plans of the direct and dual sums
 Partition complexity is computed by exact branch-and-bound search over class
 assignments, with classes as bitmasks over the forms.  Every span test is one
 lookup in a table of the ranks of all 2^m subsets of the forms, built once per
-system by one incremental echelon pass mod p that adds a form at a time to
-every subset's basis.  Both the table and the search are exponential in m, so
-systems are capped at m <= 12 forms: the table then has 4096 entries (a
-32 KiB list), and the bases it keeps are 2^(m-1) r x r int64 arrays, r <= m
-the rank of the system, so at most 2048 x 12 x 12 entries (2.25 MiB).
+system by a recurrence over residuals mod p: adding a form t to every subset T
+of the forms before it reduces the residuals of the later forms modulo span T
+by one elimination step each, fewer than 2^m steps of O(r) in all, r <= m
+the rank of the system.  Both the table and the search are exponential
+in m, so systems are capped at m <= 12 forms: the table then has 4096 entries
+(a 32 KiB list), and its largest residual array is (2^(m-1), 1, r) int64, at
+most 2048 x 12 entries (192 KiB).
 """
 
 from __future__ import annotations
@@ -148,38 +150,39 @@ def _rank_table(C: np.ndarray, p: int) -> list[int]:
     bitmask over row indices.
 
     The table grows one row at a time, by
-    rank[S | 1 << j] = rank[S] + [row j not in span S], reducing row j
-    against the echelon bases of all the subsets S of the rows before it at
-    once.  E[S] is that basis as an (r, r) array whose row c, when nonzero, is
-    the basis vector with leading column c.  For each c in turn the residual
-    v becomes a v - b E[S][c] (a = E[S][c, c], b = v[c]; a = 1 where row c is
-    zero), which clears v[c] without inverting anything and scales the whole
-    of v by a nonzero a.  Entries stay below p, so the products stay exact in
-    int64 as in `algebra._eliminate`.  Row j lies outside span S exactly when
-    its residual is nonzero, and E[S | 1 << j] is E[S] with that residual put
-    in the row of its leading column.  Only the bases of subsets of the first
-    m - 1 rows are ever read, so E is one (2^(m-1), r, r) array, and each
-    (S, j) costs O(r^2).
+    rank[T | 1 << t] = rank[T] + [row t not in span T].  Before step t, R
+    holds, for every subset T of the rows before t in bitmask order, the
+    residuals of rows t, ..., m - 1 modulo span T: each is a nonzero
+    multiple of its row plus a combination of T's rows, and zero on the
+    columns T's rows were reduced on.  R starts as C itself.  Row t lies
+    outside span T exactly when its residual w is nonzero.  Adding row t to
+    T turns every later residual v into a v - v[c] w (c the leading column
+    of w, a = w[c] != 0): that is zero on c and on T's columns, and equals
+    a L modulo span(T | 1 << t) for its row L, so it is zero exactly when L
+    lies in that span.  Where w = 0, v passes through (a = 1).  Entries stay
+    below p, so the products stay exact in int64 as in
+    `algebra._eliminate`.  Each step is one pass over all 2^t subsets at
+    once, the later residuals growing to (those without row t, those with
+    it), so each (T, later row) costs O(r); there are fewer than 2^m such
+    pairs, and the largest R is (2^(m-1), 1, r).
     """
     m, r = C.shape
-    ranks = np.zeros(1 << m, dtype=np.int64)
-    E = np.zeros((1 << (m - 1), r, r), dtype=np.int64)
-    for j in range(m):
-        size = 1 << j
-        basis = E[:size]
-        v = np.repeat(C[j][None, :], size, axis=0)
-        # a row c of zeros (no basis vector leads there) leaves v as it is
-        lead = np.diagonal(basis, axis1=1, axis2=2)
-        scale = np.where(lead != 0, lead, 1)
-        for c in range(r):
-            v = (scale[:, c, None] * v - v[:, c, None] * basis[:, c]) % p
-        new = v.any(axis=1)
-        ranks[size:2 * size] = ranks[:size] + new
-        if j < m - 1:
-            grown = E[size:2 * size]
-            grown[...] = basis
-            rows = np.flatnonzero(new)
-            grown[rows, (v[rows] != 0).argmax(axis=1)] = v[rows]
+    if r == 0:
+        return [0] * (1 << m)
+    ranks = np.zeros(1, dtype=np.int64)
+    R = np.asarray(C, dtype=np.int64)[None]
+    for t in range(m):
+        w, later = R[:, 0], R[:, 1:]
+        new = w.any(axis=1)
+        ranks = np.concatenate((ranks, ranks + new))
+        if t == m - 1:
+            break
+        lead = (w != 0).argmax(axis=1)
+        rows = np.arange(len(w))
+        a = np.where(new, w[rows, lead], 1)
+        b = later[rows, :, lead]
+        reduced = (a[:, None, None] * later - b[:, :, None] * w[:, None, :]) % p
+        R = np.concatenate((later, reduced))
     return ranks.tolist()
 
 

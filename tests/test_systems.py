@@ -12,7 +12,7 @@ from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, INFINITE,
                                     normal_form_check, power_independence,
                                     relation_space, save_system, support,
                                     _BUILTIN_ROWS, _min_partition_classes,
-                                    _power_matrix)
+                                    _power_matrix, _rank_table)
 
 import oracles
 
@@ -223,6 +223,51 @@ def test_subset_rank_table_matches_span_enumeration():
             for j, sources in relations:
                 below = sum(1 << i for i in sources)
                 assert ranks[below | 1 << j] == ranks[below], (p, m, j)
+
+
+def test_rank_table_of_no_columns_and_of_one_row():
+    for m in range(1, 6):
+        assert _rank_table(np.zeros((m, 0), dtype=np.int64), 7) == [0] * 2**m
+    assert _rank_table(np.array([[0, 0, 0]]), 7) == [0, 0]
+    assert _rank_table(np.array([[0, 3, 1]]), 7) == [0, 1]
+    assert _rank_table(np.array([[5]]), 2147483647) == [0, 1]
+
+
+def random_invertible(rng, p, r):
+    while True:
+        T = rng.integers(0, p, size=(r, r))
+        if rank(T, p) == r:
+            return T
+
+
+@pytest.mark.parametrize("p", [13, 2147483647])
+def test_rank_table_is_invariant_under_invertible_column_maps(p):
+    """rank[S] depends only on the row space of each subset, so a change of
+    coordinates C -> C T (T invertible) keeps the whole table.  C is drawn
+    as a product through k = 12, 9, 5 and 2 columns, so that below k = 12
+    many subsets carry relations."""
+    rng = np.random.default_rng(33)
+    for k in (12, 9, 5, 2):
+        A = rng.integers(0, p, size=(12, k)).astype(object)
+        B = rng.integers(0, p, size=(k, 12)).astype(object)
+        C = (A @ B % p).astype(np.int64)
+        T = random_invertible(rng, p, 12)
+        CT = (C.astype(object) @ T.astype(object) % p).astype(np.int64)
+        ranks = _rank_table(C, p)
+        assert ranks[-1] == rank(C, p)
+        assert ranks == _rank_table(CT, p), (p, k)
+
+
+def test_rank_table_peak_memory_at_twelve_rows_and_columns():
+    import tracemalloc
+    C = np.random.default_rng(12).integers(0, 13, size=(12, 12))
+    tracemalloc.start()
+    try:
+        _rank_table(C, 13)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_cut_is_the_read_only_pivot_columns():
