@@ -12,7 +12,8 @@ translation by h is a cyclic shift of that array.  The U^k norms wrap-pad a
 table once (`wrap_padded`) and read shifts of it as slices:
 `derivative_blocks` gives the tables x -> conj(g(x)) g(x + h) of a stack of
 padded tables g, for one h of every pair {h, -h} (`_pair_digits`), in
-blocks of h that are window products, and `split_translates` the rows
+blocks of h that are window products, on request grouped by the pair class
+of h's trailing coordinates, and `split_translates` the rows
 g(b, y + h) of a table split at its trailing coordinates, as one gather;
 neither builds a table of size^2 entries.  Sums of points are formed
 without digit arithmetic through `sum_grid`: `enc` writes a point's digits
@@ -75,46 +76,55 @@ class GroupDomain:
         """
         return _wrap_padded(values, self.p, self.n, levels)
 
-    def derivative_blocks(self, stack: np.ndarray,
-                          rows: int) -> Iterator[tuple[np.ndarray, int]]:
-        """(D, weight) for the h of `_pair_digits` in blocks: `stack`
+    def derivative_blocks(self, stack: np.ndarray, rows: int, trailing: int = 0
+                          ) -> Iterator[tuple[np.ndarray, int, int]]:
+        """(D, weight, t) for one h of every pair {h, -h}, in blocks: `stack`
         is an (S, ...) stack of tables g padded by at least one level, and D
         the (S * B, ...) stack of the tables x -> conj(g(x)) g(x + h),
         conj(Delta_h g), for the B h of one block, padded one level less;
         row s * B + j of D derives stack[s] along the j-th h.
 
-        Each block is at one weight, which the h of `_pair_digits` carry:
-        h = 0 comes alone at weight 1, then at weight 2 the representatives
-        whose first n - free digits are zero, then for each prefix of
-        n - free digits whose first nonzero digit is at most (p - 1)/2 the
-        p^free h with that prefix, where free is the largest count up to n
-        with p^free <= rows; so B <= max(rows, 1).  A prefix block is one
-        product with a window slice; only the all-zero prefix gathers its
-        shifts.
+        Write h = (a, y), y its last `trailing` coordinates, and let t be the
+        index of the representative of {y, -y} among the `_pair_digits` of
+        F_p^trailing (t = 0 for y = 0).  The blocks run through t = 0, 1, ...
+        and the h of a block share one t and one weight.  At t = 0 the h are
+        (a, 0) for the `_pair_digits` a of the first lead = n - trailing
+        coordinates: a = 0 alone at weight 1, then at weight 2 the a whose
+        first lead - free digits are zero, then for each prefix of
+        lead - free digits whose first nonzero digit is at most (p - 1)/2
+        the p^free a with that prefix.  At t > 0 they are (a, y_t) for every
+        a, at weight 2, the p^free a of one prefix to a block.  free is the
+        largest count up to lead with p^free <= rows, so B <= max(rows, 1).
+        At trailing = 0 every h has t = 0, in the order of `_pair_digits`.
+        A prefix block is one product with a window slice; only the all-zero
+        prefix at t = 0 gathers its shifts.
         """
         p, n = self.p, self.n
+        lead = n - trailing
         extent = stack.shape[1] - (p - 1)
         shape = (extent,) * n
         head = np.conj(stack[(slice(None),) + (slice(0, extent),) * n])
         W = sliding_window_view(stack, shape, axis=tuple(range(1, n + 1)))
         free = 0
-        while free < n and p ** (free + 1) <= rows:
+        while free < lead and p ** (free + 1) <= rows:
             free += 1
 
         def block(shifted: np.ndarray, conj_head: np.ndarray) -> np.ndarray:
             return (shifted * conj_head).reshape((-1,) + shape)
 
-        yield block(W[(slice(None),) + (0,) * n], head), 1
+        yield block(W[(slice(None),) + (0,) * n], head), 1, 0
         half = (p + 1) // 2
         spread = head.reshape(head.shape[:1] + (1,) * free + shape)
-        for prefix in product(range(p), repeat=n - free):
-            lead = next((c for c in prefix if c), 0)
-            window = W[(slice(None),) + prefix]
-            if lead == 0 and free:
-                yield block(window[(slice(None),) + _pair_digits(p, free, 1)],
-                            head[:, None]), 2
-            elif 0 < lead < half:
-                yield block(window, spread), 2
+        classes = zip(*_pair_digits(p, trailing)) if trailing else [()]
+        for t, y in enumerate(classes):
+            for prefix in product(range(p), repeat=lead - free):
+                first = next((c for c in prefix if c), 0)
+                window = W[(slice(None),) + prefix + (slice(None),) * free + y]
+                if t == 0 and first == 0 and free:
+                    yield block(window[(slice(None),) + _pair_digits(p, free, 1)],
+                                head[:, None]), 2, 0
+                elif t > 0 or 0 < first < half:
+                    yield block(window, spread), 2, t
 
     def split_translates(self, stack: np.ndarray, trailing: int, lo: int,
                          hi: int) -> np.ndarray:

@@ -23,15 +23,19 @@ fixed number of entries:
   sum_h |sum_x g(x) conj(g(x + h))|^2.  Splitting x = (a, y) at the last
   ceil(n/2) coordinates, it is one batched matrix product per block of
   derivatives and shifts y -> y + h1 (level-3 BLAS), and a gather of the
-  sums over a, reduced by one matrix-vector product (`_cube_sum`); it still
-  executes the N^2 multiply-adds of each cube sum.  Since Delta_{-h} g is a
-  translate of conj(Delta_h g), every h runs over one representative of
-  each pair {h, -h} at weight 2, and h = 0 at weight 1 (`_derivative_sum`),
-  with f wrap-padded once for all levels.  `GroupFunction` stores every
-  table as complex128, but a table whose imaginary parts are all exactly
-  zero enters the enumeration as float64 (`_narrowed`), so its derivatives,
-  products and gathers run in real arithmetic; any nonzero imaginary part
-  keeps the complex path.
+  sums over a, reduced by one matrix-vector product (`_cube_sum`).  Since
+  Delta_{-h} g is a translate of conj(Delta_h g), every h runs over one
+  representative of each pair {h, -h} at weight 2, and h = 0 at weight 1
+  (`_derivative_sum`), with f wrap-padded once for all levels.  At k >= 3
+  the last derivative u and the cube shift h enter the inner sum
+  symmetrically, so the last level takes its u in blocks of one class t of
+  their trailing coordinates (`derivative_blocks`), and each block's cube
+  sum only the h of class t and above, those above at twice the weight:
+  about N^3/8 multiply-adds at k = 3 in place of N^3/4.  `GroupFunction`
+  stores every table as complex128, but a table whose imaginary parts are
+  all exactly zero enters the enumeration as float64 (`_narrowed`), so its
+  derivatives, products and gathers run in real arithmetic; any nonzero
+  imaginary part keeps the complex path.
   It is the independent side of every norm check: `norm --method direct`,
   the octahedron lift identity and the test suite use it.  `uk_power_exact`
   is the same enumeration in Python ints on the integer table of a rational
@@ -249,10 +253,12 @@ def inverse_fourier(fhat: GroupFunction) -> GroupFunction:
 def uk_norm_op_count(dom: GroupDomain, k: int) -> int:
     """The cube-enumeration count: N^(k-2) cube sums of N^2 multiply-adds,
     plus the N^j derivative tables of N entries built at each level
-    j = 1..k-2.  Summing each pair {h, -h} once, the direct pass executes
-    about 2^-(k-1) of it, the cube sums as blocked matrix products; the
-    count still prices the enumeration, so budgets and reported op counts
-    do not depend on how the products are blocked."""
+    j = 1..k-2.  Summing each pair {h, -h} once, and each pair of classes
+    of the last derivative and the first cube direction once, the direct
+    pass executes about 2^-k of it at k >= 3 (2^-1 at k = 2), the cube
+    sums as blocked matrix products; the count still prices the
+    enumeration, so budgets and reported op counts do not depend on how the
+    products are blocked."""
     N = dom.size
     return N**k + sum(N ** (j + 1) for j in range(1, k - 1))
 
@@ -281,38 +287,38 @@ def _check_fast_budget(dom: GroupDomain, k: int, budget: int | None) -> None:
 
 
 def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
-                    base: Callable[[np.ndarray], float | int], *,
-                    pad: int, entries: int, base_entries: int = 0):
-    """sum over (h_1..h_depth) of base([Delta_{h_1}...Delta_{h_depth} g])
+                    base: Callable[[np.ndarray, int | None], float | int], *,
+                    pad: int, entries: int, trailing: int = 0):
+    """sum over (h_1..h_depth) of base([Delta_{h_1}...Delta_{h_depth} g], t)
     with Delta_h g(x) = g(x) conj(g(x + h)); g is a value table of any dtype,
-    and base takes a stack of tables and returns the sum of its value on
-    each.
+    and base takes a stack of tables and the class t of their last h (None
+    at depth 0) and returns the sum of its value on each.
 
     base must not change under translation or conjugation of its argument;
     since Delta_{-h} g(x) = conj(Delta_h g(x - h)), each pair {h, -h} is then
     taken once at weight 2 and h = 0 once at weight 1 (`_pair_digits`),
-    and a level may take conj(Delta_h g) as `derivative_blocks` gives it.  g
-    is wrap-padded once, by depth + pad levels; every level of derivatives
-    is a block of window products of the padded stack before it, and base
-    receives stacks padded by `pad` levels.  A level's blocks hold at most
-    entries // (S c) tables per table of the stack S they derive (at least
-    one), c the entries of a derivative table, or at the last level the
-    entries base touches per table if larger (base_entries), so they depend
-    on the shape alone.
+    and a level may take conj(Delta_h g) as `derivative_blocks` gives it.
+    The last level groups its h by the class t of their last `trailing`
+    coordinates (`derivative_blocks`), one class to a block; every level
+    before it, and the last at trailing = 0, has t = 0.  g is wrap-padded
+    once, by depth + pad levels; every level of derivatives is a block of
+    window products of the padded stack before it, and base receives stacks
+    padded by `pad` levels.  A level's blocks hold at most entries // (S c)
+    tables per table of the stack S they derive (at least one), c the
+    entries of a derivative table, so they depend on the shape alone.
     """
     p, n = dom.p, dom.n
 
-    def fold(stack: np.ndarray, weight: int, depth: int):
+    def fold(stack: np.ndarray, weight: int, depth: int, t: int | None):
         if depth == 0:
-            return weight * base(stack)
+            return weight * base(stack, t)
         cost = (p + (depth - 1 + pad) * (p - 1)) ** n
-        if depth == 1:
-            cost = max(cost, base_entries)
         rows = entries // (len(stack) * cost)
-        return sum(fold(block, weight * w, depth - 1)
-                   for block, w in dom.derivative_blocks(stack, rows))
+        split = trailing if depth == 1 else 0
+        return sum(fold(block, weight * w, depth - 1, c)
+                   for block, w, c in dom.derivative_blocks(stack, rows, split))
 
-    return fold(dom.wrap_padded(g, depth + pad)[None], 1, depth)
+    return fold(dom.wrap_padded(g, depth + pad)[None], 1, depth, None)
 
 
 def _cube_split(dom: GroupDomain) -> tuple[int, int]:
@@ -324,10 +330,12 @@ def _cube_split(dom: GroupDomain) -> tuple[int, int]:
     return trailing, (dom.p**trailing + 1) // 2 * dom.size
 
 
-def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
+def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int,
+              t: int | None = None) -> float:
     """sum over the tables g of `stack`, padded by one level, of the U^2 cube
     sum sum_h |sum_x g(x) conj(g(x + h))|^2, as matrix products in the
-    stack's dtype (float64 for real tables, complex128 otherwise).
+    stack's dtype (float64 for real tables, complex128 otherwise); with t
+    set, only the part of it that the last level of `uk_norm` still needs.
 
     With x = (a, y) split at the last `trailing` coordinates and
     h = (h2, h1), M[(j, b), a] = sum_y g(b, y + h1_j) conj(g(a, y)) is one
@@ -340,6 +348,14 @@ def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
     block holds at most CUBE_BLOCK_ENTRIES // (S max(N, N2^2)) of the h1_j
     (at least one), N2 = p^(n - trailing), which caps both the rows of g
     gathered and the entries of M.
+
+    t is for the tables Delta_u g' of one class t of u (`derivative_blocks`).
+    The inner sum is then A(u, h) = sum_x g'(x) conj(g'(x + u) g'(x + h))
+    g'(x + u + h), symmetric in u and h, and |A| is unchanged by u -> -u or
+    h -> -h.  So the classes (t, s) and (s, t) of (u, h) give equal sums, and
+    the sum takes only the h1_j with j >= t: h1_t at its weight and every
+    later h1_j at twice it.  A block of class t so gathers pairs - t of the
+    pairs shift representatives, about half of them over all classes.
     """
     S = len(stack)
     N1, N2 = dom.p**trailing, dom.size // dom.p**trailing
@@ -347,16 +363,20 @@ def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int) -> float:
     diagonal = _diagonal_index(dom.p, dom.n - trailing)
     step = max(1, CUBE_BLOCK_ENTRIES // (S * max(dom.size, N2 * N2)))
     ones = np.ones(N2, dtype=stack.dtype)
+    # the rows of g itself, h1 = 0
+    ac = np.conj(stack[(slice(None),) + (slice(0, dom.p),) * dom.n])
+    ac = ac.reshape(S, N2, N1).transpose(0, 2, 1)
     total = 0.0
-    for lo in range(0, pairs, step):
+    for lo in range(t or 0, pairs, step):
         hi = min(pairs, lo + step)
         rows = dom.split_translates(stack, trailing, lo, hi)
-        if lo == 0:  # h1_0 = 0: the rows of g itself
-            ac = np.conj(rows[:, 0]).transpose(0, 2, 1)
         M = np.matmul(rows.reshape(S, -1, N1), ac).reshape(S, hi - lo, N2 * N2)
         sums = np.take(M, diagonal, axis=2) @ ones
         mags = (sums.real**2 + sums.imag**2).sum(axis=(0, 2))
-        total += 2 * float(mags.sum()) - (float(mags[0]) if lo == 0 else 0.0)
+        part = 2 * float(mags.sum()) - (float(mags[0]) if lo == 0 else 0.0)
+        if t is not None:  # h1_t at its weight, each later h1_j at twice it
+            part = 2 * part - (float(mags[0]) * (2 if t else 1) if lo == t else 0.0)
+        total += part
     return total
 
 
@@ -379,16 +399,20 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
 
     The last two directions are the U^2 cube sum of each iterated derivative
     (`_cube_sum`), taken as matrix products in blocks of derivatives and of
-    shifts of at most about CUBE_BLOCK_ENTRIES entries; the block sizes
-    depend on (p, n, k) alone, so a value repeats bit for bit.  A real f
-    (every imaginary part exactly zero) is enumerated in float64."""
+    shifts of at most about CUBE_BLOCK_ENTRIES entries.  At k >= 3 a block
+    of the last derivative level holds one class t of the trailing
+    coordinates of its h, and its cube sum takes the shifts of class t and
+    above only, since the last two levels' inner sum is symmetric in their
+    two directions.  The block sizes depend on (p, n, k) alone, so a value
+    repeats bit for bit.  A real f (every imaginary part exactly zero) is
+    enumerated in float64."""
     _check_k(k)
     dom = f.domain
     _check_direct_budget(dom, k, budget)
-    trailing, entries = _cube_split(dom)
+    trailing, _ = _cube_split(dom)
     power_sum = _derivative_sum(dom, _narrowed(f.values), k - 2,
-                                lambda stack: _cube_sum(dom, stack, trailing),
-                                pad=1, entries=CUBE_BLOCK_ENTRIES, base_entries=entries)
+                                lambda stack, t: _cube_sum(dom, stack, trailing, t),
+                                pad=1, entries=CUBE_BLOCK_ENTRIES, trailing=trailing)
     # |sum_x|^2 contributes N^2 and the k-1 outer averages contribute N^(k-1)
     power = max(float(power_sum) / dom.size ** (k + 1), 0.0)
     return float(power ** (1.0 / 2**k))
@@ -405,7 +429,7 @@ def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fract
     dom = f.domain
     _check_direct_budget(dom, k, budget)
 
-    def square_sums(stack: np.ndarray) -> int:
+    def square_sums(stack: np.ndarray, t: int | None) -> int:
         sums = stack.reshape(len(stack), -1).sum(axis=1)
         return (sums * sums).sum()
 
@@ -426,7 +450,7 @@ def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:
     N = dom.size
     D = _dft_matrix(dom.p)
 
-    def fourier_sum(stack: np.ndarray) -> float:
+    def fourier_sum(stack: np.ndarray, t: int | None) -> float:
         # sum over the stack of sum_r |g^(r)|^4, one transform for the stack
         dh = _dft_axes(stack, D, first=1) / N
         mags = dh.real**2 + dh.imag**2

@@ -162,9 +162,9 @@ def cube_sum_dtypes(monkeypatch, f, k):
     dtypes = set()
     cube_sum = functions._cube_sum
 
-    def spy(dom, stack, trailing):
+    def spy(dom, stack, trailing, *args):
         dtypes.add(stack.dtype)
-        return cube_sum(dom, stack, trailing)
+        return cube_sum(dom, stack, trailing, *args)
 
     monkeypatch.setattr(functions, "_cube_sum", spy)
     return uk_norm(f, k), dtypes
@@ -278,6 +278,85 @@ def test_uk_norm_under_a_lowered_block_cap(monkeypatch, p, n, k, caps):
         assert any(1 < S < reps ** (k - 2) for S in stacks), stacks
     # some block of shifts ends before the last representative
     assert any(hi < pairs for _, hi in shift_blocks), shift_blocks
+
+
+# (p, n, k) for the pairing of the last derivative with the first cube
+# direction: n = 1 has no leading coordinate, so a class is one derivative
+TRIANGLE_CASES = [(3, 1, 3), (7, 1, 3), (5, 1, 4), (3, 1, 5), (3, 2, 3), (5, 2, 3),
+                  (7, 2, 3), (3, 2, 4), (3, 2, 5), (3, 3, 3), (5, 3, 3), (7, 3, 3),
+                  (3, 3, 4), (3, 4, 3), (3, 4, 4)]
+
+
+@pytest.mark.parametrize("p,n,k", TRIANGLE_CASES)
+def test_uk_norm_on_the_triangle_matches_the_oracles(monkeypatch, p, n, k):
+    """On real and complex tables the direct U^k power equals the literal
+    cube enumeration where that is small and the fast norm's elsewhere, to
+    1e-12, at the default block cap and at caps low enough that at k = 3 a
+    class of the last level is split across blocks of derivatives (when
+    there is a leading coordinate) and a block's shifts across gathers."""
+    dom = domain(p, n)
+    rng = np.random.default_rng(110 + 10 * p + n + k)
+    trailing, _ = functions._cube_split(dom)
+    cube_sum, split = functions._cube_sum, GroupDomain.split_translates
+    calls = []
+
+    def cube_spy(dom, stack, trailing, t=None):
+        calls.append([len(stack), t, 0])
+        return cube_sum(dom, stack, trailing, t)
+
+    def split_spy(self, stack, trailing, lo, hi):
+        calls[-1][2] += 1
+        return split(self, stack, trailing, lo, hi)
+
+    monkeypatch.setattr(functions, "_cube_sum", cube_spy)
+    monkeypatch.setattr(GroupDomain, "split_translates", split_spy)
+    blocks = set()
+    for complex_valued in (False, True):
+        f = random_function(dom, rng, complex_valued)
+        if dom.size ** (k + 1) * 2**k <= 10**5:
+            want = oracles.naive_uk_power(list(f.values), p, n, k).real
+        else:
+            want = uk_norm_fast(f, k) ** 2**k
+        for cap in (functions.CUBE_BLOCK_ENTRIES, 2**10, 1):
+            monkeypatch.setattr(functions, "CUBE_BLOCK_ENTRIES", cap)
+            calls.clear()
+            assert abs(uk_norm(f, k) ** 2**k - want) <= 1e-12 * want, (complex_valued, cap)
+            if cap < 2**14:
+                blocks |= {tuple(c) for c in calls}
+    if k == 3:
+        if n > trailing:  # a class t > 0 holds p^lead derivatives
+            assert any(t and S < p ** (n - trailing) for S, t, _ in blocks), blocks
+        assert any(gathers > 1 for _, _, gathers in blocks), blocks
+
+
+@pytest.mark.parametrize("p,n", [(7, 3), (3, 4), (5, 2), (5, 1)])
+def test_u3_cube_sums_take_each_pair_of_classes_once(monkeypatch, p, n):
+    """The last level of U^3 gathers and multiplies sum_t S_t (pairs - t)
+    table-shifts, S_t the derivatives of class t: (p^lead + 1)/2 at t = 0,
+    p^lead after.  At p = 7, n = 3 that is 4 * 25 + 7 * 300 = 2,200, against
+    the 172 * 25 = 4,300 of every derivative taking every shift, in 26 cube
+    sums of one class each."""
+    dom = domain(p, n)
+    trailing, _ = functions._cube_split(dom)
+    lead, pairs = n - trailing, (p**trailing + 1) // 2
+    cube_sum, split = functions._cube_sum, GroupDomain.split_translates
+    sums, gathered = [], []
+
+    def cube_spy(dom, stack, trailing, t=None):
+        sums.append(len(stack) * (pairs - t))
+        return cube_sum(dom, stack, trailing, t)
+
+    def split_spy(self, stack, trailing, lo, hi):
+        gathered.append(len(stack) * (hi - lo))
+        return split(self, stack, trailing, lo, hi)
+
+    monkeypatch.setattr(functions, "_cube_sum", cube_spy)
+    monkeypatch.setattr(GroupDomain, "split_translates", split_spy)
+    uk_norm(random_function(dom, np.random.default_rng(120 + p + n)), 3)
+    want = (p**lead + 1) // 2 * pairs + p**lead * pairs * (pairs - 1) // 2
+    assert sum(sums) == sum(gathered) == want
+    if (p, n) == (7, 3):
+        assert want == 2200 and len(sums) == 26
 
 
 @pytest.mark.parametrize("p,n,k,complex_valued", [

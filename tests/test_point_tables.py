@@ -165,7 +165,8 @@ def test_translation_blocks_take_each_pair_once(p, n):
     seen = {}
     blocks = list(dom.derivative_blocks(dom.wrap_padded(g, 1)[None], rows))
     assert (len(blocks) > 2) == (dom.size > rows)
-    for block, weight in blocks:
+    for block, weight, t in blocks:
+        assert t == 0
         assert block.shape[1:] == dom.grid
         assert len(block) <= max(rows, 1)
         for table in block.reshape(len(block), dom.size):
@@ -177,6 +178,41 @@ def test_translation_blocks_take_each_pair_once(p, n):
             assert table[at].imag.tolist() == [s_ - i for i, s_ in zip(at, shifted)]
             assert table[at].real.tolist() == [1 + s_ * i for i, s_ in zip(at, shifted)]
     assert seen == dict(translation_pairs(p, n))
+
+
+@pytest.mark.parametrize("p,n", [(3, 1), (5, 2), (3, 3), (7, 3), (3, 4)])
+def test_class_blocks_take_each_pair_once(p, n):
+    """With h = (a, y) split at its last `trailing` coordinates,
+    `derivative_blocks` takes one h of each pair {h, -h}, h = 0 alone at
+    weight 1, in blocks of at most the cap whose h share the index t of the
+    representative of {y, -y} among the pair representatives of
+    F_p^trailing, t rising from block to block, at every split and block
+    size; the tables are checked as in the test above."""
+    points, index = oracles.naive_points(p, n)
+    dom = domain(p, n)
+    stack = dom.wrap_padded(1 + 1j * np.arange(dom.size), 1)[None]
+    at = range(0, dom.size, 1 if dom.size <= 81 else 17)
+    for trailing in range(1, n + 1):
+        classes = {y: t for t, (y, _) in enumerate(translation_pairs(p, trailing))}
+        for rows in (1, p, dom.size):
+            seen, order = {}, []
+            for block, weight, t in dom.derivative_blocks(stack, rows, trailing):
+                assert len(block) <= max(rows, 1)
+                order.append(t)
+                for table in block.reshape(len(block), dom.size):
+                    h = points[int(table[0].imag)]
+                    y = h[n - trailing:]
+                    assert classes.get(y, classes.get(tuple(-c % p for c in y))) == t
+                    assert h not in seen
+                    seen[h] = weight
+                    shifted = [index[add(points[i], h, p)] for i in at]
+                    assert table[at].imag.tolist() == [s_ - i for i, s_ in zip(at, shifted)]
+            assert order == sorted(order) and set(order) == set(classes.values())
+            assert [h for h, w in seen.items() if w == 1] == [(0,) * n]
+            assert set(seen.values()) <= {1, 2}
+            negated = {tuple(-c % p for c in h) for h in seen}
+            assert set(seen) | negated == set(points)
+            assert set(seen) & negated == {(0,) * n}
 
 
 @pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 2), (3, 3)])
@@ -193,7 +229,8 @@ def test_derivatives_are_padded_slice_products(p, n):
     pairs = translation_pairs(p, n)
     for rows in (1, p, dom.size):
         taken = []
-        for block, weight in dom.derivative_blocks(stack, rows):
+        for block, weight, t in dom.derivative_blocks(stack, rows):
+            assert t == 0
             B = len(block) // 2
             assert len(block) == 2 * B and B <= max(rows, 1)
             hs = [h for h, _ in pairs[len(taken):len(taken) + B]]
