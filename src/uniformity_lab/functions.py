@@ -321,13 +321,10 @@ def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
     return fold(dom.wrap_padded(g, depth + pad)[None], 1, depth, None)
 
 
-def _cube_split(dom: GroupDomain) -> tuple[int, int]:
-    """(trailing, entries): `uk_norm` splits a point as x = (a, y) at its last
-    ceil(n/2) coordinates, and one table of its U^2 base touches about
-    entries = H N values, H = (p^trailing + 1)/2 the number of
-    representatives of the pairs {y, -y}."""
-    trailing = (dom.n + 1) // 2
-    return trailing, (dom.p**trailing + 1) // 2 * dom.size
+def _cube_split(dom: GroupDomain) -> int:
+    """trailing: `uk_norm` splits a point as x = (a, y) at its last
+    ceil(n/2) coordinates."""
+    return (dom.n + 1) // 2
 
 
 def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int,
@@ -409,7 +406,7 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
     _check_k(k)
     dom = f.domain
     _check_direct_budget(dom, k, budget)
-    trailing, _ = _cube_split(dom)
+    trailing = _cube_split(dom)
     power_sum = _derivative_sum(dom, _narrowed(f.values), k - 2,
                                 lambda stack, t: _cube_sum(dom, stack, trailing, t),
                                 pad=1, entries=CUBE_BLOCK_ENTRIES, trailing=trailing)

@@ -11,16 +11,21 @@ A system's coefficients C are read-only, so the pivot columns of rref(C)
 forms (`subset_ranks`) and the elimination plans of the direct and dual sums
 (`direct_plan`, `dual_plan`) are computed once, on first use, and cached.
 
-Partition complexity is computed by exact branch-and-bound search over class
-assignments, with classes as bitmasks over the forms.  Every span test is one
-lookup in a table of the ranks of all 2^m subsets of the forms, built once per
-system by a recurrence over residuals mod p: adding a form t to every subset T
-of the forms before it reduces the residuals of the later forms modulo span T
-by one elimination step each, fewer than 2^m steps of O(r) in all, r <= m
-the rank of the system.  Both the table and the search are exponential
-in m, so systems are capped at m <= 12 forms: the table then has 4096 entries
-(a 32 KiB list), and its largest residual array is (2^(m-1), 1, r) int64, at
-most 2048 x 12 entries (192 KiB).
+Partition complexity is computed exactly by feasibility tests over class
+assignments, with classes as bitmasks over the forms: can the forms other
+than form i be split into at most cap classes, none of whose spans contains
+form i?  Each form's tests run from a floor, cap = floor, floor + 1, ..., and
+the complexity passes the running maximum plus one as the floor, so once the
+worst form is found every later form needs only the first partition its
+search meets.  Every span test is one lookup in a table of the ranks of all
+2^m subsets of the forms, built once per system by a recurrence over
+residuals mod p: adding a form t to every subset T of the forms before it
+reduces the residuals of the later forms modulo span T by one elimination
+step each, fewer than 2^m steps of O(r) in all, r <= m the rank of the
+system.  Both the table and the search are exponential in m, so systems are
+capped at m <= 12 forms: the table then has 4096 entries (a 32 KiB list),
+and its largest residual array is (2^(m-1), 1, r) int64, at most 2048 x 12
+entries (192 KiB).
 """
 
 from __future__ import annotations
@@ -72,12 +77,8 @@ class LinearFormSystem:
         C = raw % self.p
         if not C.any(axis=1).all():
             raise ValueError("forms must not be identically zero")
-        seen = set()
-        for row in C:
-            key = tuple(int(x) for x in row)
-            if key in seen:
-                raise ValueError("forms must be pairwise distinct")
-            seen.add(key)
+        if len(set(map(tuple, C.tolist()))) < len(C):
+            raise ValueError("forms must be pairwise distinct")
         # read-only, so that the cached invariants below never go stale
         C.flags.writeable = False
         object.__setattr__(self, "coeffs", C)
@@ -186,53 +187,68 @@ def _rank_table(C: np.ndarray, p: int) -> list[int]:
     return ranks.tolist()
 
 
-def _min_partition_classes(ranks: list[int], m: int, i: int) -> float:
-    """Minimum number of classes partitioning the forms other than form i so
-    that no class's span contains form i; INFINITE if impossible (a parallel
-    form).  Classes are bitmasks, and form i lies in span(S) exactly when
-    ranks[S | 1 << i] == ranks[S]."""
+def _min_partition_classes(ranks: list[int], m: int, i: int,
+                           floor: int = 0) -> float:
+    """max(floor, the minimum number of classes partitioning the forms other
+    than form i so that no class's span contains form i); INFINITE if no such
+    partition exists (a parallel form), at every floor.  Classes are
+    bitmasks, and form i lies in span(S) exactly when
+    ranks[S | 1 << i] == ranks[S].
+
+    The minimum is found by feasibility tests: can the other forms be split
+    into at most cap classes, for cap = floor, floor + 1, ... in turn?  Each
+    test is a depth-first search that puts the forms in order into an open
+    class whose span stays clear of form i, or opens a new one while fewer
+    than cap are open, and stops at the first partition it completes.  Every
+    test below the minimum is exhaustive; at the minimum, or at a floor
+    above it, only the first partition met is searched for.  The singletons
+    always fit, so no test runs past cap = max(floor, m - 1)."""
     target = 1 << i
     others = [1 << j for j in range(m) if j != i]
-    if not others:
-        return 0
     if any(ranks[f | target] == ranks[f] for f in others):
         return INFINITE
 
-    best = len(others) + 1
-
-    def extend(t: int, classes: list[int]) -> None:
-        nonlocal best
-        if len(classes) >= best:
-            return
+    def fits(t: int, classes: list[int], cap: int) -> bool:
         if t == len(others):
-            best = len(classes)
-            return
+            return True
         f = others[t]
         for k, cls in enumerate(classes):
             grown = cls | f
             if ranks[grown | target] != ranks[grown]:
                 classes[k] = grown
-                extend(t + 1, classes)
+                if fits(t + 1, classes, cap):
+                    return True
                 classes[k] = cls
-        classes.append(f)
-        extend(t + 1, classes)
-        classes.pop()
+        if len(classes) < cap:
+            classes.append(f)
+            if fits(t + 1, classes, cap):
+                return True
+            classes.pop()
+        return False
 
-    extend(0, [])
-    return best
+    cap = floor
+    while not fits(0, [], cap):
+        cap += 1
+    return cap
 
 
 def cs_complexity(sys: LinearFormSystem) -> float:
     """Least s making the system s-complex at every index; INFINITE when two
-    forms are scalar multiples of each other (no partition ever avoids both)."""
+    forms are scalar multiples of each other (no partition ever avoids both).
+
+    s is the largest minimum class count over the forms, less one (and at
+    least 0).  Each form is tested from floor worst + 1, worst the running
+    maximum of s: a form whose minimum is at most that cannot raise the
+    maximum, so it needs only the first partition into worst + 1 classes
+    that the search meets."""
     ranks = sys.subset_ranks
     worst = 0
     for i in range(sys.m):
-        k = _min_partition_classes(ranks, sys.m, i)
+        k = _min_partition_classes(ranks, sys.m, i, worst + 1)
         if k == INFINITE:
             return INFINITE
-        worst = max(worst, int(k) - 1)
-    return max(worst, 0)
+        worst = int(k) - 1
+    return worst
 
 
 @dataclass(frozen=True)

@@ -199,7 +199,9 @@ def test_a_tiny_imaginary_part_keeps_the_complex_path(monkeypatch, p, n, k):
 def test_u2_norm_matches_numpy_fft_across_translation_blocks(p, n):
     dom = domain(p, n)
     # (5, 4) takes its shifts in one block, (5, 5) and (3, 7) in several
-    _, entries = functions._cube_split(dom)
+    # one table's U^2 cube sum touches H N entries, H = (p^trailing + 1)/2
+    # the representatives of the pairs {y, -y}
+    entries = (p ** functions._cube_split(dom) + 1) // 2 * dom.size
     assert (entries > functions.CUBE_BLOCK_ENTRIES) == (dom.size > 625)
     f = generic_function(dom, np.random.default_rng(40 + p + n))
     want = oracles.fft_u2_norm(f.values, p, n)
@@ -256,7 +258,7 @@ def test_uk_norm_under_a_lowered_block_cap(monkeypatch, p, n, k, caps):
     if dom.size ** (k + 1) * 2**k <= 10**5:
         naive = oracles.naive_uk_power(list(f.values), p, n, k).real
         assert abs(want ** 2**k - naive) <= 1e-12 * naive
-    trailing, _ = functions._cube_split(dom)
+    trailing = functions._cube_split(dom)
     pairs = (p**trailing + 1) // 2
     split = GroupDomain.split_translates
     calls = []
@@ -296,7 +298,7 @@ def test_uk_norm_on_the_triangle_matches_the_oracles(monkeypatch, p, n, k):
     there is a leading coordinate) and a block's shifts across gathers."""
     dom = domain(p, n)
     rng = np.random.default_rng(110 + 10 * p + n + k)
-    trailing, _ = functions._cube_split(dom)
+    trailing = functions._cube_split(dom)
     cube_sum, split = functions._cube_sum, GroupDomain.split_translates
     calls = []
 
@@ -337,7 +339,7 @@ def test_u3_cube_sums_take_each_pair_of_classes_once(monkeypatch, p, n):
     the 172 * 25 = 4,300 of every derivative taking every shift, in 26 cube
     sums of one class each."""
     dom = domain(p, n)
-    trailing, _ = functions._cube_split(dom)
+    trailing = functions._cube_split(dom)
     lead, pairs = n - trailing, (p**trailing + 1) // 2
     cube_sum, split = functions._cube_sum, GroupDomain.split_translates
     sums, gathered = [], []

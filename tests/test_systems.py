@@ -1,4 +1,5 @@
 import math
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -318,6 +319,73 @@ def test_complexity_invariance_under_relabelling():
         scales = rng.integers(1, base.p, size=base.m)
         rows = (base.coeffs[perm][:, var_perm] * scales[:, None]) % base.p
         assert cs_complexity(LinearFormSystem(p=base.p, d=base.d, coeffs=rows)) == cs
+
+
+def test_min_partition_classes_from_every_floor_matches_brute_force():
+    """The search from a floor returns max(floor, the minimum): the tests
+    below the minimum are exhaustive, and those from a higher floor stop at
+    the floor.  The random systems have no parallel pair, whose exhaustive
+    brute force is slow (the INFINITE case has its own test below)."""
+    def parallel(rows, p):
+        return any(oracles.naive_in_span(u, [v], p)
+                   for u, v in combinations(rows, 2))
+
+    systems = [builtin_system(name, 7) for name in BUILTIN_SYSTEM_NAMES]
+    rng = np.random.default_rng(35)
+    for p in (3, 5, 7):
+        for m in range(1, 8):
+            while True:
+                sys_ = system_with_relations(rng, p, m, 3)[0] if m % 2 else \
+                    random_system(rng, p, m, 3)
+                if not parallel(sys_.coeffs.tolist(), p):
+                    break
+            systems.append(sys_)
+    tested = 0
+    for sys_ in systems:
+        rows = [list(map(int, r)) for r in sys_.coeffs]
+        ranks = sys_.subset_ranks
+        for i in range(sys_.m):
+            brute = oracles.brute_min_classes(rows, i, sys_.p)
+            for floor in range(sys_.m + 1):
+                got = _min_partition_classes(ranks, sys_.m, i, floor)
+                assert got == max(floor, brute), (sys_.coeffs.tolist(), i, floor)
+            assert _min_partition_classes(ranks, sys_.m, i) == brute
+            tested += brute >= 3
+    assert tested >= 20
+
+
+def test_parallel_forms_are_infinite_from_every_floor():
+    sys_ = make(5, [[1, 2, 0], [0, 1, 1], [1, 0, 3], [2, 4, 0]])
+    ranks = sys_.subset_ranks
+    for floor in range(sys_.m + 2):
+        for i in (0, 3):  # form 3 = 2 * form 0
+            assert _min_partition_classes(ranks, sys_.m, i, floor) == INFINITE
+        for i in (1, 2):
+            assert _min_partition_classes(ranks, sys_.m, i, floor) == max(floor, 2)
+    pair = make(7, [[1, 3], [3, 2]])
+    for floor in range(4):
+        assert _min_partition_classes(pair.subset_ranks, 2, 0, floor) == INFINITE
+
+
+def test_cs_complexity_of_twelve_forms_is_the_largest_minimum():
+    """At m = 12 the running floor leaves the largest minimum, less one, as
+    the complexity, in any order of the forms."""
+    rng = np.random.default_rng(36)
+    draws = (random_system, lambda *a: system_with_relations(*a)[0])
+    values = []
+    for p, draw, _ in product((5, 7, 11, 13), draws, range(4)):
+        sys_ = draw(rng, p, 12, int(rng.integers(3, 8)))
+        minima = [_min_partition_classes(sys_.subset_ranks, 12, i)
+                  for i in range(12)]
+        want = INFINITE if INFINITE in minima else int(max(minima)) - 1
+        cs = cs_complexity(sys_)
+        assert cs == want
+        for _ in range(3):
+            rows = sys_.coeffs[rng.permutation(12)]
+            assert cs_complexity(LinearFormSystem(p=p, d=sys_.d, coeffs=rows)) == cs
+        values.append(cs)
+    finite = [v for v in values if v != INFINITE]
+    assert len(finite) >= 16 and len(set(finite)) >= 3
 
 
 # ---------------------------------------------------------------- normal form
