@@ -4,9 +4,11 @@ Scalars are Python ints in [0, p), vectors and matrices are numpy int64
 arrays reduced mod p.  Everything here is exact integer arithmetic; no
 floating point.  There is one elimination per shape:
 
-- one matrix goes through `rref`, with whole-row array operations and the
-  first nonzero pivot, so all reduced forms are deterministic; `rank`
-  eliminates whichever of M and M^T has fewer columns, and `nullspace` and
+- one matrix goes through `rref`, with the first nonzero pivot, so all
+  reduced forms are deterministic, and one broadcast product of whole rows
+  per pivot: on the small matrices of the complexity invariants its cost is
+  the few numpy calls per column, not the arithmetic; `rank` eliminates
+  whichever of M and M^T has fewer columns, and `nullspace` and
   `solve_affine` read their answers off the reduced form;
 - a (B, d, d) stack of symmetric matrices goes through `_eliminate`, one
   symmetric congruence vectorized over the stack, which gives each matrix's
@@ -90,10 +92,10 @@ def as_fp_vector(v, p: int) -> np.ndarray:
 def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form and pivot columns, first-nonzero pivoting.
 
-    Per column, one array operation finds the pivot row and one outer product
-    of whole rows clears the column (the pivot row is then restored); entries
-    stay below p, so each product is below (p - 1)^2 < 2^63 (`check_modulus`)
-    and exact in int64."""
+    Per column, one array operation finds the pivot row and one broadcast
+    product of whole rows, the column times the scaled pivot row, clears the
+    column (the pivot row is then restored); entries stay below p, so each
+    product is below (p - 1)^2 < 2^63 (`check_modulus`) and exact in int64."""
     A = as_fp_matrix(M, p)
     rows, cols = A.shape
     pivots: list[int] = []
@@ -101,14 +103,14 @@ def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
         r = len(pivots)
         if r == rows:
             break
-        below = np.flatnonzero(A[r:, c])
+        below = A[r:, c].nonzero()[0]
         if not below.size:
             continue
         i = r + below[0]
         if i != r:
             A[[r, i]] = A[[i, r]]
-        row = A[r] * inv_mod(int(A[r, c]), p) % p
-        A -= np.outer(A[:, c], row)
+        row = A[r] * inv_mod(A[r, c], p) % p
+        A -= A[:, c, None] * row
         A %= p
         A[r] = row
         pivots.append(c)

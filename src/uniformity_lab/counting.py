@@ -744,13 +744,14 @@ def _relation_ranks(sys: LinearFormSystem) -> np.ndarray:
     transposed, read off the cached `sys.subset_ranks` by matroid duality:
     the rows S of the basis span the restriction of the relation space W to
     the coordinates S, of dimension w minus that of the relations supported
-    off S, so r*(S) = |S| - r + r(E - S), r the rank of C and E all m forms."""
+    off S, so r*(S) = |S| - r + r(E - S), E all m forms and r = r(E) the rank
+    of C, the table's last entry: no elimination of C is needed."""
     ranks = np.asarray(sys.subset_ranks)
     sets = np.arange(ranks.size)
     sizes = np.zeros(ranks.size, dtype=np.int64)
     for j in range(sys.m):
         sizes += (sets >> j) & 1
-    return sizes - len(sys.pivots) + ranks[::-1]
+    return sizes - ranks[-1] + ranks[::-1]
 
 
 def count_solutions(sys: LinearFormSystem, A: IndicatorSet,

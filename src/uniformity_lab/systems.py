@@ -10,6 +10,11 @@ A system's coefficients C are read-only, so the pivot columns of rref(C)
 (`relations`, basis the nullspace of C^T), the ranks of all subsets of the
 forms (`subset_ranks`) and the elimination plans of the direct and dual sums
 (`direct_plan`, `dual_plan`) are computed once, on first use, and cached.
+The rank table is read off C itself where d <= m, with no elimination of C
+first: a set of forms has the same rank in C as in the cut.  So there the
+complexity search and the dual plan never reduce C; the consumers that work
+in the r = rank C variables of the cut (the direct plan, the closed forms,
+the power matrices) do, once.
 
 Partition complexity is computed exactly by feasibility tests over class
 assignments, with classes as bitmasks over the forms: can the forms other
@@ -21,11 +26,11 @@ search meets.  Every span test is one lookup in a table of the ranks of all
 2^m subsets of the forms, built once per system by a recurrence over
 residuals mod p: adding a form t to every subset T of the forms before it
 reduces the residuals of the later forms modulo span T by one elimination
-step each, fewer than 2^m steps of O(r) in all, r <= m the rank of the
-system.  Both the table and the search are exponential in m, so systems are
-capped at m <= 12 forms: the table then has 4096 entries (a 32 KiB list),
-and its largest residual array is (2^(m-1), 1, r) int64, at most 2048 x 12
-entries (192 KiB).
+step each, fewer than 2^m steps of O(w) in all, w <= m the number of columns
+the table is read off (d, or r where d > m).  Both the table and the search
+are exponential in m, so systems are capped at m <= 12 forms: the table then
+has 4096 entries (a 32 KiB list), and its largest residual array is
+(2^(m-1), 1, w) int64, at most 2048 x 12 entries (192 KiB).
 """
 
 from __future__ import annotations
@@ -91,7 +96,10 @@ class LinearFormSystem:
     @cached_property
     def cut(self) -> np.ndarray:
         """The pivot cut C[:, pivots], read-only, C itself at full rank d: the
-        other columns are fixed combinations of these in every row."""
+        other columns are fixed combinations of these in every row.  Read
+        where the work runs in the r = rank C variables of the cut: the
+        direct plan, the fibre N^(d - r) of the direct counts, the Gauss-sum
+        closed forms and the power matrices (`_power_matrix`)."""
         cut = self.coeffs if len(self.pivots) == self.d else self.coeffs[:, list(self.pivots)]
         cut.flags.writeable = False
         return cut
@@ -107,8 +115,13 @@ class LinearFormSystem:
     @cached_property
     def subset_ranks(self) -> list[int]:
         """rank[S] of every subset S of the forms, S a bitmask over form
-        indices: the rank table (`_rank_table`) of `cut`."""
-        return _rank_table(self.cut, self.p)
+        indices: the rank table (`_rank_table`) of C itself, so that the
+        complexity search needs no `pivots`.  It is the table of `cut` too:
+        C = cut T with T of full row rank r, so x^T C_S = 0 exactly when
+        x^T cut_S = 0, and every set of rows has one rank in both.  With more
+        variables than forms the table is read off the cut instead, whose
+        r <= m columns keep its residuals as narrow as at d <= m."""
+        return _rank_table(self.coeffs if self.d <= self.m else self.cut, self.p)
 
     @cached_property
     def direct_plan(self) -> tuple:

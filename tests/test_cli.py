@@ -558,7 +558,7 @@ def test_each_job_derives_a_systems_invariants_once(monkeypatch, capsys):
 def test_verify_gvn_takes_its_k_from_one_subset_rank_table(monkeypatch, capsys):
     """Without --k, gvn runs at the system's partition complexity, found by
     the one table build its precondition check makes: the system's
-    `subset_ranks`, the rank table of its pivot cut.  The job is priced
+    `subset_ranks`, the rank table of its coefficients.  The job is priced
     once, so the precondition's complexity search runs once."""
     table, complexity = systems._rank_table, verification.cs_complexity
     calls, searches = [], []

@@ -288,6 +288,87 @@ def test_cut_is_the_read_only_pivot_columns():
         diff3.cut[0, 0] = 1
 
 
+def rank_deficient_system(rng, p, m):
+    """m distinct nonzero forms of a random rank r <= min(4, m), raised where
+    p^r - 1 < m, whose d >= r + 1 columns mix r random columns with planted
+    combinations of them and zero columns, in shuffled order, so that the
+    pivots are not the leading columns; d runs past m, where the rank table
+    is read off the cut."""
+    r = min(int(rng.integers(1, 5)), m)
+    while p**r - 1 < m:
+        r += 1
+    base = random_system(rng, p, m, r).coeffs
+    while rank(base, p) < r:
+        base = random_system(rng, p, m, r).coeffs
+    columns = [base[:, u] for u in range(r)]
+    for _ in range(int(rng.integers(1, m + 3))):
+        mix = rng.integers(0, p, size=r) if rng.random() < 0.75 else np.zeros(r, np.int64)
+        columns.append(base @ mix % p)
+    C = np.stack(columns, axis=1)[:, rng.permutation(len(columns))]
+    return LinearFormSystem(p=p, d=C.shape[1], coeffs=C)
+
+
+def test_rank_table_of_c_is_the_rank_table_of_the_cut():
+    """C = cut T with T of full row rank, so every set of forms has one rank
+    in C and in the cut: `subset_ranks` (read off C where d <= m, off the cut
+    past that) equals the cut's table, and cs_complexity is that of the
+    system of the cut forms."""
+    rng = np.random.default_rng(36)
+    systems = [builtin_system(name, p) for name in ("diff3", "nf4")
+               for p in (5, 7, 11, 13, 2147483647)]
+    systems += [rank_deficient_system(rng, p, int(rng.integers(2, 13)))
+                for p in (5, 7, 11, 13, 2147483647) for _ in range(12)]
+    wide = 0
+    for sys_ in systems:
+        fresh = LinearFormSystem(p=sys_.p, d=sys_.d, coeffs=sys_.coeffs)
+        ranks = fresh.subset_ranks
+        assert ("pivots" in fresh.__dict__) == (sys_.d > sys_.m)
+        wide += sys_.d > sys_.m
+        assert len(sys_.pivots) < sys_.d and ranks[-1] == len(sys_.pivots)
+        assert ranks == _rank_table(sys_.cut, sys_.p), sys_.coeffs.tolist()
+        cut_system = LinearFormSystem(p=sys_.p, d=len(sys_.pivots), coeffs=sys_.cut)
+        assert cs_complexity(fresh) == cs_complexity(cut_system), sys_.coeffs.tolist()
+    assert len(systems) >= 60 and 0 < wide < len(systems)
+
+
+def test_complexity_leaves_the_pivots_uncomputed(monkeypatch):
+    """`cs_complexity`, the `complexity` command, the dual plan and the cs
+    column of `list` read the rank table of C itself, so on a system with no
+    more variables than forms none of them eliminates C for its pivots:
+    `list` reaches the cut only through its power matrices."""
+    from uniformity_lab import cli, systems as systems_module
+    rng = np.random.default_rng(360)
+    systems = [builtin_system(name, 7) for name in BUILTIN_SYSTEM_NAMES]
+    systems += [random_system(rng, p, m, d) for p in (5, 7, 13)
+                for m, d in ((6, 3), (9, 4), (12, 5))]
+    for sys_ in systems:
+        assert cs_complexity(sys_) >= 0
+        sys_.dual_plan
+        assert "pivots" not in sys_.__dict__ and "cut" not in sys_.__dict__, sys_.name
+
+    resolved, tables = [], []
+    resolve, table = cli.resolve_system, systems_module._rank_table
+
+    def spy_resolve(ref, p):
+        resolved.append(resolve(ref, p))
+        return resolved[-1]
+
+    def spy_table(C, p):
+        tables.append(C)
+        return table(C, p)
+
+    monkeypatch.setattr(cli, "resolve_system", spy_resolve)
+    monkeypatch.setattr(systems_module, "_rank_table", spy_table)
+    for name in BUILTIN_SYSTEM_NAMES:
+        assert cli.main(["complexity", "--system", name, "--p", "7"]) == 0
+        assert "pivots" not in resolved[-1].__dict__, name
+    resolved.clear()
+    tables.clear()
+    assert cli.main(["list", "--p", "7"]) == 0
+    assert len(tables) == len(resolved) == len(BUILTIN_SYSTEM_NAMES)
+    assert all(C is sys_.coeffs for C, sys_ in zip(tables, resolved))
+
+
 def test_cs_complexity_at_large_primes():
     # the table and the search hold nothing of size p
     for p in (1000003, 2147483647):
