@@ -16,15 +16,16 @@ from .functions import (GroupFunction, IndicatorSet, balanced, fourier,
                         uk_power_exact)
 from .hypergraphs import (TripartiteFunction, lift, octahedral_norm,
                           vertex_uniformity_counterexample)
+from .reports import Check, ExperimentReport
 from .systems import (INFINITE, LinearFormSystem, NormalFormWitness,
                       builtin_system, conjectured_true_complexity,
                       cs_complexity, load_system,
                       maximal_square_independent_subsystem,
                       normal_form_check, power_independence, relation_space,
                       save_system, support)
-from .verification import (Check, ExperimentReport, QuadraticFactor,
-                           QuadraticMap, atom_distribution, factor_rank,
-                           gauss_sum, gauss_sum_report, quadratic_zero_set,
+from .verification import (QuadraticFactor, QuadraticMap, atom_distribution,
+                           factor_rank, gauss_sum, gauss_sum_report,
+                           quadratic_zero_set,
                            verify_badex, verify_bound1, verify_completefactor,
                            verify_gvn, verify_projection_lemmas,
                            verify_pythagoras, verify_quadfactor)

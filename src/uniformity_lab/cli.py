@@ -1,9 +1,13 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, one call of `verification.drive`
+per priced job, and printing.
 
 One command per process.  Every command echoes its configuration (seed
 included) into a versioned JSON report; identical configuration and seed
 give byte-identical reports.  Exit status: 0 when every check passes, 1 on
 a failed assertion, 2 on configuration or parse errors, 3 on budget refusal.
+`norm`, `count`, `verify` and `octahedron --check lift` hand their parsed
+options to `verification.drive`, which prices the whole job before it builds
+or draws anything; this module prices nothing.
 
 A command line has two parse paths.  Where its first word names a command
 and the rest is exact `--name value` options and flags (and the `verify`
@@ -22,43 +26,20 @@ import csv
 import math
 import re
 import sys
-from fractions import Fraction
 
-import numpy as np
-
-from .algebra import check_modulus
 from .budget import BudgetExceededError
-from .counting import (DUAL_AGREEMENT_TOL, _check_average_budget,
-                       _check_gauss_budget, average_product_direct,
-                       average_product_dual, count_solutions, direct_op_count,
-                       quadratic_zero_count, quadratic_zero_op_count)
-from .domains import domain
-from .functions import (IndicatorSet, _check_direct_budget, _check_fast_budget,
-                        balanced, load_function, random_bounded_function,
-                        uk_norm, uk_norm_fast)
+from .counting import DUAL_AGREEMENT_TOL
+from .hypergraphs import vertex_uniformity_counterexample
 from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, conjectured_true_complexity,
                       cs_complexity, normal_form_check, power_independence,
                       resolve_system)
-from .verification import (ComplexityPreconditionError, SquareDependenceError,
-                           _price_atoms, _price_gvn, _price_projections,
-                           _require_square_independent, atom_distribution,
-                           dot_factor, gauss_sum_report, quadratic_zero_set,
-                           quadratic_zero_set_report, random_factor,
-                           verify_badex, verify_bound1, verify_completefactor,
-                           verify_gvn, verify_projection_lemmas,
-                           verify_pythagoras, verify_quadfactor)
-from .hypergraphs import (_check_octahedral_budget, lift, octahedral_norm,
-                          vertex_uniformity_counterexample)
+from .verification import EXPERIMENTS, DefaultSystemError, drive
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
-
-VERIFY_EXPERIMENTS = ("gauss", "badex", "gvn", "atoms", "quadfactor",
-                      "completefactor", "projections", "bound1",
-                      "pythagoras", "all")
 
 
 def _int_at_least(low):
@@ -154,7 +135,7 @@ def _count_args(c):
 
 
 def _verify_args(c):
-    c.add_argument("experiment", choices=VERIFY_EXPERIMENTS)
+    c.add_argument("experiment", choices=tuple(EXPERIMENTS))
     c.add_argument("--system", default=None)
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--d1", type=NONNEGATIVE_INT, default=1)
@@ -286,10 +267,6 @@ def _fmt(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _cx(value: complex) -> dict:
-    return {"re": float(value.real), "im": float(value.imag)}
-
-
 def _config(args) -> dict:
     """The report's echo of the command line: every parsed option but --out,
     each under its option name (--set's dest `set_name` reads as `set`)."""
@@ -297,7 +274,7 @@ def _config(args) -> dict:
             for key, value in vars(args).items() if key not in ("command", "out")}
 
 
-def cmd_list(args) -> tuple[int, dict]:
+def cmd_list(args) -> list:
     # every system is resolved before any row is printed, so that a modulus
     # one of them refuses prints nothing
     systems = [resolve_system(name, args.p) for name in BUILTIN_SYSTEM_NAMES]
@@ -322,20 +299,19 @@ def cmd_list(args) -> tuple[int, dict]:
                                     extrasaction="ignore")
             writer.writeheader()
             writer.writerows(results)
-    return EXIT_OK, make_report("list", _config(args), results)
+    return results
 
 
-def cmd_complexity(args) -> tuple[int, dict]:
+def cmd_complexity(args) -> list:
     sys_ = resolve_system(args.system, args.p)
     cs = cs_complexity(sys_)
     print("infinite" if math.isinf(cs) else int(cs))
-    results = [{"name": "cs_complexity", "system": sys_.name or args.system,
-                "value": None if math.isinf(cs) else int(cs),
-                "infinite": bool(math.isinf(cs)), "passed": None}]
-    return EXIT_OK, make_report("complexity", _config(args), results)
+    return [{"name": "cs_complexity", "system": sys_.name or args.system,
+             "value": None if math.isinf(cs) else int(cs),
+             "infinite": bool(math.isinf(cs)), "passed": None}]
 
 
-def cmd_independence(args) -> tuple[int, dict]:
+def cmd_independence(args) -> list:
     sys_ = resolve_system(args.system, args.p)
     true_k = conjectured_true_complexity(sys_)
     # The search tests k = 1, 2, ... up to min(m, p - 2) and stops at the
@@ -348,243 +324,53 @@ def cmd_independence(args) -> tuple[int, dict]:
         indep = true_k is not None and true_k <= args.k
     print(f"power_independence(k={args.k}) = {indep}; "
           f"conjectured_true_complexity = {true_k}")
-    results = [{"name": f"power_independence_k{args.k}", "value": bool(indep),
-                "conjectured_true_complexity": true_k, "passed": None}]
-    return EXIT_OK, make_report("independence", _config(args), results)
+    return [{"name": f"power_independence_k{args.k}", "value": bool(indep),
+             "conjectured_true_complexity": true_k, "passed": None}]
 
 
-def cmd_normal_form(args) -> tuple[int, dict]:
+def cmd_normal_form(args) -> list:
     sys_ = resolve_system(args.system, args.p)
     witness = normal_form_check(sys_, args.s)
     if witness is None:
         print(f"not in {args.s}-normal form")
-        results = [{"name": "normal_form", "s": args.s, "witness": None,
-                    "passed": None}]
-    else:
-        tau = [sorted(t) for t in witness.tau]
-        print(f"in {args.s}-normal form; tau = {tau}")
-        results = [{"name": "normal_form", "s": args.s, "witness": tau,
-                    "passed": None}]
-    return EXIT_OK, make_report("normal-form", _config(args), results)
+        return [{"name": "normal_form", "s": args.s, "witness": None,
+                 "passed": None}]
+    tau = [sorted(t) for t in witness.tau]
+    print(f"in {args.s}-normal form; tau = {tau}")
+    return [{"name": "normal_form", "s": args.s, "witness": tau, "passed": None}]
 
 
-def _load_cli_function(args):
-    if args.function:
-        obj = load_function(args.function)
-    elif args.set_name == "quadzero":
-        obj = quadratic_zero_set(args.p, args.n)
-    else:
-        raise ValueError("provide --function FILE or --set quadzero")
-    if isinstance(obj, IndicatorSet):
-        return balanced(obj) if args.balanced else obj.to_function()
-    return obj
+def cmd_norm(args) -> list:
+    (record,) = drive(("norm",), args)
+    print(f"U^{args.k} = {_fmt(record['value'])} ({record['method']})")
+    return [record]
 
 
-def cmd_norm(args) -> tuple[int, dict]:
-    if args.set_name == "quadzero" and not args.function and args.k >= 2:
-        # refuse before the set and its complex table are built
-        check = _check_fast_budget if args.method == "fast" else _check_direct_budget
-        check(domain(args.p, args.n), args.k, args.budget)
-    f = _load_cli_function(args)
-    dom = f.domain
-    if args.method == "fast":
-        value = uk_norm_fast(f, args.k, budget=args.budget)
-        method = "fourier"
-    else:
-        value = uk_norm(f, args.k, budget=args.budget)
-        method = "direct"
-    record = {"name": f"U{args.k}_norm", "norm": f"U{args.k}", "value": value,
-              "method": method, "domain": {"p": dom.p, "n": dom.n},
-              "passed": None}
-    print(f"U^{args.k} = {_fmt(value)} ({method})")
-    return EXIT_OK, make_report("norm", _config(args), [record])
+def cmd_count(args) -> list:
+    (results,) = drive(("count",), args)
+    for r in results:
+        if r["name"].startswith("solution_probability"):
+            print(f"P = {r['observed_exact']} = {_fmt(r['observed']['re'])}   "
+                  f"alpha^m = {_fmt(r['reference']['re'])}   "
+                  f"deviation = {_fmt(r['deviation'])}"
+                  + (" (gauss)" if r["method"] == "gauss" else ""))
+        elif r["name"] == "direct_vs_dual":
+            print(f"direct vs dual gap = {r['gap']:.3g} "
+                  f"({'ok' if r['passed'] else 'MISMATCH'})")
+        elif r["name"] == "gauss_vs_direct":
+            print(f"gauss vs direct: {'exact match' if r['passed'] else 'MISMATCH'}")
+    return results
 
 
-COUNT_METHODS = {"direct": ("direct",), "dual": ("dual",),
-                 "both": ("direct", "dual"), "gauss": ("gauss",),
-                 "all": ("direct", "dual", "gauss")}
-
-
-def _probability(name, count, total, alpha, m, method, op_count,
-                 degenerate=None) -> dict:
-    """The record of P = count / total against alpha^m, printed as a P line;
-    `degenerate`, the solutions with two coinciding form images, adds their
-    fraction of the count."""
-    observed = Fraction(count, total)
-    reference = alpha**m
-    deviation = abs(float(observed) - float(reference))
-    record = {"name": name, "observed": _cx(float(observed)),
-              "reference": _cx(float(reference)), "deviation": deviation,
-              "bound": None, "method": method, "op_count": op_count,
-              "observed_exact": str(observed), "reference_exact": str(reference),
-              "passed": None}
-    if degenerate is not None:
-        record["degenerate_fraction"] = \
-            float(Fraction(degenerate, count)) if count else 0.0
-    print(f"P = {observed} = {_fmt(float(observed))}   "
-          f"alpha^m = {_fmt(float(reference))}   deviation = {_fmt(deviation)}"
-          + (" (gauss)" if method == "gauss" else ""))
-    return record
-
-
-def cmd_count(args) -> tuple[int, dict]:
-    sys_ = resolve_system(args.system, args.p)
-    methods = COUNT_METHODS[args.method]
+def cmd_verify(args) -> list:
+    """The requested experiment's reports, and under `all` a record for each
+    experiment skipped because its default system is invalid at p."""
     results = []
-    indicator = None
-    if "gauss" in methods and args.set_name != "quadzero":
-        raise ValueError("--method gauss and all count --set quadzero only")
-    if not args.set_name:
-        raise ValueError("provide --set quadzero or a function/indicator file")
-    obj = load_function(args.set_name) if args.set_name != "quadzero" else None
-    if args.degenerate and not ("direct" in methods and (
-            obj is None or isinstance(obj, IndicatorSet))):
-        raise ValueError("--degenerate needs the direct count of an indicator "
-                         "set (--method direct, both or all)")
-    if obj is None:
-        # refuse each method over budget before the set is built
-        if "gauss" in methods:
-            _check_gauss_budget(sys_.m, sys_.d, args.n, args.p, args.budget)
-        for method in ("direct", "dual"):
-            if method in methods:
-                _check_average_budget(sys_, domain(args.p, args.n),
-                                      method == "dual", args.budget)
-        if methods != ("gauss",):
-            indicator = quadratic_zero_set(args.p, args.n)
-    elif isinstance(obj, IndicatorSet):
-        indicator = obj
-    else:
-        fs = [obj] * sys_.m
-
-    exit_code = EXIT_OK
-    if indicator is not None:
-        fs = [indicator.to_function()] * sys_.m
-        if "direct" in methods:
-            dom = indicator.domain
-            count, degenerate = count_solutions(
-                sys_, indicator, budget=args.budget, threads=args.threads,
-                with_degenerate=args.degenerate)
-            entry = _probability("solution_probability", count, dom.size**sys_.d,
-                                 indicator.density, sys_.m, "direct",
-                                 direct_op_count(sys_, dom), degenerate)
-            results.append(entry)
-            # 0/1 products sum exactly: the average is count / N^d
-            direct = complex(entry["observed"]["re"])
-            direct_exact = entry["observed_exact"]
-    if "direct" in methods:
-        if indicator is None:
-            direct = average_product_direct(sys_, fs, budget=args.budget,
-                                            threads=args.threads)
-        results.append({"name": "average_direct", "value": _cx(direct),
-                        "passed": None})
-    if "dual" in methods:
-        dual = average_product_dual(sys_, fs, budget=args.budget,
-                                    threads=args.threads)
-        results.append({"name": "average_dual", "value": _cx(dual),
-                        "passed": None})
-    if "direct" in methods and "dual" in methods:
-        gap = abs(direct - dual)
-        ok = gap <= args.tolerance
-        results.append({"name": "direct_vs_dual", "gap": gap,
-                        "tolerance": args.tolerance, "passed": bool(ok)})
-        print(f"direct vs dual gap = {gap:.3g} ({'ok' if ok else 'MISMATCH'})")
-        if not ok:
-            exit_code = EXIT_FAIL
-    if "gauss" in methods:
-        # the count and alpha (the m = d = 1 count over p^n) by the closed
-        # form: no domain is built and n may be any size
-        p, n, dot = args.p, args.n, np.eye(args.n, dtype=np.int64)
-        count = quadratic_zero_count(sys_.coeffs, dot, p, args.budget)
-        alpha = Fraction(quadratic_zero_count([[1]], dot, p, args.budget), p**n)
-        entry = _probability("solution_probability_gauss", count, p ** (n * sys_.d),
-                             alpha, sys_.m, "gauss",
-                             quadratic_zero_op_count(sys_.m, sys_.d, n, p))
-        results.append(entry)
-        if "direct" in methods:
-            same = entry["observed_exact"] == direct_exact
-            results.append({"name": "gauss_vs_direct", "exact_match": same,
-                            "passed": same})
-            print(f"gauss vs direct: {'exact match' if same else 'MISMATCH'}")
-            if not same:
-                exit_code = EXIT_FAIL
-    return exit_code, make_report("count", _config(args), results)
-
-
-def _experiment_reports(args) -> list:
-    """Build and run the requested experiment(s); returns ExperimentReports,
-    and under `all` a result record for each experiment skipped because its
-    default system is invalid at p."""
-    p, n, seed = check_modulus(args.p), args.n, args.seed
-    rng = np.random.default_rng(seed)
-    name = args.experiment
-    reports = []
-
-    def system(experiment, default):
-        """The --system system, else `default`; None when `default` is
-        invalid at p under `all`, which then records the experiment as
-        skipped instead of ending the run."""
-        if args.system:
-            return resolve_system(args.system, p)
-        try:
-            return resolve_system(default, p)
-        except ValueError as exc:
-            reason = (f"default system {default} is invalid at p = {p} ({exc}); "
-                      f"choose another with --system")
-            if name != "all":
-                raise ValueError(reason) from exc
-            reports.append({"name": experiment, "skipped": reason, "passed": None})
-            return None
-
-    if name in ("gauss", "all"):
-        reports.append(gauss_sum_report(dot_factor(p, n).gamma2.forms[0],
-                                        budget=args.budget))
-        reports.append(quadratic_zero_set_report(p, n, budget=args.budget))
-    if name in ("badex", "all") and (sys_ := system("badex", "gw6a")):
-        reports.append(verify_badex(sys_, n, budget=args.budget,
-                                    threads=args.threads))
-    if name in ("gvn", "all") and (sys_ := system("gvn", "ap3")):
-        priced = _price_gvn(sys_, domain(p, n), args.k, args.budget)  # before drawing
-        fs = [random_bounded_function(domain(p, n), rng) for _ in range(sys_.m)]
-        reports.append(verify_gvn(sys_, fs, budget=args.budget,
-                                  threads=args.threads, priced=priced))
-    if name in ("atoms", "all"):
-        _price_atoms(p, n, args.d1, args.d2, args.budget)  # before drawing
-        factor = random_factor(p, n, args.d1, args.d2, rng)
-        reports.append(atom_distribution(factor, budget=args.budget))
-    if name in ("quadfactor", "all") and (sys_ := system("quadfactor", "gw6b")):
-        reports.append(verify_quadfactor(sys_, dot_factor(p, n).gamma2,
-                                         budget=args.budget, threads=args.threads))
-    if name in ("completefactor", "all") and (sys_ := system("completefactor", "gw6b")):
-        reports.append(verify_completefactor(
-            sys_, dot_factor(p, n, args.d1), [[0] * args.d1] * sys_.m,
-            [[0]] * sys_.m, budget=args.budget, threads=args.threads))
-    if name in ("projections", "all"):
-        _price_projections(domain(p, n), args.budget)  # before drawing
-        f = random_bounded_function(domain(p, n), rng)
-        factor = random_factor(p, n, args.d1, args.d2, rng)
-        reports.append(verify_projection_lemmas(f, factor, budget=args.budget))
-    if name in ("bound1", "all") and (sys_ := system("bound1", "gw6b")):
-        # the precondition, then the U^2 norm's price, before the set is built
-        _require_square_independent(sys_)
-        _check_fast_budget(domain(p, n), 2, args.budget)
-        f = balanced(quadratic_zero_set(p, n))
-        reports.append(verify_bound1(f, dot_factor(p, n), sys_, budget=args.budget,
-                                     threads=args.threads))
-    if name in ("pythagoras", "all"):
-        _check_fast_budget(domain(p, n), 3, args.budget)  # before the set is built
-        f = balanced(quadratic_zero_set(p, n)).scaled(0.5)
-        reports.append(verify_pythagoras(f, 0.5, budget=args.budget))
-    return reports
-
-
-def cmd_verify(args) -> tuple[int, dict]:
-    reports = _experiment_reports(args)
-    results = []
-    ok = True
-    for rep in reports:
-        if isinstance(rep, dict):
-            results.append(rep)
-            print(f"{rep['name']}: skipped  {rep['skipped']}")
+    names = EXPERIMENTS[args.experiment]
+    for name, rep in zip(names, drive(names, args, skip=args.experiment == "all")):
+        if isinstance(rep, DefaultSystemError):
+            results.append({"name": name, "skipped": str(rep), "passed": None})
+            print(f"{name}: skipped  {rep}")
             continue
         results.append(rep.to_dict())
         status = "pass" if rep.passed else "FAIL"
@@ -592,32 +378,20 @@ def cmd_verify(args) -> tuple[int, dict]:
               " ".join(f"{k}={_fmt(v) if isinstance(v, float) else v}"
                        for k, v in rep.observed.items()
                        if isinstance(v, (int, float))))
-        ok &= rep.passed
-    return (EXIT_OK if ok else EXIT_FAIL), \
-        make_report("verify", _config(args), results)
+    return results
 
 
-def cmd_octahedron(args) -> tuple[int, dict]:
-    config = _config(args)
+def cmd_octahedron(args) -> list:
     if args.check == "lift":
-        # refuse before g is drawn and the lift builds its N x N x N tables
-        dom = domain(args.p, args.n)
-        _check_octahedral_budget((dom.size,) * 3, args.budget)
-        g = random_bounded_function(dom, np.random.default_rng(args.seed))
-        oct_norm = octahedral_norm(lift(g), budget=args.budget)
-        direct = uk_norm(g, 3, budget=args.budget)
-        gap = abs(oct_norm - direct)
-        ok = gap <= 1e-9
-        print(f"octahedral = {_fmt(oct_norm)}  U^3 = {_fmt(direct)}  gap = {gap:.3g}")
-        results = [{"name": "lift_identity", "octahedral": oct_norm,
-                    "u3": direct, "gap": gap, "passed": bool(ok)}]
-        return (EXIT_OK if ok else EXIT_FAIL), make_report("octahedron", config, results)
+        (record,) = drive(("lift",), args)
+        print(f"octahedral = {_fmt(record['octahedral'])}  U^3 = {_fmt(record['u3'])}  "
+              f"gap = {record['gap']:.3g}")
+        return [record]
     rep = vertex_uniformity_counterexample(args.seed, args.size, budget=args.budget)
     status = "pass" if rep.passed else "FAIL"
     print(f"counterexample: {status}  value = "
           f"{_fmt(rep.observed['double_edge_average'])}  (5/18 = {_fmt(5 / 18)})")
-    return (EXIT_OK if rep.passed else EXIT_FAIL), \
-        make_report("octahedron", config, [rep.to_dict()])
+    return [rep.to_dict()]
 
 
 # name -> (help, arguments, handler), in the order of the help listing
@@ -639,19 +413,19 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
-        code, report = COMMANDS[args.command][2](args)
+        results = COMMANDS[args.command][2](args)
     except BudgetExceededError as exc:
         print(f"budget refusal: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, KeyError, OSError, SquareDependenceError,
-            ComplexityPreconditionError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    report = make_report(args.command, _config(args), results)
     out = getattr(args, "out", None)
     text = dump_report(report, out)
     if not out:
         print(text, end="")
-    return code
+    return EXIT_OK if report["passed"] else EXIT_FAIL
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ import numpy as np
 
 from .budget import check_budget
 from .functions import GroupFunction, _narrowed
-from .verification import ExperimentReport
+from .reports import ExperimentReport
 
 
 @dataclass(frozen=True)

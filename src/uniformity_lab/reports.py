@@ -2,7 +2,8 @@
 
 A report is {schema_version, command, config, versions, results, passed}.
 Each result entry carries a name, a passed verdict (which may be null for
-purely informational records) and arbitrary numeric detail.  Reports contain
+purely informational records) and arbitrary numeric detail; an
+experiment's entry is its ExperimentReport's `to_dict`.  Reports contain
 no timestamps, so identical configuration and seed produce byte-identical
 files.
 """
@@ -11,13 +12,73 @@ from __future__ import annotations
 
 import json
 import platform
-from typing import Any
+from dataclasses import dataclass, field
+from typing import Any, Optional
 
 import numpy
 
 from . import __version__
 
 SCHEMA_VERSION = "1"
+
+FLOAT_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class Check:
+    """One comparison; `passed` is derived from the stored numbers."""
+
+    name: str
+    lhs: float
+    rhs: float
+    relation: str = "<="  # "<=" or "=="
+    tolerance: float = FLOAT_SLACK
+    derived_tolerance: bool = False
+    exact_verdict: Optional[bool] = None  # from an exact rational comparison
+
+    @property
+    def passed(self) -> bool:
+        if self.exact_verdict is not None:
+            return self.exact_verdict
+        if self.relation == "<=":
+            return self.lhs <= self.rhs + self.tolerance
+        if self.relation == "==":
+            return abs(self.lhs - self.rhs) <= self.tolerance
+        raise ValueError(f"unknown relation {self.relation!r}")
+
+    def to_dict(self) -> dict:
+        out = {"name": self.name, "lhs": float(self.lhs), "rhs": float(self.rhs),
+               "relation": self.relation, "tolerance": float(self.tolerance),
+               "passed": bool(self.passed)}
+        if self.derived_tolerance:
+            out["derived_tolerance"] = True
+        if self.exact_verdict is not None:
+            out["exact_verdict"] = bool(self.exact_verdict)
+        return out
+
+
+@dataclass
+class ExperimentReport:
+    name: str
+    parameters: dict = field(default_factory=dict)
+    observed: dict = field(default_factory=dict)
+    checks: list[Check] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.passed for c in self.checks)
+
+    def add_check(self, *args, **kwargs) -> Check:
+        c = Check(*args, **kwargs)
+        self.checks.append(c)
+        return c
+
+    def to_dict(self) -> dict:
+        return {"name": self.name,
+                "parameters": self.parameters,
+                "observed": self.observed,
+                "checks": [c.to_dict() for c in self.checks],
+                "passed": self.passed}
 
 
 def versions() -> dict:

@@ -124,3 +124,18 @@ def test_cli_prices_only_through_library_owners():
              if isinstance(node, ast.Call) and "check_budget" in
              (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert calls == []
+
+
+def test_cli_imports_no_price_owner_and_gvn_takes_no_plan():
+    """cli.py imports no price owner (a `_check_*`, `_price_*` or
+    `_require_*` name): every job is priced by `verification.drive`, which
+    hands the plan to the run, so `verify_gvn` takes no `priced` parameter."""
+    trees = dict(package_trees())
+    imported = [alias.name for node in ast.walk(trees["cli.py"])
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in imported
+            if name.startswith(("_check_", "_price_", "_require_"))] == []
+    (gvn,) = [node for node in trees["verification.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name == "verify_gvn"]
+    params = gvn.args.posonlyargs + gvn.args.args + gvn.args.kwonlyargs
+    assert "priced" not in [x.arg for x in params]

@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -322,7 +323,7 @@ def test_quadzero_refuses_over_budget_before_building(argv, message, monkeypatch
     def refuse_to_build(p, n):
         raise AssertionError("quadzero set built before the budget check")
 
-    monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
+    monkeypatch.setattr(verification, "quadratic_zero_set", refuse_to_build)
     assert main(argv + ["--p", "3", "--n", "16", "--budget", "1000"]) == 3
     assert message in capsys.readouterr().err
 
@@ -349,7 +350,7 @@ def test_refuses_over_budget_before_drawing(argv, message, monkeypatch, capsys):
         raise AssertionError("input drawn before the budget check")
 
     for name in ("random_bounded_function", "random_factor", "quadratic_zero_set"):
-        monkeypatch.setattr(cli, name, refuse_to_draw)
+        monkeypatch.setattr(verification, name, refuse_to_draw)
     assert main(argv + ["--p", "3"]) == 3
     assert message in capsys.readouterr().err
 
@@ -360,7 +361,7 @@ def test_atoms_run_in_closed_form_beyond_the_domain_cap(monkeypatch, tmp_path):
     def refuse(*args, **kwargs):
         raise AssertionError("a domain was built")
 
-    for module in (domains, functions, verification, cli):
+    for module in (domains, functions, verification):
         monkeypatch.setattr(module, "domain", refuse)
     monkeypatch.setattr(domains.GroupDomain, "__post_init__", refuse)
     histograms = []
@@ -392,7 +393,7 @@ def test_atoms_over_the_cell_cap_refuse_before_drawing(p, n, d1, d2, monkeypatch
     def refuse_to_draw(*args):
         raise AssertionError("factor drawn before the cap check")
 
-    monkeypatch.setattr(cli, "random_factor", refuse_to_draw)
+    monkeypatch.setattr(verification, "random_factor", refuse_to_draw)
     tracemalloc.start()
     try:
         start = time.perf_counter()
@@ -426,7 +427,7 @@ def test_bound1_checks_square_independence_before_pricing(monkeypatch, capsys):
     def refuse_to_build(p, n):
         raise AssertionError("quadzero set built before the precondition")
 
-    monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
+    monkeypatch.setattr(verification, "quadratic_zero_set", refuse_to_build)
     assert main(["verify", "bound1", "--system", "ap4", "--p", "7", "--n", "8",
                  "--budget", "1000"]) == 2
     assert "square-independent" in capsys.readouterr().err
@@ -485,7 +486,7 @@ def test_pythagoras_refuses_over_budget_before_building(monkeypatch, capsys):
     def refuse_to_build(p, n):
         raise AssertionError("quadzero set built before the budget check")
 
-    monkeypatch.setattr(cli, "quadratic_zero_set", refuse_to_build)
+    monkeypatch.setattr(verification, "quadratic_zero_set", refuse_to_build)
     assert main(["verify", "pythagoras", "--p", "3", "--n", "13"]) == 3
     assert "fast U^3 norm on size 1594323" in capsys.readouterr().err
 
@@ -495,7 +496,7 @@ def test_gvn_refuses_over_budget_before_drawing(monkeypatch, capsys):
     def refuse_to_draw(dom, rng, kind="uniform"):
         raise AssertionError("functions drawn before the budget check")
 
-    monkeypatch.setattr(cli, "random_bounded_function", refuse_to_draw)
+    monkeypatch.setattr(verification, "random_bounded_function", refuse_to_draw)
     argv = ["verify", "gvn", "--system", "ap3", "--p", "3", "--n", "12", "--k", "3"]
     assert main(argv) == 3
     assert "fast U^4 norm on size 531441" in capsys.readouterr().err
@@ -507,10 +508,116 @@ def test_lift_refuses_over_budget_before_building(p, n, monkeypatch, capsys):
     def refuse_to_build(g):
         raise AssertionError("lift built before the budget check")
 
-    monkeypatch.setattr(cli, "lift", refuse_to_build)
+    monkeypatch.setattr(verification, "lift", refuse_to_build)
     assert main(["octahedron", "--check", "lift", "--p", str(p), "--n", str(n)]) == 3
     err = capsys.readouterr().err
     assert f"operation count {p ** (6 * n)} for octahedral norm" in err
+
+
+def refuse_in_every_module(monkeypatch, *names):
+    """Make each of `names` raise wherever a module of the package holds it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built or drawn before the job was priced")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("uniformity_lab"):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+
+
+def test_norm_checks_k_before_building_the_set(monkeypatch, capsys):
+    # k < 2 is refused (exit 2) before the 3^16-point set is built
+    refuse_in_every_module(monkeypatch, "quadratic_zero_set")
+    assert main(["norm", "--set", "quadzero", "--p", "3", "--n", "16", "--k", "1"]) == 2
+    assert "uniformity norms are defined for k >= 2" in capsys.readouterr().err
+
+
+def test_bound1_prices_its_average_before_building(monkeypatch, capsys):
+    # the fast U^2 norm (9 * (3 * 2 + 4) operations) is within this budget,
+    # the direct average (6 * 9^3) is not: refused before the set is built
+    refuse_in_every_module(monkeypatch, "quadratic_zero_set", "uk_norm_fast")
+    assert main(["verify", "bound1", "--system", "gw6b", "--p", "3", "--n", "2",
+                 "--budget", "1000"]) == 3
+    assert "budget refusal: operation count 4374 for direct count over 9^3 " \
+        "assignments exceeds budget 1000\n" == capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["projections", "atoms", "completefactor", "all"])
+def test_d1_above_n_is_refused_before_anything_is_built(experiment, monkeypatch,
+                                                         capsys):
+    # under `all` the refusal comes before gauss, quadzero and gvn run
+    refuse_in_every_module(monkeypatch, "random_bounded_function", "random_factor",
+                           "quadratic_zero_set", "dot_factor", "_form_values")
+    assert main(["verify", experiment, "--p", "3", "--n", "14", "--d1", "15"]) == 2
+    assert capsys.readouterr().err == "error: d1 cannot exceed n\n"
+
+
+def test_experiments_that_ignore_d1_accept_any_d1(tmp_path):
+    for experiment in ("gauss", "badex", "gvn", "quadfactor", "bound1", "pythagoras"):
+        code, report, _ = run(["verify", experiment, "--p", "5", "--d1", "9"], tmp_path)
+        assert code == 0 and report["passed"], experiment
+
+
+# Command lines of the driven commands; together they reach every entry of
+# `verification.ENTRIES`.
+DRIVEN_LINES = (["verify", "all", "--p", "5"],
+                ["norm", "--set", "quadzero", "--p", "3", "--n", "2"],
+                ["count", "--system", "ap3", "--set", "quadzero", "--p", "3"],
+                ["octahedron", "--check", "lift", "--p", "3", "--n", "1"])
+
+
+def test_drive_prices_every_entry_before_building_any(monkeypatch, capsys):
+    """Every entry of the table, one added later included, is reached by a
+    line of DRIVEN_LINES; in each job every entry is priced once, all
+    before the first build, then each is built once and run once."""
+    calls = []
+
+    def spy(name, step, fn):
+        def recorded(*args):
+            calls.append((name, step))
+            return fn(*args)
+        return recorded
+
+    for name, entry in list(verification.ENTRIES.items()):
+        monkeypatch.setitem(verification.ENTRIES, name, verification.Entry(
+            *(spy(name, step, fn) for step, fn in zip(entry._fields, entry))))
+    reached = set()
+    for argv in DRIVEN_LINES:
+        calls.clear()
+        assert main(argv) == 0, argv
+        names = [name for name, step in calls if step == "price"]
+        assert len(set(names)) == len(names), argv
+        assert calls == [(name, "price") for name in names] + \
+            [(name, step) for name in names for step in ("build", "run")], argv
+        reached.update(names)
+    assert reached == set(verification.ENTRIES)
+
+
+def test_each_price_runs_once_per_job(monkeypatch, capsys):
+    """A job prices its work once: the atoms histogram, the gvn average and
+    norms, and every other experiment's plan, are priced by one call of
+    their price owner, which the run does not repeat."""
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("uniformity_lab"):
+            for name, fn in list(vars(module).items()):
+                if name.startswith("_price_") and callable(fn):
+                    monkeypatch.setattr(module, name, counted(name, fn))
+    for experiment in ("badex", "gvn", "atoms", "quadfactor", "completefactor",
+                       "projections", "bound1", "pythagoras"):
+        counts.clear()
+        assert main(["verify", experiment, "--p", "5", "--n", "2"]) == 0
+        assert all(count == 1 for count in counts.values()), (experiment, counts)
+        if experiment in ("gvn", "atoms"):
+            assert counts[f"_price_{experiment}"] == 1, counts
 
 
 def test_counterexample_refuses_over_budget_before_drawing(tmp_path, monkeypatch,
