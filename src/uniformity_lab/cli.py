@@ -76,11 +76,6 @@ def _common(p_cmd, p=5, n=2, seed=1):
     p_cmd.add_argument("--out", help="write the JSON report to this path")
 
 
-def _threads(p_cmd):
-    p_cmd.add_argument("--threads", type=POSITIVE_INT, default=1,
-                       help="worker threads; 1 is the bit-reproducible mode")
-
-
 def _list_args(c):
     c.add_argument("--p", type=int, default=7)
     c.add_argument("--csv", help="also write the catalog as a CSV table")
@@ -113,7 +108,7 @@ def _norm_args(c):
     c.add_argument("--set", dest="set_name", choices=["quadzero"],
                    help="built-in set instead of a file")
     c.add_argument("--balanced", action="store_true",
-                   help="recentre an indicator input to mean zero")
+                   help="recentre to mean zero: 1_A - density, or f - E f")
     c.add_argument("--k", type=int, default=2, help="norm degree (U^k)")
     c.add_argument("--method", choices=["direct", "fast"], default="direct",
                    help="direct: cube enumeration; fast: through the transform")
@@ -131,7 +126,6 @@ def _count_args(c):
     c.add_argument("--tolerance", type=_tolerance, default=DUAL_AGREEMENT_TOL,
                    help="allowed direct-vs-dual gap for --method both and all")
     _common(c)
-    _threads(c)
 
 
 def _verify_args(c):
@@ -141,7 +135,6 @@ def _verify_args(c):
     c.add_argument("--d1", type=NONNEGATIVE_INT, default=1)
     c.add_argument("--d2", type=NONNEGATIVE_INT, default=1)
     _common(c)
-    _threads(c)
 
 
 def _octahedron_args(c):

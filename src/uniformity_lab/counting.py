@@ -47,9 +47,10 @@ Both strategies, `count_solutions` and the factor counts in `verification`
 share the plan and one kernel, `reduce_form_images`: enumeration in tiles of
 whole rows of the (prefix, last variable) grid (of part of one row when N
 is above CHUNK), form images, a reducer called with the (m, rows, width)
-images of a tile alone, an optional thread pool and partials in tile
-order.  The images are gathered through the domain's wrap-padded sum grid
-(`GroupDomain.sum_grid`); no digit tensor of the assignments is built.
+images of a tile alone, and partials in tile order from `_each`, whose pool
+sizes itself (one tile inline, k > 1 on min(k, CPUs) threads).  The images
+are gathered through the domain's wrap-padded sum grid (`GroupDomain.sum_grid`);
+no digit tensor of the assignments is built.
 `plan_op_count` gives the operations `_run_passes` executes over a plan,
 against which `verification` weighs the closed form below.
 
@@ -74,6 +75,7 @@ over the full parameter space the same way.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, NamedTuple, Optional, Sequence
 
@@ -116,7 +118,7 @@ def _check_inputs(sys: LinearFormSystem, fs: Sequence[GroupFunction]) -> GroupDo
 
 
 def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
-                       reduce: Callable[[np.ndarray], Any], threads: int = 1) -> list:
+                       reduce: Callable[[np.ndarray], Any]) -> list:
     """reduce(images) on each tile of the N^d assignments of d variables.
 
     `coeffs` is an (m, d) coefficient matrix.  The assignments, in base-N
@@ -131,8 +133,8 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
     its `c*x` code table and one gather, both written into the form's slice
     of images.  For d = 1 the images are the `c*x` table itself and the
     grid is never built; for d = 0 there is one tile of one cell.  The
-    partial results come back in tile order whatever the number of worker
-    threads, so a fixed-order reduction of them is bit-reproducible.
+    tiles run through `_each`, their results in tile order whatever the
+    number of workers, so a fixed-order reduction of them is bit-reproducible.
     Callers check their own budget.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % dom.p
@@ -169,14 +171,22 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
         return reduce(images)
 
     return _each(run, [(row, col) for row in range(0, prefixes, rows)
-                       for col in range(0, N, width)], threads)
+                       for col in range(0, N, width)])
 
 
-def _each(task: Callable[[Any], Any], items: Sequence, threads: int) -> list:
-    """[task(item) for item in items], on up to `threads` worker threads; the
-    results come back in the order of items."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set, else the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each(task: Callable[[Any], Any], items: Sequence) -> list:
+    """[task(item) for item in items], the results in the order of items:
+    one item runs inline, k > 1 on min(k, `_cpus()`) worker threads."""
+    workers = min(len(items), _cpus())
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(task, items))
     return [task(item) for item in items]
 
@@ -462,7 +472,7 @@ def _integer_bound(N: int, tables: Sequence[np.ndarray]) -> int | None:
 
 
 def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
-                  dom: GroupDomain, threads: int) -> np.ndarray:
+                  dom: GroupDomain) -> np.ndarray:
     """The factor F(s, t) = sum over z of g_a(alpha z) g_b(s + beta z)
     g_c(t + gamma z), for tables (g_a, g_b, g_c) and scales (alpha, beta,
     gamma), flattened row-major into N^2 entries.
@@ -476,8 +486,8 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
     read back as int64.  At a larger bound it raises ArithmeticError.  G_b
     and G_c are gathered through `dom.sum_grid` in blocks of CHUNK // N
     rows, so that, F aside, the temporaries stay within a few CHUNK entries;
-    each block of rows of F is one task, run by up to `threads` worker
-    threads, and its entries do not depend on how many there are."""
+    each block of rows of F is one task of `_each`, and its entries do not
+    depend on how many workers run them."""
     g_a, g_b, g_c = tables
     alpha, beta, gamma = scales
     N = dom.size
@@ -502,7 +512,7 @@ def _product_fill(tables: Sequence[np.ndarray], scales: Sequence[int],
         for top in starts:
             F[lo:lo + rows, top:top + rows] = left @ block(g_c, shift_c, top).T
 
-    _each(fill, starts, threads)
+    _each(fill, starts)
     return (F if bound is None else F.astype(np.int64)).reshape(-1)
 
 
@@ -547,7 +557,7 @@ def _convolution_admitted(tables: Sequence[np.ndarray], dom: GroupDomain) -> boo
 
 
 def _convolution_fill(tables: Sequence[np.ndarray], coeffs: np.ndarray,
-                      dom: GroupDomain, threads: int) -> np.ndarray:
+                      dom: GroupDomain) -> np.ndarray:
     """The factor F(s, t) = sum over z of A_s(z) B_s(z + t), flattened
     row-major into N^(w + 1) entries, for a CONVOLUTION pass of width w + 1
     (`_plan`): the rows of `coeffs` are (beta, 0, alpha) for the forms of
@@ -566,8 +576,8 @@ def _convolution_fill(tables: Sequence[np.ndarray], coeffs: np.ndarray,
     takes this fill only where `_convolution_error` is below 1/4), so a
     count is never rounded quietly; float tables give their real part.
     The slices are built in blocks of at most CHUNK entries (at least one
-    slice), each block one task on up to `threads` worker threads, and its
-    entries do not depend on how many there are."""
+    slice), each block one task of `_each`, and its entries do not depend
+    on how many workers run them."""
     N, p = dom.size, dom.p
     width = coeffs.shape[1] - 1
     slices = N ** (width - 1)
@@ -606,12 +616,12 @@ def _convolution_fill(tables: Sequence[np.ndarray], coeffs: np.ndarray,
         else:
             F[lo:lo + rows] = out if work == np.complex128 else out.real
 
-    _each(fill, range(0, slices, rows), threads)
+    _each(fill, range(0, slices, rows))
     return F.reshape(-1)
 
 
 def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
-                tables: Sequence[np.ndarray], threads: int):
+                tables: Sequence[np.ndarray]):
     """Sum over G^k of the product of the factors of the last of `passes`
     (`_plan`), tables[f] the (N,) table of form f, after each earlier pass
     has filled its factor: a table on G^(columns - 1), its entries the sums
@@ -631,24 +641,23 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
         width = coeffs.shape[1] - 1
         widths.append(width)
         if kind == PRODUCT:
-            tables.append(_product_fill(held, coeffs[:, -1].tolist(), dom, threads))
+            tables.append(_product_fill(held, coeffs[:, -1].tolist(), dom))
             continue
         if kind == CONVOLUTION and _convolution_admitted(held, dom):
-            tables.append(_convolution_fill(held, coeffs, dom, threads))
+            tables.append(_convolution_fill(held, coeffs, dom))
             continue
 
         def fill(images: np.ndarray) -> np.ndarray:
             return _factor_product(held, held_widths, images, N).sum(axis=-1)
 
-        sums = np.concatenate(reduce_form_images(coeffs, dom, fill, threads))
+        sums = np.concatenate(reduce_form_images(coeffs, dom, fill))
         tables.append(sums.reshape(N**width, -1).sum(axis=1))
     ids, coeffs, _ = passes[-1]
     held = [tables[f] for f in ids]
     held_widths = [widths[f] for f in ids]
     total = np.result_type(np.int64, *held).type(0).item()
-    for s in reduce_form_images(
-            coeffs, dom, lambda images: _factor_product(
-                held, held_widths, images, N).sum(), threads):
+    for s in reduce_form_images(coeffs, dom, lambda images: _factor_product(
+            held, held_widths, images, N).sum()):
         total += s.item()
     return total
 
@@ -692,13 +701,13 @@ def direct_op_count(sys: LinearFormSystem, dom: GroupDomain) -> int:
 
 
 def average_product_direct(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-                           budget: int | None = None, threads: int = 1) -> complex:
+                           budget: int | None = None) -> complex:
     """E over all assignments of prod_i f_i(L_i(x)): the sum over G^r of
     the system's `direct_plan`, over N^r.  A plan of one pass is one kernel
     call on the cut coefficients, which are C itself at full rank."""
     dom = _check_inputs(sys, fs)
     _check_average_budget(sys, dom, False, budget)
-    total = _run_passes(sys.direct_plan, dom, [f.values for f in fs], threads)
+    total = _run_passes(sys.direct_plan, dom, [f.values for f in fs])
     return complex(total) / dom.size**len(sys.pivots)
 
 
@@ -724,7 +733,7 @@ def _check_average_budget(sys: LinearFormSystem, dom: GroupDomain, dual: bool,
 
 
 def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-                         budget: int | None = None, threads: int = 1) -> complex:
+                         budget: int | None = None) -> complex:
     """Same average, evaluated as a sum of Fourier-coefficient products over
     the annihilator of the system's frequency relations: its tuples are the
     images of the w-variable forms given by the columns of the relation
@@ -735,8 +744,7 @@ def average_product_dual(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     m copies of one function are transformed once."""
     dom = _check_inputs(sys, fs)
     _check_average_budget(sys, dom, True, budget)
-    return complex(_run_passes(sys.dual_plan, dom, [fourier(f).values for f in fs],
-                               threads))
+    return complex(_run_passes(sys.dual_plan, dom, [fourier(f).values for f in fs]))
 
 
 def _relation_ranks(sys: LinearFormSystem) -> np.ndarray:
@@ -755,7 +763,7 @@ def _relation_ranks(sys: LinearFormSystem) -> np.ndarray:
 
 
 def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
-                    budget: int | None = None, threads: int = 1,
+                    budget: int | None = None,
                     with_degenerate: bool = False) -> tuple[int, Optional[int]]:
     """Exact number of assignments with every form image in A.
 
@@ -774,8 +782,7 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
     # the cut, so every count is N^(d - r) times the count over G^r
     fibre = dom.size ** (sys.d - len(sys.pivots))
     if not with_degenerate:
-        return fibre * _run_passes(sys.direct_plan, dom, [A.members] * sys.m,
-                                   threads), None
+        return fibre * _run_passes(sys.direct_plan, dom, [A.members] * sys.m), None
 
     def tile_counts(images: np.ndarray) -> tuple[int, int]:
         ok = A.members[images[0]]
@@ -787,7 +794,7 @@ def count_solutions(sys: LinearFormSystem, A: IndicatorSet,
                 coincide |= images[i] == images[j]
         return int(ok.sum()), int((ok & coincide).sum())
 
-    partials = reduce_form_images(sys.cut, dom, tile_counts, threads)
+    partials = reduce_form_images(sys.cut, dom, tile_counts)
     return fibre * sum(c for c, _ in partials), fibre * sum(g for _, g in partials)
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations, combinations_with_replacement
 from typing import Optional, Sequence
@@ -59,16 +59,19 @@ class LinearFormSystem:
     Coefficient rows are given as plain integers and must be smaller than p
     in magnitude: reducing e.g. a coefficient 3 mod 3 would silently change
     the configuration, so too-small moduli are rejected at construction.
+    The rows as given are kept, read-only, as `rows`: `to_dict` writes them,
+    so a saved system reloads at another modulus as the same integer forms.
     """
 
     p: int
     d: int
     coeffs: np.ndarray  # (m, d) reduced mod p
     name: str = ""
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_modulus(self.p)
-        raw = np.asarray(self.coeffs, dtype=np.int64)
+        raw = np.array(self.coeffs, dtype=np.int64)  # a copy, kept as `rows`
         if raw.ndim != 2 or raw.shape[1] != self.d:
             raise ValueError("coefficient array must be (m, d)")
         if raw.shape[0] < 1:
@@ -79,6 +82,8 @@ class LinearFormSystem:
             raise ValueError(
                 f"modulus {self.p} too small for coefficient magnitude "
                 f"{np.abs(raw).max()}; pick a larger prime")
+        raw.flags.writeable = False
+        object.__setattr__(self, "rows", raw)
         C = raw % self.p
         if not C.any(axis=1).all():
             raise ValueError("forms must not be identically zero")
@@ -149,7 +154,7 @@ class LinearFormSystem:
 
     def to_dict(self) -> dict:
         return {"p": self.p, "d": self.d,
-                "forms": [[int(c) for c in row] for row in self.coeffs],
+                "forms": self.rows.tolist(),
                 "name": self.name}
 
 

@@ -204,8 +204,8 @@ def quadratic_zero_set_report(p: int, n: int) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # The zero-set dichotomy experiment.
 
-def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
-                 threads: int = 1) -> ExperimentReport:
+def verify_badex(sys: LinearFormSystem, n: int,
+                 budget: int | None = None) -> ExperimentReport:
     """Solution probability of the quadratic zero set under the system.
 
     Square-independent systems must land within p^(-n/2) of p^(-m); a
@@ -217,15 +217,14 @@ def verify_badex(sys: LinearFormSystem, n: int, budget: int | None = None,
     one form in one variable over p^n, so the zero set is never built.
     """
     gauss = _price_matches(sys, n, n, True, budget)
-    return _badex(dot_factor(sys.p, n), sys, gauss, budget, threads)
+    return _badex(dot_factor(sys.p, n), sys, gauss, budget)
 
 
 def _badex(factor: QuadraticFactor, sys: LinearFormSystem, gauss: bool,
-           budget: int | None, threads: int) -> ExperimentReport:
+           budget: int | None) -> ExperimentReport:
     p, n = factor.p, factor.n
     count = _factor_matches(sys, factor, np.zeros((sys.m, 0), dtype=np.int64),
-                            np.zeros((sys.m, 1), dtype=np.int64), None, budget,
-                            threads, gauss)
+                            np.zeros((sys.m, 1), dtype=np.int64), None, budget, gauss)
     alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64),
                                           factor.gamma2.forms[0].M, p, budget), p**n)
     P = Fraction(count, p ** (n * sys.d))
@@ -263,13 +262,17 @@ def _badex(factor: QuadraticFactor, sys: LinearFormSystem, gauss: bool,
 def _price_gvn(sys: LinearFormSystem, dom: GroupDomain, k: int | None,
                budget: int | None) -> tuple[int, float, bool]:
     """(k, complexity, dual) of `verify_gvn` on dom, or its refusal before any
-    allocation: the precondition, the average's price, the norms' price."""
+    allocation: k >= 1, the precondition, the average's price, the norms'
+    price.  k = None takes max(complexity, 1): U^2 also bounds an average of
+    complexity 0, a product of means."""
+    if k is not None and k < 1:
+        raise ValueError(f"gvn's U^(k+1) norms need k >= 1, got {k}")
     actual = cs_complexity(sys)
     if k is None and actual == INFINITE:
         raise ComplexityPreconditionError(
             "system has infinite partition complexity (two parallel "
             "forms): no U^k norm controls its average")
-    k = int(actual) if k is None else k
+    k = max(int(actual), 1) if k is None else k
     if not actual <= k:
         raise ComplexityPreconditionError(
             f"system has partition complexity {actual}, need <= {k}")
@@ -280,11 +283,11 @@ def _price_gvn(sys: LinearFormSystem, dom: GroupDomain, k: int | None,
 
 
 def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
-               k: int | None = None, budget: int | None = None,
-               threads: int = 1) -> ExperimentReport:
+               k: int | None = None, budget: int | None = None) -> ExperimentReport:
     """|E prod_i f_i(L_i(x))| <= min_i U^(k+1)(f_i) for bounded f_i, provided
     the system's partition complexity is at most k; k = None takes that
-    complexity itself, and refuses an infinite one (two parallel forms).
+    complexity itself (1 at complexity 0), and refuses an infinite one (two
+    parallel forms).
 
     The norms are the fast U^(k+1) norms (`uk_norm_fast`; the direct `uk_norm`
     is the suite's cross-check).  The average sums over the dual's frequency
@@ -292,19 +295,17 @@ def verify_gvn(sys: LinearFormSystem, fs: Sequence[GroupFunction],
     the direct sum over assignments, ties going direct (one kernel runs
     both, so the counts compare alike).  Both are priced first by
     `_price_gvn`.  The U^2 norms and a dual average read the kept transforms."""
-    return _gvn(fs, sys, *_price_gvn(sys, _check_inputs(sys, fs), k, budget),
-                budget, threads)
+    return _gvn(fs, sys, *_price_gvn(sys, _check_inputs(sys, fs), k, budget), budget)
 
 
 def _gvn(fs: Sequence[GroupFunction], sys: LinearFormSystem, k: int,
-         actual: float, dual: bool, budget: int | None,
-         threads: int) -> ExperimentReport:
+         actual: float, dual: bool, budget: int | None) -> ExperimentReport:
     for i, f in enumerate(fs):
         if f.linf() > 1 + 1e-12:
             raise ValueError(f"function {i} exceeds the unit sup-norm bound")
     norms = [uk_norm_fast(f, k + 1, budget=budget) for f in fs]
     average = average_product_dual if dual else average_product_direct
-    lhs = abs(average(sys, fs, budget=budget, threads=threads))
+    lhs = abs(average(sys, fs, budget=budget))
     rhs = min(norms)
     rep = ExperimentReport(
         name="gvn",
@@ -525,8 +526,7 @@ def _homogeneous(factor: QuadraticFactor, *targets: np.ndarray) -> bool:
 def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
                     A_t: np.ndarray, B_t: np.ndarray,
                     phi_mats: Optional[Sequence[np.ndarray]],
-                    budget: int | None, threads: int = 1,
-                    gauss: bool = False) -> int:
+                    budget: int | None, gauss: bool = False) -> int:
     """Number of assignments x with gamma1(L_i(x)) = a_i and gamma2(L_i(x)) =
     phi_i(x) + b_i for every i: the rows of A_t (m, d1) and B_t (m, d2) are
     the targets, phi_mats the (d2, n*d) side maps (None when all are zero).
@@ -574,7 +574,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     hits = {t: codes == t for t, ph in zip(targets, phi_codes) if not ph}
     if not any(phi_codes):
         return p ** (n * (d - len(sys.pivots))) * _run_passes(
-            sys.direct_plan, dom, [hits[t] for t in targets], threads)
+            sys.direct_plan, dom, [hits[t] for t in targets])
     a_codes = _encode(A_t.T, p, m) * p**d2
     b_codes = _encode(B_t.T, B, m)
     cells = np.arange(B**d2, dtype=np.int64)
@@ -594,15 +594,14 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
         return int(ok.sum())
 
     with_units = np.concatenate([sys.coeffs, np.eye(d, dtype=np.int64)])
-    return sum(reduce_form_images(with_units, dom, tile_matches, threads=threads))
+    return sum(reduce_form_images(with_units, dom, tile_matches))
 
 
 def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
                       phis: Sequence[Optional[np.ndarray]] | None = None,
                       bs: Sequence[Sequence[int]] | None = None,
                       n: int | None = None,
-                      budget: int | None = None,
-                      threads: int = 1) -> ExperimentReport:
+                      budget: int | None = None) -> ExperimentReport:
     """Probability that gamma2(L_i(x)) = phi_i(x) + b_i for all i, against
     p^(-m*d2) with allowance p^(-r/2).
 
@@ -638,16 +637,16 @@ def verify_quadfactor(sys: LinearFormSystem, gamma2: QuadraticMap,
     factor = QuadraticFactor(p=p, n=n, gamma1=np.zeros((0, n), dtype=np.int64),
                              gamma2=gamma2)
     gauss = _price_matches(sys, n, n, _homogeneous(factor, b_arr, *phi_mats), budget)
-    return _quadfactor(factor, b_arr, phi_mats, sys, gauss, budget, threads)
+    return _quadfactor(factor, b_arr, phi_mats, sys, gauss, budget)
 
 
 def _quadfactor(factor: QuadraticFactor, B_t: np.ndarray,
                 phi_mats: Optional[Sequence[np.ndarray]], sys: LinearFormSystem,
-                gauss: bool, budget: int | None, threads: int) -> ExperimentReport:
+                gauss: bool, budget: int | None) -> ExperimentReport:
     p, n, d2 = factor.p, factor.n, factor.d2
     m, d = sys.m, sys.d
     matches = _factor_matches(sys, factor, np.zeros((m, 0), dtype=np.int64),
-                              B_t, phi_mats, budget, threads, gauss)
+                              B_t, phi_mats, budget, gauss)
     P = Fraction(matches, p ** (n * d))
     r = factor_rank(factor.gamma2, p) if d2 else None
     ref = Fraction(1, p ** (m * d2))
@@ -665,8 +664,7 @@ def _quadfactor(factor: QuadraticFactor, B_t: np.ndarray,
 def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
                           a_targets: Sequence[Sequence[int]],
                           b_targets: Sequence[Sequence[int]],
-                          budget: int | None = None,
-                          threads: int = 1) -> ExperimentReport:
+                          budget: int | None = None) -> ExperimentReport:
     """Joint linear+quadratic factor equidistribution along the system.
 
     The linear targets (a_1, ..., a_m) are first classified against the
@@ -684,17 +682,17 @@ def verify_completefactor(sys: LinearFormSystem, factor: QuadraticFactor,
         np.zeros((m, 0), dtype=np.int64)
     gauss = _price_matches(sys, factor.n, factor.n - d1,
                            _homogeneous(factor, A_t, B_t), budget)
-    return _completefactor(factor, A_t, B_t, sys, gauss, budget, threads)
+    return _completefactor(factor, A_t, B_t, sys, gauss, budget)
 
 
 def _completefactor(factor: QuadraticFactor, A_t: np.ndarray, B_t: np.ndarray,
-                    sys: LinearFormSystem, gauss: bool, budget: int | None,
-                    threads: int) -> ExperimentReport:
+                    sys: LinearFormSystem, gauss: bool,
+                    budget: int | None) -> ExperimentReport:
     p, n = factor.p, factor.n
     m, d = sys.m, sys.d
     d1, d2 = factor.d1, factor.d2
     in_Z = not ((sys.relations.basis @ A_t) % p).any() if d1 else True
-    matches = _factor_matches(sys, factor, A_t, B_t, None, budget, threads, gauss)
+    matches = _factor_matches(sys, factor, A_t, B_t, None, budget, gauss)
     P = Fraction(matches, p ** (n * d))
     d_prime = len(sys.pivots)
     r = factor_rank(factor.gamma2, p) if d2 else None
@@ -801,8 +799,7 @@ def _projections(f: GroupFunction, factor: QuadraticFactor) -> ExperimentReport:
 # Structured-part product bound and the U^3 Pythagorean identity.
 
 def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
-                  sys: LinearFormSystem, budget: int | None = None,
-                  threads: int = 1) -> ExperimentReport:
+                  sys: LinearFormSystem, budget: int | None = None) -> ExperimentReport:
     """E prod_i f1(L_i(x)) for the atom projection f1 of a bounded f, against
     4^m * c * p^(d1/4) + 2^(m+1) * p^(m(d1+d2) - r/2) with c = U2(f).
 
@@ -816,7 +813,7 @@ def verify_bound1(f: GroupFunction, factor: QuadraticFactor,
     """
     homogeneous = factor.d1 == 0 and _homogeneous(factor)
     return _bound1(f, factor, sys, _price_bound1(sys, factor.n, homogeneous, budget),
-                   budget, threads)
+                   budget)
 
 
 def _price_bound1(sys: LinearFormSystem, n: int, homogeneous: bool,
@@ -830,7 +827,7 @@ def _price_bound1(sys: LinearFormSystem, n: int, homogeneous: bool,
 
 
 def _bound1(f: GroupFunction, factor: QuadraticFactor, sys: LinearFormSystem,
-            gauss: bool, budget: int | None, threads: int) -> ExperimentReport:
+            gauss: bool, budget: int | None) -> ExperimentReport:
     if f.linf() > 1 + 1e-12:
         raise ValueError("function exceeds the unit sup-norm bound")
     p, m = factor.p, sys.m
@@ -841,8 +838,7 @@ def _bound1(f: GroupFunction, factor: QuadraticFactor, sys: LinearFormSystem,
                                     np.tile(means, (m, 1)), budget)
     else:
         f1 = GroupFunction(domain=f.domain, values=means[codes])
-        average = average_product_direct(sys, [f1] * m, budget=budget,
-                                         threads=threads)
+        average = average_product_direct(sys, [f1] * m, budget=budget)
     observed = average.real
     r = factor_rank(factor.gamma2, p) if factor.d2 else None
     tail = 0.0 if r is None else 2 ** (m + 1) * p ** (m * (factor.d1 + factor.d2) - r / 2)
@@ -979,21 +975,19 @@ def _run_count(obj, sys: LinearFormSystem, methods: tuple, c) -> list[dict]:
     if "direct" in methods:
         if indicator:
             dom = obj.domain
-            count, degenerate = count_solutions(
-                sys, obj, budget=c.budget, threads=c.threads,
-                with_degenerate=c.degenerate)
+            count, degenerate = count_solutions(sys, obj, budget=c.budget,
+                                                with_degenerate=c.degenerate)
             results.append(_probability(
                 "solution_probability", count, dom.size**sys.d, obj.density,
                 sys.m, "direct", direct_op_count(sys, dom), degenerate))
             # 0/1 products sum exactly: the average is count / N^d
             direct = complex(results[-1]["observed"]["re"])
         else:
-            direct = average_product_direct(sys, fs, budget=c.budget,
-                                            threads=c.threads)
+            direct = average_product_direct(sys, fs, budget=c.budget)
         results.append({"name": "average_direct", "value": _cx(direct),
                         "passed": None})
     if "dual" in methods:
-        dual = average_product_dual(sys, fs, budget=c.budget, threads=c.threads)
+        dual = average_product_dual(sys, fs, budget=c.budget)
         results.append({"name": "average_dual", "value": _cx(dual), "passed": None})
         if "direct" in methods:
             gap = abs(direct - dual)
@@ -1064,13 +1058,12 @@ def _system(c, default: str) -> LinearFormSystem:
 
 
 def _price_factor(c, default: str, d1: int = 0, independent: bool = True) -> tuple:
-    """(system, closed form or not, budget, threads) of a count on the dot
-    factor with d1 linear parts (`_price_matches`)."""
+    """(system, closed form or not, budget) of a dot-factor count (`_price_matches`)."""
     sys = _system(c, default)
     _check_d1(d1, c.n)
     if independent:
         _require_square_independent(sys)
-    return sys, _price_matches(sys, c.n, c.n - d1, True, c.budget), c.budget, c.threads
+    return sys, _price_matches(sys, c.n, c.n - d1, True, c.budget), c.budget
 
 
 def _price_pythagoras(c) -> tuple:
@@ -1096,6 +1089,8 @@ def _build_norm(c, rng, plan) -> tuple:
     obj = load_function(c.function) if c.function else quadratic_zero_set(c.p, c.n)
     if isinstance(obj, IndicatorSet):
         obj = balanced(obj) if c.balanced else obj.to_function()
+    elif c.balanced:
+        obj = obj.shifted(-obj.mean())
     return (obj,)
 
 
@@ -1141,8 +1136,7 @@ ENTRIES = {
         _badex),
     "gvn": Entry(
         lambda c: (sys := _system(c, "ap3"),
-                   *_price_gvn(sys, domain(c.p, c.n), c.k, c.budget),
-                   c.budget, c.threads),
+                   *_price_gvn(sys, domain(c.p, c.n), c.k, c.budget), c.budget),
         lambda c, rng, plan: ([_draw(c, rng) for _ in range(plan[0].m)],),
         _gvn),
     "atoms": Entry(
@@ -1167,7 +1161,7 @@ ENTRIES = {
         _projections),
     "bound1": Entry(
         lambda c: (sys := _system(c, "gw6b"),
-                   _price_bound1(sys, c.n, True, c.budget), c.budget, c.threads),
+                   _price_bound1(sys, c.n, True, c.budget), c.budget),
         lambda c, rng, plan: (balanced(quadratic_zero_set(c.p, c.n)),
                               dot_factor(c.p, c.n)),
         _bound1),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uniformity_lab.algebra import (QuadraticForm, Subspace, _batches,
-                                    _diagonal_pivot, _radon,
+                                    _diagonal_pivot, _matmul_mod, _radon,
                                     batched_affine_class, batched_rank_class,
                                     check_modulus, nullspace, rank, rref,
                                     solve_affine)
@@ -431,3 +431,17 @@ def test_nullspace_vectors_annihilate():
 def test_subspace_rejects_dependent_basis():
     with pytest.raises(ValueError):
         Subspace(p=5, ambient=2, basis=[[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("p,run", [(2147483647, 2), (3037000493, 1)])
+def test_matmul_mod_adds_runs_exactly_at_large_primes(p, run):
+    """The inner sum is taken in runs of `run` products, each below
+    (p - 1)^2; a length of 7 makes several runs, checked against Python
+    ints, for a plain and a broadcast product."""
+    assert max(1, (2**63 - p) // (p - 1) ** 2) == run
+    rng = np.random.default_rng(47)
+    X = rng.integers(p - 50, p, size=(2, 3, 7))
+    Y = rng.integers(p - 50, p, size=(7, 4))
+    exact = (X.astype(object) @ Y.astype(object)) % p
+    assert _matmul_mod(X, Y, p).tolist() == exact.tolist()
+    assert _matmul_mod(X[0], Y, p).tolist() == exact[0].tolist()

@@ -98,21 +98,46 @@ def test_every_class_member_is_read_or_kept():
     assert unread == sorted(KEPT_UNREAD_MEMBERS)
 
 
-def test_no_function_takes_a_private_parameter():
-    """No function of the package takes a parameter whose name starts with
-    an underscore: a value one caller hands another through a private
-    parameter belongs with the object it derives from."""
-    private = []
+def function_params():
+    """"file:function.parameter" for every parameter of every function and
+    lambda of the package."""
+    params = []
     for file, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 a = node.args
-                params = a.posonlyargs + a.args + a.kwonlyargs + \
-                    [x for x in (a.vararg, a.kwarg) if x is not None]
                 name = getattr(node, "name", "<lambda>")
-                private += [f"{file}:{name}.{x.arg}" for x in params
-                            if x.arg.startswith("_")]
-    assert private == []
+                params += [f"{file}:{name}.{x.arg}" for x in
+                           a.posonlyargs + a.args + a.kwonlyargs +
+                           [x for x in (a.vararg, a.kwarg) if x is not None]]
+    return params
+
+
+def test_no_function_takes_a_private_parameter():
+    """No function of the package takes a parameter whose name starts with
+    an underscore: a value one caller hands another through a private
+    parameter belongs with the object it derives from."""
+    assert [x for x in function_params() if x.rsplit(".", 1)[1].startswith("_")] == []
+
+
+def test_the_tile_pool_sizes_itself_in_one_place():
+    """No function takes a worker count (`threads`): `counting._each` sizes
+    its pool from the items and the CPUs the process may use, and is the one
+    function that names `ThreadPoolExecutor` (the module imports it)."""
+    assert [x for x in function_params() if x.endswith(".threads")] == []
+    owners = set()
+    for file, tree in package_trees():
+        parent = {child: node for node in ast.walk(tree)
+                  for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if "ThreadPoolExecutor" in (getattr(node, "id", None),
+                                        getattr(node, "attr", None),
+                                        getattr(node, "name", None)):
+                while node in parent and not isinstance(
+                        node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    node = parent[node]
+                owners.add(f"{file}:{getattr(node, 'name', '<module>')}")
+    assert owners == {"counting.py:<module>", "counting.py:_each"}
 
 
 def test_cli_prices_only_through_library_owners():

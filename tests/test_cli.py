@@ -131,6 +131,21 @@ def test_norm_command_matches_library(tmp_path, capsys):
     assert rec["domain"] == {"p": 5, "n": 2}
 
 
+def test_norm_balanced_recentres_a_function_file(tmp_path, capsys):
+    values = np.random.default_rng(31).random(25)
+    f = GroupFunction(domain=domain(5, 2), values=values)
+    path = tmp_path / "f.json"
+    save_function(f, str(path))
+    argv = ["norm", "--function", str(path), "--p", "5", "--n", "2", "--k", "2"]
+    plain = run(argv, tmp_path, "plain.json")[1]["results"][0]["value"]
+    code, report, _ = run(argv + ["--balanced"], tmp_path)
+    assert code == 0 and report["config"]["balanced"] is True
+    value = report["results"][0]["value"]
+    loaded = functions.load_function(str(path))
+    assert value == uk_norm(loaded.shifted(-loaded.mean()), 2)
+    assert abs(value - plain) > 0.01
+
+
 def test_norm_fast_command_any_degree(tmp_path, capsys):
     code, report, _ = run(["norm", "--set", "quadzero", "--balanced",
                            "--p", "5", "--n", "2", "--k", "3",
@@ -213,7 +228,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     assert main(["complexity", "--system", "nosuch"]) == 2
     assert main(["count", "--system", "ap3", "--p", "4", "--set", "quadzero"]) == 2
     assert main(["norm", "--p", "5", "--n", "2"]) == 2  # no function given
-    # options only `count` (--tolerance) or `count`/`verify` (--threads) read
+    # an option only `count` reads (--tolerance), and one no command has (--threads)
     for argv in (["norm", "--set", "quadzero", "--tolerance", "1e-3"],
                  ["norm", "--set", "quadzero", "--threads", "2"],
                  ["octahedron", "--check", "lift", "--threads", "2"],
@@ -244,8 +259,6 @@ def test_exit_code_config_error(tmp_path, capsys):
     ["verify", "projections", "--d1", "-1"],
     ["verify", "all", "--d2", "-1"],
     ["octahedron", "--check", "counterexample", "--size", "0"],
-    ["count", "--system", "ap3", "--set", "quadzero", "--threads", "0"],
-    ["verify", "gvn", "--threads", "-2"],
     ["verify", "atoms", "--d1", "one"],
     ["norm", "--set", "quadzero", "--p", "5", "--n", "2", "--budget", "-1"],
     ["verify", "gvn", "--p", "5", "--n", "2", "--seed", "-3", "--system", "ap3"],
@@ -696,6 +709,26 @@ def test_verify_gvn_refuses_an_infinite_complexity(tmp_path, capsys):
     assert "need <= 2" in capsys.readouterr().err
 
 
+def test_verify_gvn_at_complexity_zero_runs_at_k_one(tmp_path, monkeypatch, capsys):
+    """Two independent forms have partition complexity 0: without --k gvn
+    bounds their average, a product of means, by U^2 norms; an explicit
+    --k 0 is refused before anything is drawn."""
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({"p": 5, "d": 2, "forms": [[1, 0], [0, 1]]}))
+    argv = ["verify", "gvn", "--system", str(path), "--p", "5", "--n", "3"]
+    code, report, _ = run(argv, tmp_path)
+    assert code == 0 and report["passed"]
+    assert report["results"][0]["parameters"]["k"] == 1
+
+    def refuse_to_draw(dom, rng, kind="uniform"):
+        raise AssertionError("functions drawn before k was checked")
+
+    monkeypatch.setattr(verification, "random_bounded_function", refuse_to_draw)
+    capsys.readouterr()
+    assert main(argv + ["--k", "0"]) == 2
+    assert "need k >= 1, got 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("experiment", ["atoms", "completefactor", "projections"])
 def test_d1_above_n_is_a_config_error(experiment, capsys):
     assert main(["verify", experiment, "--d1", "5", "--p", "5", "--n", "2"]) == 2
@@ -921,11 +954,13 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path):
     assert Path(third).read_bytes() != a
 
 
-def test_threads_flag_reproducibility(tmp_path):
+def test_threads_flag_reproducibility(tmp_path, monkeypatch):
     base = ["count", "--system", "gw6a", "--set", "quadzero", "--p", "5",
             "--n", "2", "--method", "both"]
-    _, _, one = run(base + ["--threads", "1"], tmp_path, "t1.json")
-    _, _, four = run(base + ["--threads", "4"], tmp_path, "t4.json")
+    monkeypatch.setattr(counting, "_cpus", lambda: 1)
+    _, _, one = run(base, tmp_path, "t1.json")
+    monkeypatch.setattr(counting, "_cpus", lambda: 4)
+    _, _, four = run(base, tmp_path, "t4.json")
     r1 = json.loads(Path(one).read_text())
     r4 = json.loads(Path(four).read_text())
     assert r1["results"] == r4["results"]
@@ -980,18 +1015,9 @@ def test_count_both_transforms_its_function_once(kind, tmp_path, monkeypatch):
     assert transforms == [0]
 
 
-def test_experiment_threads_reach_the_kernel(tmp_path, monkeypatch):
-    """Every enumerating experiment hands --threads to the kernel, and the
-    thread count leaves the results unchanged."""
-    received = []
-    kernel = counting.reduce_form_images
-
-    def spy(coeffs, dom, reduce, threads=1):
-        received.append(threads)
-        return kernel(coeffs, dom, reduce, threads)
-
-    monkeypatch.setattr(counting, "reduce_form_images", spy)
-    monkeypatch.setattr(verification, "reduce_form_images", spy)
+def test_experiment_threads_reach_the_kernel(tmp_path, monkeypatch, capsys):
+    """The worker count, forced through the CPU helper, leaves the results
+    of every enumerating experiment unchanged; `--threads` is no option."""
     monkeypatch.setattr(verification, "_use_gauss", lambda *a: False)
     monkeypatch.setattr(counting, "CHUNK", 1000)  # so the pool splits the work
     for argv in (["verify", "quadfactor", "--system", "gw6b"],
@@ -1000,13 +1026,19 @@ def test_experiment_threads_reach_the_kernel(tmp_path, monkeypatch):
                  ["verify", "bound1", "--system", "gw6b"],
                  ["verify", "badex", "--system", "gw6a"]):
         results = []
-        for threads in ("1", "4"):
-            received.clear()
-            code, report, _ = run(argv + ["--p", "5", "--n", "2", "--threads", threads],
-                                  tmp_path)
-            assert code == 0 and received == [int(threads)], (argv, received)
+        for threads in (1, 4):
+            monkeypatch.setattr(counting, "_cpus", lambda: threads)
+            code, report, _ = run(argv + ["--p", "5", "--n", "2"], tmp_path)
+            assert code == 0, argv
             results.append(json.dumps(report["results"], sort_keys=True))
         assert results[0] == results[1], argv
+    for argv in (["verify", "gvn", "--threads", "2"],
+                 ["count", "--system", "ap3", "--set", "quadzero", "--threads", "2"]):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_bound1_closed_form_runs_where_enumeration_is_refused(monkeypatch, capsys):
@@ -1029,8 +1061,7 @@ COMMAND_LINES = {
     "norm": ["norm", "--set", "quadzero", "--balanced", "--k", "3",
              "--method", "fast", "--p", "3", "--n", "3", "--seed", "4"],
     "count": ["count", "--system", "ap3", "--set", "quadzero", "--method", "all",
-              "--degenerate", "--tolerance", "1e-6", "--threads", "2",
-              "--budget", "99"],
+              "--degenerate", "--tolerance", "1e-6", "--budget", "99"],
     "verify": ["verify", "bound1", "--system", "gw6b", "--k", "2", "--d1", "0",
                "--d2", "2"],
     "octahedron": ["octahedron", "--check", "lift", "--size", "8"],

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from uniformity_lab import counting, verification
+from uniformity_lab import counting
 from uniformity_lab.algebra import QuadraticForm, is_odd_prime
 from uniformity_lab.budget import DEFAULT_BUDGET, BudgetExceededError
 from uniformity_lab.counting import (average_product_direct,
@@ -140,13 +140,15 @@ def test_count_matches_naive_oracle():
     assert count == naive
 
 
-def test_threads_do_not_change_results():
+def test_threads_do_not_change_results(monkeypatch):
     rng = np.random.default_rng(46)
     dom = domain(5, 2)
     sys_ = builtin_system("ap4", 5)
     fs = random_functions(dom, rng, 4)
-    serial = average_product_direct(sys_, fs, threads=1)
-    pooled = average_product_direct(sys_, fs, threads=4)
+    monkeypatch.setattr(counting, "_cpus", lambda: 1)
+    serial = average_product_direct(sys_, fs)
+    monkeypatch.setattr(counting, "_cpus", lambda: 4)
+    pooled = average_product_direct(sys_, fs)
     assert serial == pooled  # identical bits: reduction order fixed by chunk index
 
 
@@ -168,15 +170,12 @@ def test_results_across_chunks_do_not_depend_on_threads(monkeypatch):
     phis = [rng.integers(0, p, size=(1, n * sys_.d)) for _ in range(sys_.m)]
     factor = QuadraticFactor(p=p, n=n, gamma1=np.eye(n, dtype=np.int64)[:1],
                              gamma2=gamma2)
-    kernel = counting.reduce_form_images
 
     def run(threads):
-        # the factor checks forward their own thread count (1); override it
-        monkeypatch.setattr(verification, "reduce_form_images",
-                            lambda *args, **forwarded: kernel(*args, threads=threads))
-        return (average_product_direct(sys_, fs, threads=threads),
-                average_product_dual(sys_, fs, threads=threads),
-                count_solutions(sys_, A, threads=threads, with_degenerate=True),
+        monkeypatch.setattr(counting, "_cpus", lambda: threads)
+        return (average_product_direct(sys_, fs),
+                average_product_dual(sys_, fs),
+                count_solutions(sys_, A, with_degenerate=True),
                 verify_quadfactor(sys_, gamma2, phis=phis).to_dict(),
                 verify_completefactor(sys_, factor, [[0]] * sys_.m,
                                       [[0]] * sys_.m).to_dict())
@@ -225,6 +224,24 @@ def test_form_images_match_digitwise_oracle(monkeypatch, p, n, d):
         assert flat.tolist() == images
 
 
+def test_the_pool_takes_min_of_items_and_cpus_and_one_item_runs_inline(monkeypatch):
+    assert counting._cpus() >= 1
+    pools = []
+
+    class Pool(counting.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", Pool)
+    for cpus, items, workers in ((4, [3], []), (4, [1, 2, 3], [3]),
+                                 (4, range(6), [4]), (1, range(6), [])):
+        pools.clear()
+        monkeypatch.setattr(counting, "_cpus", lambda: cpus)
+        assert counting._each(lambda x: x * x, items) == [x * x for x in items]
+        assert pools == workers, (cpus, items)
+
+
 def test_tiles_come_back_in_order_at_any_thread_count(monkeypatch):
     # 81 tiles of one row each (CHUNK = 16, N = 9, d = 3), every other one
     # slowed, so that pooled workers finish out of order
@@ -243,7 +260,8 @@ def test_tiles_come_back_in_order_at_any_thread_count(monkeypatch):
     naive = oracles.naive_form_images(coeffs.tolist(), p, n, 0, N**3)
     for threads in (1, 2, 4):
         workers.clear()
-        tiles = counting.reduce_form_images(coeffs, dom, reduce, threads)
+        monkeypatch.setattr(counting, "_cpus", lambda: threads)
+        tiles = counting.reduce_form_images(coeffs, dom, reduce)
         assert len(tiles) == N**2 and (len(workers) > 1) == (threads > 1)
         flat = np.concatenate([tile.reshape(len(coeffs), -1) for tile in tiles], axis=1)
         assert flat.tolist() == naive
@@ -393,12 +411,14 @@ def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
         fs = random_functions(dom, rng, sys_.m)
 
         def run(threads):
-            return (count_solutions(sys_, A, threads=threads),
-                    average_product_direct(sys_, fs, threads=threads),
-                    average_product_dual(sys_, fs, threads=threads))
+            monkeypatch.setattr(counting, "_cpus", lambda: threads)
+            return (count_solutions(sys_, A),
+                    average_product_direct(sys_, fs),
+                    average_product_dual(sys_, fs))
 
         def degenerate(threads):
-            return count_solutions(sys_, A, threads=threads, with_degenerate=True)
+            monkeypatch.setattr(counting, "_cpus", lambda: threads)
+            return count_solutions(sys_, A, with_degenerate=True)
 
         monkeypatch.setattr(counting, "CHUNK", 1 << 19)
         whole, whole_degenerate = run(1), degenerate(1)
@@ -614,9 +634,9 @@ def test_convolution_rounding_bound_at_the_largest_budgeted_n():
     ap3, dom = builtin_system("ap3", p), domain(p, n)
     members = np.random.default_rng(29).random(N) < 0.5
     conv, _ = ap3.direct_plan
-    exact = counting._convolution_fill([members] * 2, conv.coeffs, dom, 1)
+    exact = counting._convolution_fill([members] * 2, conv.coeffs, dom)
     unrounded = counting._convolution_fill([members.astype(float)] * 2, conv.coeffs,
-                                           dom, 1)
+                                           dom)
     assert np.abs(unrounded - exact).max() <= bound
     count, _ = count_solutions(ap3, IndicatorSet(domain=dom, members=members),
                                budget=DEFAULT_BUDGET)
@@ -658,7 +678,7 @@ def test_convolution_bound_forces_the_enumerated_pass(monkeypatch):
                         row, (x, y), points, p, n)]])
                 naive += prod
         calls.clear()
-        assert counting._run_passes(passes, dom, tables, 1) == naive
+        assert counting._run_passes(passes, dom, tables) == naive
         assert len(calls) == (1 if admitted else 2)
 
 
@@ -688,9 +708,9 @@ def test_product_fill_is_exact_on_both_sides_of_two_to_the_53():
         assert (counting._integer_bound(dom.size, tables) < 2**53) == (top < 2**19)
         if top == 2**19:
             with pytest.raises(ArithmeticError):
-                counting._product_fill(tables, [1, 2, 3], dom, 1)
+                counting._product_fill(tables, [1, 2, 3], dom)
             continue
-        F = counting._product_fill(tables, [1, 2, 3], dom, 1)
+        F = counting._product_fill(tables, [1, 2, 3], dom)
         assert F.dtype == np.int64
 
         def at(t, c, z):  # index of t + c z
@@ -761,7 +781,7 @@ def test_full_rank_direct_side_is_one_plain_kernel_call(name, monkeypatch):
     count = count_solutions(sys_, A)
     assert len(seen) == 2 and all(c is sys_.coeffs for c in seen)
     one_pass = [counting._Pass(list(range(sys_.m)), sys_.coeffs)]
-    assert average == complex(counting._run_passes(one_pass, dom, tables, 1)) \
+    assert average == complex(counting._run_passes(one_pass, dom, tables)) \
         / dom.size**sys_.d
     assert average == plain / dom.size**sys_.d
     plain_count = 0

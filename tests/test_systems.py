@@ -717,6 +717,20 @@ def test_system_file_roundtrip(tmp_path):
     assert reloaded.p == 7
 
 
+def test_saved_systems_reload_as_the_same_forms_at_every_modulus(tmp_path):
+    """A saved system keeps its integer rows, so it reloads at another
+    modulus as the built-in at that modulus, not as its residues there."""
+    for name in BUILTIN_SYSTEM_NAMES:
+        valid = [p for p in (5, 7, 11, 13)
+                 if np.abs(builtin_system(name, 13).rows).max() < p]
+        for p in valid:
+            path = tmp_path / f"{name}_{p}.json"
+            save_system(builtin_system(name, p), str(path))
+            for q in valid:
+                assert np.array_equal(load_system(str(path), p=q).coeffs,
+                                      builtin_system(name, q).coeffs), (name, p, q)
+
+
 def test_load_rejects_missing_fields(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text('{"p": 5}')
