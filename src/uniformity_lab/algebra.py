@@ -18,10 +18,10 @@ floating point.  There is one elimination per shape:
   square (`batched_affine_class`).
 
 `_class_forms` lists one combination of a stack of forms per line of F_p^m,
-for the closed-form counts here and in `counting`, and `_batches` joins its
-blocks into stacks of a bounded size; `_atom_counts` counts the atoms of a
-linear map and quadratic forms from it in closed form, summing the terms of
-the lines of lambda for every cell by the transform `_radon`.
+`_batches` joins its blocks into stacks, and `_line_classes` gives their ranks
+and classes, the walk other modules read; `_atom_counts` counts the atoms of
+a linear map and quadratic forms from the first two in closed form, summing
+the terms of the lines of lambda for every cell by the transform `_radon`.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def batched_affine_class(stack, p: int):
 
 
 def _class_forms(mats: np.ndarray, p: int,
-                 block: int = CLASS_BLOCK) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                 block: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(lambdas, forms) with forms[j] = sum_i lambdas[j, i] mats[i] mod p for
     an (m, d, d) stack `mats`, one lambda on each line of F_p^m, in blocks of
     at most max(block, 1) classes: the lambdas whose first nonzero
@@ -307,6 +307,20 @@ def _batches(items, limit: int):
         size += a.size
     if held:
         yield tags, np.concatenate(held)
+
+
+def _line_classes(mats: np.ndarray, p: int, limit: int):
+    """(lambdas, ranks, classes) of M_lambda = sum_i lambda_i mats[i], for an
+    (m, d, d) symmetric stack, per `_class_forms` block of max(1, limit // d^2)
+    lines, eliminated in stacks of at most `limit` entries (`_batches`) but
+    handed on block by block, so that a float sum over them does not depend
+    on the joining."""
+    blocks = _class_forms(mats, p, max(1, limit // mats.shape[1] ** 2))
+    for lam_blocks, forms in _batches(blocks, limit):
+        ranks, product = _eliminate(forms, p)
+        cuts = np.cumsum([len(lams) for lams in lam_blocks])[:-1]
+        yield from zip(lam_blocks, np.split(ranks, cuts),
+                       np.split(_legendre(product, p), cuts))
 
 
 def _radon(g: np.ndarray, p: int) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Command-line front end: argument parsing, one call of `verification.drive`
 per priced job, and printing.
 
-One command per process.  Every command echoes its configuration (seed
-included) into a versioned JSON report; identical configuration and seed
-give byte-identical reports.  Exit status: 0 when every check passes, 1 on
-a failed assertion, 2 on configuration or parse errors, 3 on budget refusal.
+One command per process.  Every command echoes its configuration (the seed
+of `verify` and `octahedron` included) into a versioned JSON report;
+identical configuration and seed give byte-identical reports.  Exit status:
+0 when every check passes, 1 on a failed assertion, 2 on configuration or
+parse errors, 3 on budget refusal.
 `norm`, `count`, `verify` and `octahedron --check lift` hand their parsed
 options to `verification.drive`, which prices the whole job before it builds
 or draws anything; this module prices nothing.
@@ -67,10 +68,9 @@ def _tolerance(text):
 _tolerance.__name__ = "float"  # so that a non-number reads "invalid float value"
 
 
-def _common(p_cmd, p=5, n=2, seed=1):
+def _common(p_cmd, p=5, n=2):
     p_cmd.add_argument("--p", type=int, default=p, help="odd prime modulus")
     p_cmd.add_argument("--n", type=POSITIVE_INT, default=n, help="dimension of F_p^n")
-    p_cmd.add_argument("--seed", type=NONNEGATIVE_INT, default=seed)
     p_cmd.add_argument("--budget", type=NONNEGATIVE_INT, default=None,
                        help="max scalar operations (default 1e10 or $UNIFORMITY_LAB_BUDGET)")
     p_cmd.add_argument("--out", help="write the JSON report to this path")
@@ -134,6 +134,7 @@ def _verify_args(c):
     c.add_argument("--k", type=int, default=None)
     c.add_argument("--d1", type=NONNEGATIVE_INT, default=1)
     c.add_argument("--d2", type=NONNEGATIVE_INT, default=1)
+    c.add_argument("--seed", type=NONNEGATIVE_INT, default=1)
     _common(c)
 
 
@@ -141,6 +142,7 @@ def _octahedron_args(c):
     c.add_argument("--check", choices=["lift", "counterexample"], required=True)
     c.add_argument("--size", type=POSITIVE_INT, default=64,
                    help="vertex count for the counterexample")
+    c.add_argument("--seed", type=NONNEGATIVE_INT, default=1)
     _common(c, p=3, n=2)
 
 
@@ -275,8 +277,7 @@ def cmd_list(args) -> list:
     for name, sys_ in zip(BUILTIN_SYSTEM_NAMES, systems):
         cs = cs_complexity(sys_)
         true_k = conjectured_true_complexity(sys_)
-        # the search tests k = 1 first, and every odd prime allows it
-        sq = true_k == 1
+        sq = power_independence(sys_, 1)
         results.append({"name": name, "m": sys_.m, "d": sys_.d,
                         "cs_complexity": None if math.isinf(cs) else int(cs),
                         "square_independent": sq,
@@ -307,14 +308,7 @@ def cmd_complexity(args) -> list:
 def cmd_independence(args) -> list:
     sys_ = resolve_system(args.system, args.p)
     true_k = conjectured_true_complexity(sys_)
-    # The search tests k = 1, 2, ... up to min(m, p - 2) and stops at the
-    # first independent order, and independence is monotone in k while
-    # p > k + 1.  So only a k beyond m with no independent order found is
-    # tested anew, and a k outside 1 <= k < p - 1 is refused by that test.
-    if not 1 <= args.k < sys_.p - 1 or true_k is None and args.k > sys_.m:
-        indep = power_independence(sys_, args.k)
-    else:
-        indep = true_k is not None and true_k <= args.k
+    indep = power_independence(sys_, args.k)
     print(f"power_independence(k={args.k}) = {indep}; "
           f"conjectured_true_complexity = {true_k}")
     return [{"name": f"power_independence_k{args.k}", "value": bool(indep),

@@ -81,8 +81,8 @@ from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .algebra import (CLASS_BLOCK, _batches, _class_forms, _eliminate,
-                      _legendre, batched_rank_class, inv_mod, nullspace, rref)
+from .algebra import (CLASS_BLOCK, _legendre, _line_classes,
+                      batched_rank_class, inv_mod, nullspace, rref)
 from .budget import check_budget
 from .domains import GroupDomain
 from .functions import (GroupFunction, IndicatorSet, _dft_axes, _dft_matrix,
@@ -824,27 +824,15 @@ def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
     """The shared front of the closed forms: after the budget check, the rank
     r_B and class eps_B of B and an iterator of (lambdas, ranks, classes)
     blocks over the lines of lambda, the ranks and classes those of
-    M_lambda = sum_i lambda_i l_i l_i^T (as `algebra.batched_rank_class`
-    gives them).  The blocks are those of `_class_forms`; consecutive ones
-    are eliminated as one stack of at most CLASS_BLOCK classes
-    (`algebra._batches`), by `_eliminate` directly, since they are built
-    symmetric and reduced mod p, and handed on block by block, so that the
-    float sums of `quadratic_average` do not depend on the joining."""
+    M_lambda = sum_i lambda_i l_i l_i^T, in blocks of CLASS_BLOCK lines
+    (`algebra._line_classes`)."""
     C = np.asarray(C, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     m, d = C.shape
     _check_gauss_budget(m, d, B.shape[0], p, budget, weighted)
     (r_B,), (eps_B,) = batched_rank_class(B[None], p)
-
-    def blocks():
-        stacks = _class_forms(C[:, :, None] * C[:, None, :], p)
-        for lam_blocks, forms in _batches(stacks, CLASS_BLOCK * d * d):
-            ranks, product = _eliminate(forms, p)
-            cuts = np.cumsum([len(lams) for lams in lam_blocks])[:-1]
-            yield from zip(lam_blocks, np.split(ranks, cuts),
-                           np.split(_legendre(product, p), cuts))
-
-    return int(r_B), int(eps_B), blocks()
+    blocks = _line_classes(C[:, :, None] * C[:, None, :], p, CLASS_BLOCK * d * d)
+    return int(r_B), int(eps_B), blocks
 
 
 def quadratic_zero_count(C, B, p: int, budget: int | None = None) -> int:

@@ -511,13 +511,7 @@ def load_function(path: str) -> GroupFunction | IndicatorSet:
     raise ValueError(f"unknown function mode {doc['mode']!r}")
 
 
-def random_bounded_function(dom: GroupDomain, rng: np.random.Generator,
-                            kind: str = "uniform") -> GroupFunction:
-    """Random real function with sup norm <= 1 (test/experiment instances)."""
-    if kind == "signs":
-        vals = rng.choice([-1.0, 1.0], size=dom.size)
-    elif kind == "uniform":
-        vals = rng.uniform(-1.0, 1.0, size=dom.size)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return GroupFunction(domain=dom, values=vals)
+def random_bounded_function(dom: GroupDomain, rng: np.random.Generator) -> GroupFunction:
+    """Random real function with sup norm <= 1 (test/experiment instances):
+    values uniform on [-1, 1]."""
+    return GroupFunction(domain=dom, values=rng.uniform(-1.0, 1.0, size=dom.size))

@@ -8,8 +8,9 @@ forms, and the relation space of linear dependencies among the forms.
 A system's coefficients C are read-only, so the pivot columns of rref(C)
 (`pivots`) and the pivot cut C[:, pivots] (`cut`), the relation space
 (`relations`, basis the nullspace of C^T), the ranks of all subsets of the
-forms (`subset_ranks`) and the elimination plans of the direct and dual sums
-(`direct_plan`, `dual_plan`) are computed once, on first use, and cached.
+forms (`subset_ranks`), the elimination plans of the direct and dual sums
+(`direct_plan`, `dual_plan`) and the rank of each order's power matrix
+(`power_independence`) are computed once, on first use, and kept.
 The rank table is read off C itself where d <= m, with no elimination of C
 first: a set of forms has the same rank in C as in the cut.  So there the
 complexity search and the dual plan never reduce C; the consumers that work
@@ -68,6 +69,9 @@ class LinearFormSystem:
     coeffs: np.ndarray  # (m, d) reduced mod p
     name: str = ""
     rows: np.ndarray = field(init=False, repr=False, compare=False)
+    # rank of the order-(k+1) power matrix, per order k eliminated so far
+    _power_ranks: dict = field(init=False, repr=False, compare=False,
+                               default_factory=dict)
 
     def __post_init__(self):
         check_modulus(self.p)
@@ -153,8 +157,10 @@ class LinearFormSystem:
         return self.coeffs[i]
 
     def to_dict(self) -> dict:
+        """The system file document: the integer rows, marked as such, so
+        that `load_system` reloads them at any modulus."""
         return {"p": self.p, "d": self.d,
-                "forms": self.rows.tolist(),
+                "forms": self.rows.tolist(), "rows": "integer",
                 "name": self.name}
 
 
@@ -326,13 +332,18 @@ def power_independence(sys: LinearFormSystem, k: int) -> bool:
     """Are the (k+1)-st powers of the forms linearly independent over F_p?
 
     k = 1 is square independence.  Requires p > k+1, so that the power
-    matrix's dropped multinomial factors are units mod p.
+    matrix's dropped multinomial factors are units mod p.  Each order's rank
+    is kept on the system; above an independent order the answer is True
+    (independence is monotone in k), with no elimination.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if sys.p <= k + 1:
         raise ValueError(f"p={sys.p} too small for power k+1={k + 1}")
-    return rank(_power_matrix(sys, k), sys.p) == sys.m
+    known = sys._power_ranks
+    if k not in known and not any(j < k and r == sys.m for j, r in known.items()):
+        known[k] = rank(_power_matrix(sys, k), sys.p)
+    return known.get(k, sys.m) == sys.m  # else a lower order is independent
 
 
 def conjectured_true_complexity(sys: LinearFormSystem) -> Optional[int]:
@@ -394,19 +405,32 @@ def builtin_system(name: str, p: int) -> LinearFormSystem:
 
 
 def load_system(path: str, p: int | None = None) -> LinearFormSystem:
-    """Load a system from a JSON document {p, d, forms, name?}."""
+    """Load a system from a JSON document {p, d, forms, name?, rows?}, at
+    modulus p (default the file's own).
+
+    A file marked "rows": "integer", as `save_system` writes, holds the
+    integer rows of the forms, which load as the same forms at every
+    modulus.  A file without the mark may hold residues mod its own p, as
+    files saved without it did, and those are other forms at another
+    modulus: such a file loads at its own p only, and another p is refused.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    unmarked = isinstance(doc, dict) and "p" in doc and doc.get("rows") != "integer"
     try:
-        return LinearFormSystem(
-            p=int(p if p is not None else doc["p"]),
-            d=int(doc["d"]),
-            coeffs=np.array(doc["forms"], dtype=np.int64),
-            name=str(doc.get("name", "")))
+        own = int(doc["p"] if p is None or unmarked else p)
+        d, forms = int(doc["d"]), np.array(doc["forms"], dtype=np.int64)
+        name = str(doc.get("name", ""))
     except KeyError as exc:
         raise ValueError(f"system file {path} missing field {exc}") from exc
     except TypeError as exc:  # not an object, or a null field
         raise ValueError(f"system file {path} is malformed: {exc}") from exc
+    if p is not None and p != own:
+        raise ValueError(
+            f'system file {path} has p = {own} and no "rows": "integer" mark, '
+            f"so its forms may be residues mod {own}; it loads at p = {own} "
+            f"only, not at p = {p}")
+    return LinearFormSystem(p=own, d=d, coeffs=forms, name=name)
 
 
 def save_system(sys: LinearFormSystem, path: str) -> None:

@@ -47,10 +47,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import (ATOM_BLOCK, QuadraticForm, _atom_counts, _batches,
-                      _class_forms, _line_block, as_fp_matrix,
-                      atom_count_cost, batched_rank_class, check_modulus,
-                      nullspace, rank)
+from .algebra import (ATOM_BLOCK, QuadraticForm, _atom_counts, _line_classes,
+                      as_fp_matrix, atom_count_cost, check_modulus, nullspace,
+                      rank)
 from .budget import check_budget, resolve_budget
 from .counting import (_check_average_budget, _check_gauss_budget,
                        _check_inputs, _run_passes, average_product_direct,
@@ -397,17 +396,14 @@ def factor_rank(gamma2: QuadraticMap, p: int | None = None) -> int:
     """Minimum rank of a nonzero F_p-combination of the associated symmetric
     bilinear forms, the matrices M of the forms.  A combination and its
     nonzero multiples share a rank, so one combination on each line of F_p^d2
-    is eliminated, (p^d2 - 1)/(p - 1) of them (`algebra._class_forms`), in
-    stacks of at most ATOM_BLOCK entries (`algebra._batches`), by the
-    symmetric stack elimination (the ranks of `algebra.batched_rank_class`);
-    requires at least one quadratic form."""
+    is eliminated, (p^d2 - 1)/(p - 1) of them, in stacks of at most
+    ATOM_BLOCK entries (`algebra._line_classes`); requires at least one
+    quadratic form."""
     if gamma2.d2 == 0:
         raise ValueError("factor rank needs d2 >= 1")
     p = gamma2.forms[0].p if p is None else p
     mats = np.stack([q.M for q in gamma2.forms])
-    blocks = _class_forms(mats, p, _line_block(mats.shape[1]))
-    return min(int(batched_rank_class(forms, p)[0].min())
-               for _, forms in _batches(blocks, ATOM_BLOCK))
+    return min(int(ranks.min()) for _, ranks, _ in _line_classes(mats, p, ATOM_BLOCK))
 
 
 def _price_atoms(p: int, n: int, d1: int, d2: int, budget: int | None) -> bool:

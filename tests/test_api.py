@@ -140,6 +140,40 @@ def test_the_tile_pool_sizes_itself_in_one_place():
     assert owners == {"counting.py:<module>", "counting.py:_each"}
 
 
+# The underscore names each module imports from other modules of the
+# package, dunder names aside: one module reading another's internals.
+# Adding or removing one couples or uncouples two modules on purpose: edit
+# this table with it.
+PRIVATE_IMPORTS = {
+    "counting.py": ["_dft_axes", "_dft_matrix", "_legendre", "_line_classes",
+                    "_rank_table"],
+    "hypergraphs.py": ["_narrowed"],
+    "systems.py": ["_plan", "_relation_ranks"],
+    "verification.py": ["_atom_counts", "_check_average_budget",
+                        "_check_direct_budget", "_check_fast_budget",
+                        "_check_gauss_budget", "_check_inputs", "_check_k",
+                        "_check_octahedral_budget", "_line_classes",
+                        "_run_passes"],
+}
+
+
+def test_private_imports_are_pinned():
+    """Who imports whose internals, per module (imports inside functions
+    included).  The walk over the lines of lambda is read through
+    `algebra._line_classes` alone: its parts stay inside `algebra`."""
+    imported = {}
+    for file, tree in package_trees():
+        names = sorted({alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.level
+                        for alias in node.names
+                        if alias.name.startswith("_") and not alias.name.startswith("__")})
+        if names:
+            imported[file] = names
+    assert imported == PRIVATE_IMPORTS
+    walk_parts = {"_class_forms", "_batches", "_eliminate", "_line_block"}
+    assert not walk_parts & {name for names in imported.values() for name in names}
+
+
 def test_cli_prices_only_through_library_owners():
     """cli.py calls no `check_budget`: each price and its refusal message
     have one owner in the module that runs the computation, and the CLI

@@ -22,7 +22,7 @@ from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       save_function, uk_norm)
 from uniformity_lab.reports import validate_report
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, builtin_system,
-                                    save_system)
+                                    power_independence, save_system)
 from uniformity_lab.verification import quadratic_zero_set
 
 import oracles
@@ -176,31 +176,85 @@ def test_independence_command(tmp_path, monkeypatch, capsys):
                           tmp_path)
     assert code == 0
     assert report["results"][0]["value"] is True
-    # the answer is read off the true-complexity search: no order is tested
-    # twice, and the value is that of a direct test at k
-    direct = systems.power_independence
-    tested = []
+    # the answer and the true-complexity search read one rank per order, kept
+    # on the system: no power matrix is built twice, and the value is that of
+    # a test at k on a fresh system
+    build = systems._power_matrix
+    built = []
 
     def spy(sys_, k):
-        tested.append(k)
-        return direct(sys_, k)
+        built.append(k)
+        return build(sys_, k)
 
-    monkeypatch.setattr(systems, "power_independence", spy)
-    monkeypatch.setattr(cli, "power_independence", spy)
+    monkeypatch.setattr(systems, "_power_matrix", spy)
     for name in BUILTIN_SYSTEM_NAMES:
         for p in (5, 7, 11):
-            sys_ = builtin_system(name, p)
             for k in (1, 2, 3):
-                tested.clear()
+                built.clear()
                 code, report, _ = run(["independence", "--system", name,
                                        "--p", str(p), "--k", str(k)], tmp_path)
-                assert code == 0 and len(tested) == len(set(tested)), (name, p, k)
-                assert report["results"][0]["value"] is direct(sys_, k), (name, p, k)
+                assert code == 0 and len(built) == len(set(built)), (name, p, k)
+                fresh = builtin_system(name, p)
+                assert report["results"][0]["value"] is \
+                    power_independence(fresh, k), (name, p, k)
     capsys.readouterr()
     assert main(["independence", "--system", "ap3", "--k", "0"]) == 2
     assert "k must be >= 1" in capsys.readouterr().err
     assert main(["independence", "--system", "ap3", "--p", "5", "--k", "4"]) == 2
     assert "p=5 too small for power k+1=5" in capsys.readouterr().err
+
+
+def test_list_builds_each_power_order_once_per_system(tmp_path, monkeypatch):
+    """list reads square independence and the true complexity off one rank
+    per order kept on each system: it builds exactly the orders the search
+    tests, 1 up to the first independent one (else up to min(m, p - 2)),
+    each once."""
+    build = systems._power_matrix
+    built = []
+    monkeypatch.setattr(systems, "_power_matrix",
+                        lambda sys_, k: built.append((sys_.name, k)) or build(sys_, k))
+    for p in (5, 7, 11, 13):
+        built.clear()
+        code, report, _ = run(["list", "--p", str(p)], tmp_path)
+        assert code == 0
+        searched = []
+        for row in report["results"]:
+            true_k = row["conjectured_true_complexity"]
+            assert row["square_independent"] is (true_k == 1), (p, row["name"])
+            last = min(row["m"], p - 2) if true_k is None else true_k
+            searched += [(row["name"], k) for k in range(1, last + 1)]
+        assert built == searched, p
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--system", "ap3"], "provide --set quadzero or a function/indicator file"),
+    (["norm", "--function", "FILE"], "unknown function mode 'bogus'"),
+    (["normal-form", "--system", "ap4", "--s", "-1"], "s must be >= 0"),
+])
+def test_configuration_refusals_exit_2_and_write_no_report(argv, message, tmp_path,
+                                                           capsys):
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps({"p": 5, "n": 1, "mode": "bogus", "values": [0] * 5}))
+    out = tmp_path / "report.json"
+    argv = [str(path) if word == "FILE" else word for word in argv]
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+def test_unmarked_system_file_at_another_modulus_exits_2(tmp_path, capsys):
+    """A system file without the "rows": "integer" mark runs at its own p
+    and is refused at another, with no report written."""
+    path = tmp_path / "nf4_residues.json"
+    path.write_text(json.dumps({"p": 7, "d": 4, "name": "nf4",
+                                "forms": builtin_system("nf4", 7).coeffs.tolist()}))
+    code, report, _ = run(["complexity", "--system", str(path), "--p", "7"], tmp_path)
+    assert code == 0 and report["results"][0]["value"] == 2
+    out = tmp_path / "other.json"
+    assert main(["complexity", "--system", str(path), "--p", "11",
+                 "--out", str(out)]) == 2
+    assert "not at p = 11" in capsys.readouterr().err and not out.exists()
 
 
 def test_octahedron_commands(tmp_path):
@@ -264,7 +318,7 @@ def test_exit_code_config_error(tmp_path, capsys):
     ["verify", "gvn", "--p", "5", "--n", "2", "--seed", "-3", "--system", "ap3"],
     ["octahedron", "--check", "counterexample", "--seed", "-1"],
     ["count", "--system", "ap3", "--set", "quadzero", "--p", "5", "--n", "2",
-     "--seed", "-3"],
+     "--budget", "-3"],
 ])
 def test_out_of_range_integer_options_are_refused_at_parse_time(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -506,7 +560,7 @@ def test_pythagoras_refuses_over_budget_before_building(monkeypatch, capsys):
 
 def test_gvn_refuses_over_budget_before_drawing(monkeypatch, capsys):
     # the fast U^4 norms at p = 3, n = 12 price 3^36 * (3 * 12 + 4) operations
-    def refuse_to_draw(dom, rng, kind="uniform"):
+    def refuse_to_draw(dom, rng):
         raise AssertionError("functions drawn before the budget check")
 
     monkeypatch.setattr(verification, "random_bounded_function", refuse_to_draw)
@@ -720,7 +774,7 @@ def test_verify_gvn_at_complexity_zero_runs_at_k_one(tmp_path, monkeypatch, caps
     assert code == 0 and report["passed"]
     assert report["results"][0]["parameters"]["k"] == 1
 
-    def refuse_to_draw(dom, rng, kind="uniform"):
+    def refuse_to_draw(dom, rng):
         raise AssertionError("functions drawn before k was checked")
 
     monkeypatch.setattr(verification, "random_bounded_function", refuse_to_draw)
@@ -1059,11 +1113,11 @@ COMMAND_LINES = {
     "independence": ["independence", "--system", "ap4", "--k", "2"],
     "normal-form": ["normal-form", "--system", "ap4", "--s", "2"],
     "norm": ["norm", "--set", "quadzero", "--balanced", "--k", "3",
-             "--method", "fast", "--p", "3", "--n", "3", "--seed", "4"],
+             "--method", "fast", "--p", "3", "--n", "3"],
     "count": ["count", "--system", "ap3", "--set", "quadzero", "--method", "all",
               "--degenerate", "--tolerance", "1e-6", "--budget", "99"],
     "verify": ["verify", "bound1", "--system", "gw6b", "--k", "2", "--d1", "0",
-               "--d2", "2"],
+               "--d2", "2", "--seed", "4"],
     "octahedron": ["octahedron", "--check", "lift", "--size", "8"],
 }
 

@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations, product
 
@@ -605,8 +606,10 @@ def test_power_tests_hand_rref_at_most_m_columns(monkeypatch):
     monkeypatch.setattr("uniformity_lab.systems.rref", spy)
     wide = 0
     for name in BUILTIN_SYSTEM_NAMES:
-        sys_ = builtin_system(name, 13)
-        for k in range(1, sys_.m + 1):
+        for k in range(1, builtin_system(name, 13).m + 1):
+            # a fresh system per order: one that knows a lower order
+            # independent answers without building order k
+            sys_ = builtin_system(name, 13)
             widths.clear()
             power_independence(sys_, k)
             assert widths and max(widths) <= sys_.m, (name, k, widths)
@@ -639,6 +642,74 @@ def test_power_independence_monotone_on_library():
             if seen_true:
                 assert ok
             seen_true = seen_true or ok
+
+
+def _single_owner_cases():
+    """(p, integer rows) of every built-in system at p in {5, 7, 11, 13} and
+    of seeded random systems of up to 12 forms: some holding a form and a
+    multiple of it (dependent powers at every order), some of rank below d
+    (a column the sum of two others)."""
+    cases = [(p, _BUILTIN_ROWS[name][1]) for name in BUILTIN_SYSTEM_NAMES
+             for p in (5, 7, 11, 13)]
+    rng = np.random.default_rng(39)
+    for p in (5, 7, 11, 13):
+        for kind in ("plain", "parallel", "deficient", "deficient"):
+            while True:
+                m, d = int(rng.integers(2, 13)), int(rng.integers(3, 5))
+                rows = rng.integers(-2, 3, size=(m, d))
+                if kind == "parallel":
+                    rows[-1] = 2 * rows[0]
+                elif kind == "deficient":
+                    rows[:, -1] = rows[:, 0] + rows[:, 1]
+                rows = rows.tolist()
+                if all(any(r) for r in rows) and len({tuple(r) for r in rows}) == m:
+                    cases.append((p, rows))
+                    break
+    return cases
+
+
+def test_power_independence_cold_and_warm_matches_the_oracle():
+    """At every order 1 <= k < p - 1, power_independence equals a textbook
+    rank of the multinomial power rows: on a fresh system, on one asked
+    from the highest order down, and on one whose ranks
+    `conjectured_true_complexity` has filled."""
+    kinds = set()
+    for p, rows in _single_owner_cases():
+        want = {k: oracles.naive_rank(oracles.naive_power_rows(rows, k, p), p) == len(rows)
+                for k in range(1, p - 1)}
+        kinds.add(tuple(sorted(set(want.values()))))
+        for k, expected in want.items():
+            assert power_independence(make(p, rows), k) is expected, (p, rows, k)
+        downward = make(p, rows)
+        for k in sorted(want, reverse=True):
+            assert power_independence(downward, k) is want[k], (p, rows, k)
+        warm = make(p, rows)
+        true_k = conjectured_true_complexity(warm)
+        assert true_k == next((k for k, v in want.items() if v and k <= len(rows)),
+                              None), (p, rows)
+        for k in sorted(want, reverse=True):
+            assert power_independence(warm, k) is want[k], (p, rows, k)
+    # independent at every order, dependent at every order, and both
+    assert kinds == {(True,), (False,), (False, True)}
+
+
+def test_power_independence_eliminates_each_order_once(monkeypatch):
+    """Asked again, at any order and after the true-complexity search, a
+    system builds no power matrix twice, and none above a known independent
+    order."""
+    build = _power_matrix
+    built = []
+    monkeypatch.setattr("uniformity_lab.systems._power_matrix",
+                        lambda sys_, k: built.append(k) or build(sys_, k))
+    for name in BUILTIN_SYSTEM_NAMES:
+        sys_ = builtin_system(name, 13)
+        true_k = conjectured_true_complexity(sys_)
+        assert built == list(range(1, true_k + 1)), name
+        for k in range(1, 12):
+            power_independence(sys_, k)
+        conjectured_true_complexity(sys_)
+        assert built == list(range(1, true_k + 1)), name
+        built.clear()
 
 
 def test_maximal_square_independent_subsystem():
@@ -729,6 +800,33 @@ def test_saved_systems_reload_as_the_same_forms_at_every_modulus(tmp_path):
             for q in valid:
                 assert np.array_equal(load_system(str(path), p=q).coeffs,
                                       builtin_system(name, q).coeffs), (name, p, q)
+
+
+def test_saved_system_files_are_marked_as_integer_rows(tmp_path):
+    path = tmp_path / "nf4.json"
+    save_system(builtin_system("nf4", 7), str(path))
+    doc = json.loads(path.read_text())
+    assert doc["rows"] == "integer" and doc["forms"] == _BUILTIN_ROWS["nf4"][1]
+
+
+def test_unmarked_files_load_at_their_own_modulus_only(tmp_path):
+    """A file without the "rows": "integer" mark may hold residues mod its p,
+    as nf4 saved at p = 7 did before the mark: reloaded at p = 11 those are
+    other forms (partition complexity 0, against 2 for the built-in).  Such a
+    file loads at its own p, and any other p is refused, naming the file and
+    both moduli."""
+    residues = builtin_system("nf4", 7).coeffs.tolist()
+    path = tmp_path / "nf4_residues.json"
+    path.write_text(json.dumps({"p": 7, "d": 4, "forms": residues, "name": "nf4"}))
+    assert cs_complexity(make(11, residues)) == 0
+    assert cs_complexity(builtin_system("nf4", 11)) == 2
+    assert load_system(str(path)).coeffs.tolist() == residues
+    assert load_system(str(path), p=7).coeffs.tolist() == residues
+    with pytest.raises(ValueError, match=r"nf4_residues\.json has p = 7 .* not at p = 11"):
+        load_system(str(path), p=11)
+    # a file with no p of its own is read as integer rows at the given p
+    path.write_text(json.dumps({"d": 1, "forms": [[1], [2]]}))
+    assert load_system(str(path), p=5).coeffs.tolist() == [[1], [2]]
 
 
 def test_load_rejects_missing_fields(tmp_path):

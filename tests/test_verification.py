@@ -6,7 +6,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from uniformity_lab import cli, counting, functions, verification
+from uniformity_lab import algebra, cli, counting, functions, verification
 from uniformity_lab.algebra import QuadraticForm, _atom_counts
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
@@ -136,7 +136,8 @@ def test_gvn_random_signs_three_ap():
     dom = domain(5, 2)
     rng = np.random.default_rng(51)
     for _ in range(10):
-        fs = [random_bounded_function(dom, rng, "signs") for _ in range(3)]
+        fs = [GroupFunction(domain=dom, values=rng.choice([-1.0, 1.0], size=dom.size))
+              for _ in range(3)]
         assert verify_gvn(builtin_system("ap3", 5), fs, 1).passed
 
 
@@ -353,9 +354,9 @@ def test_factor_rank_examples():
 
 def test_factor_rank_eliminates_one_combination_per_line(monkeypatch):
     eliminated = []
-    batched = verification.batched_rank_class
-    monkeypatch.setattr(verification, "batched_rank_class",
-                        lambda stack, p: eliminated.append(len(stack)) or batched(stack, p))
+    eliminate = algebra._eliminate
+    monkeypatch.setattr(algebra, "_eliminate", lambda stack, p, lead=None:
+                        eliminated.append(len(stack)) or eliminate(stack, p, lead))
     assert factor_rank(QuadraticMap(forms=(sum_of_squares_form(5, 6),))) == 6
     assert eliminated == [1]
     rng = np.random.default_rng(178)
@@ -433,8 +434,6 @@ def test_atom_histogram_in_small_blocks_matches_enumeration(monkeypatch):
     that fix a middle coordinate (c_lead + mid.c_mid in the transform) and
     the cosets in several steps; the counts do not move.  The factors include
     more forms than coset dimensions (d2 > n - d1)."""
-    from uniformity_lab import algebra
-
     rng = np.random.default_rng(31)
     factors = [random_factor(p, n, d1, d2, rng) for p, n, d1, d2 in
                ((3, 1, 0, 4), (3, 2, 0, 5), (3, 2, 1, 4), (5, 1, 0, 3),
@@ -949,7 +948,7 @@ def test_bound1_no_quadratic_part_random_signs():
     rng = np.random.default_rng(58)
     factor = QuadraticFactor(p=5, n=2, gamma1=np.eye(2, dtype=int)[:1],
                              gamma2=QuadraticMap(forms=()))
-    f = random_bounded_function(domain(5, 2), rng, "signs")
+    f = GroupFunction(domain=domain(5, 2), values=rng.choice([-1.0, 1.0], size=25))
     rep = verify_bound1(f, factor, builtin_system("gw6b", 5))
     assert rep.passed
 
