@@ -19,9 +19,10 @@ floating point.  There is one elimination per shape:
 
 `_class_forms` lists one combination of a stack of forms per line of F_p^m,
 `_batches` joins its blocks into stacks, and `_line_classes` gives their ranks
-and classes, the walk other modules read; `_atom_counts` counts the atoms of
-a linear map and quadratic forms from the first two in closed form, summing
-the terms of the lines of lambda for every cell by the transform `_radon`.
+and pivot products, the walk other modules read; `_atom_counts` counts the
+atoms of a linear map and quadratic forms from the first two in closed form,
+summing the terms of the lines of lambda for every cell by the transform
+`_radon`.
 """
 
 from __future__ import annotations
@@ -310,17 +311,18 @@ def _batches(items, limit: int):
 
 
 def _line_classes(mats: np.ndarray, p: int, limit: int):
-    """(lambdas, ranks, classes) of M_lambda = sum_i lambda_i mats[i], for an
+    """(lambdas, ranks, products) of M_lambda = sum_i lambda_i mats[i], for an
     (m, d, d) symmetric stack, per `_class_forms` block of max(1, limit // d^2)
     lines, eliminated in stacks of at most `limit` entries (`_batches`) but
     handed on block by block, so that a float sum over them does not depend
-    on the joining."""
+    on the joining.  products are the pivot products mod p of `_eliminate`,
+    whose `_legendre` is the class (`batched_rank_class`); a caller that
+    reads the ranks alone takes no character."""
     blocks = _class_forms(mats, p, max(1, limit // mats.shape[1] ** 2))
     for lam_blocks, forms in _batches(blocks, limit):
         ranks, product = _eliminate(forms, p)
         cuts = np.cumsum([len(lams) for lams in lam_blocks])[:-1]
-        yield from zip(lam_blocks, np.split(ranks, cuts),
-                       np.split(_legendre(product, p), cuts))
+        yield from zip(lam_blocks, np.split(ranks, cuts), np.split(product, cuts))
 
 
 def _radon(g: np.ndarray, p: int) -> np.ndarray:

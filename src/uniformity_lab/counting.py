@@ -825,13 +825,15 @@ def _lambda_classes(C, B, p: int, budget: int | None, weighted: bool = False):
     r_B and class eps_B of B and an iterator of (lambdas, ranks, classes)
     blocks over the lines of lambda, the ranks and classes those of
     M_lambda = sum_i lambda_i l_i l_i^T, in blocks of CLASS_BLOCK lines
-    (`algebra._line_classes`)."""
+    (`algebra._line_classes`), each class the character of a pivot
+    product."""
     C = np.asarray(C, dtype=np.int64) % p
     B = np.asarray(B, dtype=np.int64) % p
     m, d = C.shape
     _check_gauss_budget(m, d, B.shape[0], p, budget, weighted)
     (r_B,), (eps_B,) = batched_rank_class(B[None], p)
-    blocks = _line_classes(C[:, :, None] * C[:, None, :], p, CLASS_BLOCK * d * d)
+    blocks = ((lams, ranks, _legendre(product, p)) for lams, ranks, product
+              in _line_classes(C[:, :, None] * C[:, None, :], p, CLASS_BLOCK * d * d))
     return int(r_B), int(eps_B), blocks
 
 

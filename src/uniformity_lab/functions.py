@@ -38,8 +38,10 @@ fixed number of entries:
   imaginary part keeps the complex path.
   It is the independent side of every norm check: `norm --method direct`,
   the octahedron lift identity and the test suite use it.  `uk_power_exact`
-  is the same enumeration in Python ints on the integer table of a rational
-  f (`GroupFunction.exact`), with plain row sums of the last derivatives.
+  is the same enumeration, the same calls in the same blocks
+  (`_cube_power_sum`), on the integer table of a rational f
+  (`GroupFunction.exact`) as an object array of Python ints, whose matrix
+  products and gathers are exact.
 * `uk_norm_fast` uses the same recursion, with the same pairing, and the
   Fourier base case ||g||_{U^2}^4 = sum_r |g^(r)|^4, transforming a block of
   derivatives over the last h at once.  It is the production path of
@@ -315,8 +317,10 @@ def _derivative_sum(dom: GroupDomain, g: np.ndarray, depth: int,
         cost = (p + (depth - 1 + pad) * (p - 1)) ** n
         rows = entries // (len(stack) * cost)
         split = trailing if depth == 1 else 0
-        return sum(fold(block, weight * w, depth - 1, c)
-                   for block, w, c in dom.derivative_blocks(stack, rows, split))
+        total = 0  # in order: builtin sum compensates floats from Python 3.12 on
+        for block, w, c in dom.derivative_blocks(stack, rows, split):
+            total += fold(block, weight * w, depth - 1, c)
+        return total
 
     return fold(dom.wrap_padded(g, depth + pad)[None], 1, depth, None)
 
@@ -331,8 +335,9 @@ def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int,
               t: int | None = None) -> float:
     """sum over the tables g of `stack`, padded by one level, of the U^2 cube
     sum sum_h |sum_x g(x) conj(g(x + h))|^2, as matrix products in the
-    stack's dtype (float64 for real tables, complex128 otherwise); with t
-    set, only the part of it that the last level of `uk_norm` still needs.
+    stack's dtype (float64 for real tables, complex128 otherwise, Python
+    ints in an object stack), summed in that number type; with t set, only
+    the part of it that the last level of `uk_norm` still needs.
 
     With x = (a, y) split at the last `trailing` coordinates and
     h = (h2, h1), M[(j, b), a] = sum_y g(b, y + h1_j) conj(g(a, y)) is one
@@ -363,16 +368,16 @@ def _cube_sum(dom: GroupDomain, stack: np.ndarray, trailing: int,
     # the rows of g itself, h1 = 0
     ac = np.conj(stack[(slice(None),) + (slice(0, dom.p),) * dom.n])
     ac = ac.reshape(S, N2, N1).transpose(0, 2, 1)
-    total = 0.0
+    total = 0
     for lo in range(t or 0, pairs, step):
         hi = min(pairs, lo + step)
         rows = dom.split_translates(stack, trailing, lo, hi)
         M = np.matmul(rows.reshape(S, -1, N1), ac).reshape(S, hi - lo, N2 * N2)
         sums = np.take(M, diagonal, axis=2) @ ones
         mags = (sums.real**2 + sums.imag**2).sum(axis=(0, 2))
-        part = 2 * float(mags.sum()) - (float(mags[0]) if lo == 0 else 0.0)
+        part = 2 * mags.sum() - (mags[0] if lo == 0 else 0)
         if t is not None:  # h1_t at its weight, each later h1_j at twice it
-            part = 2 * part - (float(mags[0]) * (2 if t else 1) if lo == t else 0.0)
+            part = 2 * part - (mags[0] * (2 if t else 1) if lo == t else 0)
         total += part
     return total
 
@@ -391,25 +396,32 @@ def _diagonal_index(p: int, m: int) -> np.ndarray:
     return out
 
 
-def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
-    """U^k norm from the defining cube average; exact enumeration, no Fourier.
-
-    The last two directions are the U^2 cube sum of each iterated derivative
-    (`_cube_sum`), taken as matrix products in blocks of derivatives and of
-    shifts of at most about CUBE_BLOCK_ENTRIES entries.  At k >= 3 a block
-    of the last derivative level holds one class t of the trailing
-    coordinates of its h, and its cube sum takes the shifts of class t and
-    above only, since the last two levels' inner sum is symmetric in their
-    two directions.  The block sizes depend on (p, n, k) alone, so a value
-    repeats bit for bit.  A real f (every imaginary part exactly zero) is
-    enumerated in float64."""
+def _cube_power_sum(dom: GroupDomain, g: np.ndarray, k: int,
+                    budget: int | None) -> float | int:
+    """N^(k+1) times the U^k cube average of the value table g, in g's
+    number type: float64 or complex128 tables give a float, an object table
+    of Python ints an exact int.  The iterated derivatives of the first
+    k - 2 directions (`_derivative_sum`) each take the U^2 cube sum of the
+    last two (`_cube_sum`); at k >= 3 a block of the last derivative level
+    holds one class t of the trailing coordinates of its h, and its cube sum
+    takes the shifts of class t and above only, since the last two levels'
+    inner sum is symmetric in their two directions.  Blocks of derivatives
+    and of shifts hold at most about CUBE_BLOCK_ENTRIES entries, and depend
+    on (p, n, k) alone, so a float value repeats bit for bit."""
     _check_k(k)
-    dom = f.domain
     _check_direct_budget(dom, k, budget)
     trailing = _cube_split(dom)
-    power_sum = _derivative_sum(dom, _narrowed(f.values), k - 2,
-                                lambda stack, t: _cube_sum(dom, stack, trailing, t),
-                                pad=1, entries=CUBE_BLOCK_ENTRIES, trailing=trailing)
+    return _derivative_sum(dom, g, k - 2,
+                           lambda stack, t: _cube_sum(dom, stack, trailing, t),
+                           pad=1, entries=CUBE_BLOCK_ENTRIES, trailing=trailing)
+
+
+def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
+    """U^k norm from the defining cube average; exact enumeration, no Fourier
+    (`_cube_power_sum`).  A real f (every imaginary part exactly zero) is
+    enumerated in float64."""
+    dom = f.domain
+    power_sum = _cube_power_sum(dom, _narrowed(f.values), k, budget)
     # |sum_x|^2 contributes N^2 and the k-1 outer averages contribute N^(k-1)
     power = max(float(power_sum) / dom.size ** (k + 1), 0.0)
     return float(power ** (1.0 / 2**k))
@@ -417,23 +429,14 @@ def uk_norm(f: GroupFunction, k: int, budget: int | None = None) -> float:
 
 def uk_power_exact(f: GroupFunction, k: int, budget: int | None = None) -> Fraction:
     """Exact U^k cube average (the 2^k-th power of the norm) of a rational
-    f = F / D (`exact`), the oracle for the float path: the same cube sums
-    on F in Python ints, sum_h (sum_x Delta_h g(x))^2 at the base as plain
-    row sums, divided once by D^(2^k) N^(k+1)."""
+    f = F / D (`exact`), the oracle for the float path: `uk_norm`'s
+    enumeration (`_cube_power_sum`) on the integer table F, in Python ints,
+    divided once by D^(2^k) N^(k+1)."""
     if f.exact is None:
         raise ValueError("function carries no exact rational table")
-    _check_k(k)
-    dom = f.domain
-    _check_direct_budget(dom, k, budget)
-
-    def square_sums(stack: np.ndarray, t: int | None) -> int:
-        sums = stack.reshape(len(stack), -1).sum(axis=1)
-        return (sums * sums).sum()
-
     F, D = f.exact
-    power_sum = _derivative_sum(dom, F, k - 1, square_sums, pad=0,
-                                entries=CUBE_BLOCK_ENTRIES)
-    return Fraction(power_sum, D ** 2**k * dom.size ** (k + 1))
+    dom = f.domain
+    return Fraction(_cube_power_sum(dom, F, k, budget), D ** 2**k * dom.size ** (k + 1))
 
 
 def uk_norm_fast(f: GroupFunction, k: int, budget: int | None = None) -> float:

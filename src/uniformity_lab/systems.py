@@ -9,8 +9,9 @@ A system's coefficients C are read-only, so the pivot columns of rref(C)
 (`pivots`) and the pivot cut C[:, pivots] (`cut`), the relation space
 (`relations`, basis the nullspace of C^T), the ranks of all subsets of the
 forms (`subset_ranks`), the elimination plans of the direct and dual sums
-(`direct_plan`, `dual_plan`) and the rank of each order's power matrix
-(`power_independence`) are computed once, on first use, and kept.
+(`direct_plan`, `dual_plan`) and the pivot columns of each order's power
+matrix (`power_independence`; at order 1 the maximal square-independent
+subsystem) are computed once, on first use, and kept.
 The rank table is read off C itself where d <= m, with no elimination of C
 first: a set of forms has the same rank in C as in the cut.  So there the
 complexity search and the dual plan never reduce C; the consumers that work
@@ -45,7 +46,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import check_modulus, nullspace, rank, rref, Subspace
+from .algebra import check_modulus, nullspace, rref, Subspace
 from .budget import check_budget
 
 MAX_FORMS = 12
@@ -69,9 +70,9 @@ class LinearFormSystem:
     coeffs: np.ndarray  # (m, d) reduced mod p
     name: str = ""
     rows: np.ndarray = field(init=False, repr=False, compare=False)
-    # rank of the order-(k+1) power matrix, per order k eliminated so far
-    _power_ranks: dict = field(init=False, repr=False, compare=False,
-                               default_factory=dict)
+    # pivot columns of rref(P^T), P the (k+1)-st power matrix, per order k eliminated
+    _power_pivots: dict = field(init=False, repr=False, compare=False,
+                                default_factory=dict)
 
     def __post_init__(self):
         check_modulus(self.p)
@@ -332,18 +333,22 @@ def power_independence(sys: LinearFormSystem, k: int) -> bool:
     """Are the (k+1)-st powers of the forms linearly independent over F_p?
 
     k = 1 is square independence.  Requires p > k+1, so that the power
-    matrix's dropped multinomial factors are units mod p.  Each order's rank
-    is kept on the system; above an independent order the answer is True
-    (independence is monotone in k), with no elimination.
+    matrix's dropped multinomial factors are units mod p.  This is the one
+    reader of `_power_matrix`: each order's matrix P is built and eliminated
+    once, as rref(P^T), and the pivot columns are kept on the system, the
+    forms whose powers lie outside the span of the powers before them; the
+    powers are independent when every form is a pivot.  Above an independent
+    order the answer is True (independence is monotone in k), with no
+    elimination.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if sys.p <= k + 1:
         raise ValueError(f"p={sys.p} too small for power k+1={k + 1}")
-    known = sys._power_ranks
-    if k not in known and not any(j < k and r == sys.m for j, r in known.items()):
-        known[k] = rank(_power_matrix(sys, k), sys.p)
-    return known.get(k, sys.m) == sys.m  # else a lower order is independent
+    known = sys._power_pivots
+    if k not in known and not any(j < k and len(v) == sys.m for j, v in known.items()):
+        known[k] = rref(_power_matrix(sys, k).T, sys.p)[1]
+    return k not in known or len(known[k]) == sys.m  # absent: independent below k
 
 
 def conjectured_true_complexity(sys: LinearFormSystem) -> Optional[int]:
@@ -361,9 +366,10 @@ def conjectured_true_complexity(sys: LinearFormSystem) -> Optional[int]:
 
 def maximal_square_independent_subsystem(sys: LinearFormSystem) -> list[int]:
     """Greedy lowest-index-first maximal subset with independent squares: the
-    pivot columns of the squares stacked as columns, since square i is a
-    pivot exactly when it lies outside the span of the squares before it."""
-    return rref(_power_matrix(sys, 1).T, sys.p)[1]
+    order-1 pivots `power_independence` keeps, since square i is a pivot
+    exactly when it lies outside the span of the squares before it."""
+    power_independence(sys, 1)
+    return list(sys._power_pivots[1])
 
 
 def relation_space(sys: LinearFormSystem) -> Subspace:

@@ -224,8 +224,7 @@ def _badex(factor: QuadraticFactor, sys: LinearFormSystem, gauss: bool,
     p, n = factor.p, factor.n
     count = _factor_matches(sys, factor, np.zeros((sys.m, 0), dtype=np.int64),
                             np.zeros((sys.m, 1), dtype=np.int64), None, budget, gauss)
-    alpha = Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64),
-                                          factor.gamma2.forms[0].M, p, budget), p**n)
+    alpha = _zero_density(factor.gamma2.forms[0].M, p, budget)
     P = Fraction(count, p ** (n * sys.d))
     l = len(maximal_square_independent_subsystem(sys))
     independent = l == sys.m
@@ -519,6 +518,25 @@ def _homogeneous(factor: QuadraticFactor, *targets: np.ndarray) -> bool:
             and not any(t.any() for t in targets))
 
 
+def _gauss_count(sys: LinearFormSystem, form: np.ndarray, n: int,
+                 budget: int | None) -> int:
+    """Number of x in (F_p^n)^d with z^T form z = 0 at z = L_i(x) for every
+    form of the system, in closed form (`quadratic_zero_count`).  The forms
+    see x only through C' = `sys.cut`, the rank C pivot columns, which are
+    independent; the other d - rank C variables are free and give
+    p^(n(d - rank C))."""
+    p = sys.p
+    return p ** (n * (sys.d - len(sys.pivots))) * quadratic_zero_count(
+        sys.cut, form, p, budget)
+
+
+def _zero_density(form: np.ndarray, p: int, budget: int | None) -> Fraction:
+    """The share of the y in F_p^w with y^T form y = 0, w the width of the
+    form, in closed form: the count of one form in one variable."""
+    return Fraction(quadratic_zero_count(np.ones((1, 1), dtype=np.int64), form,
+                                         p, budget), p ** len(form))
+
+
 def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
                     A_t: np.ndarray, B_t: np.ndarray,
                     phi_mats: Optional[Sequence[np.ndarray]],
@@ -529,11 +547,10 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     The count is priced by `_price_matches`, whose choice `gauss` is.
 
     With one form q(x) = x^T M x, zero targets and no side maps, the count
-    is in closed form when `_use_gauss` says so.  The forms see x only
-    through C' = `sys.cut`, the pivot columns, which are independent;
-    the other d - rank C variables are free and give p^(n(d - rank C)).  With
-    C' of full column rank, gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) =
-    0 for every variable, so x_u = K^T z_u for the basis K of ker gamma1
+    is in closed form when `_use_gauss` says so, on the pivot columns
+    C' = `sys.cut` (`_gauss_count`).  With C' of full column rank,
+    gamma1(L_i(x)) = 0 for all i forces gamma1(x_u) = 0 for every
+    variable, so x_u = K^T z_u for the basis K of ker gamma1
     (`nullspace`, the identity when d1 = 0), and q(L_i(x)) is the form
     K M K^T at L'_i(z): `quadratic_zero_count` of C' with that form.
 
@@ -551,9 +568,7 @@ def _factor_matches(sys: LinearFormSystem, factor: QuadraticFactor,
     d2 = factor.d2
     if gauss:
         K = nullspace(factor.gamma1, p)
-        form = K @ factor.gamma2.forms[0].M @ K.T
-        return p ** (n * (d - len(sys.pivots))) * quadratic_zero_count(
-            sys.cut, form, p, budget)
+        return _gauss_count(sys, K @ factor.gamma2.forms[0].M @ K.T, n, budget)
 
     dom = domain(p, n)
     codes = factor.atom_codes(dom)
@@ -942,7 +957,7 @@ def _price_count(c) -> tuple:
         raise ValueError(_DEGENERATE)
     if c.set_name == "quadzero":
         if "gauss" in methods:
-            _check_gauss_budget(sys.m, sys.d, c.n, c.p, c.budget)
+            _check_gauss_budget(sys.m, len(sys.pivots), c.n, c.p, c.budget)
         for method in ("direct", "dual"):
             if method in methods:
                 _check_average_budget(sys, domain(c.p, c.n), method == "dual",
@@ -994,11 +1009,11 @@ def _run_count(obj, sys: LinearFormSystem, methods: tuple, c) -> list[dict]:
         # the count and alpha (the m = d = 1 count over p^n) by the closed
         # form: no domain is built and n may be any size
         p, n, dot = sys.p, c.n, np.eye(c.n, dtype=np.int64)
-        count = quadratic_zero_count(sys.coeffs, dot, p, c.budget)
-        alpha = Fraction(quadratic_zero_count([[1]], dot, p, c.budget), p**n)
+        count = _gauss_count(sys, dot, n, c.budget)
         results.append(_probability(
-            "solution_probability_gauss", count, p ** (n * sys.d), alpha, sys.m,
-            "gauss", quadratic_zero_op_count(sys.m, sys.d, n, p)))
+            "solution_probability_gauss", count, p ** (n * sys.d),
+            _zero_density(dot, p, c.budget), sys.m, "gauss",
+            quadratic_zero_op_count(sys.m, len(sys.pivots), n, p)))
         if "direct" in methods:
             same = results[-1]["observed_exact"] == results[0]["observed_exact"]
             results.append({"name": "gauss_vs_direct", "exact_match": same,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uniformity_lab.algebra import (QuadraticForm, Subspace, _batches,
-                                    _diagonal_pivot, _line_classes,
+                                    _diagonal_pivot, _legendre, _line_classes,
                                     _matmul_mod, _radon,
                                     batched_affine_class, batched_rank_class,
                                     check_modulus, nullspace, rank, rref,
@@ -287,20 +287,21 @@ def test_batches_join_consecutive_arrays_up_to_the_limit():
 def test_line_classes_match_batched_rank_class_block_by_block(p):
     """The walk over the lines of lambda lists each line once, by its lambda
     with leading coordinate 1, in blocks of at most max(1, limit // d^2)
-    lines; each block's ranks and classes are those `batched_rank_class`
-    gives the block's forms sum_i lambda_i mats[i], whatever the limit
-    joins into one elimination."""
+    lines; each block's ranks, and the characters of its pivot products, are
+    the ranks and classes `batched_rank_class` gives the block's forms
+    sum_i lambda_i mats[i], whatever the limit joins into one elimination."""
     rng = np.random.default_rng(40 + p)
     for m, d in ((1, 2), (2, 3), (3, 2), (4, 3), (5, 1)):
         mats = symmetric_stack(p, d, max(m, 5), rng)[-m:]
         for limit in (1, 3 * d * d, 10 * d * d, 1 << 20):
             seen = []
-            for lams, ranks, classes in _line_classes(mats, p, limit):
+            for lams, ranks, products in _line_classes(mats, p, limit):
                 assert 1 <= len(lams) <= max(1, limit // (d * d)), (m, d, limit)
                 forms = np.einsum("li,ijk->ljk", lams, mats) % p
                 want = batched_rank_class(forms, p)
                 assert ranks.tolist() == want[0].tolist(), (m, d, limit)
-                assert classes.tolist() == want[1].tolist(), (m, d, limit)
+                assert _legendre(products, p).tolist() == want[1].tolist(), \
+                    (m, d, limit)
                 seen += [tuple(lam) for lam in lams.tolist()]
             lines = [lam for lam in product(range(p), repeat=m)
                      if any(lam) and lam[next(i for i, a in enumerate(lam) if a)] == 1]

@@ -954,6 +954,31 @@ def test_count_probability_records_match_naive_counts(tmp_path, capsys):
                          p ** (n * sys_.d), alpha, sys_.m)}
 
 
+def test_count_gauss_runs_and_is_priced_on_the_cut(tmp_path):
+    """`count --method gauss` counts on the rank C pivot cut and is priced
+    there, as `verify badex` is: gw6a with nine zero columns (d = 12, rank 3)
+    at p = 7, n = 3 fits a budget of 10^7 on both, with one probability and
+    density, where pricing all 12 columns would cost 50,823,963."""
+    rows = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, -1], [1, -1, 2]]
+    path = tmp_path / "padded.json"
+    path.write_text(json.dumps({"p": 7, "d": 12, "forms": [r + [0] * 9 for r in rows],
+                                "rows": "integer", "name": "padded"}))
+    options = ["--system", str(path), "--p", "7", "--n", "3", "--budget", "10000000"]
+    assert counting.quadratic_zero_op_count(6, 12, 3, 7) == 50823963
+    code, report, _ = run(["count", "--set", "quadzero", "--method", "gauss"]
+                          + options, tmp_path)
+    assert code == 0 and validate_report(report) == []
+    (entry,) = report["results"]
+    assert entry["observed_exact"] == "391/5764801"
+    assert entry["reference_exact"] == str(Fraction(1, 7) ** 6)
+    assert entry["op_count"] == counting.quadratic_zero_op_count(6, 3, 3, 7)
+    code, report, _ = run(["verify", "badex"] + options, tmp_path, "badex.json")
+    assert code == 0
+    observed = report["results"][0]["observed"]
+    assert observed["probability_exact"] == "391/5764801"
+    assert observed["density"] == float(Fraction(1, 7))
+
+
 def test_verify_all_skips_a_default_system_invalid_at_p(tmp_path, capsys):
     # badex's default gw6a has two forms equal mod 3, (1, 2, -1) and (1, -1, 2)
     code, report, _ = run(["verify", "all", "--p", "3", "--n", "2"], tmp_path)

@@ -381,13 +381,94 @@ def test_uk_norm_peak_memory(p, n, k, complex_valued):
     assert peak < 2 * 10**6, peak
 
 
-@pytest.mark.parametrize("p,n,k", [(3, 1, 4), (5, 1, 4), (3, 2, 3)])
-def test_exact_uk_power_equals_naive_fraction(p, n, k):
+@pytest.mark.parametrize("p,n,k", [(3, 1, 4), (5, 1, 4), (3, 2, 3), (3, 1, 2),
+                                   (7, 1, 2), (5, 2, 2), (5, 1, 3), (7, 1, 3),
+                                   (3, 1, 5)])
+def test_exact_uk_power_equals_naive_fraction(monkeypatch, p, n, k):
+    """The exact power runs `uk_norm`'s blocks, pair weights and classes on
+    an integer table: at k >= 3 its last level has classes t > 0, and at
+    lowered caps `_cube_sum` takes its shifts in several blocks, one pair
+    representative to a block at cap 1, and the value stays the literal
+    enumeration's Fraction."""
     dom = domain(p, n)
     rng = np.random.default_rng(41 + p * n * k)
     fracs = [Fraction(int(v), 5) for v in rng.integers(-5, 6, dom.size)]
     f = GroupFunction.from_rational(dom, fracs)
-    assert uk_power_exact(f, k) == oracles.naive_uk_power(fracs, p, n, k)
+    want = oracles.naive_uk_power(fracs, p, n, k)
+    cube_sum = functions._cube_sum
+    calls = []
+
+    def spy(dom, stack, trailing, t=None):
+        calls.append(t)
+        return cube_sum(dom, stack, trailing, t)
+
+    monkeypatch.setattr(functions, "_cube_sum", spy)
+    for cap in (functions.CUBE_BLOCK_ENTRIES, 2**6, 1):
+        monkeypatch.setattr(functions, "CUBE_BLOCK_ENTRIES", cap)
+        assert uk_power_exact(f, k) == want, cap
+    assert k == 2 or any(calls), calls  # some class t > 0
+
+
+# (p, n, k) on which the exact and the float U^k make the same cube sums
+SAME_ENGINE_CASES = [(3, 1, 2), (5, 2, 2), (3, 3, 2), (7, 2, 2), (3, 1, 3),
+                     (5, 2, 3), (3, 3, 3), (7, 2, 3), (3, 2, 4), (5, 1, 4),
+                     (3, 3, 4)]
+
+
+@pytest.mark.parametrize("p,n,k", SAME_ENGINE_CASES)
+def test_exact_and_float_uk_make_the_same_cube_sums(monkeypatch, p, n, k):
+    """`uk_power_exact` and `uk_norm` reach `_cube_sum` through one
+    enumeration: the same calls, on stacks of one shape (object against
+    float64) with the same class t, in the same order."""
+    dom = domain(p, n)
+    rng = np.random.default_rng(130 + p * n * k)
+    f = GroupFunction.from_rational(
+        dom, [Fraction(int(v), 3) for v in rng.integers(-3, 4, dom.size)])
+    cube_sum = functions._cube_sum
+    calls = []
+
+    def spy(dom, stack, trailing, t=None):
+        calls.append((stack.shape, t, stack.dtype))
+        return cube_sum(dom, stack, trailing, t)
+
+    monkeypatch.setattr(functions, "_cube_sum", spy)
+    uk_norm(f, k)
+    floats = calls[:]
+    calls.clear()
+    uk_power_exact(f, k)
+    assert [c[:2] for c in calls] == [c[:2] for c in floats]
+    assert {c[2] for c in floats} == {np.dtype(np.float64)}
+    assert {c[2] for c in calls} == {np.dtype(object)}
+
+
+def compensated_sum(items, start=0):
+    """builtin sum as from CPython 3.12 on, which adds floats with Neumaier
+    compensation; ints add exactly, as in every version."""
+    items = list(items)
+    if not any(isinstance(x, float) for x in items):
+        return sum(items, start)
+    total, carry = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        carry += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + carry
+
+
+@pytest.mark.parametrize("p,n,k", [(5, 3, 3), (3, 3, 4), (7, 2, 3), (5, 2, 4)])
+def test_uk_norms_do_not_depend_on_the_builtin_sum(monkeypatch, p, n, k):
+    """The norms add their blocks in a fixed order: with builtin sum made
+    compensating, as it is from CPython 3.12 on, no bit moves.  At p = 5,
+    n = 3, k = 3 a compensated sum of the blocks would move `uk_norm` of
+    this table from 0.3415601754508276 to 0.3415601754508277."""
+    dom = domain(p, n)
+    f = GroupFunction(domain=dom,
+                      values=np.random.default_rng(3).uniform(-1, 1, dom.size))
+    plain = (uk_norm(f, k), uk_norm_fast(f, k))
+    monkeypatch.setattr(functions, "sum", compensated_sum, raising=False)
+    assert (uk_norm(f, k), uk_norm_fast(f, k)) == plain
+    if (p, n, k) == (5, 3, 3):
+        assert repr(plain[0]) == "0.3415601754508276"
 
 
 @pytest.mark.parametrize("k", [3, 4])

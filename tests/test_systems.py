@@ -712,6 +712,31 @@ def test_power_independence_eliminates_each_order_once(monkeypatch):
         built.clear()
 
 
+@pytest.mark.parametrize("subsystem_first", [False, True])
+def test_square_subsystem_reads_the_order_one_pivots(monkeypatch, subsystem_first):
+    """Square independence and the maximal square-independent subsystem
+    read one order-1 power matrix, built and eliminated once per system
+    whichever is asked first; the subsystem is every form exactly when the
+    squares are independent."""
+    build = _power_matrix
+    built = []
+    monkeypatch.setattr("uniformity_lab.systems._power_matrix",
+                        lambda sys_, k: built.append(k) or build(sys_, k))
+    for name in BUILTIN_SYSTEM_NAMES:
+        for p in (5, 7, 11):
+            sys_ = builtin_system(name, p)
+            built.clear()
+            if subsystem_first:
+                kept = maximal_square_independent_subsystem(sys_)
+                independent = power_independence(sys_, 1)
+            else:
+                independent = power_independence(sys_, 1)
+                kept = maximal_square_independent_subsystem(sys_)
+            assert built == [1], (name, p)
+            assert independent is (kept == list(range(sys_.m))), (name, p)
+            assert maximal_square_independent_subsystem(sys_) == kept
+
+
 def test_maximal_square_independent_subsystem():
     assert maximal_square_independent_subsystem(builtin_system("ap4", 7)) == [0, 1, 2]
     assert maximal_square_independent_subsystem(builtin_system("gw6b", 5)) == \
