@@ -76,6 +76,26 @@ def inv_mod(a: int, p: int) -> int:
     return pow(a, p - 2, p)
 
 
+def as_int(value, what: str) -> int:
+    """`value`, as read from JSON, if it is an integer: not a float, a string
+    or true/false, which are refused (ValueError naming `what`)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def as_int_array(value, what: str) -> np.ndarray:
+    """`value`, nested lists of integers as read from JSON (or an integer
+    array), as an int64 array.  Floats, strings, integers beyond int64 and true/false alone are
+    refused (ValueError naming `what`) by the dtype of the array numpy
+    builds, so no Python loop visits the entries; numpy reads true/false
+    among integers as 1/0.  An empty list gives an empty array."""
+    A = np.array(value)
+    if A.dtype.kind != "i" and A.size:
+        raise ValueError(f"{what} must hold integers only, not {A.dtype} values")
+    return A.astype(np.int64)
+
+
 def as_fp_matrix(M, p: int) -> np.ndarray:
     A = np.asarray(M, dtype=np.int64) % p
     if A.ndim != 2:

@@ -62,6 +62,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
+from .algebra import as_int, as_int_array
 from .budget import check_budget
 from .domains import MAX_DOMAIN_SIZE, GroupDomain, domain
 
@@ -202,7 +203,9 @@ class IndicatorSet:
 
     @classmethod
     def from_member_vectors(cls, dom: GroupDomain, vectors) -> "IndicatorSet":
-        V = np.asarray(list(vectors) or np.zeros((0, dom.n)), dtype=np.int64)
+        V = as_int_array(vectors, "member vectors")
+        if not V.size:
+            V = V.reshape(0, dom.n)
         if V.ndim != 2 or V.shape[1] != dom.n:
             raise ValueError("member vector does not match domain dimension")
         members = np.zeros(dom.size, dtype=bool)
@@ -498,10 +501,12 @@ def load_function(path: str) -> GroupFunction | IndicatorSet:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     try:
-        dom = domain(int(doc["p"]), int(doc["n"]))
+        dom = domain(*(as_int(doc[key], f"function file {path}, field {key!r},")
+                       for key in ("p", "n")))
         mode = doc["mode"]
         if mode == "indicator":
-            return IndicatorSet.from_member_vectors(dom, doc["members"])
+            return IndicatorSet.from_member_vectors(dom, as_int_array(
+                doc["members"], f"function file {path}, field 'members',"))
         if mode == "rational":
             return GroupFunction.from_rational(dom, doc["values"])
         if mode == "complex":

@@ -46,7 +46,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .algebra import check_modulus, nullspace, rref, Subspace
+from .algebra import (as_int, as_int_array, check_modulus, nullspace, rref,
+                      Subspace)
 from .budget import check_budget
 
 MAX_FORMS = 12
@@ -424,8 +425,10 @@ def load_system(path: str, p: int | None = None) -> LinearFormSystem:
         doc = json.load(fh)
     unmarked = isinstance(doc, dict) and "p" in doc and doc.get("rows") != "integer"
     try:
-        own = int(doc["p"] if p is None or unmarked else p)
-        d, forms = int(doc["d"]), np.array(doc["forms"], dtype=np.int64)
+        own = as_int(doc["p"], f"system file {path}, field 'p',") \
+            if p is None or unmarked else int(p)
+        d = as_int(doc["d"], f"system file {path}, field 'd',")
+        forms = as_int_array(doc["forms"], f"system file {path}, field 'forms',")
         name = str(doc.get("name", ""))
     except KeyError as exc:
         raise ValueError(f"system file {path} missing field {exc}") from exc
@@ -436,7 +439,12 @@ def load_system(path: str, p: int | None = None) -> LinearFormSystem:
             f'system file {path} has p = {own} and no "rows": "integer" mark, '
             f"so its forms may be residues mod {own}; it loads at p = {own} "
             f"only, not at p = {p}")
-    return LinearFormSystem(p=own, d=d, coeffs=forms, name=name)
+    system = LinearFormSystem(p=own, d=d, coeffs=forms, name=name)
+    # true/false among integers pass the dtype test; at most MAX_FORMS rows
+    if any(isinstance(c, bool) for row in doc["forms"] for c in row):
+        raise ValueError(f"system file {path}, field 'forms', must hold integers "
+                         "only, not true/false")
+    return system
 
 
 def save_system(sys: LinearFormSystem, path: str) -> None:

@@ -15,6 +15,7 @@ tests use; `naive_convolve` checks it.
 from __future__ import annotations
 
 import cmath
+import math
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
@@ -118,23 +119,31 @@ def subspace_points(sub):
 
 def naive_uk_power(values, p, n, k):
     """The U^k cube average by literal enumeration of (x, h_1, ..., h_k),
-    adding digit vectors mod p."""
+    through a table of the sums of two points, their digit vectors added
+    mod p once.  Fractions are summed as integer numerators over their
+    common denominator, divided once at the end; complex values are
+    multiplied vertex by vertex and summed tuple by tuple, in
+    `product`'s order."""
     points, index = naive_points(p, n)
     N = len(points)
+    add = [[index[tuple((a + b) % p for a, b in zip(x, y))] for y in points]
+           for x in points]
+    odd = [sum(w) % 2 for w in product((0, 1), repeat=k)]
+    exact = all(isinstance(v, Fraction) for v in values)
+    if exact:
+        D = math.lcm(*(v.denominator for v in values))
+        values = [v.numerator * (D // v.denominator) for v in values]
     total = 0
-    for tup in product(points, repeat=k + 1):
-        x, hs = tup[0], tup[1:]
+    for x, *hs in product(range(N), repeat=k + 1):
+        vertices = [x]  # x + sum of the chosen h_j, in the order of `odd`
+        for h in reversed(hs):
+            vertices += [add[v][h] for v in vertices]
         prod = 1
-        for w in product((0, 1), repeat=k):
-            vec = x
-            for wj, hj in zip(w, hs):
-                if wj:
-                    vec = tuple((a + b) % p for a, b in zip(vec, hj))
-            v = values[index[vec]]
-            if sum(w) % 2:
-                v = v.conjugate()
-            prod = prod * v
+        for v, conj in zip(vertices, odd):
+            prod = prod * (values[v].conjugate() if conj else values[v])
         total = total + prod
+    if exact:
+        return Fraction(total, D ** 2**k * N ** (k + 1))
     return total / N ** (k + 1)
 
 

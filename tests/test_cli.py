@@ -22,10 +22,11 @@ from uniformity_lab.functions import (GroupFunction, IndicatorSet, balanced,
                                       save_function, uk_norm)
 from uniformity_lab.reports import validate_report
 from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, builtin_system,
-                                    power_independence, save_system)
+                                    power_independence)
 from uniformity_lab.verification import quadratic_zero_set
 
 import oracles
+from test_replay import SECTIONS, write_inputs
 
 
 def run(args, tmp_path=None, out_name="report.json"):
@@ -1033,7 +1034,7 @@ def test_reports_are_byte_identical_for_same_seed(tmp_path):
     assert Path(third).read_bytes() != a
 
 
-def test_threads_flag_reproducibility(tmp_path, monkeypatch):
+def test_count_report_does_not_depend_on_worker_count(tmp_path, monkeypatch):
     base = ["count", "--system", "gw6a", "--set", "quadzero", "--p", "5",
             "--n", "2", "--method", "both"]
     monkeypatch.setattr(counting, "_cpus", lambda: 1)
@@ -1131,20 +1132,8 @@ def test_bound1_closed_form_runs_where_enumeration_is_refused(monkeypatch, capsy
     assert "bound1: pass" in capsys.readouterr().out
 
 
-# a command line per command, using each of its options
-COMMAND_LINES = {
-    "list": ["list", "--p", "11", "--csv", "catalog.csv", "--out", "r.json"],
-    "complexity": ["complexity", "--system", "ap4", "--p", "5"],
-    "independence": ["independence", "--system", "ap4", "--k", "2"],
-    "normal-form": ["normal-form", "--system", "ap4", "--s", "2"],
-    "norm": ["norm", "--set", "quadzero", "--balanced", "--k", "3",
-             "--method", "fast", "--p", "3", "--n", "3"],
-    "count": ["count", "--system", "ap3", "--set", "quadzero", "--method", "all",
-              "--degenerate", "--tolerance", "1e-6", "--budget", "99"],
-    "verify": ["verify", "bound1", "--system", "gw6b", "--k", "2", "--d1", "0",
-               "--d2", "2", "--seed", "4"],
-    "octahedron": ["octahedron", "--check", "lift", "--size", "8"],
-}
+# a command line per command, using each of its options, from the replay corpus
+COMMAND_LINES = {argv[0]: argv for argv in map(shlex.split, SECTIONS["commands"])}
 
 
 # commands with a required argument: the command word alone misses it
@@ -1176,50 +1165,6 @@ def test_one_command_parser_matches_full_parser(capsys):
             assert outcomes[0][0] == 2 and "error:" in outcomes[0][1].err, bad
 
 
-def workload_shaped_lines(tmp_path):
-    """One line shaped like each kind of job of the benchmark's workloads
-    (perfbench/workloads.py), at small sizes, on the documented system and
-    function files; each exits 0."""
-    rng = np.random.default_rng(30)
-    systems = {}
-    for name in ("ap3", "gw6b", "nf4"):
-        path = tmp_path / f"sys_{name}.json"
-        save_system(builtin_system(name, 7 if name == "nf4" else 5), str(path))
-        systems[name] = str(path)
-    bounded, qz, random_set = (str(tmp_path / name) for name in
-                               ("bounded.json", "qz.json", "set.json"))
-    save_function(functions.random_bounded_function(domain(3, 2), rng), bounded)
-    save_function(quadratic_zero_set(3, 2), qz)
-    save_function(IndicatorSet(domain(5, 2), rng.random(25) < 0.5), random_set)
-    lines = [
-        ["norm", "--function", bounded, "--p", "3", "--n", "2", "--k", "3",
-         "--method", "direct"],
-        ["norm", "--function", qz, "--p", "3", "--n", "2", "--k", "2",
-         "--method", "fast", "--balanced"],
-        ["octahedron", "--check", "lift", "--p", "3", "--n", "1", "--seed", "1234567"],
-        ["verify", "pythagoras", "--p", "3", "--n", "2"],
-        ["count", "--system", systems["ap3"], "--set", "quadzero", "--p", "5",
-         "--n", "2", "--method", "both"],
-        ["count", "--system", systems["ap3"], "--set", random_set, "--p", "5",
-         "--n", "2", "--method", "both"],
-        ["verify", "badex", "--system", systems["gw6b"], "--p", "5", "--n", "2"],
-        ["list", "--p", "7", "--csv", str(tmp_path / "catalog.csv")],
-        ["complexity", "--system", systems["gw6b"], "--p", "5"],
-        ["independence", "--system", systems["gw6b"], "--p", "5", "--k", "2"],
-        ["normal-form", "--system", systems["nf4"], "--p", "7", "--s", "2"],
-        ["normal-form", "--system", "nf4", "--s", "1"],
-    ]
-    for experiment, opts in (("quadfactor", ["--system", systems["gw6b"]]),
-                             ("completefactor", ["--system", systems["gw6b"], "--d1", "1"]),
-                             ("atoms", ["--d1", "1", "--d2", "2"]),
-                             ("projections", ["--d1", "1", "--d2", "1"]),
-                             ("bound1", ["--system", systems["gw6b"]]),
-                             ("gvn", ["--system", systems["ap3"]])):
-        lines.append(["verify", experiment, "--p", "5", "--n", "2",
-                      "--seed", "987654321"] + opts)
-    return [argv + ["--out", str(tmp_path / "report.json")] for argv in lines]
-
-
 def test_a_line_that_parses_builds_no_full_parser(tmp_path, monkeypatch, capsys):
     """Well-formed lines, each command's and one shaped like each kind of
     workload job, run through main without building any ArgumentParser."""
@@ -1227,9 +1172,10 @@ def test_a_line_that_parses_builds_no_full_parser(tmp_path, monkeypatch, capsys)
         raise AssertionError("ArgumentParser built")
 
     monkeypatch.chdir(tmp_path)
+    write_inputs()
     # the count line's budget of 99 refuses the run (exit 3)
     lines = [(argv, 3 if name == "count" else 0) for name, argv in COMMAND_LINES.items()]
-    lines += [(argv, 0) for argv in workload_shaped_lines(tmp_path)]
+    lines += [(shlex.split(line), 0) for line in SECTIONS["jobs"]]
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
     for argv, code in lines:
         assert main(argv) == code, argv

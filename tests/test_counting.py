@@ -140,7 +140,7 @@ def test_count_matches_naive_oracle():
     assert count == naive
 
 
-def test_threads_do_not_change_results(monkeypatch):
+def test_worker_count_does_not_change_results(monkeypatch):
     rng = np.random.default_rng(46)
     dom = domain(5, 2)
     sys_ = builtin_system("ap4", 5)
@@ -383,7 +383,7 @@ def test_planned_exponent_is_at_most_the_rank():
             assert planned_exponent(make(p, (cube7.coeffs @ T % p).tolist())) == 3
 
 
-def test_eliminated_passes_do_not_depend_on_threads(monkeypatch):
+def test_eliminated_passes_do_not_depend_on_worker_count(monkeypatch):
     """cube7 (a matrix-product fill, then a convolution fill where n = 2
     and an enumerated one where n = 1), diff3 (the pivot cut, then a
     convolution fill), gw6b (a matrix-product fill on both sides, N = 49),

@@ -383,7 +383,7 @@ def test_uk_norm_peak_memory(p, n, k, complex_valued):
 
 @pytest.mark.parametrize("p,n,k", [(3, 1, 4), (5, 1, 4), (3, 2, 3), (3, 1, 2),
                                    (7, 1, 2), (5, 2, 2), (5, 1, 3), (7, 1, 3),
-                                   (3, 1, 5)])
+                                   (3, 1, 5), (5, 2, 3), (3, 2, 4)])
 def test_exact_uk_power_equals_naive_fraction(monkeypatch, p, n, k):
     """The exact power runs `uk_norm`'s blocks, pair weights and classes on
     an integer table: at k >= 3 its last level has classes t > 0, and at
@@ -680,12 +680,24 @@ def test_member_vectors_build_the_exact_tables():
     assert A.to_function().values.tolist() == [float(b) for b in A.members]
     assert balanced(A).values.tolist() == [float(b) - 2 / 25 for b in A.members]
     assert IndicatorSet.from_member_vectors(dom, []).count == 0
-    for bad in ([[1, 2, 3]], [[1], [2]], [1, 2], [[1, 2], [3]]):
+    for bad in ([[1, 2, 3]], [[1], [2]], [1, 2], [[1, 2], [3]], [[0, 0.9]]):
         with pytest.raises(ValueError):
             IndicatorSet.from_member_vectors(dom, bad)
 
 
 # ---------------------------------------------------------------- files
+
+@pytest.mark.parametrize("field,value", [("members", [[0, 0], [0, 0.9]]), ("p", 5.0),
+                                         ("p", True), ("n", 2.5), ("n", False)])
+def test_load_function_refuses_non_integer_numbers(field, value, tmp_path):
+    """A float or true/false where a function file holds integers is refused,
+    naming the file and the field: cast, the member [0, 0.9] was point 0."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p": 5, "n": 2, "mode": "indicator",
+                                "members": [[1, 2]], field: value}))
+    with pytest.raises(ValueError, match=f"bad.json, field '{field}'"):
+        load_function(str(path))
+
 
 def test_function_file_roundtrips(tmp_path):
     dom = domain(3, 2)

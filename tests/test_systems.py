@@ -869,3 +869,16 @@ def test_load_rejects_malformed_documents(text, tmp_path):
     path.write_text(text)
     with pytest.raises(ValueError, match="bad.json"):
         load_system(str(path))
+
+
+@pytest.mark.parametrize("field,value", [("forms", [[1, 0], [1, 1.5], [1, 2]]),
+                                         ("forms", [[1, 0], [1, True], [1, 2]]),
+                                         ("p", 7.0), ("p", True), ("d", 2.5), ("d", True)])
+def test_load_refuses_non_integer_numbers(field, value, tmp_path):
+    """A float or true/false where a system file holds integers is refused,
+    naming the file and the field: cast, forms [1, 1.5] loaded as ap3's."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p": 7, "d": 2, "forms": [[1, 0], [1, 1], [1, 2]],
+                                field: value}))
+    with pytest.raises(ValueError, match=f"bad.json, field '{field}'"):
+        load_system(str(path))
