@@ -55,6 +55,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -497,6 +498,21 @@ def save_function(obj: GroupFunction | IndicatorSet, path: str) -> None:
         fh.write("\n")
 
 
+# an entry of a rational file: an integer, or the string `save_function` writes
+_RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
+def _rationals(values, what: str) -> list:
+    """`values`, as read from JSON, if each is an integer or an "a/b" string:
+    not a float, true/false or any other string, which are refused
+    (ValueError naming `what`)."""
+    for v in values:
+        if type(v) is not int and not (type(v) is str and _RATIONAL.fullmatch(v)):
+            raise ValueError(f'{what} must hold integers and "a/b" strings only, '
+                             f"not {v!r}")
+    return values
+
+
 def load_function(path: str) -> GroupFunction | IndicatorSet:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -508,7 +524,8 @@ def load_function(path: str) -> GroupFunction | IndicatorSet:
             return IndicatorSet.from_member_vectors(dom, as_int_array(
                 doc["members"], f"function file {path}, field 'members',"))
         if mode == "rational":
-            return GroupFunction.from_rational(dom, doc["values"])
+            return GroupFunction.from_rational(dom, _rationals(
+                doc["values"], f"function file {path}, field 'values',"))
         if mode == "complex":
             return GroupFunction.from_values(
                 dom, [complex(re, im) for re, im in doc["values"]])

@@ -2,14 +2,18 @@
 
 Everything here is deliberately written in the most literal way possible
 (itertools loops, span enumeration, Fractions) and shares no code paths with
-the package internals it checks.  Sizes must stay tiny.  `random_symmetric`
+the package internals it checks.  Sizes must stay tiny.  The rows of
+`tests/ledger.py` name these functions as their oracles, and
+`tests/test_ledger.py` checks on the syntax tree that an oracle, and every
+helper here it calls, reads no name this module imports from
+`uniformity_lab`.  An oracle may read the attributes of a package object it
+is given (a factor's forms), never call the package.  `random_symmetric`
 draws the symmetric matrices the closed forms are checked on;
 `counterexample_table` and `vertex_correlation` are the full-table side of
 the vertex-uniformity counterexample, whose package form is exact and never
-builds the table.  `naive_affine_class` and `naive_atom_histogram` are the
-enumeration side of the closed-form atom histogram.  `convolve` is the one
-exception: the convolution through the package's transform, which only the
-tests use; `naive_convolve` checks it.
+builds the table.  `convolve` is the one exception: the convolution through
+the package's transform, which only the tests use; it is no oracle, names no
+row, and `naive_convolve` checks it.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 
 import numpy as np
 
@@ -71,9 +75,9 @@ def naive_in_span(v, rows, p):
     return v in span_points(rows, p)
 
 
-def brute_min_classes(coeffs, i, p):
+def brute_min_classes(rows, i, p):
     """Minimum class count over every assignment of the other forms."""
-    others = [coeffs[j] for j in range(len(coeffs)) if j != i]
+    others = [rows[j] for j in range(len(rows)) if j != i]
     t = len(others)
     if t == 0:
         return 0
@@ -81,18 +85,20 @@ def brute_min_classes(coeffs, i, p):
         for assign in product(range(ncl), repeat=t):
             classes = [[others[j] for j in range(t) if assign[j] == c]
                        for c in range(ncl)]
-            if all(not naive_in_span(coeffs[i], cl, p) for cl in classes):
+            if all(not naive_in_span(rows[i], cl, p) for cl in classes):
                 return ncl
     return float("inf")
 
 
-def naive_fourier(values, digits, p):
-    N = len(values)
+def naive_fourier(values, p, n):
+    """f^(r) = E_x f(x) omega^(r.x), r and x the digit tuples of `naive_points`."""
+    points, _ = naive_points(p, n)
+    N = len(points)
     out = np.zeros(N, dtype=complex)
     for r in range(N):
         s = 0j
         for x in range(N):
-            phase = int(np.dot(digits[r], digits[x])) % p
+            phase = sum(a * b for a, b in zip(points[r], points[x])) % p
             s += values[x] * cmath.exp(2j * cmath.pi * phase / p)
         out[r] = s / N
     return out
@@ -212,17 +218,6 @@ def naive_average_product(rows, p, n, fs_values):
     return total / N**d
 
 
-def naive_count_solutions(rows, p, n, members):
-    points, index = naive_points(p, n)
-    N = len(points)
-    d = len(rows[0])
-    count = 0
-    for assign in product(range(N), repeat=d):
-        count += all(members[index[_naive_form_value(row, assign, points, p, n)]]
-                     for row in rows)
-    return count
-
-
 def naive_count_with_degenerate(rows, p, n, members):
     """(count, degenerate): the assignments with every form image in the set
     of `members`, and those among them where two form images coincide."""
@@ -236,6 +231,10 @@ def naive_count_with_degenerate(rows, p, n, members):
             count += 1
             degenerate += len(set(images)) < len(images)
     return count, degenerate
+
+
+def naive_count_solutions(rows, p, n, members):
+    return naive_count_with_degenerate(rows, p, n, members)[0]
 
 
 def naive_gauss_sum(M, p):
@@ -362,35 +361,6 @@ def random_symmetric(p, n, rank_kind, rng):
     return M
 
 
-def enumerated_factor_count(sys_, factor, A_t, B_t):
-    """#{x : atom of L_i(x) is (a_i, b_i) for every i}, with no side maps,
-    the way the package counted it before its factor counts ran on the
-    elimination plan: all N^d assignments of the system's own coefficients,
-    no pivot cut, through the enumeration kernel (whose images the suite
-    pins against digit tuples), each form's atom code compared with its
-    target a_i p^d2 + b_i."""
-    from uniformity_lab.counting import reduce_form_images
-    from uniformity_lab.domains import domain
-
-    p = factor.p
-    dom = domain(p, factor.n)
-    codes = factor.atom_codes(dom)
-    targets = []
-    for row in np.concatenate([A_t, B_t], axis=1).tolist():
-        code = 0
-        for digit in row:
-            code = code * p + int(digit)
-        targets.append(code)
-
-    def tile_matches(images):
-        ok = np.ones(images.shape[1:], dtype=bool)
-        for idx, target in zip(images, targets):
-            ok &= codes[idx] == target
-        return int(ok.sum())
-
-    return sum(reduce_form_images(sys_.coeffs, dom, tile_matches))
-
-
 def naive_affine_class(M, p):
     """(rank, class, consistent, s) of the augmented form [[A, h], [h^T, g]]
     ((k+1) x (k+1)) by enumerating F_p^k with Python ints: the rank by
@@ -423,22 +393,178 @@ def naive_affine_class(M, p):
     return r, eps, y is not None, None if y is None else (M[k][k] - form(y)) % p
 
 
-def naive_atom_histogram(factor):
-    """#{x : gamma1(x) = a, gamma2(x) = c} for every cell (a, c), indexed by
-    the digits of a then c read in base p, by visiting every digit tuple x
-    of F_p^n and evaluating each linear and quadratic form at it in Python
-    ints."""
+def naive_affine_classes(stack, p):
+    return [naive_affine_class(M, p) for M in stack]
+
+
+def naive_solutions(M, rhs, p):
+    """Every x in F_p^cols with M x = rhs, as tuples, listed."""
+    return {x for x in product(range(p), repeat=len(M[0]))
+            if all((sum(int(a) * b for a, b in zip(row, x)) - int(r)) % p == 0
+                   for row, r in zip(M, rhs))}
+
+
+def naive_atom_codes(factor):
+    """The atom code of every digit tuple x of F_p^n, in `naive_points`
+    order: the digits of gamma1(x), then those of gamma2(x), read in base p,
+    each linear and quadratic form evaluated at x in Python ints."""
     p, n = factor.p, factor.n
     G1 = [[int(v) for v in row] for row in factor.gamma1]
     forms = [([[int(v) for v in row] for row in q.M], [int(v) for v in q.b])
              for q in factor.gamma2.forms]
-    counts = [0] * p ** (len(G1) + len(forms))
-    for x in product(range(p), repeat=n):
+    codes = []
+    for x in naive_points(p, n)[0]:
         code = 0
         for row in G1:
             code = code * p + sum(g * xi for g, xi in zip(row, x)) % p
         for M, b in forms:
-            value = sum(M[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
-            code = code * p + (value + sum(bi * xi for bi, xi in zip(b, x))) % p
+            code = code * p + naive_quadratic_value(M, b, x, p)
+        codes.append(code)
+    return codes
+
+
+def naive_atom_histogram(factor):
+    """#{x : gamma1(x) = a, gamma2(x) = c} for every cell (a, c), indexed by
+    the digits of a then c read in base p."""
+    counts = [0] * factor.p ** (len(factor.gamma1) + len(factor.gamma2.forms))
+    for code in naive_atom_codes(factor):
         counts[code] += 1
     return counts
+
+
+def naive_quadratic_value(M, b, x, p):
+    """x^T M x + b^T x mod p in Python ints."""
+    n = len(x)
+    return (sum(M[i][j] * x[i] * x[j] for i in range(n) for j in range(n)) +
+            sum(bi * xi for bi, xi in zip(b, x))) % p
+
+
+def naive_quadratic_values(M, b, p, n):
+    return [naive_quadratic_value(M, b, x, p) for x in naive_points(p, n)[0]]
+
+
+def naive_zero_set(p, n):
+    """Membership of each point in {x : x.x = 0}."""
+    return [sum(c * c for c in x) % p == 0 for x in naive_points(p, n)[0]]
+
+
+def naive_point_tables(p, n):
+    """(digit tuples, index of -x, index of x + y) of every point."""
+    points, index = naive_points(p, n)
+    return ([list(x) for x in points],
+            [index[tuple(-c % p for c in x)] for x in points],
+            [[index[tuple((a + b) % p for a, b in zip(x, y))] for y in points]
+             for x in points])
+
+
+def naive_lift_index(p, n):
+    """The index of x + y + z at [x][y][z], for points x, y, z of F_p^n."""
+    points, index = naive_points(p, n)
+    return [[[index[tuple((u + v + w) % p for u, v, w in zip(x, y, z))]
+              for z in points] for y in points] for x in points]
+
+
+def naive_factor_probability(rows, factor, A_t, B_t):
+    """P(atom of L_i(x) is (a_i, b_i) for every form i), over every
+    assignment x of F_p^n points to the variables, from `naive_atom_codes`."""
+    p, n = factor.p, factor.n
+    points, index = naive_points(p, n)
+    codes = naive_atom_codes(factor)
+    targets = []
+    for a, b in zip(A_t, B_t):
+        code = 0
+        for digit in list(a) + list(b):
+            code = code * p + int(digit) % p
+        targets.append(code)
+    d = len(rows[0])
+    count = sum(all(codes[index[_naive_form_value(row, assign, points, p, n)]] == t
+                    for row, t in zip(rows, targets))
+                for assign in product(range(len(points)), repeat=d))
+    return Fraction(count, len(points) ** d)
+
+
+def naive_quadfactor_probability(rows, forms, phis, bs, p, n):
+    """P(q_k(L_i(x)) = phi_i(x)_k + b_ik for every form i and quadratic form
+    q_k = (M, off)), x running over every assignment of digit tuples, phi_i
+    (one row per q_k, None for 0) read on the flattened assignment."""
+    points, _ = naive_points(p, n)
+    d = len(rows[0])
+    count = 0
+    for assign in product(points, repeat=d):
+        flat = [a for x in assign for a in x]
+        ok = True
+        for row, phi, b in zip(rows, phis, bs):
+            img = [sum(c * x[j] for c, x in zip(row, assign)) % p for j in range(n)]
+            for k, (M, off) in enumerate(forms):
+                rhs = b[k] if phi is None else \
+                    sum(int(f) * v for f, v in zip(phi[k], flat)) + b[k]
+                ok &= (naive_quadratic_value(M, off, img, p) - rhs) % p == 0
+        count += ok
+    return Fraction(count, p ** (n * d))
+
+
+def naive_subset_rank(rows, mask, p, listed):
+    """Rank of the rows whose bits are set in mask: `span_rank` when the span
+    has at most `listed` points, else `naive_rank`."""
+    subset = [r for j, r in enumerate(rows) if mask >> j & 1]
+    if p ** min(len(subset), len(rows[0])) <= listed:
+        return span_rank(subset, p)
+    return naive_rank(subset, p)
+
+
+def naive_min_classes(rows, p):
+    """`brute_min_classes` at every index."""
+    return [brute_min_classes(rows, i, p) for i in range(len(rows))]
+
+
+def naive_power_orders(rows, p):
+    """{k: are the (k+1)-st powers independent} for 1 <= k < p - 1, by the
+    textbook rank of `naive_power_rows`."""
+    return {k: naive_rank(naive_power_rows(rows, k, p), p) == len(rows)
+            for k in range(1, p - 1)}
+
+
+def naive_true_complexity(rows, p):
+    """The least k <= m at which the powers are independent, else None."""
+    return next((k for k, v in naive_power_orders(rows, p).items()
+                 if v and k <= len(rows)), None)
+
+
+def naive_square_greedy(rows, p):
+    """Lowest index first over the flattened gamma gamma^T: a form is kept
+    when its square is outside the span of the kept ones."""
+    squares = [(np.outer(r, r) % p).ravel() for r in rows]
+    kept = []
+    for i, sq in enumerate(squares):
+        if not naive_in_span(sq, [squares[j] for j in kept], p):
+            kept.append(i)
+    return kept
+
+
+def naive_normal_form(rows, p, s):
+    """Does every form's support hold a set of at most s + 1 variables that
+    no other form's support contains?  Every subset is listed."""
+    supports = [{u for u, c in enumerate(r) if c % p} for r in rows]
+    return all(any(all(j == i or not set(tau) <= other
+                       for j, other in enumerate(supports))
+                   for size in range(1, s + 2)
+                   for tau in combinations(sorted(own), size))
+               for i, own in enumerate(supports))
+
+
+def naive_gvn(rows, p, n, fs_values, k):
+    """(|E prod_i f_i(L_i(x))|, the U^(k+1) norm of each f_i) by enumeration."""
+    return (abs(naive_average_product(rows, p, n, fs_values)),
+            [naive_uk_power(list(v), p, n, k + 1).real ** (1 / 2 ** (k + 1))
+             for v in fs_values])
+
+
+def counterexample_double_edge(u):
+    """E_{x,y} (E_z H(x,y,z))^2 for `counterexample_table`'s H, as a
+    Fraction: 6 E_z H = 3 + u(x,y) + (row sums of u at x and y) / n, and the
+    squares are summed in Python ints."""
+    u = np.asarray(u).astype(object)
+    n = len(u)
+    rowsum = u.sum(axis=1)
+    numer = n * (3 + u) + rowsum[:, None] + rowsum[None, :]
+    return Fraction(int((numer**2).sum()), 36 * n**4)

@@ -11,6 +11,7 @@ from uniformity_lab.algebra import (QuadraticForm, Subspace, _batches,
                                     solve_affine)
 
 import oracles
+from ledger import kept_tests, symmetric_stack
 
 
 def test_modulus_validation():
@@ -29,15 +30,6 @@ def test_rank_examples():
     assert rank(np.eye(3, dtype=int), 5) == 3
     assert rank(np.zeros((3, 3), dtype=int), 5) == 0
     assert rank([[1, 2], [2, 4]], 5) == 1
-
-
-def test_rank_matches_span_enumeration():
-    rng = np.random.default_rng(10)
-    for _ in range(30):
-        p = rng.choice([3, 5])
-        rows, cols = rng.integers(1, 4, size=2)
-        M = rng.integers(0, p, size=(rows, cols))
-        assert rank(M, p) == oracles.span_rank([tuple(r) for r in M], p)
 
 
 def test_rank_transpose_randomized():
@@ -86,24 +78,6 @@ def test_rank_and_rref_match_naive_rank():
     assert rank(np.zeros((0, 4), dtype=int), 5) == 0
     with pytest.raises(ValueError):
         rank([1, 2, 3], 5)
-
-
-def symmetric_stack(p, d, count, rng):
-    """Random symmetric d x d matrices mod p, led by the zero matrix, a rank-1
-    matrix, a zero-diagonal matrix and (for p = 3, where it is one) a matrix
-    whose first two diagonal entries cancel the off-diagonal twice over."""
-    S = rng.integers(0, p, size=(count, d, d))
-    S = (S + S.transpose(0, 2, 1)) % p
-    S[0] = 0
-    v = rng.integers(1, p, size=d)
-    S[1] = np.outer(v, v) % p
-    if d >= 2:
-        S[2] = 0
-        S[2, 0, 1] = S[2, 1, 0] = 1
-        S[3, 0, 0] = 0
-        S[3, 1, 1] = (-2 * S[3, 0, 1]) % p
-        S[4, :, -1] = S[4, -1, :] = 0  # rank deficient
-    return S
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -179,55 +153,6 @@ def test_batched_rank_class_at_large_primes():
         assert got_ranks.tolist() == [rank(M, p) for M in S] == ranks
         assert got_classes.tolist() == classes
         assert min(ranks) < d
-
-
-def augmented_stack(p, k, count, rng):
-    """(count, k+1, k+1) augmented forms [[A, h], [h^T, g]] over the
-    matrices A of `symmetric_stack`: h = A y (consistent) for every fourth,
-    h = 0 with g != 0 for the next, h random for the rest; then A = 0 gets
-    h = e_0, the rank-1 matrix v v^T gets h = v + e_0, outside its column
-    space, and the rank-deficient one (last row zero) gets h = e_(k-1)."""
-    S = np.zeros((count, k + 1, k + 1), dtype=np.int64)
-    S[:, :k, :k] = symmetric_stack(p, k, count, rng)
-    h = rng.integers(0, p, size=(count, k))
-    h[::4] = np.einsum("bij,bj->bi", S[::4, :k, :k], h[::4]) % p
-    h[1::4] = 0
-    S[:, k, k] = rng.integers(0, p, size=count)
-    S[1::4, k, k] = rng.integers(1, p, size=len(S[1::4]))
-    h[0] = np.eye(k, dtype=np.int64)[0]
-    h[1] = (S[1, 0, :k] * pow(int(S[1, 0, 0]), p - 2, p) + np.eye(k, dtype=np.int64)[0]) % p
-    if k >= 2:
-        h[4] = np.eye(k, dtype=np.int64)[k - 1]
-    S[:, :k, k] = S[:, k, :k] = h
-    return S
-
-
-@pytest.mark.parametrize("p", [3, 5, 7, 11])
-def test_batched_affine_class_matches_enumeration(p):
-    """(rank, class, consistent, s) of each augmented form, alone, against
-    `oracles.naive_affine_class` (s only where consistent); the ranks and
-    classes are those `batched_rank_class` gives the leading blocks, and
-    the stacks hold A = 0 with beta != 0, rank-deficient A with beta outside
-    its column space, and beta = 0 with gamma != 0."""
-    rng = np.random.default_rng(900 + p)
-    for k in (k for k in range(1, 5) if p**k <= 2401):
-        S = augmented_stack(p, k, 12, rng)
-        ranks, classes, consistent, s = batched_affine_class(S, p)
-        expected = [oracles.naive_affine_class(M.tolist(), p) for M in S]
-        assert ranks.tolist() == [e[0] for e in expected]
-        assert classes.tolist() == [e[1] for e in expected]
-        assert consistent.tolist() == [e[2] for e in expected]
-        assert [int(v) if ok else None for v, ok in zip(s, consistent)] == \
-            [e[3] for e in expected]
-        assert [v.tolist() for v in batched_rank_class(S[:, :k, :k], p)] == \
-            [ranks.tolist(), classes.tolist()]
-        assert not consistent[0]
-        assert k < 2 or not (consistent[1] or consistent[4]) and ranks[4] < k
-        assert consistent[1::4][1:].all() and (S[1::4, k, k] != 0).all()
-    # k = 0: the form is the constant gamma
-    ranks, classes, consistent, s = batched_affine_class([[[3]], [[0]]], p)
-    assert (ranks.tolist(), classes.tolist(), consistent.tolist(), s.tolist()) \
-        == ([0, 0], [1, 1], [True, True], [3 % p, 0])
 
 
 def test_batched_affine_class_at_large_primes():
@@ -427,22 +352,6 @@ def test_solve_affine_examples():
         assert (np.array([[1, 2], [2, 4]]) @ pt % 5 == [1, 2]).all()
 
 
-def test_solve_affine_full_solution_set():
-    rng = np.random.default_rng(15)
-    for _ in range(20):
-        p = int(rng.choice([3, 5]))
-        rows, cols = (int(v) for v in rng.integers(1, 4, size=2))
-        M = rng.integers(0, p, size=(rows, cols))
-        rhs = rng.integers(0, p, size=rows)
-        sol = solve_affine(M, rhs, p)
-        brute = {tuple(x) for x in np.ndindex(*(p,) * cols)
-                 if ((M @ np.array(x)) % p == rhs % p).all()}
-        if sol is None:
-            assert not brute
-        else:
-            assert set(oracles.subspace_points(sol)) == brute
-
-
 def test_nullspace_vectors_annihilate():
     rng = np.random.default_rng(16)
     for _ in range(20):
@@ -471,3 +380,8 @@ def test_matmul_mod_adds_runs_exactly_at_large_primes(p, run):
     exact = (X.astype(object) @ Y.astype(object)) % p
     assert _matmul_mod(X, Y, p).tolist() == exact.tolist()
     assert _matmul_mod(X[0], Y, p).tolist() == exact[0].tolist()
+
+
+# The cross-checks of this module that are rows of tests/ledger.py, under
+# their older names.
+globals().update(kept_tests(__name__))

@@ -1350,12 +1350,17 @@ def test_console_entry_point_runs():
 
 def test_console_entry_pins_blas_threads(monkeypatch, capsys):
     import uniformity_lab_console as entry
+    before = [os.environ.get(var) for var in entry.BLAS_THREAD_VARS]
     for var in entry.BLAS_THREAD_VARS:
-        monkeypatch.delenv(var, raising=False)
+        # set first, so that undo removes what `entry.main` sets in an unset one
+        monkeypatch.setenv(var, "")
+        monkeypatch.delenv(var)
     monkeypatch.setenv("OMP_NUM_THREADS", "2")
     assert entry.main(["complexity", "--system", "diff3"]) == 0
     assert capsys.readouterr().out.splitlines()[0].strip() == "1"
     assert [os.environ[var] for var in entry.BLAS_THREAD_VARS] == ["1", "2", "1"]
+    monkeypatch.undo()
+    assert [os.environ.get(var) for var in entry.BLAS_THREAD_VARS] == before
 
 
 def test_console_entry_leaves_output_unchanged(tmp_path):

@@ -12,27 +12,16 @@ from uniformity_lab.counting import (average_product_direct,
                                      average_product_dual, count_solutions,
                                      quadratic_average, quadratic_zero_count)
 from uniformity_lab.domains import domain
-from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced, fourier
-from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
-                                    _rank_table, builtin_system)
+from uniformity_lab.functions import GroupFunction, IndicatorSet, balanced
+from uniformity_lab.systems import BUILTIN_SYSTEM_NAMES, _rank_table, builtin_system
 from uniformity_lab.verification import (QuadraticFactor, QuadraticMap,
                                          quadratic_zero_set,
                                          verify_completefactor,
                                          verify_quadfactor)
 
 import oracles
-from oracles import random_symmetric
-
-
-def make(p, rows):
-    return LinearFormSystem(p=p, d=len(rows[0]), coeffs=np.array(rows))
-
-
-def random_functions(dom, rng, m):
-    return [GroupFunction(domain=dom,
-                          values=rng.uniform(-1, 1, dom.size) +
-                          1j * rng.uniform(-1, 1, dom.size))
-            for _ in range(m)]
+from ledger import (dual_cases, exactness_cases, kept_tests, make, naive_dual_sum,
+                    random_functions, random_structured_system)
 
 
 def test_all_ones_gives_one():
@@ -79,17 +68,6 @@ def test_direct_equals_dual_on_random_instances():
         assert abs(direct - dual) < 1e-8
 
 
-def test_direct_matches_naive_oracle():
-    rng = np.random.default_rng(42)
-    dom = domain(3, 2)
-    sys_ = builtin_system("ap3", 3)
-    fs = random_functions(dom, rng, 3)
-    direct = average_product_direct(sys_, fs)
-    naive = oracles.naive_average_product(
-        [[1, 0], [1, 1], [1, 2]], 3, 2, [f.values for f in fs])
-    assert abs(direct - naive) < 1e-12
-
-
 def test_independent_forms_dual_is_product_of_means():
     rng = np.random.default_rng(43)
     dom = domain(3, 2)
@@ -126,18 +104,6 @@ def test_solution_probability_full_set():
     A = IndicatorSet(domain=dom, members=np.ones(dom.size, dtype=bool))
     assert count_solutions(builtin_system("ap3", 3), A, with_degenerate=True) == (81, 9)
     assert A.density == 1
-
-
-def test_count_matches_naive_oracle():
-    rng = np.random.default_rng(45)
-    dom = domain(3, 2)
-    members = rng.random(dom.size) < 0.5
-    A = IndicatorSet(domain=dom, members=members)
-    sys_ = builtin_system("diff3", 3)
-    count, _ = count_solutions(sys_, A)
-    naive = oracles.naive_count_solutions(
-        [[-1, 1, 0], [-1, 0, 1], [0, -1, 1]], 3, 2, members)
-    assert count == naive
 
 
 def test_worker_count_does_not_change_results(monkeypatch):
@@ -301,71 +267,6 @@ def dual_plan(sys_):
     return counting._plan(sys_.relations.basis.T, sys_.p)
 
 
-def random_structured_system(rng, p):
-    """Forms in r variables, each entry zero with probability 1/2 (so that a
-    variable is often in few forms), some rows forced to be combinations of
-    two others, carried into d >= r variables by a random rank-r map."""
-    while True:
-        r = int(rng.integers(1, 5))
-        d = r + int(rng.integers(0, 2))
-        m = int(rng.integers(1, 8))
-        rows = rng.integers(0, p, size=(m, r)) * (rng.random((m, r)) < 0.5)
-        for i in range(2, m):
-            if rng.random() < 0.25:
-                a, b = rng.integers(1, p, size=2)
-                rows[i] = (a * rows[i - 1] + b * rows[i - 2]) % p
-        T = rng.integers(0, p, size=(r, d))
-        if oracles.naive_rank(T.tolist(), p) < r:
-            continue
-        C = rows @ T % p
-        if C.any(axis=1).all() and len({tuple(row) for row in C.tolist()}) == m:
-            return make(p, C.tolist())
-
-
-def exactness_cases():
-    """Every built-in system at p = 3, 5, 7 (where it is one), at the largest
-    n <= 3 with N^d <= 729, and 36 seeded random systems with N^d <= 729."""
-    cases = []
-    for p in (3, 5, 7):
-        for name in BUILTIN_SYSTEM_NAMES:
-            if p == 3 and name in ("ap4", "ap5", "nf4", "gw6a"):
-                continue
-            sys_ = builtin_system(name, p)
-            n = max(n for n in (1, 2, 3) if n == 1 or p ** (n * sys_.d) <= 729)
-            cases.append((sys_, n))
-    rng = np.random.default_rng(19)
-    for k in range(36):
-        p = (3, 5, 7)[k % 3]
-        sys_ = random_structured_system(rng, p)
-        while p**sys_.d > 729:
-            sys_ = random_structured_system(rng, p)
-        n = 2 if p ** (2 * sys_.d) <= 729 and rng.random() < 0.5 else 1
-        cases.append((sys_, n))
-    return cases
-
-
-def test_direct_side_is_exact_on_cut_and_eliminated_systems():
-    """Counts with and without degenerates, and complex averages, against the
-    digit-tuple oracles.  Among the cases the pivot cut (rank C < d) and the
-    elimination (more than one pass) each run many times."""
-    rng = np.random.default_rng(20)
-    cut = eliminated = 0
-    for sys_, n in exactness_cases():
-        p, rows = sys_.p, sys_.coeffs.tolist()
-        dom = domain(p, n)
-        members = rng.random(dom.size) < 0.7
-        A = IndicatorSet(domain=dom, members=members)
-        count, degenerate = oracles.naive_count_with_degenerate(rows, p, n, members)
-        assert count_solutions(sys_, A) == (count, None), (rows, n)
-        assert count_solutions(sys_, A, with_degenerate=True) == (count, degenerate)
-        fs = random_functions(dom, rng, sys_.m)
-        naive = oracles.naive_average_product(rows, p, n, [f.values for f in fs])
-        assert abs(average_product_direct(sys_, fs) - naive) < 1e-12, (rows, n)
-        cut += len(sys_.pivots) < sys_.d
-        eliminated += len(sys_.direct_plan) > 1
-    assert cut >= 10 and eliminated >= 10, (cut, eliminated)
-
-
 def test_planned_exponent_is_at_most_the_rank():
     """Never above rank C; 2 for diff3 (the cut), 3 for cube7 (an
     elimination), also under random changes of variables."""
@@ -431,56 +332,6 @@ def test_eliminated_passes_do_not_depend_on_worker_count(monkeypatch):
             assert serial[0] == whole[0]
             for chunked, one in zip(serial[1:], whole[1:]):
                 assert abs(chunked - one) < 1e-12, name
-
-
-def dual_cases():
-    """Twelve seeded random systems with three relations, so that the dual
-    sums over G^3: sparse ones from `random_structured_system` and, at
-    p = 5 and 7, dense ones of five pairwise independent forms in two
-    variables (like ap5: any three of their relation forms are independent,
-    so every copoint leaves three of them to a matrix product), at the
-    largest n with N^3 <= 729."""
-    rng = np.random.default_rng(25)
-    cases = []
-    while len(cases) < 12:
-        p = (3, 5, 7)[len(cases) % 3]
-        if p == 3 or len(cases) % 2:
-            sys_ = random_structured_system(rng, p)
-        else:
-            C = rng.integers(0, p, size=(5, 2))
-            minors = (np.outer(C[:, 0], C[:, 1]) - np.outer(C[:, 1], C[:, 0])) % p
-            if np.count_nonzero(minors) < 20:  # two forms are parallel
-                continue
-            sys_ = make(p, C.tolist())
-        if sys_.relations.dim == 3:
-            cases.append((sys_, 2 if p == 3 else 1))
-    return cases
-
-
-def naive_dual_sum(sys_, n, fs):
-    """N^w times the digit-tuple oracle's average over the w-variable forms
-    of the relation basis, of the Fourier tables."""
-    rows = sys_.relations.basis.T.tolist()
-    N = sys_.p**n
-    return N**len(rows[0]) * oracles.naive_average_product(
-        rows, sys_.p, n, [fourier(f).values for f in fs])
-
-
-def test_dual_side_matches_naive_oracle():
-    """The dual sum against the digit-tuple oracle, on every case of
-    `exactness_cases` and `dual_cases`.  The matrix-product fill runs on
-    ap5's and gw6b's duals and on at least five random systems."""
-    rng = np.random.default_rng(26)
-    fired = set()
-    for k, (sys_, n) in enumerate(exactness_cases() + dual_cases()):
-        fs = random_functions(domain(sys_.p, n), rng, sys_.m)
-        naive = naive_dual_sum(sys_, n, fs)
-        assert abs(average_product_dual(sys_, fs) - naive) < 1e-12, \
-            (sys_.coeffs.tolist(), n)
-        if any(pass_.kind == counting.PRODUCT for pass_ in dual_plan(sys_)):
-            fired.add(sys_.name or k)
-    assert {"ap5", "gw6b"} <= fired
-    assert len(fired - set(BUILTIN_SYSTEM_NAMES)) >= 5, fired
 
 
 def test_matrix_product_plans():
@@ -812,24 +663,6 @@ def test_closed_form_count_matches_enumeration_on_builtin_systems(p):
             assert quadratic_zero_count([[1]], dot, p) == A.count
 
 
-def test_closed_form_count_matches_naive_oracle_on_random_systems():
-    rng = np.random.default_rng(71)
-    for _ in range(25):
-        p = int(rng.choice([3, 5]))
-        d = int(rng.integers(1, 4))
-        n = int(rng.integers(1, 4))
-        if p ** (n * d) > 729:
-            n = 1
-        m = int(rng.integers(1, 5))
-        C = rng.integers(0, p, size=(m, d))
-        B = rng.integers(0, p, size=(n, n))
-        B = (B + B.T) % p
-        if rng.random() < 0.3:
-            B[:, 0] = B[0, :] = 0  # degenerate
-        assert quadratic_zero_count(C, B, p) == \
-            oracles.naive_quadratic_zero_count(C, B, p, n), (p, C, B)
-
-
 def test_closed_form_count_edge_cases():
     C = np.array([[1, 0], [1, 1]])
     assert quadratic_zero_count(C, np.zeros((3, 3), dtype=int), 5) == 5 ** 6
@@ -846,54 +679,6 @@ def test_closed_form_count_edge_cases():
 
 # ------------------------------------------- closed-form weighted averages
 
-def quadratic_functions(dom, M, g):
-    """g_i o q on dom for q(x) = x^T M x, one function per row of g."""
-    q = QuadraticForm(p=dom.p, M=M, b=np.zeros(dom.n, dtype=np.int64))
-    values = QuadraticMap(forms=(q,)).value_codes(dom)
-    return [GroupFunction(domain=dom, values=row[values]) for row in g]
-
-
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_quadratic_average_matches_enumeration(p):
-    """Every built-in system that is one at p (not at p = 3: ap4, ap5 and
-    nf4 have a coefficient 3, and two forms of gw6a agree mod 3),
-    square-dependent ones included, and a
-    system that uses two of its three variables, at n = 1, 2, 3 wherever the
-    p^(nd) assignments are at most 2 * 10^6.  B runs through the zero,
-    rank-1, corank-1 and random kinds; each form has its own random g_i."""
-    rng = np.random.default_rng(300 + p)
-    names = [name for name in BUILTIN_SYSTEM_NAMES
-             if p > 3 or name not in ("ap4", "ap5", "nf4", "gw6a")]
-    systems = [builtin_system(name, p) for name in names]
-    systems.append(make(p, [[1, 0, 0], [1, 1, 0], [1, 2, 0]]))
-    kinds = ("zero", "rank1", "corank1", "random")
-    cases = 0
-    for sys_ in systems:
-        for n in (1, 2, 3):
-            if p ** (n * sys_.d) > 2 * 10**6:
-                continue
-            M = random_symmetric(p, n, kinds[cases % 4], rng)
-            g = rng.uniform(-1, 1, (sys_.m, p)) + 1j * rng.uniform(-1, 1, (sys_.m, p))
-            direct = average_product_direct(sys_, quadratic_functions(domain(p, n), M, g))
-            closed = quadratic_average(sys_.coeffs, M, p, g)
-            assert abs(closed - direct) <= 1e-12, (sys_.name, n, M.tolist())
-            cases += 1
-    assert cases >= 12
-
-
-def test_quadratic_average_of_zero_indicators_is_the_zero_count():
-    rng = np.random.default_rng(72)
-    for name, p, n in (("gw6a", 5, 2), ("ap4", 7, 2), ("gw6b", 3, 3), ("cube7", 3, 2)):
-        C = builtin_system(name, p).coeffs
-        for kind in ("rank1", "corank1", "random"):
-            M = random_symmetric(p, n, kind, rng)
-            g = np.zeros((len(C), p))
-            g[:, 0] = 1
-            total = p ** (n * C.shape[1]) * quadratic_average(C, M, p, g)
-            assert round(total.real) == quadratic_zero_count(C, M, p), (name, kind)
-            assert abs(total.imag) < 1e-6
-
-
 def test_quadratic_average_edge_cases():
     g = np.array([[0.5, 2, 3], [0.25, 1, 1j]])
     C = np.array([[1, 0], [1, 1]])
@@ -902,3 +687,8 @@ def test_quadratic_average_edge_cases():
     with pytest.raises(BudgetExceededError):
         quadratic_average(builtin_system("cube7", 5).coeffs, np.eye(2, dtype=int),
                           5, np.ones((7, 5)), budget=1000)
+
+
+# The cross-checks of this module that are rows of tests/ledger.py, under
+# their older names.
+globals().update(kept_tests(__name__))

@@ -10,66 +10,18 @@ from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
                                       random_bounded_function, uk_norm)
 from uniformity_lab.hypergraphs import (TripartiteFunction, lift,
-                                        octahedral_norm, octahedral_power,
+                                        octahedral_norm,
                                         symmetric_sign_function,
                                         vertex_uniformity_counterexample)
 from uniformity_lab.verification import quadratic_zero_set
 
 import oracles
+from ledger import kept_tests
 
 
 def test_octahedral_norm_of_constant():
     F = TripartiteFunction(values=np.full((4, 5, 6), 0.7))
     assert abs(octahedral_norm(F) - 0.7) < 1e-12
-
-
-def test_octahedral_norm_single_vertex_factor():
-    F = TripartiteFunction(values=np.ones((3, 4, 5)))
-    assert abs(octahedral_norm(F) - 1) < 1e-12
-    rng = np.random.default_rng(60)
-    a = rng.choice([-1.0, 1.0], size=6)
-    F = TripartiteFunction(values=np.broadcast_to(a[:, None, None], (6, 4, 4)))
-    # for F(x,y,z) = a(x) the eight-fold product collapses to (E a^2)-powers
-    naive = oracles.naive_octahedral_power(F.values)
-    assert abs(octahedral_power(F) - naive.real) < 1e-12
-
-
-def test_octahedral_matches_naive_on_random_complex():
-    rng = np.random.default_rng(61)
-    vals = rng.uniform(-1, 1, size=(2, 3, 2)) + 1j * rng.uniform(-1, 1, size=(2, 3, 2))
-    F = TripartiteFunction(values=vals)
-    naive = oracles.naive_octahedral_power(vals)
-    assert abs(octahedral_power(F) - naive.real) < 1e-12
-    assert abs(naive.imag) < 1e-12
-
-
-@pytest.mark.parametrize("shape", [(1, 3, 2), (2, 4, 3), (5, 3, 2)])
-def test_octahedral_matches_naive_on_complex_non_cubic(shape):
-    # nx = 1 is the diagonal alone; nx = 5 pairs x0 < x1 across several rows
-    rng = np.random.default_rng(65 + shape[0])
-    vals = rng.uniform(-1, 1, size=shape) + 1j * rng.uniform(-1, 1, size=shape)
-    naive = oracles.naive_octahedral_power(vals)
-    assert abs(naive.imag) < 1e-12
-    assert abs(octahedral_power(TripartiteFunction(values=vals)) - naive.real) \
-        <= 1e-12 * naive.real
-
-
-@pytest.mark.parametrize("shape", [(1, 3, 2), (2, 3, 2), (3, 2, 4)])
-def test_real_octahedral_power_matches_naive_and_exact(shape):
-    """A real table is kept as float64 and its power agrees with the
-    enumeration; on values in {0, +-1/2, +-1} every sum of the real path is
-    exact, so the power is the exact value rounded once."""
-    rng = np.random.default_rng(66 + sum(shape))
-    vals = rng.uniform(-1, 1, size=shape)
-    F = TripartiteFunction(values=vals + 0j)
-    assert F.values.dtype == np.float64
-    naive = oracles.naive_octahedral_power(vals)
-    assert abs(octahedral_power(F) - naive.real) <= 1e-12 * naive.real
-    exact = np.array([Fraction(int(v), 2) for v in rng.integers(-2, 3, np.prod(shape))],
-                     dtype=object).reshape(shape)
-    want = float(oracles.octahedral_power_exact(exact))
-    assert octahedral_power(TripartiteFunction(values=exact)) == want
-    assert octahedral_power(TripartiteFunction(values=exact.astype(float))) == want
 
 
 def test_tables_keep_the_complex_path_for_any_imaginary_part():
@@ -148,17 +100,6 @@ def test_counterexample_value_is_exact_rational():
     assert v.denominator <= 36 * 16**4
 
 
-@pytest.mark.parametrize("seed,n_x", [(1, 1), (2, 7), (3, 64), (4, 101), (5, 250)])
-def test_counterexample_sums_exactly_in_int64(seed, n_x):
-    # the value against the squares summed as Python ints over the same u
-    rep = vertex_uniformity_counterexample(seed, n_x)
-    u = symmetric_sign_function(n_x, np.random.default_rng(seed)).astype(object)
-    rowsum = u.sum(axis=1)
-    numer = n_x * (3 + u) + rowsum[:, None] + rowsum[None, :]
-    exact = Fraction(int((numer**2).sum()), 36 * n_x**4)
-    assert Fraction(rep.observed["double_edge_exact"]) == exact
-
-
 def test_counterexample_refuses_before_drawing(monkeypatch):
     def refuse_to_draw(n_x, rng):
         raise AssertionError("sign function drawn before the checks")
@@ -203,3 +144,8 @@ def test_symmetric_sign_function_is_symmetric_pm1():
     u = symmetric_sign_function(10, np.random.default_rng(64))
     assert (u == u.T).all()
     assert set(np.unique(u)) <= {-1, 1}
+
+
+# The cross-checks of this module that are rows of tests/ledger.py, under
+# their older names.
+globals().update(kept_tests(__name__))

@@ -2,7 +2,9 @@
 tables built on it, the lift index, indicator files, the translation pairs
 of the U^k norms with their blocks of derivatives and split translates, and
 the retained digit and index tables), checked point by point against digit
-tuples from `oracles.naive_points` and per-point arithmetic."""
+tuples from `oracles.naive_points` and per-point arithmetic; the value,
+zero-set, atom-code, lift-index and retained tables are rows of
+`tests/ledger.py`."""
 
 import json
 import tracemalloc
@@ -10,29 +12,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from uniformity_lab.algebra import QuadraticForm
 from uniformity_lab.domains import _pair_digits, domain
-from uniformity_lab.functions import (GroupFunction, IndicatorSet,
-                                      FOURIER_BLOCK_ENTRIES, load_function,
-                                      save_function)
-from uniformity_lab.hypergraphs import lift
-from uniformity_lab.verification import (QuadraticMap, quadratic_zero_set,
-                                         random_factor)
+from uniformity_lab.functions import (IndicatorSet, FOURIER_BLOCK_ENTRIES,
+                                      load_function, save_function)
 
 import oracles
-
-SHAPES = [(p, n) for p in (3, 5, 7) for n in (1, 2, 3, 4)]
+from ledger import SHAPES, kept_tests
 
 
 def dot(s, x, p):
     return sum(int(a) * b for a, b in zip(s, x)) % p
-
-
-def random_form(p, n, rng):
-    M = rng.integers(0, p, size=(n, n))
-    b = rng.integers(0, p, size=n)
-    b[rng.integers(0, n)] = rng.integers(1, p)  # b != 0
-    return QuadraticForm(p=p, M=(M + M.T) % p, b=b)
 
 
 @pytest.mark.parametrize("p,n", SHAPES)
@@ -47,48 +36,6 @@ def test_linear_values_per_point(p, n):
 
 
 @pytest.mark.parametrize("p,n", SHAPES)
-def test_quadratic_values_and_zero_set_per_point(p, n):
-    rng = np.random.default_rng(200 * p + n)
-    points, _ = oracles.naive_points(p, n)
-    dom = domain(p, n)
-    q = random_form(p, n, rng)
-    values = QuadraticMap(forms=(q,)).value_codes(dom)
-    assert values.tolist() == [q(x) for x in points]
-    members = quadratic_zero_set(p, n).members
-    assert members.tolist() == [sum(c * c for c in x) % p == 0 for x in points]
-
-
-@pytest.mark.parametrize("p,n", SHAPES)
-def test_atom_codes_per_point(p, n):
-    rng = np.random.default_rng(300 * p + n)
-    points, _ = oracles.naive_points(p, n)
-    dom = domain(p, n)
-    for d1 in range(min(3, n) + 1):
-        factor = random_factor(p, n, d1, 2, rng)
-        expected = []
-        for x in points:
-            code = 0
-            for g in factor.gamma1:
-                code = code * p + dot(g, x, p)
-            for q in factor.gamma2.forms:
-                code = code * p + q(x)
-            expected.append(code)
-        assert factor.atom_codes(dom).tolist() == expected
-
-
-@pytest.mark.parametrize("p,n", [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (3, 3)])
-def test_lift_index_per_point(p, n):
-    points, index = oracles.naive_points(p, n)
-    dom = domain(p, n)
-    F = lift(GroupFunction.from_values(dom, np.arange(dom.size)))
-    for a, x in enumerate(points):
-        for b, y in enumerate(points):
-            for c, z in enumerate(points):
-                s = tuple((u + v + w) % p for u, v, w in zip(x, y, z))
-                assert F.values[a, b, c] == index[s]
-
-
-@pytest.mark.parametrize("p,n", SHAPES)
 def test_indicator_file_lists_member_coordinates(tmp_path, p, n):
     rng = np.random.default_rng(400 * p + n)
     points, _ = oracles.naive_points(p, n)
@@ -100,18 +47,6 @@ def test_indicator_file_lists_member_coordinates(tmp_path, p, n):
     assert listed == [list(x) for x, m in zip(points, A.members) if m]
     B = load_function(str(path))
     assert (B.members == A.members).all()
-
-
-@pytest.mark.parametrize("p,n", [(p, n) for p, n in SHAPES if p**n <= 343])
-def test_retained_digit_and_index_tables_per_point(p, n):
-    points, index = oracles.naive_points(p, n)
-    dom = domain(p, n)
-    assert dom.digits.tolist() == [list(x) for x in points]
-    assert dom.neg_table.tolist() == [index[tuple(-c % p for c in x)] for x in points]
-    add = dom.add_table
-    for i, x in enumerate(points):
-        assert add[i].tolist() == [index[tuple((a + b) % p for a, b in zip(x, y))]
-                                   for y in points]
 
 
 def add(x, h, p):
@@ -281,3 +216,8 @@ def test_sum_grid_over_cap_refuses_before_building():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+# The cross-checks of this module that are rows of tests/ledger.py, under
+# their older names.
+globals().update(kept_tests(__name__))

@@ -101,6 +101,7 @@ def write_inputs(root="."):
     write("complex.json", {"p": 5, "n": 2, "mode": "complex", "values": values(25)})
     write("rational.json", {"p": 3, "n": 2, "mode": "rational", "values": [
         f"{int(rng.random() * 11) - 5}/{int(rng.random() * 3) + 1}" for _ in range(9)]})
+    write("bad_rational.json", {"p": 3, "n": 1, "mode": "rational", "values": [0.1, "1/2", 1]})
     write("parallel.json", {"p": 5, "d": 1, "forms": [[1], [2]]})
     write("pairs.json", {"p": 5, "d": 2, "name": "pairs", "forms": [[1, 0], [1, 1]],
                          "rows": "integer"})

@@ -1,6 +1,6 @@
 import json
 import math
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -17,16 +17,13 @@ from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, INFINITE,
                                     _power_matrix, _rank_table)
 
 import oracles
+from ledger import kept_tests, make, random_system, system_with_relations
 
 
 def is_s_complex_at(sys_, i, s):
     """Can the forms other than form i be split into <= s + 1 classes, none
     of whose spans contains form i?"""
     return _min_partition_classes(sys_.subset_ranks, sys_.m, i) <= s + 1
-
-
-def make(p, rows):
-    return LinearFormSystem(p=p, d=len(rows[0]), coeffs=np.array(rows))
 
 
 # ---------------------------------------------------------------- construction
@@ -115,116 +112,6 @@ def test_translation_invariant_sixes_are_actually_1_complex():
                     for u in range(len(rows[0]))] == \
                 [v % p for v in rows[target]]
             assert cs_complexity(sys_) == 1
-
-
-def random_system(rng, p, m, d):
-    rows, seen = [], set()
-    while len(rows) < m:
-        r = tuple(int(v) for v in rng.integers(0, p, size=d))
-        if any(r) and r not in seen:
-            seen.add(r)
-            rows.append(list(r))
-    return make(p, rows)
-
-
-def test_cs_complexity_matches_brute_force():
-    rng = np.random.default_rng(20)
-    systems = [builtin_system(n, 5)
-               for n in ("ap3", "ap4", "diff3", "gw6b", "cube7")]
-    for _ in range(10):
-        p = int(rng.choice([3, 5]))
-        systems.append(random_system(rng, p, int(rng.integers(2, 5)),
-                                     int(rng.integers(2, 4))))
-    for p in (3, 5, 7):
-        for _ in range(3):
-            systems.append(random_system(rng, p, 5, int(rng.integers(2, 4))))
-    # d > m: rref keeps 3 and 4 of the 6 columns (form 2 = form 0 + form 1 in
-    # the first), and no subset's rank may change with the others dropped
-    systems.append(make(7, [[1, 0, 2, 0, 3, 1], [0, 1, 1, 4, 0, 2],
-                            [1, 1, 3, 4, 3, 3], [2, 5, 0, 1, 6, 0]]))
-    systems.append(make(5, [[1, 2, 0, 3, 4, 1], [0, 0, 1, 2, 2, 3],
-                            [3, 1, 4, 0, 1, 2], [1, 0, 0, 0, 0, 4]]))
-    # a parallel pair (form 3 = 2 * form 0) makes the system INFINITE
-    systems.append(make(5, [[1, 2, 0], [0, 1, 1], [1, 0, 3], [2, 4, 0]]))
-    infinite = 0
-    for sys_ in systems:
-        rows = [list(map(int, r)) for r in sys_.coeffs]
-        per_index = [oracles.brute_min_classes(rows, i, sys_.p)
-                     for i in range(sys_.m)]
-        brute = max(per_index)
-        expected = INFINITE if math.isinf(brute) else max(int(brute) - 1, 0)
-        assert cs_complexity(sys_) == expected
-        infinite += math.isinf(brute)
-        for i, k in enumerate(per_index):
-            if math.isinf(k):
-                assert not is_s_complex_at(sys_, i, sys_.m)
-                continue
-            if k >= 2:
-                assert not is_s_complex_at(sys_, i, int(k) - 2)
-            if k >= 1:
-                assert is_s_complex_at(sys_, i, int(k) - 1)
-    assert infinite >= 1
-
-
-def system_with_relations(rng, p, m, d):
-    """A random system in which about a third of the forms are forced
-    combinations of one to three earlier forms; returns it and the list of
-    (form, the earlier forms it combines)."""
-    rows, seen, relations = [], set(), []
-    while len(rows) < m:
-        sources = []
-        if rows and rng.random() < 0.35:
-            sources = sorted(rng.choice(len(rows), size=min(len(rows), int(
-                rng.integers(1, 4))), replace=False).tolist())
-            coeffs = rng.integers(1, p, size=len(sources)).tolist()
-            row = tuple(sum(c * rows[i][u] for c, i in zip(coeffs, sources)) % p
-                        for u in range(d))
-        else:
-            row = tuple(int(v) for v in rng.integers(0, p, size=d))
-        if any(row) and row not in seen:
-            if sources:
-                relations.append((len(rows), sources))
-            seen.add(row)
-            rows.append(list(row))
-    return make(p, rows), relations
-
-
-def test_subset_rank_table_matches_span_enumeration():
-    for name in ("gw6a", "cube7"):
-        sys_ = builtin_system(name, 5)
-        rows = [list(map(int, r)) for r in sys_.coeffs]
-        ranks = sys_.subset_ranks
-        assert len(ranks) == 2 ** sys_.m
-        for mask, r in enumerate(ranks):
-            subset = [rows[j] for j in range(sys_.m) if mask >> j & 1]
-            assert r == oracles.span_rank(subset, 5)
-    # seeded random systems with forced dependencies: every mask for m <= 6,
-    # else 48 random masks, the full mask and each relation's masks.  A span
-    # of at most 27 points is listed (`span_rank`); larger ones are reduced
-    # by `naive_rank`.
-    rng = np.random.default_rng(15)
-    for p in (3, 5, 7, 11, 13, 2147483647):
-        for m in range(1, 13):
-            d = int(rng.integers(1, 14))
-            while p**d <= m:
-                d += 1
-            sys_, relations = system_with_relations(rng, p, m, d)
-            rows = [list(map(int, r)) for r in sys_.coeffs]
-            ranks = sys_.subset_ranks
-            assert len(ranks) == 2**m
-            masks = set(range(2**m)) if m <= 6 else \
-                set(rng.integers(0, 2**m, size=48).tolist()) | {2**m - 1}
-            for j, sources in relations:
-                below = sum(1 << i for i in sources)
-                masks |= {below, below | 1 << j}
-            for mask in sorted(masks):
-                subset = [rows[j] for j in range(m) if mask >> j & 1]
-                want = oracles.span_rank(subset, p) \
-                    if p ** min(len(subset), d) <= 27 else oracles.naive_rank(subset, p)
-                assert ranks[mask] == want, (p, m, d, mask)
-            for j, sources in relations:
-                below = sum(1 << i for i in sources)
-                assert ranks[below | 1 << j] == ranks[below], (p, m, j)
 
 
 def test_rank_table_of_no_columns_and_of_one_row():
@@ -403,39 +290,6 @@ def test_complexity_invariance_under_relabelling():
         assert cs_complexity(LinearFormSystem(p=base.p, d=base.d, coeffs=rows)) == cs
 
 
-def test_min_partition_classes_from_every_floor_matches_brute_force():
-    """The search from a floor returns max(floor, the minimum): the tests
-    below the minimum are exhaustive, and those from a higher floor stop at
-    the floor.  The random systems have no parallel pair, whose exhaustive
-    brute force is slow (the INFINITE case has its own test below)."""
-    def parallel(rows, p):
-        return any(oracles.naive_in_span(u, [v], p)
-                   for u, v in combinations(rows, 2))
-
-    systems = [builtin_system(name, 7) for name in BUILTIN_SYSTEM_NAMES]
-    rng = np.random.default_rng(35)
-    for p in (3, 5, 7):
-        for m in range(1, 8):
-            while True:
-                sys_ = system_with_relations(rng, p, m, 3)[0] if m % 2 else \
-                    random_system(rng, p, m, 3)
-                if not parallel(sys_.coeffs.tolist(), p):
-                    break
-            systems.append(sys_)
-    tested = 0
-    for sys_ in systems:
-        rows = [list(map(int, r)) for r in sys_.coeffs]
-        ranks = sys_.subset_ranks
-        for i in range(sys_.m):
-            brute = oracles.brute_min_classes(rows, i, sys_.p)
-            for floor in range(sys_.m + 1):
-                got = _min_partition_classes(ranks, sys_.m, i, floor)
-                assert got == max(floor, brute), (sys_.coeffs.tolist(), i, floor)
-            assert _min_partition_classes(ranks, sys_.m, i) == brute
-            tested += brute >= 3
-    assert tested >= 20
-
-
 def test_parallel_forms_are_infinite_from_every_floor():
     sys_ = make(5, [[1, 2, 0], [0, 1, 1], [1, 0, 3], [2, 4, 0]])
     ranks = sys_.subset_ranks
@@ -524,27 +378,6 @@ def test_gw6a_square_dependence_at_p5():
     assert not power_independence(builtin_system("gw6a", 5), 1)
     for p in (7, 11, 13):
         assert power_independence(builtin_system("gw6a", p), 1)
-
-
-def test_square_independence_matches_matrix_oracle():
-    rng = np.random.default_rng(22)
-    cases = [builtin_system(n, 7).coeffs for n in
-             ("ap3", "ap4", "gw6a", "gw6b", "cube7", "diff3")]
-    for _ in range(10):
-        m, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        cases.append(rng.integers(0, 5, size=(m, d)))
-    for rows in cases:
-        for p in (5, 7):
-            rows_l = [list(map(int, r)) for r in rows]
-            if not all(any(v % p for v in r) for r in rows_l):
-                continue
-            seen = {tuple(v % p for v in r) for r in rows_l}
-            if len(seen) < len(rows_l):
-                continue
-            sys_ = LinearFormSystem(p=p, d=len(rows_l[0]),
-                                    coeffs=np.array(rows_l) % p)
-            assert power_independence(sys_, 1) == \
-                oracles.naive_square_matrices_independent(rows_l, p)
 
 
 def test_power_independence_validation():
@@ -644,55 +477,6 @@ def test_power_independence_monotone_on_library():
             seen_true = seen_true or ok
 
 
-def _single_owner_cases():
-    """(p, integer rows) of every built-in system at p in {5, 7, 11, 13} and
-    of seeded random systems of up to 12 forms: some holding a form and a
-    multiple of it (dependent powers at every order), some of rank below d
-    (a column the sum of two others)."""
-    cases = [(p, _BUILTIN_ROWS[name][1]) for name in BUILTIN_SYSTEM_NAMES
-             for p in (5, 7, 11, 13)]
-    rng = np.random.default_rng(39)
-    for p in (5, 7, 11, 13):
-        for kind in ("plain", "parallel", "deficient", "deficient"):
-            while True:
-                m, d = int(rng.integers(2, 13)), int(rng.integers(3, 5))
-                rows = rng.integers(-2, 3, size=(m, d))
-                if kind == "parallel":
-                    rows[-1] = 2 * rows[0]
-                elif kind == "deficient":
-                    rows[:, -1] = rows[:, 0] + rows[:, 1]
-                rows = rows.tolist()
-                if all(any(r) for r in rows) and len({tuple(r) for r in rows}) == m:
-                    cases.append((p, rows))
-                    break
-    return cases
-
-
-def test_power_independence_cold_and_warm_matches_the_oracle():
-    """At every order 1 <= k < p - 1, power_independence equals a textbook
-    rank of the multinomial power rows: on a fresh system, on one asked
-    from the highest order down, and on one whose ranks
-    `conjectured_true_complexity` has filled."""
-    kinds = set()
-    for p, rows in _single_owner_cases():
-        want = {k: oracles.naive_rank(oracles.naive_power_rows(rows, k, p), p) == len(rows)
-                for k in range(1, p - 1)}
-        kinds.add(tuple(sorted(set(want.values()))))
-        for k, expected in want.items():
-            assert power_independence(make(p, rows), k) is expected, (p, rows, k)
-        downward = make(p, rows)
-        for k in sorted(want, reverse=True):
-            assert power_independence(downward, k) is want[k], (p, rows, k)
-        warm = make(p, rows)
-        true_k = conjectured_true_complexity(warm)
-        assert true_k == next((k for k, v in want.items() if v and k <= len(rows)),
-                              None), (p, rows)
-        for k in sorted(want, reverse=True):
-            assert power_independence(warm, k) is want[k], (p, rows, k)
-    # independent at every order, dependent at every order, and both
-    assert kinds == {(True,), (False,), (False, True)}
-
-
 def test_power_independence_eliminates_each_order_once(monkeypatch):
     """Asked again, at any order and after the true-complexity search, a
     system builds no power matrix twice, and none above a known independent
@@ -742,26 +526,6 @@ def test_maximal_square_independent_subsystem():
     assert maximal_square_independent_subsystem(builtin_system("gw6b", 5)) == \
         list(range(6))
     assert maximal_square_independent_subsystem(make(5, [[1, 0], [2, 0]])) == [0]
-
-
-@pytest.mark.parametrize("p", [5, 7])
-def test_maximal_square_independent_subsystem_matches_greedy_oracle(p):
-    # greedy lowest-index-first over the flattened gamma gamma^T, a form kept
-    # when its square is outside the span of the kept ones (span enumeration)
-    rng = np.random.default_rng(30 + p)
-    checked = 0
-    while checked < 25:
-        m, d = int(rng.integers(1, 5)), int(rng.integers(1, 4))
-        rows = [[int(v) for v in r] for r in rng.integers(0, p, size=(m, d))]
-        if not all(any(r) for r in rows) or len({tuple(r) for r in rows}) < m:
-            continue
-        squares = [(np.outer(r, r) % p).ravel() for r in rows]
-        kept = []
-        for i, sq in enumerate(squares):
-            if not oracles.naive_in_span(sq, [squares[j] for j in kept], p):
-                kept.append(i)
-        assert maximal_square_independent_subsystem(make(p, rows)) == kept, rows
-        checked += 1
 
 
 # ---------------------------------------------------------------- relations
@@ -882,3 +646,8 @@ def test_load_refuses_non_integer_numbers(field, value, tmp_path):
                                 field: value}))
     with pytest.raises(ValueError, match=f"bad.json, field '{field}'"):
         load_system(str(path))
+
+
+# The cross-checks of this module that are rows of tests/ledger.py, under
+# their older names.
+globals().update(kept_tests(__name__))

@@ -11,8 +11,7 @@ from uniformity_lab.algebra import QuadraticForm, _atom_counts
 from uniformity_lab.domains import domain
 from uniformity_lab.functions import (GroupFunction, balanced,
                                       random_bounded_function, uk_norm)
-from uniformity_lab.systems import (BUILTIN_SYSTEM_NAMES, LinearFormSystem,
-                                    builtin_system, cs_complexity)
+from uniformity_lab.systems import builtin_system, cs_complexity
 from uniformity_lab.verification import (Check, ComplexityPreconditionError,
                                          ExperimentReport, QuadraticFactor,
                                          QuadraticMap, SquareDependenceError,
@@ -27,16 +26,8 @@ from uniformity_lab.verification import (Check, ComplexityPreconditionError,
                                          verify_pythagoras, verify_quadfactor)
 
 import oracles
+from ledger import enumerated_factor_count, kept_tests, make, sum_of_squares_form
 from oracles import random_symmetric
-
-
-def sum_of_squares_form(p, n):
-    return QuadraticForm(p=p, M=np.eye(n, dtype=np.int64),
-                         b=np.zeros(n, dtype=np.int64))
-
-
-def make(p, rows):
-    return LinearFormSystem(p=p, d=len(rows[0]), coeffs=np.array(rows))
 
 
 # ---------------------------------------------------------------- gauss sums
@@ -58,19 +49,6 @@ def test_gauss_sum_zero_form_is_one():
 def test_gauss_sum_sum_of_squares_modulus():
     q = sum_of_squares_form(5, 2)
     assert abs(abs(gauss_sum(q)) - 1 / 5) < 1e-10
-
-
-def test_gauss_sum_matches_naive_and_respects_bound():
-    rng = np.random.default_rng(50)
-    for _ in range(15):
-        p = int(rng.choice([3, 5]))
-        n = int(rng.integers(1, 3))
-        M = rng.integers(0, p, size=(n, n))
-        q = QuadraticForm(p=p, M=(M + M.T) % p, b=rng.integers(0, p, size=n))
-        value = gauss_sum(q)
-        assert abs(value - oracles.naive_gauss_average(q.M, q.b, p)) < 1e-12
-        rep = gauss_sum_report(q)
-        assert rep.passed, rep.to_dict()
 
 
 def test_gauss_equality_cases_across_small_fields():
@@ -404,31 +382,6 @@ def test_atom_distribution_random_factors():
         assert atom_distribution(factor).passed
 
 
-def test_atom_histogram_matches_enumeration():
-    """The closed-form histogram equals `oracles.naive_atom_histogram` cell
-    for cell on 204 seeded factors: p in {3, 5, 7, 11}, every d1 from 0 to n
-    and every d2 from 0 to 3, then per p three with linear forms only (M = 0,
-    b != 0), one of them also with a homogeneous form (b = 0)."""
-    rng = np.random.default_rng(29)
-    factors = []
-    for p, top in ((3, 5), (5, 4), (7, 3), (11, 2)):
-        factors += [random_factor(p, n, d1, d2, rng) for n in range(1, top + 1)
-                    for d1 in range(n + 1) for d2 in range(4)]
-        for d2 in (1, 2, 3):
-            n = 3
-            forms = [QuadraticForm(p=p, M=np.zeros((n, n), dtype=np.int64),
-                                   b=rng.integers(1, p, size=n)) for _ in range(d2)]
-            if d2 == 3:
-                forms[0] = sum_of_squares_form(p, n)
-            factors.append(QuadraticFactor(p=p, n=n, gamma1=np.eye(n, dtype=np.int64)[:1],
-                                           gamma2=QuadraticMap(forms=tuple(forms))))
-    assert len(factors) == 204
-    for factor in factors:
-        counts = _atom_counts(factor.gamma1, factor.gamma2.forms, factor.p)
-        assert counts.tolist() == oracles.naive_atom_histogram(factor), \
-            (factor.p, factor.n, factor.d1, factor.d2)
-
-
 def test_atom_histogram_in_small_blocks_matches_enumeration(monkeypatch):
     """With ATOM_BLOCK cut to 40 entries the lines of lambda come in blocks
     that fix a middle coordinate (c_lead + mid.c_mid in the transform) and
@@ -533,42 +486,6 @@ def test_quadfactor_with_linear_side_maps():
         Fraction(count, dom.size**2)
 
 
-def test_quadfactor_linear_side_across_three_variables():
-    # d = 3 variables and d2 = 2 quadratic forms with nonzero b_i, against a
-    # naive loop over the 729 assignments: once with phi_0 nonzero but for
-    # its middle block and phi_1 = 0, then with random phi_0, phi_1 and b
-    p, n, d = 3, 2, 3
-    rows = [[1, 0, 1], [0, 1, 1]]
-    sys_ = make(p, rows)
-    forms = [([[1, 0], [0, 1]], [0, 0]), ([[0, 1], [1, 2]], [1, 2])]
-    gamma2 = QuadraticMap(forms=tuple(
-        QuadraticForm(p=p, M=np.array(M), b=np.array(b)) for M, b in forms))
-    points, _ = oracles.naive_points(p, n)
-    rng = np.random.default_rng(57)
-    first = rng.integers(1, p, size=(2, n * d))
-    first[:, n:2 * n] = 0
-    trials = [([first, None], [[2, 1], [2, 1]])]
-    trials += [([rng.integers(0, p, size=(2, n * d)) for _ in rows],
-                rng.integers(0, p, size=(2, 2)).tolist()) for _ in range(3)]
-    for phis, bs in trials:
-        rep = verify_quadfactor(sys_, gamma2, phis=phis, bs=bs)
-        count = 0
-        for assign in product(points, repeat=d):
-            flat = [a for x in assign for a in x]
-            ok = True
-            for row, phi, b in zip(rows, phis, bs):
-                img = [sum(c * x[j] for c, x in zip(row, assign)) % p for j in range(n)]
-                for k, (M, off) in enumerate(forms):
-                    lhs = sum(img[a] * M[a][c] * img[c] for a in range(n)
-                              for c in range(n)) + sum(o * v for o, v in zip(off, img))
-                    rhs = b[k] if phi is None else \
-                        sum(int(f) * v for f, v in zip(phi[k], flat)) + b[k]
-                    ok &= (lhs - rhs) % p == 0
-            count += ok
-        assert 0 < count < p ** (n * d)
-        assert Fraction(rep.observed["probability_exact"]) == Fraction(count, p ** (n * d))
-
-
 def test_completefactor_outside_Z_is_impossible():
     factor = QuadraticFactor(p=5, n=3, gamma1=np.eye(3, dtype=int)[:1],
                              gamma2=QuadraticMap(forms=(sum_of_squares_form(5, 3),)))
@@ -597,62 +514,6 @@ def test_completefactor_with_trivial_linear_part_matches_quadfactor():
         quad.observed["probability_exact"]
 
 
-def factor_count_cases():
-    """Every built-in system at p = 3 (where it is one) and 5, and twelve
-    seeded random systems with rank C < d, each at the largest n <= 2 with
-    N^d <= 15,625, so that the enumeration oracle stays small."""
-    rng = np.random.default_rng(95)
-    cases = []
-    for p in (3, 5):
-        for name in BUILTIN_SYSTEM_NAMES:
-            try:
-                sys_ = builtin_system(name, p)
-            except ValueError:  # a coefficient too large for p
-                continue
-            cases.append((sys_, 2 if p ** (2 * sys_.d) <= 15625 else 1))
-    while len(cases) < 24:
-        p = (3, 5)[len(cases) % 2]
-        r = int(rng.integers(1, 3))
-        d = r + 1
-        rows = rng.integers(0, p, size=(int(rng.integers(2, 6)), r))
-        C = rows @ rng.integers(0, p, size=(r, d)) % p
-        if not C.any(axis=1).all() or len({tuple(c) for c in C.tolist()}) < len(C):
-            continue
-        sys_ = make(p, C.tolist())
-        if len(sys_.pivots) < d:
-            cases.append((sys_, 2 if p ** (2 * d) <= 15625 else 1))
-    return cases
-
-
-def test_factor_counts_on_the_plan_match_the_enumeration():
-    """Without side maps the factor count runs on the elimination plan;
-    it equals the enumeration of every assignment (`oracles`), with targets
-    read off a random assignment (so hit at least once) and random ones,
-    for d1 = 0, 1, 2 (up to n), with the closed form never taken."""
-    rng = np.random.default_rng(96)
-    hits = 0
-    for sys_, n in factor_count_cases():
-        p, m = sys_.p, sys_.m
-        dom = domain(p, n)
-        for d1 in range(min(2, n) + 1):
-            factor = random_factor(p, n, d1, 1, rng)
-            codes = factor.atom_codes(dom)
-            points, index = oracles.naive_points(p, n)
-            x = rng.integers(0, dom.size, size=sys_.d).tolist()
-            image = [codes[index[oracles._naive_form_value(row, x, points, p, n)]]
-                     for row in sys_.coeffs.tolist()]
-            read = np.array([[c // p ** (d1 - j) % p for j in range(d1 + 1)]
-                             for c in image], dtype=np.int64)
-            drawn = rng.integers(0, p, size=(m, d1 + 1))
-            for targets in (read, drawn):
-                A_t, B_t = targets[:, :d1], targets[:, d1:]
-                count = verification._factor_matches(sys_, factor, A_t, B_t, None, None)
-                assert count == oracles.enumerated_factor_count(sys_, factor, A_t, B_t), \
-                    (sys_.coeffs.tolist(), n, d1)
-                hits += count > 0
-    assert hits >= 40, hits
-
-
 def test_badex_runs_the_convolution_and_product_fills(monkeypatch):
     """verify badex on gw6a reaches the convolution fill, and on gw6b the
     matrix-product fill, with the count of the enumeration."""
@@ -669,7 +530,7 @@ def test_badex_runs_the_convolution_and_product_fills(monkeypatch):
         assert seen == [kind], name
         factor = verification.dot_factor(5, 2)
         zeros = np.zeros((sys_.m, 0), dtype=np.int64)
-        count = oracles.enumerated_factor_count(sys_, factor, zeros,
+        count = enumerated_factor_count(sys_, factor, zeros,
                                                 np.zeros((sys_.m, 1), dtype=np.int64))
         assert Fraction(rep.observed["probability_exact"]) == Fraction(count, 5 ** 6)
 
@@ -1009,3 +870,8 @@ def test_checks_recompute_from_stored_numbers():
     d = rep.to_dict()
     assert d["passed"] is False
     assert [c["passed"] for c in d["checks"]] == [True, False]
+
+
+# The cross-checks of this module that are rows of tests/ledger.py, under
+# their older names.
+globals().update(kept_tests(__name__))
