@@ -46,9 +46,11 @@ whole package.
 Both strategies, `count_solutions` and the factor counts in `verification`
 share the plan and one kernel, `reduce_form_images`: enumeration in tiles of
 whole rows of the (prefix, last variable) grid (of part of one row when N
-is above CHUNK), form images, a reducer called with the (m, rows, width)
-images of a tile alone, and partials in tile order from `_each`, whose pool
-sizes itself (one tile inline, k > 1 on min(k, CPUs) threads).  The images
+is above the tile), each tile's (m, rows, width) images within TILE_ENTRIES
+int64 entries, so cache-sized at any m, a reducer called with the images of
+a tile alone, and partials in tile order from `_each`, which takes runs of
+consecutive tiles of at most CHUNK cells and sizes its pool by them (one
+run inline, k > 1 on min(k, CPUs) threads).  The images
 are gathered through the domain's wrap-padded sum grid (`GroupDomain.sum_grid`);
 no digit tensor of the assignments is built.
 `plan_op_count` gives the operations `_run_passes` executes over a plan,
@@ -90,6 +92,10 @@ from .functions import (GroupFunction, IndicatorSet, _dft_axes, _dft_matrix,
 from .systems import LinearFormSystem, _rank_table
 
 CHUNK = 1 << 19
+# The int64 images of a kernel tile, m forms on cells assignments, stay
+# within TILE_ENTRIES entries (1 MiB), so that they and a reducer's gathers
+# fit a 2 MiB L2 at any m; `_each` pools by runs of CHUNK cells.
+TILE_ENTRIES = 1 << 17
 
 DUAL_AGREEMENT_TOL = 1e-8
 
@@ -123,19 +129,24 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
 
     `coeffs` is an (m, d) coefficient matrix.  The assignments, in base-N
     lexicographic order, are the (N^(d-1), N) grid of (prefix, last
-    variable); a tile is max(1, CHUNK // N) whole rows of it, or CHUNK
-    columns of one row when N > CHUNK, so no tile straddles a row.  images
-    is the (m, rows, width) array of the point indices of the forms' values
-    on a tile; a unit row e_u among the coefficients gives variable u's
-    point indices.  A form's value is built without digit arithmetic: its
-    first d - 1 terms are added over the tile's rows, each sum one gather
-    through `dom.sum_grid`, and the last term joins as one broadcast add of
-    its `c*x` code table and one gather, both written into the form's slice
-    of images.  For d = 1 the images are the `c*x` table itself and the
-    grid is never built; for d = 0 there is one tile of one cell.  The
-    tiles run through `_each`, their results in tile order whatever the
-    number of workers, so a fixed-order reduction of them is bit-reproducible.
-    Callers check their own budget.
+    variable).  A tile holds at most cells = min(CHUNK, max(1, TILE_ENTRIES
+    // m)) of them: max(1, cells // N) whole rows, or cells columns of one
+    row when N > cells, so no tile straddles a row and its images stay
+    within TILE_ENTRIES int64 entries.  images is the (m, rows, width)
+    array of the point indices of the forms' values on a tile; a unit row
+    e_u among the coefficients gives variable u's point indices.  A form's
+    value is built without digit arithmetic: its first d - 1 terms are
+    added over the tile's rows, each sum one gather through
+    `dom.sum_grid`, and the last term joins as one broadcast add of its
+    `c*x` code table and one gather, both written into the form's slice of
+    images.  For d = 1 the images are the `c*x` table itself and the grid
+    is never built; for d = 0 there is one tile of one cell.  `_each` runs
+    the tiles in runs of at most CHUNK cells (max(1, CHUNK // N) whole
+    rows, or CHUNK columns of one row), each run's tiles in order on one
+    worker, so a job pools only when it spans more than one run, and the
+    results come back in tile order whatever the number of workers: a
+    fixed-order reduction of them is bit-reproducible.  Callers check their
+    own budget.
     """
     coeffs = np.asarray(coeffs, dtype=np.int64) % dom.p
     m, d = coeffs.shape
@@ -148,14 +159,14 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
         P, enc = dom.sum_grid
         scaled = {c: dom.codes(c, 2 * dom.p - 1) for c in np.unique(coeffs).tolist()}
     prefixes = N ** (d - 1)
-    rows, width = max(1, CHUNK // N), min(CHUNK, N)
+    cells = min(CHUNK, max(1, TILE_ENTRIES // m))
+    rows, width = max(1, cells // N), min(cells, N)
+    run_rows, run_width = max(1, CHUNK // N), min(CHUNK, N)
 
-    def run(start: tuple[int, int]):
-        row, col = start
-        prefix = np.arange(row, min(row + rows, prefixes), dtype=np.int64)
+    def tile(row: int, row_stop: int, cols: slice):
+        prefix = np.arange(row, row_stop, dtype=np.int64)
         pre = [prefix // N ** (d - 2 - u) % N for u in range(d - 1)]
-        cols = slice(col, min(col + width, N))
-        images = np.empty((m, len(prefix), cols.stop - col), dtype=np.int64)
+        images = np.empty((m, len(prefix), cols.stop - cols.start), dtype=np.int64)
         for i, c in enumerate(coeffs.tolist()):
             if d == 1:
                 images[i] = scaled[c[0]][cols]
@@ -170,8 +181,16 @@ def reduce_form_images(coeffs: np.ndarray, dom: GroupDomain,
             np.take(P, images[i], out=images[i], mode="clip")
         return reduce(images)
 
-    return _each(run, [(row, col) for row in range(0, prefixes, rows)
-                       for col in range(0, N, width)])
+    def run(start: tuple[int, int]) -> list:
+        row, col = start
+        row_stop, col_stop = min(row + run_rows, prefixes), min(col + run_width, N)
+        return [tile(r, min(r + rows, row_stop), slice(c, min(c + width, col_stop)))
+                for r in range(row, row_stop, rows)
+                for c in range(col, col_stop, width)]
+
+    runs = _each(run, [(row, col) for row in range(0, prefixes, run_rows)
+                       for col in range(0, N, run_width)])
+    return [result for results in runs for result in results]
 
 
 def _cpus() -> int:
@@ -628,8 +647,8 @@ def _run_passes(passes: Sequence[_Pass], dom: GroupDomain,
     over the last variable.  A PRODUCT pass is one `_product_fill`, a
     CONVOLUTION pass one `_convolution_fill` where `_convolution_admitted`;
     any other is one `reduce_form_images` call, whose tiles are summed over
-    the last variable, and a row split into several tiles (N > CHUNK) adds
-    its tiles' sums.  The tile sums of the last pass are added in an
+    the last variable, and a row split into several tiles (N above the
+    tile) adds its tiles' sums.  The tile sums of the last pass are added in an
     explicit loop (the builtin sum may compensate), so the total, a Python
     int for tables of 0/1 or ints and complex for complex ones, is
     bit-reproducible."""

@@ -59,6 +59,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -502,15 +503,43 @@ def save_function(obj: GroupFunction | IndicatorSet, path: str) -> None:
 _RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
 
 
-def _rationals(values, what: str) -> list:
-    """`values`, as read from JSON, if each is an integer or an "a/b" string:
-    not a float, true/false or any other string, which are refused
-    (ValueError naming `what`)."""
+def _rationals(values, size: int, what: str) -> list:
+    """`values`, as read from JSON, if they are `size` integers or "a/b"
+    strings: a float, true/false, any other string or a table of another
+    length is refused (ValueError naming `what`)."""
     for v in values:
         if type(v) is not int and not (type(v) is str and _RATIONAL.fullmatch(v)):
             raise ValueError(f'{what} must hold integers and "a/b" strings only, '
                              f"not {v!r}")
+    if len(values) != size:
+        raise ValueError(f"{what} must hold {size} values, not {len(values)}")
     return values
+
+
+def _complex_values(values, size: int, what: str) -> np.ndarray:
+    """`values`, as read from JSON, as a complex128 table if they are `size`
+    pairs [re, im] of numbers: true/false, strings, null, entries of another
+    length or a table of another length are refused (ValueError naming
+    `what`).  `map` collects the lengths and the types, and numpy reads the
+    flattened pairs, so no Python loop visits the values."""
+    try:
+        lengths = set(map(len, values))
+        flat = list(chain.from_iterable(values))
+    except TypeError as exc:  # `values`, or an entry, is not a list
+        raise ValueError(f"{what} must hold [re, im] pairs of numbers: {exc}") from None
+    if lengths - {2}:
+        raise ValueError(f"{what} must hold [re, im] pairs, not entries of "
+                         f"{max(lengths - {2})} values")
+    kinds = set(map(type, flat)) - {int, float}
+    if kinds:
+        raise ValueError(f"{what} must hold numbers only, not "
+                         + ", ".join(sorted(k.__name__ for k in kinds)))
+    if len(values) != size:
+        raise ValueError(f"{what} must hold {size} [re, im] pairs, not {len(values)}")
+    try:
+        return np.fromiter(flat, np.float64, len(flat)).view(np.complex128)
+    except OverflowError as exc:  # an integer beyond float64
+        raise ValueError(f"{what} must hold [re, im] pairs of numbers: {exc}") from None
 
 
 def load_function(path: str) -> GroupFunction | IndicatorSet:
@@ -523,12 +552,13 @@ def load_function(path: str) -> GroupFunction | IndicatorSet:
         if mode == "indicator":
             return IndicatorSet.from_member_vectors(dom, as_int_array(
                 doc["members"], f"function file {path}, field 'members',"))
+        what = f"function file {path}, field 'values',"
         if mode == "rational":
             return GroupFunction.from_rational(dom, _rationals(
-                doc["values"], f"function file {path}, field 'values',"))
+                doc["values"], dom.size, what))
         if mode == "complex":
-            return GroupFunction.from_values(
-                dom, [complex(re, im) for re, im in doc["values"]])
+            return GroupFunction.from_values(dom, _complex_values(
+                doc["values"], dom.size, what))
     except KeyError as exc:
         raise ValueError(f"function file {path} missing field {exc}") from exc
     except TypeError as exc:  # not an object, or a null field

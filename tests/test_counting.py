@@ -1,5 +1,6 @@
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -231,6 +232,106 @@ def test_tiles_come_back_in_order_at_any_thread_count(monkeypatch):
         assert len(tiles) == N**2 and (len(workers) > 1) == (threads > 1)
         flat = np.concatenate([tile.reshape(len(coeffs), -1) for tile in tiles], axis=1)
         assert flat.tolist() == naive
+
+
+@pytest.mark.parametrize("p, n, m, d, entries, chunk", [
+    (7, 3, 4, 2, None, None),  # ap4's pass at p = 7, n = 3: 2^15 cells, 95 rows of 343
+    (5, 2, 5, 3, 64, None),  # 12 cells, narrower than a row of 25
+    (3, 2, 7, 3, 100, None),  # 14 cells, one row of 9
+    (3, 2, 2, 3, 10**6, 100)])  # CHUNK caps the tile: 100 cells, 11 rows of 9
+def test_tiles_hold_at_most_tile_entries_images(monkeypatch, p, n, m, d, entries, chunk):
+    # every images array holds at most cells assignments, m * cells <=
+    # TILE_ENTRIES, and the tiles in order are the one whole tile's images
+    if entries is not None:
+        monkeypatch.setattr(counting, "TILE_ENTRIES", entries)
+    if chunk is not None:
+        monkeypatch.setattr(counting, "CHUNK", chunk)
+    N = p**n
+    coeffs = np.random.default_rng(10 * p + m).integers(0, p, size=(m, d))
+    dom = domain(p, n)
+    cells = min(counting.CHUNK, max(1, counting.TILE_ENTRIES // m))
+    assert m * cells <= counting.TILE_ENTRIES
+    tiles = counting.reduce_form_images(coeffs, dom, lambda im: im)
+    assert len(tiles) == -(-N ** (d - 1) // max(1, cells // N)) * -(-N // min(cells, N))
+    assert all(tile.shape[0] == m and tile[0].size <= cells for tile in tiles)
+    assert (len(tiles) > 1) == (cells < N**d)
+    monkeypatch.setattr(counting, "TILE_ENTRIES", m * N**d)
+    monkeypatch.setattr(counting, "CHUNK", N**d)
+    (whole,) = counting.reduce_form_images(coeffs, dom, lambda im: im)
+    flat = np.concatenate([tile.reshape(m, -1) for tile in tiles], axis=1)
+    assert (flat == whole.reshape(m, -1)).all()
+
+
+def test_counts_are_identical_at_every_tile_size(monkeypatch):
+    # ap4 and ap5 (one plain pass), gw6b (a matrix product, then a pass over
+    # N^2) at N = 25, and a random system with a two-column enumerated fill:
+    # with TILE_ENTRIES = 4 N and 64 the rows of m > 4 forms are split into
+    # several tiles, and the counts keep their integers while the averages
+    # stay within 1e-12
+    structured = np.random.default_rng(3)
+    while True:
+        two_column = random_structured_system(structured, 3)
+        if any(pass_.kind == counting.ENUMERATE and pass_.coeffs.shape[1] == 2
+               for pass_ in two_column.direct_plan[:-1]):
+            break
+    rng = np.random.default_rng(49)
+    for sys_, n in ((builtin_system("ap4", 5), 2), (builtin_system("ap5", 5), 2),
+                    (builtin_system("gw6b", 5), 2), (two_column, 2)):
+        dom = domain(sys_.p, n)
+        A = IndicatorSet(domain=dom, members=rng.random(dom.size) < 0.6)
+        fs = random_functions(dom, rng, sys_.m)
+        runs = []
+        for entries in (1 << 17, 4 * dom.size, 64):
+            monkeypatch.setattr(counting, "TILE_ENTRIES", entries)
+            runs.append((count_solutions(sys_, A), count_solutions(sys_, A, with_degenerate=True),
+                         average_product_direct(sys_, fs), average_product_dual(sys_, fs)))
+        for run in runs[1:]:
+            assert run[:2] == runs[0][:2] and run[0][0] > 0
+            assert abs(run[2] - runs[0][2]) < 1e-12 and abs(run[3] - runs[0][3]) < 1e-12
+
+
+def test_a_pass_of_one_chunk_in_several_tiles_opens_no_pool(monkeypatch):
+    # ap4 at p = 7, n = 3: 117,649 cells, one run of CHUNK = 2^19 cells in
+    # four tiles, runs inline at any CPU count; at CHUNK = 2^16 it is two
+    # runs (191 and 152 rows) of three and two tiles, and pools two workers
+    pools = []
+
+    class Pool(counting.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(counting, "ThreadPoolExecutor", Pool)
+    monkeypatch.setattr(counting, "_cpus", lambda: 4)
+    dom = domain(7, 3)
+    coeffs = builtin_system("ap4", 7).coeffs
+    one_run = counting.reduce_form_images(coeffs, dom, lambda im: im)
+    assert len(one_run) == 4 and pools == []
+    monkeypatch.setattr(counting, "CHUNK", 1 << 16)
+    two_runs = counting.reduce_form_images(coeffs, dom, lambda im: im)
+    assert [tile.shape[1] for tile in two_runs] == [95, 95, 1, 95, 57] and pools == [2]
+    assert all((a == b).all() for a, b in zip(np.concatenate(one_run, axis=1),
+                                              np.concatenate(two_runs, axis=1)))
+
+
+def test_ap4_at_p7_n3_peaks_within_its_tiles():
+    # traced peak with caches warm: 1.13 and 2.01 MiB in tiles of 2^15
+    # cells, against 3.84 and 7.21 MiB in one tile of the 343 x 343 grid
+    dom = domain(7, 3)
+    A = IndicatorSet(domain=dom,
+                     members=np.random.default_rng(48).random(dom.size) < 0.5)
+    sys_ = builtin_system("ap4", 7)
+    f = A.to_function()
+    for call, limit in ((lambda: count_solutions(sys_, A), 2 * 2**20),
+                        (lambda: average_product_dual(sys_, [f] * 4), 4 * 2**20)):
+        call()  # the plan, the sum grid and the transform cached
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit, peak
 
 
 def test_budget_refusal_names_required_count():

@@ -648,6 +648,31 @@ def test_load_function_refuses_rational_values_other_than_integers_and_fractions
         load_function(str(path))
 
 
+@pytest.mark.parametrize("mode, values", [
+    ("complex", [[True, 0], [0.5, False], [1, 0]]), ("complex", [[1, 0, 7], [0.5, 0], [1, 0]]),
+    ("complex", [[1, 0], [0.5, 0]]), ("complex", [[1, 0], [None, 0], [1, 0]]),
+    ("complex", [[1, 0], "ab", [1, 0]]), ("complex", [[1, 0], 5, [1, 0]]),
+    ("complex", [[1, 0], [10**400, 0], [1, 0]]), ("complex", 7),
+    ("rational", [1, "1/2"]), ("rational", [1, 0, 0, 1])])
+def test_load_function_refuses_values_other_than_a_table_of_the_domain_size(
+        mode, values, tmp_path):
+    """A complex file holds N pairs [re, im] of numbers and a rational file N
+    values: true/false, which loaded as 1/0, an entry of three, which
+    raised "too many values to unpack", and a short table, which named no
+    file, are refused with null, a string, a bare number, an integer beyond
+    float64 and a long table, naming the file and the field; pairs of ints
+    and floats load as they did."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p": 3, "n": 1, "mode": mode, "values": values}))
+    with pytest.raises(ValueError, match="bad.json, field 'values'"):
+        load_function(str(path))
+    assert main(["norm", "--function", str(path), "--p", "3", "--n", "1",
+                 "--out", str(tmp_path / "report.json")]) == 2
+    path.write_text(json.dumps({"p": 3, "n": 1, "mode": "complex",
+                                "values": [[1, 0], [0.5, -2], [3, 0.25]]}))
+    assert load_function(str(path)).values.tolist() == [1, 0.5 - 2j, 3 + 0.25j]
+
+
 def test_function_file_roundtrips(tmp_path):
     dom = domain(3, 2)
     rng = np.random.default_rng(36)
