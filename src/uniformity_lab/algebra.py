@@ -111,12 +111,17 @@ def as_fp_vector(v, p: int) -> np.ndarray:
 
 
 def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form and pivot columns, first-nonzero pivoting.
+    """Reduced row echelon form and pivot columns, largest-entry pivoting.
 
-    Per column, one array operation finds the pivot row and one broadcast
-    product of whole rows, the column times the scaled pivot row, clears the
-    column (the pivot row is then restored); entries stay below p, so each
-    product is below (p - 1)^2 < 2^63 (`check_modulus`) and exact in int64."""
+    Per column, one `argmax` over the column below the finished rows finds
+    the pivot row i (the column is skipped where that entry is 0; the
+    reduced form is unique, so the choice of row does not change it), and
+    one broadcast product of whole rows, the column times the scaled pivot
+    row, clears the column, row i included; then row r, the first
+    unfinished one, is copied into row i and the scaled pivot row into row
+    r, which swaps the two rows by two row copies.  Entries stay below p,
+    so each product is below (p - 1)^2 < 2^63 (`check_modulus`) and exact
+    in int64."""
     A = as_fp_matrix(M, p)
     rows, cols = A.shape
     pivots: list[int] = []
@@ -124,15 +129,13 @@ def rref(M, p: int) -> tuple[np.ndarray, list[int]]:
         r = len(pivots)
         if r == rows:
             break
-        below = A[r:, c].nonzero()[0]
-        if not below.size:
+        i = r + int(A[r:, c].argmax())
+        if not A[i, c]:
             continue
-        i = r + below[0]
-        if i != r:
-            A[[r, i]] = A[[i, r]]
-        row = A[r] * inv_mod(A[r, c], p) % p
+        row = A[i] * inv_mod(A[i, c], p) % p
         A -= A[:, c, None] * row
         A %= p
+        A[i] = A[r]
         A[r] = row
         pivots.append(c)
     return A, pivots

@@ -9,6 +9,11 @@ parse errors, 3 on budget refusal.
 `norm`, `count`, `verify` and `octahedron --check lift` hand their parsed
 options to `verification.drive`, which prices the whole job before it builds
 or draws anything; this module prices nothing.
+The catalog commands (`list`, `complexity`, `independence`, `normal-form`)
+run `systems` and `algebra` alone, so these, `budget` and `reports` are the
+only modules loaded at the top; `verification`, `counting`, `hypergraphs`
+and `csv` are imported by the `_*_args` functions and handlers that use them,
+and a catalog command never loads them.
 
 A command line has two parse paths.  Where its first word names a command
 and the rest is exact `--name value` options and flags (and the `verify`
@@ -23,19 +28,15 @@ so help and error output are its own.
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import re
 import sys
 
 from .budget import BudgetExceededError
-from .counting import DUAL_AGREEMENT_TOL
-from .hypergraphs import vertex_uniformity_counterexample
 from .reports import dump_report, make_report
 from .systems import (BUILTIN_SYSTEM_NAMES, conjectured_true_complexity,
                       cs_complexity, normal_form_check, power_independence,
                       resolve_system)
-from .verification import EXPERIMENTS, DefaultSystemError, drive
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -116,6 +117,7 @@ def _norm_args(c):
 
 
 def _count_args(c):
+    from .counting import DUAL_AGREEMENT_TOL
     c.add_argument("--system", required=True)
     c.add_argument("--set", dest="set_name",
                    help="'quadzero' or a function/indicator file")
@@ -129,6 +131,7 @@ def _count_args(c):
 
 
 def _verify_args(c):
+    from .verification import EXPERIMENTS
     c.add_argument("experiment", choices=tuple(EXPERIMENTS))
     c.add_argument("--system", default=None)
     c.add_argument("--k", type=int, default=None)
@@ -286,6 +289,7 @@ def cmd_list(args) -> list:
         print(f"{name:7s} m={sys_.m} d={sys_.d} cs={cs} "
               f"square_independent={sq} conjectured_true={true_k}")
     if args.csv:
+        import csv
         with open(args.csv, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, ["name", "m", "d", "cs_complexity",
                                          "square_independent",
@@ -328,12 +332,14 @@ def cmd_normal_form(args) -> list:
 
 
 def cmd_norm(args) -> list:
+    from .verification import drive
     (record,) = drive(("norm",), args)
     print(f"U^{args.k} = {_fmt(record['value'])} ({record['method']})")
     return [record]
 
 
 def cmd_count(args) -> list:
+    from .verification import drive
     (results,) = drive(("count",), args)
     for r in results:
         if r["name"].startswith("solution_probability"):
@@ -352,6 +358,7 @@ def cmd_count(args) -> list:
 def cmd_verify(args) -> list:
     """The requested experiment's reports, and under `all` a record for each
     experiment skipped because its default system is invalid at p."""
+    from .verification import EXPERIMENTS, DefaultSystemError, drive
     results = []
     names = EXPERIMENTS[args.experiment]
     for name, rep in zip(names, drive(names, args, skip=args.experiment == "all")):
@@ -370,10 +377,12 @@ def cmd_verify(args) -> list:
 
 def cmd_octahedron(args) -> list:
     if args.check == "lift":
+        from .verification import drive
         (record,) = drive(("lift",), args)
         print(f"octahedral = {_fmt(record['octahedral'])}  U^3 = {_fmt(record['u3'])}  "
               f"gap = {record['gap']:.3g}")
         return [record]
+    from .hypergraphs import vertex_uniformity_counterexample
     rep = vertex_uniformity_counterexample(args.seed, args.size, budget=args.budget)
     status = "pass" if rep.passed else "FAIL"
     print(f"counterexample: {status}  value = "

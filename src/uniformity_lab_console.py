@@ -3,10 +3,11 @@
 OpenBLAS sizes its thread pool when numpy first loads, from the variables
 below; unset, it takes every core, and on a small machine most commands
 then run slower (fast U^3 at p = 7, n = 3 took 25 times as long on two
-threads as on one).  The package's `__init__` loads numpy through every
-submodule, so this entry lives outside the package and sets the variables
-before anything of it loads.  A value already in the environment is kept.
-Importing `uniformity_lab` or `uniformity_lab.cli` sets nothing.
+threads as on one).  `uniformity_lab.cli` loads numpy through `reports`
+and `systems`, which every command imports, so this entry lives outside
+the package and sets the variables before anything of it loads.  A value
+already in the environment is kept.  Importing `uniformity_lab` or
+`uniformity_lab.cli` sets nothing.
 """
 
 from __future__ import annotations

@@ -1,5 +1,11 @@
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import uniformity_lab
 
@@ -31,6 +37,56 @@ def test_public_api_is_pinned():
     assert sorted(uniformity_lab.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(uniformity_lab, name), name
+
+
+# The package's submodules, each reachable as `uniformity_lab.<module>`.
+SUBMODULES = ["algebra", "budget", "cli", "counting", "domains", "functions",
+              "hypergraphs", "reports", "systems", "verification"]
+
+
+def test_public_names_resolve_to_their_home_modules_objects():
+    """`__all__` is the pinned list in order, `dir` lists it, and each name,
+    loaded on first access, is the object of the module whose top level
+    defines it."""
+    assert uniformity_lab.__all__ == PUBLIC_NAMES
+    assert set(PUBLIC_NAMES) <= set(dir(uniformity_lab))
+    homes = {}
+    for file, tree in package_trees():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                homes[node.name] = file[:-3]
+            elif isinstance(node, ast.Assign):
+                homes.update((t.id, file[:-3]) for t in node.targets
+                             if isinstance(t, ast.Name))
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"uniformity_lab.{homes[name]}")
+        assert getattr(uniformity_lab, name) is getattr(module, name), name
+
+
+def test_submodules_are_package_attributes():
+    package_dir = Path(uniformity_lab.__file__).parent
+    assert sorted(path.stem for path in package_dir.glob("*.py")
+                  if path.stem != "__init__") == SUBMODULES
+    for module in SUBMODULES:
+        assert getattr(uniformity_lab, module) is \
+            importlib.import_module(f"uniformity_lab.{module}"), module
+        assert module in dir(uniformity_lab) and module not in uniformity_lab.__all__
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        uniformity_lab.no_such_name
+    assert not hasattr(uniformity_lab, "numpy")
+
+
+def test_importing_the_package_loads_no_submodule():
+    package_root = str(Path(uniformity_lab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", "import sys, uniformity_lab; print(sorted("
+                           "m for m in sys.modules if m.startswith('uniformity_lab.')))"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and proc.stdout.strip() == "[]"
 
 
 def package_trees():

@@ -1346,6 +1346,23 @@ def test_console_entry_point_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].strip() == "1"
+    # a fresh process loads only the modules its command runs: a catalog
+    # command runs `systems` and `algebra`, never an engine module; the
+    # child's last line of stderr lists the package modules it loaded
+    probe = ("import sys, uniformity_lab_console as entry; code = entry.main(sys.argv[1:]); "
+             "print(*sorted(m for m in sys.modules if m.partition('.')[0] == 'uniformity_lab'), "
+             "file=sys.stderr); sys.exit(code)")
+    loaded = {}
+    for argv in (["complexity", "--system", "diff3"],
+                 ["count", "--system", "ap3", "--set", "quadzero", "--p", "3", "--n", "2"]):
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        loaded[argv[0]] = set(proc.stderr.splitlines()[-1].split())
+    assert loaded["complexity"] == {"uniformity_lab", "uniformity_lab.cli",
+                                    "uniformity_lab.budget", "uniformity_lab.reports",
+                                    "uniformity_lab.systems", "uniformity_lab.algebra"}
+    assert "uniformity_lab.verification" in loaded["count"]
 
 
 def test_console_entry_pins_blas_threads(monkeypatch, capsys):
